@@ -1,7 +1,7 @@
 //! fleet_inference — learned-inference fleet throughput (DESIGN.md §8).
 //!
-//! The sharded counterpart of the `inference_plan` bench: every shard
-//! serves the compiled f32 `InferencePlan` (the paper's fast path) with
+//! The sharded counterpart of the ledger's `nn.plan_forward_us` probe: every
+//! shard serves the compiled f32 `InferencePlan` (the paper's fast path) with
 //! the LP audit disabled, so a fleet tick is scatter → batched
 //! matrix-vector inference per shard → admit → finish → merge, and never
 //! touches the solver.  This is the configuration that clears the
@@ -9,9 +9,9 @@
 //! by an order of magnitude and carries the ≥1M decisions/sec headline
 //! in BENCH_pr8.json.
 //!
-//! Weights are at initialisation: inference cost is weight-independent,
-//! and restricted-universe training is an open ROADMAP item, so this
-//! measures serving throughput, not TE quality.
+//! Weights are at initialisation: inference cost is weight-independent, so
+//! this measures serving throughput, not TE quality (`serve_sim --engine
+//! learned --shards N` is the trained counterpart).
 //!
 //! Separate from `shard_scale` so the two can run independently (the
 //! vendored criterion has no name filtering, and the monolithic LP
@@ -38,7 +38,7 @@ fn learned_tick(c: &mut Criterion) {
             group.bench_with_input(id, &(), |b, _| {
                 b.iter(|| {
                     cursor = window + (cursor + 1 - window) % (case.trace.len() - window);
-                    fleet.step_sparse(case.trace.snapshot(cursor))
+                    fleet.step_column(case.trace.snapshot(cursor).values())
                 })
             });
         }

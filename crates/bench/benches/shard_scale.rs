@@ -60,7 +60,7 @@ fn bench_regime(c: &mut Criterion, label: &str, steady: bool, monolith_cap: usiz
             group.bench_with_input(id, &(), |b, _| {
                 b.iter(|| {
                     cursor = WINDOW + (cursor + 1 - WINDOW) % (case.trace.len() - WINDOW);
-                    fleet.step_sparse(case.trace.snapshot(cursor))
+                    fleet.step_column(case.trace.snapshot(cursor).values())
                 })
             });
         }

@@ -10,8 +10,9 @@
 //!   evaluator on the restricted path set (`mlu_sparse`), versus the dense
 //!   all-pairs path set and matrix adapter (`mlu_dense`, 128 ToRs only);
 //! * `decision_*` — one full LP controller tick (forecast → candidate →
-//!   deploy → ingest) through `step_sparse` on pair columns, versus the dense
-//!   `step` over an all-pairs path set (128 ToRs only).
+//!   deploy → ingest) through `step_pairs`, on the sampled pair universe's
+//!   columns (`decision_sparse`) versus flattened all-pairs columns over an
+//!   all-pairs path set (`decision_dense`, 128 ToRs only).
 //!
 //! The dense full pipeline stops at 128 ToRs: Yen's enumeration over all
 //! `N·(N-1)` pairs is already ~16k pairs there — the same order as the
@@ -64,7 +65,7 @@ fn warmed_sparse_controller(case: &FabricCase) -> ServeController {
         ReconfigPolicy::always_update(),
     );
     for t in 0..WINDOW {
-        controller.observe_sparse(case.trace.snapshot(t));
+        controller.observe_pairs(case.trace.snapshot(t).values());
     }
     controller
 }
@@ -130,8 +131,8 @@ fn mlu_eval(c: &mut Criterion) {
     group.finish();
 }
 
-/// One full LP controller decision on pair columns and, at 128 ToRs, on the
-/// dense all-pairs path set with matrix ingestion.
+/// One full LP controller decision on the sampled universe's columns and, at
+/// 128 ToRs, on all-pairs columns over the dense all-pairs path set.
 ///
 /// The LP tick is benchmarked up to 1024 ToRs: at 2048 the sparse universe
 /// is ~16k pairs — the same program size as the *dense* 128-ToR case, whose
@@ -150,26 +151,27 @@ fn controller_decision(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("decision_sparse", &label), &(), |b, _| {
             b.iter(|| {
                 cursor = (cursor + 1) % case.trace.len();
-                controller.step_sparse(case.trace.snapshot(cursor))
+                controller.step_pairs(case.trace.snapshot(cursor).values())
             })
         });
         if tors == SIZES[0] {
             let paths_dense = PathSet::k_shortest(&case.graph, 3);
-            let trace_dense: TrafficTrace = case.trace.to_trace();
+            let columns_dense: Vec<Vec<f64>> =
+                case.trace.to_trace().matrices().iter().map(|m| m.flatten_pairs()).collect();
             let mut dense = ServeController::lp(
                 &paths_dense,
                 WINDOW,
                 PredictorKind::LastValue.build(),
                 ReconfigPolicy::always_update(),
             );
-            for t in 0..WINDOW {
-                dense.observe(trace_dense.matrix(t));
+            for column in &columns_dense[..WINDOW] {
+                dense.observe_pairs(column);
             }
             let mut cursor = WINDOW - 1;
             group.bench_with_input(BenchmarkId::new("decision_dense", &label), &(), |b, _| {
                 b.iter(|| {
-                    cursor = (cursor + 1) % trace_dense.len();
-                    dense.step(trace_dense.matrix(cursor))
+                    cursor = (cursor + 1) % columns_dense.len();
+                    dense.step_pairs(&columns_dense[cursor])
                 })
             });
         }

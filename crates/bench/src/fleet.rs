@@ -79,19 +79,20 @@ pub fn warmed_lp_fleet(case: &FleetCase, shards: usize) -> FleetController {
     let mut fleet =
         FleetController::lp(&plan, &case.paths, WINDOW, PredictorKind::LastValue, &fleet_policy());
     for t in 0..WINDOW {
-        fleet.observe_sparse(case.trace.snapshot(t));
+        fleet.observe_column(case.trace.snapshot(t).values());
     }
-    fleet.step_sparse(case.trace.snapshot(WINDOW));
+    fleet.step_column(case.trace.snapshot(WINDOW).values());
     fleet
 }
 
 /// Builds a learned-inference fleet over `shards` source blocks: each shard
 /// compiles its model into the f32 `InferencePlan` and serves it with the
 /// LP audit disabled, so ticks never touch the solver.  Weights stay at
-/// initialisation — inference cost is weight-independent, and
-/// restricted-universe training is an open ROADMAP item — so this measures
-/// serving throughput, not TE quality.  Warmup (the model's history window)
-/// and the first decision are paid here, outside the timed region.
+/// initialisation: inference cost is weight-independent, and training every
+/// shard (`FigretModel::train_flat` on its gathered columns, as `serve_sim
+/// --engine learned --shards N` does) would only lengthen setup — so this
+/// measures serving throughput, not TE quality.  Warmup (the model's history
+/// window) and the first decision are paid here, outside the timed region.
 pub fn warmed_learned_fleet(
     case: &FleetCase,
     shards: usize,
@@ -113,16 +114,15 @@ pub fn warmed_learned_fleet(
                 ReconfigPolicy { budget: None, ..pol.clone() },
             );
             c.enable_inference_plan();
-            c.bind_universe(shard.active());
             c
         })
         .collect();
     let mut fleet = FleetController::from_controllers(&plan, controllers, &pol);
     let window = config.history_window;
     for t in 0..window {
-        fleet.observe_sparse(case.trace.snapshot(t));
+        fleet.observe_column(case.trace.snapshot(t).values());
     }
-    fleet.step_sparse(case.trace.snapshot(window));
+    fleet.step_column(case.trace.snapshot(window).values());
     fleet
 }
 
@@ -134,14 +134,14 @@ mod tests {
     fn lp_and_learned_fleets_build_and_tick() {
         let case = fleet_case(64, true);
         let mut lp = warmed_lp_fleet(&case, 4);
-        let out = lp.step_sparse(case.trace.snapshot(WINDOW + 1));
+        let out = lp.step_column(case.trace.snapshot(WINDOW + 1).values());
         assert!(out.global_mlu > 0.0);
         assert_eq!(lp.num_shards(), 4);
 
         let config = FigretConfig::fast_test();
         let mut learned = warmed_learned_fleet(&case, 4, &config);
         let window = config.history_window;
-        let out = learned.step_sparse(case.trace.snapshot(window + 1));
+        let out = learned.step_column(case.trace.snapshot(window + 1).values());
         assert!(out.global_mlu > 0.0);
         assert_eq!(out.decision_seconds.len(), 4);
     }

@@ -1,7 +1,11 @@
 //! # figret-bench
 //!
-//! Shared setup helpers for the Criterion benchmarks that regenerate the
-//! timing results of Table 2 (see `benches/`).
+//! The repo's performance surface.  `perf_ledger` (`src/bin/perf_ledger/`,
+//! declared by the root `BENCHMARK.json`) is *the* perf command: four
+//! serving workloads, end-to-end and per-layer metrics.  The criterion
+//! targets under `benches/` are only the three scale sweeps the ledger does
+//! not have (`sparse_scale`, `shard_scale`, `fleet_inference`); this
+//! library holds their shared setup.
 
 #![warn(missing_docs)]
 

@@ -1,21 +1,23 @@
-//! serve_sim — the online TE controller replay harness (DESIGN.md §6).
+//! serve_sim — the online TE controller harness (DESIGN.md §6–§8).
 //!
-//! Replays a scenario's test split (or an unbounded online stream) through
-//! the `figret_serve` controller and reports MLU regret vs. the omniscient
-//! series, update count against the budget, routing churn and per-decision
-//! latency percentiles.  Common flags (`--fast`, `--snapshots N`,
-//! `--window N`, `--max-eval N`, `--full-scale`) are shared with every
-//! experiment binary; serving-specific flags are listed in `--help`-style
-//! usage output on any flag error.
+//! Serves a scenario's test split, an unbounded online stream or a generated
+//! fabric through a `figret_serve` fleet of `--shards N` controllers (1 =
+//! unsharded) and reports MLU regret vs. the omniscient series, update
+//! count against the budget, routing churn and per-decision latency
+//! percentiles.  Common flags (`--fast`, `--snapshots N`, `--window N`,
+//! `--max-eval N`, `--full-scale`) are shared with every experiment binary;
+//! serving-specific flags are listed in `--help`-style usage output on any
+//! flag error.  Every flag either takes effect or is a usage error (exit 2).
 
 use figret_eval::experiments::ExperimentOptions;
-use figret_eval::serving::{parse_topology, serve_sim, DemandMode, ServeEngine, ServeSimOptions};
+use figret_eval::serving::{
+    parse_topology, serve_sim, ServeEngine, ServeSimOptions, ServeTopology,
+};
 use figret_serve::{FallbackPolicy, PredictorKind, ReconfigPolicy, UpdateBudget};
 
 fn main() {
     let flags = ExperimentOptions::flag_set("serve_sim", "online TE controller replay harness")
         .text("topology", "geant", "topology to serve (geant, pod-db, ..., torN, podfabN)")
-        .text("demand", "dense", "demand ingestion storage: dense | sparse")
         .text("engine", "learned", "candidate engine: lp | learned")
         .text("predictor", "last", "online predictor: last | ewma[:a] | mean[:w] | max[:w]")
         .float("hysteresis", 0.05, "predicted-regret threshold before reconfiguring")
@@ -24,7 +26,7 @@ fn main() {
         .switch("always-update", "reconfigure every tick (batch-equivalence mode)")
         .number("online-ticks", 0, "serve N generated ticks instead of replaying the trace")
         .text("inference", "graph", "learned-engine inference path: graph | plan")
-        .number("shards", 0, "serve through a sharded fleet with N shards (0 = unsharded)")
+        .number("shards", 1, "split the pair universe into N source-block shards (1 = unsharded)")
         .number("retrain-every", 0, "retrain a challenger every N ticks while degraded (0 = off)")
         .number("retrain-window", 32, "observed demand columns kept for challenger retraining")
         .number("promotion-patience", 3, "consecutive shadow-audit wins before promotion")
@@ -35,16 +37,8 @@ fn main() {
     let values = flags.parse_or_exit(std::env::args().skip(1));
     let experiment = ExperimentOptions::from_flag_values(&values);
 
-    let fail = |message: String| -> ! {
-        eprintln!("error: {message}");
-        std::process::exit(2);
-    };
+    let fail = |message: String| -> ! { flags.usage_error(&message) };
     let topology = parse_topology(values.text("topology")).unwrap_or_else(|e| fail(e));
-    let demand = match values.text("demand") {
-        "dense" => DemandMode::Dense,
-        "sparse" => DemandMode::Sparse,
-        other => fail(format!("unknown demand mode '{other}' (expected dense | sparse)")),
-    };
     let predictor = PredictorKind::parse(values.text("predictor"), experiment.window)
         .unwrap_or_else(|e| fail(e));
     let engine = match values.text("engine") {
@@ -73,7 +67,7 @@ fn main() {
 
     let metrics_every = values.number("metrics-every");
     if metrics_every == 0 {
-        flags.usage_error("--metrics-every must be at least 1 tick");
+        fail("--metrics-every must be at least 1 tick".to_string());
     }
     let metrics_out = match values.text("metrics-out") {
         "" => None,
@@ -85,10 +79,7 @@ fn main() {
             for ext in ["jsonl", "prom"] {
                 let probe = std::path::PathBuf::from(format!("{}.{ext}", base.display()));
                 if let Err(e) = std::fs::OpenOptions::new().create(true).append(true).open(&probe) {
-                    flags.usage_error(&format!(
-                        "--metrics-out: cannot write '{}': {e}",
-                        probe.display()
-                    ));
+                    fail(format!("--metrics-out: cannot write '{}': {e}", probe.display()));
                 }
             }
             Some(base)
@@ -102,8 +93,19 @@ fn main() {
     if retrain_every > 0 && engine != ServeEngine::Learned {
         fail("--retrain-every requires --engine learned (recovery retrains a model)".to_string());
     }
-    if retrain_every > 0 && shards > 0 {
-        fail("--retrain-every is not supported on the --shards harness (LP shards)".to_string());
+    if shards == 0 {
+        fail("--shards must be at least 1 (1 = unsharded)".to_string());
+    }
+    if let ServeTopology::Fabric(_) = topology {
+        // A generated fabric has no train split and no online generator.
+        if engine == ServeEngine::Learned {
+            fail("--topology torN|podfabN has no train split; it requires --engine lp".to_string());
+        }
+        if online_ticks > 0 {
+            fail(
+                "--online-ticks serves a Table 1 network, not --topology torN|podfabN".to_string(),
+            );
+        }
     }
     if shift_tick > 0 && online_ticks == 0 {
         fail("--shift-tick shifts the generated stream; it requires --online-ticks".to_string());
@@ -111,7 +113,6 @@ fn main() {
 
     let options = ServeSimOptions {
         topology,
-        demand,
         engine,
         predictor,
         policy,

@@ -9,7 +9,8 @@
 
 pub mod args;
 pub mod experiments;
-pub mod fleet;
+#[cfg(test)]
+mod fleet;
 pub mod profile;
 pub mod report;
 pub mod runner;
@@ -18,8 +19,7 @@ pub mod serving;
 
 pub use args::{FlagSet, FlagValues};
 pub use experiments::ExperimentOptions;
-pub use fleet::{print_fleet_report, serve_fleet, FleetRun};
 pub use profile::print_profile_report;
 pub use runner::{omniscient_series, run_scheme, EvalOptions, Scheme, SchemeRun};
 pub use scenario::{Scenario, ScenarioOptions};
-pub use serving::{serve_replay, ServeEngine, ServeRun, ServeSimOptions};
+pub use serving::{print_serve_report, serve, ServeEngine, ServeRun, ServeSimOptions};

@@ -1,18 +1,29 @@
-//! Replay/online harness and report for the serving subsystem
-//! (`serve_sim` binary; DESIGN.md §6).
+//! The serving harness and report (`serve_sim` binary; DESIGN.md §6–§8).
 //!
-//! The harness drives a [`figret_serve::ServeController`] with demands
-//! pulled from a [`figret_traffic::DemandStream`] — either a replay of a
-//! scenario's test split (so every batch scenario is also a serving
-//! scenario, and results are directly comparable to [`crate::run_scheme`])
-//! or the unbounded online generator (diurnal + drift + flash crowds +
-//! failure storms).  The report scores what a production controller is
-//! judged by: MLU regret vs. the omniscient per-tick optimum, update count
-//! against the budget, routing churn, and per-decision latency percentiles.
+//! There is one serving path.  Every run — a Table 1 replay, the unbounded
+//! online generator, a generated 512–4096-ToR fabric; one shard or many; LP
+//! or learned — is the same four steps:
+//!
+//! 1. a [`ServeSetup`]: path set, pair universe, a source of demand
+//!    *columns* (one `f64` per active pair, slot order), warm-up length and
+//!    tick schedule, plus the training columns where the network has a
+//!    train split;
+//! 2. one [`build_controller`] per shard of the run's
+//!    [`figret_traffic::ShardPlan`] (`--shards 1` is the one-shard plan),
+//!    assembled into a [`FleetController`] — a one-shard fleet *is* the
+//!    unsharded controller, record for record (DESIGN.md §8);
+//! 3. one [`drive`] loop feeding columns to the fleet;
+//! 4. one [`ServeRun`] and one [`print_serve_report`].
+//!
+//! Dense matrices exist only at the I/O edge: a recorded
+//! [`TrafficTrace`] is flattened into a reused column buffer as it is read.
+//! The report scores what a production controller is judged by: MLU regret
+//! vs. the omniscient per-tick optimum, update count against the budget,
+//! routing churn, and per-decision latency percentiles.
 //!
 //! **Batch-equivalence contract:** with [`ReconfigPolicy::always_update`],
-//! the LP engine and the last-value predictor, the replay harness re-solves
-//! exactly the per-snapshot series of `run_scheme(Prediction(LastSnapshot))`
+//! the LP engine and the last-value predictor, a replay re-solves exactly
+//! the per-snapshot series of `run_scheme(Prediction(LastSnapshot))`
 //! through an identical warm-started template, so its per-tick MLUs match
 //! the batch path bit for bit (`tests/serve_equivalence.rs` enforces 1e-9).
 
@@ -21,17 +32,17 @@ use std::sync::Arc;
 
 use figret::FigretModel;
 use figret_serve::{
-    PredictorKind, ReconfigPolicy, RecoveryConfig, RecoveryStats, ServeController, ServeLog,
-    StepOutcome, Transition,
+    FleetController, HoldReason, PredictorKind, ReconfigPolicy, RecoveryConfig, ServeController,
+    ServeLog, Transition,
 };
-use figret_solvers::{MluTemplate, SeriesStats};
+use figret_solvers::MluTemplate;
 use figret_te::{max_link_utilization_pairs, normalize_by, PathSet, SchemeQuality};
 use figret_telemetry::{exposition, JsonlSink, Registry};
 use figret_topology::{FabricSpec, Topology};
 use figret_traffic::{
     datacenter::{tor_trace_sparse, TorTrafficConfig},
-    per_pair_variance_range, ActivePairs, DemandMatrix, DemandStream, OnlineStream,
-    OnlineStreamConfig, ReplayStream, SparseTrace, StepShiftConfig, TrafficTrace, WindowDataset,
+    ActivePairs, FlatWindowDataset, OnlineStream, OnlineStreamConfig, ShardPlan,
+    SparseDemandStream, SparseTrace, StepShiftConfig, StreamAnnotation, TrafficTrace,
 };
 
 use crate::experiments::ExperimentOptions;
@@ -41,36 +52,26 @@ use crate::report::{
 };
 use crate::scenario::Scenario;
 
-/// Which engine the controller serves from.
+/// Which engine the controllers serve from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeEngine {
     /// Warm-started LP re-solves only.
     Lp,
-    /// Learned inference (trained on the scenario's train split) with the
-    /// LP as audit reference and degradation fallback.
+    /// Learned inference (each shard's model trained on its slice of the
+    /// scenario's train split) with the LP as audit reference and
+    /// degradation fallback.
     Learned,
 }
 
-/// What the controller ingests demands as.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DemandMode {
-    /// Dense [`DemandMatrix`] snapshots through the matrix adapter.
-    Dense,
-    /// Sparse columnar snapshots ([`SparseTrace`]) through the column entry
-    /// points.  On a Table 1 replay the columns are scattered back onto the
-    /// dense pair universe, so decisions are bit-identical to
-    /// [`DemandMode::Dense`] — CI diffs the digests.
-    Sparse,
-}
-
-/// What network the controller serves: one of the paper's Table 1 networks
-/// (dense pair universe), or a generated 512–4096-ToR fabric (restricted
-/// pair universe, sparse end to end).
+/// What network the run serves: one of the paper's Table 1 networks (dense
+/// pair universe), or a generated 512–4096-ToR fabric (sampled pair
+/// universe).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeTopology {
     /// One of the eight Table 1 networks.
     Table1(Topology),
-    /// A large generated fabric; serving is LP-engine and sparse-columnar.
+    /// A large generated fabric.  It has no train split, so it serves the
+    /// LP engine only.
     Fabric(FabricSpec),
 }
 
@@ -81,16 +82,16 @@ pub struct ServeSimOptions {
     pub experiment: ExperimentOptions,
     /// Network to serve.
     pub topology: ServeTopology,
-    /// Demand-ingestion storage mode.
-    pub demand: DemandMode,
-    /// Engine the controller serves from.
+    /// Engine the controllers serve from.
     pub engine: ServeEngine,
-    /// Online predictor feeding the controller.
+    /// Online predictor feeding every controller.
     pub predictor: PredictorKind,
-    /// Reconfiguration policy (hysteresis, budget, fallback).
+    /// Reconfiguration policy (hysteresis, budget, fallback).  The
+    /// hysteresis and budget are enforced jointly across shards.
     pub policy: ReconfigPolicy,
     /// When > 0, serve this many ticks from the unbounded online generator
     /// (after warming up on it) instead of replaying the test split.
+    /// Table 1 networks only.
     pub online_ticks: usize,
     /// Cap on the number of replay decision ticks (`None` = the whole test
     /// split).  Streaming is contiguous, so the cap truncates rather than
@@ -101,10 +102,9 @@ pub struct ServeSimOptions {
     /// decisions must not change — CI diffs `decision_digest` between the
     /// two inference paths.
     pub use_plan: bool,
-    /// When > 0, serve through a sharded [`figret_serve::FleetController`]
-    /// with this many source-block shards under one global admission budget
-    /// (`crate::fleet`).  `--shards 1` runs a one-shard fleet, whose digests
-    /// must equal the unsharded path's.  0 = the single-controller path.
+    /// Number of source-block shards (≥ 1) the pair universe is split into;
+    /// every shard is one controller under the fleet's joint admission
+    /// budget.  1 is the unsharded run.
     pub shards: usize,
     /// Learned engine only: when > 0, enable the self-healing recovery
     /// ladder (DESIGN.md §9) and retrain a challenger every this many ticks
@@ -134,20 +134,19 @@ pub struct ServeSimOptions {
 }
 
 impl ServeSimOptions {
-    /// Defaults: replay GEANT with the learned engine, last-value predictor
-    /// and the default policy.
+    /// Defaults: replay GEANT unsharded with the learned engine, last-value
+    /// predictor and the default policy.
     pub fn new(experiment: ExperimentOptions) -> ServeSimOptions {
         ServeSimOptions {
             experiment,
             topology: ServeTopology::Table1(Topology::Geant),
-            demand: DemandMode::Dense,
             engine: ServeEngine::Learned,
             predictor: PredictorKind::LastValue,
             policy: ReconfigPolicy::default(),
             online_ticks: 0,
             max_ticks: None,
             use_plan: false,
-            shards: 0,
+            shards: 1,
             retrain_every: 0,
             retrain_window: 32,
             promotion_patience: 3,
@@ -160,7 +159,7 @@ impl ServeSimOptions {
 
     /// The recovery configuration of the run, when recovery is on.
     fn recovery_config(&self) -> Option<RecoveryConfig> {
-        (self.retrain_every > 0).then(|| RecoveryConfig {
+        (self.engine == ServeEngine::Learned && self.retrain_every > 0).then(|| RecoveryConfig {
             retrain_window: self.retrain_window,
             retrain_every: self.retrain_every,
             promotion_patience: self.promotion_patience,
@@ -177,11 +176,13 @@ impl ServeSimOptions {
 /// happen, registry snapshots every `every` decision ticks, a final
 /// snapshot at end of run, and the Prometheus-style exposition file written
 /// by [`MetricsStream::finish`].
-pub(crate) struct MetricsStream {
+struct MetricsStream {
     sink: JsonlSink,
     every: usize,
     prom_path: PathBuf,
     served: usize,
+    /// Transitions of each shard log already streamed.
+    streamed: Vec<usize>,
 }
 
 impl MetricsStream {
@@ -189,48 +190,39 @@ impl MetricsStream {
     /// `None` when metrics are off.  The serve_sim entry point validated
     /// the parent directory, so file creation failing here is a race (the
     /// directory vanished), reported as a panic with the path.
-    pub(crate) fn create(options: &ServeSimOptions) -> Option<MetricsStream> {
+    fn create(options: &ServeSimOptions) -> Option<MetricsStream> {
         let base = options.metrics_out.as_ref()?;
         let jsonl_path = PathBuf::from(format!("{}.jsonl", base.display()));
         let prom_path = PathBuf::from(format!("{}.prom", base.display()));
         let sink = JsonlSink::create(&jsonl_path).unwrap_or_else(|e| {
             panic!("cannot create metrics stream '{}': {e}", jsonl_path.display())
         });
-        Some(MetricsStream { sink, every: options.metrics_every.max(1), prom_path, served: 0 })
+        let every = options.metrics_every.max(1);
+        Some(MetricsStream { sink, every, prom_path, served: 0, streamed: Vec::new() })
     }
 
-    /// Streams one finished tick: every transition as its own event line,
-    /// and a full registry snapshot every `every` ticks.
-    pub(crate) fn on_tick(&mut self, tick: usize, transitions: &[Transition], registry: &Registry) {
-        for t in transitions {
-            self.sink
-                .event("transition", tick as u64, &[("kind", &format!("{t:?}"))])
-                .expect("metrics stream write failed");
+    /// Streams one finished tick: every transition the tick appended to a
+    /// shard log as its own event line, and a merged registry snapshot every
+    /// `every` ticks (materialized only on the ticks that emit one).
+    fn on_tick(&mut self, tick: usize, fleet: &FleetController) {
+        self.streamed.resize(fleet.num_shards(), 0);
+        for (log, streamed) in fleet.logs().iter().zip(&mut self.streamed) {
+            for t in &log.transitions[*streamed..] {
+                self.sink
+                    .event("transition", t.tick as u64, &[("kind", &format!("{:?}", t.transition))])
+                    .expect("metrics stream write failed");
+            }
+            *streamed = log.transitions.len();
         }
         self.served += 1;
         if self.served.is_multiple_of(self.every) {
-            self.sink.snapshot(tick as u64, registry).expect("metrics stream write failed");
-        }
-    }
-
-    /// Convenience wrapper over [`MetricsStream::on_tick`] for a
-    /// single-controller step outcome.
-    pub(crate) fn on_outcome(&mut self, outcome: &StepOutcome, registry: &Registry) {
-        self.on_tick(outcome.record.tick, &outcome.transitions, registry);
-    }
-
-    /// Like [`MetricsStream::on_tick`] but with a lazily built registry —
-    /// the fleet's merged snapshot is only materialized on the ticks that
-    /// actually emit one.
-    pub(crate) fn on_tick_lazy(&mut self, tick: usize, registry: impl FnOnce() -> Registry) {
-        self.served += 1;
-        if self.served.is_multiple_of(self.every) {
-            self.sink.snapshot(tick as u64, &registry()).expect("metrics stream write failed");
+            let registry = fleet.telemetry_snapshot().expect("armed run");
+            self.sink.snapshot(tick as u64, &registry).expect("metrics stream write failed");
         }
     }
 
     /// Writes the final snapshot, the exposition file, and flushes.
-    pub(crate) fn finish(&mut self, registry: &Registry) {
+    fn finish(&mut self, registry: &Registry) {
         self.sink.snapshot(self.served as u64, registry).expect("metrics stream write failed");
         self.sink.flush().expect("metrics stream flush failed");
         std::fs::write(&self.prom_path, exposition(registry))
@@ -239,132 +231,109 @@ impl MetricsStream {
     }
 }
 
-/// The result of one serving run.
-#[derive(Debug, Clone)]
+/// The result of one serving run: the fleet in its final state — per-shard
+/// logs, digests, admission, LP and recovery counters, telemetry — plus what
+/// the driver observed around it.
+#[derive(Debug)]
 pub struct ServeRun {
-    /// Display name (scenario, engine, predictor).
+    /// Display name (network, mode, shard count, engine, predictor).
     pub name: String,
     /// Replay: the trace snapshot index served at each tick.  Online: the
     /// tick numbers themselves.
     pub indices: Vec<usize>,
-    /// The controller's event/decision log.
-    pub log: ServeLog,
+    /// The fleet that served the run (one shard for an unsharded run).
+    pub fleet: FleetController,
+    /// Exact realized MLU of the whole network per tick (shard edge loads
+    /// merged); with one shard, bit-equal to the log's `realized_mlu`s.
+    pub realized_mlus: Vec<f64>,
     /// Omniscient (per-tick optimal) MLU over the same demands, the
-    /// normalizer of the regret metric.
-    pub omniscient: Vec<f64>,
-    /// Accumulated LP solver work of the controller's template re-solves.
-    pub lp_stats: SeriesStats,
-    /// Whether the controller abandoned learned inference for the LP.
-    pub fell_back: bool,
+    /// normalizer of the regret metric.  `None` on a sharded run: that
+    /// monolithic LP is the cliff sharding exists to avoid.
+    pub omniscient: Option<Vec<f64>>,
+    /// Active stream episodes (storms, flash crowds, step shifts) per tick.
+    /// Scenario description, not controller behavior: never in a digest.
+    pub annotations: Vec<(usize, StreamAnnotation)>,
     /// Fabric runs only: demand-storage accounting (sparse vs. the dense
     /// `N×N` equivalent).
     pub memory: Option<FabricMemory>,
     /// Wall-clock seconds of the serving loop end to end (decisions +
     /// ingestion, setup excluded).
     pub serve_seconds: f64,
-    /// SD pairs decided per tick (the pair-universe size): each tick makes
-    /// one routing decision per active pair, so aggregate throughput is
-    /// `ticks · pairs_per_tick / serve_seconds` decisions/sec.
-    pub pairs_per_tick: usize,
-    /// Recovery counters, when the self-healing ladder was enabled.
-    pub recovery: Option<RecoveryStats>,
-    /// Final telemetry registry snapshot, when the run was armed
-    /// (`--metrics-out`); feeds the end-of-run profile report.
-    pub telemetry: Option<Registry>,
-}
-
-/// Demand-storage accounting of a fabric serving run.
-#[derive(Debug, Clone, Copy)]
-pub struct FabricMemory {
-    /// Nodes of the fabric graph (ToRs + any aggregation switches).
-    pub num_nodes: usize,
-    /// Traffic-bearing ToRs.
-    pub num_tors: usize,
-    /// Active SD pairs (`nnz` of every snapshot).
-    pub active_pairs: usize,
-    /// Bytes held by the shared pair index.
-    pub index_bytes: usize,
-    /// Bytes held by the sparse trace's value columns.
-    pub sparse_trace_bytes: usize,
-    /// Bytes an equivalent dense `DemandMatrix` trace would hold
-    /// (`snapshots · n² · 8`).
-    pub dense_trace_bytes: usize,
-    /// Peak resident set size of the process so far (`VmHWM`), when the
-    /// platform exposes it.
-    pub peak_rss_bytes: Option<usize>,
-}
-
-/// Peak resident set size (`VmHWM`) of the current process in bytes, read
-/// from `/proc/self/status`; `None` where procfs is unavailable.
-pub fn peak_rss_bytes() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kib: usize = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib * 1024)
+    /// Whether the self-healing ladder was armed (`--retrain-every`).
+    pub recovery_armed: bool,
 }
 
 impl ServeRun {
-    /// Normalized-MLU (regret) summary vs. the omniscient series.
-    pub fn regret(&self) -> SchemeQuality {
-        let normalized = normalize_by(&self.log.realized_mlus(), &self.omniscient);
-        SchemeQuality::from_normalized(&self.name, &normalized)
+    /// Decision ticks served (every shard ticks once per tick).
+    pub fn ticks(&self) -> usize {
+        self.fleet.ticks()
     }
 
-    /// Recovery-loop summary derived from the transition log and the
-    /// controller's recovery counters; `None` when recovery was off.
+    /// Normalized-MLU (regret) summary vs. the omniscient series; `None` on
+    /// a sharded run, which solves no omniscient series.
+    pub fn regret(&self) -> Option<SchemeQuality> {
+        let normalized = normalize_by(&self.realized_mlus, self.omniscient.as_ref()?);
+        Some(SchemeQuality::from_normalized(&self.name, &normalized))
+    }
+
+    /// Recovery-loop summary derived from the transition logs and the
+    /// controllers' recovery counters; `None` when recovery was off.  On a
+    /// sharded run the per-shard quantities add up (episodes, fallback
+    /// shard-ticks) and the time to recovery is the slowest shard's.
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        let stats = self.recovery?;
-        let end = self.log.records.last().map(|r| r.tick + 1).unwrap_or(0);
+        let stats = self.recovery_armed.then(|| self.fleet.recovery_stats())?;
+        let is_degradation =
+            |t: Transition| matches!(t, Transition::Degraded | Transition::Demoted);
+        let mut degraded_events = 0;
         let mut fallback_ticks = 0;
-        let mut degraded_since: Option<usize> = None;
-        for t in &self.log.transitions {
-            match t.transition {
-                Transition::Degraded | Transition::Demoted => {
+        let mut time_to_recovery = None;
+        let mut every_shard_recovered = true;
+        for log in self.fleet.logs() {
+            let mut degraded_since: Option<usize> = None;
+            for t in &log.transitions {
+                if is_degradation(t.transition) {
+                    degraded_events += 1;
                     degraded_since.get_or_insert(t.tick);
-                }
-                Transition::Promoted => {
+                } else if t.transition == Transition::Promoted {
                     if let Some(since) = degraded_since.take() {
                         fallback_ticks += t.tick - since;
                     }
                 }
-                Transition::PlanRetired | Transition::RetrainStarted => {}
+            }
+            if let Some(since) = degraded_since {
+                fallback_ticks += self.ticks().saturating_sub(since);
+            }
+            let first_degraded =
+                log.transitions.iter().find(|t| is_degradation(t.transition)).map(|t| t.tick);
+            match (first_degraded, log.recovery_tick()) {
+                (Some(d), Some(p)) => time_to_recovery = time_to_recovery.max(Some(p - d)),
+                (Some(_), None) => every_shard_recovered = false,
+                (None, _) => {}
             }
         }
-        if let Some(since) = degraded_since {
-            fallback_ticks += end.saturating_sub(since);
-        }
-        let first_degraded = self
-            .log
-            .transitions
-            .iter()
-            .find(|t| matches!(t.transition, Transition::Degraded | Transition::Demoted))
-            .map(|t| t.tick);
-        let time_to_recovery = match (first_degraded, self.log.recovery_tick()) {
-            (Some(d), Some(p)) => Some(p - d),
+        let post_recovery_regret = match (self.fleet.logs(), &self.omniscient) {
+            ([log], Some(omniscient)) => log.recovery_tick().and_then(|p| {
+                let post: Vec<f64> = log
+                    .records
+                    .iter()
+                    .zip(omniscient)
+                    .filter(|(r, _)| r.tick >= p)
+                    .map(|(r, &o)| r.realized_mlu / o.max(1e-12))
+                    .collect();
+                (!post.is_empty()).then(|| post.iter().sum::<f64>() / post.len() as f64)
+            }),
             _ => None,
         };
-        let post_recovery_regret = self.log.recovery_tick().and_then(|p| {
-            let post: Vec<f64> = self
-                .log
-                .records
-                .iter()
-                .zip(&self.omniscient)
-                .filter(|(r, _)| r.tick >= p)
-                .map(|(r, &o)| r.realized_mlu / o.max(1e-12))
-                .collect();
-            (!post.is_empty()).then(|| post.iter().sum::<f64>() / post.len() as f64)
-        });
         Some(RecoveryReport {
-            degraded_events: self.log.transition_count(Transition::Degraded)
-                + self.log.transition_count(Transition::Demoted),
+            degraded_events,
             retrains: stats.retrains,
             promotions: stats.promotions,
             detector_trips: stats.detector_trips,
             fallback_ticks,
-            time_to_recovery,
+            time_to_recovery: time_to_recovery.filter(|_| every_shard_recovered),
             post_recovery_regret,
             retrain_seconds: stats.retrain_seconds,
-            retrain_cost_per_tick: stats.retrain_seconds / self.log.len().max(1) as f64,
+            retrain_cost_per_tick: stats.retrain_seconds / self.ticks().max(1) as f64,
         })
     }
 }
@@ -395,6 +364,36 @@ pub struct RecoveryReport {
     pub retrain_seconds: f64,
     /// Retraining cost amortized over every decision tick of the run.
     pub retrain_cost_per_tick: f64,
+}
+
+/// Demand-storage accounting of a fabric serving run.
+#[derive(Debug, Clone, Copy)]
+pub struct FabricMemory {
+    /// Nodes of the fabric graph (ToRs + any aggregation switches).
+    pub num_nodes: usize,
+    /// Traffic-bearing ToRs.
+    pub num_tors: usize,
+    /// Active SD pairs (`nnz` of every snapshot).
+    pub active_pairs: usize,
+    /// Bytes held by the shared pair index.
+    pub index_bytes: usize,
+    /// Bytes held by the sparse trace's value columns.
+    pub sparse_trace_bytes: usize,
+    /// Bytes an equivalent dense `DemandMatrix` trace would hold
+    /// (`snapshots · n² · 8`).
+    pub dense_trace_bytes: usize,
+    /// Peak resident set size of the process so far (`VmHWM`), when the
+    /// platform exposes it.
+    pub peak_rss_bytes: Option<usize>,
+}
+
+/// Peak resident set size (`VmHWM`) of the current process in bytes, read
+/// from `/proc/self/status`; `None` where procfs is unavailable.
+pub fn peak_rss_bytes() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: usize = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib * 1024)
 }
 
 /// Parses a CLI topology spelling: the Table 1 names lowercased with `-`
@@ -438,290 +437,137 @@ pub fn parse_topology(spec: &str) -> Result<ServeTopology, String> {
         })
 }
 
-/// Builds the controller for a scenario: trains the FIGRET model on the
-/// train split for [`ServeEngine::Learned`], or goes straight to the LP.
-fn build_controller(scenario: &Scenario, options: &ServeSimOptions) -> ServeController {
-    let predictor = options.predictor.build();
-    match options.engine {
-        ServeEngine::Lp => ServeController::lp(
-            &scenario.paths,
-            options.experiment.window,
-            predictor,
-            options.policy.clone(),
-        ),
-        ServeEngine::Learned => {
-            let cfg = options.experiment.learning_config();
-            let variances = per_pair_variance_range(&scenario.trace, scenario.split.train.clone());
-            let dataset = WindowDataset::from_trace(
-                &scenario.trace,
-                cfg.history_window,
-                scenario.split.train.clone(),
-            );
-            let mut model = FigretModel::new(&scenario.paths, &variances, cfg);
-            model.train(&dataset);
-            let mut controller =
-                ServeController::learned(&scenario.paths, model, predictor, options.policy.clone());
-            if options.use_plan {
-                controller.enable_inference_plan();
+/// Where a run's demand columns come from.  Dense matrices stop here: a
+/// recorded Table 1 trace is flattened into the caller's column buffer as it
+/// is read.
+enum ColumnSource {
+    /// A recorded dense trace, read from snapshot `next` on.
+    Dense { trace: TrafficTrace, next: usize },
+    /// A recorded sparse trace (generated fabrics), read from `next` on.
+    Sparse { trace: SparseTrace, next: usize },
+    /// The unbounded online generator.
+    Online(Box<OnlineStream>),
+}
+
+impl ColumnSource {
+    /// Writes the next column into `out` and returns the stream episodes
+    /// behind it (always quiet for a recorded trace).
+    fn next_into(&mut self, out: &mut [f64]) -> StreamAnnotation {
+        match self {
+            ColumnSource::Dense { trace, next } => {
+                trace.matrix(*next).flatten_pairs_into(out);
+                *next += 1;
+                StreamAnnotation::default()
             }
-            if let Some(recovery) = options.recovery_config() {
-                controller.enable_recovery(recovery);
+            ColumnSource::Sparse { trace, next } => {
+                out.copy_from_slice(trace.snapshot(*next).values());
+                *next += 1;
+                StreamAnnotation::default()
             }
-            controller
+            ColumnSource::Online(stream) => {
+                let column = stream.next_column().expect("the online stream is endless");
+                out.copy_from_slice(column.values());
+                stream.annotation()
+            }
         }
     }
 }
 
-/// Runs the serving loop: `warmup` observations, then one decision tick per
-/// demand (at most `ticks`, or until the stream ends).  Returns the log and
-/// the realized demands, in tick order.
-fn drive(
-    controller: &mut ServeController,
-    stream: &mut dyn DemandStream,
+/// Everything a run serves, built three ways (Table 1 replay, Table 1
+/// online stream, generated fabric) and consumed one way.
+struct ServeSetup {
+    /// Network name and serving mode, the head of the report title.
+    title: String,
+    paths: PathSet,
+    /// The pair universe every column is aligned to.
+    active: Arc<ActivePairs>,
+    /// Source nodes the shard plan splits into blocks: every node of a
+    /// Table 1 network, the ToR prefix of a fabric.
+    num_sources: usize,
+    source: ColumnSource,
+    /// Observation-only columns before the first decision.
     warmup: usize,
-    ticks: Option<usize>,
-    mut metrics: Option<&mut MetricsStream>,
-) -> (ServeLog, Vec<DemandMatrix>) {
-    for _ in 0..warmup {
-        let demand = stream.next_demand().expect("stream ended during controller warmup");
-        controller.observe(&demand);
-    }
-    let mut log = ServeLog::new();
-    let mut realized = Vec::new();
-    let limit = ticks.unwrap_or(usize::MAX);
-    while realized.len() < limit {
-        let Some(demand) = stream.next_demand() else { break };
-        let outcome = controller.step(&demand);
-        if let Some(m) = metrics.as_deref_mut() {
-            m.on_outcome(&outcome, controller.telemetry_registry().expect("armed run"));
+    /// Snapshot index (replay, fabric) or tick number (online) of every
+    /// decision tick, in order.
+    indices: Vec<usize>,
+    /// The train split as parent-universe columns, flattened once; `None`
+    /// where there is nothing to train on (generated fabrics) or nothing to
+    /// train (LP engine).
+    train: Option<Vec<Vec<f64>>>,
+    /// Fabric runs only: demand-storage accounting (peak RSS is read at the
+    /// end of the run).
+    memory: Option<FabricMemory>,
+}
+
+impl ServeSetup {
+    fn build(options: &ServeSimOptions) -> ServeSetup {
+        match options.topology {
+            ServeTopology::Table1(topology) => ServeSetup::table1(topology, options),
+            ServeTopology::Fabric(spec) => ServeSetup::fabric(&spec, options),
         }
-        log.push(outcome.record, outcome.decision_seconds);
-        realized.push(demand);
     }
-    (log, realized)
-}
 
-/// The omniscient per-tick optimum over a demand sequence, solved through
-/// one warm-started template (sequential, deterministic).
-fn omniscient_over(paths: &PathSet, demands: &[DemandMatrix]) -> Vec<f64> {
-    let mut template = MluTemplate::new(paths);
-    // One flatten buffer for the whole series, not one allocation per solve.
-    let mut pairs = vec![0.0; paths.num_pairs()];
-    demands
-        .iter()
-        .map(|demand| {
-            demand.flatten_pairs_into(&mut pairs);
-            let (config, _) =
-                template.solve(paths, &pairs).expect("the omniscient min-MLU LP must be solvable");
-            max_link_utilization_pairs(paths, &config, &pairs)
-        })
-        .collect()
-}
-
-/// The omniscient per-tick optimum over a sparse snapshot range, solved on
-/// the restricted pair universe of `paths` (columns feed the LP directly).
-fn omniscient_over_sparse(paths: &PathSet, trace: &SparseTrace, ticks: &[usize]) -> Vec<f64> {
-    let mut template = MluTemplate::new(paths);
-    ticks
-        .iter()
-        .map(|&t| {
-            let column = trace.snapshot(t).values();
-            let (config, _) =
-                template.solve(paths, column).expect("the omniscient min-MLU LP must be solvable");
-            max_link_utilization_pairs(paths, &config, column)
-        })
-        .collect()
-}
-
-fn engine_name(options: &ServeSimOptions) -> &'static str {
-    match options.engine {
-        ServeEngine::Lp => "lp",
-        ServeEngine::Learned if options.use_plan => "learned/plan",
-        ServeEngine::Learned => "learned",
-    }
-}
-
-/// Replays the scenario's test split through the controller; see the
-/// module docs for the batch-equivalence contract.
-pub fn serve_replay(scenario: &Scenario, options: &ServeSimOptions) -> ServeRun {
-    let window = options.experiment.window;
-    let mut controller = build_controller(scenario, options);
-    let mut metrics = MetricsStream::create(options);
-    if metrics.is_some() {
-        controller.enable_telemetry();
-    }
-    let warmup = controller.window().max(window);
-    let first = scenario.split.test.start.max(warmup);
-    let mut indices: Vec<usize> = (first..scenario.trace.len()).collect();
-    if let Some(cap) = options.max_ticks {
-        indices.truncate(cap);
-    }
-    let serve_start = std::time::Instant::now();
-    let (log, realized) = match options.demand {
-        DemandMode::Dense => {
-            let mut stream = ReplayStream::once(scenario.trace.clone()).starting_at(first - warmup);
-            drive(&mut controller, &mut stream, warmup, Some(indices.len()), metrics.as_mut())
-        }
-        DemandMode::Sparse => drive_replay_sparse(
-            &mut controller,
-            &scenario.trace,
-            first - warmup,
+    /// A Table 1 network: replays the test split (so every batch scenario
+    /// is also a serving scenario, comparable to [`crate::run_scheme`]), or
+    /// with `online_ticks > 0` serves the unbounded generator.  The model,
+    /// when learned, trains on the recorded train split either way —
+    /// serving synthetic drift with a model trained on yesterday's traffic
+    /// is exactly the distribution-shift situation the fallback policy
+    /// guards against.
+    fn table1(topology: Topology, options: &ServeSimOptions) -> ServeSetup {
+        let Scenario { name, graph, paths, trace, split, .. } =
+            Scenario::build(topology, &options.experiment.scenario_options());
+        let warmup = options.experiment.window;
+        let max_ticks = options.max_ticks.unwrap_or(usize::MAX);
+        let train = (options.engine == ServeEngine::Learned)
+            .then(|| split.train.clone().map(|t| trace.matrix(t).flatten_pairs()).collect());
+        let (title, source, indices) = if options.online_ticks > 0 {
+            let ticks = options.online_ticks;
+            let config = OnlineStreamConfig {
+                interval_seconds: trace.interval_seconds(),
+                seed: 0x5eed ^ (ticks as u64),
+                // Shift ticks count decision ticks, so the stream-side
+                // trigger sits past the warmup observations.
+                shift: (options.shift_tick > 0).then(|| StepShiftConfig {
+                    at_tick: warmup + options.shift_tick,
+                    factor: options.shift_factor,
+                }),
+                ..Default::default()
+            };
+            let stream = OnlineStream::from_graph(&graph, 0.25, config);
+            (
+                format!("{name} (online"),
+                ColumnSource::Online(Box::new(stream)),
+                (0..ticks).collect(),
+            )
+        } else {
+            let first = split.test.start.max(warmup);
+            let indices = (first..trace.len()).take(max_ticks).collect();
+            let next = first - warmup;
+            (format!("{name} (replay"), ColumnSource::Dense { trace, next }, indices)
+        };
+        let num_sources = graph.num_nodes();
+        let active = Arc::new(ActivePairs::all(num_sources));
+        ServeSetup {
+            title,
+            paths,
+            active,
+            num_sources,
+            source,
             warmup,
-            &indices,
-            metrics.as_mut(),
-        ),
-    };
-    let serve_seconds = serve_start.elapsed().as_secs_f64();
-    if let Some(m) = metrics.as_mut() {
-        m.finish(controller.telemetry_registry().expect("armed run"));
-    }
-    assert_eq!(log.len(), indices.len(), "one decision per replayed test snapshot");
-    let omniscient = omniscient_over(&scenario.paths, &realized);
-    ServeRun {
-        name: format!(
-            "{} (replay, {}, {} predictor, {} demands)",
-            scenario.name,
-            engine_name(options),
-            options.predictor.build().name(),
-            match options.demand {
-                DemandMode::Dense => "dense",
-                DemandMode::Sparse => "sparse",
-            }
-        ),
-        indices,
-        log,
-        omniscient,
-        lp_stats: *controller.lp_stats(),
-        fell_back: controller.fell_back(),
-        memory: None,
-        serve_seconds,
-        pairs_per_tick: scenario.paths.num_pairs(),
-        recovery: controller.recovery_enabled().then(|| controller.recovery_stats()),
-        telemetry: controller.telemetry_snapshot(),
-    }
-}
-
-/// The sparse-columnar replay path: converts the trace to a [`SparseTrace`]
-/// over its union support, scatters each column onto the controller's dense
-/// pair universe (a reused buffer) and drives the column entry points.  The
-/// scattered columns equal `flatten_pairs` of the originals exactly, so the
-/// decision sequence is bit-identical to the dense path.
-fn drive_replay_sparse(
-    controller: &mut ServeController,
-    trace: &TrafficTrace,
-    start: usize,
-    warmup: usize,
-    indices: &[usize],
-    mut metrics: Option<&mut MetricsStream>,
-) -> (ServeLog, Vec<DemandMatrix>) {
-    let strace = SparseTrace::from_trace(trace);
-    let mut column = vec![0.0; strace.active().num_total_pairs()];
-    for t in start..start + warmup {
-        strace.snapshot(t).scatter_pairs_into(&mut column);
-        controller.observe_pairs(&column);
-    }
-    let mut log = ServeLog::new();
-    let mut realized = Vec::with_capacity(indices.len());
-    for (offset, &index) in indices.iter().enumerate() {
-        let t = start + warmup + offset;
-        debug_assert_eq!(t, index, "replay ticks must be contiguous");
-        strace.snapshot(t).scatter_pairs_into(&mut column);
-        let outcome = controller.step_pairs(&column);
-        if let Some(m) = metrics.as_deref_mut() {
-            m.on_outcome(&outcome, controller.telemetry_registry().expect("armed run"));
+            indices,
+            train,
+            memory: None,
         }
-        log.push(outcome.record, outcome.decision_seconds);
-        realized.push(trace.matrix(t).clone());
     }
-    (log, realized)
-}
 
-/// Serves `ticks` demands from the unbounded online generator (warmed up on
-/// the same stream).  The model, when learned, is still trained on the
-/// scenario's recorded train split — serving synthetic drift with a model
-/// trained on yesterday's traffic is exactly the distribution-shift
-/// situation the fallback policy guards against.
-pub fn serve_online(scenario: &Scenario, ticks: usize, options: &ServeSimOptions) -> ServeRun {
-    let mut controller = build_controller(scenario, options);
-    let mut metrics = MetricsStream::create(options);
-    if metrics.is_some() {
-        controller.enable_telemetry();
-    }
-    let warmup = controller.window().max(options.experiment.window);
-    let stream_config = OnlineStreamConfig {
-        interval_seconds: scenario.trace.interval_seconds(),
-        seed: 0x5eed ^ (ticks as u64),
-        // Shift ticks count decision ticks, so the stream-side trigger sits
-        // past the warmup observations.
-        shift: (options.shift_tick > 0).then(|| StepShiftConfig {
-            at_tick: warmup + options.shift_tick,
-            factor: options.shift_factor,
-        }),
-        ..Default::default()
-    };
-    let mut stream = OnlineStream::from_graph(&scenario.graph, 0.25, stream_config);
-    let serve_start = std::time::Instant::now();
-    for _ in 0..warmup {
-        let demand = stream.next_demand().expect("the online stream is endless");
-        controller.observe(&demand);
-    }
-    // The online loop records transitions and stream annotations alongside
-    // the decision records (unlike the replay path's plain `drive`), so the
-    // report can narrate the recovery ladder against the stream's episodes.
-    let mut log = ServeLog::new();
-    let mut realized = Vec::with_capacity(ticks);
-    while realized.len() < ticks {
-        let demand = stream.next_demand().expect("the online stream is endless");
-        let outcome = controller.step(&demand);
-        if let Some(m) = metrics.as_mut() {
-            m.on_outcome(&outcome, controller.telemetry_registry().expect("armed run"));
-        }
-        log.annotate(outcome.record.tick, stream.annotation());
-        log.record_outcome(&outcome);
-        realized.push(demand);
-    }
-    let serve_seconds = serve_start.elapsed().as_secs_f64();
-    if let Some(m) = metrics.as_mut() {
-        m.finish(controller.telemetry_registry().expect("armed run"));
-    }
-    let omniscient = omniscient_over(&scenario.paths, &realized);
-    ServeRun {
-        name: format!(
-            "{} (online, {}, {} predictor)",
-            scenario.name,
-            engine_name(options),
-            options.predictor.build().name()
-        ),
-        indices: (0..log.len()).collect(),
-        log,
-        omniscient,
-        lp_stats: *controller.lp_stats(),
-        fell_back: controller.fell_back(),
-        memory: None,
-        serve_seconds,
-        pairs_per_tick: scenario.paths.num_pairs(),
-        recovery: controller.recovery_enabled().then(|| controller.recovery_stats()),
-        telemetry: controller.telemetry_snapshot(),
-    }
-}
-
-/// The shared setup of a fabric serving run — identical for the unsharded
-/// path and the sharded fleet, so `--shards 1` replays the exact same
-/// scenario (same universe, paths, trace, warmup, tick schedule) and its
-/// digests must match the unsharded run's.
-pub(crate) struct FabricServeSetup {
-    pub fabric: figret_topology::Fabric,
-    pub active: Arc<ActivePairs>,
-    pub paths: PathSet,
-    pub trace: SparseTrace,
-    /// Observation-only snapshots before the first decision.
-    pub warmup: usize,
-    /// Snapshot indices served as decision ticks, in order.
-    pub ticks: Vec<usize>,
-}
-
-impl FabricServeSetup {
-    pub(crate) fn build(spec: &FabricSpec, options: &ServeSimOptions) -> FabricServeSetup {
+    /// A generated 512–4096-ToR fabric on the sparse core: sampled pair
+    /// universe ([`ActivePairs::sample_among`]), restricted path set
+    /// ([`PathSet::k_shortest_for_pairs`]), sparse ToR traffic.  Nothing on
+    /// this path materializes an `N×N` object — demand storage is
+    /// proportional to the active-pair count.
+    fn fabric(spec: &FabricSpec, options: &ServeSimOptions) -> ServeSetup {
+        assert_eq!(options.online_ticks, 0, "the online generator serves Table 1 networks only");
         let fabric = spec.build();
         let n = fabric.graph.num_nodes();
         // Fixed per-source fan-out: density per_source/(tors-1), i.e. ~1.6%
@@ -739,92 +585,190 @@ impl FabricServeSetup {
                 ..Default::default()
             },
         );
-        let window = options.experiment.window;
-        let warmup = window.max(1).min(trace.len().saturating_sub(1));
-        let mut ticks: Vec<usize> = (warmup..trace.len()).collect();
-        if let Some(cap) = options.max_ticks {
-            ticks.truncate(cap);
-        }
-        FabricServeSetup { fabric, active, paths, trace, warmup, ticks }
-    }
-
-    pub(crate) fn memory(&self) -> FabricMemory {
-        let n = self.fabric.graph.num_nodes();
-        FabricMemory {
+        let warmup = options.experiment.window.max(1).min(trace.len().saturating_sub(1));
+        let max_ticks = options.max_ticks.unwrap_or(usize::MAX);
+        let memory = FabricMemory {
             num_nodes: n,
-            num_tors: self.fabric.num_tors,
-            active_pairs: self.active.len(),
-            index_bytes: self.active.index_bytes(),
-            sparse_trace_bytes: self.trace.demand_storage_bytes(),
-            dense_trace_bytes: self.trace.len() * n * n * std::mem::size_of::<f64>(),
-            peak_rss_bytes: peak_rss_bytes(),
+            num_tors: fabric.num_tors,
+            active_pairs: active.len(),
+            index_bytes: active.index_bytes(),
+            sparse_trace_bytes: trace.demand_storage_bytes(),
+            dense_trace_bytes: trace.len() * n * n * std::mem::size_of::<f64>(),
+            peak_rss_bytes: None,
+        };
+        ServeSetup {
+            title: format!("{} ({} ToRs, fabric", fabric.graph.name(), fabric.num_tors),
+            paths,
+            active,
+            num_sources: fabric.num_tors,
+            indices: (warmup..trace.len()).take(max_ticks).collect(),
+            source: ColumnSource::Sparse { trace, next: 0 },
+            warmup,
+            train: None,
+            memory: Some(memory),
         }
     }
 }
 
-/// Serves a generated 512–4096-ToR fabric end to end on the sparse core:
-/// restricted pair universe ([`ActivePairs::sample_among`]), restricted
-/// path set ([`PathSet::k_shortest_for_pairs`]), sparse ToR traffic and the
-/// controller's column entry points.  Nothing on this path materializes an
-/// `N×N` object — demand storage is proportional to the active-pair count.
-///
-/// The engine is always the warm-started LP (training a model on a generated
-/// fabric is out of scope for the serving harness).
-pub fn serve_fabric(spec: &FabricSpec, options: &ServeSimOptions) -> ServeRun {
-    let setup = FabricServeSetup::build(spec, options);
-    let window = options.experiment.window;
-    let mut controller = ServeController::lp(
-        &setup.paths,
-        window,
-        options.predictor.build(),
-        options.policy.clone(),
-    );
-    controller.bind_universe(&setup.active);
+/// Builds one shard's controller over its path set: the warm-started LP, or
+/// a FIGRET model trained on the shard's slice of the train split
+/// (`train_flat` on flat columns is bit-equal to dense `train` on the whole
+/// universe and works on any restricted one).  The update budget is
+/// stripped: the fleet's admission layer enforces it jointly.
+fn build_controller(
+    paths: &PathSet,
+    train: Option<Vec<Vec<f64>>>,
+    options: &ServeSimOptions,
+) -> ServeController {
+    let predictor = options.predictor.build();
+    let policy = ReconfigPolicy { budget: None, ..options.policy.clone() };
+    match options.engine {
+        ServeEngine::Lp => ServeController::lp(paths, options.experiment.window, predictor, policy),
+        ServeEngine::Learned => {
+            let cfg = options.experiment.learning_config();
+            let columns = train.expect("the learned engine needs a network with a train split");
+            let dataset = FlatWindowDataset::from_columns(cfg.history_window, columns);
+            let mut model = FigretModel::new(paths, &dataset.per_slot_variance(), cfg);
+            model.train_flat(&dataset);
+            let mut controller = ServeController::learned(paths, model, predictor, policy);
+            if options.use_plan {
+                controller.enable_inference_plan();
+            }
+            if let Some(recovery) = options.recovery_config() {
+                controller.enable_recovery(recovery);
+            }
+            controller
+        }
+    }
+}
+
+/// What [`drive`] observed next to the fleet's own logs.
+struct Driven {
+    realized_mlus: Vec<f64>,
+    annotations: Vec<(usize, StreamAnnotation)>,
+    /// The realized columns in tick order, kept only when asked for (the
+    /// omniscient series of an unsharded run re-solves them).
+    columns: Vec<Vec<f64>>,
+}
+
+/// The serving loop: `warmup` observations, then `ticks` decision ticks,
+/// each on the next column of `source`.
+fn drive(
+    fleet: &mut FleetController,
+    source: &mut ColumnSource,
+    warmup: usize,
+    ticks: usize,
+    keep_columns: bool,
+    mut metrics: Option<&mut MetricsStream>,
+) -> Driven {
+    let mut column = vec![0.0; fleet.total_pairs()];
+    for _ in 0..warmup {
+        source.next_into(&mut column);
+        fleet.observe_column(&column);
+    }
+    let mut driven = Driven {
+        realized_mlus: Vec::with_capacity(ticks),
+        annotations: Vec::new(),
+        columns: Vec::new(),
+    };
+    for _ in 0..ticks {
+        let annotation = source.next_into(&mut column);
+        let outcome = fleet.step_column(&column);
+        if let Some(m) = metrics.as_deref_mut() {
+            m.on_tick(outcome.tick, fleet);
+        }
+        // Quiet ticks are dropped, so the vector stays proportional to the
+        // scenario's event count rather than its length.
+        if !annotation.is_quiet() {
+            driven.annotations.push((outcome.tick, annotation));
+        }
+        driven.realized_mlus.push(outcome.global_mlu);
+        if keep_columns {
+            driven.columns.push(column.clone());
+        }
+    }
+    driven
+}
+
+/// The omniscient per-tick optimum over a column sequence, solved through
+/// one warm-started template (sequential, deterministic).
+fn omniscient_over(paths: &PathSet, columns: &[Vec<f64>]) -> Vec<f64> {
+    let mut template = MluTemplate::new(paths);
+    columns
+        .iter()
+        .map(|column| {
+            let (config, _) =
+                template.solve(paths, column).expect("the omniscient min-MLU LP must be solvable");
+            max_link_utilization_pairs(paths, &config, column)
+        })
+        .collect()
+}
+
+/// Serves the options' network end to end; see the module docs.
+pub fn serve(options: &ServeSimOptions) -> ServeRun {
+    let mut setup = ServeSetup::build(options);
+    let plan = ShardPlan::source_blocks(&setup.active, setup.num_sources, options.shards);
+    // The parent train columns are dropped once every shard has its slice.
+    let train = setup.train.take();
+    let controllers = plan
+        .shards()
+        .iter()
+        .map(|shard| {
+            let (paths, _) = setup.paths.restrict_to(shard.active());
+            let slice = |parent: &Vec<f64>| {
+                let mut column = Vec::new();
+                shard.gather_into(parent, &mut column);
+                column
+            };
+            let train = train.as_ref().map(|columns| columns.iter().map(slice).collect());
+            build_controller(&paths, train, options)
+        })
+        .collect();
+    drop(train);
+    let mut fleet = FleetController::from_controllers(&plan, controllers, &options.policy);
     let mut metrics = MetricsStream::create(options);
     if metrics.is_some() {
-        controller.enable_telemetry();
+        fleet.enable_telemetry();
     }
+    let sharded = fleet.num_shards() > 1;
     let serve_start = std::time::Instant::now();
-    for t in 0..setup.warmup {
-        controller.observe_sparse(setup.trace.snapshot(t));
-    }
-    let mut log = ServeLog::new();
-    for &t in &setup.ticks {
-        let outcome = controller.step_sparse(setup.trace.snapshot(t));
-        if let Some(m) = metrics.as_mut() {
-            m.on_outcome(&outcome, controller.telemetry_registry().expect("armed run"));
-        }
-        log.push(outcome.record, outcome.decision_seconds);
-    }
+    let driven = drive(
+        &mut fleet,
+        &mut setup.source,
+        setup.warmup,
+        setup.indices.len(),
+        !sharded,
+        metrics.as_mut(),
+    );
     let serve_seconds = serve_start.elapsed().as_secs_f64();
     if let Some(m) = metrics.as_mut() {
-        m.finish(controller.telemetry_registry().expect("armed run"));
+        m.finish(&fleet.telemetry_snapshot().expect("armed run"));
     }
-    let omniscient = omniscient_over_sparse(&setup.paths, &setup.trace, &setup.ticks);
-    let memory = setup.memory();
+    let engine = match options.engine {
+        ServeEngine::Lp => "lp",
+        ServeEngine::Learned if options.use_plan => "learned/plan",
+        ServeEngine::Learned => "learned",
+    };
+    let shards = if sharded { format!("{} shards, ", fleet.num_shards()) } else { String::new() };
     ServeRun {
         name: format!(
-            "{} ({} ToRs, fabric, lp, {} predictor, sparse demands)",
-            setup.fabric.graph.name(),
-            setup.fabric.num_tors,
+            "{}, {shards}{engine}, {} predictor)",
+            setup.title,
             options.predictor.build().name()
         ),
-        indices: setup.ticks,
-        log,
-        omniscient,
-        lp_stats: *controller.lp_stats(),
-        fell_back: false,
-        memory: Some(memory),
+        indices: setup.indices,
+        realized_mlus: driven.realized_mlus,
+        omniscient: (!sharded).then(|| omniscient_over(&setup.paths, &driven.columns)),
+        annotations: driven.annotations,
+        memory: setup.memory.map(|m| FabricMemory { peak_rss_bytes: peak_rss_bytes(), ..m }),
         serve_seconds,
-        pairs_per_tick: setup.active.len(),
-        recovery: None,
-        telemetry: controller.telemetry_snapshot(),
+        recovery_armed: options.recovery_config().is_some(),
+        fleet,
     }
 }
 
-/// Prints the demand-storage accounting table of a fabric run (shared by
-/// the single-controller and fleet reports).
-pub fn print_fabric_memory(mem: &FabricMemory) {
+/// Prints the demand-storage accounting table of a fabric run.
+fn print_fabric_memory(mem: &FabricMemory) {
     let mib = |bytes: usize| format!("{:.2} MiB", bytes as f64 / (1024.0 * 1024.0));
     let density =
         mem.active_pairs as f64 / (mem.num_tors as f64 * (mem.num_tors as f64 - 1.0)).max(1.0);
@@ -852,101 +796,153 @@ pub fn print_fabric_memory(mem: &FabricMemory) {
     print_table("demand storage (sparse core)", &["metric", "value"], &rows);
 }
 
-/// Prints the serving report: decision summary, regret vs. omniscient,
-/// latency percentiles, LP work and the determinism digest.
+/// Prints the serving report: decision summary, regret vs. omniscient (or
+/// the raw MLU of a sharded run), latency percentiles, LP work, the
+/// per-shard and admission tables of a sharded run, and the determinism
+/// digests.
 pub fn print_serve_report(run: &ServeRun) {
-    use figret_serve::HoldReason;
-
     println!("\n# serve_sim — {}", run.name);
-    let ticks = run.log.len().max(1);
-    let updates = run.log.update_count();
-    let regret = run.regret();
-    let rows = vec![
-        vec!["decision ticks".to_string(), format!("{}", run.log.len())],
-        vec!["updates deployed".to_string(), format!("{updates}")],
-        vec!["update rate".to_string(), format!("{:.1}%", 100.0 * updates as f64 / ticks as f64)],
-        vec![
-            "holds (hysteresis)".to_string(),
-            format!("{}", run.log.hold_count(HoldReason::BelowHysteresis)),
-        ],
-        vec![
-            "holds (budget)".to_string(),
-            format!("{}", run.log.hold_count(HoldReason::BudgetExhausted)),
-        ],
-        vec!["total churn (L1)".to_string(), format!("{:.3}", run.log.total_churn())],
-        vec![
-            "churn per update".to_string(),
-            format!("{:.3}", run.log.total_churn() / updates.max(1) as f64),
-        ],
-        vec![
-            "MLU regret mean/p99/max".to_string(),
+    let logs = run.fleet.logs();
+    let sharded = logs.len() > 1;
+    let ticks = run.ticks();
+    let pairs = run.fleet.total_pairs();
+    let updates = run.fleet.update_count();
+    let holds = |reason: HoldReason| logs.iter().map(|log| log.hold_count(reason)).sum::<usize>();
+    let churn: f64 = logs.iter().map(ServeLog::total_churn).sum();
+    let latencies: Vec<f64> =
+        logs.iter().flat_map(|log| log.latencies_seconds.iter().copied()).collect();
+    let row = |metric: &str, value: String| vec![metric.to_string(), value];
+
+    let mut rows = vec![row("decision ticks", format!("{ticks}"))];
+    if sharded {
+        rows.push(row("shards", format!("{}", logs.len())));
+    }
+    rows.push(row("updates deployed", format!("{updates}")));
+    rows.push(row(
+        "update rate",
+        format!("{:.1}%", 100.0 * updates as f64 / (ticks * logs.len()).max(1) as f64),
+    ));
+    rows.push(row("holds (hysteresis)", format!("{}", holds(HoldReason::BelowHysteresis))));
+    rows.push(row("holds (budget)", format!("{}", holds(HoldReason::BudgetExhausted))));
+    rows.push(row("total churn (L1)", format!("{churn:.3}")));
+    rows.push(row("churn per update", format!("{:.3}", churn / updates.max(1) as f64)));
+    match run.regret() {
+        Some(regret) => rows.push(row(
+            "MLU regret mean/p99/max",
             format!(
                 "{:.3} / {:.3} / {:.3}",
                 regret.normalized_mlu.mean, regret.normalized_mlu.p99, regret.normalized_mlu.max
             ),
-        ],
-        vec!["decision latency p50/p99".to_string(), {
-            let lat = latency_histogram(&run.log.latencies_seconds);
-            format!("{} / {}", latency_us(&lat, 0.5), latency_us(&lat, 0.99))
-        }],
-        vec![
-            "ticks/sec (wall clock)".to_string(),
-            format!("{:.1}", run.log.len() as f64 / run.serve_seconds.max(1e-12)),
-        ],
-        vec![
-            "aggregate decisions/sec".to_string(),
+        )),
+        None => rows.push(row(
+            "global MLU mean/max",
             format!(
-                "{:.0} ({} pairs/tick)",
-                run.log.len() as f64 * run.pairs_per_tick as f64 / run.serve_seconds.max(1e-12),
-                run.pairs_per_tick
+                "{:.4} / {:.4}",
+                run.realized_mlus.iter().sum::<f64>() / ticks.max(1) as f64,
+                run.realized_mlus.iter().copied().fold(0.0f64, f64::max)
             ),
-        ],
-        vec![
-            "fell back to LP".to_string(),
-            match run.log.fallback_tick() {
+        )),
+    }
+    rows.push(row("decision latency p50/p99", {
+        let lat = latency_histogram(&latencies);
+        format!("{} / {}", latency_us(&lat, 0.5), latency_us(&lat, 0.99))
+    }));
+    rows.push(row(
+        "ticks/sec (wall clock)",
+        format!("{:.1}", ticks as f64 / run.serve_seconds.max(1e-12)),
+    ));
+    rows.push(row(
+        "aggregate decisions/sec",
+        format!(
+            "{:.0} ({pairs} pairs/tick)",
+            ticks as f64 * pairs as f64 / run.serve_seconds.max(1e-12)
+        ),
+    ));
+    rows.push(row(
+        "fell back to LP",
+        match logs {
+            [log] => match log.fallback_tick() {
                 Some(t) => format!("yes (tick {t})"),
-                None if run.fell_back => "yes".to_string(),
+                None if run.fleet.fell_back_shards() > 0 => "yes".to_string(),
                 None => "no".to_string(),
             },
-        ],
-    ];
+            logs => format!("{} of {} shards", run.fleet.fell_back_shards(), logs.len()),
+        },
+    ));
+    if sharded {
+        let adm = run.fleet.admission_stats();
+        rows.push(row(
+            "admission bids/wants/grants",
+            format!("{} / {} / {}", adm.bids, adm.wants, adm.grants),
+        ));
+        rows.push(row(
+            "admission holds hysteresis/budget",
+            format!("{} / {}", adm.holds_hysteresis, adm.holds_budget),
+        ));
+    }
     print_table("serving summary", &["metric", "value"], &rows);
+
+    let labels = run.fleet.shard_labels();
+    if sharded {
+        let shard_pairs = run.fleet.shard_pairs();
+        let shard_rows: Vec<Vec<String>> = logs
+            .iter()
+            .enumerate()
+            .map(|(i, log)| {
+                let lat = latency_histogram(&log.latencies_seconds);
+                vec![
+                    labels[i].to_string(),
+                    format!("{}", shard_pairs[i]),
+                    format!("{}", log.update_count()),
+                    format!("{}", log.hold_count(HoldReason::BelowHysteresis)),
+                    format!("{}", log.hold_count(HoldReason::BudgetExhausted)),
+                    latency_us(&lat, 0.5),
+                    latency_us(&lat, 0.99),
+                ]
+            })
+            .collect();
+        print_table(
+            "per-shard serving",
+            &["shard", "pairs", "updates", "holds hys", "holds budget", "lat p50", "lat p99"],
+            &shard_rows,
+        );
+    }
 
     let mut work_header = vec!["engine"];
     work_header.extend(lp_work_header());
     let mut work_row = vec!["controller LP".to_string()];
-    work_row.extend(lp_work_columns(&run.lp_stats));
+    work_row.extend(lp_work_columns(&run.fleet.lp_stats()));
     print_table("LP solver work (controller re-solves)", &work_header, &[work_row]);
 
     if let Some(rec) = run.recovery_report() {
         let rows = vec![
-            vec!["drift episodes entered".to_string(), format!("{}", rec.degraded_events)],
-            vec!["detector trips (CUSUM)".to_string(), format!("{}", rec.detector_trips)],
-            vec!["challenger retrains".to_string(), format!("{}", rec.retrains)],
-            vec!["promotions".to_string(), format!("{}", rec.promotions)],
-            vec!["ticks in LP fallback".to_string(), format!("{}", rec.fallback_ticks)],
-            vec![
-                "time to recovery".to_string(),
+            row("drift episodes entered", format!("{}", rec.degraded_events)),
+            row("detector trips (CUSUM)", format!("{}", rec.detector_trips)),
+            row("challenger retrains", format!("{}", rec.retrains)),
+            row("promotions", format!("{}", rec.promotions)),
+            row("ticks in LP fallback", format!("{}", rec.fallback_ticks)),
+            row(
+                "time to recovery",
                 match rec.time_to_recovery {
                     Some(t) => format!("{t} ticks"),
                     None => "never recovered".to_string(),
                 },
-            ],
-            vec![
-                "post-recovery regret (mean)".to_string(),
+            ),
+            row(
+                "post-recovery regret (mean)",
                 match rec.post_recovery_regret {
                     Some(r) => format!("{r:.3}"),
                     None => "n/a".to_string(),
                 },
-            ],
-            vec![
-                "retrain cost".to_string(),
+            ),
+            row(
+                "retrain cost",
                 format!(
                     "{:.3} s total / {:.1} µs per tick",
                     rec.retrain_seconds,
                     1e6 * rec.retrain_cost_per_tick
                 ),
-            ],
+            ),
         ];
         print_table("self-healing recovery", &["metric", "value"], &rows);
     }
@@ -955,16 +951,23 @@ pub fn print_serve_report(run: &ServeRun) {
         print_fabric_memory(mem);
     }
 
-    if let Some(registry) = &run.telemetry {
-        print_profile_report(registry, run.serve_seconds);
+    if let Some(registry) = run.fleet.telemetry_snapshot() {
+        print_profile_report(&registry, run.serve_seconds);
     }
 
     // Machine-greppable transition and annotation lines: CI asserts a
-    // `,Promoted` line on the recovery smoke run.
-    for t in &run.log.transitions {
-        println!("transition,{},{:?}", t.tick, t.transition);
+    // `,Promoted` line on the recovery smoke run.  A sharded run names the
+    // shard after the kind.
+    for (log, label) in logs.iter().zip(labels) {
+        for t in &log.transitions {
+            if sharded {
+                println!("transition,{},{:?},{label}", t.tick, t.transition);
+            } else {
+                println!("transition,{},{:?}", t.tick, t.transition);
+            }
+        }
     }
-    for (tick, ann) in &run.log.annotations {
+    for (tick, ann) in &run.annotations {
         println!(
             "stream_event,{tick},storm={},flashes={},drift_spread={:.3},shifted={}",
             ann.storm_victim.map(|v| v as i64).unwrap_or(-1),
@@ -974,46 +977,30 @@ pub fn print_serve_report(run: &ServeRun) {
         );
     }
 
-    print_csv_series("realized_mlu", &run.log.realized_mlus());
-    print_csv_series("omniscient_mlu", &run.omniscient);
-    // Stable digests of the decision log: CI replays the same scenario under
-    // different RAYON_NUM_THREADS settings and diffs the full digest, and
-    // replays graph vs. plan inference and diffs the decision digest (which
-    // hashes actions only, so it is invariant to the f32 plan's sub-1e-4
-    // output perturbations).
-    println!("decision_log_digest,{:#018x}", run.log.digest());
-    println!("decision_digest,{:#018x}", run.log.decision_digest());
+    print_csv_series("realized_mlu", &run.realized_mlus);
+    if let Some(omniscient) = &run.omniscient {
+        print_csv_series("omniscient_mlu", omniscient);
+    }
+    // Stable digests of the decision logs: CI replays the same scenario
+    // under different RAYON_NUM_THREADS settings and diffs the full digest,
+    // and replays graph vs. plan inference and diffs the decision digest
+    // (which hashes actions only, so it is invariant to the f32 plan's
+    // sub-1e-4 output perturbations).
+    println!("decision_log_digest,{:#018x}", run.fleet.digest());
+    println!("decision_digest,{:#018x}", run.fleet.decision_digest());
 }
 
 /// Runs the full `serve_sim` experiment for the options and prints the
-/// report.  With `--shards N` (> 0) the run goes through the sharded fleet
-/// harness instead of the single controller.
+/// report.
 pub fn serve_sim(options: &ServeSimOptions) {
-    if options.shards > 0 {
-        let run = crate::fleet::serve_fleet(options, options.shards);
-        crate::fleet::print_fleet_report(&run);
-        return;
-    }
-    let run = match options.topology {
-        ServeTopology::Fabric(spec) => serve_fabric(&spec, options),
-        ServeTopology::Table1(topology) => {
-            let scenario = Scenario::build(topology, &options.experiment.scenario_options());
-            if options.online_ticks > 0 {
-                serve_online(&scenario, options.online_ticks, options)
-            } else {
-                serve_replay(&scenario, options)
-            }
-        }
-    };
-    print_serve_report(&run);
+    print_serve_report(&serve(options));
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::scenario::ScenarioOptions;
 
-    fn tiny_options(engine: ServeEngine) -> ServeSimOptions {
+    pub(crate) fn pod_options(engine: ServeEngine) -> ServeSimOptions {
         let experiment = ExperimentOptions {
             fast: true,
             snapshots: 60,
@@ -1030,44 +1017,52 @@ mod tests {
         }
     }
 
-    fn pod_scenario() -> Scenario {
-        Scenario::build(
-            Topology::MetaDbPod,
-            &ScenarioOptions { num_snapshots: 60, ..Default::default() },
-        )
+    pub(crate) fn fabric_options(policy: ReconfigPolicy, max_ticks: usize) -> ServeSimOptions {
+        let experiment =
+            ExperimentOptions { fast: true, snapshots: 10, window: 2, ..Default::default() };
+        ServeSimOptions {
+            engine: ServeEngine::Lp,
+            policy,
+            max_ticks: Some(max_ticks),
+            topology: ServeTopology::Fabric(FabricSpec::jellyfish(48)),
+            ..ServeSimOptions::new(experiment)
+        }
     }
 
     #[test]
     fn replay_reports_regret_above_one() {
-        let scenario = pod_scenario();
-        let run = serve_replay(&scenario, &tiny_options(ServeEngine::Lp));
-        assert_eq!(run.log.len(), 6);
+        let run = serve(&pod_options(ServeEngine::Lp));
+        assert_eq!(run.fleet.num_shards(), 1);
+        assert_eq!(run.fleet.logs()[0].len(), 6);
         assert_eq!(run.indices.len(), 6);
-        assert_eq!(run.omniscient.len(), 6);
-        let regret = run.regret();
+        assert_eq!(run.omniscient.as_ref().map(Vec::len), Some(6));
+        let regret = run.regret().expect("unsharded runs solve the omniscient series");
         assert!(regret.normalized_mlu.min >= 1.0 - 1e-6, "{:?}", regret.normalized_mlu);
-        assert_eq!(run.log.update_count(), 6);
+        assert_eq!(run.fleet.update_count(), 6);
+        // One shard: the merged MLU series is the log's, bit for bit.
+        for (g, r) in run.realized_mlus.iter().zip(&run.fleet.logs()[0].records) {
+            assert_eq!(g.to_bits(), r.realized_mlu.to_bits());
+        }
         print_serve_report(&run); // must not panic
     }
 
     #[test]
     fn online_mode_serves_generated_ticks() {
-        let scenario = pod_scenario();
-        let run = serve_online(&scenario, 5, &tiny_options(ServeEngine::Lp));
-        assert_eq!(run.log.len(), 5);
-        assert!(run.log.realized_mlus().iter().all(|m| m.is_finite() && *m > 0.0));
-        let regret = run.regret();
+        let run = serve(&ServeSimOptions { online_ticks: 5, ..pod_options(ServeEngine::Lp) });
+        assert_eq!(run.ticks(), 5);
+        assert_eq!(run.indices, vec![0, 1, 2, 3, 4]);
+        assert!(run.realized_mlus.iter().all(|m| m.is_finite() && *m > 0.0));
+        let regret = run.regret().expect("unsharded runs solve the omniscient series");
         assert!(regret.normalized_mlu.min >= 1.0 - 1e-6);
     }
 
     #[test]
     fn replay_is_deterministic_across_runs() {
-        let scenario = pod_scenario();
-        let options = tiny_options(ServeEngine::Lp);
-        let a = serve_replay(&scenario, &options);
-        let b = serve_replay(&scenario, &options);
-        assert_eq!(a.log.records, b.log.records);
-        assert_eq!(a.log.digest(), b.log.digest());
+        let options = pod_options(ServeEngine::Lp);
+        let a = serve(&options);
+        let b = serve(&options);
+        assert_eq!(a.fleet.logs()[0].records, b.fleet.logs()[0].records);
+        assert_eq!(a.fleet.digest(), b.fleet.digest());
         assert_eq!(a.omniscient, b.omniscient);
     }
 
@@ -1103,33 +1098,11 @@ mod tests {
     }
 
     #[test]
-    fn sparse_replay_is_bit_identical_to_dense_replay() {
-        let scenario = pod_scenario();
-        let mut options = tiny_options(ServeEngine::Lp);
-        let dense = serve_replay(&scenario, &options);
-        options.demand = DemandMode::Sparse;
-        let sparse = serve_replay(&scenario, &options);
-        assert_eq!(dense.log.records, sparse.log.records);
-        assert_eq!(dense.log.digest(), sparse.log.digest());
-        assert_eq!(dense.omniscient, sparse.omniscient);
-    }
-
-    #[test]
     fn fabric_serving_runs_sparse_end_to_end() {
-        let spec = FabricSpec::jellyfish(48);
-        let experiment =
-            ExperimentOptions { fast: true, snapshots: 10, window: 2, ..Default::default() };
-        let options = ServeSimOptions {
-            engine: ServeEngine::Lp,
-            policy: ReconfigPolicy::always_update(),
-            max_ticks: Some(4),
-            topology: ServeTopology::Fabric(spec),
-            ..ServeSimOptions::new(experiment)
-        };
-        let run = serve_fabric(&spec, &options);
-        assert_eq!(run.log.len(), 4);
-        assert!(run.log.realized_mlus().iter().all(|m| m.is_finite() && *m > 0.0));
-        let regret = run.regret();
+        let run = serve(&fabric_options(ReconfigPolicy::always_update(), 4));
+        assert_eq!(run.ticks(), 4);
+        assert!(run.realized_mlus.iter().all(|m| m.is_finite() && *m > 0.0));
+        let regret = run.regret().expect("unsharded runs solve the omniscient series");
         assert!(regret.normalized_mlu.min >= 1.0 - 1e-6, "{:?}", regret.normalized_mlu);
         let mem = run.memory.expect("fabric runs report memory");
         assert_eq!(mem.num_tors, 48);

@@ -9,28 +9,28 @@
 //!   process, so the variation must cross a process boundary — this test
 //!   drives the real `serve_sim` binary, like `fleet_equivalence.rs`).
 
+/// The drill's flags past the scenario size.
+const DRILL_ARGS: &[&str] = &[
+    "--topology",
+    "pod-db",
+    "--engine",
+    "learned",
+    "--fast",
+    "--online-ticks",
+    "60",
+    "--retrain-every",
+    "4",
+    "--promotion-patience",
+    "2",
+    "--shift-tick",
+    "10",
+];
+
 /// Runs the recovery drill and returns its stdout report.
-fn recovery_run(threads: &str) -> String {
+fn recovery_run(threads: &str, extra: &[&str]) -> String {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_serve_sim"))
-        .args([
-            "--topology",
-            "pod-db",
-            "--engine",
-            "learned",
-            "--fast",
-            "--snapshots",
-            "60",
-            "--window",
-            "4",
-            "--online-ticks",
-            "60",
-            "--retrain-every",
-            "4",
-            "--promotion-patience",
-            "2",
-            "--shift-tick",
-            "10",
-        ])
+        .args(DRILL_ARGS)
+        .args(extra)
         .env("RAYON_NUM_THREADS", threads)
         .output()
         .expect("serve_sim must run");
@@ -53,7 +53,8 @@ fn deterministic_lines(output: &str) -> Vec<&str> {
 
 #[test]
 fn online_recovery_drill_promotes_and_is_thread_count_invariant() {
-    let one = recovery_run("1");
+    let unsharded = ["--snapshots", "60", "--window", "4"];
+    let one = recovery_run("1", &unsharded);
     let lines = deterministic_lines(&one);
     assert!(lines.iter().any(|l| l.ends_with(",Degraded")), "the drill must degrade:\n{one}");
     assert!(lines.iter().any(|l| l.ends_with(",RetrainStarted")), "no retrain ran:\n{one}");
@@ -65,11 +66,32 @@ fn online_recovery_drill_promotes_and_is_thread_count_invariant() {
         "the step shift must surface as a stream annotation:\n{one}"
     );
 
-    let four = recovery_run("4");
+    let four = recovery_run("4", &unsharded);
     assert_eq!(
         lines,
         deterministic_lines(&four),
         "recovery transitions and digests must not depend on the thread count"
+    );
+}
+
+/// `--engine learned --shards N` is the same `build_controller` per shard:
+/// every flag of the drill takes effect on a sharded run.
+#[test]
+fn sharded_learned_drill_honours_every_flag_and_is_thread_count_invariant() {
+    let one = recovery_run("1", &["--shards", "2"]);
+    let title = one.lines().find(|l| l.starts_with("# serve_sim")).expect("a report title");
+    assert!(title.contains("online, 2 shards, learned,"), "unexpected title: {title}");
+    assert!(one.contains("self-healing recovery"), "--retrain-every must arm recovery:\n{one}");
+    assert!(
+        one.lines().any(|l| l.starts_with("stream_event,") && l.contains("shifted=true")),
+        "--shift-tick must shift the generated stream:\n{one}"
+    );
+    let lines = deterministic_lines(&one);
+    assert!(lines.iter().any(|l| l.starts_with("transition,")), "no shard degraded:\n{one}");
+    assert_eq!(
+        lines,
+        deterministic_lines(&recovery_run("4", &["--shards", "2"])),
+        "sharded recovery transitions and digests must not depend on the thread count"
     );
 }
 

@@ -8,7 +8,7 @@
 use figret_eval::experiments::ExperimentOptions;
 use figret_eval::runner::{omniscient_series, run_scheme, EvalOptions, Scheme};
 use figret_eval::scenario::{Scenario, ScenarioOptions};
-use figret_eval::serving::{serve_replay, DemandMode, ServeEngine, ServeSimOptions, ServeTopology};
+use figret_eval::serving::{serve, ServeEngine, ServeSimOptions, ServeTopology};
 use figret_serve::{FallbackPolicy, PredictorKind, ReconfigPolicy, UpdateBudget};
 use figret_solvers::{Predictor, SolverEngine};
 use figret_topology::Topology;
@@ -23,14 +23,12 @@ fn serve_options() -> ServeSimOptions {
     ServeSimOptions {
         experiment: ExperimentOptions { window: WINDOW, snapshots: 80, ..Default::default() },
         topology: ServeTopology::Table1(Topology::Geant),
-        demand: DemandMode::Dense,
         engine: ServeEngine::Lp,
         predictor: PredictorKind::LastValue,
         policy: ReconfigPolicy::always_update(),
         online_ticks: 0,
         max_ticks: None,
         use_plan: false,
-        shards: 0,
         ..ServeSimOptions::new(ExperimentOptions::default())
     }
 }
@@ -45,13 +43,13 @@ fn serving_loop_matches_batch_prediction_on_geant() {
         failure: None,
     };
     let batch = run_scheme(&scenario, &Scheme::Prediction(Predictor::LastSnapshot), &eval);
-    let serve = serve_replay(&scenario, &serve_options());
+    // `serve` builds the same scenario from the options' snapshot count.
+    let serve = serve(&serve_options());
 
     assert_eq!(serve.indices, batch.indices, "both paths must evaluate the same snapshots");
-    assert_eq!(serve.log.update_count(), serve.log.len(), "unlimited budget deploys every tick");
-    let serve_mlus = serve.log.realized_mlus();
-    assert_eq!(serve_mlus.len(), batch.mlus.len());
-    for ((a, b), t) in serve_mlus.iter().zip(&batch.mlus).zip(&batch.indices) {
+    assert_eq!(serve.fleet.update_count(), serve.ticks(), "unlimited budget deploys every tick");
+    assert_eq!(serve.realized_mlus.len(), batch.mlus.len());
+    for ((a, b), t) in serve.realized_mlus.iter().zip(&batch.mlus).zip(&batch.indices) {
         assert!(
             (a - b).abs() <= 1e-9,
             "snapshot {t}: serving MLU {a} vs batch MLU {b} (|Δ| = {})",
@@ -61,8 +59,8 @@ fn serving_loop_matches_batch_prediction_on_geant() {
     // Total churn equals the sum over the deployed-config series, and the
     // batch run reports the matching mean churn over the same configs.
     let expected_total = batch.mean_churn * (batch.mlus.len() - 1) as f64;
-    let first_update_churn = serve.log.records[0].churn;
-    let serve_total = serve.log.total_churn() - first_update_churn;
+    let first_update_churn = serve.fleet.logs()[0].records[0].churn;
+    let serve_total = serve.fleet.logs()[0].total_churn() - first_update_churn;
     assert!(
         (serve_total - expected_total).abs() <= 1e-6,
         "churn after the initial deployment must match the batch series \
@@ -77,10 +75,6 @@ fn serving_loop_matches_batch_prediction_on_geant() {
 /// quantization tolerance.
 #[test]
 fn plan_inference_reproduces_graph_decisions_in_replay() {
-    let scenario = Scenario::build(
-        Topology::MetaDbPod,
-        &ScenarioOptions { num_snapshots: 60, ..Default::default() },
-    );
     let graph_options = ServeSimOptions {
         experiment: ExperimentOptions {
             fast: true,
@@ -89,7 +83,6 @@ fn plan_inference_reproduces_graph_decisions_in_replay() {
             ..Default::default()
         },
         topology: ServeTopology::Table1(Topology::MetaDbPod),
-        demand: DemandMode::Dense,
         engine: ServeEngine::Learned,
         predictor: PredictorKind::LastValue,
         // A policy with real decisions to flip (hysteresis holds, a budget
@@ -103,49 +96,24 @@ fn plan_inference_reproduces_graph_decisions_in_replay() {
         online_ticks: 0,
         max_ticks: Some(8),
         use_plan: false,
-        shards: 0,
         ..ServeSimOptions::new(ExperimentOptions::default())
     };
     let plan_options = ServeSimOptions { use_plan: true, ..graph_options.clone() };
 
-    let graph = serve_replay(&scenario, &graph_options);
-    let plan = serve_replay(&scenario, &plan_options);
+    let graph = serve(&graph_options);
+    let plan = serve(&plan_options);
 
-    assert_eq!(graph.log.len(), plan.log.len());
+    assert_eq!(graph.ticks(), plan.ticks());
     assert_eq!(
-        graph.log.decision_digest(),
-        plan.log.decision_digest(),
+        graph.fleet.decision_digest(),
+        plan.fleet.decision_digest(),
         "plan and graph inference must deploy/hold identically"
     );
-    for ((a, b), t) in
-        graph.log.realized_mlus().iter().zip(&plan.log.realized_mlus()).zip(&graph.indices)
-    {
+    for ((a, b), t) in graph.realized_mlus.iter().zip(&plan.realized_mlus).zip(&graph.indices) {
         assert!(
             (a - b).abs() <= 1e-3 * a.abs().max(1.0),
             "snapshot {t}: graph MLU {a} vs plan MLU {b}"
         );
-    }
-}
-
-/// Sparse-columnar equivalence contract of the demand–path core (ISSUE 7):
-/// replaying GEANT through the sparse column entry points (SparseTrace +
-/// scatter) must reproduce the dense replay's decision log bit for bit —
-/// every action, MLU and churn value, hence equal digests.  CI additionally
-/// diffs the printed digests across `RAYON_NUM_THREADS=1` and `=4`
-/// processes and across `--demand dense`/`--demand sparse` runs.
-#[test]
-fn sparse_demand_replay_matches_dense_on_geant() {
-    let scenario = geant_scenario();
-    let dense_options = serve_options();
-    let sparse_options = ServeSimOptions { demand: DemandMode::Sparse, ..dense_options.clone() };
-    let dense = serve_replay(&scenario, &dense_options);
-    let sparse = serve_replay(&scenario, &sparse_options);
-    assert_eq!(dense.log.len(), sparse.log.len());
-    assert_eq!(dense.log.records, sparse.log.records, "per-tick records must be identical");
-    assert_eq!(dense.log.digest(), sparse.log.digest());
-    assert_eq!(dense.log.decision_digest(), sparse.log.decision_digest());
-    for (a, b) in dense.omniscient.iter().zip(&sparse.omniscient) {
-        assert_eq!(a.to_bits(), b.to_bits(), "the omniscient normalizer must agree bitwise");
     }
 }
 
@@ -159,12 +127,13 @@ fn serving_omniscient_normalizer_matches_batch_oracle() {
         failure: None,
     };
     let batch_oracle = omniscient_series(&scenario, &eval);
-    let serve = serve_replay(&scenario, &serve_options());
-    assert_eq!(serve.omniscient.len(), batch_oracle.len());
-    for ((a, b), t) in serve.omniscient.iter().zip(&batch_oracle).zip(&serve.indices) {
+    let serve = serve(&serve_options());
+    let omniscient = serve.omniscient.as_ref().expect("unsharded runs solve the oracle");
+    assert_eq!(omniscient.len(), batch_oracle.len());
+    for ((a, b), t) in omniscient.iter().zip(&batch_oracle).zip(&serve.indices) {
         assert!((a - b).abs() <= 1e-9, "snapshot {t}: serving oracle {a} vs batch oracle {b}");
     }
     // Regret is therefore well-defined and at least 1 everywhere.
-    let regret = serve.regret();
+    let regret = serve.regret().expect("unsharded runs report regret");
     assert!(regret.normalized_mlu.min >= 1.0 - 1e-6, "{:?}", regret.normalized_mlu);
 }

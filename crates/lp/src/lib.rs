@@ -3,14 +3,16 @@
 //! A self-contained LP toolkit used by the LP-based TE baselines (omniscient,
 //! prediction-based, desensitization-based, oblivious and COPE).  The paper
 //! uses Gurobi; this crate is the offline substitute documented in
-//! DESIGN.md §5.  Two interchangeable solvers share the modelling API:
+//! DESIGN.md §5.  One solver ships:
 //!
-//! * [`revised`] — the default engine ([`solve`]): a sparse revised simplex
-//!   with a CSR constraint matrix, an eta-file (product-form) basis inverse
-//!   and warm starting across structurally identical programs;
-//! * [`simplex`] — the original dense two-phase tableau, kept as the
-//!   independent reference implementation ([`solve_dense`]); property tests
-//!   below assert the two agree on randomized programs.
+//! * [`revised`] — the engine ([`solve`]): a sparse revised simplex with a
+//!   CSR constraint matrix, an eta-file (product-form) basis inverse and
+//!   warm starting across structurally identical programs.
+//!
+//! The original dense two-phase tableau (`src/simplex.rs`) is compiled only
+//! under `cfg(test)`: it is the independent test oracle the property tests
+//! below (and in [`revised`]) compare the engine against on randomized
+//! programs, not an engine a caller can pick.
 //!
 //! Snapshot series re-solve near-identical programs back to back; the
 //! [`template::LpTemplate`] API builds the program structure once and re-solves
@@ -35,14 +37,14 @@
 
 pub mod problem;
 pub mod revised;
-pub mod simplex;
+#[cfg(test)]
+mod simplex;
 pub mod solution;
 pub mod sparse;
 pub mod template;
 
 pub use problem::{Constraint, Direction, LinearProgram, Relation};
 pub use revised::{solve, solve_with_basis, Basis};
-pub use simplex::solve as solve_dense;
 pub use solution::{LpError, Solution, SolveStats};
 pub use sparse::{ColumnView, CsrMatrix};
 pub use template::{CoeffHandle, LpTemplate};

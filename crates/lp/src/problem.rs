@@ -5,8 +5,8 @@
 //! provides a small, self-contained replacement: problems are expressed as
 //! `min/max cᵀx` subject to sparse linear rows `aᵀx {≤,=,≥} b` with all
 //! variables non-negative, and solved with a sparse revised simplex
-//! ([`crate::revised`]; the dense two-phase tableau of [`crate::simplex`]
-//! remains as the reference implementation).
+//! ([`crate::revised`]; the dense two-phase tableau of `simplex.rs` is
+//! compiled under `cfg(test)` only, as the test oracle).
 //!
 //! All TE formulations used in this repository only need non-negative
 //! variables, so variable bounds other than `x ≥ 0` are expressed as rows.

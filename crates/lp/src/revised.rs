@@ -1,9 +1,9 @@
 //! Sparse revised simplex with an eta-file basis and warm starts.
 //!
-//! Where [`crate::simplex`] rewrites a dense `(m+1)×(n+m+1)` tableau on every
-//! pivot, this solver keeps the constraint matrix in CSR ([`crate::sparse`])
-//! and represents the basis inverse as a product of eta matrices (product-form
-//! of the inverse, PFI):
+//! Where the dense tableau (`simplex.rs`, the `cfg(test)` oracle) rewrites an
+//! `(m+1)×(n+m+1)` array on every pivot, this solver keeps the constraint
+//! matrix in CSR ([`crate::sparse`]) and represents the basis inverse as a
+//! product of eta matrices (product-form of the inverse, PFI):
 //!
 //! * **BTRAN** (`y = Bᵀ⁻¹ c_B`) prices the simplex multipliers, then reduced
 //!   costs are computed against the *sparse columns only*;

@@ -11,9 +11,9 @@
 //!
 //! Pivoting uses Dantzig's rule with an automatic switch to Bland's rule after
 //! a stall, which guarantees termination.  Since the sparse revised simplex
-//! ([`crate::revised`]) became the default engine this dense tableau is kept
-//! as the independent reference implementation: the property tests in
-//! `lib.rs` assert the two agree on randomized programs.
+//! ([`crate::revised`]) became the engine this dense tableau is the
+//! independent test oracle, compiled under `cfg(test)` only: the property
+//! tests in `lib.rs` assert the two agree on randomized programs.
 
 use crate::problem::{Direction, LinearProgram, Relation};
 use crate::solution::{LpError, Solution, SolveStats};

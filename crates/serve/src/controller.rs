@@ -1,7 +1,7 @@
 //! The online TE controller: the event-driven serving loop.
 //!
 //! A [`ServeController`] owns the deployed configuration and advances one
-//! tick per demand arrival ([`ServeController::step`]):
+//! tick per demand arrival ([`ServeController::step_pairs`]):
 //!
 //! 1. **Decide** (timed; this is the serving-latency hot path): forecast the
 //!    next demand with the online predictor, compute a candidate
@@ -41,14 +41,11 @@
 //! bit-identical records to the pre-split implementation.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Instant;
 
 use figret::{FigretModel, InferencePlan};
 use figret_solvers::{MluTemplate, SeriesStats};
 use figret_te::{max_link_utilization_pairs_scratch, split_ratio_churn, PathSet, TeConfig};
-use figret_traffic::{ActivePairs, DemandMatrix, SparseDemand};
-
 use figret_telemetry::{Registry, Stopwatch};
 
 use crate::log::{Action, DecisionSource, HoldReason, TickRecord, Transition};
@@ -105,8 +102,6 @@ struct PendingDecision {
 struct StepScratch {
     /// Forecast demands, one per active SD pair (slot order).
     predicted_pairs: Vec<f64>,
-    /// Flatten buffer for the dense [`DemandMatrix`] adapter entry points.
-    dense_pairs: Vec<f64>,
     /// Edge-load buffer for the scratch MLU evaluator.
     loads: Vec<f64>,
     /// Flattened history window fed to the inference plan.
@@ -128,11 +123,6 @@ pub struct ServeController {
     plan: Option<InferencePlan>,
     template: MluTemplate,
     policy: ReconfigPolicy,
-    /// The pair universe bound at construction time for the sparse entry
-    /// points; `None` until [`ServeController::bind_universe`] is called.
-    /// With a bound universe the per-call column check reduces to a
-    /// debug-only `Arc` pointer comparison.
-    universe: Option<Arc<ActivePairs>>,
     /// Set between [`ServeController::propose`] and
     /// [`ServeController::finish_pairs`].
     pending: Option<PendingDecision>,
@@ -223,7 +213,6 @@ impl ServeController {
             plan: None,
             template: MluTemplate::new(paths),
             policy,
-            universe: None,
             pending: None,
             deployed: TeConfig::uniform(paths),
             history: VecDeque::with_capacity(window + 1),
@@ -309,42 +298,6 @@ impl ServeController {
         self.plan.is_some()
     }
 
-    /// Binds the controller to a sparse pair universe.  The universe must
-    /// have one slot per path-set pair (checked once, here); afterwards the
-    /// sparse entry points verify arriving columns with a debug-only `Arc`
-    /// identity comparison instead of a per-call universe re-derivation.
-    pub fn bind_universe(&mut self, active: &Arc<ActivePairs>) {
-        assert_eq!(
-            active.len(),
-            self.paths.num_pairs(),
-            "the bound universe must have one slot per path-set pair"
-        );
-        self.universe = Some(Arc::clone(active));
-    }
-
-    /// The bound sparse universe, if any.
-    pub fn universe(&self) -> Option<&Arc<ActivePairs>> {
-        self.universe.as_ref()
-    }
-
-    /// Checks an arriving sparse column against the controller's universe:
-    /// a debug-only pointer comparison once a universe is bound, the full
-    /// release-mode length check otherwise.
-    #[inline]
-    fn check_bound_universe(&self, demand: &SparseDemand) {
-        match &self.universe {
-            Some(bound) => debug_assert!(
-                Arc::ptr_eq(bound, demand.active()) || **demand.active() == **bound,
-                "sparse column universe does not match the bound ActivePairs"
-            ),
-            None => assert_eq!(
-                demand.len(),
-                self.paths.num_pairs(),
-                "one demand value per pair is required"
-            ),
-        }
-    }
-
     /// Ingests a demand column without a decision tick (controller warmup:
     /// feed the history prefix before serving starts).  One value per active
     /// pair, in the slot order of the controller's path-set universe.
@@ -354,59 +307,17 @@ impl ServeController {
         self.ingest(demand);
     }
 
-    /// Dense adapter for [`ServeController::observe_pairs`]: flattens the
-    /// matrix into a reused buffer and ingests the column.
-    pub fn observe(&mut self, demand: &DemandMatrix) {
-        let mut buf = std::mem::take(&mut self.scratch.dense_pairs);
-        buf.resize(self.paths.num_pairs(), 0.0);
-        demand.flatten_pairs_into(&mut buf);
-        self.ingest(&buf);
-        self.scratch.dense_pairs = buf;
-    }
-
-    /// Sparse counterpart of [`ServeController::observe_pairs`]: the demand
-    /// universe must be the controller's pair universe (a debug-only
-    /// identity check once [`ServeController::bind_universe`] was called).
-    pub fn observe_sparse(&mut self, demand: &SparseDemand) {
-        self.check_bound_universe(demand);
-        assert!(self.pending.is_none(), "cannot observe between propose and finish");
-        self.ingest(demand.values());
-    }
-
-    /// Dense adapter for [`ServeController::step_pairs`]: flattens the
-    /// matrix into a reused buffer (outside the timed decision phase) and
-    /// steps on the column.
-    pub fn step(&mut self, realized: &DemandMatrix) -> StepOutcome {
-        let mut buf = std::mem::take(&mut self.scratch.dense_pairs);
-        buf.resize(self.paths.num_pairs(), 0.0);
-        realized.flatten_pairs_into(&mut buf);
-        let outcome = self.step_pairs(&buf);
-        self.scratch.dense_pairs = buf;
-        outcome
-    }
-
-    /// Sparse counterpart of [`ServeController::step_pairs`]: the demand
-    /// universe must be the controller's pair universe (a debug-only
-    /// identity check once [`ServeController::bind_universe`] was called).
-    pub fn step_sparse(&mut self, realized: &SparseDemand) -> StepOutcome {
-        self.check_bound_universe(realized);
-        self.step_inner(realized.values())
-    }
-
     /// Advances the serving loop by one tick; see the module docs.
     /// `realized` is the demand column (one value per active pair, slot
     /// order) that arrives *after* the decision — the controller never sees
     /// it before committing, exactly like a production control loop
     /// operating on stale telemetry.
+    ///
+    /// This is `propose` + the controller's own policy gates + `finish`: the
+    /// single-controller tick, record-for-record identical to the pre-split
+    /// monolithic step.
     pub fn step_pairs(&mut self, realized: &[f64]) -> StepOutcome {
         assert_eq!(realized.len(), self.paths.num_pairs(), "one demand value per pair is required");
-        self.step_inner(realized)
-    }
-
-    /// `propose` + the controller's own policy gates + `finish`: the
-    /// single-controller tick.  Record-for-record identical to the pre-split
-    /// monolithic step.
-    fn step_inner(&mut self, realized: &[f64]) -> StepOutcome {
         let action = match self.propose() {
             None => Action::Warmup,
             Some(p) => {
@@ -859,11 +770,6 @@ impl ServeController {
         &self.policy
     }
 
-    /// Warmup window length (observed demands required before deciding).
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Decision ticks taken so far.
     pub fn ticks(&self) -> usize {
         self.tick
@@ -917,12 +823,14 @@ mod tests {
 
     fn run(controller: &mut ServeController, trace: &TrafficTrace, warmup: usize) -> ServeLog {
         let mut log = ServeLog::new();
-        for t in 0..warmup {
-            controller.observe(trace.matrix(t));
-        }
-        for t in warmup..trace.len() {
-            let out = controller.step(trace.matrix(t));
-            log.push(out.record, out.decision_seconds);
+        for t in 0..trace.len() {
+            let column = trace.matrix(t).flatten_pairs();
+            if t < warmup {
+                controller.observe_pairs(&column);
+            } else {
+                let out = controller.step_pairs(&column);
+                log.push(out.record, out.decision_seconds);
+            }
         }
         log
     }
@@ -1089,20 +997,21 @@ mod tests {
         };
         let mut dense = ServeController::lp(&ps, 2, Box::new(LastValue::new()), policy.clone());
         let mut sparse = ServeController::lp(&ps, 2, Box::new(LastValue::new()), policy);
-        // ActivePairs::all slot order == flatten_pairs order, so feeding the
-        // same demands through the sparse entry points must replay the exact
-        // decision sequence: same LP pivots, same MLUs, same churn bits.
+        // ActivePairs::all slot order == flatten_pairs order, so the values
+        // of an all-pairs sparse column must replay the flattened matrices'
+        // exact decision sequence: same LP pivots, same MLUs, same churn bits.
         let active = std::sync::Arc::new(ActivePairs::all(trace.num_nodes()));
         let mut dense_log = ServeLog::new();
         let mut sparse_log = ServeLog::new();
         for t in 0..trace.len() {
+            let flat = trace.matrix(t).flatten_pairs();
             let column = SparseDemand::from_matrix(trace.matrix(t), &active);
             if t < 2 {
-                dense.observe(trace.matrix(t));
-                sparse.observe_sparse(&column);
+                dense.observe_pairs(&flat);
+                sparse.observe_pairs(column.values());
             } else {
-                let d = dense.step(trace.matrix(t));
-                let s = sparse.step_sparse(&column);
+                let d = dense.step_pairs(&flat);
+                let s = sparse.step_pairs(column.values());
                 assert_eq!(d.record.realized_mlu.to_bits(), s.record.realized_mlu.to_bits());
                 assert_eq!(d.record.churn.to_bits(), s.record.churn.to_bits());
                 dense_log.push(d.record, d.decision_seconds);

@@ -34,7 +34,7 @@ use rayon::prelude::*;
 use figret_solvers::SeriesStats;
 use figret_te::{max_utilization_of_loads, PathSet};
 use figret_telemetry::{Registry, Stopwatch};
-use figret_traffic::{ShardPlan, ShardUniverse, SparseDemand};
+use figret_traffic::{ShardPlan, ShardUniverse};
 
 use crate::admission::{AdmissionStats, GlobalAdmission, ShardBid};
 use crate::controller::{Proposal, ServeController, StepOutcome};
@@ -114,14 +114,12 @@ impl FleetController {
             .iter()
             .map(|shard| {
                 let (restricted, _) = paths.restrict_to(shard.active());
-                let mut c = ServeController::lp(
+                ServeController::lp(
                     &restricted,
                     window,
                     predictor.build(),
                     ReconfigPolicy { budget: None, ..policy.clone() },
-                );
-                c.bind_universe(shard.active());
-                c
+                )
             })
             .collect();
         FleetController::from_controllers(plan, controllers, policy)
@@ -224,12 +222,6 @@ impl FleetController {
         }
     }
 
-    /// Sparse adapter for [`FleetController::observe_column`]: the demand
-    /// must live on the plan's parent universe.
-    pub fn observe_sparse(&mut self, demand: &SparseDemand) {
-        self.observe_column(demand.values());
-    }
-
     /// Advances every shard by one tick; see the module docs.  `parent_column`
     /// is the realized demand over the parent universe, arriving *after* the
     /// decisions, exactly as in [`ServeController::step_pairs`].
@@ -311,12 +303,6 @@ impl FleetController {
         }
         self.tick += 1;
         FleetTickOutcome { tick, global_mlu, actions, decision_seconds }
-    }
-
-    /// Sparse adapter for [`FleetController::step_column`]: the demand must
-    /// live on the plan's parent universe.
-    pub fn step_sparse(&mut self, realized: &SparseDemand) -> FleetTickOutcome {
-        self.step_column(realized.values())
     }
 
     /// Number of shards.
@@ -438,11 +424,17 @@ impl FleetController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::{HoldReason, Transition};
     use crate::policy::{FallbackPolicy, UpdateBudget};
     use crate::predictor::LastValue;
+    use crate::recovery::RecoveryConfig;
+    use figret::{FigretConfig, FigretModel};
     use figret_topology::{Topology, TopologySpec};
     use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
-    use figret_traffic::{ActivePairs, TrafficTrace};
+    use figret_traffic::{
+        ActivePairs, OnlineStream, OnlineStreamConfig, SparseDemandStream, StepShiftConfig,
+        TrafficTrace,
+    };
     use std::sync::Arc;
 
     fn pod_setup(snapshots: usize) -> (PathSet, TrafficTrace, Arc<ActivePairs>) {
@@ -462,28 +454,121 @@ mod tests {
         }
     }
 
-    #[test]
-    fn single_shard_fleet_replays_the_unsharded_controller() {
-        let (ps, trace, active) = pod_setup(20);
-        let plan = ShardPlan::single(&active);
-        let mut fleet = FleetController::lp(&plan, &ps, 2, PredictorKind::LastValue, &policy());
-        let mut solo = ServeController::lp(&ps, 2, Box::new(LastValue::new()), policy());
+    /// Drives `build(paths, policy)` through `step_pairs`, and the same
+    /// controller (budget moved into the admission layer, paths restricted
+    /// to the single shard exactly as a harness would) through a one-shard
+    /// fleet, over the same columns: records, transitions and both digests
+    /// must agree.  Returns the solo log so callers can assert the case
+    /// exercised what it claims to.
+    fn assert_single_shard_replays(
+        ps: &PathSet,
+        active: &Arc<ActivePairs>,
+        policy: &ReconfigPolicy,
+        build: impl Fn(&PathSet, ReconfigPolicy) -> ServeController,
+        columns: &[Vec<f64>],
+        warmup: usize,
+    ) -> ServeLog {
+        let plan = ShardPlan::single(active);
+        let (restricted, _) = ps.restrict_to(plan.shard(0).active());
+        let shard = build(&restricted, ReconfigPolicy { budget: None, ..policy.clone() });
+        let mut fleet = FleetController::from_controllers(&plan, vec![shard], policy);
+        let mut solo = build(ps, policy.clone());
         let mut solo_log = ServeLog::new();
-        for t in 0..trace.len() {
-            let column = trace.matrix(t).flatten_pairs();
-            if t < 2 {
-                fleet.observe_column(&column);
-                solo.observe_pairs(&column);
+        for (t, column) in columns.iter().enumerate() {
+            if t < warmup {
+                fleet.observe_column(column);
+                solo.observe_pairs(column);
             } else {
-                fleet.step_column(&column);
-                let out = solo.step_pairs(&column);
-                solo_log.push(out.record, out.decision_seconds);
+                let out = fleet.step_column(column);
+                let solo_out = solo.step_pairs(column);
+                assert_eq!(out.global_mlu.to_bits(), solo_out.record.realized_mlu.to_bits());
+                solo_log.record_outcome(&solo_out);
             }
         }
-        assert!(solo_log.update_count() > 0, "the comparison must exercise real updates");
         assert_eq!(fleet.logs()[0].records, solo_log.records);
+        assert_eq!(fleet.logs()[0].transitions, solo_log.transitions);
         assert_eq!(fleet.digest(), solo_log.digest());
         assert_eq!(fleet.decision_digest(), solo_log.decision_digest());
+        solo_log
+    }
+
+    /// The contract every harness leans on (DESIGN.md §8): a
+    /// `ShardPlan::single` fleet *is* the unsharded controller, for every
+    /// engine and policy the harness can build.
+    #[test]
+    fn single_shard_fleet_replays_the_unsharded_controller() {
+        let (ps, trace, active) = pod_setup(30);
+        let columns: Vec<Vec<f64>> =
+            (0..trace.len()).map(|t| trace.matrix(t).flatten_pairs()).collect();
+        let lp = |paths: &PathSet, policy: ReconfigPolicy| {
+            ServeController::lp(paths, 2, Box::new(LastValue::new()), policy)
+        };
+        let untrained = |paths: &PathSet| {
+            let config = FigretConfig { history_window: 2, ..FigretConfig::fast_test() };
+            FigretModel::new(paths, &vec![0.0; paths.num_pairs()], config)
+        };
+
+        // LP under real gates: hysteresis holds and a budget that exhausts.
+        let log = assert_single_shard_replays(&ps, &active, &policy(), lp, &columns, 2);
+        assert!(log.update_count() > 0, "the comparison must exercise real updates");
+        assert!(log.hold_count(HoldReason::BudgetExhausted) > 0, "the budget must bind");
+
+        // LP with every gate off.
+        let always = ReconfigPolicy::always_update();
+        let log = assert_single_shard_replays(&ps, &active, &always, lp, &columns, 2);
+        assert_eq!(log.update_count(), log.len());
+
+        // Learned under the default policy: audits every 4th decision and a
+        // terminal fallback once the untrained model has failed three.
+        let learned = |paths: &PathSet, policy: ReconfigPolicy| {
+            ServeController::learned(paths, untrained(paths), Box::new(LastValue::new()), policy)
+        };
+        let default = ReconfigPolicy::default();
+        let log = assert_single_shard_replays(&ps, &active, &default, learned, &columns, 2);
+        assert_eq!(log.transition_count(Transition::Degraded), 1, "the audit must trip");
+        assert!(log.fallback_tick().is_some());
+
+        // Learned with the recovery ladder armed, across a step shift: the
+        // plan retires, the model degrades, challengers retrain and promote.
+        let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
+        let mut stream = OnlineStream::from_graph(
+            &g,
+            0.25,
+            OnlineStreamConfig {
+                diurnal_amplitude: 0.05,
+                noise: 0.02,
+                drift: None,
+                flash_crowds: None,
+                failure_storms: None,
+                shift: Some(StepShiftConfig { at_tick: 12, factor: 4.0 }),
+                seed: 97,
+                ..Default::default()
+            },
+        );
+        let shifted: Vec<Vec<f64>> =
+            (0..60).map(|_| stream.next_column().expect("endless").values().to_vec()).collect();
+        let recovering = |paths: &PathSet, policy: ReconfigPolicy| {
+            let mut c = learned(paths, policy);
+            c.enable_inference_plan();
+            c.enable_recovery(RecoveryConfig {
+                retrain_window: 16,
+                retrain_every: 4,
+                promotion_patience: 2,
+                promotion_margin: 1.1,
+                retrain_epochs: 60,
+                ..Default::default()
+            });
+            c
+        };
+        let audited = ReconfigPolicy {
+            fallback: FallbackPolicy { degradation: 1.2, patience: 2, audit_every: 1 },
+            ..policy()
+        };
+        let log = assert_single_shard_replays(&ps, &active, &audited, recovering, &shifted, 2);
+        for kind in [Transition::PlanRetired, Transition::Degraded, Transition::RetrainStarted] {
+            assert!(log.transition_count(kind) >= 1, "the drill must log {kind:?}");
+        }
+        assert!(log.transition_count(Transition::Promoted) >= 1, "a challenger must promote");
     }
 
     #[test]

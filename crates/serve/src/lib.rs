@@ -30,10 +30,18 @@
 //!   controller, LP, recovery ladder and fleet phases, never folded into
 //!   the decision digests.
 //!
-//! Demand arrives through the [`figret_traffic::DemandStream`] trait
-//! (trace replay or the unbounded online generators), so serving scenarios
-//! are open-ended.  The replay harness and the `serve_sim` report binary
-//! live in `figret-eval`.
+//! Demand arrives as **pair columns** — one `f64` per active SD pair, in the
+//! slot order of the controller's path-set universe — through exactly one
+//! ingestion path: [`ServeController::observe_pairs`] /
+//! [`ServeController::step_pairs`] for a single controller,
+//! [`FleetController::observe_column`] / [`FleetController::step_column`]
+//! for a fleet (a `ShardPlan::single` fleet *is* the unsharded controller,
+//! record for record).  Dense matrices and sparse columns are flattened at
+//! the caller's I/O edge (`DemandMatrix::flatten_pairs_into`,
+//! `SparseDemand::values`); a [`figret_traffic::SparseDemandStream`] (trace
+//! replay or the unbounded online generator) yields such columns for as
+//! long as the caller keeps asking.  The harness and the `serve_sim` report
+//! binary live in `figret-eval`.
 //!
 //! # Example
 //!
@@ -52,9 +60,10 @@
 //!     Box::new(LastValue::new()),
 //!     ReconfigPolicy::default(),
 //! );
-//! controller.observe(trace.matrix(0));
-//! controller.observe(trace.matrix(1));
-//! let outcome = controller.step(trace.matrix(2));
+//! // Flatten at the edge: the controller only ever sees pair columns.
+//! controller.observe_pairs(&trace.matrix(0).flatten_pairs());
+//! controller.observe_pairs(&trace.matrix(1).flatten_pairs());
+//! let outcome = controller.step_pairs(&trace.matrix(2).flatten_pairs());
 //! assert!(outcome.record.realized_mlu.is_finite());
 //! ```
 

@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use figret_traffic::{ops, DemandMatrix};
+use figret_traffic::ops;
 
 /// A stateful one-step-ahead demand forecaster over pair columns.
 pub trait OnlinePredictor: Send {
@@ -39,14 +39,6 @@ pub trait OnlinePredictor: Send {
 
     /// Display name used in reports.
     fn name(&self) -> &'static str;
-
-    /// Dense adapter for [`OnlinePredictor::observe_pairs`]: flattens the
-    /// matrix (allocating) and ingests the column.  Convenience for tests
-    /// and small-WAN callers; the serving loop flattens once into a reused
-    /// buffer instead.
-    fn observe(&mut self, demand: &DemandMatrix) {
-        self.observe_pairs(&demand.flatten_pairs());
-    }
 }
 
 /// Predicts the last observed demand (the paper's choice for prediction TE).
@@ -285,6 +277,7 @@ impl PredictorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use figret_traffic::DemandMatrix;
 
     fn dm(pairs: &[f64]) -> DemandMatrix {
         DemandMatrix::from_pairs(2, pairs).unwrap()
@@ -325,8 +318,8 @@ mod tests {
         let mut mean = SlidingMean::new(3);
         let mut max = SlidingMax::new(3);
         for m in &history {
-            mean.observe(m);
-            max.observe(m);
+            mean.observe_pairs(&m.flatten_pairs());
+            max.observe_pairs(&m.flatten_pairs());
         }
         let tail = &history[1..];
         assert_eq!(forecast(&mean, 2), predict(tail, Predictor::WindowMean).flatten_pairs());
@@ -362,7 +355,7 @@ mod tests {
             let mut ewma_state: Option<DemandMatrix> = None;
             let mut window: VecDeque<DemandMatrix> = VecDeque::new();
             for m in &history {
-                p.observe(m);
+                p.observe_pairs(&m.flatten_pairs());
                 assert!(p.predict_pairs_into(&mut out));
                 match &mut ewma_state {
                     Some(s) => s.ewma_blend(0.3, m),

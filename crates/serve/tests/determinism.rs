@@ -15,7 +15,7 @@ use figret_te::PathSet;
 use figret_topology::{Graph, Topology, TopologySpec};
 use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
 use figret_traffic::{
-    per_pair_variance_range, DemandStream, OnlineStream, OnlineStreamConfig, WindowDataset,
+    per_pair_variance_range, OnlineStream, OnlineStreamConfig, SparseDemandStream, WindowDataset,
 };
 use proptest::prelude::*;
 
@@ -55,11 +55,12 @@ fn run_lp_loop(
         OnlineStream::from_graph(&g, 0.25, OnlineStreamConfig { seed, ..Default::default() });
     let mut log = ServeLog::new();
     for _ in 0..2 {
-        controller.observe(&stream.next_demand().expect("online streams never end"));
+        let column = stream.next_column().expect("online streams never end");
+        controller.observe_pairs(column.values());
     }
     for _ in 0..ticks {
-        let demand = stream.next_demand().expect("online streams never end");
-        let outcome = controller.step(&demand);
+        let column = stream.next_column().expect("online streams never end");
+        let outcome = controller.step_pairs(column.values());
         log.push(outcome.record, outcome.decision_seconds);
     }
     log
@@ -110,10 +111,10 @@ fn learned_serving_is_deterministic_including_training() {
             ServeController::learned(&ps, model, PredictorKind::LastValue.build(), policy);
         let mut log = ServeLog::new();
         for t in 28..30 {
-            controller.observe(trace.matrix(t));
+            controller.observe_pairs(&trace.matrix(t).flatten_pairs());
         }
         for t in 30..40 {
-            let outcome = controller.step(trace.matrix(t));
+            let outcome = controller.step_pairs(&trace.matrix(t).flatten_pairs());
             log.push(outcome.record, outcome.decision_seconds);
         }
         log

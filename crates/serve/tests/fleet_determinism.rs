@@ -61,14 +61,12 @@ fn serial_oracle(
         .iter()
         .map(|shard| {
             let (restricted, _) = paths.restrict_to(shard.active());
-            let mut c = ServeController::lp(
+            ServeController::lp(
                 &restricted,
                 WINDOW,
                 Box::new(LastValue::new()),
                 ReconfigPolicy { budget: None, ..policy.clone() },
-            );
-            c.bind_universe(shard.active());
-            c
+            )
         })
         .collect();
     let mut admission = GlobalAdmission::from_policy(policy);

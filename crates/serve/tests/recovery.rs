@@ -211,7 +211,6 @@ fn fleet_shards_recover_independently_under_the_joint_budget() {
                     retrain_epochs: 150,
                     ..Default::default()
                 });
-                c.bind_universe(shard.active());
                 c
             })
             .collect();
@@ -220,9 +219,9 @@ fn fleet_shards_recover_independently_under_the_joint_budget() {
         for t in 0..total_ticks {
             let column = stream.next_column().expect("endless");
             if t < h {
-                fleet.observe_sparse(&column);
+                fleet.observe_column(column.values());
             } else {
-                fleet.step_sparse(&column);
+                fleet.step_column(column.values());
             }
         }
         fleet

@@ -16,7 +16,7 @@ use figret_telemetry::Registry;
 use figret_topology::{Graph, Topology, TopologySpec};
 use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
 use figret_traffic::{
-    ActivePairs, DemandStream, OnlineStream, OnlineStreamConfig, ShardPlan, TrafficTrace,
+    ActivePairs, OnlineStream, OnlineStreamConfig, ShardPlan, SparseDemandStream, TrafficTrace,
 };
 
 const WINDOW: usize = 2;
@@ -48,11 +48,12 @@ fn run_lp(seed: u64, ticks: usize, armed: bool) -> (ServeLog, Option<Registry>) 
         OnlineStream::from_graph(&g, 0.25, OnlineStreamConfig { seed, ..Default::default() });
     let mut log = ServeLog::new();
     for _ in 0..WINDOW {
-        controller.observe(&stream.next_demand().expect("online streams never end"));
+        let column = stream.next_column().expect("online streams never end");
+        controller.observe_pairs(column.values());
     }
     for _ in 0..ticks {
-        let demand = stream.next_demand().expect("online streams never end");
-        let outcome = controller.step(&demand);
+        let column = stream.next_column().expect("online streams never end");
+        let outcome = controller.step_pairs(column.values());
         log.push(outcome.record, outcome.decision_seconds);
     }
     (log, controller.telemetry_snapshot())

@@ -63,9 +63,8 @@ pub use stats::{
     spearman_rank_correlation, DistributionSummary,
 };
 pub use stream::{
-    collect_sparse_stream, collect_stream, DemandStream, DriftConfig, FailureStormConfig,
-    FlashCrowdConfig, OnlineStream, OnlineStreamConfig, ReplayStream, SparseDemandStream,
-    SparseReplayStream, StepShiftConfig, StreamAnnotation,
+    collect_sparse_stream, DriftConfig, FailureStormConfig, FlashCrowdConfig, OnlineStream,
+    OnlineStreamConfig, SparseDemandStream, SparseReplayStream, StepShiftConfig, StreamAnnotation,
 };
 
 #[cfg(test)]

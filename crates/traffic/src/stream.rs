@@ -1,11 +1,13 @@
 //! Streaming demand sources: demands as they arrive, not fixed-length arrays.
 //!
-//! The batch evaluation pipeline materializes a whole [`TrafficTrace`] up
-//! front; the online serving subsystem (DESIGN.md §6) instead *pulls* one
-//! demand matrix per tick from a [`DemandStream`].  Two families of sources:
+//! The batch evaluation pipeline materializes a whole trace up front; the
+//! online serving subsystem (DESIGN.md §6) instead *pulls* one demand column
+//! per tick from a [`SparseDemandStream`] — one value per active pair, the
+//! only demand currency of the serving loop.  Two families of sources:
 //!
-//! * [`ReplayStream`] — replays an existing trace (optionally looping), so
-//!   every batch scenario is also a serving scenario;
+//! * [`SparseReplayStream`] — replays an existing [`SparseTrace`]
+//!   (optionally looping; [`SparseTrace::from_trace`] lifts a recorded dense
+//!   trace), so every batch scenario is also a serving scenario;
 //! * [`OnlineStream`] — an unbounded seeded generator layering diurnal
 //!   modulation, slow random-walk drift, flash-crowd episodes and
 //!   failure-storm episodes (traffic draining away from an ailing node) on
@@ -27,20 +29,8 @@ use rand_chacha::ChaCha8Rng;
 use figret_topology::Graph;
 
 use crate::gravity::gravity_matrix;
-use crate::matrix::{DemandMatrix, TrafficTrace};
+use crate::matrix::DemandMatrix;
 use crate::sparse::{ActivePairs, SparseDemand, SparseTrace};
-
-/// A source of demand matrices, one per tick.
-///
-/// Finite sources (trace replay) return `None` when exhausted; online
-/// generators never do.
-pub trait DemandStream {
-    /// Number of nodes of every matrix the stream yields.
-    fn num_nodes(&self) -> usize;
-
-    /// The next demand matrix, or `None` if the stream is exhausted.
-    fn next_demand(&mut self) -> Option<DemandMatrix>;
-}
 
 /// A source of sparse demand columns, one per tick, all aligned to one
 /// shared [`ActivePairs`] index — the native interface of the serving loop
@@ -51,62 +41,6 @@ pub trait SparseDemandStream {
 
     /// The next demand column, or `None` if the stream is exhausted.
     fn next_column(&mut self) -> Option<SparseDemand>;
-}
-
-/// Replays the snapshots of an existing [`TrafficTrace`] in order.
-#[derive(Debug, Clone)]
-pub struct ReplayStream {
-    trace: TrafficTrace,
-    cursor: usize,
-    looping: bool,
-}
-
-impl ReplayStream {
-    /// Replays the trace once, then reports exhaustion.
-    pub fn once(trace: TrafficTrace) -> ReplayStream {
-        ReplayStream { trace, cursor: 0, looping: false }
-    }
-
-    /// Replays the trace forever, wrapping around at the end (an unbounded
-    /// stationary scenario built from recorded data).
-    pub fn looping(trace: TrafficTrace) -> ReplayStream {
-        assert!(!trace.is_empty(), "cannot loop over an empty trace");
-        ReplayStream { trace, cursor: 0, looping: true }
-    }
-
-    /// Starts the replay at snapshot `start` instead of 0 (e.g. at the test
-    /// split of a scenario, after warming the controller on the prefix).
-    pub fn starting_at(mut self, start: usize) -> ReplayStream {
-        self.cursor = start;
-        self
-    }
-
-    /// Snapshots left before exhaustion (`None` for a looping stream).
-    pub fn remaining(&self) -> Option<usize> {
-        if self.looping {
-            None
-        } else {
-            Some(self.trace.len().saturating_sub(self.cursor))
-        }
-    }
-}
-
-impl DemandStream for ReplayStream {
-    fn num_nodes(&self) -> usize {
-        self.trace.num_nodes()
-    }
-
-    fn next_demand(&mut self) -> Option<DemandMatrix> {
-        if self.cursor >= self.trace.len() {
-            if !self.looping {
-                return None;
-            }
-            self.cursor = 0;
-        }
-        let m = self.trace.matrix(self.cursor).clone();
-        self.cursor += 1;
-        Some(m)
-    }
 }
 
 /// Slow per-pair drift: every pair's mean performs a clamped random walk.
@@ -258,10 +192,8 @@ struct FlashEpisode {
 ///
 /// Natively columnar since PR 7: the per-slot base rates live over an
 /// [`ActivePairs`] index and each tick produces one [`SparseDemand`] column.
-/// [`OnlineStream::from_base`] uses the all-pairs index (whose slot order
-/// equals the old dense row-major pair order), so the dense
-/// [`DemandStream`] adapter yields bit-identical matrices to the pre-sparse
-/// implementation.
+/// [`OnlineStream::from_base`] uses the all-pairs index, whose slot order
+/// equals the dense row-major pair order (`DemandMatrix::flatten_pairs`).
 #[derive(Debug, Clone)]
 pub struct OnlineStream {
     config: OnlineStreamConfig,
@@ -285,7 +217,7 @@ impl OnlineStream {
 
     /// Builds a stream around an explicit base matrix (e.g. the mean of a
     /// recorded trace, so an online scenario continues where replay ended).
-    /// The stream runs over the all-pairs index (the dense adapter).
+    /// The stream runs over the all-pairs index.
     pub fn from_base(base: &DemandMatrix, config: OnlineStreamConfig) -> OnlineStream {
         let active = Arc::new(ActivePairs::all(base.num_nodes()));
         OnlineStream::from_slots(active, base.flatten_pairs(), config)
@@ -323,9 +255,8 @@ impl OnlineStream {
     }
 
     /// The event state behind the most recently generated column (call right
-    /// after [`SparseDemandStream::next_column`] /
-    /// [`DemandStream::next_demand`]).  Before the first column it describes
-    /// the initial quiet state.
+    /// after [`SparseDemandStream::next_column`]).  Before the first column
+    /// it describes the initial quiet state.
     pub fn annotation(&self) -> StreamAnnotation {
         let spread = match self.config.drift {
             None => 1.0,
@@ -427,18 +358,7 @@ impl SparseDemandStream for OnlineStream {
     }
 }
 
-impl DemandStream for OnlineStream {
-    fn num_nodes(&self) -> usize {
-        self.active.num_nodes()
-    }
-
-    fn next_demand(&mut self) -> Option<DemandMatrix> {
-        self.next_column().map(|c| c.to_matrix())
-    }
-}
-
-/// Replays the columns of an existing [`SparseTrace`] in order — the sparse
-/// counterpart of [`ReplayStream`].
+/// Replays the columns of an existing [`SparseTrace`] in order.
 #[derive(Debug, Clone)]
 pub struct SparseReplayStream {
     trace: SparseTrace,
@@ -492,35 +412,8 @@ impl SparseDemandStream for SparseReplayStream {
     }
 }
 
-impl DemandStream for SparseReplayStream {
-    fn num_nodes(&self) -> usize {
-        self.trace.num_nodes()
-    }
-
-    fn next_demand(&mut self) -> Option<DemandMatrix> {
-        self.next_column().map(|c| c.to_matrix())
-    }
-}
-
-/// Materializes the next `ticks` demands of any stream into a trace (mainly
-/// for tests and for feeding batch tooling from a streaming source).
-pub fn collect_stream(
-    stream: &mut dyn DemandStream,
-    ticks: usize,
-    interval_seconds: f64,
-) -> TrafficTrace {
-    let mut matrices = Vec::with_capacity(ticks);
-    for _ in 0..ticks {
-        match stream.next_demand() {
-            Some(m) => matrices.push(m),
-            None => break,
-        }
-    }
-    TrafficTrace::new("stream", interval_seconds, matrices)
-}
-
-/// Materializes the next `ticks` columns of a sparse stream into a
-/// [`SparseTrace`] (the columnar counterpart of [`collect_stream`]).
+/// Materializes the next `ticks` columns of a stream into a [`SparseTrace`]
+/// (mainly for tests and for feeding batch tooling from a streaming source).
 pub fn collect_sparse_stream(
     stream: &mut dyn SparseDemandStream,
     ticks: usize,
@@ -546,35 +439,34 @@ mod tests {
         TopologySpec::full_scale(Topology::Geant).build()
     }
 
+    fn wan_sparse(g: &Graph, snapshots: usize) -> SparseTrace {
+        SparseTrace::from_trace(&crate::wan::wan_trace(
+            g,
+            &crate::wan::WanTrafficConfig { num_snapshots: snapshots, ..Default::default() },
+        ))
+    }
+
     #[test]
     fn replay_yields_the_trace_in_order_then_ends() {
-        let g = geant();
-        let trace = crate::wan::wan_trace(
-            &g,
-            &crate::wan::WanTrafficConfig { num_snapshots: 5, ..Default::default() },
-        );
-        let mut s = ReplayStream::once(trace.clone());
-        assert_eq!(s.num_nodes(), trace.num_nodes());
+        let trace = wan_sparse(&geant(), 5);
+        let mut s = SparseReplayStream::once(trace.clone());
+        assert_eq!(s.active().num_nodes(), trace.num_nodes());
         for t in 0..5 {
             assert_eq!(s.remaining(), Some(5 - t));
-            assert_eq!(s.next_demand().as_ref(), Some(trace.matrix(t)));
+            assert_eq!(s.next_column().as_ref(), Some(trace.snapshot(t)));
         }
-        assert_eq!(s.next_demand(), None);
+        assert_eq!(s.next_column(), None);
         assert_eq!(s.remaining(), Some(0));
     }
 
     #[test]
     fn looping_replay_wraps_and_starting_at_skips() {
-        let g = geant();
-        let trace = crate::wan::wan_trace(
-            &g,
-            &crate::wan::WanTrafficConfig { num_snapshots: 3, ..Default::default() },
-        );
-        let mut s = ReplayStream::looping(trace.clone()).starting_at(2);
+        let trace = wan_sparse(&geant(), 3);
+        let mut s = SparseReplayStream::looping(trace.clone()).starting_at(2);
         assert_eq!(s.remaining(), None);
-        assert_eq!(s.next_demand().as_ref(), Some(trace.matrix(2)));
-        assert_eq!(s.next_demand().as_ref(), Some(trace.matrix(0)));
-        assert_eq!(s.next_demand().as_ref(), Some(trace.matrix(1)));
+        assert_eq!(s.next_column().as_ref(), Some(trace.snapshot(2)));
+        assert_eq!(s.next_column().as_ref(), Some(trace.snapshot(0)));
+        assert_eq!(s.next_column().as_ref(), Some(trace.snapshot(1)));
     }
 
     #[test]
@@ -584,10 +476,10 @@ mod tests {
         let mut a = OnlineStream::from_graph(&g, 0.25, config.clone());
         let mut b = OnlineStream::from_graph(&g, 0.25, config);
         for _ in 0..40 {
-            let ma = a.next_demand().unwrap();
-            let mb = b.next_demand().unwrap();
-            assert_eq!(ma, mb);
-            assert!(ma.total() > 0.0);
+            let ca = a.next_column().unwrap();
+            let cb = b.next_column().unwrap();
+            assert_eq!(ca, cb);
+            assert!(ca.total() > 0.0);
         }
         assert_eq!(a.ticks(), 40);
     }
@@ -605,7 +497,7 @@ mod tests {
             0.25,
             OnlineStreamConfig { seed: 2, ..Default::default() },
         );
-        assert_ne!(a.next_demand(), b.next_demand());
+        assert_ne!(a.next_column(), b.next_column());
     }
 
     #[test]
@@ -625,20 +517,12 @@ mod tests {
             ..Default::default()
         };
         let mut s = OnlineStream::from_graph(&g, 0.25, config);
-        let base = gravity_matrix(&g, 0.25);
+        let base = gravity_matrix(&g, 0.25).flatten_pairs();
         let mut burst_seen = false;
         for _ in 0..50 {
-            let m = s.next_demand().unwrap();
-            for src in 0..m.num_nodes() {
-                for dst in 0..m.num_nodes() {
-                    if src != dst && base.get(src, dst) > 0.0 {
-                        // diurnal swing is at most 1.25x; a 4x burst sticks out.
-                        if m.get(src, dst) > 3.0 * base.get(src, dst) {
-                            burst_seen = true;
-                        }
-                    }
-                }
-            }
+            let c = s.next_column().unwrap();
+            // diurnal swing is at most 1.25x; a 4x burst sticks out.
+            burst_seen |= c.values().iter().zip(&base).any(|(v, b)| *b > 0.0 && *v > 3.0 * b);
         }
         assert!(burst_seen, "flash crowds must produce visible bursts");
     }
@@ -660,24 +544,29 @@ mod tests {
             ..Default::default()
         };
         let mut s = OnlineStream::from_graph(&g, 0.25, config);
-        let m = s.next_demand().unwrap();
+        let c = s.next_column().unwrap();
         // Some node's row and column must be fully drained.
-        let n = m.num_nodes();
+        let n = c.num_nodes();
         let drained =
-            (0..n).any(|v| (0..n).all(|o| o == v || (m.get(v, o) == 0.0 && m.get(o, v) == 0.0)));
+            (0..n).any(|v| (0..n).all(|o| o == v || (c.get(v, o) == 0.0 && c.get(o, v) == 0.0)));
         assert!(drained, "a storm with drain=1.0 must zero out one node's traffic");
     }
 
     #[test]
     fn sparse_and_dense_online_streams_agree_bitwise() {
+        // A dense base matrix and the same base as an all-pairs column seed
+        // the same stream: slot order is `flatten_pairs` order.
         let g = geant();
         let config = OnlineStreamConfig { seed: 123, ..Default::default() };
-        let mut dense = OnlineStream::from_graph(&g, 0.25, config.clone());
-        let mut sparse = OnlineStream::from_graph(&g, 0.25, config);
+        let base = gravity_matrix(&g, 0.25);
+        let all = Arc::new(ActivePairs::all(g.num_nodes()));
+        let mut dense = OnlineStream::from_base(&base, config.clone());
+        let mut sparse =
+            OnlineStream::from_sparse_base(&SparseDemand::from_matrix(&base, &all), config);
         for _ in 0..25 {
-            let m = dense.next_demand().unwrap();
+            let m = dense.next_column().unwrap().to_matrix();
             let c = sparse.next_column().unwrap();
-            assert_eq!(c.to_matrix(), m);
+            assert_eq!(c.values(), m.flatten_pairs());
         }
     }
 
@@ -700,12 +589,10 @@ mod tests {
             &g,
             &crate::wan::WanTrafficConfig { num_snapshots: 6, ..Default::default() },
         );
-        let sparse = SparseTrace::from_trace(&trace);
-        let mut a = ReplayStream::looping(trace).starting_at(4);
-        let mut b = SparseReplayStream::looping(sparse).starting_at(4);
+        let mut b = SparseReplayStream::looping(SparseTrace::from_trace(&trace)).starting_at(4);
         assert_eq!(b.remaining(), None);
-        for _ in 0..10 {
-            assert_eq!(a.next_demand(), b.next_demand());
+        for t in (4..6).chain(0..6).chain(0..2) {
+            assert_eq!(&b.next_column().unwrap().to_matrix(), trace.matrix(t));
         }
         let mut once = SparseReplayStream::once(collect_sparse_stream(
             &mut OnlineStream::from_graph(&g, 0.25, OnlineStreamConfig::default()),
@@ -728,19 +615,19 @@ mod tests {
         let mut a = OnlineStream::from_graph(&g, 0.25, base);
         let mut b = OnlineStream::from_graph(&g, 0.25, shifted);
         for t in 0..8 {
-            let ma = a.next_demand().unwrap();
-            let mb = b.next_demand().unwrap();
+            let ca = a.next_column().unwrap();
+            let cb = b.next_column().unwrap();
             if t < 3 {
                 // The shift consumes no RNG: pre-shift columns are
                 // bit-identical to the unshifted stream's.
-                assert_eq!(ma, mb, "tick {t} must be untouched before the shift");
+                assert_eq!(ca, cb, "tick {t} must be untouched before the shift");
                 assert!(!b.annotation().shifted);
             } else {
-                assert_ne!(ma, mb, "tick {t} must be reshaped by the shift");
+                assert_ne!(ca, cb, "tick {t} must be reshaped by the shift");
                 assert!(b.annotation().shifted);
                 // Even slots scale by 4, odd by 1/4: totals stay comparable
                 // while the shape changes (paired slots swap magnitudes).
-                let (ta, tb) = (ma.total(), mb.total());
+                let (ta, tb) = (ca.total(), cb.total());
                 assert!(tb > 0.5 * ta && tb < 5.0 * ta, "tick {t}: {ta} vs {tb}");
             }
         }
@@ -763,7 +650,7 @@ mod tests {
         };
         let mut s = OnlineStream::from_graph(&g, 0.25, config);
         assert!(s.annotation().is_quiet(), "no episodes before the first column");
-        s.next_demand().unwrap();
+        s.next_column().unwrap();
         let ann = s.annotation();
         assert!(ann.storm_victim.is_some(), "a p=1.0 storm must be active");
         assert_eq!(ann.active_flashes, 0);
@@ -779,12 +666,12 @@ mod tests {
             0.25,
             OnlineStreamConfig { seed: 3, ..Default::default() },
         );
-        let trace = collect_stream(&mut s, 12, 60.0);
+        let trace = collect_sparse_stream(&mut s, 12, 60.0);
         assert_eq!(trace.len(), 12);
         assert_eq!(trace.num_nodes(), g.num_nodes());
         // A finite replay stops early.
-        let mut r = ReplayStream::once(trace.clone());
-        let t2 = collect_stream(&mut r, 50, 60.0);
+        let mut r = SparseReplayStream::once(trace.clone());
+        let t2 = collect_sparse_stream(&mut r, 50, 60.0);
         assert_eq!(t2.len(), 12);
     }
 }
