@@ -1,8 +1,11 @@
 //! shard_scale — LP fleet throughput vs. shard count (DESIGN.md §8).
 //!
-//! Measures one full fleet tick (scatter → propose ∥ → admit → finish ∥ →
-//! merge) on random-regular ToR fabrics at 256/512/1024 ToRs, as a function
-//! of the shard count, in two regimes:
+//! Measures one full *solving* fleet tick (scatter → propose ∥ → admit →
+//! finish ∥ → merge) on random-regular ToR fabrics at 256/512/1024 ToRs, as
+//! a function of the shard count.  The fleet runs without an update budget
+//! (`warmed_lp_fleet`): under one, LP shards skip the solve on every tick
+//! with no grant open, and most timed iterations would measure eight
+//! forecasts instead of eight LPs.  Two regimes:
 //!
 //! * `steady_tick` — steady-state traffic (no pair churn, no bursts): the
 //!   warm-started shard LPs re-price an already-optimal basis, so this is

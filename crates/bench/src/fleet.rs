@@ -61,8 +61,11 @@ pub fn fleet_case(tors: usize, steady: bool) -> FleetCase {
     FleetCase { paths, trace, active, num_tors: fabric.num_tors }
 }
 
-/// The benchmark reconfiguration policy: a real joint budget, so the
-/// admission layer runs its full grant path every tick.
+/// The benchmark reconfiguration policy: a real joint budget (the shape of
+/// the ledger's `dc_fleet_lp`), spent on the first tick of every window.
+/// Learned shards propose on every tick regardless; LP shards solve only
+/// while a grant is open, so an LP bench that wants to time solves must not
+/// use it as is (see [`warmed_lp_fleet`]).
 pub fn fleet_policy() -> ReconfigPolicy {
     ReconfigPolicy {
         hysteresis: 0.01,
@@ -73,11 +76,15 @@ pub fn fleet_policy() -> ReconfigPolicy {
 
 /// Builds an LP fleet over `shards` source blocks and pays warmup + the
 /// cold first solve outside the timed region, so samples measure the
-/// steady warm-tick cost.
+/// steady warm-tick cost.  The policy keeps [`fleet_policy`]'s hysteresis
+/// but has no budget: every tick has a grant open, so every timed tick
+/// solves on every shard (under the budget most ticks would be closed and
+/// solve nothing).
 pub fn warmed_lp_fleet(case: &FleetCase, shards: usize) -> FleetController {
     let plan = ShardPlan::source_blocks(&case.active, case.num_tors, shards);
+    let policy = ReconfigPolicy { budget: None, ..fleet_policy() };
     let mut fleet =
-        FleetController::lp(&plan, &case.paths, WINDOW, PredictorKind::LastValue, &fleet_policy());
+        FleetController::lp(&plan, &case.paths, WINDOW, PredictorKind::LastValue, &policy);
     for t in 0..WINDOW {
         fleet.observe_column(case.trace.snapshot(t).values());
     }
@@ -137,6 +144,8 @@ mod tests {
         let out = lp.step_column(case.trace.snapshot(WINDOW + 1).values());
         assert!(out.global_mlu > 0.0);
         assert_eq!(lp.num_shards(), 4);
+        // shard_scale times solving ticks: both ticks so far solved everywhere.
+        assert_eq!(lp.lp_stats().solves, 2 * 4);
 
         let config = FigretConfig::fast_test();
         let mut learned = warmed_learned_fleet(&case, 4, &config);

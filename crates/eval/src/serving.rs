@@ -869,8 +869,8 @@ pub fn print_serve_report(run: &ServeRun) {
             logs => format!("{} of {} shards", run.fleet.fell_back_shards(), logs.len()),
         },
     ));
+    let adm = run.fleet.admission_stats();
     if sharded {
-        let adm = run.fleet.admission_stats();
         rows.push(row(
             "admission bids/wants/grants",
             format!("{} / {} / {}", adm.bids, adm.wants, adm.grants),
@@ -880,6 +880,12 @@ pub fn print_serve_report(run: &ServeRun) {
             format!("{} / {}", adm.holds_hysteresis, adm.holds_budget),
         ));
     }
+    // Ask-admission-first accounting: bids held without a candidate because
+    // no grant was open, next to the solves that did run.
+    rows.push(row(
+        "LP solves/bids/candidates skipped",
+        format!("{} / {} / {}", run.fleet.lp_stats().solves, adm.bids, adm.holds_closed),
+    ));
     print_table("serving summary", &["metric", "value"], &rows);
 
     let labels = run.fleet.shard_labels();

@@ -1,25 +1,30 @@
 //! Global admission: one update budget and one hysteresis policy shared by
 //! every shard of a serving fleet (DESIGN.md §8).
 //!
-//! Each tick, shards that completed a [`crate::ServeController::propose`]
-//! submit a [`ShardBid`] carrying their predicted MLUs.  The admission layer
-//! applies the fleet-wide hysteresis gate to every bid, ranks the shards
-//! that want to reconfigure by predicted-MLU regret (deterministically:
-//! regret descending, shard index ascending on exact ties) and grants
-//! updates until the *joint* sliding-window budget is spent.  This closes
-//! the per-controller-budget gap: `N` shards under one
-//! `UpdateBudget::per_window(m, w)` deploy at most `m` updates per `w`
-//! ticks *in total*, exactly like a single controller would.
+//! A tick asks admission *first*: [`GlobalAdmission::open_grants`] says how
+//! many updates the joint sliding-window budget can still grant at this
+//! tick, before any shard has computed anything.  Shards then run
+//! [`crate::ServeController::propose`] with that answer and submit a
+//! [`ShardBid`] carrying their predicted MLUs — an LP shard told that no
+//! grant is open does not solve, and bids without a candidate.  The
+//! admission layer applies the fleet-wide hysteresis gate to every bid that
+//! has a candidate, ranks the shards that want to reconfigure by
+//! predicted-MLU regret (deterministically: regret descending, shard index
+//! ascending on exact ties) and grants updates until the *joint* budget is
+//! spent.  `N` shards under one `UpdateBudget::per_window(m, w)` deploy at
+//! most `m` updates per `w` ticks *in total*, exactly like a single
+//! controller would.
 //!
 //! Determinism: the ranking is a total order over bids (ties broken by the
 //! unique shard index), so the granted set is invariant to the order bids
 //! are submitted in — shard iteration order, thread interleavings and
 //! fleet-internal scheduling cannot change the outcome.
 //!
-//! With one shard the layer reproduces the unsharded controller's gate
-//! sequence bit for bit: the hysteresis formula, the eviction rule
-//! (`oldest + window <= tick`) and the grant condition (`granted < max`)
-//! are copied from [`crate::ServeController`]'s internal gates.
+//! This is the only copy of the gates: the lone
+//! [`crate::ServeController::step_pairs`] owns a `GlobalAdmission` built
+//! from its own policy and routes its single bid through
+//! `open_grants` / `admit`, so a one-shard fleet and an unsharded controller
+//! agree record for record by construction.
 
 use std::collections::VecDeque;
 
@@ -34,8 +39,10 @@ pub struct ShardBid {
     pub shard: usize,
     /// Predicted MLU of the shard's deployed configuration on its forecast.
     pub predicted_mlu_deployed: f64,
-    /// Predicted MLU of the shard's parked candidate on its forecast.
-    pub predicted_mlu_candidate: f64,
+    /// Predicted MLU of the shard's parked candidate on its forecast;
+    /// `None` when the shard computed no candidate because
+    /// [`GlobalAdmission::open_grants`] was 0 when it was asked.
+    pub predicted_mlu_candidate: Option<f64>,
 }
 
 impl ShardBid {
@@ -47,12 +54,6 @@ impl ShardBid {
             predicted_mlu_candidate: proposal.predicted_mlu_candidate,
         }
     }
-
-    /// Predicted-MLU regret of keeping the deployed configuration: the
-    /// quantity bids are ranked by.
-    pub fn regret(&self) -> f64 {
-        self.predicted_mlu_deployed - self.predicted_mlu_candidate
-    }
 }
 
 /// Aggregate admission counters over a fleet run.
@@ -62,7 +63,8 @@ pub struct AdmissionStats {
     pub ticks: usize,
     /// Bids submitted (shards past warmup).
     pub bids: usize,
-    /// Bids that passed the hysteresis gate.
+    /// Bids that passed the hysteresis gate
+    /// (`bids = wants + holds_hysteresis + holds_closed`).
     pub wants: usize,
     /// Updates granted.
     pub grants: usize,
@@ -70,6 +72,9 @@ pub struct AdmissionStats {
     pub holds_hysteresis: usize,
     /// Wanting bids held because the joint budget was spent.
     pub holds_budget: usize,
+    /// Bids held without a candidate: no grant was open when the shard was
+    /// asked, so it computed none (logged as `Hold(BudgetExhausted)`).
+    pub holds_closed: usize,
 }
 
 /// The fleet-wide admission state: shared hysteresis plus the joint
@@ -81,6 +86,11 @@ pub struct GlobalAdmission {
     /// Fleet ticks of granted updates inside the current window, oldest
     /// first (one entry per grant; only maintained under a budget).
     granted: VecDeque<usize>,
+    /// `(regret, shard)` of the bids past the hysteresis gate, reused every
+    /// tick (the lone controller's `step_pairs` must not allocate).
+    wanting: Vec<(f64, usize)>,
+    /// Which shards have bid this tick, reused every tick.
+    seen: Vec<bool>,
     stats: AdmissionStats,
 }
 
@@ -92,6 +102,8 @@ impl GlobalAdmission {
             hysteresis,
             budget,
             granted: VecDeque::new(),
+            wanting: Vec::new(),
+            seen: Vec::new(),
             stats: AdmissionStats::default(),
         }
     }
@@ -102,63 +114,86 @@ impl GlobalAdmission {
         GlobalAdmission::new(policy.hysteresis, policy.budget)
     }
 
+    /// How many updates the joint budget can still grant at `tick`
+    /// (`usize::MAX` without a budget), after evicting the grants that slid
+    /// out of the window.  O(1) amortized and independent of any bid, so a
+    /// tick asks this *before* its shards propose: at 0, [`Self::admit`]
+    /// grants nothing whatever the bids say.
+    pub fn open_grants(&mut self, tick: usize) -> usize {
+        let Some(budget) = self.budget else {
+            return usize::MAX;
+        };
+        while let Some(&oldest) = self.granted.front() {
+            if oldest + budget.window <= tick {
+                self.granted.pop_front();
+            } else {
+                break;
+            }
+        }
+        budget.max_updates.saturating_sub(self.granted.len())
+    }
+
     /// Adjudicates one fleet tick.  `bids` may arrive in any order and must
     /// reference distinct shards; `actions` must hold one slot per fleet
     /// shard, prefilled with [`Action::Warmup`] (slots without a bid — still
     /// warming up — are left untouched).  Deterministic: the outcome depends
     /// only on the bid *set*, never on its order.
+    ///
+    /// A bid without a candidate is held as
+    /// [`HoldReason::BudgetExhausted`]; it is only legal on a tick whose
+    /// [`Self::open_grants`] is 0 (the shard skipped its candidate *because*
+    /// nothing could be granted).
     pub fn admit(&mut self, tick: usize, bids: &[ShardBid], actions: &mut [Action]) {
         self.stats.ticks += 1;
         self.stats.bids += bids.len();
-        // Evict grants that slid out of the window (same rule as the
-        // unsharded controller's budget gate).
-        if let Some(budget) = self.budget {
-            while let Some(&oldest) = self.granted.front() {
-                if oldest + budget.window <= tick {
-                    self.granted.pop_front();
-                } else {
-                    break;
-                }
-            }
-        }
-        let mut wanting: Vec<&ShardBid> = Vec::with_capacity(bids.len());
-        let mut seen = vec![false; actions.len()];
+        let capacity = self.open_grants(tick);
+        self.wanting.clear();
+        self.seen.clear();
+        self.seen.resize(actions.len(), false);
         for bid in bids {
             assert!(bid.shard < actions.len(), "bid for shard {} of {}", bid.shard, actions.len());
-            assert!(!seen[bid.shard], "duplicate bid for shard {}", bid.shard);
-            seen[bid.shard] = true;
+            assert!(!self.seen[bid.shard], "duplicate bid for shard {}", bid.shard);
+            self.seen[bid.shard] = true;
             assert_eq!(
                 actions[bid.shard],
                 Action::Warmup,
                 "shard {} already holds a non-warmup action",
                 bid.shard
             );
+            let Some(candidate) = bid.predicted_mlu_candidate else {
+                assert_eq!(
+                    capacity, 0,
+                    "shard {} bid without a candidate while a grant was open",
+                    bid.shard
+                );
+                actions[bid.shard] = Action::Hold(HoldReason::BudgetExhausted);
+                self.stats.holds_closed += 1;
+                continue;
+            };
             let wants = self.hysteresis <= 0.0
-                || bid.predicted_mlu_deployed
-                    > (1.0 + self.hysteresis) * bid.predicted_mlu_candidate;
+                || bid.predicted_mlu_deployed > (1.0 + self.hysteresis) * candidate;
             if wants {
-                wanting.push(bid);
+                // Ranked by the predicted-MLU regret of keeping the deployed
+                // configuration.
+                self.wanting.push((bid.predicted_mlu_deployed - candidate, bid.shard));
             } else {
                 actions[bid.shard] = Action::Hold(HoldReason::BelowHysteresis);
                 self.stats.holds_hysteresis += 1;
             }
         }
-        self.stats.wants += wanting.len();
+        self.stats.wants += self.wanting.len();
         // Total order: regret descending, shard index ascending on exact
         // (bit-equal) ties — invariant to submission order.
-        wanting
-            .sort_unstable_by(|a, b| b.regret().total_cmp(&a.regret()).then(a.shard.cmp(&b.shard)));
-        let capacity =
-            self.budget.map_or(usize::MAX, |b| b.max_updates.saturating_sub(self.granted.len()));
-        for (rank, bid) in wanting.iter().enumerate() {
+        self.wanting.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        for (rank, &(_, shard)) in self.wanting.iter().enumerate() {
             if rank < capacity {
-                actions[bid.shard] = Action::Update;
+                actions[shard] = Action::Update;
                 if self.budget.is_some() {
                     self.granted.push_back(tick);
                 }
                 self.stats.grants += 1;
             } else {
-                actions[bid.shard] = Action::Hold(HoldReason::BudgetExhausted);
+                actions[shard] = Action::Hold(HoldReason::BudgetExhausted);
                 self.stats.holds_budget += 1;
             }
         }
@@ -188,9 +223,19 @@ impl GlobalAdmission {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bid(shard: usize, deployed: f64, candidate: f64) -> ShardBid {
-        ShardBid { shard, predicted_mlu_deployed: deployed, predicted_mlu_candidate: candidate }
+        ShardBid {
+            shard,
+            predicted_mlu_deployed: deployed,
+            predicted_mlu_candidate: Some(candidate),
+        }
+    }
+
+    /// The bid of a shard that computed no candidate.
+    fn unsolved(shard: usize) -> ShardBid {
+        ShardBid { shard, predicted_mlu_deployed: 1.0, predicted_mlu_candidate: None }
     }
 
     #[test]
@@ -284,6 +329,149 @@ mod tests {
         assert_eq!(actions[0], Action::Warmup);
         assert_eq!(actions[1], Action::Update);
         assert_eq!(actions[2], Action::Warmup);
+    }
+
+    #[test]
+    fn closed_ticks_hold_candidate_less_bids_and_count_them() {
+        let mut adm = GlobalAdmission::new(0.0, Some(UpdateBudget::per_window(1, 3)));
+        assert_eq!(adm.open_grants(0), 1);
+        let mut actions = vec![Action::Warmup; 2];
+        adm.admit(0, &[bid(0, 1.0, 0.5), bid(1, 0.9, 0.5)], &mut actions);
+        assert_eq!(actions, [Action::Update, Action::Hold(HoldReason::BudgetExhausted)]);
+        // Ticks 1 and 2 are closed: nobody solves, both bids are held.
+        for tick in 1..3 {
+            assert_eq!(adm.open_grants(tick), 0);
+            let mut actions = vec![Action::Warmup; 2];
+            adm.admit(tick, &[unsolved(0), unsolved(1)], &mut actions);
+            assert_eq!(actions, [Action::Hold(HoldReason::BudgetExhausted); 2]);
+        }
+        assert_eq!(adm.open_grants(3), 1, "the grant of tick 0 slid out of the window");
+        let stats = adm.stats();
+        assert_eq!((stats.bids, stats.wants, stats.holds_closed), (6, 2, 4));
+        assert_eq!(stats.bids, stats.wants + stats.holds_hysteresis + stats.holds_closed);
+        assert_eq!(GlobalAdmission::new(0.0, None).open_grants(7), usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "bid without a candidate while a grant was open")]
+    fn candidate_less_bids_are_rejected_while_a_grant_is_open() {
+        let mut adm = GlobalAdmission::new(0.0, Some(UpdateBudget::per_window(1, 3)));
+        adm.admit(0, &[unsolved(0)], &mut [Action::Warmup]);
+    }
+
+    /// The eager `admit` this module had before admission was asked first,
+    /// kept as the model the ask-first protocol is checked against: every
+    /// bid carries a candidate, and the budget is only consulted after the
+    /// hysteresis gate.
+    struct EagerAdmission {
+        hysteresis: f64,
+        budget: Option<UpdateBudget>,
+        granted: VecDeque<usize>,
+    }
+
+    impl EagerAdmission {
+        fn admit(&mut self, tick: usize, bids: &[(usize, f64, f64)], actions: &mut [Action]) {
+            if let Some(budget) = self.budget {
+                // Stated the other way round from `open_grants`: keep what is
+                // still inside the window.
+                self.granted.retain(|&granted| granted + budget.window > tick);
+            }
+            let mut wanting: Vec<&(usize, f64, f64)> = Vec::new();
+            for bid in bids {
+                let &(shard, deployed, candidate) = bid;
+                if self.hysteresis <= 0.0 || deployed > (1.0 + self.hysteresis) * candidate {
+                    wanting.push(bid);
+                } else {
+                    actions[shard] = Action::Hold(HoldReason::BelowHysteresis);
+                }
+            }
+            wanting
+                .sort_unstable_by(|a, b| (b.1 - b.2).total_cmp(&(a.1 - a.2)).then(a.0.cmp(&b.0)));
+            let capacity = self
+                .budget
+                .map_or(usize::MAX, |b| b.max_updates.saturating_sub(self.granted.len()));
+            for (rank, bid) in wanting.iter().enumerate() {
+                if rank < capacity {
+                    actions[bid.0] = Action::Update;
+                    if self.budget.is_some() {
+                        self.granted.push_back(tick);
+                    }
+                } else {
+                    actions[bid.0] = Action::Hold(HoldReason::BudgetExhausted);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// What licenses the skip: over random budgets, tick gaps and bid
+        /// sets, asking first and dropping every candidate on a closed tick
+        /// deploys exactly the updates the eager protocol deployed, and a
+        /// closed tick grants nothing whatever the bids say.
+        #[test]
+        fn asking_first_grants_what_eager_admission_granted(
+            (max_updates, window, hyst_step) in (0usize..4, 1usize..7, 0usize..3),
+            ticks in collection::vec(
+                (0usize..4, collection::vec((0usize..2, 0.1f64..2.0, 0.1f64..2.0), 5usize)),
+                1..40,
+            ),
+        ) {
+            let hysteresis = 0.05 * hyst_step as f64;
+            let budget = (max_updates > 0).then(|| UpdateBudget::per_window(max_updates, window));
+            let mut eager = EagerAdmission { hysteresis, budget, granted: VecDeque::new() };
+            let mut asked = GlobalAdmission::new(hysteresis, budget);
+            let mut tick = 0;
+            for (gap, shards) in ticks {
+                tick += gap;
+                // Each of the 5 shards bids or is still warming up.
+                let bids: Vec<(usize, f64, f64)> = shards
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &(bidding, _, _))| bidding == 1)
+                    .map(|(shard, &(_, deployed, candidate))| (shard, deployed, candidate))
+                    .collect();
+                let mut expected = vec![Action::Warmup; shards.len()];
+                eager.admit(tick, &bids, &mut expected);
+
+                let open = asked.open_grants(tick);
+                let grants_before = asked.stats().grants;
+                // Arbitrary bids, candidates included, win nothing on a
+                // closed tick...
+                if open == 0 {
+                    let mut probe = asked.clone();
+                    let full: Vec<ShardBid> = bids.iter().map(|&(s, d, c)| bid(s, d, c)).collect();
+                    let mut actions = vec![Action::Warmup; shards.len()];
+                    probe.admit(tick, &full, &mut actions);
+                    prop_assert!(!actions.contains(&Action::Update));
+                }
+                // ...so the shards may as well not compute them.
+                let submitted: Vec<ShardBid> = bids
+                    .iter()
+                    .map(|&(shard, deployed, candidate)| ShardBid {
+                        shard,
+                        predicted_mlu_deployed: deployed,
+                        predicted_mlu_candidate: (open > 0).then_some(candidate),
+                    })
+                    .collect();
+                let mut actions = vec![Action::Warmup; shards.len()];
+                asked.admit(tick, &submitted, &mut actions);
+                let updates = |a: &[Action]| -> Vec<bool> {
+                    a.iter().map(|&x| x == Action::Update).collect()
+                };
+                prop_assert_eq!(updates(&actions), updates(&expected), "tick {}", tick);
+                if open == 0 {
+                    prop_assert_eq!(asked.stats().grants, grants_before);
+                } else {
+                    // An open tick is adjudicated exactly as before.
+                    prop_assert_eq!(&actions, &expected, "tick {}", tick);
+                }
+                let stats = asked.stats();
+                prop_assert_eq!(stats.bids, stats.wants + stats.holds_hysteresis + stats.holds_closed);
+                prop_assert_eq!(stats.wants, stats.grants + stats.holds_budget);
+            }
+        }
     }
 
     #[test]

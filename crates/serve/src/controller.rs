@@ -3,13 +3,16 @@
 //! A [`ServeController`] owns the deployed configuration and advances one
 //! tick per demand arrival ([`ServeController::step_pairs`]):
 //!
-//! 1. **Decide** (timed; this is the serving-latency hot path): forecast the
-//!    next demand with the online predictor, compute a candidate
-//!    configuration — a learned forward pass when a model is installed, a
-//!    warm-started LP re-solve through [`MluTemplate`] otherwise — and run
-//!    the [`ReconfigPolicy`] gates (hysteresis on predicted-MLU regret, then
-//!    the sliding-window update budget).  Deploying pays the split-ratio
-//!    churn ([`figret_te::split_ratio_churn`]).
+//! 1. **Decide** (timed; this is the serving-latency hot path): ask the
+//!    admission layer whether the sliding-window update budget has a grant
+//!    open, forecast the next demand with the online predictor, compute a
+//!    candidate configuration — a learned forward pass when a model is
+//!    installed, a warm-started LP re-solve through [`MluTemplate`]
+//!    otherwise, and *nothing* when the engine is the LP and no grant is
+//!    open (the solve could not be deployed) — and run the remaining
+//!    [`ReconfigPolicy`] gates (hysteresis on predicted-MLU regret, then the
+//!    grant).  Deploying pays the split-ratio churn
+//!    ([`figret_te::split_ratio_churn`]).
 //! 2. **Ingest**: the realized demand is fed to the predictor and the
 //!    history window, and the realized MLU of the (possibly just updated)
 //!    deployed configuration is recorded.
@@ -32,13 +35,14 @@
 //! deterministic, so the decision log is bit-identical across runs and
 //! thread counts (DESIGN.md §4); only the measured latencies vary.
 //!
-//! Since PR 8 the tick is split into two phases so a fleet coordinator can
-//! interpose between them: [`ServeController::propose`] computes the
-//! candidate and its predicted MLUs (parking the candidate in scratch), and
+//! The tick is split into two phases so a fleet coordinator can interpose
+//! between them: [`ServeController::propose`] computes the candidate and its
+//! predicted MLUs (parking the candidate in scratch), and
 //! [`ServeController::finish_pairs`] applies an externally decided
 //! [`Action`] and ingests the realized demand.  [`ServeController::step_pairs`]
-//! composes the two with the controller's own policy gates, producing
-//! bit-identical records to the pre-split implementation.
+//! composes the two around the controller's own [`GlobalAdmission`] — the
+//! same `open_grants` → `propose` → `admit` → finish sequence a one-shard
+//! fleet runs, so the two agree record for record.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -48,7 +52,8 @@ use figret_solvers::{MluTemplate, SeriesStats};
 use figret_te::{max_link_utilization_pairs_scratch, split_ratio_churn, PathSet, TeConfig};
 use figret_telemetry::{Registry, Stopwatch};
 
-use crate::log::{Action, DecisionSource, HoldReason, TickRecord, Transition};
+use crate::admission::{GlobalAdmission, ShardBid};
+use crate::log::{Action, DecisionSource, TickRecord, Transition};
 use crate::policy::ReconfigPolicy;
 use crate::predictor::OnlinePredictor;
 use crate::recovery::{RecoveryConfig, RecoveryManager, RecoveryStats};
@@ -76,13 +81,15 @@ pub struct StepOutcome {
 /// predicted_mlu_candidate`).
 #[derive(Debug, Clone, Copy)]
 pub struct Proposal {
-    /// Engine that produced the parked candidate.
+    /// Engine that produced the parked candidate (or would have, had a
+    /// grant been open).
     pub source: DecisionSource,
     /// Predicted MLU of the currently deployed configuration on the
     /// forecast demand.
     pub predicted_mlu_deployed: f64,
-    /// Predicted MLU of the parked candidate on the forecast demand.
-    pub predicted_mlu_candidate: f64,
+    /// Predicted MLU of the parked candidate on the forecast demand; `None`
+    /// when no candidate was computed (see [`ServeController::propose`]).
+    pub predicted_mlu_candidate: Option<f64>,
 }
 
 /// Internal mirror of [`Proposal`] plus the measured propose-phase latency,
@@ -91,7 +98,7 @@ pub struct Proposal {
 struct PendingDecision {
     source: DecisionSource,
     deployed_mlu: f64,
-    candidate_mlu: f64,
+    candidate_mlu: Option<f64>,
     seconds: f64,
 }
 
@@ -123,6 +130,10 @@ pub struct ServeController {
     plan: Option<InferencePlan>,
     template: MluTemplate,
     policy: ReconfigPolicy,
+    /// The policy's hysteresis and budget gates, as [`ServeController::step_pairs`]
+    /// applies them.  A fleet shard never consults its own (the fleet's
+    /// joint admission decides, and shard policies carry no budget).
+    admission: GlobalAdmission,
     /// Set between [`ServeController::propose`] and
     /// [`ServeController::finish_pairs`].
     pending: Option<PendingDecision>,
@@ -131,7 +142,6 @@ pub struct ServeController {
     /// oldest first.  Columnar on purpose: `O(window · num_pairs)` regardless
     /// of the node count, so a restricted fabric universe costs `O(nnz)`.
     history: VecDeque<Vec<f64>>,
-    recent_updates: VecDeque<usize>,
     degraded_streak: usize,
     fell_back: bool,
     decisions: usize,
@@ -212,11 +222,11 @@ impl ServeController {
             model,
             plan: None,
             template: MluTemplate::new(paths),
+            admission: GlobalAdmission::from_policy(&policy),
             policy,
             pending: None,
             deployed: TeConfig::uniform(paths),
             history: VecDeque::with_capacity(window + 1),
-            recent_updates: VecDeque::new(),
             degraded_streak: 0,
             fell_back: false,
             decisions: 0,
@@ -313,27 +323,35 @@ impl ServeController {
     /// it before committing, exactly like a production control loop
     /// operating on stale telemetry.
     ///
-    /// This is `propose` + the controller's own policy gates + `finish`: the
-    /// single-controller tick, record-for-record identical to the pre-split
-    /// monolithic step.
+    /// This is the one-shard fleet tick on the controller's own admission
+    /// layer: ask for open grants, `propose`, `admit` the single bid,
+    /// `finish`.
     pub fn step_pairs(&mut self, realized: &[f64]) -> StepOutcome {
         assert_eq!(realized.len(), self.paths.num_pairs(), "one demand value per pair is required");
-        let action = match self.propose() {
-            None => Action::Warmup,
-            Some(p) => {
-                let wants_update = self.policy.hysteresis <= 0.0
-                    || p.predicted_mlu_deployed
-                        > (1.0 + self.policy.hysteresis) * p.predicted_mlu_candidate;
-                if !wants_update {
-                    Action::Hold(HoldReason::BelowHysteresis)
-                } else if !self.budget_allows(self.tick) {
-                    Action::Hold(HoldReason::BudgetExhausted)
-                } else {
-                    Action::Update
-                }
-            }
-        };
-        self.finish_inner(realized, action)
+        let open_grants = self.admission.open_grants(self.tick);
+        let bid = self.propose(open_grants).map(|p| ShardBid::from_proposal(0, &p));
+        let mut action = [Action::Warmup];
+        self.admission.admit(self.tick, bid.as_slice(), &mut action);
+        self.finish_inner(realized, action[0])
+    }
+
+    /// Whether [`ServeController::propose`] computes a candidate when told
+    /// `open_grants`: always with a model installed, and for the LP engine
+    /// only while a grant is open.
+    ///
+    /// Skipping is sound because at zero open grants
+    /// [`GlobalAdmission::admit`] grants nothing for *any* bid set, so the
+    /// tick's set of updates is what it would have been.  What the skip does
+    /// change: the held record reads `BudgetExhausted` even where the
+    /// hysteresis gate would have held it first, its
+    /// `predicted_mlu_candidate` is `None`, and the next solve warm-starts
+    /// from an older basis, which can land on a different optimal vertex.
+    ///
+    /// A learned controller keeps proposing: its audit cadence, degraded
+    /// streak, drift flag and shadow audits advance inside the candidate
+    /// computation, and its candidate is a forward pass, not a solve.
+    pub(crate) fn computes_candidate(&self, open_grants: usize) -> bool {
+        open_grants > 0 || self.model.is_some()
     }
 
     /// Phase 1 of a two-phase tick (timed; the decision hot path): forecast
@@ -343,6 +361,12 @@ impl ServeController {
     /// history window is still filling (the tick must then finish as
     /// [`Action::Warmup`]).
     ///
+    /// `open_grants` is the admission layer's answer for this tick
+    /// ([`GlobalAdmission::open_grants`]).  At zero, a controller without a
+    /// model still forecasts and scores the deployed configuration but
+    /// computes and parks no candidate (it could not be deployed), and the
+    /// tick must finish as a hold; a learned controller proposes regardless.
+    ///
     /// A fleet coordinator calls this on every shard, ranks the returned
     /// bids under the shared admission policy, and finishes each shard with
     /// the granted or held action.
@@ -350,7 +374,7 @@ impl ServeController {
     /// # Panics
     ///
     /// Panics when called again before the pending tick was finished.
-    pub fn propose(&mut self) -> Option<Proposal> {
+    pub fn propose(&mut self, open_grants: usize) -> Option<Proposal> {
         assert!(self.pending.is_none(), "propose called twice without a finish");
         if self.history.len() < self.window {
             return None;
@@ -369,26 +393,37 @@ impl ServeController {
             let lap = spans.lap();
             self.telemetry.as_mut().expect("a live stopwatch implies telemetry").on_predict(lap);
         }
-        let source = self.candidate_into(&mut scratch);
-        if let Some(spans) = spans.as_mut() {
-            let lap = spans.lap();
-            self.telemetry
-                .as_mut()
-                .expect("a live stopwatch implies telemetry")
-                .on_candidate(source, lap);
-        }
+        let solved = self.computes_candidate(open_grants);
+        let source = if solved {
+            let source = self.candidate_into(&mut scratch);
+            if let Some(spans) = spans.as_mut() {
+                let lap = spans.lap();
+                self.telemetry
+                    .as_mut()
+                    .expect("a live stopwatch implies telemetry")
+                    .on_candidate(source, lap);
+            }
+            source
+        } else {
+            if let Some(tel) = self.telemetry.as_mut() {
+                tel.on_candidate_skipped();
+            }
+            DecisionSource::LpWarm
+        };
         let deployed_mlu = max_link_utilization_pairs_scratch(
             &self.paths,
             &self.deployed,
             &scratch.predicted_pairs,
             &mut scratch.loads,
         );
-        let candidate_mlu = max_link_utilization_pairs_scratch(
-            &self.paths,
-            &scratch.candidate,
-            &scratch.predicted_pairs,
-            &mut scratch.loads,
-        );
+        let candidate_mlu = solved.then(|| {
+            max_link_utilization_pairs_scratch(
+                &self.paths,
+                &scratch.candidate,
+                &scratch.predicted_pairs,
+                &mut scratch.loads,
+            )
+        });
         if let Some(spans) = spans.as_mut() {
             let lap = spans.lap();
             self.telemetry.as_mut().expect("a live stopwatch implies telemetry").on_mlu_eval(lap);
@@ -427,17 +462,14 @@ impl ServeController {
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut churn = 0.0;
         if action == Action::Update {
+            assert!(
+                pending.is_some_and(|p| p.candidate_mlu.is_some()),
+                "Action::Update requires a parked candidate"
+            );
             churn = split_ratio_churn(&self.deployed, &scratch.candidate);
             // Deploy by swapping buffers: the old deployed config becomes
             // the next tick's candidate scratch.
             std::mem::swap(&mut self.deployed, &mut scratch.candidate);
-            if self.policy.budget.is_some() {
-                // Only budgeted controllers track update history; an
-                // unbudgeted one would otherwise grow this deque forever on
-                // an unbounded stream.  Fleet shards run with `budget: None`
-                // — the admission layer owns the joint update history.
-                self.recent_updates.push_back(tick);
-            }
         }
         let decision_seconds = pending.map_or(0.0, |p| p.seconds) + start.elapsed().as_secs_f64();
 
@@ -466,7 +498,7 @@ impl ServeController {
                 action,
                 source: pending.map(|p| p.source),
                 predicted_mlu_deployed: pending.map(|p| p.deployed_mlu),
-                predicted_mlu_candidate: pending.map(|p| p.candidate_mlu),
+                predicted_mlu_candidate: pending.and_then(|p| p.candidate_mlu),
                 realized_mlu,
                 churn,
             },
@@ -492,8 +524,10 @@ impl ServeController {
         }
         if !self.fell_back {
             if let Some(p) = pending {
-                let predicted =
-                    if action == Action::Update { p.candidate_mlu } else { p.deployed_mlu };
+                let predicted = match p.candidate_mlu {
+                    Some(candidate_mlu) if action == Action::Update => candidate_mlu,
+                    _ => p.deployed_mlu,
+                };
                 let error = (realized_mlu - predicted).abs() / realized_mlu.max(1e-9);
                 let recovery = self.recovery.as_mut().expect("checked above");
                 recovery.observe_error(error);
@@ -707,22 +741,6 @@ impl ServeController {
         config
     }
 
-    fn budget_allows(&mut self, tick: usize) -> bool {
-        match self.policy.budget {
-            None => true,
-            Some(budget) => {
-                while let Some(&oldest) = self.recent_updates.front() {
-                    if oldest + budget.window <= tick {
-                        self.recent_updates.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                self.recent_updates.len() < budget.max_updates
-            }
-        }
-    }
-
     fn ingest(&mut self, demand: &[f64]) {
         self.predictor.observe_pairs(demand);
         if let Some(recovery) = self.recovery.as_mut() {
@@ -803,7 +821,7 @@ impl ServeController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::ServeLog;
+    use crate::log::{HoldReason, ServeLog};
     use crate::policy::{FallbackPolicy, UpdateBudget};
     use crate::predictor::{LastValue, PredictorKind};
     use figret::FigretConfig;
@@ -887,15 +905,21 @@ mod tests {
         let log = run(&mut c, &trace, 2);
         // Exactly one update per 4-tick window: ticks 0, 4, 8, ...
         for r in &log.records {
+            assert_eq!(r.source, Some(DecisionSource::LpWarm));
+            assert!(r.predicted_mlu_deployed.is_some());
             if r.tick % 4 == 0 {
                 assert_eq!(r.action, Action::Update, "tick {}", r.tick);
+                assert!(r.predicted_mlu_candidate.is_some());
                 assert!(r.churn >= 0.0);
             } else {
+                // No grant open: the LP engine is not even asked.
                 assert_eq!(r.action, Action::Hold(HoldReason::BudgetExhausted), "tick {}", r.tick);
+                assert_eq!(r.predicted_mlu_candidate, None);
                 assert_eq!(r.churn, 0.0);
             }
         }
         assert_eq!(log.update_count(), log.len().div_ceil(4));
+        assert_eq!(c.lp_stats().solves, log.update_count(), "one solve per open tick");
     }
 
     #[test]

@@ -5,12 +5,16 @@
 //! [`figret_traffic::ShardPlan`].  Each fleet tick:
 //!
 //! 1. **Scatter**: the parent demand column is gathered into per-shard
-//!    sub-columns along each shard's `parent_slots` map.
+//!    sub-columns along each shard's `parent_slots` map, and the fleet asks
+//!    [`GlobalAdmission::open_grants`] how many updates the joint budget
+//!    can still grant this tick.
 //! 2. **Propose** (data-parallel): every shard forecasts its sub-demand and
 //!    computes a candidate configuration ([`ServeController::propose`]),
-//!    returning a predicted-MLU bid.  Shards are moved through an owning
-//!    `into_par_iter`, so each runs on its own thread with its own scratch —
-//!    steady-state allocation-free, no shared mutable state.
+//!    returning a predicted-MLU bid — except that an LP shard told that no
+//!    grant is open scores its deployed configuration and solves nothing.
+//!    Shards are moved through an owning `into_par_iter`, so each runs on
+//!    its own thread with its own scratch — steady-state allocation-free,
+//!    no shared mutable state.
 //! 3. **Admit** (sequential): the [`GlobalAdmission`] layer ranks the bids
 //!    and grants updates under the *joint* hysteresis + sliding-window
 //!    budget (shard controllers run with `budget: None`; the fleet owns the
@@ -23,11 +27,16 @@
 //!    restricted path set preserves the full edge universe — are summed in
 //!    shard order and folded once into the exact global realized MLU.
 //!
+//! A tick on which no shard computes a candidate runs phases 2 and 4 on the
+//! calling thread: eight forecasts and MLU evaluations cost less than the
+//! threads that would distribute them.
+//!
 //! Determinism: shards are independent and individually deterministic, the
-//! parallel phases preserve order, admission is invariant to bid order, and
-//! the merge walks shards in stable plan order — so fleet logs and digests
-//! are bit-identical at any `RAYON_NUM_THREADS`.  A single-shard fleet
-//! replays the unsharded [`ServeController`] record for record.
+//! propose and finish phases preserve order whether they run on workers or
+//! on the calling thread, admission is invariant to bid order, and the
+//! merge walks shards in stable plan order — so fleet logs and digests are
+//! bit-identical at any `RAYON_NUM_THREADS`.  A single-shard fleet replays
+//! the unsharded [`ServeController`] record for record.
 
 use rayon::prelude::*;
 
@@ -249,17 +258,24 @@ impl FleetController {
             s.universe.gather_into(parent_column, &mut column);
             s.column = column;
         }
+        // Ask admission first: shards that cannot be granted an update do
+        // not compute one, and a tick on which nobody computes anything is
+        // not worth a thread.
+        let open_grants = self.admission.open_grants(tick);
+        let on_workers = self.shards.iter().any(|s| s.controller.computes_candidate(open_grants));
         lap(&mut self.telemetry, &mut phase_watch);
         // Propose (data-parallel): shards move onto worker threads and come
         // back in stable order with their bids.
         let shards = std::mem::take(&mut self.shards);
-        let proposed: Vec<(FleetShard, Option<Proposal>)> = shards
-            .into_par_iter()
-            .map(|mut s| {
-                let proposal = s.controller.propose();
-                (s, proposal)
-            })
-            .collect();
+        let propose = |mut s: FleetShard| {
+            let proposal = s.controller.propose(open_grants);
+            (s, proposal)
+        };
+        let proposed: Vec<(FleetShard, Option<Proposal>)> = if on_workers {
+            shards.into_par_iter().map(propose).collect()
+        } else {
+            shards.into_iter().map(propose).collect()
+        };
         lap(&mut self.telemetry, &mut phase_watch);
         // Admit (sequential): rank the bids under the joint policy.
         let mut bids = Vec::with_capacity(proposed.len());
@@ -273,15 +289,16 @@ impl FleetController {
         lap(&mut self.telemetry, &mut phase_watch);
         // Finish (data-parallel): apply the granted/held actions and ingest
         // the realized sub-demands.
-        let work: Vec<(FleetShard, Action)> =
-            proposed.into_iter().zip(&actions).map(|((s, _), &action)| (s, action)).collect();
-        let finished: Vec<(FleetShard, StepOutcome)> = work
-            .into_par_iter()
-            .map(|(mut s, action)| {
-                let outcome = s.controller.finish_pairs(&s.column, action);
-                (s, outcome)
-            })
-            .collect();
+        let work = proposed.into_iter().zip(&actions).map(|((s, _), &action)| (s, action));
+        let finish = |(mut s, action): (FleetShard, Action)| {
+            let outcome = s.controller.finish_pairs(&s.column, action);
+            (s, outcome)
+        };
+        let finished: Vec<(FleetShard, StepOutcome)> = if on_workers {
+            work.collect::<Vec<_>>().into_par_iter().map(finish).collect()
+        } else {
+            work.map(finish).collect()
+        };
         lap(&mut self.telemetry, &mut phase_watch);
         // Merge in stable shard order: logs, latencies, and the global MLU
         // from summed per-shard edge loads.
@@ -424,7 +441,7 @@ impl FleetController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{HoldReason, Transition};
+    use crate::log::{DecisionSource, HoldReason, Transition};
     use crate::policy::{FallbackPolicy, UpdateBudget};
     use crate::predictor::LastValue;
     use crate::recovery::RecoveryConfig;
@@ -458,8 +475,9 @@ mod tests {
     /// controller (budget moved into the admission layer, paths restricted
     /// to the single shard exactly as a harness would) through a one-shard
     /// fleet, over the same columns: records, transitions and both digests
-    /// must agree.  Returns the solo log so callers can assert the case
-    /// exercised what it claims to.
+    /// must agree, and so must the LP work behind them.  Returns the solo log
+    /// and its solve count so callers can assert the case exercised what it
+    /// claims to.
     fn assert_single_shard_replays(
         ps: &PathSet,
         active: &Arc<ActivePairs>,
@@ -467,7 +485,7 @@ mod tests {
         build: impl Fn(&PathSet, ReconfigPolicy) -> ServeController,
         columns: &[Vec<f64>],
         warmup: usize,
-    ) -> ServeLog {
+    ) -> (ServeLog, usize) {
         let plan = ShardPlan::single(active);
         let (restricted, _) = ps.restrict_to(plan.shard(0).active());
         let shard = build(&restricted, ReconfigPolicy { budget: None, ..policy.clone() });
@@ -489,7 +507,8 @@ mod tests {
         assert_eq!(fleet.logs()[0].transitions, solo_log.transitions);
         assert_eq!(fleet.digest(), solo_log.digest());
         assert_eq!(fleet.decision_digest(), solo_log.decision_digest());
-        solo_log
+        assert_eq!(fleet.lp_stats().solves, solo.lp_stats().solves);
+        (solo_log, solo.lp_stats().solves)
     }
 
     /// The contract every harness leans on (DESIGN.md §8): a
@@ -509,14 +528,16 @@ mod tests {
         };
 
         // LP under real gates: hysteresis holds and a budget that exhausts.
-        let log = assert_single_shard_replays(&ps, &active, &policy(), lp, &columns, 2);
+        let (log, solves) = assert_single_shard_replays(&ps, &active, &policy(), lp, &columns, 2);
         assert!(log.update_count() > 0, "the comparison must exercise real updates");
         assert!(log.hold_count(HoldReason::BudgetExhausted) > 0, "the budget must bind");
+        assert!(solves < log.len(), "closed ticks must skip the solve on both paths");
 
         // LP with every gate off.
         let always = ReconfigPolicy::always_update();
-        let log = assert_single_shard_replays(&ps, &active, &always, lp, &columns, 2);
+        let (log, solves) = assert_single_shard_replays(&ps, &active, &always, lp, &columns, 2);
         assert_eq!(log.update_count(), log.len());
+        assert_eq!(solves, log.len(), "without a budget every tick is open");
 
         // Learned under the default policy: audits every 4th decision and a
         // terminal fallback once the untrained model has failed three.
@@ -524,7 +545,7 @@ mod tests {
             ServeController::learned(paths, untrained(paths), Box::new(LastValue::new()), policy)
         };
         let default = ReconfigPolicy::default();
-        let log = assert_single_shard_replays(&ps, &active, &default, learned, &columns, 2);
+        let (log, _) = assert_single_shard_replays(&ps, &active, &default, learned, &columns, 2);
         assert_eq!(log.transition_count(Transition::Degraded), 1, "the audit must trip");
         assert!(log.fallback_tick().is_some());
 
@@ -564,7 +585,7 @@ mod tests {
             fallback: FallbackPolicy { degradation: 1.2, patience: 2, audit_every: 1 },
             ..policy()
         };
-        let log = assert_single_shard_replays(&ps, &active, &audited, recovering, &shifted, 2);
+        let (log, _) = assert_single_shard_replays(&ps, &active, &audited, recovering, &shifted, 2);
         for kind in [Transition::PlanRetired, Transition::Degraded, Transition::RetrainStarted] {
             assert!(log.transition_count(kind) >= 1, "the drill must log {kind:?}");
         }
@@ -615,6 +636,58 @@ mod tests {
         let again = run();
         assert_eq!(fleet.digest(), again.digest());
         assert_eq!(fleet.admission_stats(), again.admission_stats());
+    }
+
+    /// Only the LP engine skips: in a mixed fleet the learned shard computes
+    /// its candidate on every tick (its audit cadence lives there), the LP
+    /// shard only while a grant is open.
+    #[test]
+    fn learned_shards_propose_on_closed_ticks_and_lp_shards_do_not() {
+        let (ps, trace, active) = pod_setup(24);
+        let plan = ShardPlan::source_blocks(&active, trace.num_nodes(), 2);
+        let policy = ReconfigPolicy {
+            hysteresis: 0.0,
+            budget: Some(UpdateBudget::per_window(1, 4)),
+            fallback: FallbackPolicy::disabled(),
+        };
+        let shard_policy = ReconfigPolicy { budget: None, ..policy.clone() };
+        let (learned_paths, _) = ps.restrict_to(plan.shard(0).active());
+        let (lp_paths, _) = ps.restrict_to(plan.shard(1).active());
+        let model = FigretModel::new(
+            &learned_paths,
+            &vec![0.0; learned_paths.num_pairs()],
+            FigretConfig { history_window: 2, ..FigretConfig::fast_test() },
+        );
+        let controllers = vec![
+            ServeController::learned(
+                &learned_paths,
+                model,
+                Box::new(LastValue::new()),
+                shard_policy.clone(),
+            ),
+            ServeController::lp(&lp_paths, 2, Box::new(LastValue::new()), shard_policy),
+        ];
+        let mut fleet = FleetController::from_controllers(&plan, controllers, &policy);
+        for t in 0..trace.len() {
+            let column = trace.matrix(t).flatten_pairs();
+            if t < 2 {
+                fleet.observe_column(&column);
+            } else {
+                fleet.step_column(&column);
+            }
+        }
+        // Hysteresis off, one grant per four ticks: ticks 0, 4, 8, … are open.
+        let ticks = fleet.ticks();
+        for r in &fleet.logs()[0].records {
+            assert_eq!(r.source, Some(DecisionSource::Model));
+            assert!(r.predicted_mlu_candidate.is_some(), "learned shard, tick {}", r.tick);
+        }
+        for r in &fleet.logs()[1].records {
+            assert_eq!(r.predicted_mlu_candidate.is_some(), r.tick % 4 == 0, "tick {}", r.tick);
+        }
+        assert_eq!(fleet.lp_stats().solves, ticks.div_ceil(4));
+        assert_eq!(fleet.admission_stats().holds_closed, ticks - ticks.div_ceil(4));
+        assert_eq!(fleet.update_count(), ticks.div_ceil(4));
     }
 
     #[test]

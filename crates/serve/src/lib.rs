@@ -15,8 +15,9 @@
 //!   with a warm-started [`figret_solvers::MluTemplate`] LP re-solve;
 //! * [`log`] — the bit-deterministic event/decision log plus measured
 //!   per-decision latencies;
-//! * [`admission`] — the fleet-wide admission layer: one hysteresis gate and
-//!   one sliding-window update budget shared by every shard;
+//! * [`admission`] — the admission layer, asked *before* any candidate is
+//!   computed: one hysteresis gate and one sliding-window update budget,
+//!   shared by every shard of a fleet and owned by a lone controller;
 //! * [`fleet`] — the sharded serving fleet: shard controllers stepped
 //!   data-parallel under the global admission layer, merged in stable shard
 //!   order for bit-determinism at any thread count (DESIGN.md §8);

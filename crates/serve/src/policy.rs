@@ -4,18 +4,28 @@
 //! costs switch-table churn and risks transient loops, so updates are rate
 //! limited and gated on expected benefit (cf. *Adaptive Robust Traffic
 //! Engineering in SDN*, which studies exactly this reconfigure-vs-stability
-//! trade-off).  [`ReconfigPolicy`] bundles the three gates the
-//! [`crate::ServeController`] applies, in order:
+//! trade-off).  Optimisation effort belongs only where a reconfiguration can
+//! still happen, so the gates [`ReconfigPolicy`] bundles run in this order
+//! (applied by [`crate::GlobalAdmission`], for a lone
+//! [`crate::ServeController`] and a fleet alike):
 //!
-//! 1. **Hysteresis** on predicted-MLU regret — hold unless the deployed
+//! 1. **Is a grant open?**  The update budget allows at most `max_updates`
+//!    deployments within any sliding window of `window` ticks, and whether
+//!    the window is full is known before anything is computed.  When it is,
+//!    an LP-engine controller computes no candidate and the tick holds as
+//!    `BudgetExhausted`;
+//! 2. **Candidate** — a forward pass or a warm LP re-solve;
+//! 3. **Hysteresis** on predicted-MLU regret — hold unless the deployed
 //!    configuration is predicted to be at least `1 + hysteresis` times worse
 //!    than the fresh candidate;
-//! 2. **Update budget** — at most `max_updates` deployments within any
-//!    sliding window of `window` ticks;
-//! 3. **Fallback** — while serving learned configurations, periodically
-//!    audit them against a warm-started LP re-solve and permanently fall
-//!    back to the LP when the model has degraded for `patience` consecutive
-//!    audits (traffic drifted away from the training distribution).
+//! 4. **Grant** — bids past the hysteresis gate are ranked by regret and
+//!    win the open grants in that order; the rest hold as `BudgetExhausted`.
+//!
+//! Next to the gates sits the **fallback**: while serving learned
+//! configurations, periodically audit them against a warm-started LP
+//! re-solve and fall back to the LP when the model has degraded for
+//! `patience` consecutive audits (traffic drifted away from the training
+//! distribution).
 
 /// Sliding-window update budget: at most `max_updates` reconfigurations
 /// within any window of `window` consecutive ticks.

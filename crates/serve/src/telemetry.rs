@@ -27,6 +27,7 @@ pub struct ServeTelemetry {
     holds_hysteresis: CounterId,
     holds_budget: CounterId,
     warmups: CounterId,
+    candidates_skipped: CounterId,
     // Decision-phase spans.
     decision_seconds: HistogramId,
     predict_seconds: HistogramId,
@@ -68,6 +69,7 @@ impl ServeTelemetry {
             holds_hysteresis: r.counter("figret_serve_holds_total{reason=\"hysteresis\"}"),
             holds_budget: r.counter("figret_serve_holds_total{reason=\"budget\"}"),
             warmups: r.counter("figret_serve_warmup_ticks_total"),
+            candidates_skipped: r.counter("figret_serve_candidates_skipped_total"),
             decision_seconds: r.histogram("figret_serve_decision_seconds"),
             predict_seconds: r.histogram("figret_serve_predict_seconds"),
             candidate_model_seconds: r
@@ -120,6 +122,12 @@ impl ServeTelemetry {
             crate::log::DecisionSource::LpWarm => self.candidate_lp_seconds,
         };
         self.registry.observe(id, seconds);
+    }
+
+    /// Counts a propose phase that computed no candidate because no grant
+    /// was open (it records no candidate and no LP-solve span).
+    pub fn on_candidate_skipped(&mut self) {
+        self.registry.inc(self.candidates_skipped);
     }
 
     /// Records the predicted-MLU evaluation span of a propose phase.
@@ -257,6 +265,7 @@ mod tests {
         t.on_predict(1e-6);
         t.on_candidate(crate::log::DecisionSource::Model, 2e-6);
         t.on_candidate(crate::log::DecisionSource::LpWarm, 4e-5);
+        t.on_candidate_skipped();
         t.on_mlu_eval(3e-6);
         t.on_tick(Action::Update, 1e-5, true, &[Transition::Degraded]);
         t.on_tick(Action::Warmup, 0.0, false, &[]);
@@ -268,6 +277,7 @@ mod tests {
         assert_eq!(r.counter_by_name("figret_serve_ticks_total"), Some(2));
         assert_eq!(r.counter_by_name("figret_serve_updates_total"), Some(1));
         assert_eq!(r.counter_by_name("figret_serve_warmup_ticks_total"), Some(1));
+        assert_eq!(r.counter_by_name("figret_serve_candidates_skipped_total"), Some(1));
         assert_eq!(r.counter_by_name("figret_lp_warm_solves_total"), Some(1));
         assert_eq!(
             r.counter_by_name("figret_recovery_transitions_total{kind=\"degraded\"}"),

@@ -2,7 +2,8 @@
 //!
 //! * **Serial-oracle equivalence**: the data-parallel fleet tick must equal
 //!   a strictly sequential re-implementation of the same protocol (gather →
-//!   propose per shard in order → admit → finish per shard in order).  The
+//!   ask for open grants → propose per shard in order → admit → finish per
+//!   shard in order).  The
 //!   parallel phases only move independent shards onto threads and collect
 //!   them back in stable order, so the logs must be bit-identical — this is
 //!   the in-process form of the `RAYON_NUM_THREADS=1` vs `=4` CI diff (the
@@ -13,11 +14,14 @@
 //!   bit-identical, a one-shard fleet reproduces the unsharded
 //!   [`ServeController`] exactly, and the merged logs never exceed the
 //!   joint budget in any sliding window.
+//! * **Ask admission first**: an LP fleet solves only on ticks with an open
+//!   grant — `shards` solves on each of those, none on the others — and a
+//!   closed tick's records say so.
 
 use std::sync::Arc;
 
 use figret_serve::{
-    Action, FleetController, GlobalAdmission, LastValue, PredictorKind, ReconfigPolicy,
+    Action, FleetController, GlobalAdmission, HoldReason, LastValue, PredictorKind, ReconfigPolicy,
     ServeController, ServeLog, ShardBid, UpdateBudget,
 };
 use figret_te::PathSet;
@@ -82,11 +86,12 @@ fn serial_oracle(
             }
             continue;
         }
+        let open_grants = admission.open_grants(tick);
         let mut bids = Vec::new();
         let mut proposals = Vec::with_capacity(controllers.len());
         for (i, (shard, c)) in plan.shards().iter().zip(&mut controllers).enumerate() {
             shard.gather_into(&parent, &mut column);
-            let proposal = c.propose();
+            let proposal = c.propose(open_grants);
             if let Some(p) = &proposal {
                 bids.push(ShardBid::from_proposal(i, p));
             }
@@ -124,6 +129,65 @@ fn parallel_fleet_matches_the_serial_oracle() {
         }
         assert!(fleet.update_count() > 0, "the comparison must exercise real updates");
     }
+}
+
+/// Whether each tick had a grant open when it began, re-derived from the
+/// logged updates alone: a tick is closed when the `window - 1` ticks before
+/// it already hold `max_updates` updates.
+fn open_ticks(logs: &[ServeLog], budget: UpdateBudget, ticks: usize) -> Vec<bool> {
+    (0..ticks)
+        .map(|tick| {
+            let recent = logs
+                .iter()
+                .flat_map(|log| &log.records)
+                .filter(|r| {
+                    r.action == Action::Update && r.tick < tick && r.tick + budget.window > tick
+                })
+                .count();
+            recent < budget.max_updates
+        })
+        .collect()
+}
+
+/// The ask-first contract on an LP fleet: `shards` solves on every open
+/// tick, none on a closed one, and closed-tick records that say so.
+fn assert_lp_fleet_solves_only_open_ticks(fleet: &FleetController, budget: UpdateBudget) {
+    let open = open_ticks(fleet.logs(), budget, fleet.ticks());
+    let open_count = open.iter().filter(|&&o| o).count();
+    assert_eq!(fleet.lp_stats().solves, fleet.num_shards() * open_count);
+    let stats = fleet.admission_stats();
+    assert_eq!(stats.bids, fleet.num_shards() * fleet.ticks());
+    assert_eq!(stats.holds_closed, fleet.num_shards() * (fleet.ticks() - open_count));
+    assert_eq!(stats.bids, stats.wants + stats.holds_hysteresis + stats.holds_closed);
+    for r in fleet.logs().iter().flat_map(|log| &log.records) {
+        assert!(r.predicted_mlu_deployed.is_some(), "tick {}", r.tick);
+        if open[r.tick] {
+            assert!(r.predicted_mlu_candidate.is_some(), "tick {}", r.tick);
+        } else {
+            assert_eq!(r.action, Action::Hold(HoldReason::BudgetExhausted), "tick {}", r.tick);
+            assert_eq!(r.predicted_mlu_candidate, None, "tick {}", r.tick);
+            assert_eq!(r.churn, 0.0, "tick {}", r.tick);
+        }
+    }
+}
+
+#[test]
+fn lp_fleet_under_a_binding_budget_solves_only_when_a_grant_is_open() {
+    let (paths, trace, active) = setup(26, 11);
+    let budget = UpdateBudget::per_window(2, 6);
+    let policy = ReconfigPolicy {
+        hysteresis: 0.01,
+        budget: Some(budget),
+        ..ReconfigPolicy::always_update()
+    };
+    let plan = ShardPlan::source_blocks(&active, trace.num_nodes(), 3);
+    let mut fleet = FleetController::lp(&plan, &paths, WINDOW, PredictorKind::LastValue, &policy);
+    drive_fleet(&mut fleet, &trace);
+    assert_lp_fleet_solves_only_open_ticks(&fleet, budget);
+    let stats = fleet.admission_stats();
+    assert!(stats.holds_closed > 0, "the budget must bind");
+    assert!(fleet.lp_stats().solves < stats.bids, "closed ticks must not solve");
+    assert!(fleet.update_count() > 0, "open ticks must still deploy");
 }
 
 fn window_update_counts(logs: &[ServeLog], window: usize, ticks: usize) -> Vec<usize> {
@@ -181,6 +245,10 @@ proptest! {
                 start, start + budget_window, count, max_updates
             );
         }
+        assert_lp_fleet_solves_only_open_ticks(
+            &fleet,
+            UpdateBudget::per_window(max_updates, budget_window),
+        );
         // A one-shard fleet is the unsharded controller, record for record.
         if shards == 1 {
             let mut solo = ServeController::lp(
@@ -202,6 +270,7 @@ proptest! {
             prop_assert_eq!(&fleet.logs()[0].records, &log.records);
             prop_assert_eq!(fleet.digest(), log.digest());
             prop_assert_eq!(fleet.decision_digest(), log.decision_digest());
+            prop_assert_eq!(fleet.lp_stats().solves, solo.lp_stats().solves);
         }
     }
 }

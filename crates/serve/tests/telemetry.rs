@@ -99,6 +99,20 @@ fn arming_telemetry_never_perturbs_the_decision_log() {
         .map(|(_, v)| *v)
         .sum();
     assert_eq!(updates + holds, 12, "every tick is an update or a hold");
+
+    // A tick either computed its candidate (one candidate span, one LP
+    // solve) or skipped it because no grant was open (counted, no span).
+    let skipped =
+        registry.counter_by_name("figret_serve_candidates_skipped_total").expect("skip counter");
+    let candidates = registry
+        .histogram_by_name("figret_serve_candidate_seconds{engine=\"lp\"}")
+        .expect("LP candidate span")
+        .count();
+    assert!(skipped > 0, "the budget must close some ticks");
+    assert_eq!(skipped + candidates, 12);
+    assert_eq!(registry.counter_by_name("figret_lp_solves_total"), Some(candidates));
+    let unsolved = on.records.iter().filter(|r| r.predicted_mlu_candidate.is_none()).count();
+    assert_eq!(skipped as usize, unsolved);
 }
 
 #[test]
