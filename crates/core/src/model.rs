@@ -13,10 +13,11 @@
 //! comparable scales).  Setting `α = 0` recovers DOTE.
 
 use figret_nn::{
-    Adam, AdamConfig, Graph, InferencePlan, Mlp, MlpConfig, Optimizer, OutputActivation, Tensor,
+    Adam, AdamConfig, Graph, InferencePlan, Mlp, MlpConfig, Optimizer, OutputActivation, Var,
+    WorkerTape,
 };
 use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
-use figret_traffic::{DemandMatrix, FlatWindowDataset, WindowDataset, WindowSample};
+use figret_traffic::{DemandMatrix, FlatWindowDataset, WindowDataset};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -59,25 +60,134 @@ impl TrainingReport {
     }
 }
 
+/// A history window in either demand currency: dense matrices (the offline
+/// datasets) or flat pair columns (the serving controller's buffer).
+#[derive(Clone, Copy)]
+enum History<'a> {
+    Matrices(&'a [DemandMatrix]),
+    Columns(&'a [Vec<f64>]),
+}
+
+/// The one copy of the feature arithmetic: the `H` columns of a history
+/// window laid end to end, oldest first, every demand divided by the feature
+/// scale.  Both currencies go through the same divisions, so equivalent data
+/// yields bit-identical features.
+#[derive(Debug, Clone, Copy)]
+struct FeatureLayout {
+    num_pairs: usize,
+    /// The largest demand seen in training, so that inputs are O(1).
+    scale: f64,
+}
+
+impl FeatureLayout {
+    /// Writes the features of `history` into `row` (`H · num_pairs` values).
+    fn write(&self, history: History<'_>, row: &mut [f64]) {
+        let slots = row.chunks_exact_mut(self.num_pairs);
+        match history {
+            History::Matrices(matrices) => {
+                assert_eq!(
+                    matrices.len(),
+                    slots.len(),
+                    "history must contain exactly H demand matrices"
+                );
+                for (m, slot) in matrices.iter().zip(slots) {
+                    m.flatten_pairs_into(slot);
+                }
+            }
+            History::Columns(columns) => {
+                assert_eq!(
+                    columns.len(),
+                    slots.len(),
+                    "history must contain exactly H demand columns"
+                );
+                for (column, slot) in columns.iter().zip(slots) {
+                    assert_eq!(
+                        column.len(),
+                        self.num_pairs,
+                        "one demand value per pair is required"
+                    );
+                    slot.copy_from_slice(column);
+                }
+            }
+        }
+        for f in row {
+            *f /= self.scale;
+        }
+    }
+}
+
+/// Where the trainer reads its samples.
+#[derive(Clone, Copy)]
+enum Samples<'a> {
+    Windows(&'a WindowDataset),
+    Columns(&'a FlatWindowDataset),
+}
+
+impl<'a> Samples<'a> {
+    fn len(self) -> usize {
+        match self {
+            Samples::Windows(dataset) => dataset.len(),
+            Samples::Columns(dataset) => dataset.len(),
+        }
+    }
+
+    fn history(self, i: usize) -> History<'a> {
+        match self {
+            Samples::Windows(dataset) => History::Matrices(&dataset.samples[i].history),
+            Samples::Columns(dataset) => History::Columns(dataset.history(i)),
+        }
+    }
+
+    /// Writes sample `i`'s realized demands, one per pair, into `row`.
+    fn write_target(self, i: usize, row: &mut [f64]) {
+        match self {
+            Samples::Windows(dataset) => dataset.samples[i].target.flatten_pairs_into(row),
+            Samples::Columns(dataset) => row.copy_from_slice(dataset.target(i)),
+        }
+    }
+
+    /// The largest demand in any sample's history window (targets excluded).
+    fn max_history_entry(self) -> f64 {
+        let dataset = match self {
+            Samples::Windows(dataset) => dataset,
+            Samples::Columns(dataset) => return dataset.max_history_entry(),
+        };
+        // `history[h]` is trace snapshot `target_index - H + h`, so a sample
+        // whose window slid forward from the previous one's shares all but
+        // its newest matrices with it: every snapshot is scanned once, not
+        // once per window that holds a clone of it.
+        let mut max = 0.0f64;
+        let mut previous = 0..0;
+        for sample in &dataset.samples {
+            let first = sample.target_index.saturating_sub(sample.history.len());
+            let slid_forward = first >= previous.start && sample.target_index > previous.end;
+            let shared = if slid_forward { previous.end.saturating_sub(first) } else { 0 };
+            for m in sample.history.iter().skip(shared) {
+                max = max.max(m.max_entry());
+            }
+            previous = first..sample.target_index;
+        }
+        max
+    }
+}
+
 /// A trained (or trainable) FIGRET model bound to a specific path set.
 pub struct FigretModel {
     config: FigretConfig,
     graph: Graph,
     mlp: Mlp,
     diff: DiffTe,
-    num_pairs: usize,
+    features: FeatureLayout,
     /// Normalized per-pair variance weights used by the robustness term.
     variance_weights: Vec<f64>,
-    /// Scale applied to input features so they are O(1).
-    feature_scale: f64,
 }
 
 impl std::fmt::Debug for FigretModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FigretModel")
             .field("config", &self.config)
-            .field("num_pairs", &self.num_pairs)
-            .field("feature_scale", &self.feature_scale)
+            .field("num_pairs", &self.features.num_pairs)
+            .field("feature_scale", &self.features.scale)
             .finish()
     }
 }
@@ -91,12 +201,11 @@ impl FigretModel {
     pub fn new(paths: &PathSet, variances: &[f64], config: FigretConfig) -> FigretModel {
         assert_eq!(variances.len(), paths.num_pairs(), "one variance per SD pair is required");
         let num_pairs = paths.num_pairs();
-        let input_dim = config.history_window * num_pairs;
         let mut graph = Graph::new();
         let mlp = Mlp::new(
             &mut graph,
             MlpConfig {
-                input_dim,
+                input_dim: config.history_window * num_pairs,
                 hidden: config.hidden.clone(),
                 output_dim: paths.num_paths(),
                 output_activation: OutputActivation::Sigmoid,
@@ -111,7 +220,8 @@ impl FigretModel {
         } else {
             vec![0.0; num_pairs]
         };
-        FigretModel { config, graph, mlp, diff, num_pairs, variance_weights, feature_scale: 1.0 }
+        let features = FeatureLayout { num_pairs, scale: 1.0 };
+        FigretModel { config, graph, mlp, diff, features, variance_weights }
     }
 
     /// The configuration the model was built with.
@@ -124,118 +234,32 @@ impl FigretModel {
         self.mlp.num_parameters(&self.graph)
     }
 
-    fn features_from_history(&self, history: &[DemandMatrix]) -> Vec<f64> {
-        assert_eq!(
-            history.len(),
-            self.config.history_window,
-            "history must contain exactly H demand matrices"
-        );
-        let mut features = Vec::with_capacity(self.config.history_window * self.num_pairs);
-        for m in history {
-            features.extend(m.flatten_pairs());
-        }
-        for f in &mut features {
-            *f /= self.feature_scale;
-        }
-        features
-    }
-
-    /// Columnar counterpart of [`FigretModel::features_from_history`]: the
-    /// same concatenate-and-scale arithmetic over flat per-tick columns, so
-    /// the two paths produce bit-identical features for equivalent data.
-    fn features_from_columns(&self, history: &[Vec<f64>]) -> Vec<f64> {
-        assert_eq!(
-            history.len(),
-            self.config.history_window,
-            "history must contain exactly H demand columns"
-        );
-        let mut features = Vec::with_capacity(self.config.history_window * self.num_pairs);
-        for row in history {
-            assert_eq!(row.len(), self.num_pairs, "one demand value per pair is required");
-            features.extend_from_slice(row);
-        }
-        for f in &mut features {
-            *f /= self.feature_scale;
-        }
-        features
-    }
-
     /// Trains the model on a window dataset (as produced by
     /// [`WindowDataset::from_trace`] over the training split) with shuffled
     /// mini-batch SGD.
     ///
     /// Each mini-batch of [`FigretConfig::batch_size`] samples is split into
     /// fixed-size microbatches whose gradients are computed in parallel
-    /// (rayon) on cloned parameter tapes, summed in stable chunk order,
-    /// averaged, and applied with one Adam step.  `batch_size = 1` recovers
-    /// the original per-sample update rule exactly.
+    /// (rayon), each on a worker tape that lives for the whole call and reads
+    /// the one copy of the weights; the gradients are summed in stable chunk
+    /// order, averaged, and applied with one Adam step.  `batch_size = 1`
+    /// recovers the original per-sample update rule exactly.
     pub fn train(&mut self, dataset: &WindowDataset) -> TrainingReport {
         assert!(!dataset.is_empty(), "the training dataset is empty");
         assert_eq!(
             dataset.window, self.config.history_window,
             "dataset window must match the configured history window"
         );
-        let start = std::time::Instant::now();
-        // Feature scale: the largest demand seen in training, so inputs are O(1).
-        let max_demand = dataset
-            .samples
-            .iter()
-            .flat_map(|s| s.history.iter().map(|m| m.max_entry()))
-            .fold(0.0f64, f64::max);
-        self.feature_scale = if max_demand > 0.0 { max_demand } else { 1.0 };
-
-        let mut adam = Adam::new(
-            &self.graph,
-            self.mlp.parameters(),
-            AdamConfig { learning_rate: self.config.learning_rate, ..Default::default() },
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x7a11_5eed);
-        let mut order: Vec<usize> = (0..dataset.len()).collect();
-        let mut report = TrainingReport { samples_per_epoch: dataset.len(), ..Default::default() };
-        let batch_size = self.config.batch_size.max(1);
-
-        for _epoch in 0..self.config.epochs {
-            order.shuffle(&mut rng);
-            let mut sum_loss = 0.0;
-            let mut sum_mlu = 0.0;
-            let mut sum_penalty = 0.0;
-            for batch in order.chunks(batch_size) {
-                // Keep only the sealed parameter prefix so per-worker clones
-                // stay minimal.
-                self.graph.reset();
-                let samples: Vec<&WindowSample> =
-                    batch.iter().map(|&idx| &dataset.samples[idx]).collect();
-                // Data-parallel gradient computation over fixed-size
-                // microbatches; `collect` preserves chunk order.
-                let partials: Vec<MicrobatchGradients> = samples
-                    .par_chunks(MICROBATCH)
-                    .map(|chunk| self.microbatch_gradients(chunk))
-                    .collect();
-                let (loss, mlu, penalty) = self.reduce_and_step(&mut adam, &partials, batch.len());
-                sum_loss += loss;
-                sum_mlu += mlu;
-                sum_penalty += penalty;
-            }
-            let n = dataset.len() as f64;
-            report.epochs.push(EpochStats {
-                mean_loss: sum_loss / n,
-                mean_mlu: sum_mlu / n,
-                mean_penalty: sum_penalty / n,
-            });
-        }
-        report.wall_seconds = start.elapsed().as_secs_f64();
-        report
+        self.train_on(Samples::Windows(dataset))
     }
 
     /// Trains the model on a flat columnar dataset (observed demand columns,
-    /// e.g. drained from a serving controller's history window) with the
-    /// same shuffled, microbatched, deterministically reduced mini-batch SGD
-    /// as [`FigretModel::train`].  On a dense universe the two trainers are
-    /// bit-identical for equivalent data: same shuffle order, same chunk
-    /// boundaries, same feature and gradient arithmetic.  This is the
-    /// online-retraining path of the serving recovery subsystem — and it
-    /// works on restricted shard universes, where no dense `N×N` matrices
-    /// exist to build a [`WindowDataset`] from.
+    /// e.g. drained from a serving controller's history window).  This is
+    /// [`FigretModel::train`] over another sample source — one loop serves
+    /// both — so on a dense universe the two are bit-identical for equivalent
+    /// data.  This is the online-retraining path of the serving recovery
+    /// subsystem — and it works on restricted shard universes, where no dense
+    /// `N×N` matrices exist to build a [`WindowDataset`] from.
     pub fn train_flat(&mut self, dataset: &FlatWindowDataset) -> TrainingReport {
         assert!(!dataset.is_empty(), "the training dataset is empty");
         assert_eq!(
@@ -243,144 +267,130 @@ impl FigretModel {
             self.config.history_window,
             "dataset window must match the configured history window"
         );
-        assert_eq!(dataset.num_pairs(), self.num_pairs, "one demand value per pair is required");
-        let start = std::time::Instant::now();
-        // Feature scale: the largest demand seen in any history window, the
-        // exact statistic the dense trainer computes.
-        let max_demand = dataset.max_history_entry();
-        self.feature_scale = if max_demand > 0.0 { max_demand } else { 1.0 };
+        assert_eq!(
+            dataset.num_pairs(),
+            self.features.num_pairs,
+            "one demand value per pair is required"
+        );
+        self.train_on(Samples::Columns(dataset))
+    }
 
+    /// The training loop behind [`FigretModel::train`] and
+    /// [`FigretModel::train_flat`].
+    fn train_on(&mut self, samples: Samples<'_>) -> TrainingReport {
+        let start = std::time::Instant::now();
+        let max_demand = samples.max_history_entry();
+        self.features.scale = if max_demand > 0.0 { max_demand } else { 1.0 };
+
+        let params = self.mlp.parameters();
         let mut adam = Adam::new(
             &self.graph,
-            self.mlp.parameters(),
+            params.clone(),
             AdamConfig { learning_rate: self.config.learning_rate, ..Default::default() },
         );
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x7a11_5eed);
-        let mut order: Vec<usize> = (0..dataset.len()).collect();
-        let mut report = TrainingReport { samples_per_epoch: dataset.len(), ..Default::default() };
+        let mut order: Vec<usize> = (0..samples.len()).collect();
+        let mut report = TrainingReport { samples_per_epoch: samples.len(), ..Default::default() };
         let batch_size = self.config.batch_size.max(1);
+        // Microbatch `m` of every batch runs on tape `m`, so the reduction
+        // below reads the gradient sums in chunk order straight off the tapes.
+        let mut tapes: Vec<WorkerTape> = (0..batch_size.min(samples.len()).div_ceil(MICROBATCH))
+            .map(|_| self.graph.worker_tape())
+            .collect();
 
         for _epoch in 0..self.config.epochs {
             order.shuffle(&mut rng);
-            let mut sum_loss = 0.0;
-            let mut sum_mlu = 0.0;
-            let mut sum_penalty = 0.0;
+            let mut sums = [0.0; 3];
             for batch in order.chunks(batch_size) {
+                // The merged gradients must be the only writes to the main
+                // tape's gradients.
                 self.graph.reset();
-                let partials: Vec<MicrobatchGradients> = batch
-                    .par_chunks(MICROBATCH)
-                    .map(|chunk| self.microbatch_gradients_flat(dataset, chunk))
+                let work: Vec<(&mut WorkerTape, &[usize])> =
+                    tapes.iter_mut().zip(batch.chunks(MICROBATCH)).collect();
+                let microbatches = work.len();
+                let partials: Vec<[f64; 3]> = work
+                    .into_par_iter()
+                    .map(|(tape, chunk)| self.microbatch_gradients(tape, samples, chunk))
                     .collect();
-                let (loss, mlu, penalty) = self.reduce_and_step(&mut adam, &partials, batch.len());
-                sum_loss += loss;
-                sum_mlu += mlu;
-                sum_penalty += penalty;
+                // Chunk order into a batch subtotal, subtotals into the
+                // epoch's sums: the association the loss curve is pinned to.
+                let mut batch_sums = [0.0; 3];
+                for partial in partials {
+                    for (sum, term) in batch_sums.iter_mut().zip(partial) {
+                        *sum += term;
+                    }
+                }
+                for (sum, term) in sums.iter_mut().zip(batch_sums) {
+                    *sum += term;
+                }
+                let mean = 1.0 / batch.len() as f64;
+                self.graph.add_scaled_grad_sum(&params, &tapes[..microbatches], mean);
+                adam.step(&mut self.graph);
             }
-            let n = dataset.len() as f64;
+            let n = samples.len() as f64;
+            let [loss, mlu, penalty] = sums;
             report.epochs.push(EpochStats {
-                mean_loss: sum_loss / n,
-                mean_mlu: sum_mlu / n,
-                mean_penalty: sum_penalty / n,
+                mean_loss: loss / n,
+                mean_mlu: mlu / n,
+                mean_penalty: penalty / n,
             });
         }
         report.wall_seconds = start.elapsed().as_secs_f64();
         report
     }
 
-    /// Stable-order batch reduction shared by both trainers: sums the
-    /// per-microbatch gradient sums in chunk order, averages over the batch,
-    /// and applies one Adam step.  Returns the summed (loss, MLU, penalty)
-    /// terms of the batch.  `graph.reset()` must have run before the
-    /// microbatch pass, so the merged gradients are the only writes.
-    fn reduce_and_step(
-        &mut self,
-        adam: &mut Adam,
-        partials: &[MicrobatchGradients],
-        batch_len: usize,
-    ) -> (f64, f64, f64) {
-        let params = self.mlp.parameters();
-        let scale = 1.0 / batch_len as f64;
-        let mut accumulated: Vec<Tensor> = params
-            .iter()
-            .map(|&p| Tensor::zeros(self.graph.value(p).rows(), self.graph.value(p).cols()))
-            .collect();
-        let (mut loss, mut mlu, mut penalty) = (0.0, 0.0, 0.0);
-        for partial in partials {
-            for (acc, g) in accumulated.iter_mut().zip(&partial.grads) {
-                acc.add_assign(g);
+    /// Features → MLP → per-pair normalization for a batch of history windows
+    /// on `graph`, which may be the model's own tape: the model's other parts
+    /// come in one by one.
+    fn ratios<'h>(
+        features: FeatureLayout,
+        mlp: &Mlp,
+        diff: &DiffTe,
+        graph: &mut Graph,
+        histories: impl ExactSizeIterator<Item = History<'h>>,
+    ) -> Var {
+        let input_dim = mlp.config().input_dim;
+        let input = graph.constant(histories.len(), input_dim, |rows| {
+            for (history, row) in histories.zip(rows.chunks_exact_mut(input_dim)) {
+                features.write(history, row);
             }
-            loss += partial.loss_sum;
-            mlu += partial.mlu_sum;
-            penalty += partial.penalty_sum;
-        }
-        for (p, mut acc) in params.iter().zip(accumulated) {
-            for v in acc.data_mut() {
-                *v *= scale;
-            }
-            self.graph.add_grad(*p, &acc);
-        }
-        adam.step(&mut self.graph);
-        (loss, mlu, penalty)
+        });
+        let raw = mlp.forward(graph, input);
+        diff.normalize(graph, raw)
     }
 
-    /// Runs one batched forward/backward pass over a microbatch on a clone of
-    /// the parameter tape and returns the *sums* (not means) of the parameter
-    /// gradients and loss terms over the microbatch's samples.
-    fn microbatch_gradients(&self, chunk: &[&WindowSample]) -> MicrobatchGradients {
-        let feature_rows: Vec<Vec<f64>> =
-            chunk.iter().map(|s| self.features_from_history(&s.history)).collect();
-        let mut demand_rows = Vec::with_capacity(chunk.len() * self.num_pairs);
-        for sample in chunk {
-            demand_rows.extend(sample.target.flatten_pairs());
-        }
-        self.microbatch_gradients_rows(&feature_rows, &demand_rows)
-    }
-
-    /// Columnar counterpart of [`FigretModel::microbatch_gradients`]: sample
-    /// indices into a [`FlatWindowDataset`] instead of owned window samples.
-    /// The feature and target arithmetic is identical, so the flat trainer
-    /// bit-matches the dense trainer on equivalent data.
-    fn microbatch_gradients_flat(
+    /// Runs one batched forward/backward pass over the samples of `chunk` on
+    /// a worker tape.  The *sums* (not means) of the parameter gradients over
+    /// the chunk stay on the tape; the sums of the (loss, MLU, penalty) terms
+    /// are returned.
+    fn microbatch_gradients(
         &self,
-        dataset: &FlatWindowDataset,
+        tape: &mut WorkerTape,
+        samples: Samples<'_>,
         chunk: &[usize],
-    ) -> MicrobatchGradients {
-        let feature_rows: Vec<Vec<f64>> =
-            chunk.iter().map(|&i| self.features_from_columns(dataset.history(i))).collect();
-        let mut demand_rows = Vec::with_capacity(chunk.len() * self.num_pairs);
-        for &i in chunk {
-            demand_rows.extend_from_slice(dataset.target(i));
+    ) -> [f64; 3] {
+        let num_pairs = self.features.num_pairs;
+        let mut demand_rows = vec![0.0; chunk.len() * num_pairs];
+        for (&i, row) in chunk.iter().zip(demand_rows.chunks_exact_mut(num_pairs)) {
+            samples.write_target(i, row);
         }
-        self.microbatch_gradients_rows(&feature_rows, &demand_rows)
-    }
-
-    /// The shared forward/backward core of both trainers, over prepared
-    /// (already feature-scaled) input rows and raw target demand rows.
-    fn microbatch_gradients_rows(
-        &self,
-        feature_rows: &[Vec<f64>],
-        demand_rows: &[f64],
-    ) -> MicrobatchGradients {
-        let mut graph = self.graph.clone();
-        let feature_refs: Vec<&[f64]> = feature_rows.iter().map(|r| r.as_slice()).collect();
-        let input = graph.input(Tensor::stack_rows(&feature_refs));
-        let raw = self.mlp.forward(&mut graph, input);
-        let ratios = self.diff.normalize(&mut graph, raw);
-        let mlu_col = self.diff.mlu_batch(&mut graph, ratios, demand_rows, MluAggregation::Max);
-        let mlu_sum: f64 = graph.value(mlu_col).data().iter().sum();
-        let (loss_col, penalty_sum) = if self.config.robustness_weight > 0.0 {
-            let penalty = self.diff.sensitivity_penalty(&mut graph, ratios, &self.variance_weights);
-            let weighted = graph.scale(penalty, self.config.robustness_weight);
-            let penalty_sum: f64 = graph.value(weighted).data().iter().sum();
-            (graph.add(mlu_col, weighted), penalty_sum)
-        } else {
-            (mlu_col, 0.0)
-        };
-        let loss = graph.sum(loss_col);
-        let loss_sum = graph.value(loss).as_scalar();
-        graph.backward(loss);
-        let grads = self.mlp.parameters().iter().map(|&p| graph.grad(p).clone()).collect();
-        MicrobatchGradients { grads, loss_sum, mlu_sum, penalty_sum }
+        tape.run(&self.graph, |graph| {
+            let histories = chunk.iter().map(|&i| samples.history(i));
+            let ratios = Self::ratios(self.features, &self.mlp, &self.diff, graph, histories);
+            let mlu_col = self.diff.mlu_batch(graph, ratios, &demand_rows, MluAggregation::Max);
+            let mlu_sum: f64 = graph.value(mlu_col).data().iter().sum();
+            let (loss_col, penalty_sum) = if self.config.robustness_weight > 0.0 {
+                let penalty = self.diff.sensitivity_penalty(graph, ratios, &self.variance_weights);
+                let weighted = graph.scale(penalty, self.config.robustness_weight);
+                let penalty_sum: f64 = graph.value(weighted).data().iter().sum();
+                (graph.add(mlu_col, weighted), penalty_sum)
+            } else {
+                (mlu_col, 0.0)
+            };
+            let loss = graph.sum(loss_col);
+            graph.backward(loss);
+            [graph.value(loss).as_scalar(), mlu_sum, penalty_sum]
+        })
     }
 
     /// Compiles the trained weights into an allocation-free f32
@@ -396,19 +406,30 @@ impl FigretModel {
             &self.graph,
             &self.mlp,
             self.diff.segments().to_vec(),
-            self.feature_scale,
+            self.features.scale,
         )
+    }
+
+    /// One forward pass of the main tape over a batch of history windows:
+    /// one configuration per window.
+    fn predict_rows<'h>(
+        &mut self,
+        paths: &PathSet,
+        histories: impl ExactSizeIterator<Item = History<'h>>,
+    ) -> Vec<TeConfig> {
+        if histories.len() == 0 {
+            return Vec::new();
+        }
+        self.graph.reset();
+        let ratios = Self::ratios(self.features, &self.mlp, &self.diff, &mut self.graph, histories);
+        let out = self.graph.value(ratios);
+        (0..out.rows()).map(|r| TeConfig::from_raw(paths, out.row_slice(r))).collect()
     }
 
     /// Computes the TE configuration for the next snapshot from a history
     /// window of `H` demand matrices (most recent last).
     pub fn predict(&mut self, paths: &PathSet, history: &[DemandMatrix]) -> TeConfig {
-        let features = self.features_from_history(history);
-        self.graph.reset();
-        let input = self.graph.input(Tensor::row(&features));
-        let raw = self.mlp.forward(&mut self.graph, input);
-        let ratios = self.diff.normalize(&mut self.graph, raw);
-        TeConfig::from_raw(paths, self.graph.value(ratios).data())
+        self.predict_rows(paths, std::iter::once(History::Matrices(history))).remove(0)
     }
 
     /// Computes the TE configuration from a history window of `H` flat
@@ -423,24 +444,7 @@ impl FigretModel {
     /// matrices, which is what lets learned serving scale to restricted
     /// fabric universes.
     pub fn predict_flat(&mut self, paths: &PathSet, history: &[Vec<f64>]) -> TeConfig {
-        assert_eq!(
-            history.len(),
-            self.config.history_window,
-            "history must contain exactly H demand columns"
-        );
-        let mut features = Vec::with_capacity(self.config.history_window * self.num_pairs);
-        for row in history {
-            assert_eq!(row.len(), self.num_pairs, "one demand value per pair is required");
-            features.extend_from_slice(row);
-        }
-        for f in &mut features {
-            *f /= self.feature_scale;
-        }
-        self.graph.reset();
-        let input = self.graph.input(Tensor::row(&features));
-        let raw = self.mlp.forward(&mut self.graph, input);
-        let ratios = self.diff.normalize(&mut self.graph, raw);
-        TeConfig::from_raw(paths, self.graph.value(ratios).data())
+        self.predict_rows(paths, std::iter::once(History::Columns(history))).remove(0)
     }
 
     /// Computes TE configurations for many history windows with a single
@@ -450,28 +454,8 @@ impl FigretModel {
         paths: &PathSet,
         histories: &[Vec<DemandMatrix>],
     ) -> Vec<TeConfig> {
-        if histories.is_empty() {
-            return Vec::new();
-        }
-        let feature_rows: Vec<Vec<f64>> =
-            histories.iter().map(|h| self.features_from_history(h)).collect();
-        let feature_refs: Vec<&[f64]> = feature_rows.iter().map(|r| r.as_slice()).collect();
-        self.graph.reset();
-        let input = self.graph.input(Tensor::stack_rows(&feature_refs));
-        let raw = self.mlp.forward(&mut self.graph, input);
-        let ratios = self.diff.normalize(&mut self.graph, raw);
-        let out = self.graph.value(ratios);
-        (0..out.rows()).map(|r| TeConfig::from_raw(paths, out.row_slice(r))).collect()
+        self.predict_rows(paths, histories.iter().map(|h| History::Matrices(h)))
     }
-}
-
-/// Per-microbatch result of the data-parallel gradient pass: gradient sums
-/// (one tensor per MLP parameter, in parameter order) plus loss-term sums.
-struct MicrobatchGradients {
-    grads: Vec<Tensor>,
-    loss_sum: f64,
-    mlu_sum: f64,
-    penalty_sum: f64,
 }
 
 /// A TEAL-like baseline: the same architecture, but it receives only the most
@@ -518,8 +502,8 @@ impl TealLikeModel {
     /// Batched counterpart of [`TealLikeModel::predict`]: one configuration
     /// per demand matrix via a single forward pass.
     pub fn predict_batch(&mut self, paths: &PathSet, demands: &[DemandMatrix]) -> Vec<TeConfig> {
-        let histories: Vec<Vec<DemandMatrix>> = demands.iter().map(|d| vec![d.clone()]).collect();
-        self.inner.predict_batch(paths, &histories)
+        let windows = demands.iter().map(|d| History::Matrices(std::slice::from_ref(d)));
+        self.inner.predict_rows(paths, windows)
     }
 }
 
@@ -718,6 +702,7 @@ mod tests {
             (h..h + 5).map(|t| (t - h..t).map(|i| trace.matrix(i).clone()).collect()).collect();
         let batched = model.predict_batch(&ps, &histories);
         assert_eq!(batched.len(), histories.len());
+        assert!(model.predict_batch(&ps, &[]).is_empty());
         for (history, batched_cfg) in histories.iter().zip(&batched) {
             let single = model.predict(&ps, history);
             assert!(batched_cfg.is_valid(&ps));

@@ -13,8 +13,17 @@
 //!
 //! Nodes live on a tape ([`Graph`]); parameters are *persistent* nodes created
 //! before [`Graph::seal`], everything built afterwards is transient and
-//! discarded by [`Graph::reset`] between samples, so the parameter tensors are
-//! never re-cloned during training.
+//! discarded by [`Graph::reset`] between samples.  A tape keeps the storage of
+//! the nodes it discards and hands it to the next pass, so replaying one op
+//! sequence — a training step, a serving forward — allocates nothing after
+//! the first pass.
+//!
+//! Leaves come in three kinds: parameters, inputs ([`Graph::input`], which
+//! receive a gradient) and data ([`Graph::constant`], which do not).  Every
+//! node knows whether anything differentiable flows into it; [`Graph::backward`]
+//! skips the nodes and the operand products that only data reaches — the
+//! gradient of the first layer's product with respect to the feature batch is
+//! a quarter of a training step's arithmetic, and nothing reads it.
 //!
 //! # Batched (row-major) semantics
 //!
@@ -27,15 +36,39 @@
 //! same loss-construction code serves both the per-sample solver path and the
 //! mini-batch training path.
 //!
-//! Constants attached to operations are shared through [`Arc`], which makes a
-//! cloned [`Graph`] cheap to send to a worker thread: mini-batch training
-//! clones the sealed parameter tape once per microbatch and runs
-//! forward/backward passes in parallel.
+//! # Data-parallel training without copies
+//!
+//! Mini-batch training runs its microbatches in parallel, each on a
+//! [`WorkerTape`]: a tape with its own transient nodes, scratch and one
+//! gradient buffer per parameter, that lives for the whole training call and
+//! holds no weights.  [`WorkerTape::run`] lends it the owner's parameter
+//! values — one [`Arc`] clone — for a forward/backward pass, so all workers
+//! read the one copy of the weights; the batch reduction
+//! ([`Graph::add_scaled_grad_sum`]) then reads the tapes' gradients where they
+//! lie, and the optimizer finds the weights unshared and updates them in
+//! place.  Nothing the size of a weight matrix is allocated per step.
+//!
+//! # Bit-identity
+//!
+//! None of this may change a result: a seed determines every trained weight
+//! to the last bit, on any thread count.  Three rules keep it so.  The dense
+//! kernels (`tensor.rs`) tile and interleave but give every output element
+//! the same products in the same ascending order from the same `+0.0` as the
+//! naive triple loop.  `backward` adds each contribution to an operand's
+//! gradient as one value per element — built in a scratch row first when the
+//! contribution is itself a sum — exactly as if it had been materialized as a
+//! tensor.  And only element-wise passes are partitioned over threads (in
+//! fixed-size tasks); every *reduction* — over a batch's rows, over the
+//! tapes — runs in index order on one thread per output element.
+//!
+//! Constants attached to operations are shared through [`Arc`].
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::tensor::Tensor;
+use rayon::prelude::*;
+
+use crate::tensor::{matmul_grad_a, matmul_grad_b, Tensor, ELEMENTWISE_TASK};
 
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,42 +175,109 @@ enum Op {
 
 #[derive(Debug, Clone)]
 struct Node {
+    /// Empty for a parameter: its value lives in [`Graph::params`].
     value: Tensor,
+    /// Empty unless `needs_grad`.
     grad: Tensor,
     op: Op,
+    /// Parameters, inputs and everything computed from one.  Data-only nodes
+    /// ([`Graph::constant`] and ops fed only by them) store no gradient and
+    /// [`Graph::backward`] neither visits them nor differentiates with respect
+    /// to them.
+    needs_grad: bool,
 }
 
 /// The autograd tape.
 ///
-/// Cloning a graph clones node values and gradients but shares the constant
-/// payloads ([`Arc`]), so a sealed parameter tape can be cheaply duplicated
-/// per worker for data-parallel gradient computation.
+/// Cloning a graph copies gradients and transient nodes; parameter values and
+/// constant payloads are shared ([`Arc`]) until one side writes a parameter,
+/// which then takes its own copy.  Data-parallel training does not clone: see
+/// [`WorkerTape`].
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
+    /// Values of the persistent prefix, `params[i]` for node `i`.  Behind an
+    /// [`Arc`] so [`WorkerTape::run`] can lend them to a worker without
+    /// copying; writers go through [`Arc::make_mut`], which copies only while
+    /// somebody else still holds the allocation.
+    params: Arc<Vec<Tensor>>,
     nodes: Vec<Node>,
     persistent: usize,
     sealed: bool,
+    /// Buffers of discarded transient nodes, in the order the next pass over
+    /// the same ops will ask for them: a tape that replays one op sequence
+    /// (training, serving) stops allocating after its first pass.
+    spare: Vec<Vec<f64>>,
+    /// Per-op scratch of [`Graph::backward`]: one row of a contribution that
+    /// is itself a sum, and the transposed gradient tile of `matmul`.
+    row: Vec<f64>,
+    lanes: Vec<f64>,
 }
 
 impl Graph {
     /// An empty tape.
     pub fn new() -> Graph {
-        Graph { nodes: Vec::new(), persistent: 0, sealed: false }
+        Graph::default()
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> Var {
-        let grad = Tensor::zeros(value.rows(), value.cols());
-        self.nodes.push(Node { value, grad, op });
+    fn val(&self, i: usize) -> &Tensor {
+        if i < self.persistent {
+            &self.params[i]
+        } else {
+            &self.nodes[i].value
+        }
+    }
+
+    /// A recycled (or new) buffer, empty.
+    fn buffer(&mut self) -> Vec<f64> {
+        let mut data = self.spare.pop().unwrap_or_default();
+        data.clear();
+        data
+    }
+
+    /// A zeroed tensor on recycled storage.
+    fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
+        let mut data = self.buffer();
+        data.resize(rows * cols, 0.0);
+        Tensor::from_vec(rows, cols, data)
+    }
+
+    /// A copy of node `i`'s value on recycled storage.
+    fn copy_of(&mut self, i: usize) -> Tensor {
+        let data = self.buffer();
+        copy_into(data, self.val(i))
+    }
+
+    fn push(&mut self, value: Tensor, op: Op, needs_grad: bool) -> Var {
+        let grad =
+            if needs_grad { self.zeros(value.rows(), value.cols()) } else { Tensor::zeros(0, 0) };
+        self.nodes.push(Node { value, grad, op, needs_grad });
         Var(self.nodes.len() - 1)
     }
 
+    /// Pushes the result of an op over `operands`; it needs a gradient if any
+    /// of them does.
+    fn push_op(&mut self, value: Tensor, op: Op, operands: &[usize]) -> Var {
+        let needs_grad = operands.iter().any(|&i| self.nodes[i].needs_grad);
+        self.push(value, op, needs_grad)
+    }
+
+    /// [`Graph::push_op`] for a `1×1` result.
+    fn push_scalar(&mut self, value: f64, op: Op, operand: usize) -> Var {
+        let mut out = self.zeros(1, 1);
+        out.set(0, 0, value);
+        self.push_op(out, op, &[operand])
+    }
+
     /// Creates a persistent leaf (a trainable parameter).  Must be called
-    /// before [`Graph::seal`].
+    /// before [`Graph::seal`] and before any other node is created.
     pub fn parameter(&mut self, value: Tensor) -> Var {
         assert!(!self.sealed, "parameters must be created before seal()");
-        let v = self.push(value, Op::Leaf);
+        assert_eq!(self.nodes.len(), self.persistent, "parameters must precede every other node");
+        let grad = Tensor::zeros(value.rows(), value.cols());
+        Arc::make_mut(&mut self.params).push(value);
+        self.nodes.push(Node { value: Tensor::zeros(0, 0), grad, op: Op::Leaf, needs_grad: true });
         self.persistent = self.nodes.len();
-        v
+        Var(self.persistent - 1)
     }
 
     /// Marks the end of the persistent (parameter) prefix.
@@ -185,33 +285,58 @@ impl Graph {
         self.sealed = true;
     }
 
-    /// Removes every transient node and zeroes all gradients.  Parameters keep
-    /// their values.
-    pub fn reset(&mut self) {
-        self.nodes.truncate(self.persistent);
-        for n in &mut self.nodes {
-            n.grad.fill_zero();
+    /// Removes every transient node, keeping its storage for the next pass.
+    fn truncate(&mut self) {
+        // `push` draws a node's value before its gradient and `buffer` pops
+        // from the back, so storing last node first, gradient before value,
+        // hands every buffer back to the node that held it.
+        for node in self.nodes.drain(self.persistent..).rev() {
+            for tensor in [node.grad, node.value] {
+                if !tensor.is_empty() {
+                    self.spare.push(tensor.into_vec());
+                }
+            }
         }
     }
 
-    /// Creates a transient leaf (an input).
+    /// Removes every transient node and zeroes all gradients.  Parameters keep
+    /// their values.
+    pub fn reset(&mut self) {
+        self.truncate();
+        self.zero_grads();
+    }
+
+    /// Creates a transient leaf that receives a gradient (an input one wants
+    /// to differentiate with respect to; see [`Graph::constant`] for data).
     pub fn input(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf)
+        // Copied onto the tape's own storage: every buffer `truncate` keeps
+        // is then one `buffer` handed out, and the pool cannot grow.
+        let value = copy_into(self.buffer(), &value);
+        self.push(value, Op::Leaf, true)
+    }
+
+    /// Creates a transient `rows × cols` data-only leaf — a feature batch, a
+    /// vector of bounds — whose (zeroed) storage `fill` writes in place.  It
+    /// stores and receives no gradient, and [`Graph::backward`] skips every
+    /// product that would only differentiate with respect to it.
+    pub fn constant(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut [f64])) -> Var {
+        let mut value = self.zeros(rows, cols);
+        fill(value.data_mut());
+        self.push(value, Op::Leaf, false)
     }
 
     /// The value of a node.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        self.val(v.0)
     }
 
-    /// The gradient of a node (valid after [`Graph::backward`]).
+    /// The gradient of a node (valid after [`Graph::backward`]); empty for a
+    /// data-only node.
     pub fn grad(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].grad
     }
 
-    /// Accumulates an externally computed gradient into a node (used to merge
-    /// the per-microbatch gradients of data-parallel training before an
-    /// optimizer step).
+    /// Accumulates an externally computed gradient into a node.
     pub fn add_grad(&mut self, v: Var, grad: &Tensor) {
         self.nodes[v.0].grad.add_assign(grad);
     }
@@ -225,13 +350,25 @@ impl Graph {
 
     /// Overwrites the value of a (parameter) node in place.
     pub fn set_value(&mut self, v: Var, value: Tensor) {
-        assert_eq!(self.nodes[v.0].value.shape(), value.shape(), "shape mismatch in set_value");
-        self.nodes[v.0].value = value;
+        let slot = self.value_mut(v);
+        assert_eq!(slot.shape(), value.shape(), "shape mismatch in set_value");
+        *slot = value;
     }
 
-    /// Mutable access to a node value (used by optimizers for in-place updates).
+    /// Mutable access to a node value.
     pub fn value_mut(&mut self, v: Var) -> &mut Tensor {
-        &mut self.nodes[v.0].value
+        self.value_mut_and_grad(v).0
+    }
+
+    /// A node's value, mutably, together with its gradient: what an optimizer
+    /// step reads and writes, without copying either.
+    pub fn value_mut_and_grad(&mut self, v: Var) -> (&mut Tensor, &Tensor) {
+        let node = &mut self.nodes[v.0];
+        if v.0 < self.persistent {
+            (&mut Arc::make_mut(&mut self.params)[v.0], &node.grad)
+        } else {
+            (&mut node.value, &node.grad)
+        }
     }
 
     /// Number of nodes currently on the tape.
@@ -244,80 +381,137 @@ impl Graph {
         self.nodes.is_empty()
     }
 
+    // ---- data-parallel workers ---------------------------------------------
+
+    /// A tape for one data-parallel worker over this (sealed) graph's
+    /// parameters; see [`WorkerTape`].
+    pub fn worker_tape(&self) -> WorkerTape {
+        assert!(self.sealed, "worker tapes are made from a sealed graph");
+        let nodes = self.nodes[..self.persistent]
+            .iter()
+            .map(|n| Node {
+                value: Tensor::zeros(0, 0),
+                grad: Tensor::zeros(n.grad.rows(), n.grad.cols()),
+                op: Op::Leaf,
+                needs_grad: true,
+            })
+            .collect();
+        WorkerTape {
+            tape: Graph { nodes, persistent: self.persistent, sealed: true, ..Graph::default() },
+        }
+    }
+
+    /// The batch reduction of data-parallel training: adds to the gradient of
+    /// every listed parameter the tapes' gradients for it, summed **in tape
+    /// order** and scaled — `grad(p) += (((0 + g₀) + g₁) + …) · scale` per
+    /// element, read in place.  The order of that sum is fixed by the slice;
+    /// the elements are independent of each other, so they are cut into
+    /// fixed-size tasks and shared out over the worker threads.
+    pub fn add_scaled_grad_sum(&mut self, params: &[Var], tapes: &[WorkerTape], scale: f64) {
+        /// Elements summed at a time: small enough for the stack, long enough
+        /// for the per-tape additions to vectorize.
+        const BLOCK: usize = 64;
+        for &p in params {
+            let sources: Vec<&[f64]> = tapes.iter().map(|t| t.grad(p).data()).collect();
+            let target = self.nodes[p.0].grad.data_mut();
+            for source in &sources {
+                assert_eq!(source.len(), target.len(), "tape gradients must match the parameter");
+            }
+            let tasks: Vec<(usize, &mut [f64])> =
+                target.chunks_mut(ELEMENTWISE_TASK).enumerate().collect();
+            tasks.into_par_iter().for_each(|(task, target)| {
+                let offset = task * ELEMENTWISE_TASK;
+                for (block, out) in target.chunks_mut(BLOCK).enumerate() {
+                    let start = offset + block * BLOCK;
+                    let mut sum = [0.0f64; BLOCK];
+                    for source in &sources {
+                        for (s, g) in sum.iter_mut().zip(&source[start..start + out.len()]) {
+                            *s += g;
+                        }
+                    }
+                    for (d, s) in out.iter_mut().zip(sum) {
+                        *d += s * scale;
+                    }
+                }
+            });
+        }
+    }
+
     // ---- operations -------------------------------------------------------
 
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let value = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
-        self.push(value, Op::MatMul(a.0, b.0))
+        let mut value = self.zeros(self.val(a.0).rows(), self.val(b.0).cols());
+        self.val(a.0).matmul_into(self.val(b.0), &mut value);
+        self.push_op(value, Op::MatMul(a.0, b.0), &[a.0, b.0])
     }
 
     /// Element-wise sum of two same-shaped nodes.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
-        value.add_assign(&self.nodes[b.0].value);
-        self.push(value, Op::Add(a.0, b.0))
+        let mut value = self.copy_of(a.0);
+        value.add_assign(self.val(b.0));
+        self.push_op(value, Op::Add(a.0, b.0), &[a.0, b.0])
     }
 
     /// Adds a `1×n` bias row to every row of an `m×n` node.
     pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
-        let xv = &self.nodes[x.0].value;
-        let bv = &self.nodes[bias.0].value;
+        let mut value = self.copy_of(x.0);
+        let bv = self.val(bias.0);
         assert_eq!(bv.rows(), 1, "bias must be a row vector");
-        assert_eq!(bv.cols(), xv.cols(), "bias width must match");
-        let mut value = xv.clone();
-        for r in 0..value.rows() {
-            for c in 0..value.cols() {
-                let v = value.get(r, c) + bv.get(0, c);
-                value.set(r, c, v);
+        assert_eq!(bv.cols(), value.cols(), "bias width must match");
+        if !bv.is_empty() {
+            for row in value.data_mut().chunks_exact_mut(bv.cols()) {
+                for (v, b) in row.iter_mut().zip(bv.data()) {
+                    *v += b;
+                }
             }
         }
-        self.push(value, Op::AddBias(x.0, bias.0))
+        self.push_op(value, Op::AddBias(x.0, bias.0), &[x.0, bias.0])
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
+        let mut value = self.copy_of(a.0);
         for v in value.data_mut() {
             if *v < 0.0 {
                 *v = 0.0;
             }
         }
-        self.push(value, Op::Relu(a.0))
+        self.push_op(value, Op::Relu(a.0), &[a.0])
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
+        let mut value = self.copy_of(a.0);
         for v in value.data_mut() {
             *v = 1.0 / (1.0 + (-*v).exp());
         }
-        self.push(value, Op::Sigmoid(a.0))
+        self.push_op(value, Op::Sigmoid(a.0), &[a.0])
     }
 
     /// Multiplies every element by a scalar constant.
     pub fn scale(&mut self, a: Var, k: f64) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
+        let mut value = self.copy_of(a.0);
         for v in value.data_mut() {
             *v *= k;
         }
-        self.push(value, Op::Scale(a.0, k))
+        self.push_op(value, Op::Scale(a.0, k), &[a.0])
     }
 
     /// Adds a scalar constant to every element.
     pub fn add_scalar(&mut self, a: Var, k: f64) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
+        let mut value = self.copy_of(a.0);
         for v in value.data_mut() {
             *v += k;
         }
-        self.push(value, Op::AddScalar(a.0))
+        self.push_op(value, Op::AddScalar(a.0), &[a.0])
     }
 
     /// Element-wise product with a constant.  The constant either matches the
     /// node's full element count, or has length `cols` and is broadcast across
     /// every row of a batched node.
     pub fn mul_const(&mut self, a: Var, constant: Arc<Vec<f64>>) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
+        let mut value = self.copy_of(a.0);
         let cols = value.cols();
         if constant.len() == value.len() {
             for (v, c) in value.data_mut().iter_mut().zip(constant.iter()) {
@@ -335,23 +529,23 @@ impl Graph {
                 }
             }
         }
-        self.push(value, Op::MulConst(a.0, constant))
+        self.push_op(value, Op::MulConst(a.0, constant), &[a.0])
     }
 
     /// `Y[r] = M X[r]` per row, for a constant sparse matrix and an
     /// `R×M.cols()` node; the result is an `R×M.rows()` node (`1×M.rows()`
     /// for a single sample).
     pub fn sparse_matvec(&mut self, a: Var, matrix: Arc<SparseMatrix>) -> Var {
-        let x = &self.nodes[a.0].value;
+        let rows = self.val(a.0).rows();
+        let mut out = self.zeros(rows, matrix.rows());
+        let x = self.val(a.0);
         assert_eq!(x.cols(), matrix.cols(), "node width must match the matrix column count");
-        let rows = x.rows();
-        let mut out = Tensor::zeros(rows, matrix.rows());
         for r in 0..rows {
             let src = &x.data()[r * matrix.cols()..(r + 1) * matrix.cols()];
             let dst = &mut out.data_mut()[r * matrix.rows()..(r + 1) * matrix.rows()];
             matrix.matvec_into(src, dst);
         }
-        self.push(out, Op::SparseMatVec(a.0, matrix))
+        self.push_op(out, Op::SparseMatVec(a.0, matrix), &[a.0])
     }
 
     /// Normalizes each segment of every row so it sums to 1
@@ -359,9 +553,8 @@ impl Graph {
     /// must be non-negative; an all-zero segment yields a uniform distribution
     /// over that segment.
     pub fn segment_normalize(&mut self, a: Var, segments: Arc<Vec<Range<usize>>>) -> Var {
-        let value = &self.nodes[a.0].value;
-        let cols = value.cols();
-        let mut out = value.clone();
+        let mut out = self.copy_of(a.0);
+        let cols = out.cols();
         for row in out.data_mut().chunks_mut(cols) {
             for seg in segments.iter() {
                 let sum: f64 = row[seg.clone()].iter().sum();
@@ -377,39 +570,39 @@ impl Graph {
                 }
             }
         }
-        self.push(out, Op::SegmentNormalize(a.0, segments))
+        self.push_op(out, Op::SegmentNormalize(a.0, segments), &[a.0])
     }
 
     /// Per-segment maximum of every row; the result has one column per
     /// segment.  Empty segments yield 0.
     pub fn segment_max(&mut self, a: Var, segments: Arc<Vec<Range<usize>>>) -> Var {
-        let value = &self.nodes[a.0].value;
+        let rows = self.val(a.0).rows();
+        let mut out = self.zeros(rows, segments.len());
+        let value = self.val(a.0);
         let cols = value.cols();
-        let rows = value.rows();
-        let mut out = Tensor::zeros(rows, segments.len());
         for r in 0..rows {
             let row = &value.data()[r * cols..(r + 1) * cols];
             for (s, seg) in segments.iter().enumerate() {
                 out.set(r, s, row[seg.clone()].iter().cloned().fold(0.0f64, f64::max));
             }
         }
-        self.push(out, Op::SegmentMax(a.0, segments))
+        self.push_op(out, Op::SegmentMax(a.0, segments), &[a.0])
     }
 
     /// Maximum element over the whole node (a `1×1` result).
     pub fn max(&mut self, a: Var) -> Var {
-        let m = self.nodes[a.0].value.data().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        self.push(Tensor::scalar(m), Op::Max(a.0))
+        let m = self.val(a.0).max_value();
+        self.push_scalar(m, Op::Max(a.0), a.0)
     }
 
     /// Per-row maximum (an `R×1` result); the batched counterpart of
     /// [`Graph::max`].
     pub fn row_max(&mut self, a: Var) -> Var {
-        let value = &self.nodes[a.0].value;
+        let rows = self.val(a.0).rows();
+        let mut out = self.zeros(rows, 1);
+        let value = self.val(a.0);
         let cols = value.cols();
         assert!(cols > 0, "row_max requires at least one column");
-        let rows = value.rows();
-        let mut out = Tensor::zeros(rows, 1);
         for r in 0..rows {
             let m = value.data()[r * cols..(r + 1) * cols]
                 .iter()
@@ -417,22 +610,22 @@ impl Graph {
                 .fold(f64::NEG_INFINITY, f64::max);
             out.set(r, 0, m);
         }
-        self.push(out, Op::RowMax(a.0))
+        self.push_op(out, Op::RowMax(a.0), &[a.0])
     }
 
     /// Sum of all elements (a `1×1` result).
     pub fn sum(&mut self, a: Var) -> Var {
-        let s: f64 = self.nodes[a.0].value.data().iter().sum();
-        self.push(Tensor::scalar(s), Op::Sum(a.0))
+        let s: f64 = self.val(a.0).data().iter().sum();
+        self.push_scalar(s, Op::Sum(a.0), a.0)
     }
 
     /// Arithmetic mean of all elements (a `1×1` result); the standard batch
     /// reduction of per-sample losses.
     pub fn mean(&mut self, a: Var) -> Var {
-        let n = self.nodes[a.0].value.len();
+        let n = self.val(a.0).len();
         assert!(n > 0, "mean of an empty node");
-        let s: f64 = self.nodes[a.0].value.data().iter().sum();
-        self.push(Tensor::scalar(s / n as f64), Op::Mean(a.0))
+        let s: f64 = self.val(a.0).data().iter().sum();
+        self.push_scalar(s / n as f64, Op::Mean(a.0), a.0)
     }
 
     /// Smooth maximum `T · ln Σ exp(x_i / T)` over the whole node (a `1×1`
@@ -444,280 +637,313 @@ impl Graph {
     /// sub-gradient of the exact maximum.
     pub fn logsumexp(&mut self, a: Var, temperature: f64) -> Var {
         assert!(temperature > 0.0, "temperature must be positive");
-        let x = self.nodes[a.0].value.data();
-        let value = logsumexp_slice(x, temperature);
-        self.push(Tensor::scalar(value), Op::LogSumExp(a.0, temperature))
+        let value = logsumexp_slice(self.val(a.0).data(), temperature);
+        self.push_scalar(value, Op::LogSumExp(a.0, temperature), a.0)
     }
 
     /// Per-row smooth maximum (an `R×1` result); the batched counterpart of
     /// [`Graph::logsumexp`].
     pub fn row_logsumexp(&mut self, a: Var, temperature: f64) -> Var {
         assert!(temperature > 0.0, "temperature must be positive");
-        let value = &self.nodes[a.0].value;
+        let rows = self.val(a.0).rows();
+        let mut out = self.zeros(rows, 1);
+        let value = self.val(a.0);
         let cols = value.cols();
         assert!(cols > 0, "row_logsumexp requires at least one column");
-        let rows = value.rows();
-        let mut out = Tensor::zeros(rows, 1);
         for r in 0..rows {
             out.set(r, 0, logsumexp_slice(&value.data()[r * cols..(r + 1) * cols], temperature));
         }
-        self.push(out, Op::RowLogSumExp(a.0, temperature))
+        self.push_op(out, Op::RowLogSumExp(a.0, temperature), &[a.0])
     }
 
     /// Dot product of every row with a constant vector (an `R×1` result; a
     /// `1×1` scalar for a single row).
     pub fn dot_const(&mut self, a: Var, constant: Arc<Vec<f64>>) -> Var {
-        let value = &self.nodes[a.0].value;
+        let rows = self.val(a.0).rows();
+        let mut out = self.zeros(rows, 1);
+        let value = self.val(a.0);
         let cols = value.cols();
         assert_eq!(constant.len(), cols, "constant length must match the column count");
-        let rows = value.rows();
-        let mut out = Tensor::zeros(rows, 1);
         for r in 0..rows {
             let row = &value.data()[r * cols..(r + 1) * cols];
             let s: f64 = row.iter().zip(constant.iter()).map(|(a, b)| a * b).sum();
             out.set(r, 0, s);
         }
-        self.push(out, Op::DotConst(a.0, constant))
+        self.push_op(out, Op::DotConst(a.0, constant), &[a.0])
     }
 
     // ---- backward ---------------------------------------------------------
 
     /// Back-propagates from `loss` (which must be `1×1`), accumulating
-    /// gradients into every node reachable from it.
+    /// gradients into every node that is reachable from it and needs one.
+    /// Gradients left by an earlier call are discarded first.
+    ///
+    /// Nothing is copied: operands always sit below their result on the tape,
+    /// so splitting the node list at the result gives the result read-only and
+    /// its operands mutable.  A contribution that is itself a sum is built one
+    /// row at a time in a scratch row and then added to the operand's
+    /// gradient, which may already hold another consumer's share — adding the
+    /// terms straight into it would re-associate that sum.
     pub fn backward(&mut self, loss: Var) {
-        assert_eq!(self.nodes[loss.0].value.shape(), (1, 1), "loss must be a scalar");
-        for n in &mut self.nodes {
-            n.grad.fill_zero();
+        assert_eq!(self.val(loss.0).shape(), (1, 1), "loss must be a scalar");
+        self.zero_grads();
+        if !self.nodes[loss.0].needs_grad {
+            return;
         }
-        self.nodes[loss.0].grad = Tensor::scalar(1.0);
-        for i in (0..=loss.0).rev() {
-            let op = self.nodes[i].op.clone();
-            let grad = self.nodes[i].grad.clone();
-            if grad.data().iter().all(|g| *g == 0.0) {
+        self.nodes[loss.0].grad.set(0, 0, 1.0);
+        let params: &[Tensor] = &self.params;
+        let (row, lanes) = (&mut self.row, &mut self.lanes);
+        for i in (self.persistent..=loss.0).rev() {
+            let (below, rest) = self.nodes.split_at_mut(i);
+            let node = &rest[0];
+            if !node.needs_grad || node.grad.data().iter().all(|g| *g == 0.0) {
                 continue;
             }
-            match op {
+            let g = &node.grad;
+            match &node.op {
                 Op::Leaf => {}
-                Op::MatMul(a, b) => {
-                    let a_val = self.nodes[a].value.clone();
-                    let b_val = self.nodes[b].value.clone();
-                    let da = grad.matmul(&b_val.transpose());
-                    let db = a_val.transpose().matmul(&grad);
-                    self.nodes[a].grad.add_assign(&da);
-                    self.nodes[b].grad.add_assign(&db);
+                &Op::MatMul(a, b) => {
+                    let n = g.cols();
+                    if below[a].needs_grad {
+                        let (b_val, a_grad) = value_and_grad(params, below, b, a);
+                        let inner = a_grad.cols();
+                        matmul_grad_a(g.data(), b_val.data(), a_grad.data_mut(), inner, n, lanes);
+                    }
+                    if below[b].needs_grad {
+                        let (a_val, b_grad) = value_and_grad(params, below, a, b);
+                        let inner = b_grad.rows();
+                        matmul_grad_b(a_val.data(), g.data(), b_grad.data_mut(), inner, n, row);
+                    }
                 }
-                Op::Add(a, b) => {
-                    self.nodes[a].grad.add_assign(&grad);
-                    self.nodes[b].grad.add_assign(&grad);
-                }
-                Op::AddBias(x, bias) => {
-                    self.nodes[x].grad.add_assign(&grad);
-                    let cols = grad.cols();
-                    let mut bias_grad = Tensor::zeros(1, cols);
-                    for r in 0..grad.rows() {
-                        for c in 0..cols {
-                            let v = bias_grad.get(0, c) + grad.get(r, c);
-                            bias_grad.set(0, c, v);
+                &Op::Add(a, b) => {
+                    for operand in [a, b] {
+                        if below[operand].needs_grad {
+                            below[operand].grad.add_assign(g);
                         }
                     }
-                    self.nodes[bias].grad.add_assign(&bias_grad);
                 }
-                Op::Relu(a) => {
-                    let mut da = grad.clone();
-                    for (g, v) in da.data_mut().iter_mut().zip(self.nodes[a].value.data()) {
-                        if *v <= 0.0 {
-                            *g = 0.0;
-                        }
+                &Op::AddBias(x, bias) => {
+                    if below[x].needs_grad {
+                        below[x].grad.add_assign(g);
                     }
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::Sigmoid(a) => {
-                    let out = self.nodes[i].value.clone();
-                    let mut da = grad.clone();
-                    for (g, y) in da.data_mut().iter_mut().zip(out.data()) {
-                        *g *= y * (1.0 - y);
-                    }
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::Scale(a, k) => {
-                    self.nodes[a].grad.axpy(k, &grad);
-                }
-                Op::AddScalar(a) => {
-                    self.nodes[a].grad.add_assign(&grad);
-                }
-                Op::MulConst(a, c) => {
-                    let mut da = grad.clone();
-                    if c.len() == da.len() {
-                        for (g, k) in da.data_mut().iter_mut().zip(c.iter()) {
-                            *g *= k;
-                        }
-                    } else {
-                        let cols = da.cols();
-                        for row in da.data_mut().chunks_mut(cols) {
-                            for (g, k) in row.iter_mut().zip(c.iter()) {
-                                *g *= k;
+                    if below[bias].needs_grad && !g.is_empty() {
+                        row.clear();
+                        row.resize(g.cols(), 0.0);
+                        for g_row in g.data().chunks_exact(g.cols()) {
+                            for (sum, g_rc) in row.iter_mut().zip(g_row) {
+                                *sum += g_rc;
                             }
                         }
+                        add_to(below[bias].grad.data_mut(), row);
                     }
-                    self.nodes[a].grad.add_assign(&da);
+                }
+                &Op::Relu(a) => {
+                    let (x, a_grad) = value_and_grad(params, below, a, a);
+                    for ((d, x), g) in a_grad.data_mut().iter_mut().zip(x.data()).zip(g.data()) {
+                        *d += if *x <= 0.0 { 0.0 } else { *g };
+                    }
+                }
+                &Op::Sigmoid(a) => {
+                    let a_grad = below[a].grad.data_mut();
+                    for ((d, y), g) in a_grad.iter_mut().zip(node.value.data()).zip(g.data()) {
+                        *d += g * (y * (1.0 - y));
+                    }
+                }
+                &Op::Scale(a, k) => below[a].grad.axpy(k, g),
+                &Op::AddScalar(a) => below[a].grad.add_assign(g),
+                Op::MulConst(a, c) => {
+                    let a_grad = below[*a].grad.data_mut();
+                    // A constant of `cols` values is broadcast across rows.
+                    for ((d, g), k) in a_grad.iter_mut().zip(g.data()).zip(c.iter().cycle()) {
+                        *d += g * k;
+                    }
                 }
                 Op::SparseMatVec(a, m) => {
-                    let rows = self.nodes[a].value.rows();
-                    let mut da = vec![0.0; rows * m.cols()];
-                    for r in 0..rows {
-                        let gy = &grad.data()[r * m.rows()..(r + 1) * m.rows()];
-                        let dx = &mut da[r * m.cols()..(r + 1) * m.cols()];
-                        m.add_transpose_matvec(gy, dx);
+                    let a_grad = below[*a].grad.data_mut();
+                    if m.cols() > 0 && m.rows() > 0 {
+                        for (a_grad_row, g_row) in
+                            a_grad.chunks_exact_mut(m.cols()).zip(g.data().chunks_exact(m.rows()))
+                        {
+                            row.clear();
+                            row.resize(m.cols(), 0.0);
+                            m.add_transpose_matvec(g_row, row);
+                            add_to(a_grad_row, row);
+                        }
                     }
-                    let da = Tensor::from_vec(rows, m.cols(), da);
-                    self.nodes[a].grad.add_assign(&da);
                 }
                 Op::SegmentNormalize(a, segments) => {
-                    let value = &self.nodes[a].value;
-                    let cols = value.cols();
-                    let rows = value.rows();
-                    let x = value.data().to_vec();
-                    let mut da = vec![0.0; x.len()];
-                    for r in 0..rows {
-                        let base = r * cols;
+                    let (x, a_grad) = value_and_grad(params, below, *a, *a);
+                    let cols = x.cols().max(1);
+                    for ((x, a_grad_row), g_row) in x
+                        .data()
+                        .chunks_exact(cols)
+                        .zip(a_grad.data_mut().chunks_exact_mut(cols))
+                        .zip(g.data().chunks_exact(cols))
+                    {
+                        row.clear();
+                        row.resize(cols, 0.0);
                         for seg in segments.iter() {
-                            let sum: f64 = seg.clone().map(|i| x[base + i]).sum();
+                            let sum: f64 = seg.clone().map(|i| x[i]).sum();
                             if sum <= 0.0 {
                                 // Uniform output does not depend on the input.
                                 continue;
                             }
-                            let gdotx: f64 = seg
-                                .clone()
-                                .map(|i| grad.data()[base + i] * x[base + i])
-                                .sum::<f64>()
-                                / (sum * sum);
+                            let gdotx: f64 =
+                                seg.clone().map(|i| g_row[i] * x[i]).sum::<f64>() / (sum * sum);
                             for i in seg.clone() {
-                                da[base + i] += grad.data()[base + i] / sum - gdotx;
+                                row[i] += g_row[i] / sum - gdotx;
                             }
                         }
+                        add_to(a_grad_row, row);
                     }
-                    let da = Tensor::from_vec(rows, cols, da);
-                    self.nodes[a].grad.add_assign(&da);
                 }
                 Op::SegmentMax(a, segments) => {
-                    let value = &self.nodes[a].value;
-                    let cols = value.cols();
-                    let rows = value.rows();
-                    let x = value.data();
-                    let mut da = vec![0.0; x.len()];
-                    for r in 0..rows {
-                        let base = r * cols;
-                        for (s, seg) in segments.iter().enumerate() {
+                    let (x, a_grad) = value_and_grad(params, below, *a, *a);
+                    let cols = x.cols().max(1);
+                    let g_cols = segments.len().max(1);
+                    for ((x, a_grad_row), g_row) in x
+                        .data()
+                        .chunks_exact(cols)
+                        .zip(a_grad.data_mut().chunks_exact_mut(cols))
+                        .zip(g.data().chunks_exact(g_cols))
+                    {
+                        row.clear();
+                        row.resize(cols, 0.0);
+                        for (seg, &g_rs) in segments.iter().zip(g_row) {
                             if seg.is_empty() {
                                 continue;
                             }
                             // Sub-gradient: route to the first argmax of the segment.
                             let mut best = seg.start;
                             for i in seg.clone() {
-                                if x[base + i] > x[base + best] {
+                                if x[i] > x[best] {
                                     best = i;
                                 }
                             }
-                            let g = grad.get(r, s);
-                            if x[base + best] > 0.0 || g != 0.0 {
-                                da[base + best] += g;
+                            if x[best] > 0.0 || g_rs != 0.0 {
+                                row[best] += g_rs;
                             }
                         }
+                        add_to(a_grad_row, row);
                     }
-                    let da = Tensor::from_vec(rows, cols, da);
-                    self.nodes[a].grad.add_assign(&da);
                 }
-                Op::Max(a) => {
-                    let x = self.nodes[a].value.data();
-                    let mut best = 0usize;
-                    for (j, v) in x.iter().enumerate() {
-                        if *v > x[best] {
-                            best = j;
-                        }
+                &Op::Max(a) => {
+                    let (x, a_grad) = value_and_grad(params, below, a, a);
+                    if !x.is_empty() {
+                        a_grad.data_mut()[first_argmax(x.data())] += g.as_scalar();
                     }
-                    let mut da =
-                        Tensor::zeros(self.nodes[a].value.rows(), self.nodes[a].value.cols());
-                    da.data_mut()[best] = grad.as_scalar();
-                    self.nodes[a].grad.add_assign(&da);
                 }
-                Op::RowMax(a) => {
-                    let value = &self.nodes[a].value;
-                    let cols = value.cols();
-                    let rows = value.rows();
-                    let x = value.data();
-                    let mut da = Tensor::zeros(rows, cols);
-                    for r in 0..rows {
-                        let base = r * cols;
-                        let mut best = 0usize;
-                        for c in 1..cols {
-                            if x[base + c] > x[base + best] {
-                                best = c;
-                            }
-                        }
-                        da.set(r, best, grad.get(r, 0));
+                &Op::RowMax(a) => {
+                    let (x, a_grad) = value_and_grad(params, below, a, a);
+                    let cols = x.cols();
+                    for ((x, a_grad_row), g_r) in x
+                        .data()
+                        .chunks_exact(cols)
+                        .zip(a_grad.data_mut().chunks_exact_mut(cols))
+                        .zip(g.data())
+                    {
+                        a_grad_row[first_argmax(x)] += g_r;
                     }
-                    self.nodes[a].grad.add_assign(&da);
                 }
-                Op::Sum(a) => {
-                    let g = grad.as_scalar();
-                    let da =
-                        Tensor::full(self.nodes[a].value.rows(), self.nodes[a].value.cols(), g);
-                    self.nodes[a].grad.add_assign(&da);
+                &Op::Sum(a) => {
+                    let upstream = g.as_scalar();
+                    for d in below[a].grad.data_mut() {
+                        *d += upstream;
+                    }
                 }
-                Op::Mean(a) => {
-                    let n = self.nodes[a].value.len();
-                    let g = grad.as_scalar() / n as f64;
-                    let da =
-                        Tensor::full(self.nodes[a].value.rows(), self.nodes[a].value.cols(), g);
-                    self.nodes[a].grad.add_assign(&da);
+                &Op::Mean(a) => {
+                    let a_grad = below[a].grad.data_mut();
+                    let upstream = g.as_scalar() / a_grad.len() as f64;
+                    for d in a_grad {
+                        *d += upstream;
+                    }
                 }
                 Op::DotConst(a, c) => {
-                    let value = &self.nodes[a].value;
-                    let cols = value.cols();
-                    let rows = value.rows();
-                    let mut da = Tensor::zeros(rows, cols);
-                    for r in 0..rows {
-                        let g = grad.get(r, 0);
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for (ci, k) in c.iter().enumerate() {
-                            da.set(r, ci, g * k);
+                    let a_grad = below[*a].grad.data_mut();
+                    if !c.is_empty() {
+                        for (a_grad_row, &g_r) in a_grad.chunks_exact_mut(c.len()).zip(g.data()) {
+                            if g_r == 0.0 {
+                                continue;
+                            }
+                            for (d, k) in a_grad_row.iter_mut().zip(c.iter()) {
+                                *d += g_r * k;
+                            }
                         }
                     }
-                    self.nodes[a].grad.add_assign(&da);
                 }
-                Op::LogSumExp(a, temperature) => {
-                    let g = grad.as_scalar();
-                    let x = self.nodes[a].value.data();
-                    let mut da =
-                        Tensor::zeros(self.nodes[a].value.rows(), self.nodes[a].value.cols());
-                    logsumexp_grad_slice(x, temperature, g, da.data_mut());
-                    self.nodes[a].grad.add_assign(&da);
+                &Op::LogSumExp(a, temperature) => {
+                    let (x, a_grad) = value_and_grad(params, below, a, a);
+                    add_logsumexp_grad(
+                        x.data(),
+                        temperature,
+                        g.as_scalar(),
+                        a_grad.data_mut(),
+                        row,
+                    );
                 }
-                Op::RowLogSumExp(a, temperature) => {
-                    let value = &self.nodes[a].value;
-                    let cols = value.cols();
-                    let rows = value.rows();
-                    let mut da = Tensor::zeros(rows, cols);
-                    for r in 0..rows {
-                        let g = grad.get(r, 0);
-                        if g == 0.0 {
-                            continue;
+                &Op::RowLogSumExp(a, temperature) => {
+                    let (x, a_grad) = value_and_grad(params, below, a, a);
+                    let cols = x.cols();
+                    for ((x, a_grad_row), &g_r) in x
+                        .data()
+                        .chunks_exact(cols)
+                        .zip(a_grad.data_mut().chunks_exact_mut(cols))
+                        .zip(g.data())
+                    {
+                        if g_r != 0.0 {
+                            add_logsumexp_grad(x, temperature, g_r, a_grad_row, row);
                         }
-                        let x = &value.data()[r * cols..(r + 1) * cols];
-                        logsumexp_grad_slice(
-                            x,
-                            temperature,
-                            g,
-                            &mut da.data_mut()[r * cols..(r + 1) * cols],
-                        );
                     }
-                    self.nodes[a].grad.add_assign(&da);
                 }
             }
         }
     }
+}
+
+/// The value of operand `read` and the gradient of operand `write` of the
+/// node being differentiated, whose operands are all in `below`.  The two may
+/// be one node (`relu(a)` reads `a` to route into `a`; `matmul(x, x)`).
+fn value_and_grad<'a>(
+    params: &'a [Tensor],
+    below: &'a mut [Node],
+    read: usize,
+    write: usize,
+) -> (&'a Tensor, &'a mut Tensor) {
+    if read < params.len() {
+        (&params[read], &mut below[write].grad)
+    } else if read == write {
+        let node = &mut below[read];
+        (&node.value, &mut node.grad)
+    } else if read < write {
+        let (low, high) = below.split_at_mut(write);
+        (&low[read].value, &mut high[0].grad)
+    } else {
+        let (low, high) = below.split_at_mut(read);
+        (&high[0].value, &mut low[write].grad)
+    }
+}
+
+/// A copy of `source` on the (empty) buffer `data`.
+fn copy_into(mut data: Vec<f64>, source: &Tensor) -> Tensor {
+    data.extend_from_slice(source.data());
+    Tensor::from_vec(source.rows(), source.cols(), data)
+}
+
+fn add_to(target: &mut [f64], contribution: &[f64]) {
+    for (d, c) in target.iter_mut().zip(contribution) {
+        *d += c;
+    }
+}
+
+/// Index of the first largest element of a non-empty slice.
+fn first_argmax(x: &[f64]) -> usize {
+    let mut best = 0;
+    for (j, v) in x.iter().enumerate() {
+        if *v > x[best] {
+            best = j;
+        }
+    }
+    best
 }
 
 fn logsumexp_slice(x: &[f64], temperature: f64) -> f64 {
@@ -726,12 +952,53 @@ fn logsumexp_slice(x: &[f64], temperature: f64) -> f64 {
     m + temperature * sum.ln()
 }
 
-fn logsumexp_grad_slice(x: &[f64], temperature: f64, upstream: f64, out: &mut [f64]) {
+/// `grad += upstream · softmax(x / T)`, the softmax weights staged in `weights`.
+fn add_logsumexp_grad(
+    x: &[f64],
+    temperature: f64,
+    upstream: f64,
+    grad: &mut [f64],
+    weights: &mut Vec<f64>,
+) {
     let m = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let weights: Vec<f64> = x.iter().map(|v| ((v - m) / temperature).exp()).collect();
+    weights.clear();
+    weights.extend(x.iter().map(|v| ((v - m) / temperature).exp()));
     let total: f64 = weights.iter().sum();
-    for (d, w) in out.iter_mut().zip(&weights) {
-        *d = upstream * w / total;
+    for (d, w) in grad.iter_mut().zip(weights.iter()) {
+        *d += upstream * w / total;
+    }
+}
+
+/// A tape for one data-parallel worker: the parameter prefix of the graph it
+/// was made from ([`Graph::worker_tape`]) with its own gradient buffer per
+/// parameter, its own transient nodes and scratch — and no parameter values.
+/// [`WorkerTape::run`] lends it the owner's for the length of one
+/// forward/backward pass, so any number of workers read the one copy of the
+/// weights and the optimizer afterwards finds it unshared and writes it in
+/// place.  The tape is meant to outlive the batch: made once per training
+/// call, it allocates during its first pass and reuses that storage after.
+#[derive(Debug)]
+pub struct WorkerTape {
+    tape: Graph,
+}
+
+impl WorkerTape {
+    /// Runs `f` on the tape — cleared of the previous pass's transient nodes,
+    /// gradients left for [`Graph::backward`] to zero — with `owner`'s
+    /// parameter values lent to it, and takes them back before returning.
+    pub fn run<R>(&mut self, owner: &Graph, f: impl FnOnce(&mut Graph) -> R) -> R {
+        assert_eq!(owner.persistent, self.tape.persistent, "the tape belongs to another graph");
+        self.tape.truncate();
+        let hollow = std::mem::replace(&mut self.tape.params, Arc::clone(&owner.params));
+        let out = f(&mut self.tape);
+        self.tape.params = hollow;
+        out
+    }
+
+    /// The gradient the last pass left on parameter `p`.
+    pub fn grad(&self, p: Var) -> &Tensor {
+        assert!(p.0 < self.tape.persistent, "worker tapes keep parameter gradients only");
+        &self.tape.nodes[p.0].grad
     }
 }
 
@@ -1002,5 +1269,206 @@ mod tests {
         assert_eq!(g.grad(w).data(), &[1.5, 1.0]);
         g.zero_grads();
         assert_eq!(g.grad(w).data(), &[0.0, 0.0]);
+    }
+
+    // ---- tape semantics of the copy-free backward pass ----------------------
+
+    fn data(g: &mut Graph, rows: usize, values: &[f64]) -> Var {
+        g.constant(rows, values.len() / rows, |out| out.copy_from_slice(values))
+    }
+
+    #[test]
+    fn a_node_consumed_twice_accumulates_both_shares() {
+        let mut g = Graph::new();
+        g.seal();
+        let x = g.input(Tensor::row(&[1.0, -2.0, 3.0]));
+        // loss = sum(3x) + sum(relu(x)): x feeds two consumers.
+        let tripled = g.scale(x, 3.0);
+        let a = g.sum(tripled);
+        let rectified = g.relu(x);
+        let b = g.sum(rectified);
+        let loss = g.add(a, b);
+        g.backward(loss);
+        assert_eq!(g.grad(x).data(), &[4.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn add_of_a_node_with_itself_doubles_its_gradient() {
+        let mut g = Graph::new();
+        g.seal();
+        let x = g.input(Tensor::row(&[1.0, 2.0]));
+        let doubled = g.add(x, x);
+        assert_eq!(g.value(doubled).data(), &[2.0, 4.0]);
+        let d = g.dot_const(doubled, Arc::new(vec![5.0, 7.0]));
+        g.backward(d);
+        assert_eq!(g.grad(x).data(), &[10.0, 14.0]);
+    }
+
+    #[test]
+    fn matmul_of_a_node_with_itself_gets_both_products() {
+        // loss = sum(X·X): dL/dX = 1·Xᵀ + Xᵀ·1.
+        let mut g = Graph::new();
+        g.seal();
+        let x = g.input(Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        let xx = g.matmul(x, x);
+        assert_eq!(g.value(xx).data(), &[7.0, 10.0, 15.0, 22.0]);
+        let loss = g.sum(xx);
+        g.backward(loss);
+        // (1·Xᵀ)[r][k] = Σⱼ X[k][j] = row sums (3, 7) per column k;
+        // (Xᵀ·1)[k][j] = Σᵢ X[i][k] = column sums (4, 6) per row k.
+        assert_eq!(g.grad(x).data(), &[3.0 + 4.0, 7.0 + 4.0, 3.0 + 6.0, 7.0 + 6.0]);
+    }
+
+    #[test]
+    fn data_only_leaves_have_no_gradient_and_their_ops_are_skipped() {
+        let mut g = Graph::new();
+        let w = g.parameter(Tensor::from_vec(2, 2, vec![1.0, -2.0, 3.0, 4.0]));
+        g.seal();
+        let x = data(&mut g, 1, &[2.0, 5.0]);
+        assert!(g.grad(x).is_empty(), "a data-only leaf stores no gradient");
+        // An op fed only by data is data: no gradient, never visited.
+        let shifted = g.add_scalar(x, 1.0);
+        assert_eq!(g.value(shifted).data(), &[3.0, 6.0]);
+        assert!(g.grad(shifted).is_empty());
+        // Data times a parameter needs a gradient, and the parameter gets the
+        // same one as through a differentiable input.
+        let y = g.matmul(shifted, w);
+        let loss = g.sum(y);
+        g.backward(loss);
+        assert_eq!(g.grad(w).data(), &[3.0, 3.0, 6.0, 6.0]);
+        assert!(g.grad(x).is_empty() && g.grad(shifted).is_empty());
+
+        // A loss that only data reaches has nothing to propagate.
+        let constant_loss = g.sum(shifted);
+        g.backward(constant_loss);
+        assert_eq!(g.grad(w).data(), &[0.0; 4]);
+    }
+
+    #[test]
+    fn a_second_backward_does_not_see_the_first_ones_gradients() {
+        let mut g = Graph::new();
+        let w = g.parameter(Tensor::row(&[1.0, 2.0]));
+        g.seal();
+        let x = g.input(Tensor::row(&[3.0, 4.0]));
+        let z = g.add(x, w);
+        let first = g.dot_const(z, Arc::new(vec![1.0, 1.0]));
+        let second = g.dot_const(z, Arc::new(vec![10.0, 20.0]));
+        g.backward(first);
+        assert_eq!(g.grad(w).data(), &[1.0, 1.0]);
+        g.backward(second);
+        assert_eq!(g.grad(w).data(), &[10.0, 20.0]);
+        assert_eq!(g.grad(x).data(), &[10.0, 20.0]);
+        assert_eq!(
+            g.grad(first).data(),
+            &[0.0],
+            "a node the loss does not reach keeps no gradient"
+        );
+    }
+
+    #[test]
+    fn recycled_storage_does_not_leak_between_passes() {
+        // The second pass runs on the first one's buffers, handed out in the
+        // same order; its results must be those of a fresh tape.
+        let pass = |g: &mut Graph, w: Var, values: &[f64]| {
+            let x = data(g, 2, values);
+            let y = g.matmul(x, w);
+            let r = g.relu(y);
+            let m = g.row_max(r);
+            let loss = g.sum(m);
+            g.backward(loss);
+            (g.value(y).data().to_vec(), g.grad(w).data().to_vec())
+        };
+        let weights = Tensor::from_vec(3, 2, vec![0.5, -1.0, 2.0, 0.25, -0.75, 1.5]);
+        let mut reused = Graph::new();
+        let w = reused.parameter(weights.clone());
+        reused.seal();
+        pass(&mut reused, w, &[9.0, 8.0, 7.0, 6.0, 5.0, 4.0]);
+        reused.reset();
+        let len_after_reset = reused.len();
+        let second = pass(&mut reused, w, &[1.0, 0.0, -2.0, 0.5, 3.0, 1.0]);
+
+        let mut fresh = Graph::new();
+        let w = fresh.parameter(weights);
+        fresh.seal();
+        assert_eq!(second, pass(&mut fresh, w, &[1.0, 0.0, -2.0, 0.5, 3.0, 1.0]));
+        assert_eq!(len_after_reset, 1);
+    }
+
+    // ---- worker tapes --------------------------------------------------------
+
+    /// `loss = Σ rows of (x · w)` on whatever tape it is handed.
+    fn product_loss(g: &mut Graph, w: Var, x: &[f64]) -> f64 {
+        let x = data(g, 1, x);
+        let y = g.matmul(x, w);
+        let loss = g.sum(y);
+        g.backward(loss);
+        g.value(loss).as_scalar()
+    }
+
+    #[test]
+    fn worker_tapes_read_the_owners_weights_and_keep_their_own_gradients() {
+        let mut g = Graph::new();
+        let w = g.parameter(Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        g.seal();
+        let mut tapes = [g.worker_tape(), g.worker_tape()];
+        let first = tapes[0].run(&g, |tape| product_loss(tape, w, &[1.0, 1.0]));
+        let second = tapes[1].run(&g, |tape| product_loss(tape, w, &[2.0, 0.0]));
+        assert_eq!((first, second), (10.0, 6.0));
+        assert_eq!(tapes[0].grad(w).data(), &[1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(tapes[1].grad(w).data(), &[2.0, 2.0, 0.0, 0.0]);
+        assert_eq!(g.grad(w).data(), &[0.0; 4], "the owner's gradients are its own");
+
+        // The batch reduction: (((0 + g₀) + g₁)) · scale, added in place.
+        g.add_scaled_grad_sum(&[w], &tapes, 0.5);
+        assert_eq!(g.grad(w).data(), &[1.5, 1.5, 0.5, 0.5]);
+
+        // Once `run` returns nobody shares the weights: an optimizer writes
+        // them where they lie instead of taking a copy first.
+        let before = g.value(w).data().as_ptr();
+        g.value_mut(w).data_mut()[0] = 5.0;
+        assert_eq!(g.value(w).data().as_ptr(), before, "value_mut must not copy");
+        // ...and the tapes see the update on their next pass.
+        let third = tapes[0].run(&g, |tape| product_loss(tape, w, &[1.0, 1.0]));
+        assert_eq!(third, 14.0);
+    }
+
+    #[test]
+    fn writing_a_lent_weight_copies_instead_of_corrupting_the_owner() {
+        let mut g = Graph::new();
+        let w = g.parameter(Tensor::row(&[1.0, 2.0]));
+        g.seal();
+        let mut tape = g.worker_tape();
+        tape.run(&g, |tape| tape.value_mut(w).data_mut()[0] = 9.0);
+        assert_eq!(g.value(w).data(), &[1.0, 2.0]);
+        let clone = g.clone();
+        g.value_mut(w).data_mut()[1] = 7.0;
+        assert_eq!(clone.value(w).data(), &[1.0, 2.0], "a clone stays a correct copy");
+        assert_eq!(g.value(w).data(), &[1.0, 7.0]);
+    }
+
+    #[test]
+    fn grad_sum_is_the_ordered_sum_on_every_task_of_a_long_tensor() {
+        // Longer than one task and not a multiple of it, with values whose
+        // sum depends on the order of addition.
+        let n = ELEMENTWISE_TASK + ELEMENTWISE_TASK / 2 + 3;
+        let mut g = Graph::new();
+        let w = g.parameter(Tensor::zeros(1, n));
+        g.seal();
+        let mut tapes: Vec<WorkerTape> = (0..3).map(|_| g.worker_tape()).collect();
+        let weights: Vec<Vec<f64>> = (0..3)
+            .map(|t| (0..n).map(|e| ((e * 7 + t * 13) % 31) as f64 * 0.1 + 1e-13).collect())
+            .collect();
+        for (tape, c) in tapes.iter_mut().zip(&weights) {
+            tape.run(&g, |tape| {
+                let d = tape.dot_const(w, Arc::new(c.clone()));
+                tape.backward(d);
+            });
+        }
+        g.add_grad(w, &Tensor::full(1, n, 0.25));
+        g.add_scaled_grad_sum(&[w], &tapes, 1.0 / 3.0);
+        for e in [0, 1, ELEMENTWISE_TASK - 1, ELEMENTWISE_TASK, n - 1] {
+            let sum = ((0.0 + weights[0][e]) + weights[1][e]) + weights[2][e];
+            assert_eq!(g.grad(w).data()[e], 0.25 + sum * (1.0 / 3.0), "element {e}");
+        }
     }
 }

@@ -97,8 +97,8 @@ impl Mlp {
         self.parameters().iter().map(|v| graph.value(*v).len()).sum()
     }
 
-    /// Runs the forward pass for a `1×input_dim` input node and returns the
-    /// `1×output_dim` output node.
+    /// Runs the forward pass for a `B×input_dim` batch node (one sample per
+    /// row) and returns the `B×output_dim` output node.
     pub fn forward(&self, graph: &mut Graph, input: Var) -> Var {
         assert_eq!(
             graph.value(input).cols(),

@@ -33,7 +33,7 @@ pub mod optim;
 pub mod plan;
 pub mod tensor;
 
-pub use graph::{Graph, SparseMatrix, Var};
+pub use graph::{Graph, SparseMatrix, Var, WorkerTape};
 pub use layers::{Mlp, MlpConfig, OutputActivation};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
 pub use plan::InferencePlan;
@@ -146,6 +146,97 @@ mod gradient_check {
                         "variant {} coord {}: analytic {} vs numeric {}",
                         variant, i, analytic[i], numeric
                     );
+                }
+            }
+        }
+    }
+
+    /// The training loss as `FigretModel` assembles it, over a **data-only**
+    /// feature batch: MLP → per-pair normalization → batched MLU (per-path
+    /// demands, path→edge aggregation, inverse capacities, per-row max) plus
+    /// the weighted sensitivity penalty (inverse path capacities, per-pair
+    /// max, variance weights), summed over the batch.  3 pairs × 2 paths over
+    /// 4 edges, 3 samples.
+    fn figret_loss(graph: &mut Graph, mlp: &Mlp, features: &[f64]) -> Var {
+        let batch = 3;
+        let input = graph.constant(batch, features.len() / batch, |x| x.copy_from_slice(features));
+        let raw = mlp.forward(graph, input);
+        let segments = Arc::new(vec![0..2, 2..4, 4..6]);
+        let ratios = graph.segment_normalize(raw, segments.clone());
+        let per_path_demand: Vec<f64> =
+            (0..batch * 6).map(|i| 1.0 + ((i / 2) % 5) as f64 * 0.7).collect();
+        let flows = graph.mul_const(ratios, Arc::new(per_path_demand));
+        let edge_by_path = Arc::new(SparseMatrix::from_rows(
+            4,
+            6,
+            &[
+                vec![(0, 1.0), (2, 1.0)],
+                vec![(1, 1.0), (3, 1.0), (4, 1.0)],
+                vec![(0, 1.0), (5, 1.0)],
+                vec![(2, 1.0), (3, 1.0), (5, 1.0)],
+            ],
+        ));
+        let loads = graph.sparse_matvec(flows, edge_by_path);
+        let utils = graph.mul_const(loads, Arc::new(vec![0.5, 0.25, 1.0, 0.4]));
+        let mlu = graph.row_max(utils);
+        let sens = graph.mul_const(ratios, Arc::new(vec![1.0, 0.5, 2.0, 0.25, 1.0, 4.0]));
+        let per_pair = graph.segment_max(sens, segments);
+        let penalty = graph.dot_const(per_pair, Arc::new(vec![1.0, 0.3, 0.6]));
+        let weighted = graph.scale(penalty, 1.5);
+        let loss_col = graph.add(mlu, weighted);
+        graph.sum(loss_col)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// With the feature batch a data-only leaf, `backward` skips the first
+        /// layer's input product; every *parameter* gradient must still match
+        /// finite differences of the whole loss.
+        #[test]
+        fn figret_loss_parameter_gradients_match_finite_differences(
+            features in proptest::collection::vec(0.0f64..2.0, 3 * 5),
+            seed in 0u64..1000,
+        ) {
+            let build = || {
+                let mut g = Graph::new();
+                let mlp = Mlp::new(&mut g, MlpConfig {
+                    input_dim: 5,
+                    hidden: vec![7],
+                    output_dim: 6,
+                    output_activation: OutputActivation::Sigmoid,
+                    seed,
+                });
+                g.seal();
+                (g, mlp)
+            };
+            let (mut g, mlp) = build();
+            let loss = figret_loss(&mut g, &mlp, &features);
+            g.backward(loss);
+            let loss_at = |p: Var, e: usize, delta: f64| {
+                let (mut g, mlp) = build();
+                g.value_mut(p).data_mut()[e] += delta;
+                let loss = figret_loss(&mut g, &mlp, &features);
+                g.value(loss).as_scalar()
+            };
+            let h = 1e-6;
+            for p in mlp.parameters() {
+                for e in 0..g.value(p).len() {
+                    let analytic = g.grad(p).data()[e];
+                    let (up, down) = (loss_at(p, e, h), loss_at(p, e, -h));
+                    let numeric = (up - down) / (2.0 * h);
+                    let scale = 1.0 + analytic.abs() + numeric.abs();
+                    if (analytic - numeric).abs() / scale > 1e-4 {
+                        // relu / row_max / segment_max are piecewise: accept a
+                        // mismatch only where the one-sided slopes disagree.
+                        let here = g.value(loss).as_scalar();
+                        let (fp, fm) = ((up - here) / h, (here - down) / h);
+                        prop_assert!(
+                            (fp - fm).abs() / scale > 1e-6,
+                            "parameter {:?} element {}: analytic {} vs numeric {}",
+                            p, e, analytic, numeric
+                        );
+                    }
                 }
             }
         }

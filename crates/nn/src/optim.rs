@@ -3,9 +3,15 @@
 //! FIGRET trains with Adam (Appendix D.4); plain SGD is provided as well for
 //! ablations and tests.  Optimizers update parameter nodes of a [`Graph`] in
 //! place from the gradients accumulated by [`Graph::backward`].
+//!
+//! A step is element-wise, so any partition of a tensor gives the same bits:
+//! each tensor is cut into tasks of `ELEMENTWISE_TASK` elements that the
+//! worker threads share (a tensor of one task runs on the calling thread).
+
+use rayon::prelude::*;
 
 use crate::graph::{Graph, Var};
-use crate::tensor::Tensor;
+use crate::tensor::{Tensor, ELEMENTWISE_TASK};
 
 /// Interface shared by all optimizers.
 pub trait Optimizer {
@@ -34,9 +40,19 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, graph: &mut Graph) {
+        let scale = -self.learning_rate;
         for &p in &self.params {
-            let grad = graph.grad(p).clone();
-            graph.value_mut(p).axpy(-self.learning_rate, &grad);
+            let (value, grad) = graph.value_mut_and_grad(p);
+            let tasks: Vec<(&mut [f64], &[f64])> = value
+                .data_mut()
+                .chunks_mut(ELEMENTWISE_TASK)
+                .zip(grad.data().chunks(ELEMENTWISE_TASK))
+                .collect();
+            tasks.into_par_iter().for_each(|(value, grad)| {
+                for (x, g) in value.iter_mut().zip(grad) {
+                    *x += scale * g;
+                }
+            });
         }
     }
 
@@ -102,20 +118,25 @@ impl Optimizer for Adam {
         let c = self.config;
         let bias1 = 1.0 - c.beta1.powf(t);
         let bias2 = 1.0 - c.beta2.powf(t);
-        for (i, &p) in self.params.iter().enumerate() {
-            let grad = graph.grad(p).clone();
-            let m = &mut self.first_moment[i];
-            let v = &mut self.second_moment[i];
-            for ((g, m), v) in grad.data().iter().zip(m.data_mut()).zip(v.data_mut()) {
-                *m = c.beta1 * *m + (1.0 - c.beta1) * g;
-                *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
-            }
-            let value = graph.value_mut(p);
-            for ((x, m), v) in value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
-                let m_hat = m / bias1;
-                let v_hat = v / bias2;
-                *x -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
-            }
+        let moments = self.first_moment.iter_mut().zip(&mut self.second_moment);
+        for (&p, (m, v)) in self.params.iter().zip(moments) {
+            let (value, grad) = graph.value_mut_and_grad(p);
+            let tasks: Vec<_> = value
+                .data_mut()
+                .chunks_mut(ELEMENTWISE_TASK)
+                .zip(grad.data().chunks(ELEMENTWISE_TASK))
+                .zip(m.data_mut().chunks_mut(ELEMENTWISE_TASK))
+                .zip(v.data_mut().chunks_mut(ELEMENTWISE_TASK))
+                .collect();
+            tasks.into_par_iter().for_each(|(((value, grad), m), v)| {
+                for (((x, g), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
+                    *m = c.beta1 * *m + (1.0 - c.beta1) * g;
+                    *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+                    let m_hat = *m / bias1;
+                    let v_hat = *v / bias2;
+                    *x -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+                }
+            });
         }
     }
 

@@ -6,6 +6,19 @@
 
 use rand::Rng;
 
+/// Elements per task of a partitioned element-wise pass (the batch reduction
+/// over worker tapes, the optimizer steps).  A fixed count, never derived from
+/// the thread count: an element-wise pass gives the same bits under any
+/// partition, and a tensor no longer than one task is one item, which the
+/// parallel iterator runs on the calling thread — small models take the
+/// serial path without a threshold to tune.
+pub(crate) const ELEMENTWISE_TASK: usize = 1 << 16;
+
+/// Rows of the left operand the dense kernels process together.  Within a
+/// tile the inner dimension runs outermost, so each row of the right operand
+/// is read once per tile instead of once per row of the left.
+const TILE_ROWS: usize = 8;
+
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
@@ -109,6 +122,11 @@ impl Tensor {
         &mut self.data
     }
 
+    /// The underlying row-major buffer, consumed.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Immutable view of one row.
     #[inline]
     pub fn row_slice(&self, r: usize) -> &[f64] {
@@ -159,22 +177,17 @@ impl Tensor {
 
     /// Matrix product `self · other`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         let mut out = Tensor::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let row_out = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                let row_b = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, b) in row_out.iter_mut().zip(row_b) {
-                    *o += a * b;
-                }
-            }
-        }
+        self.matmul_into(other, &mut out);
         out
+    }
+
+    /// [`Tensor::matmul`] into a caller-provided **zeroed** `self.rows ×
+    /// other.cols` tensor.
+    pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
+        assert_eq!(out.shape(), (self.rows, other.cols), "output shape must be rows × cols");
+        matmul_acc(&self.data, &other.data, &mut out.data, self.cols, other.cols);
     }
 
     /// Transpose.
@@ -201,9 +214,112 @@ impl Tensor {
     }
 }
 
+// ---- dense kernels ---------------------------------------------------------
+//
+// The three products of a dense layer: `out = a·b` forward, `∂a = g·bᵀ` and
+// `∂b = aᵀ·g` backward, over row-major slices with `a: m×inner`, `b: inner×n`,
+// `g, out: m×n`.  Each streams the (large) weight matrix `b` once per tile of
+// TILE_ROWS samples and builds no transpose.  Every output element is still
+// the sum of the same products in the same ascending order from `+0.0` as the
+// naive triple loop, so results are bit-identical to it (the tests keep the
+// naive loops as the reference).
+
+/// `out += a · b`, tile by tile; `out` must be zero on entry.
+fn matmul_acc(a: &[f64], b: &[f64], out: &mut [f64], inner: usize, n: usize) {
+    if inner == 0 || n == 0 {
+        return;
+    }
+    for (a_tile, out_tile) in a.chunks(TILE_ROWS * inner).zip(out.chunks_mut(TILE_ROWS * n)) {
+        for (k, b_row) in b.chunks_exact(n).enumerate() {
+            for (a_row, out_row) in a_tile.chunks_exact(inner).zip(out_tile.chunks_exact_mut(n)) {
+                let a_ik = a_row[k];
+                // ReLU activations make exact zeros common.
+                if a_ik == 0.0 {
+                    continue;
+                }
+                for (o, b_kj) in out_row.iter_mut().zip(b_row) {
+                    *o += a_ik * b_kj;
+                }
+            }
+        }
+    }
+}
+
+/// `a_grad += g · bᵀ` over `b`'s rows as they lie: `∂a[r][k] = Σⱼ g[r][j]·b[k][j]`
+/// is a dot product along a row of `b`.  One such sum is a serial chain of
+/// additions, so the chains of a tile's rows run interleaved: the tile of `g`
+/// is transposed into `lanes` (`n × TILE_ROWS`, missing rows zero) and each
+/// `b[k][j]` feeds TILE_ROWS independent accumulators.
+pub(crate) fn matmul_grad_a(
+    g: &[f64],
+    b: &[f64],
+    a_grad: &mut [f64],
+    inner: usize,
+    n: usize,
+    lanes: &mut Vec<f64>,
+) {
+    if inner == 0 || n == 0 {
+        return;
+    }
+    for (g_tile, a_grad_tile) in g.chunks(TILE_ROWS * n).zip(a_grad.chunks_mut(TILE_ROWS * inner)) {
+        lanes.clear();
+        lanes.resize(n * TILE_ROWS, 0.0);
+        for (r, g_row) in g_tile.chunks_exact(n).enumerate() {
+            for (j, g_rj) in g_row.iter().enumerate() {
+                lanes[j * TILE_ROWS + r] = *g_rj;
+            }
+        }
+        for (k, b_row) in b.chunks_exact(n).enumerate() {
+            let mut acc = [0.0f64; TILE_ROWS];
+            for (g_j, b_kj) in lanes.chunks_exact(TILE_ROWS).zip(b_row) {
+                for (sum, g_rj) in acc.iter_mut().zip(g_j) {
+                    *sum += g_rj * b_kj;
+                }
+            }
+            for (a_grad_row, sum) in a_grad_tile.chunks_exact_mut(inner).zip(acc) {
+                a_grad_row[k] += sum;
+            }
+        }
+    }
+}
+
+/// `b_grad += aᵀ · g`: row `k` of the product, `Σᵢ a[i][k]·g[i][:]`, is
+/// accumulated in `row` and then added to row `k` of `b_grad` — the gradient
+/// may already hold another consumer's share, and `(x + p₀) + p₁` is not
+/// `x + (p₀ + p₁)`.
+pub(crate) fn matmul_grad_b(
+    a: &[f64],
+    g: &[f64],
+    b_grad: &mut [f64],
+    inner: usize,
+    n: usize,
+    row: &mut Vec<f64>,
+) {
+    if inner == 0 || n == 0 {
+        return;
+    }
+    for (k, b_grad_row) in b_grad.chunks_exact_mut(n).enumerate() {
+        row.clear();
+        row.resize(n, 0.0);
+        for (a_row, g_row) in a.chunks_exact(inner).zip(g.chunks_exact(n)) {
+            let a_ik = a_row[k];
+            if a_ik == 0.0 {
+                continue;
+            }
+            for (sum, g_ij) in row.iter_mut().zip(g_row) {
+                *sum += a_ik * g_ij;
+            }
+        }
+        for (d, sum) in b_grad_row.iter_mut().zip(row.iter()) {
+            *d += sum;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -286,6 +402,71 @@ mod tests {
     #[should_panic(expected = "zero rows")]
     fn stack_rows_rejects_empty() {
         let _ = Tensor::stack_rows(&[]);
+    }
+
+    /// The reference the tiled kernels are held to, bit for bit: one output
+    /// element at a time, products in ascending inner index from `+0.0`,
+    /// exact-zero left factors skipped (the loop `Tensor::matmul` was before
+    /// it was tiled).
+    fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for j in 0..b.cols {
+                let mut sum = 0.0;
+                for k in 0..a.cols {
+                    if a.get(i, k) != 0.0 {
+                        sum += a.get(i, k) * b.get(k, j);
+                    }
+                }
+                out.set(i, j, sum);
+            }
+        }
+        out
+    }
+
+    fn bits(t: &Tensor) -> Vec<u64> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Shapes straddle the tile (1–20 rows against TILE_ROWS = 8), and a
+        /// third of the left operand is exact zeros, as after a ReLU.
+        #[test]
+        fn tiled_kernels_match_the_naive_loops_bit_for_bit(
+            m in 1usize..21,
+            inner in 1usize..12,
+            n in 1usize..12,
+            raw in proptest::collection::vec(-4.0f64..4.0, 20 * 11 + 11 * 11 + 20 * 11 + 20 * 11),
+        ) {
+            let mut raw = raw.into_iter();
+            let mut take = |rows: usize, cols: usize, sparse: bool| {
+                let data = (0..rows * cols)
+                    .map(|_| raw.next().expect("enough values"))
+                    .map(|v: f64| if sparse && v.abs() < 4.0 / 3.0 { 0.0 } else { v })
+                    .collect();
+                Tensor::from_vec(rows, cols, data)
+            };
+            let (a, b, g) = (take(m, inner, true), take(inner, n, false), take(m, n, true));
+            prop_assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)));
+
+            // The backward products, added to gradients that already hold a
+            // share: what `backward` computed by materializing the transposes.
+            let mut a_grad = take(m, inner, false);
+            let mut expected_a = a_grad.clone();
+            expected_a.add_assign(&naive_matmul(&g, &b.transpose()));
+            let mut lanes = vec![f64::NAN; 3];
+            matmul_grad_a(g.data(), b.data(), a_grad.data_mut(), inner, n, &mut lanes);
+            prop_assert_eq!(bits(&a_grad), bits(&expected_a));
+
+            let mut b_grad = b.clone();
+            let mut expected_b = b.clone();
+            expected_b.add_assign(&naive_matmul(&a.transpose(), &g));
+            let mut row = vec![f64::NAN; 3];
+            matmul_grad_b(a.data(), g.data(), b_grad.data_mut(), inner, n, &mut row);
+            prop_assert_eq!(bits(&b_grad), bits(&expected_b));
+        }
     }
 
     #[test]

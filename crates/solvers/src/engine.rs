@@ -19,6 +19,8 @@
 //! [`crate::template::MluTemplate`], which builds the LP structure once and
 //! warm starts every re-solve from the previous optimum's basis.
 
+use std::sync::Arc;
+
 use figret_lp::{Direction, LinearProgram, LpError, Relation};
 use figret_nn::{Adam, AdamConfig, Graph, Optimizer, Tensor};
 use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
@@ -306,8 +308,13 @@ pub fn solve_iterative(problem: &MluProblem<'_>, settings: IterativeSettings) ->
         .map(|d| figret_te::max_link_utilization_pairs(paths, &uniform, d))
         .fold(0.0f64, f64::max)
         .max(1e-9);
-    let bounds = problem.feasible_bounds();
-    let bound_weight = settings.bound_penalty * initial_mlu;
+    // The sensitivity-bound penalty's data: `−bound` per pair (added to the
+    // per-pair sensitivities as a data-only leaf) and one weight per pair.
+    let bound_penalty = problem.feasible_bounds().map(|bounds| {
+        let negated: Vec<f64> = bounds.iter().map(|b| -b).collect();
+        let weight = settings.bound_penalty * initial_mlu;
+        (negated, Arc::new(vec![weight; paths.num_pairs()]))
+    });
 
     for step in 0..settings.iterations {
         graph.reset();
@@ -331,14 +338,12 @@ pub fn solve_iterative(problem: &MluProblem<'_>, settings: IterativeSettings) ->
         }
         let mut loss = objective.expect("at least one demand");
         // Sensitivity-bound penalty.
-        if let Some(bounds) = &bounds {
+        if let Some((negated, weights)) = &bound_penalty {
             let per_pair = diff.max_sensitivity_per_pair(&mut graph, ratios);
-            let neg_bounds =
-                graph.input(Tensor::row(&bounds.iter().map(|b| -b).collect::<Vec<_>>()));
+            let neg_bounds = graph.constant(1, negated.len(), |row| row.copy_from_slice(negated));
             let excess = graph.add(per_pair, neg_bounds);
             let violation = graph.relu(excess);
-            let penalty = graph
-                .dot_const(violation, std::sync::Arc::new(vec![bound_weight; paths.num_pairs()]));
+            let penalty = graph.dot_const(violation, Arc::clone(weights));
             loss = graph.add(loss, penalty);
         }
         graph.backward(loss);
@@ -493,6 +498,41 @@ mod tests {
         let mut p = MluProblem::new(&ps, vec![0.0; ps.num_pairs()]);
         p.demands.clear();
         assert!(matches!(solve_min_mlu(&p, SolverEngine::Lp), Err(SolveError::NoDemand)));
+    }
+
+    /// FNV-1a over the little-endian bytes of each value's bit pattern.
+    fn fnv_bits(values: &[f64]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// The iterative engine is the other `Graph::backward` + `Adam::step`
+    /// caller besides the trainer.  The hash was recorded at the commit
+    /// before PR 18 rewrote both (see `crates/core/tests/golden_bits.rs`):
+    /// two demands exercise `add` of two scalars, binding sensitivity bounds
+    /// exercise the `relu`/`dot_const` penalty over the data-only bounds leaf.
+    #[test]
+    fn iterative_engine_reproduces_the_recorded_bits() {
+        let topo = TopologySpec::full_scale(Topology::MetaDbPod).build();
+        let ps = PathSet::k_shortest(&topo, 3);
+        let calm: Vec<f64> = (0..ps.num_pairs()).map(|i| 10.0 + 3.0 * (i % 4) as f64).collect();
+        let burst: Vec<f64> = (0..ps.num_pairs()).map(|i| 4.0 + 9.0 * (i % 3) as f64).collect();
+        let mut problem = MluProblem::new(&ps, calm);
+        problem.demands.push(burst);
+        let settings = IterativeSettings { iterations: 60, ..Default::default() };
+        let free = solve_iterative(&problem, settings);
+        let uniform = max_sensitivity_per_pair(&ps, &TeConfig::uniform(&ps));
+        let bounds: Vec<f64> = uniform.iter().map(|s| 1.05 * s).collect();
+        let bounded = solve_iterative(&problem.with_sensitivity_bounds(bounds), settings);
+        assert_ne!(free.ratios(), bounded.ratios(), "the bounds must bind");
+        assert_eq!(fnv_bits(free.ratios()), 0x750f_f68e_7f91_d7eb);
+        assert_eq!(fnv_bits(bounded.ratios()), 0xf572_addb_ccf9_517d);
     }
 
     #[test]
