@@ -96,7 +96,7 @@ pub fn warmed_lp_fleet(case: &FleetCase, shards: usize) -> FleetController {
 /// compiles its model into the f32 `InferencePlan` and serves it with the
 /// LP audit disabled, so ticks never touch the solver.  Weights stay at
 /// initialisation: inference cost is weight-independent, and training every
-/// shard (`FigretModel::train_flat` on its gathered columns, as `serve_sim
+/// shard (`FigretModel::train` on its gathered columns, as `serve_sim
 /// --engine learned --shards N` does) would only lengthen setup — so this
 /// measures serving throughput, not TE quality.  Warmup (the model's history
 /// window) and the first decision are paid here, outside the timed region.

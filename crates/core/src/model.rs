@@ -11,13 +11,18 @@
 //! prefix and normalized to `[0, 1]` (the paper normalizes the variances when
 //! analysing them; the normalization also keeps the two loss terms on
 //! comparable scales).  Setting `α = 0` recovers DOTE.
+//!
+//! Pair columns are the one history currency of this layer: training reads a
+//! [`WindowDataset`], prediction takes windows of columns
+//! ([`FigretModel::predict_flat`], [`FigretModel::predict_batch`]), and
+//! `DemandMatrix` stops at the [`FigretModel::predict`] adapter.
 
 use figret_nn::{
     Adam, AdamConfig, Graph, InferencePlan, Mlp, MlpConfig, Optimizer, OutputActivation, Var,
     WorkerTape,
 };
 use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
-use figret_traffic::{DemandMatrix, FlatWindowDataset, WindowDataset};
+use figret_traffic::{DemandMatrix, WindowDataset};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -60,18 +65,9 @@ impl TrainingReport {
     }
 }
 
-/// A history window in either demand currency: dense matrices (the offline
-/// datasets) or flat pair columns (the serving controller's buffer).
-#[derive(Clone, Copy)]
-enum History<'a> {
-    Matrices(&'a [DemandMatrix]),
-    Columns(&'a [Vec<f64>]),
-}
-
-/// The one copy of the feature arithmetic: the `H` columns of a history
+/// The one copy of the feature arithmetic: the `H` pair columns of a history
 /// window laid end to end, oldest first, every demand divided by the feature
-/// scale.  Both currencies go through the same divisions, so equivalent data
-/// yields bit-identical features.
+/// scale.
 #[derive(Debug, Clone, Copy)]
 struct FeatureLayout {
     num_pairs: usize,
@@ -81,93 +77,16 @@ struct FeatureLayout {
 
 impl FeatureLayout {
     /// Writes the features of `history` into `row` (`H · num_pairs` values).
-    fn write(&self, history: History<'_>, row: &mut [f64]) {
+    fn write(&self, history: &[Vec<f64>], row: &mut [f64]) {
         let slots = row.chunks_exact_mut(self.num_pairs);
-        match history {
-            History::Matrices(matrices) => {
-                assert_eq!(
-                    matrices.len(),
-                    slots.len(),
-                    "history must contain exactly H demand matrices"
-                );
-                for (m, slot) in matrices.iter().zip(slots) {
-                    m.flatten_pairs_into(slot);
-                }
-            }
-            History::Columns(columns) => {
-                assert_eq!(
-                    columns.len(),
-                    slots.len(),
-                    "history must contain exactly H demand columns"
-                );
-                for (column, slot) in columns.iter().zip(slots) {
-                    assert_eq!(
-                        column.len(),
-                        self.num_pairs,
-                        "one demand value per pair is required"
-                    );
-                    slot.copy_from_slice(column);
-                }
-            }
+        assert_eq!(history.len(), slots.len(), "history must contain exactly H demand columns");
+        for (column, slot) in history.iter().zip(slots) {
+            assert_eq!(column.len(), self.num_pairs, "one demand value per pair is required");
+            slot.copy_from_slice(column);
         }
         for f in row {
             *f /= self.scale;
         }
-    }
-}
-
-/// Where the trainer reads its samples.
-#[derive(Clone, Copy)]
-enum Samples<'a> {
-    Windows(&'a WindowDataset),
-    Columns(&'a FlatWindowDataset),
-}
-
-impl<'a> Samples<'a> {
-    fn len(self) -> usize {
-        match self {
-            Samples::Windows(dataset) => dataset.len(),
-            Samples::Columns(dataset) => dataset.len(),
-        }
-    }
-
-    fn history(self, i: usize) -> History<'a> {
-        match self {
-            Samples::Windows(dataset) => History::Matrices(&dataset.samples[i].history),
-            Samples::Columns(dataset) => History::Columns(dataset.history(i)),
-        }
-    }
-
-    /// Writes sample `i`'s realized demands, one per pair, into `row`.
-    fn write_target(self, i: usize, row: &mut [f64]) {
-        match self {
-            Samples::Windows(dataset) => dataset.samples[i].target.flatten_pairs_into(row),
-            Samples::Columns(dataset) => row.copy_from_slice(dataset.target(i)),
-        }
-    }
-
-    /// The largest demand in any sample's history window (targets excluded).
-    fn max_history_entry(self) -> f64 {
-        let dataset = match self {
-            Samples::Windows(dataset) => dataset,
-            Samples::Columns(dataset) => return dataset.max_history_entry(),
-        };
-        // `history[h]` is trace snapshot `target_index - H + h`, so a sample
-        // whose window slid forward from the previous one's shares all but
-        // its newest matrices with it: every snapshot is scanned once, not
-        // once per window that holds a clone of it.
-        let mut max = 0.0f64;
-        let mut previous = 0..0;
-        for sample in &dataset.samples {
-            let first = sample.target_index.saturating_sub(sample.history.len());
-            let slid_forward = first >= previous.start && sample.target_index > previous.end;
-            let shared = if slid_forward { previous.end.saturating_sub(first) } else { 0 };
-            for m in sample.history.iter().skip(shared) {
-                max = max.max(m.max_entry());
-            }
-            previous = first..sample.target_index;
-        }
-        max
     }
 }
 
@@ -234,9 +153,10 @@ impl FigretModel {
         self.mlp.num_parameters(&self.graph)
     }
 
-    /// Trains the model on a window dataset (as produced by
-    /// [`WindowDataset::from_trace`] over the training split) with shuffled
-    /// mini-batch SGD.
+    /// Trains the model on a window dataset — [`WindowDataset::from_trace`]
+    /// over the training split, or [`WindowDataset::from_columns`] over the
+    /// columns a serving controller observed (any pair universe, restricted
+    /// shard universes included) — with shuffled mini-batch SGD.
     ///
     /// Each mini-batch of [`FigretConfig::batch_size`] samples is split into
     /// fixed-size microbatches whose gradients are computed in parallel
@@ -245,22 +165,6 @@ impl FigretModel {
     /// order, averaged, and applied with one Adam step.  `batch_size = 1`
     /// recovers the original per-sample update rule exactly.
     pub fn train(&mut self, dataset: &WindowDataset) -> TrainingReport {
-        assert!(!dataset.is_empty(), "the training dataset is empty");
-        assert_eq!(
-            dataset.window, self.config.history_window,
-            "dataset window must match the configured history window"
-        );
-        self.train_on(Samples::Windows(dataset))
-    }
-
-    /// Trains the model on a flat columnar dataset (observed demand columns,
-    /// e.g. drained from a serving controller's history window).  This is
-    /// [`FigretModel::train`] over another sample source — one loop serves
-    /// both — so on a dense universe the two are bit-identical for equivalent
-    /// data.  This is the online-retraining path of the serving recovery
-    /// subsystem — and it works on restricted shard universes, where no dense
-    /// `N×N` matrices exist to build a [`WindowDataset`] from.
-    pub fn train_flat(&mut self, dataset: &FlatWindowDataset) -> TrainingReport {
         assert!(!dataset.is_empty(), "the training dataset is empty");
         assert_eq!(
             dataset.window(),
@@ -272,14 +176,8 @@ impl FigretModel {
             self.features.num_pairs,
             "one demand value per pair is required"
         );
-        self.train_on(Samples::Columns(dataset))
-    }
-
-    /// The training loop behind [`FigretModel::train`] and
-    /// [`FigretModel::train_flat`].
-    fn train_on(&mut self, samples: Samples<'_>) -> TrainingReport {
         let start = std::time::Instant::now();
-        let max_demand = samples.max_history_entry();
+        let max_demand = dataset.max_history_entry();
         self.features.scale = if max_demand > 0.0 { max_demand } else { 1.0 };
 
         let params = self.mlp.parameters();
@@ -289,12 +187,12 @@ impl FigretModel {
             AdamConfig { learning_rate: self.config.learning_rate, ..Default::default() },
         );
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x7a11_5eed);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut report = TrainingReport { samples_per_epoch: samples.len(), ..Default::default() };
+        let mut order: Vec<usize> = (0..dataset.len()).collect();
+        let mut report = TrainingReport { samples_per_epoch: dataset.len(), ..Default::default() };
         let batch_size = self.config.batch_size.max(1);
         // Microbatch `m` of every batch runs on tape `m`, so the reduction
         // below reads the gradient sums in chunk order straight off the tapes.
-        let mut tapes: Vec<WorkerTape> = (0..batch_size.min(samples.len()).div_ceil(MICROBATCH))
+        let mut tapes: Vec<WorkerTape> = (0..batch_size.min(dataset.len()).div_ceil(MICROBATCH))
             .map(|_| self.graph.worker_tape())
             .collect();
 
@@ -310,7 +208,7 @@ impl FigretModel {
                 let microbatches = work.len();
                 let partials: Vec<[f64; 3]> = work
                     .into_par_iter()
-                    .map(|(tape, chunk)| self.microbatch_gradients(tape, samples, chunk))
+                    .map(|(tape, chunk)| self.microbatch_gradients(tape, dataset, chunk))
                     .collect();
                 // Chunk order into a batch subtotal, subtotals into the
                 // epoch's sums: the association the loss curve is pinned to.
@@ -327,7 +225,7 @@ impl FigretModel {
                 self.graph.add_scaled_grad_sum(&params, &tapes[..microbatches], mean);
                 adam.step(&mut self.graph);
             }
-            let n = samples.len() as f64;
+            let n = dataset.len() as f64;
             let [loss, mlu, penalty] = sums;
             report.epochs.push(EpochStats {
                 mean_loss: loss / n,
@@ -347,7 +245,7 @@ impl FigretModel {
         mlp: &Mlp,
         diff: &DiffTe,
         graph: &mut Graph,
-        histories: impl ExactSizeIterator<Item = History<'h>>,
+        histories: impl ExactSizeIterator<Item = &'h [Vec<f64>]>,
     ) -> Var {
         let input_dim = mlp.config().input_dim;
         let input = graph.constant(histories.len(), input_dim, |rows| {
@@ -366,16 +264,16 @@ impl FigretModel {
     fn microbatch_gradients(
         &self,
         tape: &mut WorkerTape,
-        samples: Samples<'_>,
+        dataset: &WindowDataset,
         chunk: &[usize],
     ) -> [f64; 3] {
         let num_pairs = self.features.num_pairs;
         let mut demand_rows = vec![0.0; chunk.len() * num_pairs];
         for (&i, row) in chunk.iter().zip(demand_rows.chunks_exact_mut(num_pairs)) {
-            samples.write_target(i, row);
+            row.copy_from_slice(dataset.target(i));
         }
         tape.run(&self.graph, |graph| {
-            let histories = chunk.iter().map(|&i| samples.history(i));
+            let histories = chunk.iter().map(|&i| dataset.history(i));
             let ratios = Self::ratios(self.features, &self.mlp, &self.diff, graph, histories);
             let mlu_col = self.diff.mlu_batch(graph, ratios, &demand_rows, MluAggregation::Max);
             let mlu_sum: f64 = graph.value(mlu_col).data().iter().sum();
@@ -410,12 +308,14 @@ impl FigretModel {
         )
     }
 
-    /// One forward pass of the main tape over a batch of history windows:
-    /// one configuration per window.
-    fn predict_rows<'h>(
+    /// Computes TE configurations for many history windows (each `H` pair
+    /// columns, most recent last — e.g. [`WindowDataset::histories`]) with a
+    /// single batch-major forward pass of the main tape: one configuration
+    /// per window.
+    pub fn predict_batch<'h>(
         &mut self,
         paths: &PathSet,
-        histories: impl ExactSizeIterator<Item = History<'h>>,
+        histories: impl ExactSizeIterator<Item = &'h [Vec<f64>]>,
     ) -> Vec<TeConfig> {
         if histories.len() == 0 {
             return Vec::new();
@@ -427,34 +327,20 @@ impl FigretModel {
     }
 
     /// Computes the TE configuration for the next snapshot from a history
-    /// window of `H` demand matrices (most recent last).
-    pub fn predict(&mut self, paths: &PathSet, history: &[DemandMatrix]) -> TeConfig {
-        self.predict_rows(paths, std::iter::once(History::Matrices(history))).remove(0)
-    }
-
-    /// Computes the TE configuration from a history window of `H` flat
-    /// demand columns (most recent last), one value per pair of the path
-    /// set's universe in slot order.
-    ///
-    /// Feature construction runs the same arithmetic as
-    /// [`FigretModel::predict`] (concatenate, divide by the feature scale),
-    /// so on a dense universe this is bit-identical to `predict` fed the
-    /// matrices those columns flatten to.  This is the serving controller's
-    /// path — it keeps columnar history and never materializes `N×N`
-    /// matrices, which is what lets learned serving scale to restricted
-    /// fabric universes.
+    /// window of `H` flat demand columns (most recent last), one value per
+    /// pair of the path set's universe in slot order.  Pair columns are the
+    /// model's history currency: the serving controller keeps its history
+    /// this way and never materializes `N×N` matrices, which is what lets
+    /// learned serving scale to restricted fabric universes.
     pub fn predict_flat(&mut self, paths: &PathSet, history: &[Vec<f64>]) -> TeConfig {
-        self.predict_rows(paths, std::iter::once(History::Columns(history))).remove(0)
+        self.predict_batch(paths, std::iter::once(history)).remove(0)
     }
 
-    /// Computes TE configurations for many history windows with a single
-    /// batch-major forward pass (the fast path of the evaluation runner).
-    pub fn predict_batch(
-        &mut self,
-        paths: &PathSet,
-        histories: &[Vec<DemandMatrix>],
-    ) -> Vec<TeConfig> {
-        self.predict_rows(paths, histories.iter().map(|h| History::Matrices(h)))
+    /// The dense-edge adapter of [`FigretModel::predict_flat`]: flattens a
+    /// history window of `H` demand matrices (most recent last).
+    pub fn predict(&mut self, paths: &PathSet, history: &[DemandMatrix]) -> TeConfig {
+        let columns: Vec<Vec<f64>> = history.iter().map(DemandMatrix::flatten_pairs).collect();
+        self.predict_flat(paths, &columns)
     }
 }
 
@@ -482,15 +368,11 @@ impl TealLikeModel {
         TealLikeModel { inner: FigretModel::new(paths, &vec![0.0; paths.num_pairs()], cfg) }
     }
 
-    /// Trains the model to minimize the MLU of the snapshot it receives.
+    /// Trains the model to minimize the MLU of the snapshot it receives:
+    /// every sample of `dataset` re-targeted so that its "history" is the
+    /// target snapshot itself.
     pub fn train(&mut self, dataset: &WindowDataset) -> TrainingReport {
-        // Re-target every sample: the "history" is the target snapshot itself.
-        let mut same_snapshot = dataset.clone();
-        same_snapshot.window = 1;
-        for s in &mut same_snapshot.samples {
-            s.history = vec![s.target.clone()];
-        }
-        self.inner.train(&same_snapshot)
+        self.inner.train(&dataset.targets_as_history())
     }
 
     /// Computes a configuration for the *given* demand matrix (apply it to the
@@ -500,10 +382,14 @@ impl TealLikeModel {
     }
 
     /// Batched counterpart of [`TealLikeModel::predict`]: one configuration
-    /// per demand matrix via a single forward pass.
-    pub fn predict_batch(&mut self, paths: &PathSet, demands: &[DemandMatrix]) -> Vec<TeConfig> {
-        let windows = demands.iter().map(|d| History::Matrices(std::slice::from_ref(d)));
-        self.inner.predict_rows(paths, windows)
+    /// per one-column window (a window-1 [`WindowDataset`]'s histories are the
+    /// `D_{t-1}` of its targets) via a single forward pass.
+    pub fn predict_batch<'h>(
+        &mut self,
+        paths: &PathSet,
+        demands: impl ExactSizeIterator<Item = &'h [Vec<f64>]>,
+    ) -> Vec<TeConfig> {
+        self.inner.predict_batch(paths, demands)
     }
 }
 
@@ -548,17 +434,16 @@ mod tests {
         let config = FigretConfig::fast_test();
         let h = config.history_window;
         let train = WindowDataset::from_trace(&trace, h, split.train.clone());
-        let test = WindowDataset::from_trace(&trace, h, split.test.clone());
         let mut model = FigretModel::new(&ps, &variances, config);
         model.train(&train);
         let uniform = TeConfig::uniform(&ps);
         let mut model_total = 0.0;
         let mut uniform_total = 0.0;
-        for sample in &test.samples {
-            let cfg = model.predict(&ps, &sample.history);
+        for t in split.test.clone() {
+            let cfg = model.predict(&ps, &trace.matrices()[t - h..t]);
             assert!(cfg.is_valid(&ps));
-            model_total += max_link_utilization(&ps, &cfg, &sample.target);
-            uniform_total += max_link_utilization(&ps, &uniform, &sample.target);
+            model_total += max_link_utilization(&ps, &cfg, trace.matrix(t));
+            uniform_total += max_link_utilization(&ps, &uniform, trace.matrix(t));
         }
         assert!(
             model_total < uniform_total,
@@ -628,39 +513,48 @@ mod tests {
     }
 
     #[test]
-    fn train_flat_bit_matches_dense_training() {
+    fn both_constructors_train_to_identical_bits() {
         let (ps, trace) = setup();
         let split = TrainTestSplit::chronological(trace.len(), 0.75);
         let variances = per_pair_variance_range(&trace, split.train.clone());
         let config = FigretConfig { epochs: 3, ..FigretConfig::fast_test() };
         let h = config.history_window;
-        let dense = WindowDataset::from_trace(&trace, h, split.train.clone());
-        // The same training range as flat columns: matrices 0..cut flattened
-        // in slot order, so flat sample `i` is dense sample `i` exactly.
+        let from_trace = WindowDataset::from_trace(&trace, h, split.train.clone());
+        // The same training range handed over as columns: matrices 0..cut
+        // flattened in slot order, so sample `i` is sample `i` exactly.
         let columns: Vec<Vec<f64>> =
-            split.train.clone().map(|t| trace.matrix(t).flatten_pairs()).collect();
-        let flat = FlatWindowDataset::from_columns(h, columns);
-        assert_eq!(flat.len(), dense.len());
+            trace.matrices()[split.train.clone()].iter().map(|m| m.flatten_pairs()).collect();
+        let from_columns = WindowDataset::from_columns(h, columns);
+        assert_eq!(from_columns.len(), from_trace.len());
 
-        let mut dense_model = FigretModel::new(&ps, &variances, config.clone());
-        let dense_report = dense_model.train(&dense);
-        let mut flat_model = FigretModel::new(&ps, &variances, config);
-        let flat_report = flat_model.train_flat(&flat);
+        let mut trace_model = FigretModel::new(&ps, &variances, config.clone());
+        let trace_report = trace_model.train(&from_trace);
+        let mut column_model = FigretModel::new(&ps, &variances, config);
+        let column_report = column_model.train(&from_columns);
 
         // Same shuffle, same chunking, same arithmetic: per-epoch stats are
         // bit-equal, not merely close.
-        for (d, f) in dense_report.epochs.iter().zip(&flat_report.epochs) {
-            assert_eq!(d.mean_loss, f.mean_loss);
-            assert_eq!(d.mean_mlu, f.mean_mlu);
-            assert_eq!(d.mean_penalty, f.mean_penalty);
-        }
-        // And so are the trained predictors.
+        assert_eq!(trace_report.epochs, column_report.epochs);
+        // And so are the trained predictors, through the dense adapter and
+        // the column entry point.
         let t = trace.len() - 1;
-        let history: Vec<DemandMatrix> = (t - h..t).map(|i| trace.matrix(i).clone()).collect();
+        let history = &trace.matrices()[t - h..t];
         let flat_history: Vec<Vec<f64>> = history.iter().map(|m| m.flatten_pairs()).collect();
-        let dense_cfg = dense_model.predict(&ps, &history);
-        let flat_cfg = flat_model.predict_flat(&ps, &flat_history);
+        let dense_cfg = trace_model.predict(&ps, history);
+        let flat_cfg = column_model.predict_flat(&ps, &flat_history);
         assert_eq!(dense_cfg.ratios(), flat_cfg.ratios());
+    }
+
+    #[test]
+    #[should_panic(expected = "one demand value per pair")]
+    fn train_checks_the_pair_count_up_front() {
+        let (ps, _) = setup();
+        // A five-node trace against the four-PoD model.
+        let matrix = DemandMatrix::from_pairs(5, &[1.0; 20]).unwrap();
+        let other = figret_traffic::TrafficTrace::new("five", 1.0, vec![matrix; 12]);
+        let config = FigretConfig::fast_test();
+        let dataset = WindowDataset::from_trace(&other, config.history_window, 0..12);
+        FigretModel::new(&ps, &vec![0.0; ps.num_pairs()], config).train(&dataset);
     }
 
     #[test]
@@ -698,13 +592,12 @@ mod tests {
         let dataset = WindowDataset::from_trace(&trace, h, split.train.clone());
         let mut model = FigretModel::new(&ps, &variances, config);
         model.train(&dataset);
-        let histories: Vec<Vec<figret_traffic::DemandMatrix>> =
-            (h..h + 5).map(|t| (t - h..t).map(|i| trace.matrix(i).clone()).collect()).collect();
-        let batched = model.predict_batch(&ps, &histories);
-        assert_eq!(batched.len(), histories.len());
-        assert!(model.predict_batch(&ps, &[]).is_empty());
-        for (history, batched_cfg) in histories.iter().zip(&batched) {
-            let single = model.predict(&ps, history);
+        let windows = WindowDataset::from_trace(&trace, h, h..h + 5);
+        let batched = model.predict_batch(&ps, windows.histories());
+        assert_eq!(batched.len(), 5);
+        assert!(model.predict_batch(&ps, std::iter::empty()).is_empty());
+        for (t, batched_cfg) in (h..h + 5).zip(&batched) {
+            let single = model.predict(&ps, &trace.matrices()[t - h..t]);
             assert!(batched_cfg.is_valid(&ps));
             for p in 0..ps.num_paths() {
                 assert!(
@@ -731,15 +624,15 @@ mod tests {
 
         let mut raw = vec![0.0; ps.num_paths()];
         for t in h..h + 4 {
-            let history: Vec<DemandMatrix> = (t - h..t).map(|i| trace.matrix(i).clone()).collect();
+            let history = &trace.matrices()[t - h..t];
             // The plan takes *raw* features; scaling happens inside.
             let mut features = Vec::new();
-            for m in &history {
+            for m in history {
                 features.extend(m.flatten_pairs());
             }
             plan.forward(&features, &mut raw);
             let plan_cfg = TeConfig::from_raw(&ps, &raw);
-            let graph_cfg = model.predict(&ps, &history);
+            let graph_cfg = model.predict(&ps, history);
             assert!(plan_cfg.is_valid(&ps));
             for p in 0..ps.num_paths() {
                 let (a, b) = (plan_cfg.ratio(p), graph_cfg.ratio(p));
@@ -752,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exactly H demand matrices")]
+    #[should_panic(expected = "exactly H demand columns")]
     fn predict_checks_history_length() {
         let (ps, trace) = setup();
         let mut model =

@@ -9,17 +9,16 @@
 //! pattern of every epoch's `(mean_loss, mean_mlu, mean_penalty)` and an FNV
 //! hash over the bits of the trained model's predicted ratios, at batch sizes
 //! 1, 8 and 20 (a batch that is not a multiple of the microbatch), with and
-//! without the robustness term, through both `train` and `train_flat`.  Any
+//! without the robustness term, through both `WindowDataset` constructors
+//! (`from_trace` + `predict`, `from_columns` + `predict_flat`).  Any
 //! reordered sum, fused multiply-add, dropped `+ 0.0` or thread-dependent
 //! reduction fails them.
 
-use figret::{FigretConfig, FigretModel};
+use figret::{FigretConfig, FigretModel, TealLikeModel};
 use figret_te::PathSet;
 use figret_topology::{Topology, TopologySpec};
 use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
-use figret_traffic::{
-    per_pair_variance_range, DemandMatrix, FlatWindowDataset, TrainTestSplit, WindowDataset,
-};
+use figret_traffic::{per_pair_variance_range, DemandMatrix, TrainTestSplit, WindowDataset};
 
 /// FNV-1a over the little-endian bytes of each value's bit pattern.
 fn fnv_bits(values: &[f64]) -> u64 {
@@ -106,7 +105,11 @@ const GOLDEN: [Golden; 6] = [
     ),
 ];
 
-fn run(batch_size: usize, robustness_weight: f64, flat: bool) -> ([[u64; 3]; 4], u64) {
+fn flatten(matrices: &[DemandMatrix]) -> Vec<Vec<f64>> {
+    matrices.iter().map(DemandMatrix::flatten_pairs).collect()
+}
+
+fn run(batch_size: usize, robustness_weight: f64, columns: bool) -> ([[u64; 3]; 4], u64) {
     let pod = TopologySpec::full_scale(Topology::MetaDbPod).build();
     let paths = PathSet::k_shortest(&pod, 3);
     let trace = pod_trace(&pod, &PodTrafficConfig { num_snapshots: 120, ..Default::default() });
@@ -117,16 +120,14 @@ fn run(batch_size: usize, robustness_weight: f64, flat: bool) -> ([[u64; 3]; 4],
     let mut model = FigretModel::new(&paths, &variances, config);
 
     let t = trace.len() - 1;
-    let history: Vec<DemandMatrix> = (t - h..t).map(|i| trace.matrix(i).clone()).collect();
-    let (report, predicted) = if flat {
-        let columns: Vec<Vec<f64>> =
-            split.train.clone().map(|i| trace.matrix(i).flatten_pairs()).collect();
-        let report = model.train_flat(&FlatWindowDataset::from_columns(h, columns));
-        let flat_history: Vec<Vec<f64>> = history.iter().map(|m| m.flatten_pairs()).collect();
-        (report, model.predict_flat(&paths, &flat_history))
+    let history = &trace.matrices()[t - h..t];
+    let (report, predicted) = if columns {
+        let train = flatten(&trace.matrices()[split.train.clone()]);
+        let report = model.train(&WindowDataset::from_columns(h, train));
+        (report, model.predict_flat(&paths, &flatten(history)))
     } else {
         let report = model.train(&WindowDataset::from_trace(&trace, h, split.train.clone()));
-        (report, model.predict(&paths, &history))
+        (report, model.predict(&paths, history))
     };
     let mut epochs = [[0u64; 3]; 4];
     assert_eq!(report.epochs.len(), epochs.len());
@@ -136,15 +137,45 @@ fn run(batch_size: usize, robustness_weight: f64, flat: bool) -> ([[u64; 3]; 4],
     (epochs, fnv_bits(predicted.ratios()))
 }
 
+/// `TealLikeModel::train` on the same fixture (3 epochs, `fast_test()`
+/// otherwise): per-epoch `(mean_loss, mean_mlu)` bits and the FNV of one
+/// prediction's ratios, recorded at the commit before the columnar
+/// `WindowDataset` (PR 20) re-indexed TEAL's "history := target" samples.
+const TEAL_GOLDEN: ([[u64; 2]; 3], u64) = (
+    [
+        [0x3fe7aa0df75dfcdc, 0x3fe7aa0df75dfcdc],
+        [0x3fe74984923e1139, 0x3fe74984923e1139],
+        [0x3fe72bca092d7b38, 0x3fe72bca092d7b38],
+    ],
+    0xc27a8759069be3c2,
+);
+
+#[test]
+fn teal_trainer_reproduces_the_recorded_bits() {
+    let pod = TopologySpec::full_scale(Topology::MetaDbPod).build();
+    let paths = PathSet::k_shortest(&pod, 3);
+    let trace = pod_trace(&pod, &PodTrafficConfig { num_snapshots: 120, ..Default::default() });
+    let split = TrainTestSplit::chronological(trace.len(), 0.75);
+    let config = FigretConfig { epochs: 3, ..FigretConfig::fast_test() };
+    let dataset = WindowDataset::from_trace(&trace, config.history_window, split.train.clone());
+    let mut teal = TealLikeModel::new(&paths, config);
+    let report = teal.train(&dataset);
+    let epochs: Vec<[u64; 2]> =
+        report.epochs.iter().map(|e| [e.mean_loss.to_bits(), e.mean_mlu.to_bits()]).collect();
+    let predicted = teal.predict(&paths, trace.matrix(trace.len() - 2));
+    let got = (epochs, fnv_bits(predicted.ratios()));
+    assert_eq!(got, (TEAL_GOLDEN.0.to_vec(), TEAL_GOLDEN.1), "{got:#x?}");
+}
+
 #[test]
 fn trainer_reproduces_the_recorded_bits() {
     for (batch_size, robustness_weight, epochs, ratios_hash) in GOLDEN {
-        for flat in [false, true] {
-            let (got_epochs, got_hash) = run(batch_size, robustness_weight, flat);
+        for columns in [false, true] {
+            let (got_epochs, got_hash) = run(batch_size, robustness_weight, columns);
             assert_eq!(
                 (got_epochs, got_hash),
                 (epochs, ratios_hash),
-                "batch_size {batch_size}, robustness_weight {robustness_weight}, flat {flat}: \
+                "batch_size {batch_size}, robustness_weight {robustness_weight}, columns {columns}: \
                  ({batch_size}, {robustness_weight:?}, {got_epochs:#x?}, {got_hash:#x})"
             );
         }

@@ -12,6 +12,10 @@
 //! extra epoch does allocate (the per-microbatch demand constants of the loss,
 //! the parallel iterator's bookkeeping) is bounded by the data, not the model.
 //!
+//! The same counters bound what building the training set allocates: twice
+//! its distinct numbers, where the dense dataset before PR 20 cloned `H + 1`
+//! matrices per sample.
+//!
 //! This file holds ONE test: the counters are process-wide, and the test
 //! harness runs the tests of a binary on concurrent threads.
 
@@ -81,7 +85,17 @@ fn extra_epochs_allocate_nothing_weight_sized() {
     // matrices far larger than any activation batch.
     let config =
         FigretConfig { batch_size: 32, hidden: vec![256, 64], ..FigretConfig::fast_test() };
+    // The dataset stores each snapshot's pair column once: building it
+    // allocates the columns plus their bookkeeping, not a window of cloned
+    // `N×N` matrices per sample.
+    BYTES.store(0, Ordering::Relaxed);
     let dataset = WindowDataset::from_trace(&trace, config.history_window, 0..90);
+    let dataset_bytes = BYTES.load(Ordering::Relaxed);
+    let column_bytes = 90 * paths.num_pairs() * std::mem::size_of::<f64>();
+    assert!(
+        dataset_bytes <= 2 * column_bytes,
+        "building the dataset allocated {dataset_bytes} bytes for {column_bytes} bytes of columns"
+    );
     let mut widths = vec![config.history_window * paths.num_pairs()];
     widths.extend(&config.hidden);
     widths.push(paths.num_paths());

@@ -404,12 +404,9 @@ pub fn fig8_sensitivity(options: &ExperimentOptions) {
             match &scheme {
                 Scheme::Desensitization(settings) => {
                     for &t in &indices {
-                        let history: Vec<_> = (t - eval.window..t)
-                            .map(|h| scenario.trace.matrix(h).clone())
-                            .collect();
                         let cfg = figret_solvers::desensitization_config(
                             &scenario.paths,
-                            &history,
+                            &scenario.trace.matrices()[t - eval.window..t],
                             settings,
                             eval.engine,
                         )
@@ -433,10 +430,8 @@ pub fn fig8_sensitivity(options: &ExperimentOptions) {
                         figret::FigretModel::new(&scenario.paths, &variances, cfg_scheme);
                     model.train(&dataset);
                     for &t in &indices {
-                        let history: Vec<_> = (t - eval.window..t)
-                            .map(|h| scenario.trace.matrix(h).clone())
-                            .collect();
-                        let cfg = model.predict(&scenario.paths, &history);
+                        let history = &scenario.trace.matrices()[t - eval.window..t];
+                        let cfg = model.predict(&scenario.paths, history);
                         for (i, s) in
                             max_sensitivity_per_pair(&scenario.paths, &cfg).iter().enumerate()
                         {

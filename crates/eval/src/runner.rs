@@ -34,7 +34,7 @@ use figret_te::{
     reroute_around_failures, SchemeQuality, TeConfig,
 };
 use figret_topology::FailureScenario;
-use figret_traffic::{per_pair_variance_range, DemandMatrix, WindowDataset};
+use figret_traffic::{per_pair_variance_range, WindowDataset};
 
 use crate::scenario::Scenario;
 
@@ -165,10 +165,6 @@ impl SchemeRun {
         let normalized = normalize_by(&self.mlus, baseline);
         SchemeQuality::from_normalized(&self.scheme, &normalized)
     }
-}
-
-fn history_window(scenario: &Scenario, t: usize, window: usize) -> Vec<DemandMatrix> {
-    (t - window..t).map(|h| scenario.trace.matrix(h).clone()).collect()
 }
 
 fn apply_failure(
@@ -414,10 +410,10 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
             let start = Instant::now();
             model.train(&dataset);
             precompute_seconds = start.elapsed().as_secs_f64();
-            let histories: Vec<Vec<DemandMatrix>> =
-                indices.iter().map(|&t| history_window(scenario, t, window)).collect();
+            let evaluated =
+                WindowDataset::from_targets(&scenario.trace, window, indices.iter().copied());
             let start = Instant::now();
-            let raw = model.predict_batch(&scenario.paths, &histories);
+            let raw = model.predict_batch(&scenario.paths, evaluated.histories());
             solve_seconds = start.elapsed().as_secs_f64();
             configs = deploy_configs(scenario, raw, &options.failure);
         }
@@ -430,10 +426,10 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
             let start = Instant::now();
             model.train(&dataset);
             precompute_seconds = start.elapsed().as_secs_f64();
-            let previous: Vec<DemandMatrix> =
-                indices.iter().map(|&t| scenario.trace.matrix(t - 1).clone()).collect();
+            // The `D_{t-1}` protocol is the same call at window 1.
+            let previous = WindowDataset::from_targets(&scenario.trace, 1, indices.iter().copied());
             let start = Instant::now();
-            let raw = model.predict_batch(&scenario.paths, &previous);
+            let raw = model.predict_batch(&scenario.paths, previous.histories());
             solve_seconds = start.elapsed().as_secs_f64();
             configs = deploy_configs(scenario, raw, &options.failure);
         }
@@ -445,12 +441,12 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
                 use_lp,
                 || MluTemplate::for_desensitization(&scenario.paths, settings),
                 |t| {
-                    let history = history_window(scenario, t, window);
-                    predict(&history, settings.predictor).flatten_pairs()
+                    let history = &scenario.trace.matrices()[t - window..t];
+                    predict(history, settings.predictor).flatten_pairs()
                 },
                 |t| {
-                    let history = history_window(scenario, t, window);
-                    desensitization_config(&scenario.paths, &history, settings, options.engine)
+                    let history = &scenario.trace.matrices()[t - window..t];
+                    desensitization_config(&scenario.paths, history, settings, options.engine)
                         .expect("Des TE must be solvable")
                 },
             );
@@ -476,14 +472,14 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
                     )
                 },
                 |t| {
-                    let history = history_window(scenario, t, window);
-                    predict(&history, settings.predictor).flatten_pairs()
+                    let history = &scenario.trace.matrices()[t - window..t];
+                    predict(history, settings.predictor).flatten_pairs()
                 },
                 |t| {
-                    let history = history_window(scenario, t, window);
+                    let history = &scenario.trace.matrices()[t - window..t];
                     fault_aware_desensitization_config(
                         &scenario.paths,
-                        &history,
+                        history,
                         settings,
                         &scenario_failure,
                         options.engine,
@@ -504,12 +500,12 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
                 use_lp,
                 || MluTemplate::new(&scenario.paths),
                 |t| {
-                    let history = history_window(scenario, t, window);
-                    predict(&history, *predictor).flatten_pairs()
+                    let history = &scenario.trace.matrices()[t - window..t];
+                    predict(history, *predictor).flatten_pairs()
                 },
                 |t| {
-                    let history = history_window(scenario, t, window);
-                    prediction_config(&scenario.paths, &history, *predictor, options.engine)
+                    let history = &scenario.trace.matrices()[t - window..t];
+                    prediction_config(&scenario.paths, history, *predictor, options.engine)
                         .expect("prediction TE must be solvable")
                 },
             );
@@ -553,14 +549,14 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
                     )
                 },
                 |t| {
-                    let history = history_window(scenario, t, window);
-                    predict(&history, HEURISTIC_PREDICTOR).flatten_pairs()
+                    let history = &scenario.trace.matrices()[t - window..t];
+                    predict(history, HEURISTIC_PREDICTOR).flatten_pairs()
                 },
                 |t| {
-                    let history = history_window(scenario, t, window);
+                    let history = &scenario.trace.matrices()[t - window..t];
                     heuristic_fine_grained_config(
                         &scenario.paths,
-                        &history,
+                        history,
                         &train_variances,
                         *bound,
                         options.engine,
@@ -649,6 +645,33 @@ mod tests {
             assert!(q.normalized_mlu.mean >= 1.0 - 1e-6);
             assert!(q.normalized_mlu.mean < 20.0, "{} unreasonably bad", run.scheme);
         }
+    }
+
+    /// FNV-1a over the little-endian bytes of each value's bit pattern.
+    fn fnv_bits(values: &[f64]) -> u64 {
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// The learned arms' MLU series, bit for bit, recorded at the commit
+    /// before they moved from cloned matrix windows to borrowed column
+    /// windows (PR 20): CI runs no figure binary, so this is what pins them.
+    #[test]
+    fn learned_arms_reproduce_the_recorded_mlu_bits() {
+        let scenario = small_scenario();
+        let options = fast_options();
+        let got = [
+            Scheme::Figret(FigretConfig::fast_test()),
+            Scheme::Dote(FigretConfig::fast_test()),
+            Scheme::TealLike(FigretConfig::fast_test()),
+        ]
+        .map(|scheme| fnv_bits(&run_scheme(&scenario, &scheme, &options).mlus));
+        let golden = [0xf0b978accf852955, 0xe603e2469ed86b5b, 0x1d1fe6677c402c4b];
+        assert_eq!(got, golden, "FIGRET, DOTE, TEAL-like: {got:#x?}");
     }
 
     #[test]

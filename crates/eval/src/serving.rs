@@ -41,8 +41,8 @@ use figret_telemetry::{exposition, JsonlSink, Registry};
 use figret_topology::{FabricSpec, Topology};
 use figret_traffic::{
     datacenter::{tor_trace_sparse, TorTrafficConfig},
-    ActivePairs, FlatWindowDataset, OnlineStream, OnlineStreamConfig, ShardPlan,
-    SparseDemandStream, SparseTrace, StepShiftConfig, StreamAnnotation, TrafficTrace,
+    ActivePairs, OnlineStream, OnlineStreamConfig, ShardPlan, SparseDemandStream, SparseTrace,
+    StepShiftConfig, StreamAnnotation, TrafficTrace, WindowDataset,
 };
 
 use crate::experiments::ExperimentOptions;
@@ -611,10 +611,10 @@ impl ServeSetup {
 }
 
 /// Builds one shard's controller over its path set: the warm-started LP, or
-/// a FIGRET model trained on the shard's slice of the train split
-/// (`train_flat` on flat columns is bit-equal to dense `train` on the whole
-/// universe and works on any restricted one).  The update budget is
-/// stripped: the fleet's admission layer enforces it jointly.
+/// a FIGRET model trained on the shard's slice of the train split (a
+/// [`WindowDataset`] over columns works on any restricted universe).  The
+/// update budget is stripped: the fleet's admission layer enforces it
+/// jointly.
 fn build_controller(
     paths: &PathSet,
     train: Option<Vec<Vec<f64>>>,
@@ -627,9 +627,9 @@ fn build_controller(
         ServeEngine::Learned => {
             let cfg = options.experiment.learning_config();
             let columns = train.expect("the learned engine needs a network with a train split");
-            let dataset = FlatWindowDataset::from_columns(cfg.history_window, columns);
+            let dataset = WindowDataset::from_columns(cfg.history_window, columns);
             let mut model = FigretModel::new(paths, &dataset.per_slot_variance(), cfg);
-            model.train_flat(&dataset);
+            model.train(&dataset);
             let mut controller = ServeController::learned(paths, model, predictor, policy);
             if options.use_plan {
                 controller.enable_inference_plan();

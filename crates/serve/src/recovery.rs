@@ -14,7 +14,7 @@
 //! 2. **[`RecoveryManager`]** — owns a sliding window of observed demand
 //!    columns (the same columnar shape the controller's history buffer
 //!    uses) and, while the controller is degraded, periodically trains a
-//!    *challenger* model on it via [`figret::FigretModel::train_flat`].
+//!    *challenger* model on it via [`figret::FigretModel::train`].
 //!    Retraining is keyed to the tick counter, never wall clock, so the
 //!    whole ladder is bit-deterministic per seed at any thread count.
 //! 3. **[`crate::ShadowModel`]** — the challenger serves in shadow mode:
@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use figret::{FigretConfig, FigretModel};
 use figret_te::PathSet;
-use figret_traffic::FlatWindowDataset;
+use figret_traffic::WindowDataset;
 
 use crate::shadow::ShadowModel;
 
@@ -238,7 +238,7 @@ impl RecoveryManager {
             return false;
         }
         let columns: Vec<Vec<f64>> = self.buffer.iter().cloned().collect();
-        let dataset = FlatWindowDataset::from_columns(incumbent.history_window, columns);
+        let dataset = WindowDataset::from_columns(incumbent.history_window, columns);
         if dataset.is_empty() {
             return false;
         }
@@ -253,7 +253,7 @@ impl RecoveryManager {
         };
         let variances = dataset.per_slot_variance();
         let mut challenger = FigretModel::new(paths, &variances, config);
-        let report = challenger.train_flat(&dataset);
+        let report = challenger.train(&dataset);
         self.stats.retrains += 1;
         self.stats.retrain_samples += report.samples_per_epoch * report.epochs.len();
         self.stats.retrain_seconds += start.elapsed().as_secs_f64();

@@ -20,8 +20,8 @@ use figret_solvers::MluTemplate;
 use figret_te::{max_link_utilization_pairs, PathSet};
 use figret_topology::{Graph, Topology, TopologySpec};
 use figret_traffic::{
-    ActivePairs, FlatWindowDataset, OnlineStream, OnlineStreamConfig, ShardPlan,
-    SparseDemandStream, StepShiftConfig,
+    ActivePairs, OnlineStream, OnlineStreamConfig, ShardPlan, SparseDemandStream, StepShiftConfig,
+    WindowDataset,
 };
 use proptest::prelude::*;
 
@@ -63,15 +63,15 @@ fn controller_recovers_from_a_step_shift() {
     // the audit margins below assume.
     let config = FigretConfig { history_window: h, epochs: 150, ..FigretConfig::fast_test() };
 
-    // Train the incumbent on pre-shift columns (through the same flat path
-    // the online retrainer uses).
+    // Train the incumbent on pre-shift columns (the way the online
+    // retrainer does).
     let mut stream = quiet_shifted_stream(&g, 97, shift_tick, 4.0);
     let train_columns: Vec<Vec<f64>> =
         (0..40).map(|_| stream.next_column().expect("endless").values().to_vec()).collect();
-    let dataset = FlatWindowDataset::from_columns(h, train_columns);
+    let dataset = WindowDataset::from_columns(h, train_columns);
     let variances = dataset.per_slot_variance();
     let mut model = FigretModel::new(&ps, &variances, config);
-    let report = model.train_flat(&dataset);
+    let report = model.train(&dataset);
     assert!(report.final_loss().is_some());
 
     // Serve the *same* stream from the start: a fresh instance replays the
@@ -155,7 +155,7 @@ fn controller_recovers_from_a_step_shift() {
 
 /// Per-shard self-healing under one global admission budget: every shard
 /// trains its incumbent *and* its challengers on its own restricted pair
-/// universe (the `train_flat` path — no dense matrices exist there),
+/// universe (a dataset over columns — no dense matrices exist there),
 /// degrades when the shift lands, and promotes its way back independently.
 #[test]
 fn fleet_shards_recover_independently_under_the_joint_budget() {
@@ -191,12 +191,12 @@ fn fleet_shards_recover_independently_under_the_joint_budget() {
                         column.clone()
                     })
                     .collect();
-                let dataset = FlatWindowDataset::from_columns(h, shard_columns);
+                let dataset = WindowDataset::from_columns(h, shard_columns);
                 let variances = dataset.per_slot_variance();
                 let config =
                     FigretConfig { history_window: h, epochs: 150, ..FigretConfig::fast_test() };
                 let mut model = FigretModel::new(&restricted, &variances, config);
-                model.train_flat(&dataset);
+                model.train(&dataset);
                 let mut c = ServeController::learned(
                     &restricted,
                     model,

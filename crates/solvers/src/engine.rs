@@ -28,7 +28,7 @@ use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
 /// Which engine to use for a min-MLU instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolverEngine {
-    /// Exact dense-simplex LP.
+    /// Exact LP on the sparse revised simplex (`figret_lp`).
     Lp,
     /// Projected-gradient (Adam on a smooth MLU surrogate).
     Iterative(IterativeSettings),
@@ -40,11 +40,11 @@ pub enum SolverEngine {
 /// Instances with at most this many candidate paths use the LP under
 /// [`SolverEngine::Auto`].
 ///
-/// Calibration: the dense tableau solver could afford ~2000 paths; the sparse
-/// revised simplex solves the same ToR-scale programs ≥5× faster cold (and
-/// another ≥10× when warm started through [`crate::template::MluTemplate`]),
-/// so the crossover against the iterative engine moved outward — see
-/// BENCH_pr4.json and DESIGN.md §5.
+/// Calibration: the dense tableau solver (since PR 16 a test oracle only)
+/// could afford ~2000 paths; the sparse revised simplex solves the same
+/// ToR-scale programs ≥5× faster cold (and another ≥10× when warm started
+/// through [`crate::template::MluTemplate`]), so the crossover against the
+/// iterative engine moved outward — see DESIGN.md §5.
 pub const AUTO_LP_PATH_LIMIT: usize = 6000;
 
 impl SolverEngine {

@@ -55,7 +55,7 @@ pub use pfabric::{
 };
 pub use shard::{ShardPlan, ShardUniverse};
 pub use sparse::{ActivePairs, SparseDemand, SparseTrace};
-pub use split::{FlatWindowDataset, TrainTestSplit, WindowDataset, WindowSample};
+pub use split::{TrainTestSplit, WindowDataset};
 pub use stats::{
     cosine_similarity_analysis, cosine_similarity_samples, per_pair_mean_range, per_pair_std_range,
     per_pair_variance, per_pair_variance_range, percentile, sparse_cosine_similarity_analysis,

@@ -99,6 +99,11 @@ impl DemandMatrix {
         ops::max_entry(&self.data)
     }
 
+    /// The dense row-major store (`n * n` values, zero diagonal included).
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Flattened off-diagonal demands in source-major order, matching
     /// `Graph::sd_pairs` (all `d != s` for `s = 0, 1, ...`).
     pub fn flatten_pairs(&self) -> Vec<f64> {

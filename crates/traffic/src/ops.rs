@@ -102,6 +102,43 @@ pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
+/// Per-slot mean and population variance over a run of equal-length demand
+/// columns: sums in run order, one division, squared deviations in run order,
+/// one division; all zeros for an empty run.  The one copy of the two-pass
+/// fold behind the dense, sparse and dataset variance statistics — every slot
+/// is folded on its own, so a layout that interleaves exact-zero slots (the
+/// dense diagonal) gets the same bits in the slots it shares.
+pub fn mean_variance<'a>(
+    num_slots: usize,
+    columns: impl ExactSizeIterator<Item = &'a [f64]> + Clone,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut mean = vec![0.0f64; num_slots];
+    let mut var = vec![0.0f64; num_slots];
+    let count = columns.len() as f64;
+    if count == 0.0 {
+        return (mean, var);
+    }
+    for column in columns.clone() {
+        assert_eq!(column.len(), num_slots, "every column must hold one value per slot");
+        for (m, v) in mean.iter_mut().zip(column) {
+            *m += v;
+        }
+    }
+    for m in &mut mean {
+        *m /= count;
+    }
+    for column in columns {
+        for ((s, v), m) in var.iter_mut().zip(column).zip(&mean) {
+            let d = v - m;
+            *s += d * d;
+        }
+    }
+    for s in &mut var {
+        *s /= count;
+    }
+    (mean, var)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,6 +6,7 @@
 //! * Spearman rank correlation (Table 5's train/test variance-ranking check).
 
 use crate::matrix::TrafficTrace;
+use crate::ops;
 use crate::sparse::SparseTrace;
 
 /// Per-SD-pair variance of the demands over the whole trace, in the
@@ -25,37 +26,16 @@ pub fn per_pair_mean_range(trace: &TrafficTrace, range: std::ops::Range<usize>) 
     dense_mean_var(trace, range).0
 }
 
-/// Flattens each snapshot once into a single reused buffer (no per-snapshot
-/// allocation) and folds the mean/variance accumulators.
+/// Folds the dense `n × n` stores through the shared kernel and drops the
+/// (all-zero) diagonal slots, leaving the `flatten_pairs` ordering.
 fn dense_mean_var(trace: &TrafficTrace, range: std::ops::Range<usize>) -> (Vec<f64>, Vec<f64>) {
-    let n_pairs = trace.num_nodes() * trace.num_nodes().saturating_sub(1);
-    let count = range.len();
-    let mut mean = vec![0.0f64; n_pairs];
-    if count == 0 {
-        return (mean.clone(), mean);
-    }
-    let mut var = vec![0.0f64; n_pairs];
-    let mut row = vec![0.0f64; n_pairs];
-    for t in range.clone() {
-        trace.matrix(t).flatten_pairs_into(&mut row);
-        for (m, v) in mean.iter_mut().zip(&row) {
-            *m += v;
-        }
-    }
-    for m in &mut mean {
-        *m /= count as f64;
-    }
-    for t in range {
-        trace.matrix(t).flatten_pairs_into(&mut row);
-        for ((v, x), m) in var.iter_mut().zip(&row).zip(&mean) {
-            let d = x - m;
-            *v += d * d;
-        }
-    }
-    for v in &mut var {
-        *v /= count as f64;
-    }
-    (mean, var)
+    let n = trace.num_nodes();
+    let stores = trace.matrices()[range].iter().map(|m| m.as_slice());
+    let (mean, var) = ops::mean_variance(n * n, stores);
+    let off_diagonal = |dense: Vec<f64>| -> Vec<f64> {
+        dense.into_iter().enumerate().filter(|(i, _)| i / n != i % n).map(|(_, v)| v).collect()
+    };
+    (off_diagonal(mean), off_diagonal(var))
 }
 
 /// Per-SD-pair standard deviation over a sub-range of snapshots.
@@ -79,30 +59,7 @@ pub fn sparse_per_pair_mean_range(trace: &SparseTrace, range: std::ops::Range<us
 }
 
 fn sparse_mean_var(trace: &SparseTrace, range: std::ops::Range<usize>) -> (Vec<f64>, Vec<f64>) {
-    let columns = &trace.snapshots()[range];
-    let mut mean = vec![0.0f64; trace.nnz()];
-    if columns.is_empty() {
-        return (mean.clone(), mean);
-    }
-    for c in columns {
-        for (m, v) in mean.iter_mut().zip(c.values()) {
-            *m += v;
-        }
-    }
-    for m in &mut mean {
-        *m /= columns.len() as f64;
-    }
-    let mut var = vec![0.0f64; trace.nnz()];
-    for c in columns {
-        for ((v, x), m) in var.iter_mut().zip(c.values()).zip(&mean) {
-            let d = x - m;
-            *v += d * d;
-        }
-    }
-    for v in &mut var {
-        *v /= columns.len() as f64;
-    }
-    (mean, var)
+    ops::mean_variance(trace.nnz(), trace.snapshots()[range].iter().map(|c| c.values()))
 }
 
 /// Summary statistics of a sample (used for the candlestick plots of Figure 4).

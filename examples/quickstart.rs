@@ -52,12 +52,12 @@ fn main() {
         if t < window {
             continue;
         }
-        let history: Vec<_> = (t - window..t).map(|h| trace.matrix(h).clone()).collect();
+        let history = &trace.matrices()[t - window..t];
         let demand = trace.matrix(t);
         let omni =
             omniscient_config(&paths, demand, SolverEngine::Auto).expect("omniscient solves");
-        sums[0] += max_link_utilization(&paths, &figret.predict(&paths, &history), demand);
-        sums[1] += max_link_utilization(&paths, &dote.predict(&paths, &history), demand);
+        sums[0] += max_link_utilization(&paths, &figret.predict(&paths, history), demand);
+        sums[1] += max_link_utilization(&paths, &dote.predict(&paths, history), demand);
         sums[2] += max_link_utilization(&paths, &TeConfig::uniform(&paths), demand);
         sums[3] += max_link_utilization(&paths, &omni, demand);
         count += 1;

@@ -75,9 +75,9 @@ fn figret_configs_are_valid_and_less_sensitive_than_dote_on_bursty_pairs() {
     let mut dote_penalty = 0.0;
     let mut count = 0;
     for t in scenario.test_indices(window).into_iter().take(6) {
-        let history: Vec<_> = (t - window..t).map(|h| scenario.trace.matrix(h).clone()).collect();
-        let f_cfg = figret.predict(&scenario.paths, &history);
-        let d_cfg = dote.predict(&scenario.paths, &history);
+        let history = &scenario.trace.matrices()[t - window..t];
+        let f_cfg = figret.predict(&scenario.paths, history);
+        let d_cfg = dote.predict(&scenario.paths, history);
         assert!(f_cfg.is_valid(&scenario.paths));
         assert!(d_cfg.is_valid(&scenario.paths));
         figret_penalty += robustness_penalty(&scenario.paths, &f_cfg, &variances);
@@ -104,8 +104,8 @@ fn trained_model_is_no_worse_than_uniform_on_wan_traffic() {
     let mut model_total = 0.0;
     let mut uniform_total = 0.0;
     for t in scenario.test_indices(window).into_iter().take(8) {
-        let history: Vec<_> = (t - window..t).map(|h| scenario.trace.matrix(h).clone()).collect();
-        let cfg = model.predict(&scenario.paths, &history);
+        let history = &scenario.trace.matrices()[t - window..t];
+        let cfg = model.predict(&scenario.paths, history);
         model_total += max_link_utilization(&scenario.paths, &cfg, scenario.trace.matrix(t));
         uniform_total += max_link_utilization(&scenario.paths, &uniform, scenario.trace.matrix(t));
     }
