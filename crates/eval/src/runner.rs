@@ -3,10 +3,10 @@
 //! and figure.
 //!
 //! LP-based schemes run their snapshot series through a warm-started
-//! [`MluTemplate`]: the program structure is built once, each snapshot swaps
-//! in the demand-dependent coefficients and seeds from the previous
-//! snapshot's optimal basis, so a series of `T` snapshots costs one cold
-//! solve plus `T − 1` (much cheaper) warm re-solves.  The series is solved
+//! [`MluTemplate`]: the program is built once, each snapshot moves its
+//! right-hand side and seeds from the previous snapshots' optima, so a
+//! series of `T` snapshots costs one cold solve plus `T − 1` (much cheaper)
+//! seeded re-solves.  The series is solved
 //! sequentially — warm starting is inherently order-dependent — which also
 //! makes it deterministic by construction; when a probe prefix shows that no
 //! seed survives on a trace (heavily bursty on/off demands), the remainder

@@ -7,7 +7,7 @@
 //!
 //! * [`revised`] — the engine ([`solve`]): a sparse revised simplex with a
 //!   CSR constraint matrix, an eta-file (product-form) basis inverse and
-//!   warm starting across structurally identical programs.
+//!   warm starting across programs that differ in the right-hand side only.
 //!
 //! The original dense two-phase tableau (`src/simplex.rs`) is compiled only
 //! under `cfg(test)`: it is the independent test oracle the property tests
@@ -15,8 +15,8 @@
 //! programs, not an engine a caller can pick.
 //!
 //! Snapshot series re-solve near-identical programs back to back; the
-//! [`template::LpTemplate`] API builds the program structure once and re-solves
-//! with in-place value updates plus basis warm starts.
+//! [`template::LpTemplate`] API builds the program once and re-solves it under
+//! a moving right-hand side, seeded from the previous optima.
 //!
 //! # Example
 //!
@@ -47,7 +47,7 @@ pub use problem::{Constraint, Direction, LinearProgram, Relation};
 pub use revised::{solve, solve_with_basis, Basis};
 pub use solution::{LpError, Solution, SolveStats};
 pub use sparse::{ColumnView, CsrMatrix};
-pub use template::{CoeffHandle, LpTemplate};
+pub use template::LpTemplate;
 
 #[cfg(test)]
 mod proptests {
@@ -172,6 +172,25 @@ mod proptests {
                 }
                 (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
                 (a, b) => prop_assert!(false, "verdicts diverge: revised {a:?} vs dense {b:?}"),
+            }
+        }
+
+        /// An all-zero crash hint is no hint: same pivots, same point, so a
+        /// template's first solve and every one-shot solve take the path they
+        /// took before hints existed.
+        #[test]
+        fn all_zero_crash_hint_changes_nothing(lp in arbitrary_sparse_lp()) {
+            let form = revised::StandardForm::build(&lp);
+            let bare = revised::solve_on_form(&lp, &form, None, &[]);
+            let zeros = revised::solve_on_form(&lp, &form, None, &vec![0.0; lp.num_vars()]);
+            match (&bare, &zeros) {
+                (Ok((a, _)), Ok((b, _))) => {
+                    prop_assert_eq!(&a.values, &b.values);
+                    prop_assert_eq!(a.stats.phase1_iterations, b.stats.phase1_iterations);
+                    prop_assert_eq!(a.stats.phase2_iterations, b.stats.phase2_iterations);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                _ => prop_assert!(false, "verdicts diverge"),
             }
         }
 

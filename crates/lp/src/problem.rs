@@ -88,13 +88,6 @@ impl LinearProgram {
         self.constraints.push(Constraint { coeffs, relation, rhs });
     }
 
-    /// Rewrites the value of one stored coefficient entry (template path; the
-    /// sparsity pattern of the constraint is unchanged).
-    pub(crate) fn set_constraint_coefficient(&mut self, row: usize, entry: usize, value: f64) {
-        assert!(value.is_finite(), "constraint coefficient must be finite");
-        self.constraints[row].coeffs[entry].1 = value;
-    }
-
     /// Rewrites the right-hand side of a constraint (template path).
     pub(crate) fn set_constraint_rhs(&mut self, row: usize, value: f64) {
         assert!(value.is_finite(), "constraint RHS must be finite");

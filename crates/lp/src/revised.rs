@@ -29,23 +29,26 @@
 //!
 //! Cold solves avoid phase 1 where the shape allows it: a **crash basis**
 //! assigns each equality row a structural column exclusive to it (a path's
-//! split ratio lives in exactly one conservation row), a **lift step** enters
-//! the min-max variable (θ) at the worst-ratio row — which makes the whole
-//! crash point feasible in one pivot — and dual-simplex repair mops up
-//! whatever is left.  When the crash does not fit (`≥` rows, no exclusive
-//! columns) the classic two-phase method runs instead.
+//! flow lives in exactly one conservation row), a **lift step** enters the
+//! min-max variable (θ) at the worst-ratio row — which makes the whole crash
+//! point feasible in one pivot — and dual-simplex repair mops up whatever is
+//! left.  When the crash does not fit (`≥` rows, no exclusive columns) the
+//! classic two-phase method runs instead.  A series solve may pass the
+//! previous optimum's values as a **crash hint**: each equality row then
+//! takes its exclusive column with the largest previous value, so the crash
+//! point is "every pair on last solve's dominant path" — feasible after the
+//! lift whatever happened to the right-hand side — and phase 2 starts next to
+//! the old optimum instead of at the lowest-index routing.
 //!
 //! The module also exposes **warm starts** ([`solve_with_basis`]): a solve can
-//! seed from the optimal [`Basis`] of a structurally identical program (same
-//! rows, columns and sparsity pattern — only coefficient values and RHS may
-//! differ).  A seeded solve skips phase 1: if the old basis went primal
-//! infeasible under the new data (the usual case after a coefficient swap), a
-//! bounded **dual-simplex repair** — with basis repair for columns that
-//! collapsed when a pair's demand dropped to zero — restores `x_B ≥ 0` in a
-//! few pivots before primal phase 2 finishes the solve.  Unusable seeds —
-//! wrong shape, singular, damage too wide (many on/off pairs toggled), repair
-//! gives up — silently fall back to a cold solve, so warm starting never
-//! changes the result, only the work.
+//! seed from the optimal [`Basis`] of a program with the **same matrix** —
+//! only the right-hand side may differ.  A seeded solve skips phase 1: the
+//! old basis stays nonsingular and dual feasible, and where the new
+//! right-hand side left it primal infeasible a bounded **dual-simplex
+//! repair** restores `x_B ≥ 0` before primal phase 2 finishes the solve.
+//! Unusable seeds — wrong shape, singular, damage too wide (a burst moved
+//! many rows at once), repair gives up — silently fall back to the crash
+//! start, so warm starting never changes the result, only the work.
 
 use std::time::Instant;
 
@@ -81,7 +84,7 @@ const CANDIDATE_LIST: usize = 32;
 const MINOR_LIMIT: usize = 16;
 
 /// An optimal (or at least feasible) simplex basis, reusable as a warm start
-/// for a structurally identical program (see [`solve_with_basis`]).
+/// for a program with the same matrix (see [`solve_with_basis`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     /// Basic column of each constraint row.
@@ -402,12 +405,12 @@ impl<'a> Simplex<'a> {
     }
 
     /// Starts from a caller-provided basis.  Returns `None` if the basis does
-    /// not fit the form, is singular under the current coefficient values, or
-    /// leaves an artificial variable basic at a nonzero value — in all of
-    /// which cases the caller should solve cold instead.  The returned state
-    /// may be primal *infeasible* (negative basic values) when coefficients
-    /// changed since the basis was optimal; [`Simplex::dual_repair`] restores
-    /// feasibility before primal iterations run.
+    /// not fit the form, is singular, or leaves an artificial variable basic
+    /// at a nonzero value — in all of which cases the caller should solve
+    /// cold instead.  The returned state may be primal *infeasible* (negative
+    /// basic values) when the right-hand side moved since the basis was
+    /// optimal; [`Simplex::dual_repair`] restores feasibility before primal
+    /// iterations run.
     fn warm(form: &'a StandardForm, warm: &Basis) -> Option<Simplex<'a>> {
         if warm.cols.len() != form.num_rows() || warm.total_cols != form.total_cols {
             return None;
@@ -421,16 +424,16 @@ impl<'a> Simplex<'a> {
             }
             simplex.is_basic[c] = true;
         }
-        if simplex.refactorize_with(true).is_err() {
+        if simplex.refactorize().is_err() {
             return None;
         }
         // A degenerate optimum can leave artificials basic at value zero;
-        // after the value swap they reappear at arbitrary values.  Pivot them
-        // out onto structural/slack columns where possible (negative results
-        // are repaired by the dual pivots that follow).  Artificials that
-        // cannot leave sit on redundant rows and must be at ~zero, or the
-        // seed point violates original rows in a way dual pivots on
-        // structural/slack columns cannot repair.
+        // under a new right-hand side they reappear at arbitrary values.
+        // Pivot them out onto structural/slack columns where possible
+        // (negative results are repaired by the dual pivots that follow).
+        // Artificials that cannot leave sit on redundant rows and must be at
+        // ~zero, or the seed point violates original rows in a way dual
+        // pivots on structural/slack columns cannot repair.
         if simplex.basis.iter().any(|&b| b >= form.art_start) {
             simplex.drive_out_artificials();
         }
@@ -445,16 +448,19 @@ impl<'a> Simplex<'a> {
 
     /// Builds a **crash basis** that avoids phase 1 on programs shaped like
     /// the TE LPs: every `=` row gets a structural column appearing in *that
-    /// equality row only* (a path's split-ratio variable lives in exactly one
-    /// conservation row), every `≤` row keeps its slack.  The result is
-    /// block-triangular and nonsingular but usually primal infeasible (the
-    /// crash routing overloads edges while θ sits at zero) — which
-    /// [`Simplex::dual_repair`] then fixes, typically in very few pivots
-    /// because one entering θ-column lifts every violated row at once.
-    /// Returns `None` when the shape does not fit (`≥` rows, an equality row
-    /// without an exclusive column, singular numerics); the caller then runs
-    /// the ordinary two-phase solve.
-    fn crash(form: &'a StandardForm) -> Option<Simplex<'a>> {
+    /// equality row only* (a path's flow variable lives in exactly one
+    /// conservation row), every `≤` row keeps its slack.  Among a row's
+    /// exclusive columns the one with the largest `hint` value wins (the
+    /// previous optimum's structural values; empty = no hint), ties going to
+    /// the lowest index — so without a hint this is the lowest-index crash.
+    /// The result is block-triangular and nonsingular but usually primal
+    /// infeasible (the crash routing overloads edges while θ sits at zero) —
+    /// which the lift and [`Simplex::dual_repair`] then fix, typically in
+    /// very few pivots because one entering θ-column lifts every violated
+    /// row at once.  Returns `None` when the shape does not fit (`≥` rows, an
+    /// equality row without an exclusive column, singular numerics); the
+    /// caller then runs the ordinary two-phase solve.
+    fn crash(form: &'a StandardForm, hint: &[f64]) -> Option<Simplex<'a>> {
         // Count equality-row appearances of every structural column.
         let mut equal_rows: Vec<usize> = Vec::new();
         let mut appearances = vec![0usize; form.num_vars];
@@ -479,10 +485,17 @@ impl<'a> Simplex<'a> {
         let mut simplex = Simplex::cold(form);
         for &r in &equal_rows {
             let (cols, vals) = form.matrix.row(r);
-            let pick = cols.iter().zip(vals).find(|(&c, &v)| {
-                c < form.num_vars && v.abs() > EPS && appearances[c] == 1 && !simplex.is_basic[c]
-            });
-            let (&c, _) = pick?;
+            let mut pick: Option<(usize, f64)> = None;
+            for (&c, &v) in cols.iter().zip(vals) {
+                let exclusive = c < form.num_vars && v.abs() > EPS && appearances[c] == 1;
+                if exclusive && !simplex.is_basic[c] {
+                    let held = hint.get(c).copied().unwrap_or(0.0);
+                    if pick.is_none_or(|(_, best)| held > best) {
+                        pick = Some((c, held));
+                    }
+                }
+            }
+            let (c, _) = pick?;
             // Swap the row's artificial for the exclusive structural column.
             simplex.is_basic[simplex.basis[r]] = false;
             simplex.is_basic[c] = true;
@@ -556,43 +569,45 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Dual-simplex repair: after the template path swaps coefficient values
-    /// (or a crash basis is built), the basis is usually still *dual*
-    /// (near-)feasible but primal infeasible — some basic values went
-    /// negative.  Classic dual pivots (leaving row = most negative basic
-    /// value, entering column = minimum reduced-cost ratio over the row's
-    /// negative transformed coefficients) restore `x_B ≥ 0` in a handful of
-    /// iterations when the perturbation is small.  Returns `Ok(true)` once
-    /// feasible, `Ok(false)` to give up (the caller falls back to a cold
-    /// two-phase solve); pivots are counted into `phase1_iterations` since
-    /// the repair replaces phase 1.
+    /// Dual-simplex repair: after the right-hand side moved under a seeded
+    /// basis (or a crash basis is built), the basis is still *dual* feasible
+    /// but usually primal infeasible — some basic values went negative.
+    /// Classic dual pivots (leaving row = most negative basic value, entering
+    /// column = minimum reduced-cost ratio over the row's negative
+    /// transformed coefficients) restore `x_B ≥ 0` in a handful of iterations
+    /// when the perturbation is small.  Returns `Ok(true)` once feasible,
+    /// `Ok(false)` to give up (the caller falls back to the next start);
+    /// pivots are counted into `phase1_iterations` since the repair replaces
+    /// phase 1.
     ///
-    /// With `gated`, heavily damaged seeds bail out instantly: when a large
-    /// share of the rows is infeasible the seed is not "the previous optimum
-    /// slightly perturbed" but a different program (e.g. many on/off pairs
-    /// toggled between snapshots), and grinding dual pivots through it costs
-    /// more than the cold solve it would replace.  Both the warm and the
-    /// crash path run gated — the crash lift usually clears every violated
-    /// row beforehand, so a crash point that is still widely infeasible
-    /// (e.g. binding bound rows θ cannot lift) goes straight to two-phase.
-    /// `gated = false` is kept for callers that know the damage is shallow.
-    fn dual_repair(&mut self, costs: &[f64], gated: bool) -> Result<bool, LpError> {
+    /// Heavily damaged seeds bail out instantly (the **damage gate**): when a
+    /// large share of the rows is infeasible the seed is not "the previous
+    /// optimum slightly perturbed" but a different routing, and grinding dual
+    /// pivots through it costs more than the crash start it would replace.
+    /// Measured on `lp_monolith` (80 bursty ToRs, m = 1845): the previous
+    /// basis is primal infeasible in ≈ 200 rows per tick on average, and
+    /// repairing those ungated made the run more than 10× slower — what
+    /// survives a burst is the previous *routing* (the crash hint), not the
+    /// previous basis.  A repair ends at the optimum (dual feasibility is
+    /// kept, so phase 2 has nothing left) after 1–3 dual pivots per damaged
+    /// row, against a near-constant phase 2 from the hinted crash; the two
+    /// break even at `m / 20` damaged rows on `lp_monolith` and `m / 26` on
+    /// the `dc_fleet_lp` shards (m ≈ 3100), hence `m / 24`.  The crash path
+    /// runs through the same gate: the lift usually clears every violated row
+    /// beforehand, so a crash point that is still widely infeasible (e.g.
+    /// binding bound rows θ cannot lift) goes straight to two-phase.
+    fn dual_repair(&mut self, costs: &[f64]) -> Result<bool, LpError> {
         let m = self.form.num_rows();
-        let max_pivots = m + 100;
         let mut rho = vec![0.0; m];
         let mut candidates: Vec<(usize, f64, f64)> = Vec::new();
+        let damage = self.xb.iter().filter(|v| **v < -WARM_TOL).count();
+        if damage > 32.max(m / 24) {
+            return Ok(false);
+        }
+        let max_pivots = (m + 100).min(8 * damage + 64);
         // When pricing and FTRAN disagree (eta-file drift), one reinversion
         // retry is allowed before the attempt is abandoned; any successful
         // pivot re-arms the retry.
-        let damage = self.xb.iter().filter(|v| **v < -WARM_TOL).count();
-        let max_pivots = if gated {
-            if damage > 32.max(m / 16) {
-                return Ok(false);
-            }
-            max_pivots.min(8 * damage + 64)
-        } else {
-            max_pivots
-        };
         let mut fresh_factorization = false;
         let mut pivots = 0usize;
         while pivots < max_pivots {
@@ -628,9 +643,9 @@ impl<'a> Simplex<'a> {
             self.fact.btran(&mut rho);
             // Entering column: minimum d_j / -alpha_j over alpha_j < 0 among
             // the non-artificial columns (ties go to the lowest index via the
-            // strict `<` scan).  Reduced costs are clamped at zero — after a
-            // coefficient swap the seed may be slightly dual infeasible, and
-            // the primal phase that follows cleans that up.
+            // strict `<` scan).  Reduced costs are clamped at zero — a crash
+            // basis is not dual feasible, and the primal phase that follows
+            // cleans that up.
             // Pass 1: admissible candidates and the row's largest pivot
             // magnitude.  Pass 2: threshold ratio test — only pivots within
             // a fraction of that magnitude are eligible (a tiny alpha under
@@ -675,7 +690,7 @@ impl<'a> Simplex<'a> {
                     if fresh_factorization {
                         return Ok(false); // row unsatisfiable under this seed
                     }
-                    self.refactorize_with(true)?;
+                    self.refactorize()?;
                     fresh_factorization = true;
                     continue;
                 }
@@ -692,7 +707,7 @@ impl<'a> Simplex<'a> {
                 if fresh_factorization {
                     return Ok(false);
                 }
-                self.refactorize_with(true)?;
+                self.refactorize()?;
                 fresh_factorization = true;
                 continue;
             }
@@ -702,7 +717,7 @@ impl<'a> Simplex<'a> {
             pivots += 1;
             fresh_factorization = false;
             if self.should_refactorize() {
-                self.refactorize_with(true)?;
+                self.refactorize()?;
             }
         }
         Ok(false)
@@ -713,37 +728,24 @@ impl<'a> Simplex<'a> {
     /// the remaining columns are processed sparsest-first to limit fill-in;
     /// pivot rows are chosen by largest magnitude for stability.  The
     /// row-association of the basis is updated to match the pivot assignment.
+    /// A column with no admissible pivot row means the basis is singular:
+    /// with the matrix frozen a basis that was nonsingular stays so, which
+    /// leaves a malformed seed (rejected by [`Simplex::warm`]) or genuine
+    /// numerical breakdown — a hard [`LpError::Numerical`] either way.
     fn refactorize(&mut self) -> Result<(), LpError> {
-        self.refactorize_with(false)
-    }
-
-    /// [`Simplex::refactorize`], optionally with **basis repair**: when a
-    /// column proves linearly dependent (no admissible pivot row), drop it
-    /// and substitute the slack/artificial unit column of a still-unpivoted
-    /// row.  A warm-start seed regularly needs this — e.g. when a pair's
-    /// demand drops to zero, the edge-row coefficients of its basic paths
-    /// vanish and two of the seed's columns collapse onto each other.  Repair
-    /// is only sound for seeds (cold-path reinversions hitting singularity
-    /// are genuine numerical breakdown and keep the hard error).
-    fn refactorize_with(&mut self, repair: bool) -> Result<(), LpError> {
         let started = Instant::now();
-        let result = self.refactorize_with_inner(repair);
+        let result = self.refactorize_inner();
         self.stats.factor_seconds += started.elapsed().as_secs_f64();
         result
     }
 
-    fn refactorize_with_inner(&mut self, repair: bool) -> Result<(), LpError> {
+    fn refactorize_inner(&mut self) -> Result<(), LpError> {
         let m = self.form.num_rows();
         let mut order: Vec<usize> = (0..m).collect();
         order.sort_by_key(|&pos| (self.form.view.col_nnz(self.basis[pos]), self.basis[pos]));
         let mut fact = EtaFile::default();
         let mut pivoted = vec![false; m];
         let mut new_basis = vec![0usize; m];
-        let mut dropped: Vec<usize> = Vec::new();
-        // In repair mode a near-zero pivot is better replaced than kept: it
-        // would put a huge multiplier into the eta file, and BTRAN/FTRAN then
-        // drift apart on the repaired basis.
-        let pivot_tol = if repair { 1e-8 } else { REINVERT_PIVOT_TOL };
         let work = &mut self.work;
         let mut touched: Vec<usize> = Vec::with_capacity(m);
         // File index of the eta pivoting each row (event-driven FTRAN).
@@ -757,7 +759,7 @@ impl<'a> Simplex<'a> {
             if self.form.view.col_nnz(col) == 1 {
                 let (r, v) =
                     self.form.view.column(&self.form.matrix, col).next().expect("one entry");
-                if !pivoted[r] && v.abs() > pivot_tol {
+                if !pivoted[r] && v.abs() > REINVERT_PIVOT_TOL {
                     if v != 1.0 {
                         fact.push_diagonal(r, v);
                         eta_of_row[r] = fact.etas.len() - 1;
@@ -774,7 +776,7 @@ impl<'a> Simplex<'a> {
             }
             fact.ftran_sparse(work, &mut touched, &eta_of_row);
             let mut pivot = None;
-            let mut best = pivot_tol;
+            let mut best = REINVERT_PIVOT_TOL;
             for &r in &touched {
                 let v = work[r];
                 if !pivoted[r] && v.abs() > best {
@@ -782,44 +784,16 @@ impl<'a> Simplex<'a> {
                     pivot = Some(r);
                 }
             }
-            match (pivot, repair) {
-                (Some(p), _) => {
-                    fact.push_from(p, work, &touched);
-                    eta_of_row[p] = fact.etas.len() - 1;
-                    pivoted[p] = true;
-                    new_basis[p] = col;
+            let Some(p) = pivot else {
+                for &r in &touched {
+                    work[r] = 0.0;
                 }
-                (None, true) => dropped.push(col),
-                (None, false) => {
-                    for &r in &touched {
-                        work[r] = 0.0;
-                    }
-                    return Err(LpError::Numerical); // singular basis
-                }
-            }
-            for &r in &touched {
-                work[r] = 0.0;
-            }
-        }
-        // Repair: every dropped column leaves one row unpivoted; its
-        // slack/artificial unit column (+1 in exactly that row, and never
-        // currently basic — had it been processed above, it would have
-        // pivoted that very row) completes the basis.  FTRAN leaves a unit
-        // vector of an unpivoted row untouched (no eta pivots there), so the
-        // substitution needs no eta at all.
-        for &col in &dropped {
-            self.is_basic[col] = false;
-        }
-        if !dropped.is_empty() {
-            for r in 0..m {
-                if !pivoted[r] {
-                    let unit = self.form.initial_basis[r];
-                    debug_assert!(!self.is_basic[unit]);
-                    self.is_basic[unit] = true;
-                    pivoted[r] = true;
-                    new_basis[r] = unit;
-                }
-            }
+                return Err(LpError::Numerical); // singular basis
+            };
+            fact.push_from(p, work, &touched);
+            eta_of_row[p] = fact.etas.len() - 1;
+            pivoted[p] = true;
+            new_basis[p] = col;
         }
         self.basis = new_basis;
         self.nnz_after_refactor = fact.nnz;
@@ -1133,14 +1107,14 @@ pub fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
 }
 
 /// Solves a linear program with the sparse revised simplex, optionally warm
-/// starting from the basis of a previous solve of a **structurally
-/// identical** program (same rows, columns and sparsity pattern; coefficient
-/// values and RHS may differ).  Returns the solution together with the final
-/// basis, which can seed the next solve in a series.
+/// starting from the basis of a previous solve of a program with the **same
+/// matrix** (same rows, columns and coefficients; only the right-hand side
+/// may differ).  Returns the solution together with the final basis, which
+/// can seed the next solve in a series.
 ///
-/// An unusable warm basis (wrong shape, singular or primal infeasible under
-/// the new data) silently falls back to a cold two-phase solve —
-/// `stats.warm_started` reports which path ran.
+/// An unusable warm basis (wrong shape, singular, or too widely primal
+/// infeasible under the new right-hand side) silently falls back to a cold
+/// solve — `stats.warm_started` reports which path ran.
 pub fn solve_with_basis(
     lp: &LinearProgram,
     warm: Option<&Basis>,
@@ -1149,7 +1123,7 @@ pub fn solve_with_basis(
         return Err(LpError::Empty);
     }
     let form = StandardForm::build(lp);
-    solve_on_form(lp, &form, warm)
+    solve_on_form(lp, &form, warm, &[])
 }
 
 /// Test hook: like [`solve_with_basis`] but with partial pricing disabled, so
@@ -1165,18 +1139,21 @@ pub(crate) fn solve_with_basis_full_pricing(
         return Err(LpError::Empty);
     }
     let form = StandardForm::build(lp);
-    solve_on_form_with_pricing(lp, &form, warm, false)
+    solve_on_form_with_pricing(lp, &form, warm, &[], false)
 }
 
-/// Runs the two-phase (or warm-started) revised simplex on an already-built
-/// standard form whose values must mirror `lp` (the template path, which
-/// rewrites coefficients in place instead of rebuilding the form per solve).
+/// Runs the revised simplex on an already-built standard form whose
+/// right-hand side must mirror `lp` (the template path, which rewrites it in
+/// place instead of rebuilding the form per solve).  Starts are tried in
+/// order: the `warm` basis, the crash basis seeded with `hint` (the previous
+/// optimum's structural values; empty = none), two-phase.
 pub(crate) fn solve_on_form(
     lp: &LinearProgram,
     form: &StandardForm,
     warm: Option<&Basis>,
+    hint: &[f64],
 ) -> Result<(Solution, Basis), LpError> {
-    solve_on_form_with_pricing(lp, form, warm, true)
+    solve_on_form_with_pricing(lp, form, warm, hint, true)
 }
 
 /// [`solve_on_form`] with an explicit pricing strategy (`partial_pricing:
@@ -1186,6 +1163,7 @@ fn solve_on_form_with_pricing(
     lp: &LinearProgram,
     form: &StandardForm,
     warm: Option<&Basis>,
+    hint: &[f64],
     partial_pricing: bool,
 ) -> Result<(Solution, Basis), LpError> {
     let max_iterations = (50 * (form.num_rows() + form.total_cols)).max(1000);
@@ -1194,87 +1172,43 @@ fn solve_on_form_with_pricing(
     // solution's stats so series reporting counts what was actually done.
     let mut abandoned = SolveStats::default();
 
-    if let Some(warm_basis) = warm {
-        if let Some(mut simplex) = Simplex::warm(form, warm_basis) {
-            simplex.partial_pricing = partial_pricing;
-            // The seed is usually primal infeasible after a value swap; dual
-            // pivots repair it (replacing phase 1).  Any trouble — repair
-            // gives up, iteration trouble, numerics — falls back to cold.
-            let repair_started = Instant::now();
-            let repaired = simplex.dual_repair(&costs, true);
-            simplex.stats.phase1_seconds += repair_started.elapsed().as_secs_f64();
-            if matches!(repaired, Ok(true)) {
-                let mut pivots = 0usize;
-                let phase2_started = Instant::now();
-                let outcome = simplex.optimize(&costs, form.art_start, max_iterations, &mut pivots);
-                simplex.stats.phase2_seconds += phase2_started.elapsed().as_secs_f64();
-                simplex.stats.phase2_iterations = pivots;
-                simplex.stats.iterations =
-                    simplex.stats.phase1_iterations + simplex.stats.phase2_iterations;
-                match outcome {
-                    Ok(Outcome::Optimal) => {
-                        let (solution, basis) = simplex.into_solution(lp);
-                        // The warm path skipped phase 1, so double-check the
-                        // point; numerical trouble falls back to a cold solve.
-                        if lp.is_feasible(&solution.values, 1e-6) {
-                            return Ok((solution, basis));
-                        }
-                        abandoned.absorb(&solution.stats);
-                    }
-                    // A seeded basis can be subtly corrupted (e.g. an
-                    // artificial left basic at a nonzero value after repair),
-                    // making phase 2 see a relaxation; only the cold solve
-                    // may declare unboundedness.  Fall through to cold.
-                    Ok(Outcome::Unbounded) | Err(_) => abandoned.absorb(&simplex.stats),
+    // Seeded starts skip phase 1: dual pivots repair the start (the warm
+    // basis under the new right-hand side, or what the crash lift left),
+    // then phase 2 runs from it.  Both yield a basis with no artificial at a
+    // nonzero value, so phase 2 from them is sound; any trouble — repair
+    // gives up, iteration trouble, numerics, a point that fails the
+    // feasibility double-check — falls through to the next start, and only
+    // the two-phase solve below may declare infeasibility or unboundedness.
+    // The crash runs on programs with artificials only: without them the
+    // all-slack basis is already a feasible start.
+    let has_artificials = form.total_cols > form.art_start;
+    let warm_start = warm.and_then(|basis| Simplex::warm(form, basis));
+    let crash_start =
+        std::iter::once_with(|| if has_artificials { Simplex::crash(form, hint) } else { None });
+    for mut simplex in warm_start.into_iter().chain(crash_start.flatten()) {
+        simplex.partial_pricing = partial_pricing;
+        let repair_started = Instant::now();
+        let repaired = simplex.dual_repair(&costs);
+        simplex.stats.phase1_seconds += repair_started.elapsed().as_secs_f64();
+        if matches!(repaired, Ok(true)) {
+            let mut pivots = 0usize;
+            let phase2_started = Instant::now();
+            let outcome = simplex.optimize(&costs, form.art_start, max_iterations, &mut pivots);
+            simplex.stats.phase2_seconds += phase2_started.elapsed().as_secs_f64();
+            simplex.stats.phase2_iterations = pivots;
+            if matches!(outcome, Ok(Outcome::Optimal)) {
+                let (mut solution, basis) = simplex.into_solution(lp);
+                if lp.is_feasible(&solution.values, 1e-6) {
+                    solution.stats.absorb(&abandoned);
+                    return Ok((solution, basis));
                 }
-            } else {
-                simplex.stats.iterations = simplex.stats.phase1_iterations;
-                abandoned.absorb(&simplex.stats);
+                abandoned.absorb(&solution.stats);
+                continue;
             }
         }
-    }
-
-    // ---- Crash start: skip phase 1 outright on TE-shaped programs. ----
-    // A successful crash + dual repair yields a provably feasible basis (no
-    // artificial is basic), so phase 2 from it is sound; any trouble falls
-    // through to the ordinary two-phase solve below, which also owns the
-    // infeasibility verdict.
-    if form.total_cols > form.art_start {
-        if let Some(mut simplex) = Simplex::crash(form) {
-            simplex.partial_pricing = partial_pricing;
-            // Gated repair: the lift usually clears every violated row, so a
-            // crash point that is still widely infeasible (e.g. binding
-            // sensitivity-bound rows the min-max variable cannot lift) is
-            // cheaper to hand to the two-phase method than to grind on.
-            let repair_started = Instant::now();
-            let repaired = simplex.dual_repair(&costs, true);
-            simplex.stats.phase1_seconds += repair_started.elapsed().as_secs_f64();
-            if matches!(repaired, Ok(true)) {
-                let mut pivots = 0usize;
-                let phase2_started = Instant::now();
-                let outcome = simplex.optimize(&costs, form.art_start, max_iterations, &mut pivots);
-                simplex.stats.phase2_seconds += phase2_started.elapsed().as_secs_f64();
-                simplex.stats.phase2_iterations = pivots;
-                simplex.stats.iterations =
-                    simplex.stats.phase1_iterations + simplex.stats.phase2_iterations;
-                match outcome {
-                    Ok(Outcome::Optimal) => {
-                        let (mut solution, basis) = simplex.into_solution(lp);
-                        if lp.is_feasible(&solution.values, 1e-6) {
-                            solution.stats.absorb(&abandoned);
-                            return Ok((solution, basis));
-                        }
-                        abandoned.absorb(&solution.stats);
-                    }
-                    // See the warm path: the two-phase solve below owns the
-                    // unboundedness (and infeasibility) verdicts.
-                    Ok(Outcome::Unbounded) | Err(_) => abandoned.absorb(&simplex.stats),
-                }
-            } else {
-                simplex.stats.iterations = simplex.stats.phase1_iterations;
-                abandoned.absorb(&simplex.stats);
-            }
-        }
+        simplex.stats.iterations =
+            simplex.stats.phase1_iterations + simplex.stats.phase2_iterations;
+        abandoned.absorb(&simplex.stats);
     }
 
     let mut simplex = Simplex::cold(form);
@@ -1418,6 +1352,43 @@ mod tests {
         assert_close(sol.values[f2], 2.0);
     }
 
+    /// Two pairs with two paths each over three links (path flows, θ first).
+    fn two_pair_program() -> LinearProgram {
+        let mut lp = LinearProgram::new(Direction::Minimize);
+        let theta = lp.add_variable(1.0);
+        let f: Vec<usize> = (0..4).map(|_| lp.add_variable(0.0)).collect();
+        lp.add_constraint(vec![(f[0], 1.0), (f[1], 1.0)], Relation::Equal, 4.0);
+        lp.add_constraint(vec![(f[2], 1.0), (f[3], 1.0)], Relation::Equal, 6.0);
+        lp.add_constraint(vec![(f[0], 1.0), (theta, -1.0)], Relation::LessEq, 0.0);
+        lp.add_constraint(vec![(f[1], 1.0), (f[2], 1.0), (theta, -1.0)], Relation::LessEq, 0.0);
+        lp.add_constraint(vec![(f[3], 1.0), (theta, -1.0)], Relation::LessEq, 0.0);
+        lp
+    }
+
+    #[test]
+    fn crash_takes_the_lowest_index_column_unless_a_hint_says_otherwise() {
+        let lp = two_pair_program();
+        let form = StandardForm::build(&lp);
+        let equality_columns = |hint: &[f64]| -> Vec<usize> {
+            let mut cols = Simplex::crash(&form, hint).expect("TE-shaped").basis;
+            cols.retain(|&c| (1..=4).contains(&c));
+            cols.sort_unstable();
+            cols
+        };
+        // No hint, an all-zero hint and an all-ties hint: the first path of
+        // each pair, as before hints existed.
+        assert_eq!(equality_columns(&[]), vec![1, 3]);
+        assert_eq!(equality_columns(&[0.0; 5]), vec![1, 3]);
+        assert_eq!(equality_columns(&[9.0, 2.0, 2.0, 3.0, 3.0]), vec![1, 3]);
+        // The previous optimum carried pair 0 on its second path.
+        assert_eq!(equality_columns(&[3.0, 1.0, 3.0, 3.0, 3.0]), vec![2, 3]);
+        // Whatever the crash, the optimum is the same.
+        for hint in [&[][..], &[3.0, 1.0, 3.0, 0.0, 6.0]] {
+            let (sol, _) = solve_on_form(&lp, &form, None, hint).unwrap();
+            assert_close(sol.objective_value, 10.0 / 3.0);
+        }
+    }
+
     #[test]
     fn warm_start_reuses_the_previous_basis() {
         // Solve, perturb the RHS, re-solve warm: the result must match a cold
@@ -1459,6 +1430,18 @@ mod tests {
         other.add_constraint(vec![(a, 1.0), (b, 1.0)], Relation::GreaterEq, 4.0);
         let (sol, _) = solve_with_basis(&other, Some(&basis)).unwrap();
         assert_close(sol.objective_value, 4.0);
+        assert!(!sol.stats.warm_started);
+    }
+
+    #[test]
+    fn singular_warm_basis_falls_back_to_cold() {
+        // f0 = e_0 + e_2 is the sum of row 0's artificial (column 8) and row
+        // 2's slack (column 5): the seed cannot be inverted, and is not
+        // patched up — the solve starts over.
+        let lp = two_pair_program();
+        let seed = Basis { cols: vec![1, 8, 5, 6, 7], total_cols: 10 };
+        let (sol, _) = solve_with_basis(&lp, Some(&seed)).unwrap();
+        assert_close(sol.objective_value, 10.0 / 3.0);
         assert!(!sol.stats.warm_started);
     }
 

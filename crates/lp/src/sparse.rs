@@ -4,17 +4,13 @@
 //! row-wise (assembly mirrors the row-oriented [`crate::problem`] API) and
 //! column-wise (pricing and FTRAN operate on entering columns).  [`CsrMatrix`]
 //! stores the values once in CSR order and derives a [`ColumnView`] whose
-//! entries index back into the CSR value array, so updating a coefficient in
-//! place (the warm-start template path re-writes demand-dependent values every
-//! snapshot) keeps both views consistent for free.
+//! entries index back into the CSR value array, so the column view costs two
+//! index arrays and no second copy of the values.
 
 /// A sparse matrix in compressed sparse row format.
 ///
-/// The sparsity pattern is fixed at construction; values may be rewritten in
-/// place via [`CsrMatrix::set_value`].  Explicitly stored zeros are allowed —
-/// the simplex treats them like any other coefficient — which is what lets a
-/// warm-start template keep one pattern across snapshots whose demands differ
-/// in support.
+/// Pattern and values are fixed at construction: the template path moves the
+/// right-hand side only ([`crate::template`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     num_rows: usize,
@@ -79,25 +75,6 @@ impl CsrMatrix {
         (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
-    /// Raw value storage (CSR order); positions returned by
-    /// [`CsrMatrix::position`] index into this slice.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Rewrites the stored value at CSR position `pos` (pattern unchanged).
-    pub fn set_value(&mut self, pos: usize, value: f64) {
-        assert!(value.is_finite(), "matrix values must be finite");
-        self.values[pos] = value;
-    }
-
-    /// The CSR position of entry `(r, c)`, if stored.
-    pub fn position(&self, r: usize, c: usize) -> Option<usize> {
-        let lo = self.row_ptr[r];
-        let hi = self.row_ptr[r + 1];
-        self.col_idx[lo..hi].binary_search(&c).ok().map(|i| lo + i)
-    }
-
     /// Builds the column-wise view of the current pattern.
     pub fn column_view(&self) -> ColumnView {
         let mut counts = vec![0usize; self.num_cols + 1];
@@ -126,9 +103,8 @@ impl CsrMatrix {
 
 /// Column-major index into a [`CsrMatrix`].
 ///
-/// Valid for as long as the owning matrix keeps its pattern; values are read
-/// through the matrix at iteration time, so in-place value updates are
-/// reflected without rebuilding the view.
+/// Only valid with the matrix it was built from; values are read through
+/// that matrix at iteration time.
 #[derive(Debug, Clone)]
 pub struct ColumnView {
     col_ptr: Vec<usize>,
@@ -198,17 +174,6 @@ mod tests {
         assert_eq!(col0, vec![(0, 1.0), (2, 4.0)]);
         let col2: Vec<(usize, f64)> = view.column(&m, 2).collect();
         assert_eq!(col2, vec![(0, 2.0), (2, 5.0)]);
-    }
-
-    #[test]
-    fn in_place_updates_are_visible_through_the_view() {
-        let mut m = sample();
-        let view = m.column_view();
-        let pos = m.position(2, 0).unwrap();
-        m.set_value(pos, -7.0);
-        let col0: Vec<(usize, f64)> = view.column(&m, 0).collect();
-        assert_eq!(col0, vec![(0, 1.0), (2, -7.0)]);
-        assert_eq!(m.position(1, 0), None);
     }
 
     #[test]

@@ -1,32 +1,33 @@
-//! Warm-started re-solving of structurally identical programs.
+//! Warm-started re-solving of one program under a moving right-hand side.
 //!
 //! Snapshot series (omniscient TE, Des TE, prediction TE over a trace) solve
-//! the *same* linear program over and over with only demand-dependent
-//! coefficients and right-hand sides changing.  [`LpTemplate`] exploits that:
-//! the standard form — slack/artificial layout, CSR pattern, column view — is
-//! built **once**, per-solve updates rewrite values in place through
-//! [`CoeffHandle`]s, and every solve after the first is seeded from the
-//! previous optimum's [`crate::revised::Basis`].  A series of `T` snapshots
-//! thus costs one cold two-phase solve plus `T − 1` warm re-solves, each of
-//! which typically needs a handful of pivots (the same amortization idea as
-//! semi-oblivious TE systems that re-optimize over slowly drifting matrices).
+//! the *same* linear program over and over with only the demand changing, and
+//! the min-MLU template states that program over path flows, so the demand
+//! sits on the right-hand side and nowhere else.  [`LpTemplate`] exploits
+//! that: the standard form — slack/artificial layout, CSR matrix, column view
+//! — is built **once** and never touched again, per-solve updates go through
+//! [`LpTemplate::set_rhs`], and every solve after the first is seeded from a
+//! previous optimum (the same amortization idea as semi-oblivious TE systems
+//! that re-optimize rates over a fixed path set).
 //!
-//! Invariants: the variable set, objective, constraint pattern and every
-//! constraint's *relation* are frozen at construction; only coefficient values
-//! and right-hand sides may change, and a right-hand side must keep the sign
-//! it had at construction (the sign decides the slack/artificial layout).
-//! Warm starting never changes results — an unusable basis silently falls
-//! back to a cold solve (`stats.warm_started` reports which path ran).
+//! Invariants: the variable set, objective and constraint matrix are frozen
+//! at construction; only right-hand sides may change, and a right-hand side
+//! must keep the sign it had at construction (the sign decides the
+//! slack/artificial layout).  Warm starting never changes results — an
+//! unusable seed silently falls back to the next start
+//! (`stats.warm_started` reports whether the basis was accepted).
 //!
-//! Beyond the previous optimum, the template keeps a small **basis pool**: the
-//! last [`BASIS_POOL`] optimal bases, each keyed by the mutable program data
-//! (coefficient values and right-hand sides) it was optimal for.  Each solve
-//! seeds from the pool entry closest (L1) to the current data.  Traffic is not
-//! a random walk — matrices recur (diurnal cycles, periodic batch jobs, A/B
-//! flips between a few regimes) — and a seed from a *similar* snapshot is
-//! dramatically cheaper than one from merely the *latest* snapshot: a
-//! revisited regime re-solves in zero pivots where the drifted previous basis
-//! would be rejected and trigger a full cold solve.
+//! Two seeds are kept.  A small **basis pool**: the last [`BASIS_POOL`]
+//! optimal bases, each keyed by the right-hand side it was optimal for; each
+//! solve tries the pool entry closest (L1) to the current one.  Traffic is
+//! not a random walk — matrices recur (diurnal cycles, periodic batch jobs,
+//! A/B flips between a few regimes) — and a basis from a *similar* snapshot
+//! re-solves in a few dual pivots where one from merely the *latest* snapshot
+//! would be rejected by the damage gate.  And the previous optimum's
+//! **values**, which seed the crash basis every rejected basis falls to (see
+//! [`crate::revised`]): a burst leaves the old basis infeasible in hundreds
+//! of rows, but "every pair on its previously dominant path" is one pivot
+//! from feasible under any right-hand side.
 
 use crate::problem::LinearProgram;
 use crate::revised::{solve_on_form, Basis, StandardForm};
@@ -34,67 +35,31 @@ use crate::solution::{LpError, Solution};
 
 /// Number of recent optima kept for seed selection (see the module docs).
 /// Sized to cover a handful of traffic regimes; the per-solve selection scan
-/// costs `BASIS_POOL × nnz` flops, microseconds against a millisecond solve.
+/// costs `BASIS_POOL × rows` flops, microseconds against a millisecond solve.
 const BASIS_POOL: usize = 8;
 
-/// A stable handle to one constraint coefficient of a template, resolved once
-/// via [`LpTemplate::coefficient`] and then valid for the template's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoeffHandle {
-    row: usize,
-    /// Index into the constraint's sparse coefficient list.
-    entry: usize,
-    /// Position in the CSR value array of the standard form.
-    csr_pos: usize,
-}
-
-/// A linear program whose structure is fixed but whose demand-dependent
-/// values are rewritten between solves, with basis warm starting across
-/// solves.  See the module docs for the invariants.
+/// A linear program whose matrix is fixed but whose right-hand side is
+/// rewritten between solves, with warm starting across solves.  See the
+/// module docs for the invariants.
 #[derive(Debug)]
 pub struct LpTemplate {
     lp: LinearProgram,
     form: StandardForm,
-    basis: Option<Basis>,
-    /// Recent optima, oldest first, keyed by the mutable program data
-    /// (standard-form coefficient values ++ RHS) each was optimal for.
+    /// Recent optima, oldest first, keyed by the standard-form right-hand
+    /// side each was optimal for.
     pool: Vec<(Vec<f64>, Basis)>,
+    /// Structural values of the previous optimum (empty before any): the
+    /// crash hint.
+    hint: Vec<f64>,
 }
 
 impl LpTemplate {
     /// Builds the template (standard form + column view) from a fully
-    /// assembled program.  Constraints must not contain duplicate variable
-    /// entries — the CSR layer would merge them, making coefficient handles
-    /// ambiguous.
+    /// assembled program.
     pub fn new(lp: LinearProgram) -> LpTemplate {
         assert!(lp.num_vars() > 0, "cannot build a template over an empty program");
-        for (r, c) in lp.constraints().iter().enumerate() {
-            let mut vars: Vec<usize> = c.coeffs.iter().map(|&(v, _)| v).collect();
-            vars.sort_unstable();
-            vars.dedup();
-            assert!(
-                vars.len() == c.coeffs.len(),
-                "constraint {r} has duplicate variable entries; merge them before templating"
-            );
-        }
         let form = StandardForm::build(&lp);
-        LpTemplate { lp, form, basis: None, pool: Vec::new() }
-    }
-
-    /// The handle of the coefficient of `var` in constraint `row`, if that
-    /// entry is stored.  Coefficients that should vary across solves must be
-    /// present (possibly as an explicit `0.0`) when the template is built.
-    pub fn coefficient(&self, row: usize, var: usize) -> Option<CoeffHandle> {
-        let entry = self.lp.constraints()[row].coeffs.iter().position(|&(v, _)| v == var)?;
-        let csr_pos = self.form.matrix.position(row, var)?;
-        Some(CoeffHandle { row, entry, csr_pos })
-    }
-
-    /// Rewrites one constraint coefficient (pattern unchanged).
-    pub fn set_coefficient(&mut self, handle: CoeffHandle, value: f64) {
-        let sign = if self.form.flipped[handle.row] { -1.0 } else { 1.0 };
-        self.lp.set_constraint_coefficient(handle.row, handle.entry, value);
-        self.form.matrix.set_value(handle.csr_pos, sign * value);
+        LpTemplate { lp, form, pool: Vec::new(), hint: Vec::new() }
     }
 
     /// Rewrites the right-hand side of constraint `row`.  The new value must
@@ -110,36 +75,25 @@ impl LpTemplate {
         self.form.rhs[row] = if flipped { -value } else { value };
     }
 
-    /// Solves the template's current program, seeding from the stored basis
-    /// closest to the current program data (falling back to the previous
-    /// solve's basis, then cold).  On success the final basis joins the pool
-    /// and becomes the default seed for the next solve.
+    /// Solves the template's current program, seeding from the pooled basis
+    /// closest to the current right-hand side, then from the previous
+    /// optimum's values, then cold.  On success the final basis joins the
+    /// pool and the solution's values become the next crash hint.
     pub fn solve(&mut self) -> Result<Solution, LpError> {
-        let signature = self.signature();
-        let seed = self.closest_basis(&signature).or(self.basis.as_ref());
-        let (solution, basis) = solve_on_form(&self.lp, &self.form, seed)?;
-        self.basis = Some(basis.clone());
-        self.remember(signature, basis);
+        let (solution, basis) =
+            solve_on_form(&self.lp, &self.form, self.closest_basis(), &self.hint)?;
+        self.hint.clear();
+        self.hint.extend_from_slice(&solution.values);
+        self.remember(basis);
         Ok(solution)
     }
 
-    /// The mutable program data as one flat vector: every standard-form
-    /// coefficient value followed by the RHS.  Static entries ride along
-    /// (they contribute zero to any distance) to keep the key maintenance-free.
-    fn signature(&self) -> Vec<f64> {
-        let values = self.form.matrix.values();
-        let mut sig = Vec::with_capacity(values.len() + self.form.rhs.len());
-        sig.extend_from_slice(values);
-        sig.extend_from_slice(&self.form.rhs);
-        sig
-    }
-
-    /// The pool basis whose signature is L1-closest to `signature`, oldest
-    /// entry winning ties.
-    fn closest_basis(&self, signature: &[f64]) -> Option<&Basis> {
+    /// The pool basis whose right-hand side is L1-closest to the current one,
+    /// oldest entry winning ties.
+    fn closest_basis(&self) -> Option<&Basis> {
         let mut best: Option<(f64, &Basis)> = None;
         for (key, basis) in &self.pool {
-            let dist: f64 = key.iter().zip(signature).map(|(a, b)| (a - b).abs()).sum();
+            let dist: f64 = key.iter().zip(&self.form.rhs).map(|(a, b)| (a - b).abs()).sum();
             if best.as_ref().is_none_or(|&(d, _)| dist < d) {
                 best = Some((dist, basis));
             }
@@ -147,29 +101,28 @@ impl LpTemplate {
         best.map(|(_, b)| b)
     }
 
-    /// Inserts an optimum into the pool, replacing any entry with identical
-    /// program data (the fresh basis supersedes it) and evicting the oldest
-    /// entry beyond [`BASIS_POOL`].
-    fn remember(&mut self, signature: Vec<f64>, basis: Basis) {
-        if let Some(pos) = self.pool.iter().position(|(key, _)| key == &signature) {
-            self.pool.remove(pos);
-        }
-        self.pool.push((signature, basis));
-        if self.pool.len() > BASIS_POOL {
-            self.pool.remove(0);
-        }
+    /// Inserts an optimum into the pool under the current right-hand side,
+    /// replacing any entry with the identical one (the fresh basis supersedes
+    /// it) and otherwise evicting the oldest entry beyond [`BASIS_POOL`]; the
+    /// displaced entry's key buffer is reused.
+    fn remember(&mut self, basis: Basis) {
+        let same = self.pool.iter().position(|(key, _)| key == &self.form.rhs);
+        let displaced = same.or((self.pool.len() == BASIS_POOL).then_some(0));
+        let mut key = displaced.map_or_else(Vec::new, |pos| self.pool.remove(pos).0);
+        key.clear();
+        key.extend_from_slice(&self.form.rhs);
+        self.pool.push((key, basis));
     }
 
-    /// Drops the stored basis and the pool, forcing the next solve to run
-    /// cold.
+    /// Drops the pool and the crash hint, forcing the next solve to run cold.
     pub fn clear_basis(&mut self) {
-        self.basis = None;
         self.pool.clear();
+        self.hint.clear();
     }
 
     /// Whether the next solve will attempt a warm start.
     pub fn has_warm_basis(&self) -> bool {
-        self.basis.is_some()
+        !self.pool.is_empty()
     }
 
     /// The template's current program (updates applied).
@@ -187,9 +140,9 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
-    /// The toy min-MLU program with the per-pair demand as a mutable RHS and
-    /// the per-path demand coefficients as mutable entries.
-    fn toy_template() -> (LpTemplate, CoeffHandle, CoeffHandle) {
+    /// The toy min-MLU program over path flows: the pair's demand is the
+    /// right-hand side of row 0.
+    fn toy_template() -> LpTemplate {
         let mut lp = LinearProgram::new(Direction::Minimize);
         let theta = lp.add_variable(1.0);
         let f1 = lp.add_variable(0.0);
@@ -197,15 +150,12 @@ mod tests {
         lp.add_constraint(vec![(f1, 1.0), (f2, 1.0)], Relation::Equal, 3.0);
         lp.add_constraint(vec![(f1, 1.0), (theta, -1.0)], Relation::LessEq, 0.0);
         lp.add_constraint(vec![(f2, 1.0), (theta, -2.0)], Relation::LessEq, 0.0);
-        let template = LpTemplate::new(lp);
-        let h1 = template.coefficient(1, f1).unwrap();
-        let h2 = template.coefficient(2, f2).unwrap();
-        (template, h1, h2)
+        LpTemplate::new(lp)
     }
 
     #[test]
     fn resolves_and_warm_starts_across_rhs_updates() {
-        let (mut template, _, _) = toy_template();
+        let mut template = toy_template();
         let first = template.solve().unwrap();
         assert_close(first.objective_value, 1.0);
         assert!(!first.stats.warm_started);
@@ -219,21 +169,8 @@ mod tests {
     }
 
     #[test]
-    fn coefficient_updates_are_applied_to_both_views() {
-        let (mut template, h1, _) = toy_template();
-        template.solve().unwrap();
-        // Double the utilization weight of f1: as if its demand doubled.
-        template.set_coefficient(h1, 2.0);
-        let sol = template.solve().unwrap();
-        // f1 + f2 = 3, 2 f1 <= theta, f2 <= 2 theta  =>  theta = 1.2 at
-        // f1 = 0.6, f2 = 2.4.
-        assert_close(sol.objective_value, 1.2);
-        assert!(template.lp().is_feasible(&sol.values, 1e-6));
-    }
-
-    #[test]
     fn clear_basis_forces_a_cold_solve() {
-        let (mut template, _, _) = toy_template();
+        let mut template = toy_template();
         template.solve().unwrap();
         template.clear_basis();
         assert!(!template.has_warm_basis());
@@ -244,17 +181,27 @@ mod tests {
 
     #[test]
     fn revisited_program_data_reuses_its_own_basis() {
-        // Alternate between two demand regimes whose optimal bases differ;
-        // the pool must seed a revisit from the regime's *own* basis, making
-        // the re-solve pivot-free even though the latest basis is the other
-        // regime's.
-        let (mut template, h1, _) = toy_template();
+        // Two pairs share a link; which of them is "on" decides the optimal
+        // basis.  Alternate between the regimes: the pool must seed a revisit
+        // from the regime's *own* basis, making the re-solve pivot-free even
+        // though the latest basis is the other regime's.
+        let mut lp = LinearProgram::new(Direction::Minimize);
+        let theta = lp.add_variable(1.0);
+        let f: Vec<usize> = (0..4).map(|_| lp.add_variable(0.0)).collect();
+        lp.add_constraint(vec![(f[0], 1.0), (f[1], 1.0)], Relation::Equal, 4.0);
+        lp.add_constraint(vec![(f[2], 1.0), (f[3], 1.0)], Relation::Equal, 0.0);
+        lp.add_constraint(vec![(f[0], 1.0), (theta, -1.0)], Relation::LessEq, 0.0);
+        lp.add_constraint(vec![(f[1], 1.0), (f[2], 1.0), (theta, -1.0)], Relation::LessEq, 0.0);
+        lp.add_constraint(vec![(f[3], 1.0), (theta, -1.0)], Relation::LessEq, 0.0);
+        let mut template = LpTemplate::new(lp);
         let first = template.solve().unwrap();
-        assert_close(first.objective_value, 1.0);
-        template.set_coefficient(h1, 4.0); // other regime, different optimum
+        assert_close(first.objective_value, 2.0);
+        template.set_rhs(0, 0.0);
+        template.set_rhs(1, 6.0); // other regime, different optimum
         let second = template.solve().unwrap();
-        assert!(second.objective_value > first.objective_value);
-        template.set_coefficient(h1, 1.0); // back to the first regime
+        assert_close(second.objective_value, 3.0);
+        template.set_rhs(0, 4.0);
+        template.set_rhs(1, 0.0); // back to the first regime
         let third = template.solve().unwrap();
         assert_close(third.objective_value, first.objective_value);
         assert!(third.stats.warm_started, "revisit must warm start");
@@ -262,15 +209,9 @@ mod tests {
     }
 
     #[test]
-    fn missing_coefficient_positions_are_none() {
-        let (template, _, _) = toy_template();
-        assert!(template.coefficient(1, 2).is_none(), "f2 does not appear in row 1");
-    }
-
-    #[test]
     #[should_panic(expected = "sign class")]
     fn rhs_sign_flips_are_rejected() {
-        let (mut template, _, _) = toy_template();
+        let mut template = toy_template();
         template.set_rhs(0, -1.0);
     }
 
@@ -288,11 +229,6 @@ mod tests {
         template.set_rhs(0, -6.0);
         let sol = template.solve().unwrap();
         assert_close(sol.objective_value, 6.0);
-        let h = template.coefficient(0, x).unwrap();
-        template.set_coefficient(h, -2.0);
-        let sol = template.solve().unwrap();
-        // 2x + y >= 6, min x + 2y  =>  x = 3, y = 0.
-        assert_close(sol.objective_value, 3.0);
         assert!(template.lp().is_feasible(&sol.values, 1e-6));
     }
 }

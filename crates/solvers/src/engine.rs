@@ -16,8 +16,9 @@
 //! [`SolverEngine::Auto`] picks the LP for small and medium instances and the
 //! iterative engine otherwise, mirroring how the paper restricts its heaviest
 //! baselines to the smaller topologies.  Snapshot *series* should prefer
-//! [`crate::template::MluTemplate`], which builds the LP structure once and
-//! warm starts every re-solve from the previous optimum's basis.
+//! [`crate::template::MluTemplate`], which builds the LP once over path flows
+//! and re-solves it under each snapshot's right-hand side, seeded from the
+//! previous optima.
 
 use std::sync::Arc;
 
@@ -202,7 +203,10 @@ pub fn solve_min_mlu(
 }
 
 /// Exact LP formulation (Equation 9 of the paper, plus the optional
-/// desensitization constraints of Equation 5).
+/// desensitization constraints of Equation 5), stated over the split ratios:
+/// the demand sets share them.  [`crate::template::MluTemplate`] states the
+/// single-demand program over path flows instead, and its tests hold it to
+/// this one's optimum.
 pub fn solve_lp(problem: &MluProblem<'_>) -> Result<TeConfig, SolveError> {
     let paths = problem.paths;
     let mut lp = LinearProgram::new(Direction::Minimize);
