@@ -8,13 +8,23 @@
 //! * **BTRAN** (`y = Bᵀ⁻¹ c_B`) prices the simplex multipliers, then reduced
 //!   costs are computed against the *sparse columns only*;
 //! * **FTRAN** (`w = B⁻¹ a_q`) transforms just the entering column;
-//! * each pivot appends one eta vector instead of touching every row, and the
-//!   factorization is rebuilt from the basis columns ("reinversion") every
-//!   [`REFACTOR_INTERVAL`] updates, which also restores numerical accuracy.
+//! * each pivot appends one eta column to a flat arena instead of touching
+//!   every row, and the factorization is rebuilt from the basis columns
+//!   ("reinversion") every [`REFACTOR_INTERVAL`] updates — sooner once the
+//!   update etas hold `16m + 1024` nonzeros — which also restores numerical
+//!   accuracy.
 //!
 //! TE min-MLU programs are extremely sparse (a path touches a handful of
 //! links), so per-iteration work drops from `O(m·n)` to roughly
-//! `O(nnz + m + |eta file|)`.  Phase-2 pricing is **partial**: a candidate
+//! `O(nnz + m + |eta file|)` — with one exception the eta file is shaped
+//! around.  The min-max variable θ sits in every capacity row, so the update
+//! etas of a min-MLU basis are one-half to two-thirds full.  Such an eta is
+//! stored as a dense column (no row indices; at that density no more memory
+//! than 16-byte `(row, value)` pairs), FTRAN applies it as one contiguous
+//! axpy, and BTRAN
+//! of a sparse vector — the phase-2 multipliers start from θ's cost, the only
+//! nonzero one — reads it only on the rows the result can be nonzero on, not
+//! on all `m`.  Phase-2 pricing is **partial**: a candidate
 //! list of the [`CANDIDATE_LIST`] most attractive columns from the last full
 //! sweep is re-priced exactly (one sparse dot per column) on every iteration,
 //! and the full `d = c − Aᵀy` CSR sweep only runs when the list goes dry or
@@ -50,6 +60,8 @@
 //! many rows at once), repair gives up — silently fall back to the crash
 //! start, so warm starting never changes the result, only the work.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use crate::problem::{Direction, LinearProgram, Relation};
@@ -101,65 +113,234 @@ impl Basis {
     }
 }
 
-/// One eta matrix: identity except for column `pivot`.
-#[derive(Debug, Clone)]
-struct Eta {
-    pivot: usize,
-    /// Diagonal entry `1 / w[pivot]`.
-    diag: f64,
-    /// Off-diagonal entries `(row, -w[row] / w[pivot])`.
-    entries: Vec<(usize, f64)>,
+/// Product-form factorization of the basis inverse, `B⁻¹ = E_k · … · E_1`,
+/// in one flat arena.  Eta `k` is the identity except for column
+/// `pivot[k]`, which holds `diag[k] = 1 / w[pivot]` on the diagonal and
+/// `-w[i] / w[pivot]` elsewhere, `w` being the column pivoted in.  Its
+/// off-diagonal part is `value[start[k]..start[k + 1]]`, in one of two forms:
+///
+/// * **sparse** — the nonzeros only, their rows at the matching positions of
+///   `index[row_start[k]..row_start[k + 1]]`;
+/// * **dense** — the whole `rows`-long column (pivot slot zero) and no rows.
+///
+/// Reinversion etas are sparse.  An update eta is dense when its nonzeros,
+/// diagonal aside, number at least half the rows: eight bytes a row then cost
+/// no more than a 16-byte `(row, value)` pair per nonzero.  `nnz` counts true
+/// nonzeros either way, so the reinversion trigger does not see the storage
+/// choice.
+struct EtaFile {
+    /// Length of a dense column (the basis dimension).
+    rows: usize,
+    pivot: Vec<u32>,
+    diag: Vec<f64>,
+    start: Vec<usize>,
+    row_start: Vec<usize>,
+    index: Vec<u32>,
+    value: Vec<f64>,
+    /// Etas `first_update..` are update etas (one per pivot since the last
+    /// reinversion); the ones before it are the reinversion's.
+    first_update: usize,
+    /// How many of the update etas are dense.
+    dense_updates: usize,
+    /// Nonzeros in the file, diagonals included.
+    nnz: usize,
+    /// BTRAN scratch: the rows a sparse multiplier vector can be nonzero on,
+    /// ascending (see [`EtaFile::btran`]).
+    live: Vec<u32>,
 }
 
-/// Product-form factorization of the basis inverse: `B⁻¹ = E_k · … · E_1`.
-#[derive(Debug, Clone, Default)]
-struct EtaFile {
-    etas: Vec<Eta>,
-    nnz: usize,
+/// The off-diagonal part of one eta (see [`EtaFile`]).
+enum EtaColumn<'a> {
+    Sparse(&'a [u32], &'a [f64]),
+    Dense(&'a [f64]),
 }
 
 impl EtaFile {
+    /// An empty file for a `rows`-row basis, with room for a reinversion and
+    /// the update etas the reinversion trigger lets accumulate; past that the
+    /// arena grows (amortized) and keeps its capacity across reinversions.
+    fn with_rows(rows: usize) -> EtaFile {
+        assert!(u32::try_from(rows).is_ok(), "{rows} rows overflow the eta file's u32 row index");
+        let etas = rows + REFACTOR_INTERVAL;
+        let mut file = EtaFile {
+            rows,
+            pivot: Vec::with_capacity(etas),
+            diag: Vec::with_capacity(etas),
+            start: Vec::with_capacity(etas + 1),
+            row_start: Vec::with_capacity(etas + 1),
+            index: Vec::with_capacity(4 * rows),
+            value: Vec::with_capacity(4 * rows + 2 * update_nnz_limit(rows)),
+            first_update: 0,
+            dense_updates: 0,
+            nnz: 0,
+            live: Vec::with_capacity(rows),
+        };
+        file.clear();
+        file
+    }
+
+    /// Drops every eta (the identity factorization), keeping the capacity.
+    fn clear(&mut self) {
+        self.pivot.clear();
+        self.diag.clear();
+        self.start.clear();
+        self.start.push(0);
+        self.row_start.clear();
+        self.row_start.push(0);
+        self.index.clear();
+        self.value.clear();
+        self.first_update = 0;
+        self.dense_updates = 0;
+        self.nnz = 0;
+    }
+
+    fn len(&self) -> usize {
+        self.pivot.len()
+    }
+
+    /// Marks the end of a reinversion: etas appended from now on are update
+    /// etas.
+    fn begin_updates(&mut self) {
+        self.first_update = self.len();
+        self.dense_updates = 0;
+    }
+
+    fn column(&self, k: usize) -> EtaColumn<'_> {
+        let values = &self.value[self.start[k]..self.start[k + 1]];
+        let rows = &self.index[self.row_start[k]..self.row_start[k + 1]];
+        if rows.len() == values.len() {
+            EtaColumn::Sparse(rows, values)
+        } else {
+            EtaColumn::Dense(values)
+        }
+    }
+
     /// `x := B⁻¹ x` (apply etas oldest-first).
     fn ftran(&self, x: &mut [f64]) {
-        for eta in &self.etas {
-            let t = x[eta.pivot];
+        for (k, (&p, &diag)) in self.pivot.iter().zip(&self.diag).enumerate() {
+            let p = p as usize;
+            let t = x[p];
             if t != 0.0 {
-                x[eta.pivot] = eta.diag * t;
-                for &(i, v) in &eta.entries {
-                    x[i] += v * t;
+                x[p] = diag * t;
+                match self.column(k) {
+                    EtaColumn::Sparse(rows, values) => {
+                        for (&i, &v) in rows.iter().zip(values) {
+                            x[i as usize] += v * t;
+                        }
+                    }
+                    // The pivot slot holds zero: `x[p]` stays `diag · t`.
+                    EtaColumn::Dense(column) => {
+                        for (xi, &v) in x.iter_mut().zip(column) {
+                            *xi += v * t;
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// `y := B⁻ᵀ y` (apply transposed etas newest-first).
-    fn btran(&self, y: &mut [f64]) {
-        for eta in self.etas.iter().rev() {
-            let mut acc = eta.diag * y[eta.pivot];
-            for &(i, v) in &eta.entries {
-                acc += v * y[i];
+    /// `y := B⁻ᵀ y` (apply transposed etas newest-first): each eta replaces
+    /// `y[pivot]` by its column's dot product with `y`.
+    ///
+    /// When `y` starts sparse — fewer nonzeros than a quarter of the rows, as
+    /// the phase-2 multipliers `c_B` (θ's cost) and the unit rows `e_r` of
+    /// the dual repair do — dense update etas are read on the **live rows**
+    /// only: the support of `y` plus the pivot rows of the etas already
+    /// applied, the only rows the walk has written.  Every other row of `y`
+    /// is still zero, so the dot product over the live rows adds the same
+    /// nonzero terms in the same (ascending) order as one over all `m`: the
+    /// result is the same to the bit, up to the sign of a zero.  Sparse etas
+    /// take their entries as stored.
+    fn btran(&mut self, y: &mut [f64]) {
+        let live = self.collect_live_rows(y);
+        for k in (self.first_update..self.len()).rev() {
+            let p = self.pivot[k] as usize;
+            let mut acc = self.diag[k] * y[p];
+            match self.column(k) {
+                EtaColumn::Sparse(rows, values) => {
+                    for (&i, &v) in rows.iter().zip(values) {
+                        acc += v * y[i as usize];
+                    }
+                }
+                EtaColumn::Dense(column) if live => {
+                    for &i in &self.live {
+                        acc += column[i as usize] * y[i as usize];
+                    }
+                }
+                EtaColumn::Dense(column) => {
+                    for (&v, &yi) in column.iter().zip(y.iter()) {
+                        acc += v * yi;
+                    }
+                }
             }
-            y[eta.pivot] = acc;
+            y[p] = acc;
+            if live {
+                if let Err(at) = self.live.binary_search(&self.pivot[k]) {
+                    self.live.insert(at, self.pivot[k]);
+                }
+            }
+        }
+        // The reinversion's etas are sparse and sit at the front of the
+        // arena, where `index` and `value` still run in step: one offset
+        // array delimits both, and no eta needs its form checked.
+        let base = self.first_update;
+        let end = self.start[base];
+        debug_assert_eq!(self.row_start[base], end, "reinversion etas are sparse");
+        let (index, value) = (&self.index[..end], &self.value[..end]);
+        let spans = self.start[..=base].windows(2);
+        for ((&p, &diag), span) in
+            self.pivot[..base].iter().zip(&self.diag[..base]).zip(spans).rev()
+        {
+            let p = p as usize;
+            let mut acc = diag * y[p];
+            for (&i, &v) in index[span[0]..span[1]].iter().zip(&value[span[0]..span[1]]) {
+                acc += v * y[i as usize];
+            }
+            y[p] = acc;
         }
     }
 
-    /// `x := B⁻¹ x` for a *sparse* `x`, event-driven: instead of walking the
-    /// whole file (O(#etas) even when almost all are no-ops), only etas whose
-    /// pivot row actually carries value are applied, discovered through
-    /// `eta_of_row` (row → file index of the eta pivoting there, `usize::MAX`
-    /// if none) and drained in file order via a min-heap.  Applying in
-    /// ascending file order reproduces the dense FTRAN exactly: an eta whose
-    /// pivot first becomes nonzero *after* its turn would not have been
-    /// re-applied by the sequential walk either.
+    /// Loads the support of `y` into `live` and says whether the live-row
+    /// walk applies: there are dense update etas to walk and `y` is sparse.
+    fn collect_live_rows(&mut self, y: &[f64]) -> bool {
+        self.live.clear();
+        if self.dense_updates == 0 {
+            return false;
+        }
+        let limit = self.rows / 4;
+        for (i, &v) in y.iter().enumerate() {
+            if v != 0.0 {
+                if self.live.len() == limit {
+                    return false;
+                }
+                self.live.push(i as u32);
+            }
+        }
+        true
+    }
+
+    /// `x := B⁻¹ x` for a *sparse* `x` over a reinversion's (sparse) etas,
+    /// event-driven: instead of walking the whole file (O(#etas) even when
+    /// almost all are no-ops), only etas whose pivot row actually carries
+    /// value are applied, discovered through `eta_of_row` (row → file index
+    /// of the eta pivoting there, `usize::MAX` if none) and drained in file
+    /// order via the min-heap `heap`.  Applying in ascending file order
+    /// reproduces the dense FTRAN exactly: an eta whose pivot first becomes
+    /// nonzero *after* its turn would not have been re-applied by the
+    /// sequential walk either.
     ///
     /// `touched` holds the support of `x` and is extended as values spread.
     /// Indices can repeat when a value cancels to exactly zero and is later
     /// rewritten — consumers must tolerate that (zeroing twice is free;
     /// [`EtaFile::push_from`] zeroes as it drains).
-    fn ftran_sparse(&self, x: &mut [f64], touched: &mut Vec<usize>, eta_of_row: &[usize]) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut heap: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+    fn ftran_sparse(
+        &self,
+        x: &mut [f64],
+        touched: &mut Vec<usize>,
+        eta_of_row: &[usize],
+        heap: &mut BinaryHeap<Reverse<usize>>,
+    ) {
+        heap.clear();
         for &r in touched.iter() {
             if eta_of_row[r] != usize::MAX {
                 heap.push(Reverse(eta_of_row[r]));
@@ -171,13 +352,17 @@ impl EtaFile {
                 continue; // duplicate heap entry
             }
             last = idx;
-            let eta = &self.etas[idx];
-            let t = x[eta.pivot];
+            let p = self.pivot[idx] as usize;
+            let t = x[p];
             if t == 0.0 {
                 continue;
             }
-            x[eta.pivot] = eta.diag * t;
-            for &(i, v) in &eta.entries {
+            x[p] = self.diag[idx] * t;
+            let EtaColumn::Sparse(rows, values) = self.column(idx) else {
+                unreachable!("reinversion etas are sparse");
+            };
+            for (&i, &v) in rows.iter().zip(values) {
+                let i = i as usize;
                 if x[i] == 0.0 {
                     touched.push(i);
                     if eta_of_row[i] != usize::MAX && eta_of_row[i] > idx {
@@ -189,44 +374,66 @@ impl EtaFile {
         }
     }
 
-    /// Appends the eta produced by pivoting the FTRAN'd entering column `w`
-    /// on row `pivot`.
-    fn push(&mut self, pivot: usize, w: &[f64]) {
-        let inv = 1.0 / w[pivot];
-        let mut entries = Vec::new();
-        for (i, &v) in w.iter().enumerate() {
-            if i != pivot && v != 0.0 {
-                entries.push((i, -v * inv));
-            }
-        }
-        self.nnz += entries.len() + 1;
-        self.etas.push(Eta { pivot, diag: inv, entries });
+    /// Closes the eta just written to `value`/`index` (see [`EtaFile`]).
+    fn seal(&mut self, pivot: usize, diag: f64, nonzeros: usize) {
+        self.pivot.push(pivot as u32);
+        self.diag.push(diag);
+        self.start.push(self.value.len());
+        self.row_start.push(self.index.len());
+        self.nnz += nonzeros + 1;
     }
 
-    /// [`EtaFile::push`] over a sparse support: only `support` indices are
-    /// read, and each is zeroed as it is consumed, which both cleans the
-    /// scratch vector for the caller and makes duplicate support indices
-    /// (see [`EtaFile::ftran_sparse`]) read as zero on second sight.
+    /// Appends the update eta produced by pivoting the FTRAN'd entering
+    /// column `w` on row `pivot`, dense or sparse by its own density.
+    fn push(&mut self, pivot: usize, w: &[f64]) {
+        let inv = 1.0 / w[pivot];
+        let nonzeros = w.iter().filter(|&&v| v != 0.0).count() - usize::from(w[pivot] != 0.0);
+        if 2 * nonzeros >= self.rows {
+            let from = self.value.len();
+            self.value.extend(w.iter().map(|&v| -v * inv));
+            self.value[from + pivot] = 0.0;
+            self.dense_updates += 1;
+        } else {
+            for (i, &v) in w.iter().enumerate() {
+                if i != pivot && v != 0.0 {
+                    self.index.push(i as u32);
+                    self.value.push(-v * inv);
+                }
+            }
+        }
+        self.seal(pivot, inv, nonzeros);
+    }
+
+    /// [`EtaFile::push`] of a reinversion eta over a sparse support, always
+    /// stored sparse: only `support` indices are read, and each is zeroed as
+    /// it is consumed, which both cleans the scratch vector for the caller
+    /// and makes duplicate support indices (see [`EtaFile::ftran_sparse`])
+    /// read as zero on second sight.
     fn push_from(&mut self, pivot: usize, w: &mut [f64], support: &[usize]) {
         let inv = 1.0 / w[pivot];
-        let mut entries = Vec::new();
+        let from = self.value.len();
         for &i in support {
             let v = w[i];
             w[i] = 0.0;
             if i != pivot && v != 0.0 {
-                entries.push((i, -v * inv));
+                self.index.push(i as u32);
+                self.value.push(-v * inv);
             }
         }
-        self.nnz += entries.len() + 1;
-        self.etas.push(Eta { pivot, diag: inv, entries });
+        self.seal(pivot, inv, self.value.len() - from);
     }
 
     /// Appends a pure scaling eta (`x[pivot] *= 1/v`): the elimination step
     /// of a singleton column with entry `v` on an unpivoted row.
     fn push_diagonal(&mut self, pivot: usize, v: f64) {
-        self.nnz += 1;
-        self.etas.push(Eta { pivot, diag: 1.0 / v, entries: Vec::new() });
+        self.seal(pivot, 1.0 / v, 0);
     }
+}
+
+/// Nonzeros the update etas may accumulate before a reinversion is due (see
+/// [`Simplex::should_refactorize`]).
+fn update_nnz_limit(rows: usize) -> usize {
+    16 * rows + 1024
 }
 
 /// The program in computational standard form: `min cᵀx  s.t.  Ax = b, x ≥ 0`
@@ -342,7 +549,57 @@ enum Outcome {
     Unbounded,
 }
 
-/// Revised simplex state over one standard form.
+/// Reinversion scratch (see [`Simplex::refactorize`]), sized once per solve.
+struct Reinversion {
+    /// Basic columns sparsest-first, ties by column index.
+    order: Vec<usize>,
+    /// Counting-sort buckets of `order`, one per column nonzero count.
+    buckets: Vec<usize>,
+    pivoted: Vec<bool>,
+    /// Basic column of each row as the reinversion assigns pivots.
+    new_basis: Vec<usize>,
+    /// File index of the eta pivoting each row (event-driven FTRAN).
+    eta_of_row: Vec<usize>,
+    touched: Vec<usize>,
+    heap: BinaryHeap<Reverse<usize>>,
+}
+
+impl Reinversion {
+    fn with_rows(rows: usize) -> Reinversion {
+        Reinversion {
+            order: vec![0; rows],
+            buckets: vec![0; rows + 2],
+            pivoted: vec![false; rows],
+            new_basis: vec![0; rows],
+            eta_of_row: vec![usize::MAX; rows],
+            touched: Vec::with_capacity(rows),
+            heap: BinaryHeap::with_capacity(rows),
+        }
+    }
+
+    /// Orders the basic columns by `(nonzeros, column)` — a counting sort
+    /// over `is_basic`, which lists them by column already.
+    fn order_basic_columns(&mut self, is_basic: &[bool], view: &ColumnView) {
+        self.buckets.fill(0);
+        let basic = || (0..is_basic.len()).filter(|&c| is_basic[c]);
+        for c in basic() {
+            self.buckets[view.col_nnz(c) + 1] += 1;
+        }
+        for d in 1..self.buckets.len() {
+            self.buckets[d] += self.buckets[d - 1];
+        }
+        for c in basic() {
+            let slot = &mut self.buckets[view.col_nnz(c)];
+            self.order[*slot] = c;
+            *slot += 1;
+        }
+    }
+}
+
+/// Revised simplex state over one standard form.  One value serves a whole
+/// solve: every start (warm, crash, two-phase) resets it in place, so the
+/// eta arena and the scratch buffers are allocated once per solve however
+/// many starts, pivots and reinversions it takes.
 struct Simplex<'a> {
     form: &'a StandardForm,
     /// Basic column of each row.
@@ -376,56 +633,83 @@ struct Simplex<'a> {
     /// When `false` every iteration runs the full pricing sweep; test hook for
     /// pinning partial pricing against the reference Dantzig loop.
     partial_pricing: bool,
+    /// Dual-repair scratch: the row `ρ = B⁻ᵀ e_r` of the leaving row...
+    rho: Vec<f64>,
+    /// ...and its admissible entering columns `(column, alpha, d)`.
+    candidates: Vec<(usize, f64, f64)>,
+    reinversion: Reinversion,
 }
 
 impl<'a> Simplex<'a> {
-    /// Starts from the all-slack/artificial identity basis (`x_B = b`).
-    fn cold(form: &'a StandardForm) -> Simplex<'a> {
+    /// Allocates the state of one solve, at the all-slack/artificial identity
+    /// basis (`x_B = b`).
+    fn new(form: &'a StandardForm, partial_pricing: bool) -> Simplex<'a> {
         let m = form.num_rows();
-        let mut is_basic = vec![false; form.total_cols];
-        for &c in &form.initial_basis {
-            is_basic[c] = true;
-        }
-        Simplex {
+        let mut simplex = Simplex {
             form,
-            basis: form.initial_basis.clone(),
-            is_basic,
-            fact: EtaFile::default(),
-            xb: form.rhs.clone(),
+            basis: vec![0; m],
+            is_basic: vec![false; form.total_cols],
+            fact: EtaFile::with_rows(m),
+            xb: vec![0.0; m],
             updates_since_refactor: 0,
             nnz_after_refactor: 0,
             stats: SolveStats::default(),
             work: vec![0.0; m],
             y: vec![0.0; m],
             reduced: vec![0.0; form.total_cols],
-            cand: Vec::new(),
+            cand: Vec::with_capacity(form.total_cols),
             minor: 0,
-            partial_pricing: true,
-        }
+            partial_pricing,
+            rho: vec![0.0; m],
+            candidates: Vec::with_capacity(form.art_start),
+            reinversion: Reinversion::with_rows(m),
+        };
+        simplex.reset();
+        simplex
     }
 
-    /// Starts from a caller-provided basis.  Returns `None` if the basis does
-    /// not fit the form, is singular, or leaves an artificial variable basic
-    /// at a nonzero value — in all of which cases the caller should solve
-    /// cold instead.  The returned state may be primal *infeasible* (negative
-    /// basic values) when the right-hand side moved since the basis was
-    /// optimal; [`Simplex::dual_repair`] restores feasibility before primal
-    /// iterations run.
-    fn warm(form: &'a StandardForm, warm: &Basis) -> Option<Simplex<'a>> {
+    /// Returns to the identity basis with fresh counters, keeping every
+    /// buffer: what a start needs before it builds its basis.
+    fn reset(&mut self) {
+        let form = self.form;
+        self.basis.copy_from_slice(&form.initial_basis);
+        self.is_basic.fill(false);
+        for &c in &form.initial_basis {
+            self.is_basic[c] = true;
+        }
+        self.fact.clear();
+        self.xb.copy_from_slice(&form.rhs);
+        self.updates_since_refactor = 0;
+        self.nnz_after_refactor = 0;
+        self.stats = SolveStats::default();
+        self.work.fill(0.0);
+        self.cand.clear();
+        self.minor = 0;
+    }
+
+    /// Starts from a caller-provided basis.  Returns `false` if the basis
+    /// does not fit the form, is singular, or leaves an artificial variable
+    /// basic at a nonzero value — in all of which cases the caller should
+    /// solve cold instead.  The state may be left primal *infeasible*
+    /// (negative basic values) when the right-hand side moved since the basis
+    /// was optimal; [`Simplex::dual_repair`] restores feasibility before
+    /// primal iterations run.
+    fn start_warm(&mut self, warm: &Basis) -> bool {
+        let form = self.form;
         if warm.cols.len() != form.num_rows() || warm.total_cols != form.total_cols {
-            return None;
+            return false;
         }
-        let mut simplex = Simplex::cold(form);
-        simplex.basis = warm.cols.clone();
-        simplex.is_basic = vec![false; form.total_cols];
-        for &c in &simplex.basis {
-            if c >= form.total_cols || simplex.is_basic[c] {
-                return None; // out of range or duplicated column
+        self.reset();
+        self.basis.copy_from_slice(&warm.cols);
+        self.is_basic.fill(false);
+        for &c in &self.basis {
+            if c >= form.total_cols || self.is_basic[c] {
+                return false; // out of range or duplicated column
             }
-            simplex.is_basic[c] = true;
+            self.is_basic[c] = true;
         }
-        if simplex.refactorize().is_err() {
-            return None;
+        if self.refactorize().is_err() {
+            return false;
         }
         // A degenerate optimum can leave artificials basic at value zero;
         // under a new right-hand side they reappear at arbitrary values.
@@ -434,16 +718,16 @@ impl<'a> Simplex<'a> {
         // Artificials that cannot leave sit on redundant rows and must be at
         // ~zero, or the seed point violates original rows in a way dual
         // pivots on structural/slack columns cannot repair.
-        if simplex.basis.iter().any(|&b| b >= form.art_start) {
-            simplex.drive_out_artificials();
+        if self.basis.iter().any(|&b| b >= form.art_start) {
+            self.drive_out_artificials();
         }
-        for (r, &v) in simplex.xb.iter().enumerate() {
-            if simplex.basis[r] >= form.art_start && v.abs() > WARM_TOL {
-                return None;
+        for (r, &v) in self.xb.iter().enumerate() {
+            if self.basis[r] >= form.art_start && v.abs() > WARM_TOL {
+                return false;
             }
         }
-        simplex.stats.warm_started = true;
-        Some(simplex)
+        self.stats.warm_started = true;
+        true
     }
 
     /// Builds a **crash basis** that avoids phase 1 on programs shaped like
@@ -457,16 +741,17 @@ impl<'a> Simplex<'a> {
     /// infeasible (the crash routing overloads edges while θ sits at zero) —
     /// which the lift and [`Simplex::dual_repair`] then fix, typically in
     /// very few pivots because one entering θ-column lifts every violated
-    /// row at once.  Returns `None` when the shape does not fit (`≥` rows, an
-    /// equality row without an exclusive column, singular numerics); the
+    /// row at once.  Returns `false` when the shape does not fit (`≥` rows,
+    /// an equality row without an exclusive column, singular numerics); the
     /// caller then runs the ordinary two-phase solve.
-    fn crash(form: &'a StandardForm, hint: &[f64]) -> Option<Simplex<'a>> {
+    fn start_crash(&mut self, hint: &[f64]) -> bool {
+        let form = self.form;
         // Count equality-row appearances of every structural column.
         let mut equal_rows: Vec<usize> = Vec::new();
         let mut appearances = vec![0usize; form.num_vars];
         for (r, relation) in form.relations.iter().enumerate() {
             match relation {
-                Relation::GreaterEq => return None,
+                Relation::GreaterEq => return false,
                 Relation::Equal => {
                     equal_rows.push(r);
                     let (cols, vals) = form.matrix.row(r);
@@ -480,32 +765,34 @@ impl<'a> Simplex<'a> {
             }
         }
         if equal_rows.is_empty() {
-            return None; // the all-slack basis is already artificial-free
+            return false; // the all-slack basis is already artificial-free
         }
-        let mut simplex = Simplex::cold(form);
+        self.reset();
         for &r in &equal_rows {
             let (cols, vals) = form.matrix.row(r);
             let mut pick: Option<(usize, f64)> = None;
             for (&c, &v) in cols.iter().zip(vals) {
                 let exclusive = c < form.num_vars && v.abs() > EPS && appearances[c] == 1;
-                if exclusive && !simplex.is_basic[c] {
+                if exclusive && !self.is_basic[c] {
                     let held = hint.get(c).copied().unwrap_or(0.0);
                     if pick.is_none_or(|(_, best)| held > best) {
                         pick = Some((c, held));
                     }
                 }
             }
-            let (c, _) = pick?;
+            let Some((c, _)) = pick else {
+                return false;
+            };
             // Swap the row's artificial for the exclusive structural column.
-            simplex.is_basic[simplex.basis[r]] = false;
-            simplex.is_basic[c] = true;
-            simplex.basis[r] = c;
+            self.is_basic[self.basis[r]] = false;
+            self.is_basic[c] = true;
+            self.basis[r] = c;
         }
-        if simplex.refactorize().is_err() {
-            return None;
+        if self.refactorize().is_err() {
+            return false;
         }
-        simplex.lift_to_feasibility(&appearances);
-        Some(simplex)
+        self.lift_to_feasibility(&appearances);
+        true
     }
 
     /// One-shot feasibility lift for the crash basis.  The crash point is
@@ -598,8 +885,6 @@ impl<'a> Simplex<'a> {
     /// binding bound rows θ cannot lift) goes straight to two-phase.
     fn dual_repair(&mut self, costs: &[f64]) -> Result<bool, LpError> {
         let m = self.form.num_rows();
-        let mut rho = vec![0.0; m];
-        let mut candidates: Vec<(usize, f64, f64)> = Vec::new();
         let damage = self.xb.iter().filter(|v| **v < -WARM_TOL).count();
         if damage > 32.max(m / 24) {
             return Ok(false);
@@ -638,9 +923,9 @@ impl<'a> Simplex<'a> {
             }
             self.fact.btran(&mut self.y);
             // Row r of B⁻¹A: rho = Bᵀ⁻¹ e_r, then alpha_j = rhoᵀ a_j.
-            rho.iter_mut().for_each(|v| *v = 0.0);
-            rho[r] = 1.0;
-            self.fact.btran(&mut rho);
+            self.rho.fill(0.0);
+            self.rho[r] = 1.0;
+            self.fact.btran(&mut self.rho);
             // Entering column: minimum d_j / -alpha_j over alpha_j < 0 among
             // the non-artificial columns (ties go to the lowest index via the
             // strict `<` scan).  Reduced costs are clamped at zero — a crash
@@ -654,24 +939,24 @@ impl<'a> Simplex<'a> {
             // largest |alpha| among (near-)ties: min-MLU programs are
             // massively dual degenerate (nearly all costs are zero), so most
             // ratios tie at zero and the stable pivot wins.
-            candidates.clear();
+            self.candidates.clear();
             let mut max_abs_alpha = 0.0f64;
             for c in 0..self.form.art_start {
                 if self.is_basic[c] {
                     continue;
                 }
-                let alpha = self.form.view.column_dot(&self.form.matrix, c, &rho);
+                let alpha = self.form.view.column_dot(&self.form.matrix, c, &self.rho);
                 if alpha < -DUAL_PIVOT_TOL {
                     let d = (costs[c] - self.form.view.column_dot(&self.form.matrix, c, &self.y))
                         .max(0.0);
-                    candidates.push((c, alpha, d));
+                    self.candidates.push((c, alpha, d));
                     max_abs_alpha = max_abs_alpha.max(-alpha);
                 }
             }
             let mut entering: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
             let mut best_alpha = 0.0f64;
-            for &(c, alpha, d) in &candidates {
+            for &(c, alpha, d) in &self.candidates {
                 if -alpha < 0.05 * max_abs_alpha {
                     continue;
                 }
@@ -730,7 +1015,7 @@ impl<'a> Simplex<'a> {
     /// row-association of the basis is updated to match the pivot assignment.
     /// A column with no admissible pivot row means the basis is singular:
     /// with the matrix frozen a basis that was nonsingular stays so, which
-    /// leaves a malformed seed (rejected by [`Simplex::warm`]) or genuine
+    /// leaves a malformed seed (rejected by [`Simplex::start_warm`]) or genuine
     /// numerical breakdown — a hard [`LpError::Numerical`] either way.
     fn refactorize(&mut self) -> Result<(), LpError> {
         let started = Instant::now();
@@ -740,69 +1025,67 @@ impl<'a> Simplex<'a> {
     }
 
     fn refactorize_inner(&mut self) -> Result<(), LpError> {
-        let m = self.form.num_rows();
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by_key(|&pos| (self.form.view.col_nnz(self.basis[pos]), self.basis[pos]));
-        let mut fact = EtaFile::default();
-        let mut pivoted = vec![false; m];
-        let mut new_basis = vec![0usize; m];
+        let form = self.form;
+        let view = &form.view;
+        let scratch = &mut self.reinversion;
+        scratch.order_basic_columns(&self.is_basic, view);
+        scratch.pivoted.fill(false);
+        scratch.eta_of_row.fill(usize::MAX);
+        let fact = &mut self.fact;
+        fact.clear();
         let work = &mut self.work;
-        let mut touched: Vec<usize> = Vec::with_capacity(m);
-        // File index of the eta pivoting each row (event-driven FTRAN).
-        let mut eta_of_row = vec![usize::MAX; m];
-        for &pos in &order {
-            let col = self.basis[pos];
+        for &col in &scratch.order {
             // Singleton fast path: a column with one stored entry `v` at an
             // unpivoted row `r` is untouched by FTRAN (no eta can pivot at an
             // unpivoted row), so it pivots `r` directly — and when `v = 1`
             // (every slack/artificial) it needs no eta at all.
-            if self.form.view.col_nnz(col) == 1 {
-                let (r, v) =
-                    self.form.view.column(&self.form.matrix, col).next().expect("one entry");
-                if !pivoted[r] && v.abs() > REINVERT_PIVOT_TOL {
+            if view.col_nnz(col) == 1 {
+                let (r, v) = view.column(&form.matrix, col).next().expect("one entry");
+                if !scratch.pivoted[r] && v.abs() > REINVERT_PIVOT_TOL {
                     if v != 1.0 {
                         fact.push_diagonal(r, v);
-                        eta_of_row[r] = fact.etas.len() - 1;
+                        scratch.eta_of_row[r] = fact.len() - 1;
                     }
-                    pivoted[r] = true;
-                    new_basis[r] = col;
+                    scratch.pivoted[r] = true;
+                    scratch.new_basis[r] = col;
                     continue;
                 }
             }
+            let touched = &mut scratch.touched;
             touched.clear();
-            for (r, v) in self.form.view.column(&self.form.matrix, col) {
+            for (r, v) in view.column(&form.matrix, col) {
                 work[r] = v;
                 touched.push(r);
             }
-            fact.ftran_sparse(work, &mut touched, &eta_of_row);
+            fact.ftran_sparse(work, touched, &scratch.eta_of_row, &mut scratch.heap);
             let mut pivot = None;
             let mut best = REINVERT_PIVOT_TOL;
-            for &r in &touched {
+            for &r in touched.iter() {
                 let v = work[r];
-                if !pivoted[r] && v.abs() > best {
+                if !scratch.pivoted[r] && v.abs() > best {
                     best = v.abs();
                     pivot = Some(r);
                 }
             }
             let Some(p) = pivot else {
-                for &r in &touched {
+                for &r in touched.iter() {
                     work[r] = 0.0;
                 }
                 return Err(LpError::Numerical); // singular basis
             };
-            fact.push_from(p, work, &touched);
-            eta_of_row[p] = fact.etas.len() - 1;
-            pivoted[p] = true;
-            new_basis[p] = col;
+            fact.push_from(p, work, touched);
+            scratch.eta_of_row[p] = fact.len() - 1;
+            scratch.pivoted[p] = true;
+            scratch.new_basis[p] = col;
         }
-        self.basis = new_basis;
+        fact.begin_updates();
+        std::mem::swap(&mut self.basis, &mut scratch.new_basis);
         self.nnz_after_refactor = fact.nnz;
-        self.fact = fact;
         self.updates_since_refactor = 0;
         self.stats.refactorizations += 1;
         // Restore x_B = B⁻¹ b with the fresh factorization.
-        self.xb.copy_from_slice(&self.form.rhs);
-        self.fact.ftran(&mut self.xb);
+        self.xb.copy_from_slice(&form.rhs);
+        fact.ftran(&mut self.xb);
         for v in self.xb.iter_mut() {
             if *v < 0.0 && *v > -WARM_TOL {
                 *v = 0.0;
@@ -817,10 +1100,11 @@ impl<'a> Simplex<'a> {
 
     /// Reinversion trigger: a fixed update interval, or the update etas
     /// appended since the last reinversion outgrowing the base factorization
-    /// by `16m` nonzeros (absolute size would loop on dense bases).
+    /// by [`update_nnz_limit`] nonzeros (absolute size would loop on dense
+    /// bases).
     fn should_refactorize(&self) -> bool {
         self.updates_since_refactor >= REFACTOR_INTERVAL
-            || self.fact.nnz - self.nnz_after_refactor > 16 * self.form.num_rows() + 1024
+            || self.fact.nnz - self.nnz_after_refactor > update_nnz_limit(self.form.num_rows())
     }
 
     /// Runs the revised simplex with the given costs until optimality.
@@ -1072,7 +1356,7 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    fn into_solution(self, lp: &LinearProgram) -> (Solution, Basis) {
+    fn solution(&self, lp: &LinearProgram) -> (Solution, Basis) {
         let mut values = vec![0.0; self.form.num_vars];
         for (r, &b) in self.basis.iter().enumerate() {
             if b < self.form.num_vars {
@@ -1082,8 +1366,38 @@ impl<'a> Simplex<'a> {
         let objective_value = lp.objective_value(&values);
         let mut stats = self.stats;
         stats.iterations = stats.phase1_iterations + stats.phase2_iterations;
-        let basis = Basis { cols: self.basis, total_cols: self.form.total_cols };
+        let basis = Basis { cols: self.basis.clone(), total_cols: self.form.total_cols };
         (Solution { values, objective_value, stats }, basis)
+    }
+
+    /// Finishes a seeded start: dual repair, then phase 2.  Returns the
+    /// optimum when both succeed and the point passes the feasibility
+    /// double-check; otherwise `None`, with the attempt's work in
+    /// `self.stats`.
+    fn finish_seeded(
+        &mut self,
+        lp: &LinearProgram,
+        costs: &[f64],
+        max_iterations: usize,
+    ) -> Option<(Solution, Basis)> {
+        let repair_started = Instant::now();
+        let repaired = self.dual_repair(costs);
+        self.stats.phase1_seconds += repair_started.elapsed().as_secs_f64();
+        if matches!(repaired, Ok(true)) {
+            let mut pivots = 0usize;
+            let phase2_started = Instant::now();
+            let outcome = self.optimize(costs, self.form.art_start, max_iterations, &mut pivots);
+            self.stats.phase2_seconds += phase2_started.elapsed().as_secs_f64();
+            self.stats.phase2_iterations = pivots;
+            if matches!(outcome, Ok(Outcome::Optimal)) {
+                let (solution, basis) = self.solution(lp);
+                if lp.is_feasible(&solution.values, 1e-6) {
+                    return Some((solution, basis));
+                }
+            }
+        }
+        self.stats.iterations = self.stats.phase1_iterations + self.stats.phase2_iterations;
+        None
     }
 }
 
@@ -1171,6 +1485,7 @@ fn solve_on_form_with_pricing(
     // Work spent in abandoned warm/crash attempts, folded into the eventual
     // solution's stats so series reporting counts what was actually done.
     let mut abandoned = SolveStats::default();
+    let mut simplex = Simplex::new(form, partial_pricing);
 
     // Seeded starts skip phase 1: dual pivots repair the start (the warm
     // basis under the new right-hand side, or what the crash lift left),
@@ -1180,39 +1495,26 @@ fn solve_on_form_with_pricing(
     // feasibility double-check — falls through to the next start, and only
     // the two-phase solve below may declare infeasibility or unboundedness.
     // The crash runs on programs with artificials only: without them the
-    // all-slack basis is already a feasible start.
+    // all-slack basis is already a feasible start.  A start that does not
+    // take (`false`) leaves no work to count.
     let has_artificials = form.total_cols > form.art_start;
-    let warm_start = warm.and_then(|basis| Simplex::warm(form, basis));
-    let crash_start =
-        std::iter::once_with(|| if has_artificials { Simplex::crash(form, hint) } else { None });
-    for mut simplex in warm_start.into_iter().chain(crash_start.flatten()) {
-        simplex.partial_pricing = partial_pricing;
-        let repair_started = Instant::now();
-        let repaired = simplex.dual_repair(&costs);
-        simplex.stats.phase1_seconds += repair_started.elapsed().as_secs_f64();
-        if matches!(repaired, Ok(true)) {
-            let mut pivots = 0usize;
-            let phase2_started = Instant::now();
-            let outcome = simplex.optimize(&costs, form.art_start, max_iterations, &mut pivots);
-            simplex.stats.phase2_seconds += phase2_started.elapsed().as_secs_f64();
-            simplex.stats.phase2_iterations = pivots;
-            if matches!(outcome, Ok(Outcome::Optimal)) {
-                let (mut solution, basis) = simplex.into_solution(lp);
-                if lp.is_feasible(&solution.values, 1e-6) {
-                    solution.stats.absorb(&abandoned);
-                    return Ok((solution, basis));
-                }
-                abandoned.absorb(&solution.stats);
-                continue;
-            }
+    for crash in [false, true] {
+        let started = if crash {
+            has_artificials && simplex.start_crash(hint)
+        } else {
+            warm.is_some_and(|basis| simplex.start_warm(basis))
+        };
+        if !started {
+            continue;
         }
-        simplex.stats.iterations =
-            simplex.stats.phase1_iterations + simplex.stats.phase2_iterations;
+        if let Some((mut solution, basis)) = simplex.finish_seeded(lp, &costs, max_iterations) {
+            solution.stats.absorb(&abandoned);
+            return Ok((solution, basis));
+        }
         abandoned.absorb(&simplex.stats);
     }
 
-    let mut simplex = Simplex::cold(form);
-    simplex.partial_pricing = partial_pricing;
+    simplex.reset();
     // ---- Phase 1: minimize the sum of the artificial variables. ----
     if form.total_cols > form.art_start {
         let mut phase1_costs = vec![0.0; form.total_cols];
@@ -1252,7 +1554,7 @@ fn solve_on_form_with_pricing(
     if matches!(outcome, Outcome::Unbounded) {
         return Err(LpError::Unbounded);
     }
-    let (mut solution, basis) = simplex.into_solution(lp);
+    let (mut solution, basis) = simplex.solution(lp);
     solution.stats.absorb(&abandoned);
     Ok((solution, basis))
 }
@@ -1370,7 +1672,9 @@ mod tests {
         let lp = two_pair_program();
         let form = StandardForm::build(&lp);
         let equality_columns = |hint: &[f64]| -> Vec<usize> {
-            let mut cols = Simplex::crash(&form, hint).expect("TE-shaped").basis;
+            let mut simplex = Simplex::new(&form, true);
+            assert!(simplex.start_crash(hint), "TE-shaped");
+            let mut cols = simplex.basis;
             cols.retain(|&c| (1..=4).contains(&c));
             cols.sort_unstable();
             cols
@@ -1445,9 +1749,8 @@ mod tests {
         assert!(!sol.stats.warm_started);
     }
 
-    #[test]
-    fn refactorization_keeps_long_solves_accurate() {
-        // A chain program large enough to force several reinversions.
+    /// A `≥` chain large enough to force several reinversions.
+    fn chain_program() -> LinearProgram {
         let n = 300;
         let mut lp = LinearProgram::new(Direction::Minimize);
         let vars: Vec<usize> = (0..n).map(|i| lp.add_variable(1.0 + (i % 7) as f64)).collect();
@@ -1458,10 +1761,205 @@ mod tests {
             }
             lp.add_constraint(coeffs, Relation::GreaterEq, 1.0);
         }
+        lp
+    }
+
+    /// FNV-1a over the little-endian bytes of each value's bit pattern.
+    fn fnv_bits(values: &[f64]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Pivot counts per phase, reinversions, the objective's bits and an FNV
+    /// hash over the bits of the optimum, recorded before the eta file
+    /// became one flat arena: the crash path (two pairs) and the two-phase
+    /// path (the `≥` chain: phase-1 BTRANs of a dense cost vector, several
+    /// reinversions) must reproduce them.
+    #[test]
+    fn solve_reproduces_the_recorded_bits() {
+        let record = |lp: &LinearProgram| {
+            let sol = solve(lp).unwrap();
+            let s = &sol.stats;
+            let row = (s.phase1_iterations, s.phase2_iterations, s.refactorizations);
+            (row, sol.objective_value.to_bits(), fnv_bits(&sol.values))
+        };
+        assert_eq!(
+            record(&two_pair_program()),
+            ((1, 2, 1), 0x400a_aaaa_aaaa_aaab, 0x536a_394b_fcba_6abd)
+        );
+        assert_eq!(
+            record(&chain_program()),
+            ((300, 42, 4), 0x4086_7740_0000_0000, 0x0ad1_37cb_eb65_926a)
+        );
+    }
+
+    #[test]
+    fn refactorization_keeps_long_solves_accurate() {
+        let lp = chain_program();
         let sol = solve(&lp).unwrap();
         assert!(lp.is_feasible(&sol.values, 1e-6));
         assert!(sol.stats.refactorizations > 0, "expected at least one reinversion");
         let dense = crate::simplex::solve(&lp).unwrap();
         assert_close(sol.objective_value, dense.objective_value);
+    }
+
+    /// The eta file the arena replaced — one `Vec` of `(row, value)` entries
+    /// per eta — and its FTRAN and BTRAN, kept as the reference the arena
+    /// must reproduce to the bit.
+    struct ReferenceEta {
+        pivot: usize,
+        diag: f64,
+        entries: Vec<(usize, f64)>,
+    }
+
+    impl ReferenceEta {
+        /// The eta pivoting `w` on row `pivot`, entries in `support` order.
+        fn new(pivot: usize, w: &[f64], support: impl Iterator<Item = usize>) -> ReferenceEta {
+            let inv = 1.0 / w[pivot];
+            let entries =
+                support.filter(|&i| i != pivot && w[i] != 0.0).map(|i| (i, -w[i] * inv)).collect();
+            ReferenceEta { pivot, diag: inv, entries }
+        }
+    }
+
+    fn reference_ftran(etas: &[ReferenceEta], x: &mut [f64]) {
+        for eta in etas {
+            let t = x[eta.pivot];
+            if t != 0.0 {
+                x[eta.pivot] = eta.diag * t;
+                for &(i, v) in &eta.entries {
+                    x[i] += v * t;
+                }
+            }
+        }
+    }
+
+    fn reference_btran(etas: &[ReferenceEta], y: &mut [f64]) {
+        for eta in etas.iter().rev() {
+            let mut acc = eta.diag * y[eta.pivot];
+            for &(i, v) in &eta.entries {
+                acc += v * y[i];
+            }
+            y[eta.pivot] = acc;
+        }
+    }
+
+    /// One eta to append: `(pivot, share of nonzero entries, per-entry
+    /// draw, entry values)`.
+    type EtaDraw = (usize, f64, Vec<f64>, Vec<f64>);
+
+    fn eta_draws(
+        rows: usize,
+        count: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Vec<EtaDraw>> {
+        let draw = (
+            0..rows,
+            0.0f64..1.0,
+            collection::vec(0.0f64..1.0, rows),
+            collection::vec(-2.0f64..2.0, rows),
+        );
+        collection::vec(draw, count)
+    }
+
+    /// The column an eta pivots: about `share` of its entries nonzero, the
+    /// pivot entry at least one in magnitude (entries stay at most 2).
+    fn drawn_column((pivot, share, draw, values): &EtaDraw) -> Vec<f64> {
+        let mut w: Vec<f64> =
+            draw.iter().zip(values).map(|(&d, &v)| if d < *share { v } else { 0.0 }).collect();
+        w[*pivot] = 1.0 + values[*pivot].abs();
+        w
+    }
+
+    /// An input vector with one nonzero, three, or all of them.
+    fn drawn_input((kind, at, values): &(usize, usize, Vec<f64>)) -> Vec<f64> {
+        let rows = values.len();
+        let mut x = vec![0.0; rows];
+        match kind {
+            0 => x[*at] = values[*at],
+            1 => {
+                for i in [*at, (at + rows / 3) % rows, (at + 2 * rows / 3) % rows] {
+                    x[i] = values[i];
+                }
+            }
+            _ => x.copy_from_slice(values),
+        }
+        x
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A reinversion's sparse etas (supports in arbitrary order, scaling
+        /// etas among them) followed by update etas, each dense or sparse by
+        /// its own density: the arena's FTRAN, event-driven FTRAN and BTRAN
+        /// — live-row walk on the sparse inputs, full walk on the dense ones
+        /// — equal the per-eta-vector reference bit for bit (`+0 == -0`).
+        #[test]
+        fn arena_reproduces_the_reference_eta_file(
+            (base, updates, inputs) in (2usize..24).prop_flat_map(|rows| (
+                eta_draws(rows, 0..rows + 1),
+                eta_draws(rows, 0..12),
+                collection::vec((0usize..3, 0..rows, collection::vec(-2.0f64..2.0, rows)), 6),
+            )),
+        ) {
+            let rows = inputs[0].2.len();
+            let mut arena = EtaFile::with_rows(rows);
+            let mut reference = Vec::new();
+            let mut eta_of_row = vec![usize::MAX; rows];
+            for draw in &base {
+                let (pivot, share, order, _) = draw;
+                if eta_of_row[*pivot] != usize::MAX {
+                    continue; // a reinversion pivots each row once
+                }
+                let mut w = drawn_column(draw);
+                if *share < 0.1 {
+                    reference.push(ReferenceEta::new(*pivot, &w, std::iter::empty()));
+                    arena.push_diagonal(*pivot, w[*pivot]);
+                } else {
+                    let mut support: Vec<usize> = (0..rows).filter(|&i| w[i] != 0.0).collect();
+                    support.sort_by(|&a, &b| order[a].total_cmp(&order[b]));
+                    reference.push(ReferenceEta::new(*pivot, &w, support.iter().copied()));
+                    arena.push_from(*pivot, &mut w, &support);
+                    prop_assert!(w.iter().all(|&v| v == 0.0), "push_from drains its support");
+                }
+                eta_of_row[*pivot] = arena.len() - 1;
+            }
+            let mut heap = BinaryHeap::new();
+            for input in &inputs {
+                let mut want = drawn_input(input);
+                let mut got = want.clone();
+                let mut touched: Vec<usize> = (0..rows).filter(|&i| got[i] != 0.0).collect();
+                reference_ftran(&reference, &mut want);
+                arena.ftran_sparse(&mut got, &mut touched, &eta_of_row, &mut heap);
+                prop_assert_eq!(&got, &want);
+                prop_assert!((0..rows).all(|i| got[i] == 0.0 || touched.contains(&i)));
+            }
+            arena.begin_updates();
+            for draw in &updates {
+                let w = drawn_column(draw);
+                reference.push(ReferenceEta::new(draw.0, &w, 0..rows));
+                arena.push(draw.0, &w);
+            }
+            prop_assert_eq!(arena.nnz, reference.iter().map(|e| e.entries.len() + 1).sum::<usize>());
+            for input in &inputs {
+                let x = drawn_input(input);
+                let (mut want, mut got) = (x.clone(), x.clone());
+                reference_ftran(&reference, &mut want);
+                arena.ftran(&mut got);
+                prop_assert_eq!(&got, &want);
+                let (mut want, mut got) = (x.clone(), x);
+                reference_btran(&reference, &mut want);
+                arena.btran(&mut got);
+                prop_assert_eq!(&got, &want);
+            }
+        }
     }
 }
