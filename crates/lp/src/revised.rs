@@ -6,7 +6,7 @@
 //! product of eta matrices (product-form of the inverse, PFI):
 //!
 //! * **BTRAN** (`y = Bᵀ⁻¹ c_B`) prices the simplex multipliers, then reduced
-//!   costs are computed against the *sparse columns only*;
+//!   costs are computed from the *sparse matrix rows `y` is nonzero on*;
 //! * **FTRAN** (`w = B⁻¹ a_q`) transforms just the entering column;
 //! * each pivot appends one eta column to a flat arena instead of touching
 //!   every row, and the factorization is rebuilt from the basis columns
@@ -20,22 +20,33 @@
 //! around.  The min-max variable θ sits in every capacity row, so the update
 //! etas of a min-MLU basis are one-half to two-thirds full.  Such an eta is
 //! stored as a dense column (no row indices; at that density no more memory
-//! than 16-byte `(row, value)` pairs), FTRAN applies it as one contiguous
-//! axpy, and BTRAN
-//! of a sparse vector — the phase-2 multipliers start from θ's cost, the only
-//! nonzero one — reads it only on the rows the result can be nonzero on, not
-//! on all `m`.  Phase-2 pricing is **partial**: a candidate
-//! list of the [`CANDIDATE_LIST`] most attractive columns from the last full
-//! sweep is re-priced exactly (one sparse dot per column) on every iteration,
-//! and the full `d = c − Aᵀy` CSR sweep only runs when the list goes dry or
-//! [`MINOR_LIMIT`] minor iterations have passed — warm re-solves that pivot a
-//! handful of times touch a handful of columns instead of all of them.
-//! Optimality is only ever declared by a clean full sweep, so partial pricing
-//! changes the pivot path, never the answer; phase 1 and Bland mode always
-//! price fully (see [`MINOR_LIMIT`] and the phase-1 comment).  Reinversion
-//! is event-driven (singleton columns pivot without etas, sparse FTRANs only
-//! visit the etas they excite), so the work scales with the nonzeros actually
-//! involved.
+//! than 16-byte `(row, value)` pairs), and FTRAN applies it as one contiguous
+//! axpy.
+//!
+//! The multiplier side runs over supports the solver already knows, never
+//! over all `m` rows or `n` columns.  `c_B` is seeded on the rows of the
+//! costed basic columns only — in phase 2 of a min-MLU program that is θ's
+//! row — found through the cost vector's list of costed columns and the
+//! column→row map of the basis.  BTRAN takes that support from its caller
+//! (`{r}` for the dual repair's unit row `e_r`), reads dense update etas on
+//! it alone, and hands back the support of `y` (≈ 15 rows on `lp_monolith`).
+//! The full pricing sweep then computes `d = c − Aᵀy` by CSR rows over that
+//! support, for just the columns those rows reach plus the negative-cost
+//! ones, and the dual repair builds its ratio row `α = ρᵀA` the same way.
+//! A bitset marks the columns reached, so both scans visit them in ascending
+//! column order.  Every pass adds the same nonzero terms in the same order
+//! as its dense form — the `cfg(test)` oracles in this file — so ties,
+//! candidate lists and results are unchanged to the bit, up to the sign of
+//! a zero.  Phase-2 pricing is also **partial**: a candidate list of the
+//! [`CANDIDATE_LIST`] most attractive columns from the last full sweep is
+//! re-priced exactly (one sparse dot per column) on every iteration, and the
+//! full sweep only runs when the list goes dry or [`MINOR_LIMIT`] minor
+//! iterations have passed.  Optimality is only ever declared by a clean full
+//! sweep, so partial pricing changes the pivot path, never the answer;
+//! phase 1 and Bland mode always price fully (see [`MINOR_LIMIT`] and the
+//! phase-1 comment).  Reinversion is event-driven (singleton columns pivot
+//! without etas, sparse FTRANs only visit the etas they excite), so the work
+//! scales with the nonzeros actually involved.
 //!
 //! Cold solves avoid phase 1 where the shape allows it: a **crash basis**
 //! assigns each equality row a structural column exclusive to it (a path's
@@ -94,6 +105,8 @@ const CANDIDATE_LIST: usize = 32;
 /// minor iterations keeps entering marginal columns and inflates the pivot
 /// count far beyond what the sweeps save.
 const MINOR_LIMIT: usize = 16;
+/// The row of a column that is not basic (see `Simplex::row_of`).
+const NONBASIC: usize = usize::MAX;
 
 /// An optimal (or at least feasible) simplex basis, reusable as a warm start
 /// for a program with the same matrix (see [`solve_with_basis`]).
@@ -140,13 +153,8 @@ struct EtaFile {
     /// Etas `first_update..` are update etas (one per pivot since the last
     /// reinversion); the ones before it are the reinversion's.
     first_update: usize,
-    /// How many of the update etas are dense.
-    dense_updates: usize,
     /// Nonzeros in the file, diagonals included.
     nnz: usize,
-    /// BTRAN scratch: the rows a sparse multiplier vector can be nonzero on,
-    /// ascending (see [`EtaFile::btran`]).
-    live: Vec<u32>,
 }
 
 /// The off-diagonal part of one eta (see [`EtaFile`]).
@@ -171,9 +179,7 @@ impl EtaFile {
             index: Vec::with_capacity(4 * rows),
             value: Vec::with_capacity(4 * rows + 2 * update_nnz_limit(rows)),
             first_update: 0,
-            dense_updates: 0,
             nnz: 0,
-            live: Vec::with_capacity(rows),
         };
         file.clear();
         file
@@ -190,7 +196,6 @@ impl EtaFile {
         self.index.clear();
         self.value.clear();
         self.first_update = 0;
-        self.dense_updates = 0;
         self.nnz = 0;
     }
 
@@ -202,7 +207,6 @@ impl EtaFile {
     /// etas.
     fn begin_updates(&mut self) {
         self.first_update = self.len();
-        self.dense_updates = 0;
     }
 
     fn column(&self, k: usize) -> EtaColumn<'_> {
@@ -242,17 +246,25 @@ impl EtaFile {
     /// `y := B⁻ᵀ y` (apply transposed etas newest-first): each eta replaces
     /// `y[pivot]` by its column's dot product with `y`.
     ///
-    /// When `y` starts sparse — fewer nonzeros than a quarter of the rows, as
-    /// the phase-2 multipliers `c_B` (θ's cost) and the unit rows `e_r` of
-    /// the dual repair do — dense update etas are read on the **live rows**
-    /// only: the support of `y` plus the pivot rows of the etas already
-    /// applied, the only rows the walk has written.  Every other row of `y`
-    /// is still zero, so the dot product over the live rows adds the same
-    /// nonzero terms in the same (ascending) order as one over all `m`: the
-    /// result is the same to the bit, up to the sign of a zero.  Sparse etas
-    /// take their entries as stored.
-    fn btran(&mut self, y: &mut [f64]) {
-        let live = self.collect_live_rows(y);
+    /// `support` lists rows ascending, without repeats, and `y` is zero off
+    /// them; on return it lists the rows the result can be nonzero on, in the
+    /// same form.  The caller knows the support of what it seeds — the rows
+    /// of the costed basic columns for `c_B`, `{r}` for a unit row `e_r` — so
+    /// nothing scans `y` for it.  While the support holds at most a quarter
+    /// of the rows, dense update etas are read on it only, and it grows by
+    /// the pivot row of each eta applied, the only row an eta writes.  Every
+    /// other row of `y` is still zero, so the dot product over the support
+    /// adds the same nonzero terms in the same (ascending) order as one over
+    /// all `m`: the result is the same to the bit, up to the sign of a zero.
+    /// A wider support is walked in full and comes back as every row.  Sparse
+    /// etas take their entries as stored.
+    fn btran(&self, y: &mut [f64], support: &mut Vec<u32>) {
+        debug_assert!(support.windows(2).all(|w| w[0] < w[1]), "support is ascending");
+        let sparse = support.len() <= self.rows / 4;
+        if !sparse {
+            support.clear();
+            support.extend(0..self.rows as u32);
+        }
         for k in (self.first_update..self.len()).rev() {
             let p = self.pivot[k] as usize;
             let mut acc = self.diag[k] * y[p];
@@ -262,8 +274,8 @@ impl EtaFile {
                         acc += v * y[i as usize];
                     }
                 }
-                EtaColumn::Dense(column) if live => {
-                    for &i in &self.live {
+                EtaColumn::Dense(column) if sparse => {
+                    for &i in support.iter() {
                         acc += column[i as usize] * y[i as usize];
                     }
                 }
@@ -274,49 +286,40 @@ impl EtaFile {
                 }
             }
             y[p] = acc;
-            if live {
-                if let Err(at) = self.live.binary_search(&self.pivot[k]) {
-                    self.live.insert(at, self.pivot[k]);
+            if sparse {
+                if let Err(at) = support.binary_search(&self.pivot[k]) {
+                    support.insert(at, self.pivot[k]);
                 }
             }
         }
         // The reinversion's etas are sparse and sit at the front of the
         // arena, where `index` and `value` still run in step: one offset
-        // array delimits both, and no eta needs its form checked.
+        // array delimits both, and no eta needs its form checked.  A row
+        // joins the support when an eta writes a nonzero where `y` was zero
+        // (a zero there may be a cancellation still listed: dedup below).
         let base = self.first_update;
         let end = self.start[base];
         debug_assert_eq!(self.row_start[base], end, "reinversion etas are sparse");
         let (index, value) = (&self.index[..end], &self.value[..end]);
         let spans = self.start[..=base].windows(2);
+        let listed = support.len();
         for ((&p, &diag), span) in
             self.pivot[..base].iter().zip(&self.diag[..base]).zip(spans).rev()
         {
-            let p = p as usize;
-            let mut acc = diag * y[p];
+            let row = p as usize;
+            let mut acc = diag * y[row];
             for (&i, &v) in index[span[0]..span[1]].iter().zip(&value[span[0]..span[1]]) {
                 acc += v * y[i as usize];
             }
-            y[p] = acc;
-        }
-    }
-
-    /// Loads the support of `y` into `live` and says whether the live-row
-    /// walk applies: there are dense update etas to walk and `y` is sparse.
-    fn collect_live_rows(&mut self, y: &[f64]) -> bool {
-        self.live.clear();
-        if self.dense_updates == 0 {
-            return false;
-        }
-        let limit = self.rows / 4;
-        for (i, &v) in y.iter().enumerate() {
-            if v != 0.0 {
-                if self.live.len() == limit {
-                    return false;
-                }
-                self.live.push(i as u32);
+            if sparse && y[row] == 0.0 && acc != 0.0 {
+                support.push(p);
             }
+            y[row] = acc;
         }
-        true
+        if support.len() > listed {
+            support.sort_unstable();
+            support.dedup();
+        }
     }
 
     /// `x := B⁻¹ x` for a *sparse* `x` over a reinversion's (sparse) etas,
@@ -392,7 +395,6 @@ impl EtaFile {
             let from = self.value.len();
             self.value.extend(w.iter().map(|&v| -v * inv));
             self.value[from + pivot] = 0.0;
-            self.dense_updates += 1;
         } else {
             for (i, &v) in w.iter().enumerate() {
                 if i != pivot && v != 0.0 {
@@ -427,6 +429,80 @@ impl EtaFile {
     /// of a singleton column with entry `v` on an unpivoted row.
     fn push_diagonal(&mut self, pivot: usize, v: f64) {
         self.seal(pivot, 1.0 / v, 0);
+    }
+}
+
+/// A row-wise sweep `acc[c] = init(c) + Σ_r s·v[r]·A[r, c]` over the rows of
+/// a sparse vector `v`'s support.  The columns the rows reach are marked in a
+/// bitset, so they are visited in ascending column order — the order of a
+/// sweep over every column — without an `O(n)` reset or scan.
+struct RowSweep {
+    /// Accumulator of each marked column; stale on the others.
+    acc: Vec<f64>,
+    /// One bit per column, set while the column is marked.
+    marks: Vec<u64>,
+}
+
+impl RowSweep {
+    fn with_cols(cols: usize) -> RowSweep {
+        RowSweep { acc: vec![0.0; cols], marks: vec![0; cols.div_ceil(64)] }
+    }
+
+    /// Marks column `c`; a first mark sets its accumulator to `init`.
+    fn touch(&mut self, c: usize, init: impl FnOnce() -> f64) {
+        let (word, bit) = (c / 64, 1u64 << (c % 64));
+        if self.marks[word] & bit == 0 {
+            self.marks[word] |= bit;
+            self.acc[c] = init();
+        }
+    }
+
+    #[cfg(test)]
+    fn is_marked(&self, c: usize) -> bool {
+        self.marks[c / 64] & (1u64 << (c % 64)) != 0
+    }
+
+    /// Adds `sign · v[r] · A[r, c]` over the rows `r` of `support`
+    /// (ascending) with `v[r] != 0` and their columns `c < limit`, marking
+    /// each column and initializing it to `init(c)` on first touch.  A column
+    /// gets the nonzero terms of its dot product with `sign · v`, in the
+    /// ascending row order [`ColumnView::column_dot`] adds them in.
+    fn add_rows(
+        &mut self,
+        matrix: &CsrMatrix,
+        v: &[f64],
+        support: &[u32],
+        sign: f64,
+        limit: usize,
+        init: impl Fn(usize) -> f64,
+    ) {
+        for &r in support {
+            let vr = v[r as usize];
+            if vr != 0.0 {
+                let scale = sign * vr;
+                let (cols, vals) = matrix.row(r as usize);
+                for (&c, &a) in cols.iter().zip(vals) {
+                    if c < limit {
+                        self.touch(c, || init(c));
+                        self.acc[c] += scale * a;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Visits the marked columns and their accumulators in ascending column
+    /// order until `visit` returns `false`, and unmarks every column.
+    fn drain(&mut self, mut visit: impl FnMut(usize, f64) -> bool) {
+        let mut more = true;
+        for (w, word) in self.marks.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while more && bits != 0 {
+                let c = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                more = visit(c, self.acc[c]);
+            }
+        }
     }
 }
 
@@ -578,10 +654,10 @@ impl Reinversion {
     }
 
     /// Orders the basic columns by `(nonzeros, column)` — a counting sort
-    /// over `is_basic`, which lists them by column already.
-    fn order_basic_columns(&mut self, is_basic: &[bool], view: &ColumnView) {
+    /// over `row_of`, which lists them by column already.
+    fn order_basic_columns(&mut self, row_of: &[usize], view: &ColumnView) {
         self.buckets.fill(0);
-        let basic = || (0..is_basic.len()).filter(|&c| is_basic[c]);
+        let basic = || (0..row_of.len()).filter(|&c| row_of[c] != NONBASIC);
         for c in basic() {
             self.buckets[view.col_nnz(c) + 1] += 1;
         }
@@ -604,7 +680,9 @@ struct Simplex<'a> {
     form: &'a StandardForm,
     /// Basic column of each row.
     basis: Vec<usize>,
-    is_basic: Vec<bool>,
+    /// Row of each basic column, [`NONBASIC`] for the others: the inverse of
+    /// `basis`.
+    row_of: Vec<usize>,
     fact: EtaFile,
     /// Current basic values (`x_B = B⁻¹ b`); kept ≥ 0 during primal
     /// iterations, temporarily negative during dual (warm-repair) pivots.
@@ -618,10 +696,16 @@ struct Simplex<'a> {
     stats: SolveStats,
     /// Dense scratch of length `m` (FTRAN results).
     work: Vec<f64>,
-    /// Dense scratch of length `m` (BTRAN results: multipliers / unit rows).
+    /// The simplex multipliers `y = B⁻ᵀ c_B`, zero off `y_support`...
     y: Vec<f64>,
-    /// Dense scratch of length `total_cols` (reduced costs per pricing sweep).
-    reduced: Vec<f64>,
+    /// ...which lists rows ascending (see [`EtaFile::btran`]).
+    y_support: Vec<u32>,
+    /// The rows whose basic column is costed, ascending: the support of
+    /// `c_B`, refreshed by [`Simplex::refresh_costed_rows`].
+    costed_rows: Vec<u32>,
+    /// Row sweeps of the full pricing (`d = c − Aᵀy`) and the dual ratio row
+    /// (`α = ρᵀA`).
+    sweep: RowSweep,
     /// Partial-pricing candidate list: nonbasic columns that looked attractive
     /// at the last full sweep, kept in ascending column order so Dantzig ties
     /// still resolve to the lowest index.  Cleared whenever the cost vector
@@ -633,8 +717,10 @@ struct Simplex<'a> {
     /// When `false` every iteration runs the full pricing sweep; test hook for
     /// pinning partial pricing against the reference Dantzig loop.
     partial_pricing: bool,
-    /// Dual-repair scratch: the row `ρ = B⁻ᵀ e_r` of the leaving row...
+    /// The row `ρ = B⁻ᵀ e_r` of B⁻¹ the dual repair's leaving row (or an
+    /// artificial being driven out) sits on, zero off `rho_support`...
     rho: Vec<f64>,
+    rho_support: Vec<u32>,
     /// ...and its admissible entering columns `(column, alpha, d)`.
     candidates: Vec<(usize, f64, f64)>,
     reinversion: Reinversion,
@@ -648,7 +734,7 @@ impl<'a> Simplex<'a> {
         let mut simplex = Simplex {
             form,
             basis: vec![0; m],
-            is_basic: vec![false; form.total_cols],
+            row_of: vec![NONBASIC; form.total_cols],
             fact: EtaFile::with_rows(m),
             xb: vec![0.0; m],
             updates_since_refactor: 0,
@@ -656,11 +742,14 @@ impl<'a> Simplex<'a> {
             stats: SolveStats::default(),
             work: vec![0.0; m],
             y: vec![0.0; m],
-            reduced: vec![0.0; form.total_cols],
+            y_support: Vec::with_capacity(m),
+            costed_rows: Vec::with_capacity(m),
+            sweep: RowSweep::with_cols(form.total_cols),
             cand: Vec::with_capacity(form.total_cols),
             minor: 0,
             partial_pricing,
             rho: vec![0.0; m],
+            rho_support: Vec::with_capacity(m),
             candidates: Vec::with_capacity(form.art_start),
             reinversion: Reinversion::with_rows(m),
         };
@@ -673,9 +762,9 @@ impl<'a> Simplex<'a> {
     fn reset(&mut self) {
         let form = self.form;
         self.basis.copy_from_slice(&form.initial_basis);
-        self.is_basic.fill(false);
-        for &c in &form.initial_basis {
-            self.is_basic[c] = true;
+        self.row_of.fill(NONBASIC);
+        for (r, &c) in form.initial_basis.iter().enumerate() {
+            self.row_of[c] = r;
         }
         self.fact.clear();
         self.xb.copy_from_slice(&form.rhs);
@@ -701,12 +790,12 @@ impl<'a> Simplex<'a> {
         }
         self.reset();
         self.basis.copy_from_slice(&warm.cols);
-        self.is_basic.fill(false);
-        for &c in &self.basis {
-            if c >= form.total_cols || self.is_basic[c] {
+        self.row_of.fill(NONBASIC);
+        for (r, &c) in self.basis.iter().enumerate() {
+            if c >= form.total_cols || self.row_of[c] != NONBASIC {
                 return false; // out of range or duplicated column
             }
-            self.is_basic[c] = true;
+            self.row_of[c] = r;
         }
         if self.refactorize().is_err() {
             return false;
@@ -773,7 +862,7 @@ impl<'a> Simplex<'a> {
             let mut pick: Option<(usize, f64)> = None;
             for (&c, &v) in cols.iter().zip(vals) {
                 let exclusive = c < form.num_vars && v.abs() > EPS && appearances[c] == 1;
-                if exclusive && !self.is_basic[c] {
+                if exclusive && self.row_of[c] == NONBASIC {
                     let held = hint.get(c).copied().unwrap_or(0.0);
                     if pick.is_none_or(|(_, best)| held > best) {
                         pick = Some((c, held));
@@ -784,8 +873,8 @@ impl<'a> Simplex<'a> {
                 return false;
             };
             // Swap the row's artificial for the exclusive structural column.
-            self.is_basic[self.basis[r]] = false;
-            self.is_basic[c] = true;
+            self.row_of[self.basis[r]] = NONBASIC;
+            self.row_of[c] = r;
             self.basis[r] = c;
         }
         if self.refactorize().is_err() {
@@ -809,7 +898,7 @@ impl<'a> Simplex<'a> {
             return;
         }
         for q in 0..self.form.num_vars {
-            if self.is_basic[q] || equality_appearances[q] != 0 {
+            if self.row_of[q] != NONBASIC || equality_appearances[q] != 0 {
                 continue;
             }
             if self.form.view.col_nnz(q) == 0 {
@@ -845,13 +934,8 @@ impl<'a> Simplex<'a> {
             if !feasible_after {
                 continue;
             }
-            self.pivot_signed(q, r, t);
+            self.pivot(q, r, t, true);
             self.stats.phase1_iterations += 1;
-            for v in self.xb.iter_mut() {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
             return;
         }
     }
@@ -883,7 +967,7 @@ impl<'a> Simplex<'a> {
     /// runs through the same gate: the lift usually clears every violated row
     /// beforehand, so a crash point that is still widely infeasible (e.g.
     /// binding bound rows θ cannot lift) goes straight to two-phase.
-    fn dual_repair(&mut self, costs: &[f64]) -> Result<bool, LpError> {
+    fn dual_repair(&mut self, costs: &Costs) -> Result<bool, LpError> {
         let m = self.form.num_rows();
         let damage = self.xb.iter().filter(|v| **v < -WARM_TOL).count();
         if damage > 32.max(m / 24) {
@@ -917,42 +1001,22 @@ impl<'a> Simplex<'a> {
                     return Ok(true);
                 }
             };
-            // Simplex multipliers for reduced costs: y = Bᵀ⁻¹ c_B.
-            for (i, &b) in self.basis.iter().enumerate() {
-                self.y[i] = costs[b];
-            }
-            self.fact.btran(&mut self.y);
-            // Row r of B⁻¹A: rho = Bᵀ⁻¹ e_r, then alpha_j = rhoᵀ a_j.
-            self.rho.fill(0.0);
-            self.rho[r] = 1.0;
-            self.fact.btran(&mut self.rho);
+            // Simplex multipliers for reduced costs, and row r of B⁻¹.
+            self.refresh_costed_rows(&costs.costed);
+            self.price_multipliers(&costs.values);
+            self.btran_unit_row(r);
             // Entering column: minimum d_j / -alpha_j over alpha_j < 0 among
             // the non-artificial columns (ties go to the lowest index via the
-            // strict `<` scan).  Reduced costs are clamped at zero — a crash
-            // basis is not dual feasible, and the primal phase that follows
-            // cleans that up.
-            // Pass 1: admissible candidates and the row's largest pivot
-            // magnitude.  Pass 2: threshold ratio test — only pivots within
-            // a fraction of that magnitude are eligible (a tiny alpha under
-            // a large infeasibility means a huge step `t = x_B[r]/alpha`
-            // that blows the iterate up), then minimum reduced-cost ratio,
-            // largest |alpha| among (near-)ties: min-MLU programs are
-            // massively dual degenerate (nearly all costs are zero), so most
-            // ratios tie at zero and the stable pivot wins.
-            self.candidates.clear();
-            let mut max_abs_alpha = 0.0f64;
-            for c in 0..self.form.art_start {
-                if self.is_basic[c] {
-                    continue;
-                }
-                let alpha = self.form.view.column_dot(&self.form.matrix, c, &self.rho);
-                if alpha < -DUAL_PIVOT_TOL {
-                    let d = (costs[c] - self.form.view.column_dot(&self.form.matrix, c, &self.y))
-                        .max(0.0);
-                    self.candidates.push((c, alpha, d));
-                    max_abs_alpha = max_abs_alpha.max(-alpha);
-                }
-            }
+            // strict `<` scan).  Pass 1: admissible candidates and the row's
+            // largest pivot magnitude.  Pass 2: threshold ratio test — only
+            // pivots within a fraction of that magnitude are eligible (a tiny
+            // alpha under a large infeasibility means a huge step
+            // `t = x_B[r]/alpha` that blows the iterate up), then minimum
+            // reduced-cost ratio, largest |alpha| among (near-)ties: min-MLU
+            // programs are massively dual degenerate (nearly all costs are
+            // zero), so most ratios tie at zero and the stable pivot wins.
+            self.sweep_ratio_row();
+            let max_abs_alpha = self.dual_candidates(&costs.values);
             let mut entering: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
             let mut best_alpha = 0.0f64;
@@ -997,7 +1061,7 @@ impl<'a> Simplex<'a> {
                 continue;
             }
             let t = self.xb[r] / self.work[r];
-            self.pivot_signed(q, r, t);
+            self.pivot(q, r, t, false);
             self.stats.phase1_iterations += 1;
             pivots += 1;
             fresh_factorization = false;
@@ -1028,7 +1092,7 @@ impl<'a> Simplex<'a> {
         let form = self.form;
         let view = &form.view;
         let scratch = &mut self.reinversion;
-        scratch.order_basic_columns(&self.is_basic, view);
+        scratch.order_basic_columns(&self.row_of, view);
         scratch.pivoted.fill(false);
         scratch.eta_of_row.fill(usize::MAX);
         let fact = &mut self.fact;
@@ -1080,6 +1144,9 @@ impl<'a> Simplex<'a> {
         }
         fact.begin_updates();
         std::mem::swap(&mut self.basis, &mut scratch.new_basis);
+        for (r, &c) in self.basis.iter().enumerate() {
+            self.row_of[c] = r;
+        }
         self.nnz_after_refactor = fact.nnz;
         self.updates_since_refactor = 0;
         self.stats.refactorizations += 1;
@@ -1094,8 +1161,50 @@ impl<'a> Simplex<'a> {
         Ok(())
     }
 
-    fn objective(&self, costs: &[f64]) -> f64 {
-        self.basis.iter().zip(&self.xb).map(|(&c, &x)| costs[c] * x).sum()
+    /// Lists the rows whose basic column is one of `costed`, ascending.
+    fn refresh_costed_rows(&mut self, costed: &[usize]) {
+        self.costed_rows.clear();
+        for &c in costed {
+            if self.row_of[c] != NONBASIC {
+                self.costed_rows.push(self.row_of[c] as u32);
+            }
+        }
+        self.costed_rows.sort_unstable();
+    }
+
+    /// The objective `c_Bᵀ x_B` over the costed rows (refreshed here), in
+    /// ascending row order: the nonzero terms of the sum over all rows, in
+    /// its order.
+    fn objective(&mut self, costs: &Costs) -> f64 {
+        self.refresh_costed_rows(&costs.costed);
+        let (basis, xb) = (&self.basis, &self.xb);
+        self.costed_rows.iter().map(|&r| costs.values[basis[r as usize]] * xb[r as usize]).sum()
+    }
+
+    /// Simplex multipliers `y = B⁻ᵀ c_B`: `c_B` seeded on the costed rows of
+    /// the last [`Simplex::refresh_costed_rows`], which must postdate the
+    /// last basis change, and BTRAN over that support.
+    fn price_multipliers(&mut self, costs: &[f64]) {
+        for &r in &self.y_support {
+            self.y[r as usize] = 0.0;
+        }
+        self.y_support.clear();
+        for &r in &self.costed_rows {
+            self.y[r as usize] = costs[self.basis[r as usize]];
+            self.y_support.push(r);
+        }
+        self.fact.btran(&mut self.y, &mut self.y_support);
+    }
+
+    /// `ρ = B⁻ᵀ e_r`, row `r` of B⁻¹: BTRAN over the support `{r}`.
+    fn btran_unit_row(&mut self, r: usize) {
+        for &i in &self.rho_support {
+            self.rho[i as usize] = 0.0;
+        }
+        self.rho_support.clear();
+        self.rho_support.push(r as u32);
+        self.rho[r] = 1.0;
+        self.fact.btran(&mut self.rho, &mut self.rho_support);
     }
 
     /// Reinversion trigger: a fixed update interval, or the update etas
@@ -1112,7 +1221,7 @@ impl<'a> Simplex<'a> {
     /// Returns the outcome; pivots are counted into `pivots`.
     fn optimize(
         &mut self,
-        costs: &[f64],
+        costs: &Costs,
         limit: usize,
         max_iterations: usize,
         pivots: &mut usize,
@@ -1126,11 +1235,9 @@ impl<'a> Simplex<'a> {
         self.minor = 0;
         for _ in 0..max_iterations {
             let use_bland = stall >= STALL_LIMIT;
-            // Simplex multipliers: y = Bᵀ⁻¹ c_B.
-            for (r, &b) in self.basis.iter().enumerate() {
-                self.y[r] = costs[b];
-            }
-            self.fact.btran(&mut self.y);
+            // Simplex multipliers, on the costed rows the last objective
+            // refreshed (no basis change since).
+            self.price_multipliers(&costs.values);
             // Pricing: re-price the candidate list exactly; fall back to the
             // full sweep when it runs dry (which also repopulates the list) or
             // after [`MINOR_LIMIT`] consecutive minor iterations (bounding
@@ -1140,7 +1247,7 @@ impl<'a> Simplex<'a> {
             let entering = if use_bland || !minor_ok {
                 self.price_full(costs, limit, use_bland)
             } else {
-                match self.price_candidates(costs, limit) {
+                match self.price_candidates(&costs.values, limit) {
                     Some(c) => Some(c),
                     None => self.price_full(costs, limit, false),
                 }
@@ -1190,7 +1297,7 @@ impl<'a> Simplex<'a> {
                 Some(r) => r,
                 None => return Ok(Outcome::Unbounded),
             };
-            self.pivot(entering, leaving, best_ratio.max(0.0));
+            self.pivot(entering, leaving, best_ratio.max(0.0), true);
             *pivots += 1;
             if self.should_refactorize() {
                 self.refactorize()?;
@@ -1206,60 +1313,96 @@ impl<'a> Simplex<'a> {
         Err(LpError::IterationLimit)
     }
 
-    /// Full pricing sweep: every reduced cost at once via one sequential CSR
-    /// pass (`d = c − Aᵀy`) — far cheaper than per-column indirected dot
-    /// products, and it keeps exact Dantzig semantics.  Dantzig takes the
-    /// most negative reduced cost, Bland the first; entering ties go to the
-    /// lowest column index (scan order).  In Dantzig mode the sweep also
-    /// repopulates the candidate list with the [`CANDIDATE_LIST`] most
-    /// negative nonbasic columns, re-sorted into ascending column order so
-    /// the partial iterations that follow keep the tie rule.
-    fn price_full(&mut self, costs: &[f64], limit: usize, use_bland: bool) -> Option<usize> {
-        let m = self.form.num_rows();
-        self.reduced[..limit].copy_from_slice(&costs[..limit]);
-        for r in 0..m {
-            let yr = self.y[r];
-            if yr != 0.0 {
-                let (cols, vals) = self.form.matrix.row(r);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    if c < limit {
-                        self.reduced[c] -= yr * v;
-                    }
-                }
+    /// Full pricing sweep: the reduced costs `d = c − Aᵀy` by rows of the
+    /// CSR matrix — far cheaper than per-column indirected dot products, and
+    /// exact Dantzig semantics.  Dantzig takes the most negative reduced
+    /// cost, Bland the first; entering ties go to the lowest column index
+    /// (scan order).  In Dantzig mode the sweep also repopulates the
+    /// candidate list with the [`CANDIDATE_LIST`] most negative nonbasic
+    /// columns, re-sorted into ascending column order so the partial
+    /// iterations that follow keep the tie rule.
+    fn price_full(&mut self, costs: &Costs, limit: usize, use_bland: bool) -> Option<usize> {
+        self.sweep_reduced_costs(costs, limit);
+        self.select_entering(use_bland)
+    }
+
+    /// The reduced costs of the columns below `limit` that can price
+    /// negative: those the rows of `y`'s support reach, and the
+    /// negative-cost ones.  Every other column's reduced cost is its cost,
+    /// which is not negative.
+    fn sweep_reduced_costs(&mut self, costs: &Costs, limit: usize) {
+        let values = &costs.values;
+        for &c in &costs.costed {
+            if c < limit && values[c] < 0.0 {
+                self.sweep.touch(c, || values[c]);
             }
         }
+        let matrix = &self.form.matrix;
+        self.sweep.add_rows(matrix, &self.y, &self.y_support, -1.0, limit, |c| values[c]);
+    }
+
+    /// Scans the swept columns in ascending order for the entering column
+    /// and the candidate list (see [`Simplex::price_full`]).  The list is
+    /// ranked by [`f64::total_cmp`]: every entry is below `-EPS`, so the
+    /// order is the numeric one, and no value can make the ranking panic.
+    fn select_entering(&mut self, use_bland: bool) -> Option<usize> {
         self.cand.clear();
         self.minor = 0;
         let mut entering: Option<usize> = None;
         let mut best = -EPS;
-        for c in 0..limit {
-            if self.is_basic[c] {
-                continue;
-            }
-            let d = self.reduced[c];
-            if d < -EPS {
+        let (row_of, cand) = (&self.row_of, &mut self.cand);
+        self.sweep.drain(|c, d| {
+            if row_of[c] == NONBASIC && d < -EPS {
                 if use_bland {
-                    return Some(c);
+                    entering = Some(c);
+                    return false;
                 }
                 if d < best {
                     best = d;
                     entering = Some(c);
                 }
-                self.cand.push(c);
+                cand.push(c);
             }
-        }
+            true
+        });
         if self.cand.len() > CANDIDATE_LIST {
-            let reduced = &self.reduced;
+            let reduced = &self.sweep.acc;
             self.cand.select_nth_unstable_by(CANDIDATE_LIST - 1, |&a, &b| {
-                reduced[a]
-                    .partial_cmp(&reduced[b])
-                    .expect("reduced costs are finite")
-                    .then(a.cmp(&b))
+                reduced[a].total_cmp(&reduced[b]).then(a.cmp(&b))
             });
             self.cand.truncate(CANDIDATE_LIST);
             self.cand.sort_unstable();
         }
         entering
+    }
+
+    /// The dual ratio row `α = ρᵀA` over the non-artificial columns, row by
+    /// row over `ρ`'s support: the columns it reaches, each with the sum a
+    /// column dot with `ρ` makes.  Every other column's `α` is zero.
+    fn sweep_ratio_row(&mut self) {
+        let (matrix, limit) = (&self.form.matrix, self.form.art_start);
+        self.sweep.add_rows(matrix, &self.rho, &self.rho_support, 1.0, limit, |_| 0.0);
+    }
+
+    /// Scans the swept ratio row in ascending column order for the dual
+    /// repair's admissible entering columns — nonbasic, `α_j <
+    /// -DUAL_PIVOT_TOL` — with their reduced costs clamped at zero (a crash
+    /// basis is not dual feasible; the primal phase that follows cleans that
+    /// up).  Returns the largest `|α_j|` among them.
+    fn dual_candidates(&mut self, costs: &[f64]) -> f64 {
+        let form = self.form;
+        self.candidates.clear();
+        let mut max_abs_alpha = 0.0f64;
+        let (row_of, y, candidates) = (&self.row_of, &self.y, &mut self.candidates);
+        self.sweep.drain(|c, alpha| {
+            if row_of[c] == NONBASIC && alpha < -DUAL_PIVOT_TOL {
+                let d = (costs[c] - form.view.column_dot(&form.matrix, c, y)).max(0.0);
+                candidates.push((c, alpha, d));
+                max_abs_alpha = max_abs_alpha.max(-alpha);
+            }
+            true
+        });
+        max_abs_alpha
     }
 
     /// Partial pricing: exact reduced costs for the candidate list only (one
@@ -1275,7 +1418,7 @@ impl<'a> Simplex<'a> {
         let mut keep = 0usize;
         for i in 0..self.cand.len() {
             let c = self.cand[i];
-            if c >= limit || self.is_basic[c] {
+            if c >= limit || self.row_of[c] != NONBASIC {
                 continue;
             }
             let d = costs[c] - self.form.view.column_dot(&self.form.matrix, c, &self.y);
@@ -1293,41 +1436,32 @@ impl<'a> Simplex<'a> {
     }
 
     /// Applies the basis change `entering ↔ basis[leaving]` with step `t`,
-    /// using the FTRAN result currently held in `self.work`.  Values are kept
-    /// signed — dual pivots legitimately drive entries through negative
-    /// territory; primal callers use [`Simplex::pivot`].
-    fn pivot_signed(&mut self, entering: usize, leaving: usize, t: f64) {
-        if t != 0.0 {
-            for (x, &w) in self.xb.iter_mut().zip(self.work.iter()) {
-                if w != 0.0 {
-                    *x -= t * w;
-                }
-            }
+    /// using the FTRAN result currently held in `self.work`: `x_B −= t·w` on
+    /// the rows where `w ≠ 0`, then `entering` takes row `leaving` at value
+    /// `t` and the update eta of `w` is appended.  Primal pivots `clamp` the
+    /// numerical noise below zero in the same pass (the ratio test keeps true
+    /// values ≥ 0); dual pivots keep values signed, as they legitimately
+    /// drive entries through negative territory.  The pass is written as
+    /// selects, with no branch per row.
+    fn pivot(&mut self, entering: usize, leaving: usize, t: f64, clamp: bool) {
+        for (x, &w) in self.xb.iter_mut().zip(self.work.iter()) {
+            let moved = if t != 0.0 && w != 0.0 { *x - t * w } else { *x };
+            *x = if clamp && moved < 0.0 { 0.0 } else { moved };
         }
         self.xb[leaving] = t;
-        self.is_basic[self.basis[leaving]] = false;
-        self.is_basic[entering] = true;
+        self.row_of[self.basis[leaving]] = NONBASIC;
+        self.row_of[entering] = leaving;
         self.basis[leaving] = entering;
         self.fact.push(leaving, &self.work);
         self.updates_since_refactor += 1;
-    }
-
-    /// Primal pivot: like [`Simplex::pivot_signed`], then clamps the
-    /// numerical noise below zero (the ratio test keeps true values ≥ 0).
-    fn pivot(&mut self, entering: usize, leaving: usize, t: f64) {
-        self.pivot_signed(entering, leaving, t);
-        for x in self.xb.iter_mut() {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
-        }
     }
 
     /// Tries to pivot basic artificial variables out of the basis.  Rows
     /// where no structural or slack column has a nonzero transformed
     /// coefficient are redundant and keep their artificial.  After phase 1
     /// the swapped-in values are ~zero; on the warm path they can be any
-    /// sign (`pivot_signed`), to be repaired by the dual pivots that follow.
+    /// sign (an unclamped pivot), to be repaired by the dual pivots that
+    /// follow.
     fn drive_out_artificials(&mut self) {
         let m = self.form.num_rows();
         for r in 0..m {
@@ -1335,12 +1469,10 @@ impl<'a> Simplex<'a> {
                 continue;
             }
             // Row r of B⁻¹A over the non-artificial columns: rho = Bᵀ⁻¹ e_r.
-            self.y.iter_mut().for_each(|v| *v = 0.0);
-            self.y[r] = 1.0;
-            self.fact.btran(&mut self.y);
+            self.btran_unit_row(r);
             let replacement = (0..self.form.art_start).find(|&c| {
-                !self.is_basic[c]
-                    && self.form.view.column_dot(&self.form.matrix, c, &self.y).abs() > 1e-7
+                self.row_of[c] == NONBASIC
+                    && self.form.view.column_dot(&self.form.matrix, c, &self.rho).abs() > 1e-7
             });
             if let Some(c) = replacement {
                 self.work.iter_mut().for_each(|v| *v = 0.0);
@@ -1350,7 +1482,7 @@ impl<'a> Simplex<'a> {
                 self.fact.ftran(&mut self.work);
                 if self.work[r].abs() > 1e-9 {
                     let t = self.xb[r] / self.work[r];
-                    self.pivot_signed(c, r, t);
+                    self.pivot(c, r, t, false);
                 }
             }
         }
@@ -1377,7 +1509,7 @@ impl<'a> Simplex<'a> {
     fn finish_seeded(
         &mut self,
         lp: &LinearProgram,
-        costs: &[f64],
+        costs: &Costs,
         max_iterations: usize,
     ) -> Option<(Solution, Basis)> {
         let repair_started = Instant::now();
@@ -1401,18 +1533,29 @@ impl<'a> Simplex<'a> {
     }
 }
 
+/// A cost vector over the standard form's columns, and the columns it
+/// charges (nonzero cost), ascending: `c_B` is seeded from those alone.
+struct Costs {
+    values: Vec<f64>,
+    costed: Vec<usize>,
+}
+
 /// Builds the phase-2 cost vector (original objective, negated when
 /// maximizing; zeros on slack and artificial columns).
-fn phase2_costs(lp: &LinearProgram, form: &StandardForm) -> Vec<f64> {
+fn phase2_costs(lp: &LinearProgram, form: &StandardForm) -> Costs {
     let sign = match lp.direction() {
         Direction::Minimize => 1.0,
         Direction::Maximize => -1.0,
     };
-    let mut costs = vec![0.0; form.total_cols];
+    let mut values = vec![0.0; form.total_cols];
+    let mut costed = Vec::new();
     for (c, &coeff) in lp.objective().iter().enumerate() {
-        costs[c] = sign * coeff;
+        values[c] = sign * coeff;
+        if coeff != 0.0 {
+            costed.push(c);
+        }
     }
-    costs
+    Costs { values, costed }
 }
 
 /// Solves a linear program with the sparse revised simplex (cold start).
@@ -1517,10 +1660,9 @@ fn solve_on_form_with_pricing(
     simplex.reset();
     // ---- Phase 1: minimize the sum of the artificial variables. ----
     if form.total_cols > form.art_start {
-        let mut phase1_costs = vec![0.0; form.total_cols];
-        for c in form.art_start..form.total_cols {
-            phase1_costs[c] = 1.0;
-        }
+        let mut values = vec![0.0; form.total_cols];
+        values[form.art_start..].fill(1.0);
+        let phase1_costs = Costs { values, costed: (form.art_start..form.total_cols).collect() };
         // Phase 1 always prices fully.  Its cost vector (the artificial sum)
         // is massively degenerate — most reduced costs tie — and a candidate
         // list built from one sweep keeps steering into near-zero-progress
@@ -1956,10 +2098,250 @@ mod tests {
                 arena.ftran(&mut got);
                 prop_assert_eq!(&got, &want);
                 let (mut want, mut got) = (x.clone(), x);
+                let mut support: Vec<u32> = (0..rows as u32).filter(|&i| got[i as usize] != 0.0).collect();
                 reference_btran(&reference, &mut want);
-                arena.btran(&mut got);
+                arena.btran(&mut got, &mut support);
                 prop_assert_eq!(&got, &want);
+                prop_assert!(support.windows(2).all(|w| w[0] < w[1]), "ascending, no repeats");
+                prop_assert!((0..rows).all(|i| got[i] == 0.0 || support.contains(&(i as u32))));
             }
         }
+    }
+
+    /// The full pricing sweep before it ran over the support of `y`: every
+    /// reduced cost below `limit` by one pass over all rows, then a scan of
+    /// every column.  Returns the entering column, the candidate list and
+    /// the reduced costs.
+    fn dense_price_full(
+        s: &Simplex,
+        costs: &[f64],
+        limit: usize,
+        use_bland: bool,
+    ) -> (Option<usize>, Vec<usize>, Vec<f64>) {
+        let mut reduced = costs[..limit].to_vec();
+        for r in 0..s.form.num_rows() {
+            let yr = s.y[r];
+            if yr != 0.0 {
+                let (cols, vals) = s.form.matrix.row(r);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    if c < limit {
+                        reduced[c] -= yr * v;
+                    }
+                }
+            }
+        }
+        let mut cand = Vec::new();
+        let mut entering: Option<usize> = None;
+        let mut best = -EPS;
+        for c in 0..limit {
+            if s.row_of[c] != NONBASIC {
+                continue;
+            }
+            let d = reduced[c];
+            if d < -EPS {
+                if use_bland {
+                    return (Some(c), cand, reduced);
+                }
+                if d < best {
+                    best = d;
+                    entering = Some(c);
+                }
+                cand.push(c);
+            }
+        }
+        if cand.len() > CANDIDATE_LIST {
+            cand.select_nth_unstable_by(CANDIDATE_LIST - 1, |&a, &b| {
+                reduced[a].partial_cmp(&reduced[b]).expect("finite").then(a.cmp(&b))
+            });
+            cand.truncate(CANDIDATE_LIST);
+            cand.sort_unstable();
+        }
+        (entering, cand, reduced)
+    }
+
+    /// The dual ratio row before it ran over the support of `ρ`: one column
+    /// dot per nonbasic non-artificial column.  Returns the candidates, the
+    /// largest `|α|` among them, and every non-artificial column's `α`.
+    fn dense_dual_candidates(
+        s: &Simplex,
+        costs: &[f64],
+    ) -> (Vec<(usize, f64, f64)>, f64, Vec<f64>) {
+        let (matrix, view) = (&s.form.matrix, &s.form.view);
+        let alphas: Vec<f64> =
+            (0..s.form.art_start).map(|c| view.column_dot(matrix, c, &s.rho)).collect();
+        let mut candidates = Vec::new();
+        let mut max_abs_alpha = 0.0f64;
+        for (c, &alpha) in alphas.iter().enumerate() {
+            if s.row_of[c] == NONBASIC && alpha < -DUAL_PIVOT_TOL {
+                let d = (costs[c] - view.column_dot(matrix, c, &s.y)).max(0.0);
+                candidates.push((c, alpha, d));
+                max_abs_alpha = max_abs_alpha.max(-alpha);
+            }
+        }
+        (candidates, max_abs_alpha, alphas)
+    }
+
+    /// Uniform draws consumed in order: one strategy value describes a whole
+    /// random program and the state it is priced in.
+    struct Draws(std::vec::IntoIter<f64>);
+
+    impl Draws {
+        fn unit(&mut self) -> f64 {
+            self.0.next().expect("enough draws")
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            ((self.unit() * n as f64) as usize).min(n - 1)
+        }
+
+        /// A value in `[-2, 2)`, exactly zero one time in ten.
+        fn value(&mut self) -> f64 {
+            if self.unit() < 0.1 {
+                0.0
+            } else {
+                4.0 * self.unit() - 2.0
+            }
+        }
+    }
+
+    /// A sparse program of `rows × vars` (every relation, right-hand sides of
+    /// both signs, explicit zero coefficients) in standard form.
+    fn drawn_form(rows: usize, vars: usize, draws: &mut Draws) -> StandardForm {
+        let mut lp = LinearProgram::new(Direction::Minimize);
+        for _ in 0..vars {
+            lp.add_variable(0.0);
+        }
+        for _ in 0..rows {
+            let mut coeffs = Vec::new();
+            for c in 0..vars {
+                if draws.unit() < 0.3 {
+                    coeffs.push((c, draws.value()));
+                }
+            }
+            let relation = [Relation::LessEq, Relation::GreaterEq, Relation::Equal][draws.below(3)];
+            let rhs = draws.value();
+            lp.add_constraint(coeffs, relation, rhs);
+        }
+        StandardForm::build(&lp)
+    }
+
+    /// A sparse vector over `rows` and its support: one nonzero, three, or
+    /// (`kind` 2) more than a quarter of the rows; some entries inside the
+    /// support and some outside it are `-0.0`.
+    fn drawn_sparse(rows: usize, kind: usize, draws: &mut Draws) -> (Vec<f64>, Vec<u32>) {
+        let mut v = vec![0.0; rows];
+        let mut support = Vec::new();
+        let picks = match kind {
+            0 => 1,
+            1 => 3.min(rows),
+            _ => rows / 4 + 1 + draws.below(rows - rows / 4),
+        };
+        let mut order: Vec<usize> = (0..rows).collect();
+        for i in 0..picks {
+            order.swap(i, i + draws.below(rows - i));
+            let r = order[i];
+            v[r] = if draws.unit() < 0.15 { -0.0 } else { draws.value() };
+            support.push(r as u32);
+        }
+        for r in order[picks..].iter().copied() {
+            if draws.unit() < 0.1 {
+                v[r] = -0.0;
+            }
+        }
+        support.sort_unstable();
+        (v, support)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sparse programs, bases and multiplier vectors (1, 3 and
+        /// more than m/4 nonzeros, `-0.0` entries, negative-cost columns,
+        /// phase-1 and phase-2 limits): the sweep over the support of `y`
+        /// picks the same entering column and candidate list as the dense
+        /// sweep, Dantzig and Bland, with bit-equal reduced costs; the ratio
+        /// row over the support of `ρ` yields the column dots' alphas to the
+        /// bit, and the same candidates.
+        #[test]
+        fn support_sweeps_reproduce_the_dense_passes(
+            (rows, vars, kinds, draws) in (2usize..24, 1usize..100).prop_flat_map(|(rows, vars)| (
+                Just(rows),
+                Just(vars),
+                (0usize..3, 0usize..3),
+                collection::vec(0.0f64..1.0, 16 * rows * (vars + 4)),
+            )),
+        ) {
+            let mut draws = Draws(draws.into_iter());
+            let form = drawn_form(rows, vars, &mut draws);
+            let n = form.total_cols;
+            let values: Vec<f64> = (0..n)
+                .map(|_| match draws.below(5) {
+                    0 | 1 => 0.0,
+                    2 => -0.0,
+                    3 => -2.0 * draws.unit() - EPS,
+                    _ => 2.0 * draws.unit(),
+                })
+                .collect();
+            let costed = (0..n).filter(|&c| values[c] != 0.0).collect();
+            let costs = Costs { values, costed };
+            let mut s = Simplex::new(&form, true);
+            // Structural columns enter on about half the rows.
+            for r in 0..rows {
+                let c = draws.below(form.num_vars);
+                if draws.unit() < 0.5 && s.row_of[c] == NONBASIC {
+                    s.row_of[s.basis[r]] = NONBASIC;
+                    s.row_of[c] = r;
+                    s.basis[r] = c;
+                }
+            }
+            (s.y, s.y_support) = drawn_sparse(rows, kinds.0, &mut draws);
+            (s.rho, s.rho_support) = drawn_sparse(rows, kinds.1, &mut draws);
+            let values = &costs.values;
+            for limit in [form.art_start, n] {
+                for use_bland in [false, true] {
+                    let (want, want_cand, want_reduced) =
+                        dense_price_full(&s, values, limit, use_bland);
+                    s.sweep_reduced_costs(&costs, limit);
+                    for c in 0..limit {
+                        let got = if s.sweep.is_marked(c) { s.sweep.acc[c] } else { values[c] };
+                        prop_assert_eq!(got.to_bits(), want_reduced[c].to_bits(), "column {}", c);
+                    }
+                    prop_assert_eq!(s.select_entering(use_bland), want);
+                    prop_assert_eq!(&s.cand, &want_cand);
+                    prop_assert!(s.sweep.marks.iter().all(|&w| w == 0), "drained");
+                }
+            }
+            let (want, want_max, want_alphas) = dense_dual_candidates(&s, values);
+            s.sweep_ratio_row();
+            for (c, alpha) in want_alphas.iter().enumerate() {
+                let got = if s.sweep.is_marked(c) { s.sweep.acc[c] } else { 0.0 };
+                prop_assert_eq!(got.to_bits(), alpha.to_bits(), "column {}", c);
+            }
+            let got_max = s.dual_candidates(values);
+            let bits = |list: &[(usize, f64, f64)]| -> Vec<(usize, u64, u64)> {
+                list.iter().map(|&(c, a, d)| (c, a.to_bits(), d.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&s.candidates), bits(&want));
+            prop_assert_eq!(got_max.to_bits(), want_max.to_bits());
+        }
+    }
+
+    /// A NaN multiplier makes NaN reduced costs: pricing neither panics nor
+    /// enters or ranks those columns, and still fills the candidate list.
+    #[test]
+    fn pricing_skips_nan_reduced_costs() {
+        let mut lp = LinearProgram::new(Direction::Minimize);
+        let vars: Vec<usize> = (0..40).map(|_| lp.add_variable(-1.0)).collect();
+        lp.add_constraint(vars[..4].iter().map(|&v| (v, 1.0)).collect(), Relation::LessEq, 1.0);
+        lp.add_constraint(vars.iter().map(|&v| (v, 1.0)).collect(), Relation::LessEq, 10.0);
+        let form = StandardForm::build(&lp);
+        let costs = phase2_costs(&lp, &form);
+        let mut s = Simplex::new(&form, true);
+        s.y[0] = f64::NAN;
+        s.y_support = vec![0];
+        assert_eq!(s.price_full(&costs, form.art_start, true), Some(4));
+        assert_eq!(s.price_full(&costs, form.art_start, false), Some(4));
+        assert_eq!(s.cand.len(), CANDIDATE_LIST);
+        assert!(s.cand.iter().all(|&c| (4..40).contains(&c)), "{:?}", s.cand);
     }
 }

@@ -1,13 +1,17 @@
 //! Golden bits of the series LP, recorded before the eta file became one flat
-//! arena and held fixed since.
+//! arena and held fixed since; the fleet-shard series was recorded before
+//! BTRAN, pricing and the dual ratio row started running over the support of
+//! the multipliers.
 //!
-//! The rewrite argued that no pivot, reinversion or floating-point result of
-//! the simplex changes — only what a pivot costs.  These constants are the
-//! proof: for every solve of two series they pin the pivot counts of both
+//! Both rewrites argued that no pivot, reinversion or floating-point result
+//! of the simplex changes — only what a pivot costs.  These constants are the
+//! proof: for every solve of three series they pin the pivot counts of both
 //! phases, the reinversion count, whether the warm basis was accepted, and an
 //! FNV hash over the bits of the returned split ratios.  The 80-ToR bursty
 //! fabric is the `lp_monolith` program (all phase 2, dense update etas,
-//! rejected bases falling to the seeded crash); GEANT under
+//! rejected bases falling to the seeded crash).  Shard 0 of the 512-ToR
+//! `dc_fleet_lp` fleet accepts its warm basis on almost every solve and
+//! dual-repairs it to the optimum in 50–130 pivots.  GEANT under
 //! desensitization bounds has a warm basis accepted on nearly every solve and
 //! carries sensitivity rows.
 
@@ -159,6 +163,46 @@ fn bursty_fabric_series_reproduces_the_recorded_bits() {
     let (paths, columns) = common::bursty_fabric(60);
     let got = replay(MluTemplate::new(&paths), &paths, &columns);
     assert_golden("bursty fabric", &got, &BURSTY_FABRIC);
+}
+
+const FLEET_SHARD: [Golden; 30] = [
+    (1, 84, 5, false, 0xed3d26fff84c8d4e),
+    (90, 0, 1, true, 0x54e02d2b4f17c284),
+    (84, 0, 1, true, 0xe4ff97cbc0a042a6),
+    (85, 0, 1, true, 0x233b3fe9c15b7335),
+    (102, 0, 1, true, 0x7feb5c5f03c79902),
+    (125, 0, 1, true, 0x15ab657ad96635f5),
+    (103, 0, 1, true, 0x8158a9224cb8ccda),
+    (1, 62, 5, false, 0x30891f5f74942941),
+    (66, 0, 1, true, 0x6f2d137e32a9cf52),
+    (89, 0, 1, true, 0x7855dfb31e914dac),
+    (58, 0, 1, true, 0x35f5b618ffeb6e5d),
+    (79, 0, 1, true, 0x230847a6c47fb0ca),
+    (88, 0, 1, true, 0xad3022ff49033c8e),
+    (109, 0, 1, true, 0x5facf2b3e3f55b28),
+    (98, 0, 1, true, 0x388c80ded99d5230),
+    (65, 0, 1, true, 0x7f04b79473bbe6f7),
+    (82, 0, 1, true, 0x2bbbf9baabc905ea),
+    (75, 0, 1, true, 0x0d7be5a1f125abac),
+    (92, 0, 1, true, 0xe151873dc8defcec),
+    (71, 0, 1, true, 0xa6655d960cd2ee6f),
+    (111, 0, 1, true, 0xacb59c92d21eec38),
+    (68, 0, 1, true, 0x0cfcd250106bc7b6),
+    (81, 0, 1, true, 0x3976dcc447e789a8),
+    (84, 0, 1, true, 0x029f65e74f53ad83),
+    (122, 0, 1, true, 0x02ff2110f918b695),
+    (71, 0, 1, true, 0xf79adc9a9f49350d),
+    (56, 0, 1, true, 0xfc9aa1bc49b572de),
+    (79, 0, 1, true, 0x45faa92e7f0a4e91),
+    (91, 0, 1, true, 0x44aa9f2218f0d755),
+    (112, 0, 1, true, 0xf6e172be15f43b0a),
+];
+
+#[test]
+fn fleet_shard_series_reproduces_the_recorded_bits() {
+    let (paths, columns) = common::fleet_shard(30);
+    let got = replay(MluTemplate::new(&paths), &paths, &columns);
+    assert_golden("fleet shard", &got, &FLEET_SHARD);
 }
 
 #[test]
