@@ -7,7 +7,7 @@
 //! measured outputs next to the paper's numbers.
 
 use figret::FigretConfig;
-use figret_solvers::{DesensitizationSettings, HeuristicBound, Predictor, SolverEngine};
+use figret_solvers::{DesensitizationSettings, HeuristicBound, Predictor};
 use figret_te::{max_sensitivity_per_pair, mean, normalize_by, relative_change, SchemeQuality};
 use figret_topology::{random_link_failures, Topology};
 use figret_traffic::{
@@ -121,12 +121,7 @@ impl ExperimentOptions {
 
     /// Evaluation options implied by the flags.
     pub fn eval_options(&self) -> EvalOptions {
-        EvalOptions {
-            window: self.window,
-            max_eval_snapshots: Some(self.max_eval),
-            engine: SolverEngine::Auto,
-            failure: None,
-        }
+        EvalOptions { window: self.window, max_eval_snapshots: Some(self.max_eval), failure: None }
     }
 
     /// The FIGRET learning configuration implied by the flags (small
@@ -408,7 +403,6 @@ pub fn fig8_sensitivity(options: &ExperimentOptions) {
                             &scenario.paths,
                             &scenario.trace.matrices()[t - eval.window..t],
                             settings,
-                            eval.engine,
                         )
                         .expect("Des TE must be solvable");
                         for (i, s) in

@@ -9,8 +9,6 @@
 
 pub mod args;
 pub mod experiments;
-#[cfg(test)]
-mod fleet;
 pub mod profile;
 pub mod report;
 pub mod runner;

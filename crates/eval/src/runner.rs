@@ -2,21 +2,25 @@
 //! and collect per-snapshot MLUs plus timing, the raw material of every table
 //! and figure.
 //!
-//! LP-based schemes run their snapshot series through a warm-started
-//! [`MluTemplate`]: the program is built once, each snapshot moves its
-//! right-hand side and seeds from the previous snapshots' optima, so a
-//! series of `T` snapshots costs one cold solve plus `T − 1` (much cheaper)
-//! seeded re-solves.  The series is solved
-//! sequentially — warm starting is inherently order-dependent — which also
-//! makes it deterministic by construction; when a probe prefix shows that no
-//! seed survives on a trace (heavily bursty on/off demands), the remainder
-//! of the series falls back to the per-snapshot rayon fan-out of one-shot
-//! solves.  Learned schemes emit all
-//! configurations with one batch-major forward pass and evaluate MLUs on the
-//! rayon pool; iterative-engine fallbacks keep the old per-snapshot
-//! parallelism.  Timing fields report summed per-snapshot compute time.
-//! Accumulated LP solver work (pivots per phase, reinversions, warm-start
-//! acceptance) is threaded into [`SchemeRun::lp_stats`] for the reports.
+//! Each LP-based scheme (omniscient, Pred, Des, FA-Des and Heuristic FG TE)
+//! is stated once, as its series-static data — sensitivity bounds,
+//! availability mask — plus the demand it solves for at each snapshot.
+//! [`lp_series_or_parallel`] builds both of its solvers from that data: a
+//! warm-started [`MluTemplate`], built once, where each snapshot moves its
+//! right-hand side and seeds from the previous snapshots' optima (one cold
+//! solve plus `T − 1` much cheaper re-solves), and the one-shot
+//! [`solve_min_mlu`] problem of the per-snapshot rayon fan-out.  The
+//! template series is solved sequentially — warm starting is inherently
+//! order-dependent — which also makes it deterministic by construction; when
+//! a probe prefix shows that no seed survives on a trace (heavily bursty
+//! on/off demands), the remainder of the series runs on the fan-out.  Path
+//! sets too large for the LP ([`solves_exactly`]) run the whole series on
+//! the fan-out, where [`solve_min_mlu`] uses the iterative engine.  Learned
+//! schemes emit all configurations with one batch-major forward pass and
+//! evaluate MLUs on the rayon pool.  Timing fields report summed
+//! per-snapshot compute time.  Accumulated LP solver work (pivots per phase,
+//! reinversions, warm-start acceptance) is threaded into
+//! [`SchemeRun::lp_stats`] for the reports.
 
 use std::time::Instant;
 
@@ -24,10 +28,9 @@ use rayon::prelude::*;
 
 use figret::{FigretConfig, FigretModel, TealLikeModel};
 use figret_solvers::{
-    cope_config, desensitization_config, fault_aware_desensitization_config,
-    heuristic_fine_grained_config, omniscient_config, predict, prediction_config, CopeSettings,
-    CuttingPlaneSettings, DesensitizationSettings, HeuristicBound, HoseModel, MluProblem,
-    MluTemplate, Predictor, SeriesStats, SolverEngine, HEURISTIC_PREDICTOR,
+    cope_config, desensitization_bounds, heuristic_absolute_bounds, predict, solve_min_mlu,
+    solves_exactly, CopeSettings, CuttingPlaneSettings, DesensitizationSettings, HeuristicBound,
+    HoseModel, MluProblem, MluTemplate, Predictor, SeriesStats, HEURISTIC_PREDICTOR,
 };
 use figret_te::{
     available_paths, max_link_utilization, mean_series_churn, normalize_by,
@@ -99,8 +102,6 @@ pub struct EvalOptions {
     /// Evaluate at most this many test snapshots (uniformly subsampled); keeps
     /// the LP-heavy schemes tractable on larger topologies.
     pub max_eval_snapshots: Option<usize>,
-    /// Engine used by LP-based schemes.
-    pub engine: SolverEngine,
     /// Optional link-failure scenario (Figures 7, 14, 15): configurations are
     /// rerouted around the failed links before evaluation.
     pub failure: Option<FailureScenario>,
@@ -108,12 +109,7 @@ pub struct EvalOptions {
 
 impl Default for EvalOptions {
     fn default() -> Self {
-        EvalOptions {
-            window: 12,
-            max_eval_snapshots: Some(60),
-            engine: SolverEngine::Auto,
-            failure: None,
-        }
+        EvalOptions { window: 12, max_eval_snapshots: Some(60), failure: None }
     }
 }
 
@@ -178,12 +174,6 @@ fn apply_failure(
     }
 }
 
-/// Whether the options' engine solves this scenario's min-MLU instances with
-/// the exact LP (and hence whether the warm-started template path applies).
-fn engine_uses_lp(scenario: &Scenario, options: &EvalOptions) -> bool {
-    options.engine.uses_lp(scenario.paths.num_paths(), false)
-}
-
 /// The omniscient (oracle) MLU series over the evaluated snapshots.  With a
 /// failure scenario, the oracle also knows the failures and optimizes only
 /// over the surviving paths.  The series is returned in snapshot order.
@@ -191,37 +181,21 @@ pub fn omniscient_series(scenario: &Scenario, options: &EvalOptions) -> Vec<f64>
     omniscient_series_with_stats(scenario, options).0
 }
 
-/// [`omniscient_series`] plus the accumulated LP solver work.  On the LP
-/// engine the series runs through one warm-started [`MluTemplate`] (one cold
-/// solve, then per-snapshot warm re-solves); the iterative engine keeps the
-/// per-snapshot rayon fan-out and reports all-zero stats.
+/// [`omniscient_series`] plus the accumulated LP solver work (all-zero on a
+/// path set solved by the iterative engine); see [`lp_series_or_parallel`].
 pub fn omniscient_series_with_stats(
     scenario: &Scenario,
     options: &EvalOptions,
 ) -> (Vec<f64>, SeriesStats) {
     let indices = options.eval_indices(scenario);
     let availability = options.failure.as_ref().map(|f| available_paths(&scenario.paths, f));
-    let one_shot = |t: usize| {
-        let demand = scenario.trace.matrix(t);
-        match &availability {
-            None => omniscient_config(&scenario.paths, demand, options.engine)
-                .expect("omniscient LP must be solvable"),
-            Some(alive) => {
-                let problem = MluProblem::new(&scenario.paths, demand.flatten_pairs())
-                    .with_available(alive.clone());
-                figret_solvers::solve_min_mlu(&problem, options.engine)
-                    .expect("fault-aware omniscient LP must be solvable")
-            }
-        }
-    };
     let (configs, _, _, stats) = lp_series_or_parallel(
         scenario,
         &indices,
         &None, // the oracle's availability mask already encodes the failure
-        engine_uses_lp(scenario, options),
-        || MluTemplate::with_options(&scenario.paths, None, availability.clone()),
+        None,
+        availability,
         |t| scenario.trace.matrix(t).flatten_pairs(),
-        one_shot,
     );
     (mlu_series(scenario, &indices, &configs), stats)
 }
@@ -287,45 +261,52 @@ where
 /// this trace (see [`lp_series_or_parallel`]).
 const WARM_PROBE_SNAPSHOTS: usize = 4;
 
-/// One LP-based scheme arm of [`run_scheme`]: the warm-started sequential
-/// template series when the engine resolves to the LP, the per-snapshot
-/// parallel one-shot fallback otherwise.  `demand_of` assembles the solved
-/// demand for a snapshot (template path); `fallback` computes the full
-/// configuration (one-shot / iterative path).
+/// One LP-based scheme over the evaluated snapshots, stated once: the
+/// series-static `sensitivity_bounds` (absolute units) and `available`
+/// mask, and `demand_of`, the demand solved for at a snapshot
+/// (`flatten_pairs` order).  Both solvers are built from that data — the
+/// [`MluTemplate::with_options`] series and the per-snapshot [`MluProblem`]
+/// of the parallel one-shot fan-out — so they solve the same program.
 ///
-/// Warm starting is inherently sequential, so it is only worth giving up the
-/// per-snapshot rayon fan-out when seeds are actually accepted: the first
+/// On a path set too large for the LP ([`solves_exactly`]) the whole series
+/// runs on the fan-out, where [`solve_min_mlu`] uses the iterative engine.
+/// Otherwise warm starting is inherently sequential, so it is only worth
+/// giving up the fan-out when seeds are actually accepted: the first
 /// [`WARM_PROBE_SNAPSHOTS`] solves run through the template, and if *no*
 /// re-solve accepted its seed (heavily bursty traces — the damage gate
-/// rejects every basis) the remaining snapshots run on the parallel one-shot
-/// path instead.  The decision is made from deterministic sequential state,
-/// so results stay deterministic.
+/// rejects every basis) the remaining snapshots run on the fan-out instead.
+/// The decision is made from deterministic sequential state, so results stay
+/// deterministic.
 ///
 /// Returns `(deployed config series, summed per-snapshot solve seconds,
 /// one-off template-construction seconds, accumulated solver work)` —
-/// construction is precomputation, not per-snapshot work (the old one-shot
-/// path rebuilt the program inside every timed solve; the template path must
-/// not hide that cost entirely nor book it per snapshot).
-#[allow(clippy::too_many_arguments)]
-fn lp_series_or_parallel<F, G>(
+/// construction is precomputation, not per-snapshot work (the one-shot path
+/// rebuilds the program inside every timed solve; the template path must not
+/// hide that cost entirely nor book it per snapshot).
+fn lp_series_or_parallel<F>(
     scenario: &Scenario,
     indices: &[usize],
     failure: &Option<FailureScenario>,
-    use_lp: bool,
-    make_template: impl FnOnce() -> MluTemplate,
+    sensitivity_bounds: Option<Vec<f64>>,
+    available: Option<Vec<bool>>,
     demand_of: F,
-    fallback: G,
 ) -> (Vec<TeConfig>, f64, f64, SeriesStats)
 where
-    F: Fn(usize) -> Vec<f64>,
-    G: Fn(usize) -> TeConfig + Sync,
+    F: Fn(usize) -> Vec<f64> + Sync,
 {
-    if !use_lp {
-        let (configs, secs) = per_snapshot_parallel(scenario, indices, failure, fallback);
+    let one_shot = |t: usize| {
+        let mut problem = MluProblem::new(&scenario.paths, demand_of(t));
+        problem.sensitivity_bounds = sensitivity_bounds.clone();
+        problem.available = available.clone();
+        solve_min_mlu(&problem).expect("min-MLU program must be solvable")
+    };
+    if !solves_exactly(scenario.paths.num_paths()) {
+        let (configs, secs) = per_snapshot_parallel(scenario, indices, failure, one_shot);
         return (configs, secs, 0.0, SeriesStats::default());
     }
     let start = Instant::now();
-    let mut template = make_template();
+    let mut template =
+        MluTemplate::with_options(&scenario.paths, sensitivity_bounds.clone(), available.clone());
     let precompute_seconds = start.elapsed().as_secs_f64();
     let probe_len = indices.len().min(WARM_PROBE_SNAPSHOTS);
     let (probe, rest) = indices.split_at(probe_len);
@@ -341,7 +322,7 @@ where
         } else {
             // No seed survived the probe: finish on the parallel one-shot
             // path (same optima; `stats` then covers the probe prefix only).
-            let (more, more_secs) = per_snapshot_parallel(scenario, rest, failure, fallback);
+            let (more, more_secs) = per_snapshot_parallel(scenario, rest, failure, one_shot);
             configs.extend(more);
             secs += more_secs;
         }
@@ -386,133 +367,95 @@ fn mlu_series(scenario: &Scenario, indices: &[usize], configs: &[TeConfig]) -> V
 /// series is always in snapshot order.
 pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -> SchemeRun {
     let indices = options.eval_indices(scenario);
-    let window = options.window;
-    // Every arm produces the *deployed* configuration series (failure
-    // rerouting already applied); MLUs and churn are scored centrally below.
-    let configs: Vec<TeConfig>;
-    let mut solve_seconds = 0.0;
-    // Every scheme arm assigns its own precomputation time exactly once.
-    let precompute_seconds;
-    let mut lp_stats = SeriesStats::default();
     let train_variances = per_pair_variance_range(&scenario.trace, scenario.split.train.clone());
-    let use_lp = engine_uses_lp(scenario, options);
+    // The history window ending just before snapshot `t`.
+    let history = |t: usize| &scenario.trace.matrices()[t - options.window..t];
+    let no_lp = SeriesStats::default();
 
-    match scheme {
+    // Every arm produces the *deployed* configuration series (failure
+    // rerouting already applied), its summed solve and one-off
+    // precomputation seconds, and its LP work; MLUs and churn are scored
+    // centrally below.
+    let (configs, solve_seconds, precompute_seconds, lp_stats) = match scheme {
         Scheme::Figret(cfg) | Scheme::Dote(cfg) => {
             let mut cfg = cfg.clone();
-            cfg.history_window = window;
+            cfg.history_window = options.window;
             if matches!(scheme, Scheme::Dote(_)) {
                 cfg.robustness_weight = 0.0;
             }
-            let dataset =
-                WindowDataset::from_trace(&scenario.trace, window, scenario.split.train.clone());
+            let dataset = WindowDataset::from_trace(
+                &scenario.trace,
+                options.window,
+                scenario.split.train.clone(),
+            );
             let mut model = FigretModel::new(&scenario.paths, &train_variances, cfg);
             let start = Instant::now();
             model.train(&dataset);
-            precompute_seconds = start.elapsed().as_secs_f64();
-            let evaluated =
-                WindowDataset::from_targets(&scenario.trace, window, indices.iter().copied());
+            let precompute_seconds = start.elapsed().as_secs_f64();
+            let evaluated = WindowDataset::from_targets(
+                &scenario.trace,
+                options.window,
+                indices.iter().copied(),
+            );
             let start = Instant::now();
             let raw = model.predict_batch(&scenario.paths, evaluated.histories());
-            solve_seconds = start.elapsed().as_secs_f64();
-            configs = deploy_configs(scenario, raw, &options.failure);
+            let solve_seconds = start.elapsed().as_secs_f64();
+            (
+                deploy_configs(scenario, raw, &options.failure),
+                solve_seconds,
+                precompute_seconds,
+                no_lp,
+            )
         }
         Scheme::TealLike(cfg) => {
             let mut cfg = cfg.clone();
-            cfg.history_window = window;
-            let dataset =
-                WindowDataset::from_trace(&scenario.trace, window, scenario.split.train.clone());
+            cfg.history_window = options.window;
+            let dataset = WindowDataset::from_trace(
+                &scenario.trace,
+                options.window,
+                scenario.split.train.clone(),
+            );
             let mut model = TealLikeModel::new(&scenario.paths, cfg);
             let start = Instant::now();
             model.train(&dataset);
-            precompute_seconds = start.elapsed().as_secs_f64();
+            let precompute_seconds = start.elapsed().as_secs_f64();
             // The `D_{t-1}` protocol is the same call at window 1.
             let previous = WindowDataset::from_targets(&scenario.trace, 1, indices.iter().copied());
             let start = Instant::now();
             let raw = model.predict_batch(&scenario.paths, previous.histories());
-            solve_seconds = start.elapsed().as_secs_f64();
-            configs = deploy_configs(scenario, raw, &options.failure);
+            let solve_seconds = start.elapsed().as_secs_f64();
+            (
+                deploy_configs(scenario, raw, &options.failure),
+                solve_seconds,
+                precompute_seconds,
+                no_lp,
+            )
         }
-        Scheme::Desensitization(settings) => {
-            let (series, secs, pre, stats) = lp_series_or_parallel(
-                scenario,
-                &indices,
-                &options.failure,
-                use_lp,
-                || MluTemplate::for_desensitization(&scenario.paths, settings),
-                |t| {
-                    let history = &scenario.trace.matrices()[t - window..t];
-                    predict(history, settings.predictor).flatten_pairs()
-                },
-                |t| {
-                    let history = &scenario.trace.matrices()[t - window..t];
-                    desensitization_config(&scenario.paths, history, settings, options.engine)
-                        .expect("Des TE must be solvable")
-                },
-            );
-            configs = series;
-            solve_seconds = secs;
-            precompute_seconds = pre;
-            lp_stats = stats;
-        }
+        Scheme::Desensitization(settings) => lp_series_or_parallel(
+            scenario,
+            &indices,
+            &options.failure,
+            Some(desensitization_bounds(&scenario.paths, settings)),
+            None,
+            |t| predict(history(t), settings.predictor).flatten_pairs(),
+        ),
         Scheme::FaultAwareDesensitization(settings) => {
-            let scenario_failure = options.failure.clone().unwrap_or_else(FailureScenario::none);
+            let failure = options.failure.clone().unwrap_or_else(FailureScenario::none);
             // The fault-aware LP already routes around the failures, so no
             // post-hoc rerouting is applied.
-            let (series, secs, pre, stats) = lp_series_or_parallel(
+            lp_series_or_parallel(
                 scenario,
                 &indices,
                 &None,
-                use_lp,
-                || {
-                    MluTemplate::for_fault_aware_desensitization(
-                        &scenario.paths,
-                        settings,
-                        &scenario_failure,
-                    )
-                },
-                |t| {
-                    let history = &scenario.trace.matrices()[t - window..t];
-                    predict(history, settings.predictor).flatten_pairs()
-                },
-                |t| {
-                    let history = &scenario.trace.matrices()[t - window..t];
-                    fault_aware_desensitization_config(
-                        &scenario.paths,
-                        history,
-                        settings,
-                        &scenario_failure,
-                        options.engine,
-                    )
-                    .expect("FA Des TE must be solvable")
-                },
-            );
-            configs = series;
-            solve_seconds = secs;
-            precompute_seconds = pre;
-            lp_stats = stats;
+                Some(desensitization_bounds(&scenario.paths, settings)),
+                Some(available_paths(&scenario.paths, &failure)),
+                |t| predict(history(t), settings.predictor).flatten_pairs(),
+            )
         }
         Scheme::Prediction(predictor) => {
-            let (series, secs, pre, stats) = lp_series_or_parallel(
-                scenario,
-                &indices,
-                &options.failure,
-                use_lp,
-                || MluTemplate::new(&scenario.paths),
-                |t| {
-                    let history = &scenario.trace.matrices()[t - window..t];
-                    predict(history, *predictor).flatten_pairs()
-                },
-                |t| {
-                    let history = &scenario.trace.matrices()[t - window..t];
-                    prediction_config(&scenario.paths, history, *predictor, options.engine)
-                        .expect("prediction TE must be solvable")
-                },
-            );
-            configs = series;
-            solve_seconds = secs;
-            precompute_seconds = pre;
-            lp_stats = stats;
+            lp_series_or_parallel(scenario, &indices, &options.failure, None, None, |t| {
+                predict(history(t), *predictor).flatten_pairs()
+            })
         }
         Scheme::Oblivious | Scheme::Cope => {
             let hose = HoseModel::fit(&scenario.trace, scenario.split.train.clone(), 1.0);
@@ -532,44 +475,19 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
                     .map(|r| r.config)
                     .unwrap_or_else(|_| TeConfig::uniform(&scenario.paths))
             };
-            precompute_seconds = start.elapsed().as_secs_f64();
-            configs = deploy_configs(scenario, vec![config; indices.len()], &options.failure);
+            let precompute_seconds = start.elapsed().as_secs_f64();
+            let configs = deploy_configs(scenario, vec![config; indices.len()], &options.failure);
+            (configs, 0.0, precompute_seconds, no_lp)
         }
-        Scheme::HeuristicFineGrained(bound) => {
-            let (series, secs, pre, stats) = lp_series_or_parallel(
-                scenario,
-                &indices,
-                &options.failure,
-                use_lp,
-                || {
-                    MluTemplate::for_heuristic_fine_grained(
-                        &scenario.paths,
-                        &train_variances,
-                        *bound,
-                    )
-                },
-                |t| {
-                    let history = &scenario.trace.matrices()[t - window..t];
-                    predict(history, HEURISTIC_PREDICTOR).flatten_pairs()
-                },
-                |t| {
-                    let history = &scenario.trace.matrices()[t - window..t];
-                    heuristic_fine_grained_config(
-                        &scenario.paths,
-                        history,
-                        &train_variances,
-                        *bound,
-                        options.engine,
-                    )
-                    .expect("heuristic fine-grained TE must be solvable")
-                },
-            );
-            configs = series;
-            solve_seconds = secs;
-            precompute_seconds = pre;
-            lp_stats = stats;
-        }
-    }
+        Scheme::HeuristicFineGrained(bound) => lp_series_or_parallel(
+            scenario,
+            &indices,
+            &options.failure,
+            Some(heuristic_absolute_bounds(&scenario.paths, &train_variances, *bound)),
+            None,
+            |t| predict(history(t), HEURISTIC_PREDICTOR).flatten_pairs(),
+        ),
+    };
 
     let mlus = mlu_series(scenario, &indices, &configs);
     let mean_churn = mean_series_churn(&configs);

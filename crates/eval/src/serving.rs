@@ -1003,10 +1003,10 @@ pub fn serve_sim(options: &ServeSimOptions) {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
-    pub(crate) fn pod_options(engine: ServeEngine) -> ServeSimOptions {
+    fn pod_options(engine: ServeEngine) -> ServeSimOptions {
         let experiment = ExperimentOptions {
             fast: true,
             snapshots: 60,
@@ -1023,7 +1023,7 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn fabric_options(policy: ReconfigPolicy, max_ticks: usize) -> ServeSimOptions {
+    fn fabric_options(policy: ReconfigPolicy, max_ticks: usize) -> ServeSimOptions {
         let experiment =
             ExperimentOptions { fast: true, snapshots: 10, window: 2, ..Default::default() };
         ServeSimOptions {
@@ -1115,5 +1115,57 @@ pub(crate) mod tests {
         assert_eq!(mem.active_pairs, 48 * 8);
         assert!(mem.sparse_trace_bytes < mem.dense_trace_bytes);
         print_serve_report(&run); // must not panic
+    }
+
+    // Sharded runs (`serve_sim --shards N`, N > 1): the same `serve` path as
+    // the unsharded run, driven with more than one shard.
+
+    #[test]
+    fn multi_shard_fleet_partitions_and_reports() {
+        let run =
+            serve(&ServeSimOptions { shards: 4, ..fabric_options(ReconfigPolicy::default(), 5) });
+        assert_eq!(run.fleet.num_shards(), 4);
+        assert_eq!(run.fleet.shard_pairs().iter().sum::<usize>(), run.fleet.total_pairs());
+        assert_eq!(run.ticks(), 5);
+        assert!(run.realized_mlus.iter().all(|m| m.is_finite() && *m > 0.0));
+        assert_eq!(run.fleet.admission_stats().ticks, 5);
+        assert!(run.serve_seconds > 0.0);
+        assert!(run.omniscient.is_none() && run.regret().is_none());
+        print_serve_report(&run); // must not panic
+    }
+
+    #[test]
+    fn table1_fleet_replay_runs_on_source_blocks() {
+        let run = serve(&ServeSimOptions {
+            shards: 2,
+            max_ticks: Some(4),
+            ..pod_options(ServeEngine::Lp)
+        });
+        assert_eq!(run.fleet.num_shards(), 2);
+        assert_eq!(run.ticks(), 4);
+        assert_eq!(run.fleet.update_count(), 2 * 4, "always-update deploys every shard every tick");
+    }
+
+    #[test]
+    fn learned_shards_train_on_their_own_slice_of_the_train_split() {
+        let options = ServeSimOptions {
+            shards: 2,
+            use_plan: true,
+            policy: ReconfigPolicy::default(),
+            ..pod_options(ServeEngine::Learned)
+        };
+        let run = serve(&options);
+        assert!(run.name.contains("2 shards, learned/plan"), "{}", run.name);
+        assert_eq!(run.fleet.num_shards(), 2);
+        let model_ticks = run
+            .fleet
+            .logs()
+            .iter()
+            .flat_map(|log| &log.records)
+            .filter(|r| r.source == Some(figret_serve::DecisionSource::Model))
+            .count();
+        assert!(model_ticks > 0, "the shards must serve model candidates");
+        let again = serve(&options);
+        assert_eq!(again.fleet.digest(), run.fleet.digest(), "training and serving must replay");
     }
 }

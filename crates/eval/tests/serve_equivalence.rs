@@ -10,7 +10,7 @@ use figret_eval::runner::{omniscient_series, run_scheme, EvalOptions, Scheme};
 use figret_eval::scenario::{Scenario, ScenarioOptions};
 use figret_eval::serving::{serve, ServeEngine, ServeSimOptions, ServeTopology};
 use figret_serve::{FallbackPolicy, PredictorKind, ReconfigPolicy, UpdateBudget};
-use figret_solvers::{Predictor, SolverEngine};
+use figret_solvers::Predictor;
 use figret_topology::Topology;
 
 const WINDOW: usize = 4;
@@ -36,12 +36,7 @@ fn serve_options() -> ServeSimOptions {
 #[test]
 fn serving_loop_matches_batch_prediction_on_geant() {
     let scenario = geant_scenario();
-    let eval = EvalOptions {
-        window: WINDOW,
-        max_eval_snapshots: None,
-        engine: SolverEngine::Auto,
-        failure: None,
-    };
+    let eval = EvalOptions { window: WINDOW, max_eval_snapshots: None, failure: None };
     let batch = run_scheme(&scenario, &Scheme::Prediction(Predictor::LastSnapshot), &eval);
     // `serve` builds the same scenario from the options' snapshot count.
     let serve = serve(&serve_options());
@@ -120,12 +115,7 @@ fn plan_inference_reproduces_graph_decisions_in_replay() {
 #[test]
 fn serving_omniscient_normalizer_matches_batch_oracle() {
     let scenario = geant_scenario();
-    let eval = EvalOptions {
-        window: WINDOW,
-        max_eval_snapshots: None,
-        engine: SolverEngine::Auto,
-        failure: None,
-    };
+    let eval = EvalOptions { window: WINDOW, max_eval_snapshots: None, failure: None };
     let batch_oracle = omniscient_series(&scenario, &eval);
     let serve = serve(&serve_options());
     let omniscient = serve.omniscient.as_ref().expect("unsharded runs solve the oracle");

@@ -825,7 +825,7 @@ mod tests {
     use crate::policy::{FallbackPolicy, UpdateBudget};
     use crate::predictor::{LastValue, PredictorKind};
     use figret::FigretConfig;
-    use figret_solvers::{omniscient_config, SolverEngine};
+    use figret_solvers::omniscient_config;
     use figret_te::max_link_utilization;
     use figret_topology::{Topology, TopologySpec};
     use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
@@ -868,7 +868,7 @@ mod tests {
         // Realized MLU is bounded below by the omniscient optimum per tick.
         for (i, r) in log.records.iter().enumerate() {
             let t = 2 + i;
-            let omni = omniscient_config(&ps, trace.matrix(t), SolverEngine::Lp).unwrap();
+            let omni = omniscient_config(&ps, trace.matrix(t)).unwrap();
             let bound = max_link_utilization(&ps, &omni, trace.matrix(t));
             assert!(r.realized_mlu + 1e-9 >= bound, "tick {i}: {} < {bound}", r.realized_mlu);
         }

@@ -4,21 +4,21 @@
 //! given a path set and one (or several) demand matrices, find split ratios
 //! minimizing the maximum link utilization, optionally subject to per-path
 //! sensitivity bounds (desensitization-based TE) and path availability
-//! (fault-aware variants).  This module provides two interchangeable engines:
+//! (fault-aware variants).  Two engines solve it:
 //!
-//! * [`SolverEngine::Lp`] — the exact formulation solved with the sparse
-//!   revised simplex of `figret-lp` (the substitute for Gurobi; DESIGN.md §5);
-//! * [`SolverEngine::Iterative`] — a projected-gradient solver on the smooth
-//!   MLU surrogate (`logsumexp`), which scales to the very large topologies
+//! * [`solve_lp`] — the exact formulation solved with the sparse revised
+//!   simplex of `figret-lp` (the substitute for Gurobi; DESIGN.md §5);
+//! * [`solve_iterative`] — a projected-gradient solver on the smooth MLU
+//!   surrogate (`logsumexp`), which scales to the very large topologies
 //!   where even a sparse simplex becomes impractical.  The problem is convex,
 //!   so with enough iterations the result is near-optimal.
 //!
-//! [`SolverEngine::Auto`] picks the LP for small and medium instances and the
-//! iterative engine otherwise, mirroring how the paper restricts its heaviest
-//! baselines to the smaller topologies.  Snapshot *series* should prefer
-//! [`crate::template::MluTemplate`], which builds the LP once over path flows
-//! and re-solves it under each snapshot's right-hand side, seeded from the
-//! previous optima.
+//! [`solve_min_mlu`] chooses between them by one size rule
+//! ([`solves_exactly`]): every problem is solved exactly except a single
+//! uncapped demand over more than [`LP_PATH_LIMIT`] candidate paths.
+//! Snapshot *series* should prefer [`crate::template::MluTemplate`], which
+//! builds the LP once over path flows and re-solves it under each snapshot's
+//! right-hand side, seeded from the previous optima.
 
 use std::sync::Arc;
 
@@ -26,39 +26,28 @@ use figret_lp::{Direction, LinearProgram, LpError, Relation};
 use figret_nn::{Adam, AdamConfig, Graph, Optimizer, Tensor};
 use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
 
-/// Which engine to use for a min-MLU instance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SolverEngine {
-    /// Exact LP on the sparse revised simplex (`figret_lp`).
-    Lp,
-    /// Projected-gradient (Adam on a smooth MLU surrogate).
-    Iterative(IterativeSettings),
-    /// LP when the instance has at most [`AUTO_LP_PATH_LIMIT`] paths,
-    /// iterative otherwise.
-    Auto,
-}
-
-/// Instances with at most this many candidate paths use the LP under
-/// [`SolverEngine::Auto`].
+/// The most candidate paths on which [`solve_min_mlu`] solves a single
+/// uncapped demand with the exact LP; larger instances go to the iterative
+/// engine.
 ///
-/// Calibration: the dense tableau solver (since PR 16 a test oracle only)
-/// could afford ~2000 paths; the sparse revised simplex solves the same
-/// ToR-scale programs ≥5× faster cold (and another ≥10× when warm started
-/// through [`crate::template::MluTemplate`]), so the crossover against the
-/// iterative engine moved outward — see DESIGN.md §5.
-pub const AUTO_LP_PATH_LIMIT: usize = 6000;
+/// Measured on 2 vCPUs at the two sizes that bracket the default scenarios:
+/// * reduced Cogentco (6 768 paths, the largest default-scale path set): a
+///   cold LP solve takes 0.18 s for the omniscient program and 4.0 s for
+///   Des TE, and warm re-solves through [`crate::template::MluTemplate`]
+///   take 2–15 ms.  The iterative engine takes 0.17–0.19 s but lands 0.5 %
+///   (omniscient) and 10 % (Des TE) above the LP optimum.
+/// * full-scale ToR-DB (71 610 paths): a cold LP solve had not finished
+///   after 900 s; the iterative engine takes 1.9 s.
+///
+/// Nothing between the two has been measured.
+pub const LP_PATH_LIMIT: usize = 6000;
 
-impl SolverEngine {
-    /// Whether this engine solves an instance with the exact LP (`true`) or
-    /// the iterative surrogate (`false`).  Capped demand matrices are only
-    /// expressible in the LP, so they force the LP under [`SolverEngine::Auto`].
-    pub fn uses_lp(&self, num_paths: usize, has_capped_demands: bool) -> bool {
-        match self {
-            SolverEngine::Lp => true,
-            SolverEngine::Iterative(_) => false,
-            SolverEngine::Auto => has_capped_demands || num_paths <= AUTO_LP_PATH_LIMIT,
-        }
-    }
+/// Whether [`solve_min_mlu`] solves a single uncapped demand over
+/// `num_paths` candidate paths with the exact LP (`true`) or the iterative
+/// engine (`false`).  Problems with several or capped demand matrices are
+/// always solved with the LP, the only engine that expresses them.
+pub fn solves_exactly(num_paths: usize) -> bool {
+    num_paths <= LP_PATH_LIMIT
 }
 
 /// Hyper-parameters of the iterative engine.
@@ -126,6 +115,15 @@ impl<'a> MluProblem<'a> {
         self
     }
 
+    /// [`solve_min_mlu`]'s choice of engine for this problem: the LP unless
+    /// it is one uncapped demand over more paths than [`solves_exactly`]
+    /// allows.
+    fn solved_by_lp(&self) -> bool {
+        self.demands.len() != 1
+            || !self.capped_demands.is_empty()
+            || solves_exactly(self.paths.num_paths())
+    }
+
     pub(crate) fn is_available(&self, path: usize) -> bool {
         self.available.as_ref().map(|a| a[path]).unwrap_or(true)
     }
@@ -183,22 +181,17 @@ impl std::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Solves a min-MLU instance with the requested engine.
-pub fn solve_min_mlu(
-    problem: &MluProblem<'_>,
-    engine: SolverEngine,
-) -> Result<TeConfig, SolveError> {
+/// Solves a min-MLU instance: with [`solve_lp`], unless it is one uncapped
+/// demand on a path set too large for the LP ([`solves_exactly`]), which
+/// [`solve_iterative`] solves with the default settings.
+pub fn solve_min_mlu(problem: &MluProblem<'_>) -> Result<TeConfig, SolveError> {
     if problem.demands.is_empty() {
         return Err(SolveError::NoDemand);
     }
-    if engine.uses_lp(problem.paths.num_paths(), !problem.capped_demands.is_empty()) {
+    if problem.solved_by_lp() {
         solve_lp(problem)
     } else {
-        let settings = match engine {
-            SolverEngine::Iterative(settings) => settings,
-            _ => IterativeSettings::default(),
-        };
-        Ok(solve_iterative(problem, settings))
+        Ok(solve_iterative(problem, IterativeSettings::default()))
     }
 }
 
@@ -407,7 +400,7 @@ mod tests {
     fn lp_engine_balances_utilization() {
         let ps = unbalanced();
         let demand = demand_02(&ps, 4.0);
-        let cfg = solve_min_mlu(&MluProblem::new(&ps, demand.clone()), SolverEngine::Lp).unwrap();
+        let cfg = solve_min_mlu(&MluProblem::new(&ps, demand.clone())).unwrap();
         let mlu = max_link_utilization_pairs(&ps, &cfg, &demand);
         // Optimal: put x on the capacity-3 direct path and 4-x on the thin
         // 2-hop path; MLU = max(x/3, (4-x)/1) minimized at x = 3 -> MLU = 1.
@@ -418,13 +411,10 @@ mod tests {
     fn iterative_engine_is_close_to_lp() {
         let ps = unbalanced();
         let demand = demand_02(&ps, 4.0);
-        let lp_cfg =
-            solve_min_mlu(&MluProblem::new(&ps, demand.clone()), SolverEngine::Lp).unwrap();
-        let it_cfg = solve_min_mlu(
-            &MluProblem::new(&ps, demand.clone()),
-            SolverEngine::Iterative(IterativeSettings { iterations: 800, ..Default::default() }),
-        )
-        .unwrap();
+        let problem = MluProblem::new(&ps, demand.clone());
+        let lp_cfg = solve_lp(&problem).unwrap();
+        let it_cfg =
+            solve_iterative(&problem, IterativeSettings { iterations: 800, ..Default::default() });
         let lp_mlu = max_link_utilization_pairs(&ps, &lp_cfg, &demand);
         let it_mlu = max_link_utilization_pairs(&ps, &it_cfg, &demand);
         assert!(it_mlu <= lp_mlu * 1.05 + 1e-6, "iterative {it_mlu} vs LP {lp_mlu}");
@@ -437,7 +427,7 @@ mod tests {
         // Bound of 0.25 (absolute) forces traffic away from the thin path.
         let bounds = vec![0.25; ps.num_pairs()];
         let problem = MluProblem::new(&ps, demand).with_sensitivity_bounds(bounds.clone());
-        let cfg = solve_min_mlu(&problem, SolverEngine::Lp).unwrap();
+        let cfg = solve_min_mlu(&problem).unwrap();
         let per_pair = max_sensitivity_per_pair(&ps, &cfg);
         for pair in 0..ps.num_pairs() {
             // Bounds may have been relaxed for feasibility; recompute the
@@ -460,8 +450,8 @@ mod tests {
         let available: Vec<bool> =
             (0..ps.num_paths()).map(|p| !ps.path_edges(p).contains(&4usize)).collect();
         let problem = MluProblem::new(&ps, demand.clone()).with_available(available.clone());
-        for engine in [SolverEngine::Lp, SolverEngine::Iterative(IterativeSettings::default())] {
-            let cfg = solve_min_mlu(&problem, engine).unwrap();
+        let lp = solve_lp(&problem).unwrap();
+        for cfg in [lp, solve_iterative(&problem, IterativeSettings::default())] {
             for p in 0..ps.num_paths() {
                 if !available[p] {
                     assert_eq!(cfg.ratio(p), 0.0, "failed path {p} must carry nothing");
@@ -470,17 +460,42 @@ mod tests {
         }
     }
 
+    /// A ring of `n` nodes: exactly two paths per ordered pair.
+    fn ring(n: usize) -> PathSet {
+        let mut g = Topo::new(n);
+        for i in 0..n {
+            g.add_bidirectional(NodeId(i), NodeId((i + 1) % n), 1.0).unwrap();
+        }
+        PathSet::k_shortest(&g, 2)
+    }
+
+    /// The size rule at its boundary: a single uncapped demand is solved
+    /// exactly up to [`LP_PATH_LIMIT`] paths and iteratively above it; several
+    /// or capped demands are always solved exactly.
     #[test]
-    fn auto_engine_uses_lp_for_small_instances() {
-        let topo = TopologySpec::full_scale(Topology::MetaDbPod).build();
-        let ps = PathSet::k_shortest(&topo, 3);
-        let demand = vec![10.0; ps.num_pairs()];
-        let auto =
-            solve_min_mlu(&MluProblem::new(&ps, demand.clone()), SolverEngine::Auto).unwrap();
-        let lp = solve_min_mlu(&MluProblem::new(&ps, demand.clone()), SolverEngine::Lp).unwrap();
-        let a = max_link_utilization_pairs(&ps, &auto, &demand);
-        let l = max_link_utilization_pairs(&ps, &lp, &demand);
-        assert!((a - l).abs() < 1e-6);
+    fn size_rule_boundary() {
+        assert!(solves_exactly(LP_PATH_LIMIT));
+        assert!(!solves_exactly(LP_PATH_LIMIT + 1));
+
+        let small = unbalanced();
+        let demand = demand_02(&small, 4.0);
+        let problem = MluProblem::new(&small, demand);
+        assert!(problem.solved_by_lp());
+        assert_eq!(solve_min_mlu(&problem).unwrap().ratios(), solve_lp(&problem).unwrap().ratios());
+
+        // The smallest ring above the limit.
+        let n = (3..).find(|n| 2 * n * (n - 1) > LP_PATH_LIMIT).unwrap();
+        let wide = ring(n);
+        assert!(wide.num_paths() > LP_PATH_LIMIT);
+        let demand = vec![1.0; wide.num_pairs()];
+        let single = MluProblem::new(&wide, demand.clone());
+        assert!(!single.solved_by_lp(), "one uncapped demand above the limit: iterative");
+        let mut capped = single.clone();
+        capped.capped_demands.push((demand.clone(), 10.0));
+        assert!(capped.solved_by_lp(), "capped demands: always the LP");
+        let mut several = single;
+        several.demands.push(demand);
+        assert!(several.solved_by_lp(), "several demands: always the LP");
     }
 
     #[test]
@@ -491,7 +506,7 @@ mod tests {
         let burst = demand_02(&ps, 5.0);
         let mut problem = MluProblem::new(&ps, normal.clone());
         problem.capped_demands.push((burst.clone(), 2.0));
-        let cfg = solve_min_mlu(&problem, SolverEngine::Lp).unwrap();
+        let cfg = solve_min_mlu(&problem).unwrap();
         let burst_mlu = max_link_utilization_pairs(&ps, &cfg, &burst);
         assert!(burst_mlu <= 2.0 + 1e-6, "burst MLU {burst_mlu} violates the cap");
     }
@@ -501,7 +516,7 @@ mod tests {
         let ps = unbalanced();
         let mut p = MluProblem::new(&ps, vec![0.0; ps.num_pairs()]);
         p.demands.clear();
-        assert!(matches!(solve_min_mlu(&p, SolverEngine::Lp), Err(SolveError::NoDemand)));
+        assert!(matches!(solve_min_mlu(&p), Err(SolveError::NoDemand)));
     }
 
     /// FNV-1a over the little-endian bytes of each value's bit pattern.

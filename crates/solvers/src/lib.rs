@@ -12,7 +12,8 @@
 //! * [`oblivious::oblivious_config`] / [`oblivious::cope_config`] — worst-case
 //!   schemes over a hose uncertainty set (substitution documented in
 //!   DESIGN.md §5);
-//! * [`engine`] — the shared min-MLU engines (exact LP and iterative).
+//! * [`engine`] — the shared min-MLU engines (exact LP and iterative) and the
+//!   size rule that picks one ([`engine::solves_exactly`]).
 //!
 //! # Example
 //!
@@ -20,14 +21,14 @@
 //! use figret_topology::{Topology, TopologySpec};
 //! use figret_traffic::DemandMatrix;
 //! use figret_te::{max_link_utilization, PathSet};
-//! use figret_solvers::{omniscient_config, SolverEngine};
+//! use figret_solvers::omniscient_config;
 //!
 //! let pod = TopologySpec::full_scale(Topology::MetaDbPod).build();
 //! let paths = PathSet::k_shortest(&pod, 3);
 //! let mut demand = DemandMatrix::zeros(4);
 //! demand.set(0, 1, 80.0);
 //! demand.set(2, 3, 40.0);
-//! let config = omniscient_config(&paths, &demand, SolverEngine::Lp).unwrap();
+//! let config = omniscient_config(&paths, &demand).unwrap();
 //! assert!(max_link_utilization(&paths, &config, &demand) <= 0.81);
 //! ```
 
@@ -39,8 +40,8 @@ pub mod schemes;
 pub mod template;
 
 pub use engine::{
-    normalized_bound_to_absolute, solve_iterative, solve_lp, solve_min_mlu, IterativeSettings,
-    MluProblem, SolveError, SolverEngine, AUTO_LP_PATH_LIMIT,
+    normalized_bound_to_absolute, solve_iterative, solve_lp, solve_min_mlu, solves_exactly,
+    IterativeSettings, MluProblem, SolveError, LP_PATH_LIMIT,
 };
 pub use oblivious::{
     cope_config, oblivious_config, worst_case_demand, CopeSettings, CuttingPlaneSettings,
@@ -87,7 +88,7 @@ mod proptests {
             let ps = PathSet::k_shortest(&g, 3);
             let demand: Vec<f64> = (0..ps.num_pairs()).map(|i| demand_scale * ((i % 5) as f64 + 1.0)).collect();
             let dm = figret_traffic::DemandMatrix::from_pairs(n, &demand).unwrap();
-            let omni = omniscient_config(&ps, &dm, SolverEngine::Lp).unwrap();
+            let omni = omniscient_config(&ps, &dm).unwrap();
             let omni_mlu = max_link_utilization_pairs(&ps, &omni, &demand);
             // Compare against an arbitrary valid configuration.
             let mut padded = raw.clone();

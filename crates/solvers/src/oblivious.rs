@@ -24,7 +24,7 @@ use figret_lp::{Direction, LinearProgram, Relation};
 use figret_te::{max_link_utilization_pairs, PathSet, TeConfig};
 use figret_traffic::TrafficTrace;
 
-use crate::engine::{solve_min_mlu, MluProblem, SolveError, SolverEngine};
+use crate::engine::{solve_lp, MluProblem, SolveError};
 
 /// A hose uncertainty set: per-node egress and ingress caps.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,7 +177,7 @@ pub fn oblivious_config(
         rounds = round + 1;
         let mut problem = MluProblem::new(paths, demand_set[0].clone());
         problem.demands = demand_set.clone();
-        config = solve_min_mlu(&problem, SolverEngine::Lp)?;
+        config = solve_lp(&problem)?;
         let current = demand_set
             .iter()
             .map(|d| max_link_utilization_pairs(paths, &config, d))
@@ -234,7 +234,7 @@ pub fn cope_config(
         let mut problem = MluProblem::new(paths, predicted_demands[0].clone());
         problem.demands = predicted_demands.to_vec();
         problem.capped_demands = adversarial.iter().map(|d| (d.clone(), budget)).collect();
-        config = match solve_min_mlu(&problem, SolverEngine::Lp) {
+        config = match solve_lp(&problem) {
             Ok(c) => c,
             // If the cap is too tight for the current cut set, fall back to the
             // oblivious configuration (which satisfies the budget by definition).

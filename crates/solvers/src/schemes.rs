@@ -15,9 +15,7 @@ use figret_te::{available_paths, PathSet, TeConfig};
 use figret_topology::FailureScenario;
 use figret_traffic::DemandMatrix;
 
-use crate::engine::{
-    normalized_bound_to_absolute, solve_min_mlu, MluProblem, SolveError, SolverEngine,
-};
+use crate::engine::{normalized_bound_to_absolute, solve_min_mlu, MluProblem, SolveError};
 
 /// How demand-prediction-based TE forecasts the next demand matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,12 +54,8 @@ pub fn predict(history: &[DemandMatrix], predictor: Predictor) -> DemandMatrix {
 }
 
 /// Omniscient TE: optimize directly for the realized demand.
-pub fn omniscient_config(
-    paths: &PathSet,
-    demand: &DemandMatrix,
-    engine: SolverEngine,
-) -> Result<TeConfig, SolveError> {
-    solve_min_mlu(&MluProblem::new(paths, demand.flatten_pairs()), engine)
+pub fn omniscient_config(paths: &PathSet, demand: &DemandMatrix) -> Result<TeConfig, SolveError> {
+    solve_min_mlu(&MluProblem::new(paths, demand.flatten_pairs()))
 }
 
 /// Demand-prediction-based TE: optimize for the predicted demand.
@@ -69,10 +63,9 @@ pub fn prediction_config(
     paths: &PathSet,
     history: &[DemandMatrix],
     predictor: Predictor,
-    engine: SolverEngine,
 ) -> Result<TeConfig, SolveError> {
     let predicted = predict(history, predictor);
-    solve_min_mlu(&MluProblem::new(paths, predicted.flatten_pairs()), engine)
+    solve_min_mlu(&MluProblem::new(paths, predicted.flatten_pairs()))
 }
 
 /// Parameters of desensitization-based TE.
@@ -95,7 +88,7 @@ impl Default for DesensitizationSettings {
 /// The per-pair sensitivity bounds desensitization-based TE applies, in
 /// absolute units — the single source of the scheme's bound policy, shared by
 /// the one-shot configs here and the series templates
-/// ([`crate::template::MluTemplate::for_desensitization`]).
+/// ([`crate::template::MluTemplate::with_options`]).
 pub fn desensitization_bounds(paths: &PathSet, settings: &DesensitizationSettings) -> Vec<f64> {
     let min_cap = paths.edge_capacities().iter().cloned().fold(f64::INFINITY, f64::min);
     let bound_abs = normalized_bound_to_absolute(settings.sensitivity_bound, min_cap);
@@ -107,12 +100,11 @@ pub fn desensitization_config(
     paths: &PathSet,
     history: &[DemandMatrix],
     settings: &DesensitizationSettings,
-    engine: SolverEngine,
 ) -> Result<TeConfig, SolveError> {
     let predicted = predict(history, settings.predictor);
     let problem = MluProblem::new(paths, predicted.flatten_pairs())
         .with_sensitivity_bounds(desensitization_bounds(paths, settings));
-    solve_min_mlu(&problem, engine)
+    solve_min_mlu(&problem)
 }
 
 /// Fault-aware desensitization-based TE: the scheme additionally knows which
@@ -123,13 +115,12 @@ pub fn fault_aware_desensitization_config(
     history: &[DemandMatrix],
     settings: &DesensitizationSettings,
     scenario: &FailureScenario,
-    engine: SolverEngine,
 ) -> Result<TeConfig, SolveError> {
     let predicted = predict(history, settings.predictor);
     let problem = MluProblem::new(paths, predicted.flatten_pairs())
         .with_sensitivity_bounds(desensitization_bounds(paths, settings))
         .with_available(available_paths(paths, scenario));
-    solve_min_mlu(&problem, engine)
+    solve_min_mlu(&problem)
 }
 
 /// The heuristic per-pair sensitivity-constraint functions of Appendix C.
@@ -188,7 +179,7 @@ pub const HEURISTIC_PREDICTOR: Predictor = Predictor::WindowPeak;
 
 /// The per-pair heuristic bounds in absolute units — the single source of the
 /// Appendix C bound policy, shared by [`heuristic_fine_grained_config`] and
-/// [`crate::template::MluTemplate::for_heuristic_fine_grained`].
+/// the series templates ([`crate::template::MluTemplate::with_options`]).
 pub fn heuristic_absolute_bounds(
     paths: &PathSet,
     variances: &[f64],
@@ -209,12 +200,11 @@ pub fn heuristic_fine_grained_config(
     history: &[DemandMatrix],
     variances: &[f64],
     heuristic: HeuristicBound,
-    engine: SolverEngine,
 ) -> Result<TeConfig, SolveError> {
     let bounds = heuristic_absolute_bounds(paths, variances, heuristic);
     let predicted = predict(history, HEURISTIC_PREDICTOR);
     let problem = MluProblem::new(paths, predicted.flatten_pairs()).with_sensitivity_bounds(bounds);
-    solve_min_mlu(&problem, engine)
+    solve_min_mlu(&problem)
 }
 
 #[cfg(test)]
@@ -263,14 +253,9 @@ mod tests {
     fn omniscient_beats_or_matches_prediction() {
         let (ps, history) = pod_setup();
         let realized = history.last().unwrap().scaled(1.4);
-        let omni = omniscient_config(&ps, &realized, SolverEngine::Lp).unwrap();
-        let pred = prediction_config(
-            &ps,
-            &history[..history.len() - 1],
-            Predictor::LastSnapshot,
-            SolverEngine::Lp,
-        )
-        .unwrap();
+        let omni = omniscient_config(&ps, &realized).unwrap();
+        let pred =
+            prediction_config(&ps, &history[..history.len() - 1], Predictor::LastSnapshot).unwrap();
         let omni_mlu = max_link_utilization(&ps, &omni, &realized);
         let pred_mlu = max_link_utilization(&ps, &pred, &realized);
         assert!(omni_mlu <= pred_mlu + 1e-9, "omniscient {omni_mlu} vs prediction {pred_mlu}");
@@ -280,14 +265,14 @@ mod tests {
     fn desensitization_respects_the_uniform_cap() {
         let (ps, history) = pod_setup();
         let settings = DesensitizationSettings::default();
-        let cfg = desensitization_config(&ps, &history, &settings, SolverEngine::Lp).unwrap();
+        let cfg = desensitization_config(&ps, &history, &settings).unwrap();
         let min_cap = ps.edge_capacities().iter().cloned().fold(f64::INFINITY, f64::min);
         let bound_abs = normalized_bound_to_absolute(settings.sensitivity_bound, min_cap);
         assert!(max_sensitivity(&ps, &cfg) <= bound_abs + 1e-6);
         // The hedged config spreads traffic, so its normal-case MLU is at
         // least the omniscient one for the same matrix.
         let realized = history.last().unwrap().clone();
-        let omni = omniscient_config(&ps, &realized, SolverEngine::Lp).unwrap();
+        let omni = omniscient_config(&ps, &realized).unwrap();
         assert!(
             max_link_utilization(&ps, &cfg, &realized)
                 >= max_link_utilization(&ps, &omni, &realized) - 1e-9
@@ -305,7 +290,6 @@ mod tests {
             &history,
             &DesensitizationSettings::default(),
             &scenario,
-            SolverEngine::Lp,
         )
         .unwrap();
         let alive = available_paths(&ps, &scenario);
@@ -344,7 +328,6 @@ mod tests {
             &ps,
             &history,
             &DesensitizationSettings { sensitivity_bound: 0.5, predictor: Predictor::WindowPeak },
-            SolverEngine::Lp,
         )
         .unwrap();
         let fine = heuristic_fine_grained_config(
@@ -352,7 +335,6 @@ mod tests {
             &history,
             &variances,
             HeuristicBound::Piecewise { min: 0.5, max: 1.0, breakpoint: 0.9 },
-            SolverEngine::Lp,
         )
         .unwrap();
         let realized = history.last().unwrap().clone();

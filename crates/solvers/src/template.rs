@@ -27,14 +27,10 @@
 //! the independent reference the template's tests compare against.
 
 use figret_lp::{Direction, LinearProgram, LpTemplate, Relation, SolveStats};
-use figret_te::{available_paths, PathSet, TeConfig};
-use figret_topology::FailureScenario;
+use figret_te::{PathSet, TeConfig};
 use figret_traffic::ActivePairs;
 
 use crate::engine::{MluProblem, SolveError};
-use crate::schemes::{
-    desensitization_bounds, heuristic_absolute_bounds, DesensitizationSettings, HeuristicBound,
-};
 
 /// A min-MLU program whose structure is built once and re-solved per snapshot
 /// with warm starts; see the module docs.
@@ -57,46 +53,13 @@ impl MluTemplate {
         MluTemplate::with_options(paths, None, None)
     }
 
-    /// Template for a desensitization-TE series — bound policy taken from
-    /// [`crate::schemes::desensitization_bounds`], so the series and the
-    /// one-shot [`crate::schemes::desensitization_config`] always agree.
-    pub fn for_desensitization(paths: &PathSet, settings: &DesensitizationSettings) -> MluTemplate {
-        MluTemplate::with_options(paths, Some(desensitization_bounds(paths, settings)), None)
-    }
-
-    /// Template for a fault-aware desensitization-TE series (matches
-    /// [`crate::schemes::fault_aware_desensitization_config`]).
-    pub fn for_fault_aware_desensitization(
-        paths: &PathSet,
-        settings: &DesensitizationSettings,
-        scenario: &FailureScenario,
-    ) -> MluTemplate {
-        MluTemplate::with_options(
-            paths,
-            Some(desensitization_bounds(paths, settings)),
-            Some(available_paths(paths, scenario)),
-        )
-    }
-
-    /// Template for an Appendix C heuristic fine-grained series (matches
-    /// [`crate::schemes::heuristic_fine_grained_config`]; optimize for
-    /// [`crate::schemes::HEURISTIC_PREDICTOR`] demands).
-    pub fn for_heuristic_fine_grained(
-        paths: &PathSet,
-        variances: &[f64],
-        heuristic: HeuristicBound,
-    ) -> MluTemplate {
-        MluTemplate::with_options(
-            paths,
-            Some(heuristic_absolute_bounds(paths, variances, heuristic)),
-            None,
-        )
-    }
-
     /// Builds the template with the series-static options: optional per-pair
     /// sensitivity bounds (absolute units, as in
-    /// [`MluProblem::with_sensitivity_bounds`]) and an optional path
-    /// availability mask.  The bound relaxation matches [`crate::solve_lp`].
+    /// [`MluProblem::with_sensitivity_bounds`]; a scheme's bounds come from
+    /// [`crate::desensitization_bounds`] or [`crate::heuristic_absolute_bounds`])
+    /// and an optional path availability mask (from
+    /// [`figret_te::available_paths`]).  The bound relaxation matches
+    /// [`crate::solve_lp`].
     pub fn with_options(
         paths: &PathSet,
         sensitivity_bounds: Option<Vec<f64>>,
@@ -280,10 +243,11 @@ impl RestrictedMluTemplate {
     }
 }
 
-/// Accumulated solver-work counters over a series of template (or one-shot)
-/// solves, threaded into the evaluation reports.  Callers that abandon the
-/// template path mid-series (e.g. eval's parallel fallback when no warm seed
-/// is accepted) record only the solves that ran through the template.
+/// Accumulated solver-work counters over a series of template solves,
+/// threaded into the evaluation reports.  Only template solves are recorded:
+/// a series that moves to one-shot solves part-way (the evaluation runner
+/// does once no warm seed survives its probe) counts its template prefix,
+/// and a series on the iterative engine counts nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SeriesStats {
     /// Number of LP solves recorded.
@@ -315,8 +279,8 @@ impl SeriesStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{solve_min_mlu, SolverEngine};
-    use crate::schemes::{desensitization_config, DesensitizationSettings};
+    use crate::engine::solve_min_mlu;
+    use crate::schemes::{desensitization_bounds, desensitization_config, DesensitizationSettings};
     use figret_te::{available_paths, max_link_utilization_pairs};
     use figret_topology::{random_link_failures, FabricSpec, Topology, TopologySpec};
     use figret_traffic::datacenter::{tor_trace_sparse, TorTrafficConfig};
@@ -347,8 +311,7 @@ mod tests {
         for (t, demand) in demand_series(&ps, 6).iter().enumerate() {
             let (config, solve_stats) = template.solve(&ps, demand).unwrap();
             stats.record(&solve_stats);
-            let one_shot =
-                solve_min_mlu(&MluProblem::new(&ps, demand.clone()), SolverEngine::Lp).unwrap();
+            let one_shot = solve_min_mlu(&MluProblem::new(&ps, demand.clone())).unwrap();
             let a = max_link_utilization_pairs(&ps, &config, demand);
             let b = max_link_utilization_pairs(&ps, &one_shot, demand);
             assert!((a - b).abs() < 1e-6, "snapshot {t}: template {a} vs one-shot {b}");
@@ -402,10 +365,11 @@ mod tests {
             })
             .collect();
         let settings = DesensitizationSettings::default();
-        let mut template = MluTemplate::for_desensitization(&ps, &settings);
+        let mut template =
+            MluTemplate::with_options(&ps, Some(desensitization_bounds(&ps, &settings)), None);
         let predicted = crate::predict(&history, settings.predictor);
         let (config, _) = template.solve(&ps, &predicted.flatten_pairs()).unwrap();
-        let reference = desensitization_config(&ps, &history, &settings, SolverEngine::Lp).unwrap();
+        let reference = desensitization_config(&ps, &history, &settings).unwrap();
         let d = history.last().unwrap().flatten_pairs();
         let a = max_link_utilization_pairs(&ps, &config, &d);
         let b = max_link_utilization_pairs(&ps, &reference, &d);
@@ -484,17 +448,14 @@ mod tests {
     fn assert_series_matches_one_shot(ps: &PathSet, alive: &[bool], series: &[Vec<f64>]) {
         let settings = DesensitizationSettings::default();
         let mut plain = MluTemplate::new(ps);
-        let mut bounded = MluTemplate::for_desensitization(ps, &settings);
+        let bounds = desensitization_bounds(ps, &settings);
+        let mut bounded = MluTemplate::with_options(ps, Some(bounds.clone()), None);
         let mut masked = MluTemplate::with_options(ps, None, Some(alive.to_vec()));
         for (t, demand) in series.iter().enumerate() {
             let problem = || MluProblem::new(ps, demand.clone());
             let cases = [
                 ("plain", &mut plain, problem()),
-                (
-                    "bounded",
-                    &mut bounded,
-                    problem().with_sensitivity_bounds(desensitization_bounds(ps, &settings)),
-                ),
+                ("bounded", &mut bounded, problem().with_sensitivity_bounds(bounds.clone())),
                 ("masked", &mut masked, problem().with_available(alive.to_vec())),
             ];
             for (name, template, problem) in cases {

@@ -17,7 +17,7 @@
 
 mod common;
 
-use figret_solvers::{DesensitizationSettings, MluTemplate};
+use figret_solvers::{desensitization_bounds, DesensitizationSettings, MluTemplate};
 use figret_te::PathSet;
 use figret_topology::{Topology, TopologySpec};
 use figret_traffic::wan::{wan_trace, WanTrafficConfig};
@@ -211,7 +211,8 @@ fn geant_desensitization_series_reproduces_the_recorded_bits() {
     let paths = PathSet::k_shortest(&geant, 3);
     let trace = wan_trace(&geant, &WanTrafficConfig { num_snapshots: 24, ..Default::default() });
     let series: Vec<Vec<f64>> = trace.matrices().iter().map(|d| d.flatten_pairs()).collect();
-    let template = MluTemplate::for_desensitization(&paths, &DesensitizationSettings::default());
+    let bounds = desensitization_bounds(&paths, &DesensitizationSettings::default());
+    let template = MluTemplate::with_options(&paths, Some(bounds), None);
     let got = replay(template, &paths, &series);
     assert_golden("GEANT desensitization", &got, &GEANT_DESENSITIZATION);
 }

@@ -28,12 +28,7 @@ fn main() {
     for failures in 1..=3usize {
         let failure = random_link_failures(&scenario.graph, failures, 2024)
             .expect("GEANT tolerates three failures");
-        let eval = EvalOptions {
-            window: 12,
-            max_eval_snapshots: Some(15),
-            failure: Some(failure),
-            ..Default::default()
-        };
+        let eval = EvalOptions { window: 12, max_eval_snapshots: Some(15), failure: Some(failure) };
         let baseline = omniscient_series(&scenario, &eval);
         for (i, (_, scheme)) in schemes.iter().enumerate() {
             let run = run_scheme(&scenario, scheme, &eval);

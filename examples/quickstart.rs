@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use figret::{FigretConfig, FigretModel};
-use figret_solvers::{omniscient_config, SolverEngine};
+use figret_solvers::omniscient_config;
 use figret_te::{max_link_utilization, PathSet, TeConfig};
 use figret_topology::{Topology, TopologySpec};
 use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
@@ -54,8 +54,7 @@ fn main() {
         }
         let history = &trace.matrices()[t - window..t];
         let demand = trace.matrix(t);
-        let omni =
-            omniscient_config(&paths, demand, SolverEngine::Auto).expect("omniscient solves");
+        let omni = omniscient_config(&paths, demand).expect("omniscient solves");
         sums[0] += max_link_utilization(&paths, &figret.predict(&paths, history), demand);
         sums[1] += max_link_utilization(&paths, &dote.predict(&paths, history), demand);
         sums[2] += max_link_utilization(&paths, &TeConfig::uniform(&paths), demand);

@@ -3,7 +3,7 @@
 
 use figret_solvers::{
     desensitization_config, normalized_bound_to_absolute, omniscient_config, prediction_config,
-    DesensitizationSettings, Predictor, SolverEngine,
+    solve_iterative, solve_lp, DesensitizationSettings, IterativeSettings, MluProblem, Predictor,
 };
 use figret_te::{
     max_link_utilization, max_sensitivity, reroute_around_failures, PathSet, TeConfig,
@@ -25,16 +25,10 @@ fn omniscient_prediction_and_desensitization_are_ordered_sensibly() {
     let history: Vec<_> = trace.matrices()[t - 8..t].to_vec();
     let realized = trace.matrix(t);
 
-    let omni = omniscient_config(&paths, realized, SolverEngine::Lp).unwrap();
-    let pred =
-        prediction_config(&paths, &history, Predictor::LastSnapshot, SolverEngine::Lp).unwrap();
-    let des = desensitization_config(
-        &paths,
-        &history,
-        &DesensitizationSettings::default(),
-        SolverEngine::Lp,
-    )
-    .unwrap();
+    let omni = omniscient_config(&paths, realized).unwrap();
+    let pred = prediction_config(&paths, &history, Predictor::LastSnapshot).unwrap();
+    let des =
+        desensitization_config(&paths, &history, &DesensitizationSettings::default()).unwrap();
 
     let omni_mlu = max_link_utilization(&paths, &omni, realized);
     let pred_mlu = max_link_utilization(&paths, &pred, realized);
@@ -69,16 +63,10 @@ fn rerouted_configurations_remain_valid_and_evaluable() {
 fn lp_and_iterative_engines_agree_on_the_web_pod_fabric() {
     let (_graph, paths, trace) = setup();
     let demand = trace.matrix(10);
-    let lp = omniscient_config(&paths, demand, SolverEngine::Lp).unwrap();
-    let iterative = omniscient_config(
-        &paths,
-        demand,
-        SolverEngine::Iterative(figret_solvers::IterativeSettings {
-            iterations: 800,
-            ..Default::default()
-        }),
-    )
-    .unwrap();
+    let problem = MluProblem::new(&paths, demand.flatten_pairs());
+    let lp = solve_lp(&problem).unwrap();
+    let iterative =
+        solve_iterative(&problem, IterativeSettings { iterations: 800, ..Default::default() });
     let lp_mlu = max_link_utilization(&paths, &lp, demand);
     let it_mlu = max_link_utilization(&paths, &iterative, demand);
     assert!(
