@@ -367,9 +367,10 @@ fn mlu_series(scenario: &Scenario, indices: &[usize], configs: &[TeConfig]) -> V
 /// series is always in snapshot order.
 pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -> SchemeRun {
     let indices = options.eval_indices(scenario);
+    let window = options.window;
     let train_variances = per_pair_variance_range(&scenario.trace, scenario.split.train.clone());
     // The history window ending just before snapshot `t`.
-    let history = |t: usize| &scenario.trace.matrices()[t - options.window..t];
+    let history = |t: usize| &scenario.trace.matrices()[t - window..t];
     let no_lp = SeriesStats::default();
 
     // Every arm produces the *deployed* configuration series (failure
@@ -379,24 +380,18 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
     let (configs, solve_seconds, precompute_seconds, lp_stats) = match scheme {
         Scheme::Figret(cfg) | Scheme::Dote(cfg) => {
             let mut cfg = cfg.clone();
-            cfg.history_window = options.window;
+            cfg.history_window = window;
             if matches!(scheme, Scheme::Dote(_)) {
                 cfg.robustness_weight = 0.0;
             }
-            let dataset = WindowDataset::from_trace(
-                &scenario.trace,
-                options.window,
-                scenario.split.train.clone(),
-            );
+            let dataset =
+                WindowDataset::from_trace(&scenario.trace, window, scenario.split.train.clone());
             let mut model = FigretModel::new(&scenario.paths, &train_variances, cfg);
             let start = Instant::now();
             model.train(&dataset);
             let precompute_seconds = start.elapsed().as_secs_f64();
-            let evaluated = WindowDataset::from_targets(
-                &scenario.trace,
-                options.window,
-                indices.iter().copied(),
-            );
+            let evaluated =
+                WindowDataset::from_targets(&scenario.trace, window, indices.iter().copied());
             let start = Instant::now();
             let raw = model.predict_batch(&scenario.paths, evaluated.histories());
             let solve_seconds = start.elapsed().as_secs_f64();
@@ -409,12 +404,9 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
         }
         Scheme::TealLike(cfg) => {
             let mut cfg = cfg.clone();
-            cfg.history_window = options.window;
-            let dataset = WindowDataset::from_trace(
-                &scenario.trace,
-                options.window,
-                scenario.split.train.clone(),
-            );
+            cfg.history_window = window;
+            let dataset =
+                WindowDataset::from_trace(&scenario.trace, window, scenario.split.train.clone());
             let mut model = TealLikeModel::new(&scenario.paths, cfg);
             let start = Instant::now();
             model.train(&dataset);
@@ -513,6 +505,7 @@ fn oblivious_or_fallback(scenario: &Scenario, hose: &HoseModel) -> TeConfig {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioOptions;
+    use figret_te::max_link_utilization_pairs;
     use figret_topology::{random_link_failures, Topology};
 
     fn small_scenario() -> Scenario {
@@ -668,6 +661,32 @@ mod tests {
         // Static precomputed schemes perform no per-snapshot LP solves.
         let oblivious = run_scheme(&scenario, &Scheme::Oblivious, &options);
         assert_eq!(oblivious.lp_stats, figret_solvers::SeriesStats::default());
+    }
+
+    /// Every default-scale path set is solved exactly, so every quality
+    /// figure is normalized by the true optimum.  Reduced Cogentco is the
+    /// largest (6 768 paths): its omniscient series must equal the one-shot
+    /// LP optimum of each snapshot, which the iterative engine misses by
+    /// ≈ 0.5 %.
+    #[test]
+    fn every_reduced_scenario_is_normalized_by_the_exact_optimum() {
+        let options = ScenarioOptions { num_snapshots: 40, ..Default::default() };
+        for scenario in Scenario::quality_suite(&options) {
+            let paths = scenario.paths.num_paths();
+            assert!(solves_exactly(paths), "{}: {paths} paths", scenario.name);
+        }
+        let scenario = Scenario::build(Topology::Cogentco, &options);
+        let eval = EvalOptions { window: 4, max_eval_snapshots: Some(3), failure: None };
+        let series = omniscient_series(&scenario, &eval);
+        let indices = eval.eval_indices(&scenario);
+        assert_eq!(series.len(), 3);
+        for (&t, mlu) in indices.iter().zip(&series) {
+            let demand = scenario.trace.matrix(t).flatten_pairs();
+            let exact = figret_solvers::solve_lp(&MluProblem::new(&scenario.paths, demand.clone()))
+                .expect("the omniscient LP is solvable");
+            let optimum = max_link_utilization_pairs(&scenario.paths, &exact, &demand);
+            assert!((mlu - optimum).abs() < 1e-7, "snapshot {t}: series {mlu} vs LP {optimum}");
+        }
     }
 
     #[test]

@@ -39,13 +39,15 @@ use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
 /// * full-scale ToR-DB (71 610 paths): a cold LP solve had not finished
 ///   after 900 s; the iterative engine takes 1.9 s.
 ///
-/// Nothing between the two has been measured.
-pub const LP_PATH_LIMIT: usize = 6000;
+/// The limit sits just above Cogentco, so every default-scale scenario is
+/// solved exactly; nothing between the two sizes has been measured.
+pub const LP_PATH_LIMIT: usize = 8000;
 
 /// Whether [`solve_min_mlu`] solves a single uncapped demand over
 /// `num_paths` candidate paths with the exact LP (`true`) or the iterative
-/// engine (`false`).  Problems with several or capped demand matrices are
-/// always solved with the LP, the only engine that expresses them.
+/// engine (`false`).  Problems with several or capped demand matrices
+/// always go to the LP: the iterative surrogate is exact for one uncapped
+/// demand only.
 pub fn solves_exactly(num_paths: usize) -> bool {
     num_paths <= LP_PATH_LIMIT
 }
