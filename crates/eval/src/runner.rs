@@ -5,7 +5,7 @@
 //! Each LP-based scheme (omniscient, Pred, Des, FA-Des and Heuristic FG TE)
 //! is stated once, as its series-static data — sensitivity bounds,
 //! availability mask — plus the demand it solves for at each snapshot.
-//! [`lp_series_or_parallel`] builds both of its solvers from that data: a
+//! `lp_series_or_parallel` builds both of its solvers from that data: a
 //! warm-started [`MluTemplate`], built once, where each snapshot moves its
 //! right-hand side and seeds from the previous snapshots' optima (one cold
 //! solve plus `T − 1` much cheaper re-solves), and the one-shot
@@ -182,7 +182,7 @@ pub fn omniscient_series(scenario: &Scenario, options: &EvalOptions) -> Vec<f64>
 }
 
 /// [`omniscient_series`] plus the accumulated LP solver work (all-zero on a
-/// path set solved by the iterative engine); see [`lp_series_or_parallel`].
+/// path set solved by the iterative engine); see `lp_series_or_parallel`.
 pub fn omniscient_series_with_stats(
     scenario: &Scenario,
     options: &EvalOptions,
@@ -395,12 +395,8 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
             let start = Instant::now();
             let raw = model.predict_batch(&scenario.paths, evaluated.histories());
             let solve_seconds = start.elapsed().as_secs_f64();
-            (
-                deploy_configs(scenario, raw, &options.failure),
-                solve_seconds,
-                precompute_seconds,
-                no_lp,
-            )
+            let configs = deploy_configs(scenario, raw, &options.failure);
+            (configs, solve_seconds, precompute_seconds, no_lp)
         }
         Scheme::TealLike(cfg) => {
             let mut cfg = cfg.clone();
@@ -416,12 +412,8 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
             let start = Instant::now();
             let raw = model.predict_batch(&scenario.paths, previous.histories());
             let solve_seconds = start.elapsed().as_secs_f64();
-            (
-                deploy_configs(scenario, raw, &options.failure),
-                solve_seconds,
-                precompute_seconds,
-                no_lp,
-            )
+            let configs = deploy_configs(scenario, raw, &options.failure);
+            (configs, solve_seconds, precompute_seconds, no_lp)
         }
         Scheme::Desensitization(settings) => lp_series_or_parallel(
             scenario,
