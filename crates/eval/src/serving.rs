@@ -881,10 +881,17 @@ pub fn print_serve_report(run: &ServeRun) {
         ));
     }
     // Ask-admission-first accounting: bids held without a candidate because
-    // no grant was open, next to the solves that did run.
+    // no grant was open or because their regret bound was outranked, next
+    // to the solves that did run.
     rows.push(row(
-        "LP solves/bids/candidates skipped",
-        format!("{} / {} / {}", run.fleet.lp_stats().solves, adm.bids, adm.holds_closed),
+        "LP solves/bids/candidates skipped/outranked",
+        format!(
+            "{} / {} / {} / {}",
+            run.fleet.lp_stats().solves,
+            adm.bids,
+            adm.holds_closed,
+            adm.holds_outranked
+        ),
     ));
     print_table("serving summary", &["metric", "value"], &rows);
 

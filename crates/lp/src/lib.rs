@@ -47,7 +47,7 @@ pub use problem::{Constraint, Direction, LinearProgram, Relation};
 pub use revised::{solve, solve_with_basis, Basis};
 pub use solution::{LpError, Solution, SolveStats};
 pub use sparse::{ColumnView, CsrMatrix};
-pub use template::LpTemplate;
+pub use template::{LpTemplate, BASIS_POOL};
 
 #[cfg(test)]
 mod proptests {
@@ -136,6 +136,36 @@ mod proptests {
         })
     }
 
+    /// Whether an optimum's row multipliers certify it (the corpus
+    /// minimizes): one per row, the dual objective `Σ duals·rhs` equals the
+    /// primal one, and every inequality's multiplier has the sign its
+    /// slack's reduced cost demands.
+    fn duals_certify(lp: &LinearProgram, solution: &Solution) -> Result<(), String> {
+        if solution.duals.len() != lp.num_constraints() {
+            return Err(format!(
+                "{} duals for {} rows",
+                solution.duals.len(),
+                lp.num_constraints()
+            ));
+        }
+        let dual_objective: f64 =
+            lp.constraints().iter().zip(&solution.duals).map(|(c, y)| c.rhs * y).sum();
+        if (dual_objective - solution.objective_value).abs() > 1e-6 {
+            return Err(format!("dual objective {dual_objective} vs {}", solution.objective_value));
+        }
+        for (row, (c, &y)) in lp.constraints().iter().zip(&solution.duals).enumerate() {
+            let signed = match c.relation {
+                Relation::LessEq => -y,
+                Relation::GreaterEq => y,
+                Relation::Equal => continue,
+            };
+            if signed < -1e-7 {
+                return Err(format!("row {row} ({:?}) has multiplier {y}", c.relation));
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -169,6 +199,10 @@ mod proptests {
                     prop_assert!((s.objective_value - d.objective_value).abs() < 1e-6,
                         "objectives diverge: revised {} vs dense {}",
                         s.objective_value, d.objective_value);
+                    for (engine, solution) in [("revised", s), ("dense", d)] {
+                        let verdict = duals_certify(&lp, solution);
+                        prop_assert!(verdict.is_ok(), "{engine}: {verdict:?}");
+                    }
                 }
                 (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
                 (a, b) => prop_assert!(false, "verdicts diverge: revised {a:?} vs dense {b:?}"),

@@ -1488,6 +1488,10 @@ impl<'a> Simplex<'a> {
         }
     }
 
+    /// The optimum at the current basis.  Called only once phase 2's pricing
+    /// found no entering column, so `y` holds that basis's multipliers: they
+    /// become the solution's duals, turned back into the program's own row
+    /// signs and direction.
     fn solution(&self, lp: &LinearProgram) -> (Solution, Basis) {
         let mut values = vec![0.0; self.form.num_vars];
         for (r, &b) in self.basis.iter().enumerate() {
@@ -1496,10 +1500,20 @@ impl<'a> Simplex<'a> {
             }
         }
         let objective_value = lp.objective_value(&values);
+        let direction = match lp.direction() {
+            Direction::Minimize => 1.0,
+            Direction::Maximize => -1.0,
+        };
+        let duals = self
+            .y
+            .iter()
+            .zip(&self.form.flipped)
+            .map(|(&y, &flipped)| if flipped { -direction * y } else { direction * y })
+            .collect();
         let mut stats = self.stats;
         stats.iterations = stats.phase1_iterations + stats.phase2_iterations;
         let basis = Basis { cols: self.basis.clone(), total_cols: self.form.total_cols };
-        (Solution { values, objective_value, stats }, basis)
+        (Solution { values, objective_value, duals, stats }, basis)
     }
 
     /// Finishes a seeded start: dual repair, then phase 2.  Returns the

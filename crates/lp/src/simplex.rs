@@ -221,6 +221,9 @@ pub fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
     // Objective row placeholder.
     rows.push(vec![0.0; cols + 1]);
 
+    // Each row's identity column: its reduced cost at the optimum is minus
+    // the row's multiplier (the column has zero cost and is `e_r`).
+    let identity = basis.clone();
     let mut tableau = Tableau { rows, cols, basis, art_start, num_vars: n };
     let max_iterations = (50 * (m + cols)).max(1000);
     let mut stats = SolveStats::default();
@@ -310,8 +313,20 @@ pub fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
         }
     }
     let objective_value = lp.objective_value(&values);
+    let direction = match lp.direction() {
+        Direction::Minimize => 1.0,
+        Direction::Maximize => -1.0,
+    };
+    let duals = identity
+        .iter()
+        .zip(lp.constraints())
+        .map(|(&col, c)| {
+            let flip = if c.rhs < 0.0 { -1.0 } else { 1.0 };
+            -direction * flip * tableau.rows[m][col]
+        })
+        .collect();
     stats.iterations = stats.phase1_iterations + stats.phase2_iterations;
-    Ok(Solution { values, objective_value, stats })
+    Ok(Solution { values, objective_value, duals, stats })
 }
 
 #[allow(dead_code)]

@@ -54,6 +54,12 @@ pub struct Solution {
     /// Objective value at the optimum (in the original direction of the
     /// program, i.e. not negated for maximization problems).
     pub objective_value: f64,
+    /// The final basis's row multipliers, one per constraint in declaration
+    /// order and in the program's own orientation (rows and direction as
+    /// stated, not as normalized): `objective_value = Σ_r duals[r] · rhs[r]`
+    /// at the optimum.  In a minimization a `≤` row's multiplier is ≤ 0 and a
+    /// `≥` row's is ≥ 0, up to solver tolerance.
+    pub duals: Vec<f64>,
     /// Diagnostic counters.
     pub stats: SolveStats,
 }

@@ -36,7 +36,7 @@ use crate::solution::{LpError, Solution};
 /// Number of recent optima kept for seed selection (see the module docs).
 /// Sized to cover a handful of traffic regimes; the per-solve selection scan
 /// costs `BASIS_POOL × rows` flops, microseconds against a millisecond solve.
-const BASIS_POOL: usize = 8;
+pub const BASIS_POOL: usize = 8;
 
 /// A linear program whose matrix is fixed but whose right-hand side is
 /// rewritten between solves, with warm starting across solves.  See the

@@ -15,10 +15,25 @@
 //! most `m` updates per `w` ticks *in total*, exactly like a single
 //! controller would.
 //!
+//! When more LP shards bid than grants are open, an LP bid first carries
+//! only an upper bound on its regret (the deployed MLU minus a lower bound
+//! `LB` on the solve's optimum) and the fleet solves in two waves:
+//! [`GlobalAdmission::first_wave`] picks the `open_grants` largest bounds,
+//! [`GlobalAdmission::second_wave`] every remaining bound that reaches the
+//! cut-off — the `open_grants`-th largest wanting regret among the solved
+//! bids.  Neither wave solves a bid whose bound already fails the
+//! hysteresis gate (`deployed ≤ (1 + h) · LB`).  A bid left unsolved
+//! either has a regret below `open_grants` solved regrets or a candidate
+//! the hysteresis gate would hold, so it could not have been granted, and
+//! the granted set is the one solving every shard would have produced;
+//! [`GlobalAdmission::admit`] asserts that for every such bid and holds it
+//! as [`HoldReason::BudgetExhausted`].
+//!
 //! Determinism: the ranking is a total order over bids (ties broken by the
-//! unique shard index), so the granted set is invariant to the order bids
-//! are submitted in — shard iteration order, thread interleavings and
-//! fleet-internal scheduling cannot change the outcome.
+//! unique shard index), so the granted set — and the set of bids each wave
+//! solves — is invariant to the order bids are submitted in: shard
+//! iteration order, thread interleavings and fleet-internal scheduling
+//! cannot change the outcome.
 //!
 //! This is the only copy of the gates: the lone
 //! [`crate::ServeController::step_pairs`] owns a `GlobalAdmission` built
@@ -40,9 +55,13 @@ pub struct ShardBid {
     /// Predicted MLU of the shard's deployed configuration on its forecast.
     pub predicted_mlu_deployed: f64,
     /// Predicted MLU of the shard's parked candidate on its forecast;
-    /// `None` when the shard computed no candidate because
-    /// [`GlobalAdmission::open_grants`] was 0 when it was asked.
+    /// `None` when the shard computed no candidate: no grant was open when
+    /// it was asked, or it has only bounded its regret so far.
     pub predicted_mlu_candidate: Option<f64>,
+    /// Upper bound on the regret the candidate would show
+    /// (`predicted_mlu_deployed` minus a lower bound on the solve's optimum);
+    /// `Some` for an LP bid on a tick with more LP bids than open grants.
+    pub regret_bound: Option<f64>,
 }
 
 impl ShardBid {
@@ -52,7 +71,20 @@ impl ShardBid {
             shard,
             predicted_mlu_deployed: proposal.predicted_mlu_deployed,
             predicted_mlu_candidate: proposal.predicted_mlu_candidate,
+            regret_bound: proposal.regret_bound,
         }
+    }
+
+    /// The regret bound of an unsolved bid that might still be granted
+    /// under `hysteresis`: `None` once it is solved, or when its bound
+    /// already shows that the candidate cannot clear the hysteresis gate
+    /// (`deployed ≤ (1 + h) · LB ≤ (1 + h) · candidate`).  A NaN bound
+    /// proves nothing.
+    fn contender_bound(&self, hysteresis: f64) -> Option<f64> {
+        let bound = self.regret_bound.filter(|_| self.predicted_mlu_candidate.is_none())?;
+        let lower = self.predicted_mlu_deployed - bound;
+        let quiet = hysteresis > 0.0 && self.predicted_mlu_deployed <= (1.0 + hysteresis) * lower;
+        (!quiet).then_some(bound)
     }
 }
 
@@ -64,7 +96,7 @@ pub struct AdmissionStats {
     /// Bids submitted (shards past warmup).
     pub bids: usize,
     /// Bids that passed the hysteresis gate
-    /// (`bids = wants + holds_hysteresis + holds_closed`).
+    /// (`bids = wants + holds_hysteresis + holds_closed + holds_outranked`).
     pub wants: usize,
     /// Updates granted.
     pub grants: usize,
@@ -75,6 +107,10 @@ pub struct AdmissionStats {
     /// Bids held without a candidate: no grant was open when the shard was
     /// asked, so it computed none (logged as `Hold(BudgetExhausted)`).
     pub holds_closed: usize,
+    /// Bids held without a candidate on an open tick: the regret bound fell
+    /// below the cut-off, so neither wave solved them (logged as
+    /// `Hold(BudgetExhausted)`).
+    pub holds_outranked: usize,
 }
 
 /// The fleet-wide admission state: shared hysteresis plus the joint
@@ -133,6 +169,68 @@ impl GlobalAdmission {
         budget.max_updates.saturating_sub(self.granted.len())
     }
 
+    /// The first solve wave of a tick on which LP bids carry regret bounds:
+    /// the `open_grants` unsolved contenders (bids whose bound does not
+    /// already fail the hysteresis gate) with the largest bounds, ties to
+    /// the lower shard index (the total order of [`Self::admit`]).  Fills
+    /// `wave` with their shard indices, ascending.
+    pub fn first_wave(&mut self, open_grants: usize, bids: &[ShardBid], wave: &mut Vec<usize>) {
+        self.wanting.clear();
+        self.wanting.extend(
+            bids.iter().filter_map(|b| Some((b.contender_bound(self.hysteresis)?, b.shard))),
+        );
+        self.wanting.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        wave.clear();
+        wave.extend(self.wanting.iter().take(open_grants).map(|&(_, shard)| shard));
+        wave.sort_unstable();
+    }
+
+    /// The second solve wave: every unsolved contender whose regret bound is
+    /// not below [`Self::cutoff`] of the bids solved so far (a NaN bound is
+    /// solved, never trusted).  Fills `wave` with their shard indices,
+    /// ascending; after it, every unsolved bid is provably outranked.
+    pub fn second_wave(&mut self, open_grants: usize, bids: &[ShardBid], wave: &mut Vec<usize>) {
+        let cutoff = self.cutoff(open_grants, bids);
+        wave.clear();
+        for bid in bids {
+            let bound = bid.contender_bound(self.hysteresis);
+            if bound.is_some_and(|bound| bound >= cutoff || bound.is_nan()) {
+                wave.push(bid.shard);
+            }
+        }
+        wave.sort_unstable();
+    }
+
+    /// The regret a bid with a candidate is ranked by, when it passes the
+    /// hysteresis gate.
+    fn wanting_regret(&self, bid: &ShardBid) -> Option<f64> {
+        let candidate = bid.predicted_mlu_candidate?;
+        let wants = self.hysteresis <= 0.0
+            || bid.predicted_mlu_deployed > (1.0 + self.hysteresis) * candidate;
+        // Ranked by the predicted-MLU regret of keeping the deployed
+        // configuration.
+        wants.then_some(bid.predicted_mlu_deployed - candidate)
+    }
+
+    /// The `open_grants`-th largest wanting regret among the bids with a
+    /// candidate (`-∞` when fewer want): a bid needs a regret at least this
+    /// large to be granted.  Leaves those bids ranked in `self.wanting`.
+    fn cutoff(&mut self, open_grants: usize, bids: &[ShardBid]) -> f64 {
+        self.wanting.clear();
+        for bid in bids {
+            if let Some(regret) = self.wanting_regret(bid) {
+                self.wanting.push((regret, bid.shard));
+            }
+        }
+        // Total order: regret descending, shard index ascending on exact
+        // (bit-equal) ties — invariant to submission order.
+        self.wanting.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        match open_grants.checked_sub(1) {
+            Some(last) if last < self.wanting.len() => self.wanting[last].0,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
     /// Adjudicates one fleet tick.  `bids` may arrive in any order and must
     /// reference distinct shards; `actions` must hold one slot per fleet
     /// shard, prefilled with [`Action::Warmup`] (slots without a bid — still
@@ -140,14 +238,15 @@ impl GlobalAdmission {
     /// only on the bid *set*, never on its order.
     ///
     /// A bid without a candidate is held as
-    /// [`HoldReason::BudgetExhausted`]; it is only legal on a tick whose
+    /// [`HoldReason::BudgetExhausted`].  It is only legal on a tick whose
     /// [`Self::open_grants`] is 0 (the shard skipped its candidate *because*
-    /// nothing could be granted).
+    /// nothing could be granted), or with a regret bound that is below the
+    /// tick's cut-off or already fails the hysteresis gate (the shard was
+    /// outranked: see the module docs).
     pub fn admit(&mut self, tick: usize, bids: &[ShardBid], actions: &mut [Action]) {
         self.stats.ticks += 1;
         self.stats.bids += bids.len();
         let capacity = self.open_grants(tick);
-        self.wanting.clear();
         self.seen.clear();
         self.seen.resize(actions.len(), false);
         for bid in bids {
@@ -160,31 +259,37 @@ impl GlobalAdmission {
                 "shard {} already holds a non-warmup action",
                 bid.shard
             );
-            let Some(candidate) = bid.predicted_mlu_candidate else {
-                assert_eq!(
-                    capacity, 0,
-                    "shard {} bid without a candidate while a grant was open",
-                    bid.shard
-                );
-                actions[bid.shard] = Action::Hold(HoldReason::BudgetExhausted);
+        }
+        let cutoff = self.cutoff(capacity, bids);
+        for bid in bids {
+            if bid.predicted_mlu_candidate.is_some() {
+                if self.wanting_regret(bid).is_none() {
+                    actions[bid.shard] = Action::Hold(HoldReason::BelowHysteresis);
+                    self.stats.holds_hysteresis += 1;
+                }
+                continue;
+            }
+            actions[bid.shard] = Action::Hold(HoldReason::BudgetExhausted);
+            if capacity == 0 {
                 self.stats.holds_closed += 1;
                 continue;
-            };
-            let wants = self.hysteresis <= 0.0
-                || bid.predicted_mlu_deployed > (1.0 + self.hysteresis) * candidate;
-            if wants {
-                // Ranked by the predicted-MLU regret of keeping the deployed
-                // configuration.
-                self.wanting.push((bid.predicted_mlu_deployed - candidate, bid.shard));
-            } else {
-                actions[bid.shard] = Action::Hold(HoldReason::BelowHysteresis);
-                self.stats.holds_hysteresis += 1;
             }
+            assert!(
+                bid.regret_bound.is_some(),
+                "shard {} bid without a candidate while a grant was open",
+                bid.shard
+            );
+            if let Some(bound) = bid.contender_bound(self.hysteresis) {
+                assert!(
+                    bound < cutoff,
+                    "shard {} was held unsolved, but its regret bound {bound} reaches the \
+                     cut-off {cutoff}",
+                    bid.shard
+                );
+            }
+            self.stats.holds_outranked += 1;
         }
         self.stats.wants += self.wanting.len();
-        // Total order: regret descending, shard index ascending on exact
-        // (bit-equal) ties — invariant to submission order.
-        self.wanting.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         for (rank, &(_, shard)) in self.wanting.iter().enumerate() {
             if rank < capacity {
                 actions[shard] = Action::Update;
@@ -230,12 +335,86 @@ mod tests {
             shard,
             predicted_mlu_deployed: deployed,
             predicted_mlu_candidate: Some(candidate),
+            regret_bound: None,
         }
     }
 
     /// The bid of a shard that computed no candidate.
     fn unsolved(shard: usize) -> ShardBid {
-        ShardBid { shard, predicted_mlu_deployed: 1.0, predicted_mlu_candidate: None }
+        ShardBid {
+            shard,
+            predicted_mlu_deployed: 1.0,
+            predicted_mlu_candidate: None,
+            regret_bound: None,
+        }
+    }
+
+    /// The bid of an LP shard that has only bounded its regret.
+    fn bounded(shard: usize, deployed: f64, bound: f64) -> ShardBid {
+        ShardBid {
+            shard,
+            predicted_mlu_deployed: deployed,
+            predicted_mlu_candidate: None,
+            regret_bound: Some(bound),
+        }
+    }
+
+    /// `bids` with the candidates of the shards in `wave` filled in from
+    /// `candidates` (indexed by shard).
+    fn solve(bids: &mut [ShardBid], wave: &[usize], candidates: &[f64]) {
+        for bid in bids.iter_mut().filter(|b| wave.contains(&b.shard)) {
+            assert!(bid.predicted_mlu_candidate.is_none(), "shard {} solved twice", bid.shard);
+            bid.predicted_mlu_candidate = Some(candidates[bid.shard]);
+        }
+    }
+
+    #[test]
+    fn waves_solve_the_largest_bounds_then_whatever_reaches_the_cut_off() {
+        let mut adm = GlobalAdmission::new(0.0, Some(UpdateBudget::per_window(2, 4)));
+        let open = adm.open_grants(0);
+        // Regret bounds 0.3, 0.5, 0.5, 0.1; true regrets 0.25, 0.2, 0.4, 0.05.
+        let mut bids = vec![
+            bounded(0, 1.0, 0.3),
+            bounded(1, 1.0, 0.5),
+            bounded(2, 1.0, 0.5),
+            bounded(3, 1.0, 0.1),
+        ];
+        let candidates = [0.75, 0.8, 0.6, 0.95];
+        let mut wave = Vec::new();
+        adm.first_wave(open, &bids, &mut wave);
+        assert_eq!(wave, [1, 2], "the two largest bounds, ties to the lower index");
+        solve(&mut bids, &wave, &candidates);
+        // Cut-off: the second-largest solved regret, 0.2.  Shard 0's bound
+        // reaches it, shard 3's does not.
+        adm.second_wave(open, &bids, &mut wave);
+        assert_eq!(wave, [0]);
+        solve(&mut bids, &wave, &candidates);
+        let mut actions = vec![Action::Warmup; 4];
+        adm.admit(0, &bids, &mut actions);
+        assert_eq!(
+            actions,
+            [
+                Action::Update,
+                Action::Hold(HoldReason::BudgetExhausted),
+                Action::Update,
+                Action::Hold(HoldReason::BudgetExhausted),
+            ]
+        );
+        let stats = adm.stats();
+        assert_eq!((stats.wants, stats.holds_budget, stats.holds_outranked), (3, 1, 1));
+        assert_eq!(
+            stats.bids,
+            stats.wants + stats.holds_hysteresis + stats.holds_closed + stats.holds_outranked
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches the cut-off")]
+    fn unsolved_bids_whose_bound_reaches_the_cut_off_are_rejected() {
+        let mut adm = GlobalAdmission::new(0.0, Some(UpdateBudget::per_window(1, 4)));
+        // The solved regret 0.5 is the cut-off; a bound of exactly 0.5 could
+        // still tie for the grant.
+        adm.admit(0, &[bid(0, 1.0, 0.5), bounded(1, 1.0, 0.5)], &mut [Action::Warmup; 2]);
     }
 
     #[test]
@@ -453,6 +632,7 @@ mod tests {
                         shard,
                         predicted_mlu_deployed: deployed,
                         predicted_mlu_candidate: (open > 0).then_some(candidate),
+                        regret_bound: None,
                     })
                     .collect();
                 let mut actions = vec![Action::Warmup; shards.len()];
@@ -469,6 +649,106 @@ mod tests {
                 }
                 let stats = asked.stats();
                 prop_assert_eq!(stats.bids, stats.wants + stats.holds_hysteresis + stats.holds_closed);
+                prop_assert_eq!(stats.wants, stats.grants + stats.holds_budget);
+            }
+        }
+
+        /// What licenses the waves: over random mixes of LP and learned
+        /// bids, budgets, tick gaps and hysteresis, where each LP bid's
+        /// lower bound `LB ≤ C` stands in for the solver's, the two-wave
+        /// protocol deploys exactly the updates eager admission deployed
+        /// with every candidate in hand, and the bids it solves do not
+        /// depend on the order they were submitted in.
+        #[test]
+        fn two_waves_grant_what_eager_admission_granted(
+            (max_updates, window, hyst_step) in (1usize..4, 1usize..7, 0usize..3),
+            ticks in collection::vec(
+                (
+                    0usize..3,
+                    collection::vec(
+                        (0usize..4, 0.1f64..2.0, 0.1f64..2.0, 0.0f64..1.0),
+                        6usize,
+                    ),
+                ),
+                1..30,
+            ),
+        ) {
+            let hysteresis = 0.05 * hyst_step as f64;
+            let budget = Some(UpdateBudget::per_window(max_updates, window));
+            let mut eager = EagerAdmission { hysteresis, budget, granted: VecDeque::new() };
+            let mut waved = GlobalAdmission::new(hysteresis, budget);
+            let mut tick = 0;
+            let mut outranked = 0;
+            for (gap, shards) in ticks {
+                tick += gap;
+                // Kind 0 is still warming up, 1 is learned, 2 and 3 are LP.
+                let bidding: Vec<(usize, bool, f64, f64, f64)> = shards
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &(kind, ..))| kind > 0)
+                    .map(|(shard, &(kind, deployed, candidate, share))| {
+                        (shard, kind > 1, deployed, candidate, share * candidate)
+                    })
+                    .collect();
+                let full: Vec<(usize, f64, f64)> =
+                    bidding.iter().map(|&(s, _, d, c, _)| (s, d, c)).collect();
+                let mut expected = vec![Action::Warmup; shards.len()];
+                eager.admit(tick, &full, &mut expected);
+
+                let open = waved.open_grants(tick);
+                let lp_bids = bidding.iter().filter(|b| b.1).count();
+                let bounded_tick = open > 0 && lp_bids > open;
+                let mut bids: Vec<ShardBid> = bidding
+                    .iter()
+                    .map(|&(shard, lp, deployed, candidate, lower)| ShardBid {
+                        shard,
+                        predicted_mlu_deployed: deployed,
+                        predicted_mlu_candidate: (!lp || (open > 0 && !bounded_tick))
+                            .then_some(candidate),
+                        regret_bound: (lp && bounded_tick).then_some(deployed - lower),
+                    })
+                    .collect();
+                let candidates: Vec<f64> = shards.iter().map(|s| s.2).collect();
+                if bounded_tick {
+                    let mut solved = Vec::new();
+                    for order in [false, true] {
+                        let mut probe = waved.clone();
+                        let mut submitted = bids.clone();
+                        if order {
+                            submitted.reverse();
+                            let turn = tick % submitted.len();
+                            submitted.rotate_left(turn);
+                        }
+                        let mut wave = Vec::new();
+                        let mut waves = Vec::new();
+                        probe.first_wave(open, &submitted, &mut wave);
+                        prop_assert!(wave.len() <= open);
+                        solve(&mut submitted, &wave, &candidates);
+                        waves.extend(&wave);
+                        probe.second_wave(open, &submitted, &mut wave);
+                        solve(&mut submitted, &wave, &candidates);
+                        waves.extend(&wave);
+                        if order {
+                            prop_assert_eq!(&waves, &solved, "tick {}: solve set moved", tick);
+                        } else {
+                            solved = waves;
+                        }
+                    }
+                    outranked += lp_bids - solved.len();
+                    solve(&mut bids, &solved, &candidates);
+                }
+                let mut actions = vec![Action::Warmup; shards.len()];
+                waved.admit(tick, &bids, &mut actions);
+                let updates = |a: &[Action]| -> Vec<bool> {
+                    a.iter().map(|&x| x == Action::Update).collect()
+                };
+                prop_assert_eq!(updates(&actions), updates(&expected), "tick {}", tick);
+                let stats = waved.stats();
+                prop_assert_eq!(stats.holds_outranked, outranked);
+                prop_assert_eq!(
+                    stats.bids,
+                    stats.wants + stats.holds_hysteresis + stats.holds_closed + stats.holds_outranked
+                );
                 prop_assert_eq!(stats.wants, stats.grants + stats.holds_budget);
             }
         }

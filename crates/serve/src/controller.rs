@@ -9,7 +9,9 @@
 //!    candidate configuration — a learned forward pass when a model is
 //!    installed, a warm-started LP re-solve through [`MluTemplate`]
 //!    otherwise, and *nothing* when the engine is the LP and no grant is
-//!    open (the solve could not be deployed) — and run the remaining
+//!    open (the solve could not be deployed) or only an upper bound on its
+//!    regret when a fleet's LP shards outnumber the open grants (the solve
+//!    follows if the fleet's solve waves pick it) — and run the remaining
 //!    [`ReconfigPolicy`] gates (hysteresis on predicted-MLU regret, then the
 //!    grant).  Deploying pays the split-ratio churn
 //!    ([`figret_te::split_ratio_churn`]).
@@ -90,6 +92,11 @@ pub struct Proposal {
     /// Predicted MLU of the parked candidate on the forecast demand; `None`
     /// when no candidate was computed (see [`ServeController::propose`]).
     pub predicted_mlu_candidate: Option<f64>,
+    /// Upper bound on the candidate's regret, computed instead of the
+    /// candidate when more LP controllers bid than grants are open (see
+    /// [`ServeController::propose`]); the candidate may follow through
+    /// [`ServeController::solve_candidate`].
+    pub regret_bound: Option<f64>,
 }
 
 /// Internal mirror of [`Proposal`] plus the measured propose-phase latency,
@@ -99,7 +106,31 @@ struct PendingDecision {
     source: DecisionSource,
     deployed_mlu: f64,
     candidate_mlu: Option<f64>,
+    regret_bound: Option<f64>,
     seconds: f64,
+}
+
+impl PendingDecision {
+    fn proposal(&self) -> Proposal {
+        Proposal {
+            source: self.source,
+            predicted_mlu_deployed: self.deployed_mlu,
+            predicted_mlu_candidate: self.candidate_mlu,
+            regret_bound: self.regret_bound,
+        }
+    }
+}
+
+/// What [`ServeController::propose`] computes besides the forecast and the
+/// deployed configuration's predicted MLU.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CandidatePlan {
+    /// The candidate configuration and its predicted MLU.
+    Compute,
+    /// An upper bound on the candidate's regret, without solving.
+    Bound,
+    /// Nothing: no grant is open.
+    Skip,
 }
 
 /// Reusable per-step buffers: the steady-state decision loop allocates
@@ -329,15 +360,16 @@ impl ServeController {
     pub fn step_pairs(&mut self, realized: &[f64]) -> StepOutcome {
         assert_eq!(realized.len(), self.paths.num_pairs(), "one demand value per pair is required");
         let open_grants = self.admission.open_grants(self.tick);
-        let bid = self.propose(open_grants).map(|p| ShardBid::from_proposal(0, &p));
+        let bid = self.propose(open_grants, 1).map(|p| ShardBid::from_proposal(0, &p));
         let mut action = [Action::Warmup];
         self.admission.admit(self.tick, bid.as_slice(), &mut action);
         self.finish_inner(realized, action[0])
     }
 
-    /// Whether [`ServeController::propose`] computes a candidate when told
-    /// `open_grants`: always with a model installed, and for the LP engine
-    /// only while a grant is open.
+    /// What [`ServeController::propose`] computes when told `open_grants`
+    /// and `lp_bids`: always the candidate with a model installed; for the
+    /// LP engine nothing while no grant is open, a regret bound while more
+    /// LP controllers bid than grants are open, the candidate otherwise.
     ///
     /// Skipping is sound because at zero open grants
     /// [`GlobalAdmission::admit`] grants nothing for *any* bid set, so the
@@ -346,12 +378,26 @@ impl ServeController {
     /// hysteresis gate would have held it first, its
     /// `predicted_mlu_candidate` is `None`, and the next solve warm-starts
     /// from an older basis, which can land on a different optimal vertex.
+    /// Bounding instead of solving has the same consequences for the bids
+    /// the two solve waves leave outranked (see [`crate::admission`]).
     ///
     /// A learned controller keeps proposing: its audit cadence, degraded
     /// streak, drift flag and shadow audits advance inside the candidate
     /// computation, and its candidate is a forward pass, not a solve.
-    pub(crate) fn computes_candidate(&self, open_grants: usize) -> bool {
-        open_grants > 0 || self.model.is_some()
+    pub(crate) fn candidate_plan(&self, open_grants: usize, lp_bids: usize) -> CandidatePlan {
+        if self.model.is_some() || (open_grants > 0 && lp_bids <= open_grants) {
+            CandidatePlan::Compute
+        } else if open_grants == 0 {
+            CandidatePlan::Skip
+        } else {
+            CandidatePlan::Bound
+        }
+    }
+
+    /// Whether the next [`ServeController::propose`] bids on the LP engine:
+    /// the history window is full and no model is installed.
+    pub(crate) fn bids_on_lp(&self) -> bool {
+        self.model.is_none() && self.history.len() >= self.window
     }
 
     /// Phase 1 of a two-phase tick (timed; the decision hot path): forecast
@@ -362,10 +408,17 @@ impl ServeController {
     /// [`Action::Warmup`]).
     ///
     /// `open_grants` is the admission layer's answer for this tick
-    /// ([`GlobalAdmission::open_grants`]).  At zero, a controller without a
-    /// model still forecasts and scores the deployed configuration but
-    /// computes and parks no candidate (it could not be deployed), and the
-    /// tick must finish as a hold; a learned controller proposes regardless.
+    /// ([`GlobalAdmission::open_grants`]) and `lp_bids` the number of
+    /// controllers bidding on the LP engine for those grants, this one
+    /// included when it is one (1 for a lone controller).  At zero open
+    /// grants, a controller without a model still forecasts and scores the
+    /// deployed configuration but computes and parks no candidate (it could
+    /// not be deployed), and the tick must finish as a hold.  With more LP
+    /// bids than open grants it bounds the candidate's regret from the
+    /// template's lower bound on the optimum
+    /// ([`MluTemplate::mlu_lower_bound`]) instead of solving, and the
+    /// candidate follows only if [`ServeController::solve_candidate`] is
+    /// called.  A learned controller proposes regardless.
     ///
     /// A fleet coordinator calls this on every shard, ranks the returned
     /// bids under the shared admission policy, and finishes each shard with
@@ -374,7 +427,7 @@ impl ServeController {
     /// # Panics
     ///
     /// Panics when called again before the pending tick was finished.
-    pub fn propose(&mut self, open_grants: usize) -> Option<Proposal> {
+    pub fn propose(&mut self, open_grants: usize, lp_bids: usize) -> Option<Proposal> {
         assert!(self.pending.is_none(), "propose called twice without a finish");
         if self.history.len() < self.window {
             return None;
@@ -393,22 +446,16 @@ impl ServeController {
             let lap = spans.lap();
             self.telemetry.as_mut().expect("a live stopwatch implies telemetry").on_predict(lap);
         }
-        let solved = self.computes_candidate(open_grants);
-        let source = if solved {
-            let source = self.candidate_into(&mut scratch);
-            if let Some(spans) = spans.as_mut() {
-                let lap = spans.lap();
-                self.telemetry
-                    .as_mut()
-                    .expect("a live stopwatch implies telemetry")
-                    .on_candidate(source, lap);
+        let plan = self.candidate_plan(open_grants, lp_bids);
+        let source = match plan {
+            CandidatePlan::Compute => self.timed_candidate_into(&mut scratch, &mut spans),
+            CandidatePlan::Bound => DecisionSource::LpWarm,
+            CandidatePlan::Skip => {
+                if let Some(tel) = self.telemetry.as_mut() {
+                    tel.on_candidate_skipped();
+                }
+                DecisionSource::LpWarm
             }
-            source
-        } else {
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.on_candidate_skipped();
-            }
-            DecisionSource::LpWarm
         };
         let deployed_mlu = max_link_utilization_pairs_scratch(
             &self.paths,
@@ -416,7 +463,9 @@ impl ServeController {
             &scratch.predicted_pairs,
             &mut scratch.loads,
         );
-        let candidate_mlu = solved.then(|| {
+        let regret_bound = (plan == CandidatePlan::Bound)
+            .then(|| deployed_mlu - self.template.mlu_lower_bound(&scratch.predicted_pairs));
+        let candidate_mlu = (plan == CandidatePlan::Compute).then(|| {
             max_link_utilization_pairs_scratch(
                 &self.paths,
                 &scratch.candidate,
@@ -431,12 +480,63 @@ impl ServeController {
         self.scratch = scratch;
         self.decisions += 1;
         let seconds = start.elapsed().as_secs_f64();
-        self.pending = Some(PendingDecision { source, deployed_mlu, candidate_mlu, seconds });
-        Some(Proposal {
-            source,
-            predicted_mlu_deployed: deployed_mlu,
-            predicted_mlu_candidate: candidate_mlu,
-        })
+        let pending =
+            PendingDecision { source, deployed_mlu, candidate_mlu, regret_bound, seconds };
+        self.pending = Some(pending);
+        Some(pending.proposal())
+    }
+
+    /// Completes a bound-only proposal (timed, added to the tick's decision
+    /// latency): solves the LP candidate for the pending forecast, parks it,
+    /// and returns the proposal with its predicted MLU filled in.  A fleet
+    /// calls this on the shards its solve waves pick.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the pending proposal carries a regret bound and no
+    /// candidate.
+    pub fn solve_candidate(&mut self) -> Proposal {
+        let mut pending = self.pending.expect("solve_candidate requires a pending proposal");
+        assert!(
+            pending.regret_bound.is_some() && pending.candidate_mlu.is_none(),
+            "solve_candidate requires a bound-only proposal"
+        );
+        let start = Instant::now();
+        let mut spans = self.telemetry.is_some().then(Stopwatch::start);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        pending.source = self.timed_candidate_into(&mut scratch, &mut spans);
+        pending.candidate_mlu = Some(max_link_utilization_pairs_scratch(
+            &self.paths,
+            &scratch.candidate,
+            &scratch.predicted_pairs,
+            &mut scratch.loads,
+        ));
+        if let Some(spans) = spans.as_mut() {
+            let lap = spans.lap();
+            self.telemetry.as_mut().expect("a live stopwatch implies telemetry").on_mlu_eval(lap);
+        }
+        self.scratch = scratch;
+        pending.seconds += start.elapsed().as_secs_f64();
+        self.pending = Some(pending);
+        pending.proposal()
+    }
+
+    /// [`Self::candidate_into`] under the candidate span of an armed
+    /// stopwatch.
+    fn timed_candidate_into(
+        &mut self,
+        scratch: &mut StepScratch,
+        spans: &mut Option<Stopwatch>,
+    ) -> DecisionSource {
+        let source = self.candidate_into(scratch);
+        if let Some(spans) = spans.as_mut() {
+            let lap = spans.lap();
+            self.telemetry
+                .as_mut()
+                .expect("a live stopwatch implies telemetry")
+                .on_candidate(source, lap);
+        }
+        source
     }
 
     /// Phase 2 of a two-phase tick: applies an externally decided `action`
@@ -486,6 +586,9 @@ impl ServeController {
             // Transitions are counted here, *before* the StepOutcome drains
             // them, so the counters cover every ladder move of the tick
             // (including RetrainStarted pushed by recovery above).
+            if pending.is_some_and(|p| p.regret_bound.is_some() && p.candidate_mlu.is_none()) {
+                tel.on_candidate_outranked();
+            }
             tel.on_tick(action, decision_seconds, pending.is_some(), &self.pending_transitions);
             if let Some(watch) = finish_watch {
                 tel.on_finish(watch.peek());
@@ -499,6 +602,7 @@ impl ServeController {
                 source: pending.map(|p| p.source),
                 predicted_mlu_deployed: pending.map(|p| p.deployed_mlu),
                 predicted_mlu_candidate: pending.and_then(|p| p.candidate_mlu),
+                regret_bound: pending.and_then(|p| p.regret_bound),
                 realized_mlu,
                 churn,
             },

@@ -12,6 +12,14 @@
 //!    computes a candidate configuration ([`ServeController::propose`]),
 //!    returning a predicted-MLU bid — except that an LP shard told that no
 //!    grant is open scores its deployed configuration and solves nothing.
+//!    When more LP shards bid than grants are open, each LP shard instead
+//!    bounds its regret without solving, and the fleet solves in two waves
+//!    ([`ServeController::solve_candidate`] on the shards
+//!    [`GlobalAdmission::first_wave`] and then
+//!    [`GlobalAdmission::second_wave`] pick): the `open_grants` largest
+//!    bounds, then every bound that could still beat the solved bids.  The
+//!    rest are outranked — they could not have been granted — and bid
+//!    without a candidate.  Both waves are timed as part of this phase.
 //!    Shards are moved through an owning `into_par_iter`, so each runs on
 //!    its own thread with its own scratch — steady-state allocation-free,
 //!    no shared mutable state.
@@ -27,16 +35,20 @@
 //!    restricted path set preserves the full edge universe — are summed in
 //!    shard order and folded once into the exact global realized MLU.
 //!
-//! A tick on which no shard computes a candidate runs phases 2 and 4 on the
-//! calling thread: eight forecasts and MLU evaluations cost less than the
-//! threads that would distribute them.
+//! A tick on which no shard computes a candidate in its first pass runs
+//! phases 2 and 4 on the calling thread: eight forecasts and MLU
+//! evaluations cost less than the threads that would distribute them.  On a
+//! tick that solves in waves only the waves go to workers; its bounding
+//! pass and its finish phase run inline.
 //!
 //! Determinism: shards are independent and individually deterministic, the
 //! propose and finish phases preserve order whether they run on workers or
-//! on the calling thread, admission is invariant to bid order, and the
-//! merge walks shards in stable plan order — so fleet logs and digests are
-//! bit-identical at any `RAYON_NUM_THREADS`.  A single-shard fleet replays
-//! the unsharded [`ServeController`] record for record.
+//! on the calling thread, the waves are fixed by `open_grants` and the
+//! bids (never by the thread count), admission is invariant to bid order,
+//! and the merge walks shards in stable plan order — so fleet logs and
+//! digests are bit-identical at any `RAYON_NUM_THREADS`.  A single-shard
+//! fleet replays the unsharded [`ServeController`] record for record: one
+//! LP bid never outnumbers an open grant, so it never bounds.
 
 use rayon::prelude::*;
 
@@ -46,7 +58,7 @@ use figret_telemetry::{Registry, Stopwatch};
 use figret_traffic::{ShardPlan, ShardUniverse};
 
 use crate::admission::{AdmissionStats, GlobalAdmission, ShardBid};
-use crate::controller::{Proposal, ServeController, StepOutcome};
+use crate::controller::{CandidatePlan, Proposal, ServeController, StepOutcome};
 use crate::log::{Action, ServeLog};
 use crate::policy::ReconfigPolicy;
 use crate::predictor::PredictorKind;
@@ -75,6 +87,20 @@ pub struct FleetTickOutcome {
     /// Decision-phase wall-clock seconds of each shard (propose + apply),
     /// in stable shard order.
     pub decision_seconds: Vec<f64>,
+}
+
+/// Solves the bound-only proposals of the shards in `wave` (ascending shard
+/// indices) on worker threads.
+fn solve_wave(proposed: &mut [(FleetShard, Option<Proposal>)], wave: &[usize]) {
+    let picked: Vec<&mut (FleetShard, Option<Proposal>)> = proposed
+        .iter_mut()
+        .enumerate()
+        .filter(|(shard, _)| wave.binary_search(shard).is_ok())
+        .map(|(_, entry)| entry)
+        .collect();
+    picked.into_par_iter().for_each(|(s, proposal)| {
+        *proposal = Some(s.controller.solve_candidate());
+    });
 }
 
 /// A pod-partitioned serving fleet under one global admission policy; see
@@ -259,31 +285,50 @@ impl FleetController {
             s.column = column;
         }
         // Ask admission first: shards that cannot be granted an update do
-        // not compute one, and a tick on which nobody computes anything is
-        // not worth a thread.
+        // not compute one, LP shards that outnumber the open grants bound
+        // their regret before anyone solves, and a tick on which nobody
+        // computes a candidate is not worth a thread.
         let open_grants = self.admission.open_grants(tick);
-        let on_workers = self.shards.iter().any(|s| s.controller.computes_candidate(open_grants));
+        let lp_bids = self.shards.iter().filter(|s| s.controller.bids_on_lp()).count();
+        let planned = |wanted: CandidatePlan| {
+            self.shards.iter().any(|s| s.controller.candidate_plan(open_grants, lp_bids) == wanted)
+        };
+        let (on_workers, bounding) =
+            (planned(CandidatePlan::Compute), planned(CandidatePlan::Bound));
         lap(&mut self.telemetry, &mut phase_watch);
-        // Propose (data-parallel): shards move onto worker threads and come
-        // back in stable order with their bids.
+        // Propose (data-parallel where a shard computes a candidate): shards
+        // move onto worker threads and come back in stable order with their
+        // bids.
         let shards = std::mem::take(&mut self.shards);
         let propose = |mut s: FleetShard| {
-            let proposal = s.controller.propose(open_grants);
+            let proposal = s.controller.propose(open_grants, lp_bids);
             (s, proposal)
         };
-        let proposed: Vec<(FleetShard, Option<Proposal>)> = if on_workers {
+        let mut proposed: Vec<(FleetShard, Option<Proposal>)> = if on_workers {
             shards.into_par_iter().map(propose).collect()
         } else {
             shards.into_iter().map(propose).collect()
         };
+        let bids_of = |proposed: &[(FleetShard, Option<Proposal>)]| -> Vec<ShardBid> {
+            let bids = proposed.iter().enumerate();
+            bids.filter_map(|(shard, (_, p))| Some(ShardBid::from_proposal(shard, p.as_ref()?)))
+                .collect()
+        };
+        let mut bids = bids_of(&proposed);
+        // Bounded LP bids solve in two waves, still inside the propose span:
+        // the `open_grants` largest bounds, then every bound that reaches
+        // the cut-off the solved bids set.
+        if bounding {
+            let mut wave = Vec::with_capacity(proposed.len());
+            self.admission.first_wave(open_grants, &bids, &mut wave);
+            solve_wave(&mut proposed, &wave);
+            bids = bids_of(&proposed);
+            self.admission.second_wave(open_grants, &bids, &mut wave);
+            solve_wave(&mut proposed, &wave);
+            bids = bids_of(&proposed);
+        }
         lap(&mut self.telemetry, &mut phase_watch);
         // Admit (sequential): rank the bids under the joint policy.
-        let mut bids = Vec::with_capacity(proposed.len());
-        for (shard, (_, proposal)) in proposed.iter().enumerate() {
-            if let Some(p) = proposal {
-                bids.push(ShardBid::from_proposal(shard, p));
-            }
-        }
         let mut actions = vec![Action::Warmup; proposed.len()];
         self.admission.admit(tick, &bids, &mut actions);
         lap(&mut self.telemetry, &mut phase_watch);

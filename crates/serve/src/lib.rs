@@ -17,7 +17,8 @@
 //!   per-decision latencies;
 //! * [`admission`] — the admission layer, asked *before* any candidate is
 //!   computed: one hysteresis gate and one sliding-window update budget,
-//!   shared by every shard of a fleet and owned by a lone controller;
+//!   shared by every shard of a fleet and owned by a lone controller, plus
+//!   the two solve waves that leave outranked LP shards unsolved;
 //! * [`fleet`] — the sharded serving fleet: shard controllers stepped
 //!   data-parallel under the global admission layer, merged in stable shard
 //!   order for bit-determinism at any thread count (DESIGN.md §8);

@@ -85,8 +85,14 @@ pub struct TickRecord {
     /// Predicted MLU of the previously deployed configuration on the
     /// forecast demand (`None` during warmup).
     pub predicted_mlu_deployed: Option<f64>,
-    /// Predicted MLU of the candidate configuration (`None` during warmup).
+    /// Predicted MLU of the candidate configuration (`None` during warmup
+    /// and whenever no candidate was computed).
     pub predicted_mlu_candidate: Option<f64>,
+    /// Upper bound on the candidate's regret, when the controller bounded
+    /// it before (or instead of) solving: a fleet tick with more LP bids
+    /// than open grants.  A record with a bound and no candidate was
+    /// outranked.
+    pub regret_bound: Option<f64>,
     /// Realized MLU of the configuration deployed *after* the decision,
     /// evaluated on the demand that actually arrived.
     pub realized_mlu: f64,
@@ -240,6 +246,11 @@ impl ServeLog {
             eat(Self::source_code(r.source));
             eat(r.predicted_mlu_deployed.map(f64::to_bits).unwrap_or(0));
             eat(r.predicted_mlu_candidate.map(f64::to_bits).unwrap_or(0));
+            // Folded only where present, so a run that never bounds a
+            // regret digests as if the field did not exist.
+            if let Some(bound) = r.regret_bound {
+                eat(bound.to_bits());
+            }
             eat(r.realized_mlu.to_bits());
             eat(r.churn.to_bits());
         }
@@ -319,6 +330,7 @@ mod tests {
             source: Some(DecisionSource::LpWarm),
             predicted_mlu_deployed: Some(0.5),
             predicted_mlu_candidate: Some(0.4),
+            regret_bound: None,
             realized_mlu: 0.45,
             churn,
         }

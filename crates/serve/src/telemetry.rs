@@ -28,6 +28,7 @@ pub struct ServeTelemetry {
     holds_budget: CounterId,
     warmups: CounterId,
     candidates_skipped: CounterId,
+    candidates_outranked: CounterId,
     // Decision-phase spans.
     decision_seconds: HistogramId,
     predict_seconds: HistogramId,
@@ -70,6 +71,7 @@ impl ServeTelemetry {
             holds_budget: r.counter("figret_serve_holds_total{reason=\"budget\"}"),
             warmups: r.counter("figret_serve_warmup_ticks_total"),
             candidates_skipped: r.counter("figret_serve_candidates_skipped_total"),
+            candidates_outranked: r.counter("figret_serve_candidates_outranked_total"),
             decision_seconds: r.histogram("figret_serve_decision_seconds"),
             predict_seconds: r.histogram("figret_serve_predict_seconds"),
             candidate_model_seconds: r
@@ -128,6 +130,12 @@ impl ServeTelemetry {
     /// was open (it records no candidate and no LP-solve span).
     pub fn on_candidate_skipped(&mut self) {
         self.registry.inc(self.candidates_skipped);
+    }
+
+    /// Counts a tick whose LP candidate was bounded but never solved: the
+    /// fleet's solve waves left the bid outranked.
+    pub fn on_candidate_outranked(&mut self) {
+        self.registry.inc(self.candidates_outranked);
     }
 
     /// Records the predicted-MLU evaluation span of a propose phase.

@@ -15,16 +15,22 @@
 //!   [`ServeController`] exactly, and the merged logs never exceed the
 //!   joint budget in any sliding window.
 //! * **Ask admission first**: an LP fleet solves only on ticks with an open
-//!   grant — `shards` solves on each of those, none on the others — and a
-//!   closed tick's records say so.
+//!   grant — at most `shards` solves on each of those, none on the others,
+//!   and every LP bid of an open tick either solved or was outranked — and
+//!   a closed tick's records say so.
+//! * **Solve only what can win**: every bid the two solve waves leave
+//!   outranked carries a regret bound its shard's one-shot optimum
+//!   respects, and either fails hysteresis or ranks below every regret
+//!   granted at its tick.
 
 use std::sync::Arc;
 
 use figret_serve::{
-    Action, FleetController, GlobalAdmission, HoldReason, LastValue, PredictorKind, ReconfigPolicy,
-    ServeController, ServeLog, ShardBid, UpdateBudget,
+    Action, FleetController, GlobalAdmission, HoldReason, LastValue, PredictorKind, Proposal,
+    ReconfigPolicy, ServeController, ServeLog, ShardBid, UpdateBudget,
 };
-use figret_te::PathSet;
+use figret_solvers::{solve_lp, MluProblem};
+use figret_te::{max_link_utilization_pairs, PathSet};
 use figret_topology::{Topology, TopologySpec};
 use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
 use figret_traffic::{ActivePairs, ShardPlan, TrafficTrace};
@@ -87,16 +93,18 @@ fn serial_oracle(
             continue;
         }
         let open_grants = admission.open_grants(tick);
-        let mut bids = Vec::new();
-        let mut proposals = Vec::with_capacity(controllers.len());
-        for (i, (shard, c)) in plan.shards().iter().zip(&mut controllers).enumerate() {
-            shard.gather_into(&parent, &mut column);
-            let proposal = c.propose(open_grants);
-            if let Some(p) = &proposal {
-                bids.push(ShardBid::from_proposal(i, p));
-            }
-            proposals.push(proposal);
+        // Past the warmup every shard bids on the LP engine.
+        let lp_bids = controllers.len();
+        let mut proposals: Vec<Option<Proposal>> =
+            controllers.iter_mut().map(|c| c.propose(open_grants, lp_bids)).collect();
+        if open_grants > 0 && lp_bids > open_grants {
+            solve_in_waves(&mut controllers, &mut proposals, open_grants, policy.hysteresis);
         }
+        let bids: Vec<ShardBid> = proposals
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| Some(ShardBid::from_proposal(i, p.as_ref()?)))
+            .collect();
         let mut actions = vec![Action::Warmup; controllers.len()];
         admission.admit(tick, &bids, &mut actions);
         for (i, (shard, c)) in plan.shards().iter().zip(&mut controllers).enumerate() {
@@ -107,6 +115,49 @@ fn serial_oracle(
         tick += 1;
     }
     logs
+}
+
+/// The fleet's two solve waves, restated over bound-only proposals.  A
+/// contender is a proposal whose bound does not already fail hysteresis
+/// (`deployed > (1 + h) · (deployed − bound)`); the waves solve the `open`
+/// contenders with the largest bounds (ties to the lower shard), then every
+/// contender whose bound is not below the `open`-th largest wanting regret
+/// among the solved proposals.
+fn solve_in_waves(
+    controllers: &mut [ServeController],
+    proposals: &mut [Option<Proposal>],
+    open: usize,
+    hysteresis: f64,
+) {
+    let contender = |p: &Option<Proposal>| -> Option<f64> {
+        let p = p.filter(|p| p.predicted_mlu_candidate.is_none())?;
+        let bound = p.regret_bound.expect("a bounded bid");
+        let deployed = p.predicted_mlu_deployed;
+        let quiet = hysteresis > 0.0 && deployed <= (1.0 + hysteresis) * (deployed - bound);
+        (!quiet).then_some(bound)
+    };
+    let mut first: Vec<(f64, usize)> =
+        (0..proposals.len()).filter_map(|i| Some((contender(&proposals[i])?, i))).collect();
+    first.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    for &(_, i) in first.iter().take(open) {
+        proposals[i] = Some(controllers[i].solve_candidate());
+    }
+    let mut regrets: Vec<f64> = proposals
+        .iter()
+        .flatten()
+        .filter_map(|p| {
+            let (deployed, candidate) = (p.predicted_mlu_deployed, p.predicted_mlu_candidate?);
+            let wants = hysteresis <= 0.0 || deployed > (1.0 + hysteresis) * candidate;
+            wants.then_some(deployed - candidate)
+        })
+        .collect();
+    regrets.sort_by(|a, b| b.total_cmp(a));
+    let cutoff = regrets.get(open - 1).copied().unwrap_or(f64::NEG_INFINITY);
+    for (c, p) in controllers.iter_mut().zip(proposals.iter_mut()) {
+        if contender(p).is_some_and(|bound| bound >= cutoff || bound.is_nan()) {
+            *p = Some(c.solve_candidate());
+        }
+    }
 }
 
 #[test]
@@ -149,26 +200,36 @@ fn open_ticks(logs: &[ServeLog], budget: UpdateBudget, ticks: usize) -> Vec<bool
         .collect()
 }
 
-/// The ask-first contract on an LP fleet: `shards` solves on every open
-/// tick, none on a closed one, and closed-tick records that say so.
+/// The ask-first contract on an LP fleet: on every open tick each shard
+/// either solves or is outranked, none solves on a closed tick, and the
+/// records say which.
 fn assert_lp_fleet_solves_only_open_ticks(fleet: &FleetController, budget: UpdateBudget) {
     let open = open_ticks(fleet.logs(), budget, fleet.ticks());
     let open_count = open.iter().filter(|&&o| o).count();
-    assert_eq!(fleet.lp_stats().solves, fleet.num_shards() * open_count);
     let stats = fleet.admission_stats();
+    let solves = fleet.lp_stats().solves;
+    assert!(solves <= fleet.num_shards() * open_count);
+    assert_eq!(solves + stats.holds_outranked, fleet.num_shards() * open_count);
     assert_eq!(stats.bids, fleet.num_shards() * fleet.ticks());
     assert_eq!(stats.holds_closed, fleet.num_shards() * (fleet.ticks() - open_count));
-    assert_eq!(stats.bids, stats.wants + stats.holds_hysteresis + stats.holds_closed);
+    assert_eq!(
+        stats.bids,
+        stats.wants + stats.holds_hysteresis + stats.holds_closed + stats.holds_outranked
+    );
+    let mut outranked = 0;
     for r in fleet.logs().iter().flat_map(|log| &log.records) {
         assert!(r.predicted_mlu_deployed.is_some(), "tick {}", r.tick);
-        if open[r.tick] {
-            assert!(r.predicted_mlu_candidate.is_some(), "tick {}", r.tick);
-        } else {
-            assert_eq!(r.action, Action::Hold(HoldReason::BudgetExhausted), "tick {}", r.tick);
-            assert_eq!(r.predicted_mlu_candidate, None, "tick {}", r.tick);
-            assert_eq!(r.churn, 0.0, "tick {}", r.tick);
+        if open[r.tick] && r.predicted_mlu_candidate.is_some() {
+            continue;
         }
+        assert_eq!(r.action, Action::Hold(HoldReason::BudgetExhausted), "tick {}", r.tick);
+        assert_eq!(r.predicted_mlu_candidate, None, "tick {}", r.tick);
+        assert_eq!(r.churn, 0.0, "tick {}", r.tick);
+        // Open ticks hold a candidate-less bid only when a bound outranked it.
+        assert_eq!(r.regret_bound.is_some(), open[r.tick], "tick {}", r.tick);
+        outranked += usize::from(open[r.tick]);
     }
+    assert_eq!(outranked, stats.holds_outranked);
 }
 
 #[test]
@@ -188,6 +249,67 @@ fn lp_fleet_under_a_binding_budget_solves_only_when_a_grant_is_open() {
     assert!(stats.holds_closed > 0, "the budget must bind");
     assert!(fleet.lp_stats().solves < stats.bids, "closed ticks must not solve");
     assert!(fleet.update_count() > 0, "open ticks must still deploy");
+}
+
+/// Every outranked bid could not have won: its shard's one-shot optimum on
+/// the forecast (`LastValue`: the previous column) respects the recorded
+/// bound, and solving would have shown a candidate the hysteresis gate
+/// holds or a regret below every regret granted at that tick.
+#[test]
+fn outranked_shards_could_not_have_won_a_grant() {
+    let (paths, trace, active) = setup(40, 5);
+    let budget = UpdateBudget::per_window(2, 3);
+    let policy = ReconfigPolicy {
+        hysteresis: 0.01,
+        budget: Some(budget),
+        ..ReconfigPolicy::always_update()
+    };
+    let plan = ShardPlan::source_blocks(&active, trace.num_nodes(), 3);
+    let mut fleet = FleetController::lp(&plan, &paths, WINDOW, PredictorKind::LastValue, &policy);
+    drive_fleet(&mut fleet, &trace);
+    assert_lp_fleet_solves_only_open_ticks(&fleet, budget);
+    let restricted: Vec<PathSet> =
+        plan.shards().iter().map(|shard| paths.restrict_to(shard.active()).0).collect();
+    let mut column = Vec::new();
+    let mut checked = 0;
+    for tick in 0..fleet.ticks() {
+        let records: Vec<_> = fleet.logs().iter().map(|log| &log.records[tick]).collect();
+        let lowest_granted = records
+            .iter()
+            .filter(|r| r.action == Action::Update)
+            .map(|r| r.predicted_mlu_deployed.unwrap() - r.predicted_mlu_candidate.unwrap())
+            .fold(f64::INFINITY, f64::min);
+        let forecast = trace.matrix(tick + WINDOW - 1).flatten_pairs();
+        for (shard, r) in records.iter().enumerate() {
+            let Some(bound) = r.regret_bound.filter(|_| r.predicted_mlu_candidate.is_none()) else {
+                continue;
+            };
+            plan.shards()[shard].gather_into(&forecast, &mut column);
+            let ps = &restricted[shard];
+            let optimum = max_link_utilization_pairs(
+                ps,
+                &solve_lp(&MluProblem::new(ps, column.clone())).unwrap(),
+                &column,
+            );
+            let deployed = r.predicted_mlu_deployed.unwrap();
+            assert!(
+                optimum >= deployed - bound - 1e-9,
+                "tick {tick}, shard {shard}: optimum {optimum} below the bound {}",
+                deployed - bound
+            );
+            // Hysteresis would have held it anyway, or it ranks below every
+            // grant.
+            let wants = deployed > (1.0 + policy.hysteresis) * optimum;
+            assert!(
+                !wants || deployed - optimum < lowest_granted,
+                "tick {tick}, shard {shard}: regret {} could have won (lowest granted {lowest_granted})",
+                deployed - optimum
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "the budget must outrank some shard");
+    assert_eq!(checked, fleet.admission_stats().holds_outranked);
 }
 
 fn window_update_counts(logs: &[ServeLog], window: usize, ticks: usize) -> Vec<usize> {

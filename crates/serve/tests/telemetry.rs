@@ -172,6 +172,18 @@ fn fleet_telemetry_is_out_of_band_and_merges_in_stable_order() {
     let decisions =
         registry.histogram_by_name("figret_serve_decision_seconds").expect("merged spans");
     assert_eq!(decisions.count(), 3 * ticks);
+    // Every shard tick solved its LP, skipped it on a closed tick, or was
+    // outranked on an open one — and the counters say which.
+    let counter = |name: &str| registry.counter_by_name(name).expect(name);
+    let outranked = counter("figret_serve_candidates_outranked_total");
+    assert!(outranked > 0, "three LP shards must outnumber the two grants");
+    assert_eq!(outranked as usize, on.admission_stats().holds_outranked);
+    assert_eq!(
+        counter("figret_lp_solves_total")
+            + counter("figret_serve_candidates_skipped_total")
+            + outranked,
+        3 * ticks
+    );
 
     // The merged snapshot is reproducible (stable shard order).
     let (_, again) = run_fleet(&trace, 3, true);

@@ -21,12 +21,26 @@
 //! no ratios in the program and keeps the ones the template last solved for
 //! it (uniform before any), instead of an arbitrary vertex.
 //!
+//! Before solving, [`MluTemplate::mlu_lower_bound`] bounds the optimum of a
+//! new demand from below at O(pairs) cost.  For any edge weights `w ≥ 0`,
+//! summing the capacity rows weighted by `w` gives
+//! `θ* ≥ Σ_pair d_pair · min_{k ∈ pair} len_w(k) / Σ_e w_e · c_e`; the bound
+//! takes the largest value over three families of `w`: the first edges of
+//! each source's paths and the last edges of each destination's paths
+//! (both reduce to the cut's demand over its capacity), and the capacity
+//! rows' multipliers `w_e = max(0, −y_e)` of each of the last
+//! [`figret_lp::BASIS_POOL`] optima, stored as per-pair weights.  At the
+//! demand an optimum was solved for, its own multipliers give the optimum
+//! back (strong duality).
+//!
 //! The optimal MLU equals [`crate::solve_lp`]'s on the same instance up to
 //! solver tolerance: that one-shot program is stated over the ratios (it must
 //! be — its multi-matrix variants share `w` across demands), which makes it
 //! the independent reference the template's tests compare against.
 
-use figret_lp::{Direction, LinearProgram, LpTemplate, Relation, SolveStats};
+use std::collections::VecDeque;
+
+use figret_lp::{Direction, LinearProgram, LpTemplate, Relation, SolveStats, BASIS_POOL};
 use figret_te::{PathSet, TeConfig};
 use figret_traffic::ActivePairs;
 
@@ -44,6 +58,23 @@ pub struct MluTemplate {
     flow_vars: Vec<usize>,
     /// The ratios last solved for each path — what a zero-demand pair keeps.
     ratios: Vec<f64>,
+    /// Whether each path may carry flow.
+    available: Vec<bool>,
+    /// Capacity row of every edge an available path crosses: `(row, edge)`.
+    edge_rows: Vec<(usize, usize)>,
+    /// Capacity of each source and destination cut: the distinct first
+    /// (last) edges of the available paths leaving (entering) one node.
+    cut_capacity: Vec<f64>,
+    /// The source and destination cut of each pair, parallel to `pair_rows`.
+    pair_cuts: Vec<[usize; 2]>,
+    /// Per-pair weights `min_k len_w(k) / Σ_e w_e · c_e` of the last
+    /// [`BASIS_POOL`] optima's capacity multipliers, parallel to
+    /// `pair_rows`, oldest first.
+    dual_weights: VecDeque<Vec<f64>>,
+    /// Scratch: the weighted length of each path, and the demand on each
+    /// cut.
+    path_length: Vec<f64>,
+    cut_load: Vec<f64>,
 }
 
 impl MluTemplate {
@@ -104,6 +135,7 @@ impl MluTemplate {
         }
         // Edge rows: the flows of the available paths on the edge against the
         // edge's share of theta.
+        let mut edge_rows = Vec::new();
         for e in 0..paths.num_edges() {
             let mut coeffs: Vec<(usize, f64)> = paths
                 .paths_on_edge(e)
@@ -115,6 +147,7 @@ impl MluTemplate {
                 continue;
             }
             coeffs.push((theta, -paths.edge_capacities()[e]));
+            edge_rows.push((lp.num_constraints(), e));
             lp.add_constraint(coeffs, Relation::LessEq, 0.0);
         }
         // Sensitivity bounds: r_p <= bound(pair) * C_p where binding, i.e.
@@ -133,7 +166,22 @@ impl MluTemplate {
             }
         }
 
-        MluTemplate { template: LpTemplate::new(lp), pair_rows, bound_rows, flow_vars, ratios }
+        let available: Vec<bool> = (0..paths.num_paths()).map(|p| probe.is_available(p)).collect();
+        let (cut_capacity, pair_cuts) = cuts(paths, &pair_rows, &available);
+        MluTemplate {
+            template: LpTemplate::new(lp),
+            pair_rows,
+            bound_rows,
+            flow_vars,
+            ratios,
+            available,
+            edge_rows,
+            cut_load: vec![0.0; cut_capacity.len()],
+            cut_capacity,
+            pair_cuts,
+            dual_weights: VecDeque::with_capacity(BASIS_POOL),
+            path_length: vec![0.0; paths.num_paths()],
+        }
     }
 
     /// Solves the template for one demand matrix (`flatten_pairs` order),
@@ -147,14 +195,7 @@ impl MluTemplate {
         demand_pairs: &[f64],
     ) -> Result<(TeConfig, SolveStats), SolveError> {
         assert_eq!(demand_pairs.len(), paths.num_pairs(), "one demand per SD pair is required");
-        let demand = |pair: usize| {
-            let d = demand_pairs[pair];
-            if d.is_finite() {
-                d.max(0.0)
-            } else {
-                0.0
-            }
-        };
+        let demand = |pair: usize| clean_demand(demand_pairs[pair]);
         for &(row, pair) in &self.pair_rows {
             self.template.set_rhs(row, demand(pair));
         }
@@ -172,7 +213,77 @@ impl MluTemplate {
                 }
             }
         }
+        self.remember_duals(paths, &solution.duals);
         Ok((TeConfig::from_raw(paths, &self.ratios), solution.stats))
+    }
+
+    /// A lower bound on the optimal MLU of `demand_pairs` (`flatten_pairs`
+    /// order, cleaned as in [`MluTemplate::solve`]) without solving: the
+    /// largest cut and pooled-multiplier bound of the module docs, shrunk by
+    /// a relative 1e-9 for rounding.  Sensitivity bounds only raise the
+    /// optimum, so the bound holds for every template.  O(pairs ·
+    /// [`BASIS_POOL`]); allocation-free.
+    pub fn mlu_lower_bound(&mut self, demand_pairs: &[f64]) -> f64 {
+        self.cut_load.fill(0.0);
+        let mut best = 0.0f64;
+        for (&(_, pair), cuts) in self.pair_rows.iter().zip(&self.pair_cuts) {
+            let d = clean_demand(demand_pairs[pair]);
+            for &cut in cuts {
+                self.cut_load[cut] += d;
+            }
+        }
+        for (&load, &capacity) in self.cut_load.iter().zip(&self.cut_capacity) {
+            if capacity > 0.0 {
+                best = best.max(load / capacity);
+            }
+        }
+        for weights in &self.dual_weights {
+            let bound: f64 = self
+                .pair_rows
+                .iter()
+                .zip(weights)
+                .map(|(&(_, pair), &w)| clean_demand(demand_pairs[pair]) * w)
+                .sum();
+            best = best.max(bound);
+        }
+        best * (1.0 - 1e-9)
+    }
+
+    /// Stores the per-pair weights of an optimum's capacity multipliers
+    /// `w_e = max(0, −y_e)` (a `≤` row's multiplier is ≤ 0 in a
+    /// minimization), evicting the oldest beyond [`BASIS_POOL`].  Multipliers
+    /// that weigh no capacity (a zero-demand optimum) bound nothing and are
+    /// not kept.
+    fn remember_duals(&mut self, paths: &PathSet, duals: &[f64]) {
+        self.path_length.fill(0.0);
+        let mut total = 0.0;
+        for &(row, e) in &self.edge_rows {
+            let w = (-duals[row]).max(0.0);
+            if w > 0.0 {
+                total += w * paths.edge_capacities()[e];
+                for &p in paths.paths_on_edge(e) {
+                    self.path_length[p] += w;
+                }
+            }
+        }
+        if !(total > 0.0 && total.is_finite()) {
+            return;
+        }
+        let mut weights = if self.dual_weights.len() == BASIS_POOL {
+            self.dual_weights.pop_front().expect("a full pool is not empty")
+        } else {
+            Vec::with_capacity(self.pair_rows.len())
+        };
+        weights.clear();
+        for &(_, pair) in &self.pair_rows {
+            let shortest = paths
+                .paths_of_pair(pair)
+                .filter(|&p| self.available[p])
+                .map(|p| self.path_length[p])
+                .fold(f64::INFINITY, f64::min);
+            weights.push(shortest / total);
+        }
+        self.dual_weights.push_back(weights);
     }
 
     /// Whether the next solve will attempt a warm start.
@@ -197,6 +308,58 @@ impl MluTemplate {
         let fallback = TeConfig::uniform(paths).ratios().to_vec();
         RestrictedMluTemplate { inner: MluTemplate::new(&sub), sub, path_map, fallback }
     }
+}
+
+/// A demand as the template reads it: negative and non-finite values count
+/// as zero.
+fn clean_demand(d: f64) -> f64 {
+    if d.is_finite() {
+        d.max(0.0)
+    } else {
+        0.0
+    }
+}
+
+/// The source and destination cuts of the pairs in `pair_rows`: each cut's
+/// capacity (its distinct first or last edges over the available paths) and
+/// each pair's `[source cut, destination cut]`.
+fn cuts(
+    paths: &PathSet,
+    pair_rows: &[(usize, usize)],
+    available: &[bool],
+) -> (Vec<f64>, Vec<[usize; 2]>) {
+    let nodes = paths.num_nodes();
+    // Cut of each node as a source (`node`) and as a destination
+    // (`nodes + node`).
+    let mut cut_of = vec![usize::MAX; 2 * nodes];
+    let mut cut_edges: Vec<Vec<usize>> = Vec::new();
+    let mut pair_cuts = Vec::with_capacity(pair_rows.len());
+    for &(_, pair) in pair_rows {
+        let (source, destination) = paths.pairs()[pair];
+        let mut cuts = [0; 2];
+        for (side, key) in [source.0, nodes + destination.0].into_iter().enumerate() {
+            if cut_of[key] == usize::MAX {
+                cut_of[key] = cut_edges.len();
+                cut_edges.push(Vec::new());
+            }
+            cuts[side] = cut_of[key];
+            for p in paths.paths_of_pair(pair).filter(|&p| available[p]) {
+                let edges = paths.path_edges(p);
+                let end = if side == 0 { edges.first() } else { edges.last() };
+                cut_edges[cut_of[key]].extend(end);
+            }
+        }
+        pair_cuts.push(cuts);
+    }
+    let capacities = cut_edges
+        .into_iter()
+        .map(|mut edges| {
+            edges.sort_unstable();
+            edges.dedup();
+            edges.iter().map(|&e| paths.edge_capacities()[e]).sum()
+        })
+        .collect();
+    (capacities, pair_cuts)
 }
 
 /// An [`MluTemplate`] over the restricted pair universe of an
@@ -445,6 +608,15 @@ mod tests {
     /// Template (flow form) against the one-shot `solve_lp` (weight form, the
     /// independent reference) on the optimal MLU of every snapshot, for the
     /// plain, the desensitization and the availability-masked template.
+    ///
+    /// The lower bound rides along: before and after each solve it may not
+    /// exceed the one-shot optimum (1e-9), and on the plain template right
+    /// after a solve — the pool now holds the solve's own multipliers — it
+    /// equals the optimum within 1e-7, which pins the sign and orientation
+    /// of the duals.  The other two only keep the inequality: sensitivity
+    /// rows raise the optimum above what capacity multipliers certify, and
+    /// a pair whose every path failed loads the evaluated MLU but not the
+    /// program.
     fn assert_series_matches_one_shot(ps: &PathSet, alive: &[bool], series: &[Vec<f64>]) {
         let settings = DesensitizationSettings::default();
         let mut plain = MluTemplate::new(ps);
@@ -459,12 +631,20 @@ mod tests {
                 ("masked", &mut masked, problem().with_available(alive.to_vec())),
             ];
             for (name, template, problem) in cases {
+                let bound = template.mlu_lower_bound(demand);
                 let (config, _) = template.solve(ps, demand).unwrap();
                 assert!(config.is_valid(ps), "{name}, snapshot {t}: invalid ratios");
                 let reference = crate::solve_lp(&problem).unwrap();
                 let a = max_link_utilization_pairs(ps, &config, demand);
                 let b = max_link_utilization_pairs(ps, &reference, demand);
                 assert!((a - b).abs() < 1e-7, "{name}, snapshot {t}: template {a} vs one-shot {b}");
+                assert!(bound <= b + 1e-9, "{name}, snapshot {t}: bound {bound} above optimum {b}");
+                let own = template.mlu_lower_bound(demand);
+                if name == "plain" {
+                    assert!((own - a).abs() < 1e-7, "{name}, snapshot {t}: own bound {own} vs {a}");
+                } else {
+                    assert!(own <= b + 1e-9, "{name}, snapshot {t}: bound {own} above optimum {b}");
+                }
             }
         }
     }
@@ -548,6 +728,39 @@ mod tests {
             "an exact revisit hits the pool"
         );
         assert_series_matches_one_shot(&ps, &vec![true; ps.num_paths()], &series);
+    }
+
+    /// Before any solve only the cuts bound, and they bound: demand on a
+    /// single pair loads its source cut exactly, so the bound is at least
+    /// that demand over the cut's capacity.
+    #[test]
+    fn cut_bound_is_the_busiest_cut_over_its_capacity() {
+        let ps = pod_paths();
+        let mut template = MluTemplate::new(&ps);
+        let zeros = vec![0.0; ps.num_pairs()];
+        assert_eq!(template.mlu_lower_bound(&zeros), 0.0);
+        let demand = demand_series(&ps, 1).remove(0);
+        let bound = template.mlu_lower_bound(&demand);
+        let (config, _) = template.solve(&ps, &demand).unwrap();
+        let optimum = max_link_utilization_pairs(&ps, &config, &demand);
+        assert!(bound > 0.0 && bound <= optimum, "cut bound {bound} vs optimum {optimum}");
+        let mut single = zeros.clone();
+        single[0] = 30.0;
+        let mut fresh = MluTemplate::new(&ps);
+        let (source, _) = ps.pairs()[0];
+        let mut first_edges: Vec<usize> = (0..ps.num_pairs())
+            .filter(|&pair| ps.pairs()[pair].0 == source)
+            .flat_map(|pair| ps.paths_of_pair(pair).map(|p| ps.path_edges(p)[0]))
+            .collect();
+        first_edges.sort_unstable();
+        first_edges.dedup();
+        let capacity: f64 = first_edges.iter().map(|&e| ps.edge_capacities()[e]).sum();
+        let expected = 30.0 / capacity * (1.0 - 1e-9);
+        assert!(fresh.mlu_lower_bound(&single) >= expected);
+        // Malformed demands count as zero, as in `solve`.
+        single[1] = f64::NAN;
+        single[2] = -5.0;
+        assert!(fresh.mlu_lower_bound(&single) >= expected);
     }
 
     #[test]
