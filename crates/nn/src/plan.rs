@@ -8,11 +8,12 @@
 //! [`InferencePlan`] is the serving artifact compiled *once* from a trained
 //! MLP: weights quantized to `f32`, ping-pong activation buffers pre-sized to
 //! the widest layer, and the forward pass expressed as a flat sequence of
-//! chunked kernels over `[f32]` slices (affine, ReLU/sigmoid, per-segment
-//! normalization).  [`InferencePlan::forward`] performs **no allocation** and
-//! touches **no reference counts**; the fixed-width chunking
-//! ([`LANES`]-wide, via `chunks_exact`) keeps the inner loops trivially
-//! autovectorizable.
+//! kernels over `[f32]` slices (affine, ReLU/sigmoid, per-segment
+//! normalization) whose inner loops autovectorize.  Large layers split their
+//! outputs across two cores (`SPLIT_MIN_WEIGHTS`).
+//! [`InferencePlan::forward`] performs **no allocation** and touches **no
+//! reference counts** (`tests/plan_allocations.rs`), and its bits do not
+//! depend on the thread count.
 //!
 //! The f64 tape remains the reference implementation: a property test pins
 //! the plan to the graph forward within 1e-4 relative error
@@ -23,10 +24,21 @@ use std::ops::Range;
 use crate::graph::Graph;
 use crate::layers::{Mlp, OutputActivation};
 
-/// Fixed chunk width of the inner kernels.  Eight `f32` lanes fill one
-/// 256-bit vector register; the compiler unrolls the `chunks_exact` bodies
-/// into packed operations without any explicit SIMD types.
+/// Number of partial sums of the dot kernel.  The compiler keeps them in
+/// packed registers without any explicit SIMD types — two 128-bit registers
+/// of four `f32` lanes each on the default x86-64 (SSE2) target.  The sums
+/// are indexed by lane, so this width, not the register width, fixes the
+/// summation order.
 const LANES: usize = 8;
+
+/// Layers holding at least this many weights (1 MiB of `f32`) split their
+/// outputs in two halves across [`rayon::join`], so two cores each stream
+/// half the weight matrix — and a half that fits a core's L2 cache stays
+/// there from one forward pass to the next.  Smaller layers run inline on
+/// the caller: GEANT's plan (6072 → 128×5 → 1518) splits its 3 MiB first
+/// layer only, since splitting its 0.75 MiB last layer too measured no
+/// faster on 2 vCPUs.
+const SPLIT_MIN_WEIGHTS: usize = 1 << 18;
 
 /// One dense layer of the compiled plan: `y = act(Wᵀx + b)` in `f32`, with
 /// the weight stored in the layout its kernel wants.  Wide layers (`out_dim ≥
@@ -44,6 +56,33 @@ struct PlanLayer {
     transposed: bool,
     weight: Vec<f32>,
     bias: Vec<f32>,
+}
+
+impl PlanLayer {
+    /// Writes `y = Wᵀx + b`, splitting the outputs across [`rayon::join`]
+    /// when the layer holds at least [`SPLIT_MIN_WEIGHTS`] weights.  Every
+    /// output is the same sum in the same order wherever it is computed, so
+    /// the bits do not depend on the split or the thread count.
+    fn apply(&self, x: &[f32], y: &mut [f32]) {
+        if self.weight.len() < SPLIT_MIN_WEIGHTS {
+            return self.apply_outputs(x, 0, y);
+        }
+        let mid = self.out_dim / 2;
+        let (low, high) = y.split_at_mut(mid);
+        rayon::join(|| self.apply_outputs(x, 0, low), || self.apply_outputs(x, mid, high));
+    }
+
+    /// Writes outputs `first..first + y.len()` of `Wᵀx + b` into `y`.
+    fn apply_outputs(&self, x: &[f32], first: usize, y: &mut [f32]) {
+        let outputs = first..first + y.len();
+        let bias = &self.bias[outputs.clone()];
+        if self.transposed {
+            let in_dim = x.len();
+            affine_dot(x, &self.weight[outputs.start * in_dim..outputs.end * in_dim], bias, y);
+        } else {
+            affine(x, &self.weight[first..], self.out_dim, bias, y);
+        }
+    }
 }
 
 /// A trained MLP compiled into a flat, allocation-free f32 forward pass; see
@@ -155,13 +194,8 @@ impl InferencePlan {
         let mut in_dim = self.input_dim;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let x = &self.buf_a[..in_dim];
             let y = &mut self.buf_b[..layer.out_dim];
-            if layer.transposed {
-                affine_dot(x, &layer.weight, &layer.bias, y);
-            } else {
-                affine(x, &layer.weight, &layer.bias, y);
-            }
+            layer.apply(&self.buf_a[..in_dim], y);
             if i < last {
                 relu(y);
             } else {
@@ -182,27 +216,23 @@ impl InferencePlan {
     }
 }
 
-/// `y = Wᵀx + b` for a row-major `in_dim × out_dim` weight: one rank-1
-/// update (`y += x_k · W[k, :]`) per input element, each a contiguous
-/// chunked axpy over the output row.  Skips zero inputs — ReLU activations
-/// make those common.
-fn affine(x: &[f32], weight: &[f32], bias: &[f32], y: &mut [f32]) {
+/// `y = Wᵀx + b` over `y.len()` consecutive output columns of a row-major
+/// weight whose rows are `stride` wide, `weight` starting at the first of
+/// those columns: one rank-1 update (`y += x_k · W[k, :]`) per input
+/// element, each a contiguous axpy over the row.  Skips zero inputs — ReLU
+/// activations make those common.  Every output is its own sum over `k`, so
+/// any loop shape gives the same bits; a plain `zip` vectorizes cleanly,
+/// where `chunks_exact` bodies led LLVM to gather across chunks (≈ 4× slower
+/// on a 128 × 1518 layer, x86-64 SSE2).
+fn affine(x: &[f32], weight: &[f32], stride: usize, bias: &[f32], y: &mut [f32]) {
     let out_dim = y.len();
-    debug_assert_eq!(weight.len(), x.len() * out_dim);
+    debug_assert!(x.is_empty() || weight.len() >= (x.len() - 1) * stride + out_dim);
     y.copy_from_slice(bias);
     for (k, &xk) in x.iter().enumerate() {
         if xk == 0.0 {
             continue;
         }
-        let row = &weight[k * out_dim..(k + 1) * out_dim];
-        let (y_chunks, y_tail) = y.split_at_mut(out_dim - out_dim % LANES);
-        let (r_chunks, r_tail) = row.split_at(y_chunks.len());
-        for (yc, rc) in y_chunks.chunks_exact_mut(LANES).zip(r_chunks.chunks_exact(LANES)) {
-            for (yv, rv) in yc.iter_mut().zip(rc) {
-                *yv += xk * rv;
-            }
-        }
-        for (yv, rv) in y_tail.iter_mut().zip(r_tail) {
+        for (yv, rv) in y.iter_mut().zip(&weight[k * stride..k * stride + out_dim]) {
             *yv += xk * rv;
         }
     }
@@ -270,9 +300,171 @@ fn segment_normalize(y: &mut [f32], segments: &[Range<usize>]) {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rayon::prelude::*;
+
     use super::*;
     use crate::layers::MlpConfig;
     use crate::tensor::Tensor;
+
+    /// The axpy kernel as it stood before layers could split their outputs:
+    /// the reference the serving kernels are held to, bit for bit.
+    fn reference_affine(x: &[f32], weight: &[f32], bias: &[f32], y: &mut [f32]) {
+        let out_dim = y.len();
+        debug_assert_eq!(weight.len(), x.len() * out_dim);
+        y.copy_from_slice(bias);
+        for (k, &xk) in x.iter().enumerate() {
+            if xk == 0.0 {
+                continue;
+            }
+            let row = &weight[k * out_dim..(k + 1) * out_dim];
+            let (y_chunks, y_tail) = y.split_at_mut(out_dim - out_dim % LANES);
+            let (r_chunks, r_tail) = row.split_at(y_chunks.len());
+            for (yc, rc) in y_chunks.chunks_exact_mut(LANES).zip(r_chunks.chunks_exact(LANES)) {
+                for (yv, rv) in yc.iter_mut().zip(rc) {
+                    *yv += xk * rv;
+                }
+            }
+            for (yv, rv) in y_tail.iter_mut().zip(r_tail) {
+                *yv += xk * rv;
+            }
+        }
+    }
+
+    /// The dot kernel as it stood before layers could split their outputs.
+    fn reference_affine_dot(x: &[f32], weight: &[f32], bias: &[f32], y: &mut [f32]) {
+        let in_dim = x.len();
+        debug_assert_eq!(weight.len(), in_dim * y.len());
+        let (x_chunks, x_tail) = x.split_at(in_dim - in_dim % LANES);
+        for (j, (yv, &b)) in y.iter_mut().zip(bias).enumerate() {
+            let row = &weight[j * in_dim..(j + 1) * in_dim];
+            let (r_chunks, r_tail) = row.split_at(x_chunks.len());
+            let mut acc = [0.0f32; LANES];
+            for (xc, rc) in x_chunks.chunks_exact(LANES).zip(r_chunks.chunks_exact(LANES)) {
+                for ((a, &xv), &rv) in acc.iter_mut().zip(xc).zip(rc) {
+                    *a += xv * rv;
+                }
+            }
+            let mut sum: f32 = acc.iter().sum();
+            for (&xv, &rv) in x_tail.iter().zip(r_tail) {
+                sum += xv * rv;
+            }
+            *yv = b + sum;
+        }
+    }
+
+    /// The plan's forward pass on the reference kernels, one layer at a
+    /// time on the calling thread.
+    fn reference_forward(plan: &InferencePlan, features: &[f64]) -> Vec<f64> {
+        let mut x: Vec<f32> = features.iter().map(|&v| v as f32 * plan.inv_input_scale).collect();
+        let last = plan.layers.len() - 1;
+        for (i, layer) in plan.layers.iter().enumerate() {
+            let mut y = vec![0.0f32; layer.out_dim];
+            if layer.transposed {
+                reference_affine_dot(&x, &layer.weight, &layer.bias, &mut y);
+            } else {
+                reference_affine(&x, &layer.weight, &layer.bias, &mut y);
+            }
+            match (i < last, plan.output_activation) {
+                (true, _) | (false, OutputActivation::Relu) => relu(&mut y),
+                (false, OutputActivation::Sigmoid) => sigmoid(&mut y),
+                (false, OutputActivation::Linear) => {}
+            }
+            x = y;
+        }
+        segment_normalize(&mut x, &plan.segments);
+        x.iter().map(|&v| v as f64).collect()
+    }
+
+    fn bits32(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    fn bits64(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// `w` (row-major `rows × cols`) transposed to `cols × rows`.
+    fn transpose(w: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0f32; w.len()];
+        for k in 0..rows {
+            for j in 0..cols {
+                t[j * rows + k] = w[k * cols + j];
+            }
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn split_kernels_match_the_reference_bit_for_bit(
+            in_dim in 1usize..41,
+            out_dim in 1usize..21,
+            split in 0usize..21,
+            transposed in 0usize..2,
+            zero_every in 2usize..6,
+            values in collection::vec(-2.0f32..2.0, 40 * 20 + 40 + 20),
+        ) {
+            let (weight, rest) = values.split_at(in_dim * out_dim);
+            let x: Vec<f32> = rest[..in_dim]
+                .iter()
+                .enumerate()
+                .map(|(k, &v)| if k % zero_every == 0 { 0.0 } else { v })
+                .collect();
+            let bias = rest[in_dim..in_dim + out_dim].to_vec();
+            let transposed = transposed == 1;
+            let mut expect = vec![0.0f32; out_dim];
+            let layer = if transposed {
+                let weight = transpose(weight, in_dim, out_dim);
+                reference_affine_dot(&x, &weight, &bias, &mut expect);
+                PlanLayer { out_dim, transposed, weight, bias }
+            } else {
+                reference_affine(&x, weight, &bias, &mut expect);
+                PlanLayer { out_dim, transposed, weight: weight.to_vec(), bias }
+            };
+            let mut whole = vec![0.0f32; out_dim];
+            layer.apply(&x, &mut whole);
+            prop_assert_eq!(bits32(&whole), bits32(&expect));
+            // Any split point, odd ones and empty halves included.
+            let mid = split % (out_dim + 1);
+            let mut halves = vec![0.0f32; out_dim];
+            let (low, high) = halves.split_at_mut(mid);
+            layer.apply_outputs(&x, 0, low);
+            layer.apply_outputs(&x, mid, high);
+            prop_assert_eq!(bits32(&halves), bits32(&expect));
+        }
+    }
+
+    #[test]
+    fn a_geant_sized_plan_gives_the_reference_bits_on_the_caller_and_in_a_parallel_job() {
+        // GEANT's plan: 6072 inputs, five hidden layers of 128, 1518 paths
+        // in 506 three-path segments.  Its first layer splits across join.
+        let (g, mlp) = build(6072, vec![128; 5], 1518, OutputActivation::Sigmoid);
+        let segments: Vec<Range<usize>> = (0..506).map(|p| 3 * p..3 * p + 3).collect();
+        let mut plan = InferencePlan::compile(&g, &mlp, segments, 3.0);
+        assert!(plan.layers[0].weight.len() >= SPLIT_MIN_WEIGHTS);
+        let x: Vec<f64> = (0..6072).map(|i| ((i * 7919) % 1000) as f64 / 250.0).collect();
+        let expect = reference_forward(&plan, &x);
+        let mut on_caller = vec![0.0; 1518];
+        plan.forward(&x, &mut on_caller);
+        assert_eq!(bits64(&on_caller), bits64(&expect));
+        // Inside a parallel job the join runs inline: the path of learned
+        // fleet shards, which forward from within `par_iter`.
+        let in_jobs: Vec<Vec<f64>> = (0..2usize)
+            .into_par_iter()
+            .map(|_| {
+                let mut plan = plan.clone();
+                let mut out = vec![0.0; 1518];
+                plan.forward(&x, &mut out);
+                out
+            })
+            .collect();
+        for out in &in_jobs {
+            assert_eq!(bits64(out), bits64(&expect));
+        }
+    }
 
     fn build(
         input_dim: usize,
@@ -362,7 +554,7 @@ mod tests {
         let bias = vec![0.25f32; out_dim];
         let mut via_axpy = vec![0.0f32; out_dim];
         let mut via_dot = vec![0.0f32; out_dim];
-        affine(&x, &weight, &bias, &mut via_axpy);
+        affine(&x, &weight, out_dim, &bias, &mut via_axpy);
         affine_dot(&x, &transposed, &bias, &mut via_dot);
         for (a, d) in via_axpy.iter().zip(&via_dot) {
             assert!((a - d).abs() < 1e-5, "axpy {a} vs dot {d}");
@@ -371,12 +563,12 @@ mod tests {
 
     #[test]
     fn affine_handles_tails_past_the_chunk_width() {
-        // out_dim = 11 exercises both the 8-lane chunks and the 3-wide tail.
+        // out_dim = 11: past one vector register, with a 3-wide tail.
         let x = [2.0f32, -1.0];
         let weight: Vec<f32> = (0..22).map(|i| i as f32 * 0.1).collect();
         let bias = vec![1.0f32; 11];
         let mut y = vec![0.0f32; 11];
-        affine(&x, &weight, &bias, &mut y);
+        affine(&x, &weight, 11, &bias, &mut y);
         for j in 0..11 {
             let expect = 1.0 + 2.0 * weight[j] - weight[11 + j];
             assert!((y[j] - expect).abs() < 1e-6, "col {j}: {} vs {expect}", y[j]);

@@ -21,8 +21,8 @@
 //!    rest are outranked — they could not have been granted — and bid
 //!    without a candidate.  Both waves are timed as part of this phase.
 //!    Shards are moved through an owning `into_par_iter`, so each runs on
-//!    its own thread with its own scratch — steady-state allocation-free,
-//!    no shared mutable state.
+//!    one thread of the pool with its own scratch — steady-state
+//!    allocation-free, no shared mutable state.
 //! 3. **Admit** (sequential): the [`GlobalAdmission`] layer ranks the bids
 //!    and grants updates under the *joint* hysteresis + sliding-window
 //!    budget (shard controllers run with `budget: None`; the fleet owns the
@@ -37,7 +37,8 @@
 //!
 //! A tick on which no shard computes a candidate in its first pass runs
 //! phases 2 and 4 on the calling thread: eight forecasts and MLU
-//! evaluations cost less than the threads that would distribute them.  On a
+//! evaluations cost less than handing them to workers (measured when a
+//! parallel call still spawned its threads; DESIGN §8).  On a
 //! tick that solves in waves only the waves go to workers; its bounding
 //! pass and its finish phase run inline.
 //!
