@@ -93,7 +93,7 @@ pub fn warmed_lp_fleet(case: &FleetCase, shards: usize) -> FleetController {
 }
 
 /// Builds a learned-inference fleet over `shards` source blocks: each shard
-/// compiles its model into the f32 `InferencePlan` and serves it with the
+/// serves its model's compiled f32 `InferencePlan` with the
 /// LP audit disabled, so ticks never touch the solver.  Weights stay at
 /// initialisation: inference cost is weight-independent, and training every
 /// shard (`FigretModel::train` on its gathered columns, as `serve_sim
@@ -114,14 +114,12 @@ pub fn warmed_learned_fleet(
             let (restricted, _) = case.paths.restrict_to(shard.active());
             let model =
                 FigretModel::new(&restricted, &vec![0.0; restricted.num_pairs()], config.clone());
-            let mut c = ServeController::learned(
+            ServeController::learned(
                 &restricted,
                 model,
                 PredictorKind::LastValue.build(),
                 ReconfigPolicy { budget: None, ..pol.clone() },
-            );
-            c.enable_inference_plan();
-            c
+            )
         })
         .collect();
     let mut fleet = FleetController::from_controllers(&plan, controllers, &pol);

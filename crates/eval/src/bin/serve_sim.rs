@@ -25,7 +25,6 @@ fn main() {
         .number("budget-window", 16, "update-budget window length in ticks")
         .switch("always-update", "reconfigure every tick (batch-equivalence mode)")
         .number("online-ticks", 0, "serve N generated ticks instead of replaying the trace")
-        .text("inference", "graph", "learned-engine inference path: graph | plan")
         .number("shards", 1, "split the pair universe into N source-block shards (1 = unsharded)")
         .number("retrain-every", 0, "retrain a challenger every N ticks while degraded (0 = off)")
         .number("retrain-window", 32, "observed demand columns kept for challenger retraining")
@@ -45,12 +44,6 @@ fn main() {
         "lp" => ServeEngine::Lp,
         "learned" => ServeEngine::Learned,
         other => fail(format!("unknown engine '{other}' (expected lp | learned)")),
-    };
-    let use_plan = match values.text("inference") {
-        "graph" => false,
-        "plan" if engine == ServeEngine::Learned => true,
-        "plan" => fail("--inference plan requires --engine learned".to_string()),
-        other => fail(format!("unknown inference path '{other}' (expected graph | plan)")),
     };
     let policy = if values.switch("always-update") {
         ReconfigPolicy::always_update()
@@ -118,7 +111,6 @@ fn main() {
         policy,
         online_ticks,
         max_ticks: Some(experiment.max_eval),
-        use_plan,
         shards,
         retrain_every,
         retrain_window: values.number("retrain-window"),

@@ -97,11 +97,6 @@ pub struct ServeSimOptions {
     /// split).  Streaming is contiguous, so the cap truncates rather than
     /// subsamples.
     pub max_ticks: Option<usize>,
-    /// Learned engine only: serve from the compiled f32 inference plan
-    /// (zero-alloc hot path) instead of the f64 autodiff graph.  Policy
-    /// decisions must not change — CI diffs `decision_digest` between the
-    /// two inference paths.
-    pub use_plan: bool,
     /// Number of source-block shards (≥ 1) the pair universe is split into;
     /// every shard is one controller under the fleet's joint admission
     /// budget.  1 is the unsharded run.
@@ -145,7 +140,6 @@ impl ServeSimOptions {
             policy: ReconfigPolicy::default(),
             online_ticks: 0,
             max_ticks: None,
-            use_plan: false,
             shards: 1,
             retrain_every: 0,
             retrain_window: 32,
@@ -631,9 +625,6 @@ fn build_controller(
             let mut model = FigretModel::new(paths, &dataset.per_slot_variance(), cfg);
             model.train(&dataset);
             let mut controller = ServeController::learned(paths, model, predictor, policy);
-            if options.use_plan {
-                controller.enable_inference_plan();
-            }
             if let Some(recovery) = options.recovery_config() {
                 controller.enable_recovery(recovery);
             }
@@ -746,7 +737,6 @@ pub fn serve(options: &ServeSimOptions) -> ServeRun {
     }
     let engine = match options.engine {
         ServeEngine::Lp => "lp",
-        ServeEngine::Learned if options.use_plan => "learned/plan",
         ServeEngine::Learned => "learned",
     };
     let shards = if sharded { format!("{} shards, ", fleet.num_shards()) } else { String::new() };
@@ -995,10 +985,9 @@ pub fn print_serve_report(run: &ServeRun) {
         print_csv_series("omniscient_mlu", omniscient);
     }
     // Stable digests of the decision logs: CI replays the same scenario
-    // under different RAYON_NUM_THREADS settings and diffs the full digest,
-    // and replays graph vs. plan inference and diffs the decision digest
-    // (which hashes actions only, so it is invariant to the f32 plan's
-    // sub-1e-4 output perturbations).
+    // under different RAYON_NUM_THREADS settings and diffs both.  The
+    // decision digest hashes (tick, action, source) only, so it survives a
+    // change that moves nothing but MLU low bits.
     println!("decision_log_digest,{:#018x}", run.fleet.digest());
     println!("decision_digest,{:#018x}", run.fleet.decision_digest());
 }
@@ -1157,12 +1146,11 @@ mod tests {
     fn learned_shards_train_on_their_own_slice_of_the_train_split() {
         let options = ServeSimOptions {
             shards: 2,
-            use_plan: true,
             policy: ReconfigPolicy::default(),
             ..pod_options(ServeEngine::Learned)
         };
         let run = serve(&options);
-        assert!(run.name.contains("2 shards, learned/plan"), "{}", run.name);
+        assert!(run.name.contains("2 shards, learned,"), "{}", run.name);
         assert_eq!(run.fleet.num_shards(), 2);
         let model_ticks = run
             .fleet

@@ -9,7 +9,7 @@ use figret_eval::experiments::ExperimentOptions;
 use figret_eval::runner::{omniscient_series, run_scheme, EvalOptions, Scheme};
 use figret_eval::scenario::{Scenario, ScenarioOptions};
 use figret_eval::serving::{serve, ServeEngine, ServeSimOptions, ServeTopology};
-use figret_serve::{FallbackPolicy, PredictorKind, ReconfigPolicy, UpdateBudget};
+use figret_serve::{PredictorKind, ReconfigPolicy};
 use figret_solvers::Predictor;
 use figret_topology::Topology;
 
@@ -28,7 +28,6 @@ fn serve_options() -> ServeSimOptions {
         policy: ReconfigPolicy::always_update(),
         online_ticks: 0,
         max_ticks: None,
-        use_plan: false,
         ..ServeSimOptions::new(ExperimentOptions::default())
     }
 }
@@ -61,55 +60,6 @@ fn serving_loop_matches_batch_prediction_on_geant() {
         "churn after the initial deployment must match the batch series \
          (serve {serve_total} vs batch {expected_total})"
     );
-}
-
-/// Plan-vs-graph contract of the zero-alloc inference hot path (ISSUE 6):
-/// replaying the same learned scenario through the compiled f32 plan and the
-/// f64 autodiff graph must make bit-identical policy decisions (equal
-/// `decision_digest`), with realized MLUs agreeing to well within the f32
-/// quantization tolerance.
-#[test]
-fn plan_inference_reproduces_graph_decisions_in_replay() {
-    let graph_options = ServeSimOptions {
-        experiment: ExperimentOptions {
-            fast: true,
-            snapshots: 60,
-            window: WINDOW,
-            ..Default::default()
-        },
-        topology: ServeTopology::Table1(Topology::MetaDbPod),
-        engine: ServeEngine::Learned,
-        predictor: PredictorKind::LastValue,
-        // A policy with real decisions to flip (hysteresis holds, a budget
-        // that exhausts) — and fallback off, so a marginal audit cannot
-        // diverge the two runs by design rather than by bug.
-        policy: ReconfigPolicy {
-            hysteresis: 0.05,
-            budget: Some(UpdateBudget::per_window(3, 8)),
-            fallback: FallbackPolicy::disabled(),
-        },
-        online_ticks: 0,
-        max_ticks: Some(8),
-        use_plan: false,
-        ..ServeSimOptions::new(ExperimentOptions::default())
-    };
-    let plan_options = ServeSimOptions { use_plan: true, ..graph_options.clone() };
-
-    let graph = serve(&graph_options);
-    let plan = serve(&plan_options);
-
-    assert_eq!(graph.ticks(), plan.ticks());
-    assert_eq!(
-        graph.fleet.decision_digest(),
-        plan.fleet.decision_digest(),
-        "plan and graph inference must deploy/hold identically"
-    );
-    for ((a, b), t) in graph.realized_mlus.iter().zip(&plan.realized_mlus).zip(&graph.indices) {
-        assert!(
-            (a - b).abs() <= 1e-3 * a.abs().max(1.0),
-            "snapshot {t}: graph MLU {a} vs plan MLU {b}"
-        );
-    }
 }
 
 #[test]

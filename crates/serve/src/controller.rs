@@ -6,8 +6,9 @@
 //! 1. **Decide** (timed; this is the serving-latency hot path): ask the
 //!    admission layer whether the sliding-window update budget has a grant
 //!    open, forecast the next demand with the online predictor, compute a
-//!    candidate configuration — a learned forward pass when a model is
-//!    installed, a warm-started LP re-solve through [`MluTemplate`]
+//!    candidate configuration — one forward pass of the model's compiled
+//!    f32 [`InferencePlan`] when a model is installed (the f64 graph only
+//!    trains), a warm-started LP re-solve through [`MluTemplate`]
 //!    otherwise, and *nothing* when the engine is the LP and no grant is
 //!    open (the solve could not be deployed) or only an upper bound on its
 //!    regret when a fleet's LP shards outnumber the open grants (the solve
@@ -133,6 +134,46 @@ pub(crate) enum CandidatePlan {
     Skip,
 }
 
+/// A model together with the compiled f32 [`InferencePlan`] that serves it,
+/// so a learned controller or challenger cannot exist without its plan.  The
+/// plan is the only serving forward pass; the model's f64 graph trains (and
+/// is the test reference).
+#[derive(Debug)]
+pub struct ServedModel {
+    model: FigretModel,
+    plan: InferencePlan,
+}
+
+impl ServedModel {
+    /// Compiles `model`'s plan.
+    pub(crate) fn new(model: FigretModel) -> ServedModel {
+        let plan = model.compile_plan();
+        ServedModel { model, plan }
+    }
+
+    /// The one serving forward pass, for the live model and shadow
+    /// challengers alike: flattens the history window (`H` pair columns,
+    /// most recent last) into `features`, runs the plan into `raw` and
+    /// normalizes it into `out`.  Allocates nothing once the caller-owned
+    /// buffers have grown to size.
+    pub fn candidate_into<'h>(
+        &mut self,
+        paths: &PathSet,
+        history: impl IntoIterator<Item = &'h Vec<f64>>,
+        features: &mut Vec<f64>,
+        raw: &mut Vec<f64>,
+        out: &mut TeConfig,
+    ) {
+        features.clear();
+        for column in history {
+            features.extend_from_slice(column);
+        }
+        raw.resize(paths.num_paths(), 0.0);
+        self.plan.forward(features, raw);
+        out.assign_from_raw(paths, raw);
+    }
+}
+
 /// Reusable per-step buffers: the steady-state decision loop allocates
 /// nothing — predictions, MLU edge loads, plan features/outputs and the
 /// candidate configuration all live here across ticks.
@@ -155,10 +196,9 @@ pub struct ServeController {
     paths: PathSet,
     window: usize,
     predictor: Box<dyn OnlinePredictor>,
-    model: Option<FigretModel>,
-    /// Compiled f32 hot path for the learned candidate; `None` serves the
-    /// f64 reference graph.  See [`ServeController::enable_inference_plan`].
-    plan: Option<InferencePlan>,
+    /// The live (or, while fallen back, the degraded) model and its plan;
+    /// `None` for an LP controller.
+    learned: Option<ServedModel>,
     template: MluTemplate,
     policy: ReconfigPolicy,
     /// The policy's hysteresis and budget gates, as [`ServeController::step_pairs`]
@@ -182,11 +222,6 @@ pub struct ServeController {
     /// The self-healing state machine; `None` keeps PR 5's terminal
     /// fallback.  See [`ServeController::enable_recovery`].
     recovery: Option<RecoveryManager>,
-    /// Whether [`ServeController::enable_inference_plan`] was ever called:
-    /// a promoted challenger is recompiled into a fresh plan iff the
-    /// operator originally asked for plan serving (even if the ladder has
-    /// since retired the old plan).
-    plan_was_enabled: bool,
     /// Transitions produced since the last finished tick; drained into the
     /// tick's [`StepOutcome`].
     pending_transitions: Vec<Transition>,
@@ -205,7 +240,7 @@ impl std::fmt::Debug for ServeController {
         f.debug_struct("ServeController")
             .field("window", &self.window)
             .field("predictor", &self.predictor.name())
-            .field("learned", &self.model.is_some())
+            .field("learned", &self.learned.is_some())
             .field("fell_back", &self.fell_back)
             .field("tick", &self.tick)
             .finish()
@@ -226,7 +261,8 @@ impl ServeController {
     }
 
     /// A controller that serves learned configurations (with the LP as the
-    /// audit reference and fallback).  The warmup window is the model's
+    /// audit reference and fallback) through the model's compiled
+    /// [`InferencePlan`], compiled here.  The warmup window is the model's
     /// history window `H`.
     pub fn learned(
         paths: &PathSet,
@@ -235,14 +271,14 @@ impl ServeController {
         policy: ReconfigPolicy,
     ) -> ServeController {
         let window = model.config().history_window;
-        ServeController::build(paths, window, predictor, Some(model), policy)
+        ServeController::build(paths, window, predictor, Some(ServedModel::new(model)), policy)
     }
 
     fn build(
         paths: &PathSet,
         window: usize,
         predictor: Box<dyn OnlinePredictor>,
-        model: Option<FigretModel>,
+        learned: Option<ServedModel>,
         policy: ReconfigPolicy,
     ) -> ServeController {
         assert!(window >= 1, "the controller needs at least one observed demand to decide");
@@ -250,8 +286,7 @@ impl ServeController {
             paths: paths.clone(),
             window,
             predictor,
-            model,
-            plan: None,
+            learned,
             template: MluTemplate::new(paths),
             admission: GlobalAdmission::from_policy(&policy),
             policy,
@@ -265,7 +300,6 @@ impl ServeController {
             lp_stats: SeriesStats::default(),
             scratch: StepScratch::default(),
             recovery: None,
-            plan_was_enabled: false,
             pending_transitions: Vec::new(),
             model_generation: 0,
             telemetry: None,
@@ -292,19 +326,19 @@ impl ServeController {
         self.telemetry_registry().cloned()
     }
 
-    /// Compiles the learned model into the allocation-free f32
-    /// [`InferencePlan`] and serves it on every subsequent model decision.
-    /// The f64 graph stays available as the reference path (and keeps
-    /// handling training-time concerns); the plan snapshots the weights at
-    /// the moment of this call.
+    /// Recompiles the model's [`InferencePlan`] from its weights.  A learned
+    /// controller already serves the plan compiled at construction (or taken
+    /// from a promoted challenger); the weights have not changed since, so
+    /// the recompiled plan has the same bits and this changes no decision —
+    /// it only pays one more compile.
     ///
     /// # Panics
     ///
     /// Panics on an LP-only controller (nothing to compile).
     pub fn enable_inference_plan(&mut self) {
-        let model = self.model.as_ref().expect("the inference plan requires a learned controller");
-        self.plan = Some(model.compile_plan());
-        self.plan_was_enabled = true;
+        let learned =
+            self.learned.as_mut().expect("the inference plan requires a learned controller");
+        learned.plan = learned.model.compile_plan();
     }
 
     /// Arms the self-healing state machine (DESIGN.md §9): drift detection
@@ -316,7 +350,7 @@ impl ServeController {
     ///
     /// Panics on an LP-only controller (there is no model to heal).
     pub fn enable_recovery(&mut self, config: RecoveryConfig) {
-        assert!(self.model.is_some(), "recovery requires a learned controller");
+        assert!(self.learned.is_some(), "recovery requires a learned controller");
         let mut manager = RecoveryManager::new(config);
         for column in &self.history {
             manager.ingest(column);
@@ -332,11 +366,6 @@ impl ServeController {
     /// Recovery counters (zeroes when recovery is disabled).
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery.as_ref().map(|r| r.stats()).unwrap_or_default()
-    }
-
-    /// Whether model decisions go through the compiled f32 plan.
-    pub fn plan_enabled(&self) -> bool {
-        self.plan.is_some()
     }
 
     /// Ingests a demand column without a decision tick (controller warmup:
@@ -385,7 +414,7 @@ impl ServeController {
     /// streak, drift flag and shadow audits advance inside the candidate
     /// computation, and its candidate is a forward pass, not a solve.
     pub(crate) fn candidate_plan(&self, open_grants: usize, lp_bids: usize) -> CandidatePlan {
-        if self.model.is_some() || (open_grants > 0 && lp_bids <= open_grants) {
+        if self.learned.is_some() || (open_grants > 0 && lp_bids <= open_grants) {
             CandidatePlan::Compute
         } else if open_grants == 0 {
             CandidatePlan::Skip
@@ -397,7 +426,7 @@ impl ServeController {
     /// Whether the next [`ServeController::propose`] bids on the LP engine:
     /// the history window is full and no model is installed.
     pub(crate) fn bids_on_lp(&self) -> bool {
-        self.model.is_none() && self.history.len() >= self.window
+        self.learned.is_none() && self.history.len() >= self.window
     }
 
     /// Phase 1 of a two-phase tick (timed; the decision hot path): forecast
@@ -645,9 +674,10 @@ impl ServeController {
         let recovery = self.recovery.as_mut().expect("checked above");
         if recovery.should_retrain(tick) {
             let incumbent = self
-                .model
+                .learned
                 .as_ref()
                 .expect("recovery requires a learned controller")
+                .model
                 .config()
                 .clone();
             let seconds_before = recovery.stats().retrain_seconds;
@@ -665,14 +695,21 @@ impl ServeController {
     /// `scratch.predicted_pairs`, leaves it in `scratch.candidate` and
     /// applies the learned-mode audit/fallback/recovery logic.
     fn candidate_into(&mut self, scratch: &mut StepScratch) -> DecisionSource {
-        if self.model.is_none() {
+        if self.learned.is_none() {
             scratch.candidate = self.lp_candidate(&scratch.predicted_pairs);
             return DecisionSource::LpWarm;
         }
         if self.fell_back {
             return self.fallback_candidate_into(scratch);
         }
-        self.model_candidate_into(scratch);
+        let learned = self.learned.as_mut().expect("learned mode checked above");
+        learned.candidate_into(
+            &self.paths,
+            &self.history,
+            &mut scratch.features,
+            &mut scratch.raw,
+            &mut scratch.candidate,
+        );
         let fb = self.policy.fallback;
         let audit = fb.audit_every > 0 && self.decisions.is_multiple_of(fb.audit_every);
         let mut lp_candidate = None;
@@ -705,36 +742,25 @@ impl ServeController {
         DecisionSource::Model
     }
 
-    /// Steps the degradation ladder down one rung after an audit or drift
-    /// trip.  With recovery armed and the f32 plan still active, the first
-    /// rung only *retires the plan* — the f64 reference graph gets its own
-    /// chance before the model is abandoned.  Otherwise the controller
-    /// falls back to the warm LP; with recovery armed the fallback is a
-    /// state (retraining begins), without it PR 5's terminal behavior is
-    /// preserved bit for bit.
+    /// Falls back to the warm LP after an audit or drift trip.  With
+    /// recovery armed the fallback is a state (retraining begins); without
+    /// it the fallback is terminal.
     fn degrade(
         &mut self,
         scratch: &mut StepScratch,
         lp_candidate: Option<TeConfig>,
     ) -> DecisionSource {
         self.degraded_streak = 0;
-        if let Some(recovery) = self.recovery.as_mut() {
-            recovery.reset_detector();
-            if self.plan.is_some() {
-                self.plan = None;
-                self.pending_transitions.push(Transition::PlanRetired);
-                // Keep the graph model's candidate already in scratch.
-                return DecisionSource::Model;
-            }
-        }
         self.fell_back = true;
-        self.pending_transitions.push(if self.model_generation > 0 {
+        let demoted = self.model_generation > 0;
+        self.pending_transitions.push(if demoted {
             Transition::Demoted
         } else {
             Transition::Degraded
         });
-        if self.model_generation > 0 {
-            if let Some(recovery) = self.recovery.as_mut() {
+        if let Some(recovery) = self.recovery.as_mut() {
+            recovery.reset_detector();
+            if demoted {
                 recovery.note_demotion();
             }
         }
@@ -749,14 +775,14 @@ impl ServeController {
     /// recovery armed and a challenger in shadow — audit the challenger
     /// against the LP on the same forecast.  `promotion_patience`
     /// consecutive wins promote the challenger to the live model, ending
-    /// the fallback; its winning candidate is served immediately.
+    /// the fallback; its winning candidate is served immediately, and its
+    /// already-compiled plan serves from then on.
     fn fallback_candidate_into(&mut self, scratch: &mut StepScratch) -> DecisionSource {
         let lp = self.lp_candidate(&scratch.predicted_pairs);
-        let has_shadow = self.recovery.as_ref().is_some_and(|r| r.shadow().is_some());
-        if !has_shadow {
+        let Some(recovery) = self.recovery.as_mut().filter(|r| r.shadow().is_some()) else {
             scratch.candidate = lp;
             return DecisionSource::LpWarm;
-        }
+        };
         let lp_mlu = max_link_utilization_pairs_scratch(
             &self.paths,
             &lp,
@@ -764,15 +790,19 @@ impl ServeController {
             &mut scratch.loads,
         );
         let audit_watch = self.telemetry.is_some().then(Stopwatch::start);
-        let history: &[Vec<f64>] = self.history.make_contiguous();
-        let recovery = self.recovery.as_mut().expect("shadow implies recovery");
         let margin = recovery.config().promotion_margin;
         let patience = recovery.config().promotion_patience;
         let shadow = recovery.shadow_mut().expect("shadow presence checked above");
-        let challenger = shadow.candidate(&self.paths, history);
+        shadow.served_mut().candidate_into(
+            &self.paths,
+            &self.history,
+            &mut scratch.features,
+            &mut scratch.raw,
+            &mut scratch.candidate,
+        );
         let challenger_mlu = max_link_utilization_pairs_scratch(
             &self.paths,
-            &challenger,
+            &scratch.candidate,
             &scratch.predicted_pairs,
             &mut scratch.loads,
         );
@@ -789,44 +819,15 @@ impl ServeController {
             recovery.note_promotion();
             recovery.reset_detector();
             self.model_generation = shadow.generation();
-            let model = shadow.into_model();
-            if self.plan_was_enabled {
-                self.plan = Some(model.compile_plan());
-            }
-            self.model = Some(model);
+            self.learned = Some(shadow.into_served());
             self.fell_back = false;
             self.pending_transitions.push(Transition::Promoted);
-            // Serve the winning challenger candidate this very tick (it was
-            // computed through the graph; the recompiled plan takes over
-            // from the next decision).
-            scratch.candidate = challenger;
+            // The winning challenger candidate in scratch serves this very
+            // tick.
             return DecisionSource::Model;
         }
         scratch.candidate = lp;
         DecisionSource::LpWarm
-    }
-
-    /// Fills `scratch.candidate` with the model's configuration — through
-    /// the compiled f32 plan when enabled, else through the f64 reference
-    /// graph.  Both consume the same borrowed history window; neither clones
-    /// a demand matrix.
-    fn model_candidate_into(&mut self, scratch: &mut StepScratch) {
-        if let Some(plan) = self.plan.as_mut() {
-            let num_pairs = self.paths.num_pairs();
-            scratch.features.resize(self.window * num_pairs, 0.0);
-            for (i, column) in self.history.iter().enumerate() {
-                scratch.features[i * num_pairs..(i + 1) * num_pairs].copy_from_slice(column);
-            }
-            scratch.raw.resize(self.paths.num_paths(), 0.0);
-            plan.forward(&scratch.features, &mut scratch.raw);
-            scratch.candidate.assign_from_raw(&self.paths, &scratch.raw);
-        } else {
-            // Borrow the window in place (no per-tick clone of H columns —
-            // this is inside the timed decision phase).
-            let history: &[Vec<f64>] = self.history.make_contiguous();
-            let model = self.model.as_mut().expect("learned mode checked by the caller");
-            scratch.candidate = model.predict_flat(&self.paths, history);
-        }
     }
 
     fn lp_candidate(&mut self, predicted_pairs: &[f64]) -> TeConfig {
@@ -906,7 +907,7 @@ impl ServeController {
 
     /// Whether the controller carries a model (live or degraded).
     pub fn is_learned(&self) -> bool {
-        self.model.is_some()
+        self.learned.is_some()
     }
 
     /// 0 while the originally installed model serves; the promoted
@@ -923,17 +924,20 @@ impl ServeController {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::log::{HoldReason, ServeLog};
     use crate::policy::{FallbackPolicy, UpdateBudget};
     use crate::predictor::{LastValue, PredictorKind};
+    use crate::recovery::RecoveryConfig;
     use figret::FigretConfig;
     use figret_solvers::omniscient_config;
     use figret_te::max_link_utilization;
     use figret_topology::{Topology, TopologySpec};
     use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
-    use figret_traffic::TrafficTrace;
+    use figret_traffic::{
+        OnlineStream, OnlineStreamConfig, SparseDemandStream, StepShiftConfig, TrafficTrace,
+    };
 
     fn pod_setup(snapshots: usize) -> (PathSet, TrafficTrace) {
         let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
@@ -941,6 +945,44 @@ mod tests {
         let trace =
             pod_trace(&g, &PodTrafficConfig { num_snapshots: snapshots, ..Default::default() });
         (ps, trace)
+    }
+
+    /// A model at initialisation weights with a two-column window.
+    pub(crate) fn untrained(paths: &PathSet) -> FigretModel {
+        let config = FigretConfig { history_window: 2, ..FigretConfig::fast_test() };
+        FigretModel::new(paths, &vec![0.0; paths.num_pairs()], config)
+    }
+
+    /// `ticks` PoD-DB demand columns, quiet apart from a ×4 step shift at
+    /// tick 12: enough to trip an untrained model and promote a challenger
+    /// under [`drill_recovery`].
+    pub(crate) fn shifted_pod_columns(ticks: usize) -> Vec<Vec<f64>> {
+        let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
+        let config = OnlineStreamConfig {
+            diurnal_amplitude: 0.05,
+            noise: 0.02,
+            drift: None,
+            flash_crowds: None,
+            failure_storms: None,
+            shift: Some(StepShiftConfig { at_tick: 12, factor: 4.0 }),
+            seed: 97,
+            ..Default::default()
+        };
+        let mut stream = OnlineStream::from_graph(&g, 0.25, config);
+        (0..ticks).map(|_| stream.next_column().expect("endless").values().to_vec()).collect()
+    }
+
+    /// A recovery ladder that retrains fast enough to promote within
+    /// [`shifted_pod_columns`]`(60)`.
+    pub(crate) fn drill_recovery() -> RecoveryConfig {
+        RecoveryConfig {
+            retrain_window: 16,
+            retrain_every: 4,
+            promotion_patience: 2,
+            promotion_margin: 1.1,
+            retrain_epochs: 60,
+            ..Default::default()
+        }
     }
 
     fn run(controller: &mut ServeController, trace: &TrafficTrace, warmup: usize) -> ServeLog {
@@ -1032,18 +1074,13 @@ mod tests {
         // An untrained model emits near-arbitrary configurations; with a
         // tight degradation bound and per-tick audits the controller must
         // abandon it quickly.
-        let zero_variances = vec![0.0; ps.num_pairs()];
-        let model = FigretModel::new(
-            &ps,
-            &zero_variances,
-            FigretConfig { history_window: 2, ..FigretConfig::fast_test() },
-        );
         let policy = ReconfigPolicy {
             hysteresis: 0.0,
             budget: None,
             fallback: FallbackPolicy { degradation: 1.01, patience: 2, audit_every: 1 },
         };
-        let mut c = ServeController::learned(&ps, model, Box::new(LastValue::new()), policy);
+        let mut c =
+            ServeController::learned(&ps, untrained(&ps), Box::new(LastValue::new()), policy);
         let log = run(&mut c, &trace, 2);
         assert!(c.fell_back(), "an untrained model must trip the degradation fallback");
         let fb = log.fallback_tick().expect("fallback transition must appear in the log");
@@ -1057,43 +1094,48 @@ mod tests {
         }
     }
 
+    /// The serving contract: every model-sourced decision is
+    /// `TeConfig::from_raw` of the serving model's own compiled plan on the
+    /// decision's history window, bit for bit — for the installed model and
+    /// for a promoted challenger from its first decision on.
     #[test]
-    fn inference_plan_reproduces_graph_decisions() {
-        let (ps, trace) = pod_setup(24);
-        let zero_variances = vec![0.0; ps.num_pairs()];
-        let build = || {
-            FigretModel::new(
-                &ps,
-                &zero_variances,
-                FigretConfig { history_window: 2, ..FigretConfig::fast_test() },
-            )
-        };
+    fn model_decisions_are_the_served_models_plan_outputs() {
+        let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
+        let ps = PathSet::k_shortest(&g, 3);
+        // Hysteresis 0 and no budget: every decision deploys its candidate.
         let policy = ReconfigPolicy {
-            hysteresis: 0.05,
-            budget: Some(UpdateBudget::per_window(3, 8)),
-            fallback: FallbackPolicy::disabled(),
+            hysteresis: 0.0,
+            budget: None,
+            fallback: FallbackPolicy { degradation: 1.2, patience: 2, audit_every: 1 },
         };
-        let mut graph_c =
-            ServeController::learned(&ps, build(), Box::new(LastValue::new()), policy.clone());
-        let mut plan_c = ServeController::learned(&ps, build(), Box::new(LastValue::new()), policy);
-        plan_c.enable_inference_plan();
-        assert!(plan_c.plan_enabled());
-        assert!(!graph_c.plan_enabled());
-        let graph_log = run(&mut graph_c, &trace, 2);
-        let plan_log = run(&mut plan_c, &trace, 2);
-        // Update/hold choices compare f64 MLUs of whole configurations, so
-        // the plan's sub-1e-4 output perturbations cannot flip them.
-        assert_eq!(graph_log.decision_digest(), plan_log.decision_digest());
-        // The realized MLUs differ only in the low bits.
-        for (g, p) in graph_log.records.iter().zip(&plan_log.records) {
-            assert!(
-                (g.realized_mlu - p.realized_mlu).abs() <= 1e-3 * (1.0 + g.realized_mlu),
-                "tick {}: graph {} vs plan {}",
-                g.tick,
-                g.realized_mlu,
-                p.realized_mlu
-            );
+        let mut c =
+            ServeController::learned(&ps, untrained(&ps), Box::new(LastValue::new()), policy);
+        c.enable_recovery(drill_recovery());
+        let bits = |cfg: &TeConfig| cfg.ratios().iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        let columns = shifted_pod_columns(60);
+        let (mut live, mut promoted) = (0, 0);
+        for (t, column) in columns.iter().enumerate() {
+            if t < 2 {
+                c.observe_pairs(column);
+                continue;
+            }
+            let out = c.step_pairs(column);
+            if out.record.source != Some(DecisionSource::Model) {
+                continue;
+            }
+            assert_eq!(out.record.action, Action::Update, "tick {t}");
+            let mut raw = vec![0.0; ps.num_paths()];
+            let served = c.learned.as_ref().expect("a model decided");
+            served.model.compile_plan().forward(&columns[t - 2..t].concat(), &mut raw);
+            assert_eq!(bits(c.deployed()), bits(&TeConfig::from_raw(&ps, &raw)), "tick {t}");
+            if out.transitions.contains(&Transition::Promoted) {
+                promoted += 1;
+            } else {
+                live += 1;
+            }
         }
+        assert!(live > 0, "the installed model must serve");
+        assert!(promoted > 0, "a challenger must promote");
     }
 
     #[test]

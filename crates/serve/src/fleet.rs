@@ -487,17 +487,13 @@ impl FleetController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::tests::{drill_recovery, shifted_pod_columns, untrained};
     use crate::log::{DecisionSource, HoldReason, Transition};
     use crate::policy::{FallbackPolicy, UpdateBudget};
     use crate::predictor::LastValue;
-    use crate::recovery::RecoveryConfig;
-    use figret::{FigretConfig, FigretModel};
     use figret_topology::{Topology, TopologySpec};
     use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
-    use figret_traffic::{
-        ActivePairs, OnlineStream, OnlineStreamConfig, SparseDemandStream, StepShiftConfig,
-        TrafficTrace,
-    };
+    use figret_traffic::{ActivePairs, TrafficTrace};
     use std::sync::Arc;
 
     fn pod_setup(snapshots: usize) -> (PathSet, TrafficTrace, Arc<ActivePairs>) {
@@ -568,10 +564,6 @@ mod tests {
         let lp = |paths: &PathSet, policy: ReconfigPolicy| {
             ServeController::lp(paths, 2, Box::new(LastValue::new()), policy)
         };
-        let untrained = |paths: &PathSet| {
-            let config = FigretConfig { history_window: 2, ..FigretConfig::fast_test() };
-            FigretModel::new(paths, &vec![0.0; paths.num_pairs()], config)
-        };
 
         // LP under real gates: hysteresis holds and a budget that exhausts.
         let (log, solves) = assert_single_shard_replays(&ps, &active, &policy(), lp, &columns, 2);
@@ -596,35 +588,11 @@ mod tests {
         assert!(log.fallback_tick().is_some());
 
         // Learned with the recovery ladder armed, across a step shift: the
-        // plan retires, the model degrades, challengers retrain and promote.
-        let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
-        let mut stream = OnlineStream::from_graph(
-            &g,
-            0.25,
-            OnlineStreamConfig {
-                diurnal_amplitude: 0.05,
-                noise: 0.02,
-                drift: None,
-                flash_crowds: None,
-                failure_storms: None,
-                shift: Some(StepShiftConfig { at_tick: 12, factor: 4.0 }),
-                seed: 97,
-                ..Default::default()
-            },
-        );
-        let shifted: Vec<Vec<f64>> =
-            (0..60).map(|_| stream.next_column().expect("endless").values().to_vec()).collect();
+        // model degrades, challengers retrain and promote.
+        let shifted = shifted_pod_columns(60);
         let recovering = |paths: &PathSet, policy: ReconfigPolicy| {
             let mut c = learned(paths, policy);
-            c.enable_inference_plan();
-            c.enable_recovery(RecoveryConfig {
-                retrain_window: 16,
-                retrain_every: 4,
-                promotion_patience: 2,
-                promotion_margin: 1.1,
-                retrain_epochs: 60,
-                ..Default::default()
-            });
+            c.enable_recovery(drill_recovery());
             c
         };
         let audited = ReconfigPolicy {
@@ -632,7 +600,7 @@ mod tests {
             ..policy()
         };
         let (log, _) = assert_single_shard_replays(&ps, &active, &audited, recovering, &shifted, 2);
-        for kind in [Transition::PlanRetired, Transition::Degraded, Transition::RetrainStarted] {
+        for kind in [Transition::Degraded, Transition::RetrainStarted] {
             assert!(log.transition_count(kind) >= 1, "the drill must log {kind:?}");
         }
         assert!(log.transition_count(Transition::Promoted) >= 1, "a challenger must promote");
@@ -699,15 +667,10 @@ mod tests {
         let shard_policy = ReconfigPolicy { budget: None, ..policy.clone() };
         let (learned_paths, _) = ps.restrict_to(plan.shard(0).active());
         let (lp_paths, _) = ps.restrict_to(plan.shard(1).active());
-        let model = FigretModel::new(
-            &learned_paths,
-            &vec![0.0; learned_paths.num_pairs()],
-            FigretConfig { history_window: 2, ..FigretConfig::fast_test() },
-        );
         let controllers = vec![
             ServeController::learned(
                 &learned_paths,
-                model,
+                untrained(&learned_paths),
                 Box::new(LastValue::new()),
                 shard_policy.clone(),
             ),

@@ -12,7 +12,8 @@
 //!   regret, a sliding-window update budget, and the learned→LP degradation
 //!   fallback;
 //! * [`controller`] — the serving loop itself, pairing learned inference
-//!   with a warm-started [`figret_solvers::MluTemplate`] LP re-solve;
+//!   (a model's compiled f32 plan, [`ServedModel`]) with a warm-started
+//!   [`figret_solvers::MluTemplate`] LP re-solve;
 //! * [`log`] — the bit-deterministic event/decision log plus measured
 //!   per-decision latencies;
 //! * [`admission`] — the admission layer, asked *before* any candidate is
@@ -82,7 +83,7 @@ pub mod shadow;
 pub mod telemetry;
 
 pub use admission::{AdmissionStats, GlobalAdmission, ShardBid};
-pub use controller::{Proposal, ServeController, StepOutcome};
+pub use controller::{Proposal, ServeController, ServedModel, StepOutcome};
 pub use fleet::{FleetController, FleetTickOutcome};
 pub use log::{
     Action, DecisionSource, HoldReason, ServeLog, TickRecord, Transition, TransitionRecord,

@@ -44,12 +44,10 @@ pub enum Action {
 /// A state transition of the degradation-and-recovery ladder
 /// (DESIGN.md §9).  Transitions are deterministic events: they are folded
 /// into both digests, so a run that degrades, retrains or promotes at a
-/// different tick produces a different digest.
+/// different tick produces a different digest.  Each kind digests as a
+/// fixed code (2–5); code 1 belonged to a retired kind and is not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transition {
-    /// The compiled f32 inference plan was retired; model decisions fall
-    /// back to the f64 reference graph (first rung of the ladder).
-    PlanRetired,
     /// The model failed `patience` consecutive audits; the controller now
     /// serves warm LP re-solves.
     Degraded,
@@ -266,11 +264,10 @@ impl ServeLog {
     /// or audited into fallback, but no floating-point values.
     ///
     /// Policy decisions compare f64 MLU evaluations of whole configurations,
-    /// so they are robust to the f32 inference plan's sub-1e-4 output
-    /// perturbations: a plan run and a graph run of the same scenario must
-    /// produce *identical* decision digests even though their full
-    /// [`ServeLog::digest`]s differ in MLU low bits.  CI diffs this digest
-    /// between the two inference paths.
+    /// so they are robust to sub-1e-4 perturbations of a model's outputs
+    /// (such as the f32 inference plan against the f64 graph it was compiled
+    /// from): such a change keeps this digest while the full
+    /// [`ServeLog::digest`] moves with the MLU low bits.
     pub fn decision_digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |v: u64| {
@@ -293,7 +290,6 @@ impl ServeLog {
 
     fn transition_code(transition: Transition) -> u64 {
         match transition {
-            Transition::PlanRetired => 1,
             Transition::Degraded => 2,
             Transition::RetrainStarted => 3,
             Transition::Promoted => 4,

@@ -22,9 +22,9 @@
 //!    after `promotion_patience` consecutive wins (see
 //!    [`crate::ServeController`]).
 //!
-//! The degradation ladder is plan → graph model → warm LP → (retrain,
-//! shadow-audit, promote) → graph model, with demotion and re-entry on
-//! regression.
+//! The degradation ladder is model → warm LP → (retrain, shadow-audit,
+//! promote) → model, with demotion and re-entry on regression; every model
+//! on it serves through its compiled inference plan.
 
 use std::collections::VecDeque;
 use std::time::Instant;

@@ -12,22 +12,23 @@
 //! evidence, mirroring how the fallback itself required `patience`
 //! consecutive degraded audits.
 
+use crate::controller::ServedModel;
 use figret::FigretModel;
-use figret_te::{PathSet, TeConfig};
 
 /// A challenger model plus its audit streak; see the module docs.
 #[derive(Debug)]
 pub struct ShadowModel {
-    model: FigretModel,
+    served: ServedModel,
     wins: usize,
     generation: u64,
 }
 
 impl ShadowModel {
-    /// Wraps a freshly trained challenger.  `generation` identifies the
-    /// retraining round that produced it (monotone per controller).
+    /// Wraps a freshly trained challenger and compiles its inference plan.
+    /// `generation` identifies the retraining round that produced it
+    /// (monotone per controller).
     pub fn new(model: FigretModel, generation: u64) -> ShadowModel {
-        ShadowModel { model, wins: 0, generation }
+        ShadowModel { served: ServedModel::new(model), wins: 0, generation }
     }
 
     /// Consecutive audit wins so far.
@@ -40,10 +41,10 @@ impl ShadowModel {
         self.generation
     }
 
-    /// The challenger's configuration for the given history window (the
-    /// shadow forward pass, through the f64 reference graph).
-    pub fn candidate(&mut self, paths: &PathSet, history: &[Vec<f64>]) -> TeConfig {
-        self.model.predict_flat(paths, history)
+    /// The challenger and its compiled plan, for the shadow forward pass
+    /// ([`ServedModel::candidate_into`], the live model's helper).
+    pub fn served_mut(&mut self) -> &mut ServedModel {
+        &mut self.served
     }
 
     /// Records one audit outcome: a win extends the streak, a loss resets
@@ -53,33 +54,32 @@ impl ShadowModel {
         self.wins
     }
 
-    /// Unwraps the trained model (on promotion).
-    pub fn into_model(self) -> FigretModel {
-        self.model
+    /// Unwraps the trained model and its compiled plan (on promotion).
+    pub(crate) fn into_served(self) -> ServedModel {
+        self.served
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use figret::FigretConfig;
+    use crate::controller::tests::untrained;
+    use figret_te::{PathSet, TeConfig};
     use figret_topology::{Topology, TopologySpec};
 
     #[test]
     fn audit_streak_resets_on_a_loss() {
         let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
         let ps = PathSet::k_shortest(&g, 3);
-        let config = FigretConfig { history_window: 2, ..FigretConfig::fast_test() };
-        let model = FigretModel::new(&ps, &vec![0.0; ps.num_pairs()], config);
-        let mut shadow = ShadowModel::new(model, 7);
+        let mut shadow = ShadowModel::new(untrained(&ps), 7);
         assert_eq!(shadow.generation(), 7);
         assert_eq!(shadow.record_audit(true), 1);
         assert_eq!(shadow.record_audit(true), 2);
         assert_eq!(shadow.record_audit(false), 0);
         assert_eq!(shadow.record_audit(true), 1);
         let history = vec![vec![1.0; ps.num_pairs()]; 2];
-        let cfg = shadow.candidate(&ps, &history);
+        let (mut features, mut raw, mut cfg) = (Vec::new(), Vec::new(), TeConfig::default());
+        shadow.served_mut().candidate_into(&ps, &history, &mut features, &mut raw, &mut cfg);
         assert!(cfg.is_valid(&ps));
-        let _model = shadow.into_model();
     }
 }

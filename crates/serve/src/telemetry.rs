@@ -47,7 +47,6 @@ pub struct ServeTelemetry {
     lp_phase2_seconds: HistogramId,
     lp_factor_seconds: HistogramId,
     // Recovery ladder.
-    transition_plan_retired: CounterId,
     transition_degraded: CounterId,
     transition_retrain_started: CounterId,
     transition_promoted: CounterId,
@@ -88,8 +87,6 @@ impl ServeTelemetry {
             lp_phase1_seconds: r.histogram("figret_lp_phase1_seconds"),
             lp_phase2_seconds: r.histogram("figret_lp_phase2_seconds"),
             lp_factor_seconds: r.histogram("figret_lp_factor_seconds"),
-            transition_plan_retired: r
-                .counter("figret_recovery_transitions_total{kind=\"plan_retired\"}"),
             transition_degraded: r.counter("figret_recovery_transitions_total{kind=\"degraded\"}"),
             transition_retrain_started: r
                 .counter("figret_recovery_transitions_total{kind=\"retrain_started\"}"),
@@ -165,7 +162,6 @@ impl ServeTelemetry {
         }
         for &t in transitions {
             let counter = match t {
-                Transition::PlanRetired => self.transition_plan_retired,
                 Transition::Degraded => self.transition_degraded,
                 Transition::RetrainStarted => self.transition_retrain_started,
                 Transition::Promoted => self.transition_promoted,
