@@ -17,6 +17,8 @@
 //! ([`FigretModel::predict_flat`], [`FigretModel::predict_batch`]), and
 //! `DemandMatrix` stops at the [`FigretModel::predict`] adapter.
 
+use std::sync::Arc;
+
 use figret_nn::{
     Adam, AdamConfig, Graph, InferencePlan, Mlp, MlpConfig, Optimizer, OutputActivation, Var,
     WorkerTape,
@@ -97,8 +99,9 @@ pub struct FigretModel {
     mlp: Mlp,
     diff: DiffTe,
     features: FeatureLayout,
-    /// Normalized per-pair variance weights used by the robustness term.
-    variance_weights: Vec<f64>,
+    /// Normalized per-pair variance weights used by the robustness term,
+    /// shared with every microbatch's tape.
+    variance_weights: Arc<Vec<f64>>,
 }
 
 impl std::fmt::Debug for FigretModel {
@@ -134,11 +137,11 @@ impl FigretModel {
         graph.seal();
         let diff = DiffTe::new(paths);
         let max_var = variances.iter().cloned().fold(0.0, f64::max);
-        let variance_weights: Vec<f64> = if max_var > 0.0 {
+        let variance_weights = Arc::new(if max_var > 0.0 {
             variances.iter().map(|v| v / max_var).collect()
         } else {
             vec![0.0; num_pairs]
-        };
+        });
         let features = FeatureLayout { num_pairs, scale: 1.0 };
         FigretModel { config, graph, mlp, diff, features, variance_weights }
     }

@@ -59,7 +59,10 @@
 //! contribution is itself a sum — exactly as if it had been materialized as a
 //! tensor.  And only element-wise passes are partitioned over threads (in
 //! fixed-size tasks); every *reduction* — over a batch's rows, over the
-//! tapes — runs in index order on one thread per output element.
+//! tapes — runs in index order on one thread per output element.  The vector
+//! width does not enter either: the dense kernels and the tape reduction are
+//! `dispatched!`, one body run four lanes wide on a CPU with AVX2 and two
+//! lanes wide elsewhere, with the same operations in the same order.
 //!
 //! Constants attached to operations are shared through [`Arc`].
 
@@ -68,6 +71,7 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
+use crate::dispatch::{dispatched, Body};
 use crate::tensor::{matmul_grad_a, matmul_grad_b, Tensor, ELEMENTWISE_TASK};
 
 /// Handle to a node on the tape.
@@ -408,9 +412,6 @@ impl Graph {
     /// the elements are independent of each other, so they are cut into
     /// fixed-size tasks and shared out over the worker threads.
     pub fn add_scaled_grad_sum(&mut self, params: &[Var], tapes: &[WorkerTape], scale: f64) {
-        /// Elements summed at a time: small enough for the stack, long enough
-        /// for the per-tape additions to vectorize.
-        const BLOCK: usize = 64;
         for &p in params {
             let sources: Vec<&[f64]> = tapes.iter().map(|t| t.grad(p).data()).collect();
             let target = self.nodes[p.0].grad.data_mut();
@@ -420,19 +421,7 @@ impl Graph {
             let tasks: Vec<(usize, &mut [f64])> =
                 target.chunks_mut(ELEMENTWISE_TASK).enumerate().collect();
             tasks.into_par_iter().for_each(|(task, target)| {
-                let offset = task * ELEMENTWISE_TASK;
-                for (block, out) in target.chunks_mut(BLOCK).enumerate() {
-                    let start = offset + block * BLOCK;
-                    let mut sum = [0.0f64; BLOCK];
-                    for source in &sources {
-                        for (s, g) in sum.iter_mut().zip(&source[start..start + out.len()]) {
-                            *s += g;
-                        }
-                    }
-                    for (d, s) in out.iter_mut().zip(sum) {
-                        *d += s * scale;
-                    }
-                }
+                add_scaled_sum(Body::Native, target, &sources, task * ELEMENTWISE_TASK, scale)
             });
         }
     }
@@ -707,12 +696,28 @@ impl Graph {
                     if below[a].needs_grad {
                         let (b_val, a_grad) = value_and_grad(params, below, b, a);
                         let inner = a_grad.cols();
-                        matmul_grad_a(g.data(), b_val.data(), a_grad.data_mut(), inner, n, lanes);
+                        matmul_grad_a(
+                            Body::Native,
+                            g.data(),
+                            b_val.data(),
+                            a_grad.data_mut(),
+                            inner,
+                            n,
+                            lanes,
+                        );
                     }
                     if below[b].needs_grad {
                         let (a_val, b_grad) = value_and_grad(params, below, a, b);
                         let inner = b_grad.rows();
-                        matmul_grad_b(a_val.data(), g.data(), b_grad.data_mut(), inner, n, row);
+                        matmul_grad_b(
+                            Body::Native,
+                            a_val.data(),
+                            g.data(),
+                            b_grad.data_mut(),
+                            inner,
+                            n,
+                            row,
+                        );
                     }
                 }
                 &Op::Add(a, b) => {
@@ -999,6 +1004,34 @@ impl WorkerTape {
     pub fn grad(&self, p: Var) -> &Tensor {
         assert!(p.0 < self.tape.persistent, "worker tapes keep parameter gradients only");
         &self.tape.nodes[p.0].grad
+    }
+}
+
+dispatched! {
+    /// One task of [`Graph::add_scaled_grad_sum`]: `target[i] +=
+    /// (((0 + s₀[o + i]) + s₁[o + i]) + …) · scale` for every source `sᵢ`, in
+    /// slice order, where `o` is `offset`.
+    pub(crate) fn add_scaled_sum(
+        target: &mut [f64],
+        sources: &[&[f64]],
+        offset: usize,
+        scale: f64,
+    ) {
+        /// Elements summed at a time: small enough for the stack, long enough
+        /// for the per-tape additions to vectorize.
+        const BLOCK: usize = 64;
+        for (block, out) in target.chunks_mut(BLOCK).enumerate() {
+            let start = offset + block * BLOCK;
+            let mut sum = [0.0f64; BLOCK];
+            for source in sources {
+                for (s, g) in sum.iter_mut().zip(&source[start..start + out.len()]) {
+                    *s += g;
+                }
+            }
+            for (d, s) in out.iter_mut().zip(sum) {
+                *d += s * scale;
+            }
+        }
     }
 }
 

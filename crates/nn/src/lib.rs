@@ -27,6 +27,7 @@
 
 #![warn(missing_docs)]
 
+mod dispatch;
 pub mod graph;
 pub mod layers;
 pub mod optim;

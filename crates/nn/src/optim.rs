@@ -7,9 +7,12 @@
 //! A step is element-wise, so any partition of a tensor gives the same bits:
 //! each tensor is cut into tasks of `ELEMENTWISE_TASK` elements that the
 //! worker threads share (a tensor of one task runs on the calling thread).
+//! A task's loop is `dispatched!`: four lanes wide on a CPU with AVX2, with
+//! the same bits.
 
 use rayon::prelude::*;
 
+use crate::dispatch::{dispatched, Body};
 use crate::graph::{Graph, Var};
 use crate::tensor::{Tensor, ELEMENTWISE_TASK};
 
@@ -48,11 +51,9 @@ impl Optimizer for Sgd {
                 .chunks_mut(ELEMENTWISE_TASK)
                 .zip(grad.data().chunks(ELEMENTWISE_TASK))
                 .collect();
-            tasks.into_par_iter().for_each(|(value, grad)| {
-                for (x, g) in value.iter_mut().zip(grad) {
-                    *x += scale * g;
-                }
-            });
+            tasks
+                .into_par_iter()
+                .for_each(|(value, grad)| sgd_update(Body::Native, value, grad, scale));
         }
     }
 
@@ -129,19 +130,44 @@ impl Optimizer for Adam {
                 .zip(v.data_mut().chunks_mut(ELEMENTWISE_TASK))
                 .collect();
             tasks.into_par_iter().for_each(|(((value, grad), m), v)| {
-                for (((x, g), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
-                    *m = c.beta1 * *m + (1.0 - c.beta1) * g;
-                    *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
-                    let m_hat = *m / bias1;
-                    let v_hat = *v / bias2;
-                    *x -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
-                }
+                adam_update(Body::Native, value, grad, m, v, c, (bias1, bias2))
             });
         }
     }
 
     fn parameters(&self) -> &[Var] {
         &self.params
+    }
+}
+
+dispatched! {
+    /// One task of [`Sgd::step`]: `x += scale · g` element-wise.
+    pub(crate) fn sgd_update(value: &mut [f64], grad: &[f64], scale: f64) {
+        for (x, g) in value.iter_mut().zip(grad) {
+            *x += scale * g;
+        }
+    }
+}
+
+dispatched! {
+    /// One task of [`Adam::step`]: both moments and the value, element-wise,
+    /// with the step's bias corrections `(1 − β₁ᵗ, 1 − β₂ᵗ)`.
+    pub(crate) fn adam_update(
+        value: &mut [f64],
+        grad: &[f64],
+        m: &mut [f64],
+        v: &mut [f64],
+        c: AdamConfig,
+        bias: (f64, f64),
+    ) {
+        let (bias1, bias2) = bias;
+        for (((x, g), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
+            *m = c.beta1 * *m + (1.0 - c.beta1) * g;
+            *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+            let m_hat = *m / bias1;
+            let v_hat = *v / bias2;
+            *x -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+        }
     }
 }
 

@@ -6,6 +6,8 @@
 
 use rand::Rng;
 
+use crate::dispatch::{dispatched, Body};
+
 /// Elements per task of a partitioned element-wise pass (the batch reduction
 /// over worker tapes, the optimizer steps).  A fixed count, never derived from
 /// the thread count: an element-wise pass gives the same bits under any
@@ -187,7 +189,7 @@ impl Tensor {
     pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         assert_eq!(out.shape(), (self.rows, other.cols), "output shape must be rows × cols");
-        matmul_acc(&self.data, &other.data, &mut out.data, self.cols, other.cols);
+        matmul_acc(Body::Native, &self.data, &other.data, &mut out.data, self.cols, other.cols);
     }
 
     /// Transpose.
@@ -222,96 +224,106 @@ impl Tensor {
 // TILE_ROWS samples and builds no transpose.  Every output element is still
 // the sum of the same products in the same ascending order from `+0.0` as the
 // naive triple loop, so results are bit-identical to it (the tests keep the
-// naive loops as the reference).
+// naive loops as the reference).  Each is `dispatched!`: the same loop runs
+// four lanes wide on a CPU with AVX2, with the same bits.
 
-/// `out += a · b`, tile by tile; `out` must be zero on entry.
-fn matmul_acc(a: &[f64], b: &[f64], out: &mut [f64], inner: usize, n: usize) {
-    if inner == 0 || n == 0 {
-        return;
+dispatched! {
+    /// `out += a · b`, tile by tile; `out` must be zero on entry.
+    pub(crate) fn matmul_acc(a: &[f64], b: &[f64], out: &mut [f64], inner: usize, n: usize) {
+        if inner == 0 || n == 0 {
+            return;
+        }
+        let tiles = a.chunks(TILE_ROWS * inner).zip(out.chunks_mut(TILE_ROWS * n));
+        for (a_tile, out_tile) in tiles {
+            for (k, b_row) in b.chunks_exact(n).enumerate() {
+                let rows = a_tile.chunks_exact(inner).zip(out_tile.chunks_exact_mut(n));
+                for (a_row, out_row) in rows {
+                    let a_ik = a_row[k];
+                    // ReLU activations make exact zeros common.
+                    if a_ik == 0.0 {
+                        continue;
+                    }
+                    for (o, b_kj) in out_row.iter_mut().zip(b_row) {
+                        *o += a_ik * b_kj;
+                    }
+                }
+            }
+        }
     }
-    for (a_tile, out_tile) in a.chunks(TILE_ROWS * inner).zip(out.chunks_mut(TILE_ROWS * n)) {
-        for (k, b_row) in b.chunks_exact(n).enumerate() {
-            for (a_row, out_row) in a_tile.chunks_exact(inner).zip(out_tile.chunks_exact_mut(n)) {
+}
+
+dispatched! {
+    /// `a_grad += g · bᵀ` over `b`'s rows as they lie: `∂a[r][k] = Σⱼ g[r][j]·b[k][j]`
+    /// is a dot product along a row of `b`.  One such sum is a serial chain of
+    /// additions, so the chains of a tile's rows run interleaved: the tile of `g`
+    /// is transposed into `lanes` (`n × TILE_ROWS`, missing rows zero) and each
+    /// `b[k][j]` feeds TILE_ROWS independent accumulators.
+    pub(crate) fn matmul_grad_a(
+        g: &[f64],
+        b: &[f64],
+        a_grad: &mut [f64],
+        inner: usize,
+        n: usize,
+        lanes: &mut Vec<f64>,
+    ) {
+        if inner == 0 || n == 0 {
+            return;
+        }
+        let tiles = g.chunks(TILE_ROWS * n).zip(a_grad.chunks_mut(TILE_ROWS * inner));
+        for (g_tile, a_grad_tile) in tiles {
+            lanes.clear();
+            lanes.resize(n * TILE_ROWS, 0.0);
+            for (r, g_row) in g_tile.chunks_exact(n).enumerate() {
+                for (j, g_rj) in g_row.iter().enumerate() {
+                    lanes[j * TILE_ROWS + r] = *g_rj;
+                }
+            }
+            for (k, b_row) in b.chunks_exact(n).enumerate() {
+                let mut acc = [0.0f64; TILE_ROWS];
+                for (g_j, b_kj) in lanes.chunks_exact(TILE_ROWS).zip(b_row) {
+                    for (sum, g_rj) in acc.iter_mut().zip(g_j) {
+                        *sum += g_rj * b_kj;
+                    }
+                }
+                for (a_grad_row, sum) in a_grad_tile.chunks_exact_mut(inner).zip(acc) {
+                    a_grad_row[k] += sum;
+                }
+            }
+        }
+    }
+}
+
+dispatched! {
+    /// `b_grad += aᵀ · g`: row `k` of the product, `Σᵢ a[i][k]·g[i][:]`, is
+    /// accumulated in `row` and then added to row `k` of `b_grad` — the gradient
+    /// may already hold another consumer's share, and `(x + p₀) + p₁` is not
+    /// `x + (p₀ + p₁)`.
+    pub(crate) fn matmul_grad_b(
+        a: &[f64],
+        g: &[f64],
+        b_grad: &mut [f64],
+        inner: usize,
+        n: usize,
+        row: &mut Vec<f64>,
+    ) {
+        if inner == 0 || n == 0 {
+            return;
+        }
+        for (k, b_grad_row) in b_grad.chunks_exact_mut(n).enumerate() {
+            row.clear();
+            row.resize(n, 0.0);
+            for (a_row, g_row) in a.chunks_exact(inner).zip(g.chunks_exact(n)) {
                 let a_ik = a_row[k];
-                // ReLU activations make exact zeros common.
                 if a_ik == 0.0 {
                     continue;
                 }
-                for (o, b_kj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * b_kj;
+                for (sum, g_ij) in row.iter_mut().zip(g_row) {
+                    *sum += a_ik * g_ij;
                 }
             }
-        }
-    }
-}
-
-/// `a_grad += g · bᵀ` over `b`'s rows as they lie: `∂a[r][k] = Σⱼ g[r][j]·b[k][j]`
-/// is a dot product along a row of `b`.  One such sum is a serial chain of
-/// additions, so the chains of a tile's rows run interleaved: the tile of `g`
-/// is transposed into `lanes` (`n × TILE_ROWS`, missing rows zero) and each
-/// `b[k][j]` feeds TILE_ROWS independent accumulators.
-pub(crate) fn matmul_grad_a(
-    g: &[f64],
-    b: &[f64],
-    a_grad: &mut [f64],
-    inner: usize,
-    n: usize,
-    lanes: &mut Vec<f64>,
-) {
-    if inner == 0 || n == 0 {
-        return;
-    }
-    for (g_tile, a_grad_tile) in g.chunks(TILE_ROWS * n).zip(a_grad.chunks_mut(TILE_ROWS * inner)) {
-        lanes.clear();
-        lanes.resize(n * TILE_ROWS, 0.0);
-        for (r, g_row) in g_tile.chunks_exact(n).enumerate() {
-            for (j, g_rj) in g_row.iter().enumerate() {
-                lanes[j * TILE_ROWS + r] = *g_rj;
+            for (d, sum) in b_grad_row.iter_mut().zip(row.iter()) {
+                *d += sum;
             }
-        }
-        for (k, b_row) in b.chunks_exact(n).enumerate() {
-            let mut acc = [0.0f64; TILE_ROWS];
-            for (g_j, b_kj) in lanes.chunks_exact(TILE_ROWS).zip(b_row) {
-                for (sum, g_rj) in acc.iter_mut().zip(g_j) {
-                    *sum += g_rj * b_kj;
-                }
-            }
-            for (a_grad_row, sum) in a_grad_tile.chunks_exact_mut(inner).zip(acc) {
-                a_grad_row[k] += sum;
-            }
-        }
-    }
-}
-
-/// `b_grad += aᵀ · g`: row `k` of the product, `Σᵢ a[i][k]·g[i][:]`, is
-/// accumulated in `row` and then added to row `k` of `b_grad` — the gradient
-/// may already hold another consumer's share, and `(x + p₀) + p₁` is not
-/// `x + (p₀ + p₁)`.
-pub(crate) fn matmul_grad_b(
-    a: &[f64],
-    g: &[f64],
-    b_grad: &mut [f64],
-    inner: usize,
-    n: usize,
-    row: &mut Vec<f64>,
-) {
-    if inner == 0 || n == 0 {
-        return;
-    }
-    for (k, b_grad_row) in b_grad.chunks_exact_mut(n).enumerate() {
-        row.clear();
-        row.resize(n, 0.0);
-        for (a_row, g_row) in a.chunks_exact(inner).zip(g.chunks_exact(n)) {
-            let a_ik = a_row[k];
-            if a_ik == 0.0 {
-                continue;
-            }
-            for (sum, g_ij) in row.iter_mut().zip(g_row) {
-                *sum += a_ik * g_ij;
-            }
-        }
-        for (d, sum) in b_grad_row.iter_mut().zip(row.iter()) {
-            *d += sum;
         }
     }
 }
@@ -457,14 +469,15 @@ mod tests {
             let mut expected_a = a_grad.clone();
             expected_a.add_assign(&naive_matmul(&g, &b.transpose()));
             let mut lanes = vec![f64::NAN; 3];
-            matmul_grad_a(g.data(), b.data(), a_grad.data_mut(), inner, n, &mut lanes);
+            let a_grad_data = a_grad.data_mut();
+            matmul_grad_a(Body::Native, g.data(), b.data(), a_grad_data, inner, n, &mut lanes);
             prop_assert_eq!(bits(&a_grad), bits(&expected_a));
 
             let mut b_grad = b.clone();
             let mut expected_b = b.clone();
             expected_b.add_assign(&naive_matmul(&a.transpose(), &g));
             let mut row = vec![f64::NAN; 3];
-            matmul_grad_b(a.data(), g.data(), b_grad.data_mut(), inner, n, &mut row);
+            matmul_grad_b(Body::Native, a.data(), g.data(), b_grad.data_mut(), inner, n, &mut row);
             prop_assert_eq!(bits(&b_grad), bits(&expected_b));
         }
     }

@@ -182,10 +182,16 @@ impl DiffTe {
     ///
     /// Batch-transparent: for a `B×num_paths` ratio node the result is a
     /// `B×1` column of per-sample penalties (a `1×1` scalar for one sample).
-    pub fn sensitivity_penalty(&self, graph: &mut Graph, ratios: Var, weights: &[f64]) -> Var {
+    /// The weights are shared with the tape, not copied.
+    pub fn sensitivity_penalty(
+        &self,
+        graph: &mut Graph,
+        ratios: Var,
+        weights: &Arc<Vec<f64>>,
+    ) -> Var {
         assert_eq!(weights.len(), self.num_pairs, "one weight per SD pair is required");
         let per_pair = self.max_sensitivity_per_pair(graph, ratios);
-        graph.dot_const(per_pair, Arc::new(weights.to_vec()))
+        graph.dot_const(per_pair, Arc::clone(weights))
     }
 }
 
@@ -245,7 +251,8 @@ mod tests {
         g.seal();
         let raw = g.input(Tensor::row(&vec![0.3; ps.num_paths()]));
         let ratios = diff.ratios_from_raw(&mut g, raw);
-        let weights: Vec<f64> = (0..ps.num_pairs()).map(|i| i as f64 * 0.5).collect();
+        let weights: Arc<Vec<f64>> =
+            Arc::new((0..ps.num_pairs()).map(|i| i as f64 * 0.5).collect());
         let penalty = diff.sensitivity_penalty(&mut g, ratios, &weights);
         let cfg = TeConfig::from_raw(&ps, g.value(ratios).data());
         let reference = robustness_penalty(&ps, &cfg, &weights);
@@ -277,7 +284,8 @@ mod tests {
         let flat_demands: Vec<f64> = demands.iter().flatten().cloned().collect();
         let mlu_col = diff.mlu_batch(&mut g, ratios, &flat_demands, MluAggregation::Max);
         assert_eq!(g.value(mlu_col).shape(), (batch, 1));
-        let penalty_weights: Vec<f64> = (0..ps.num_pairs()).map(|i| 0.1 * i as f64).collect();
+        let penalty_weights: Arc<Vec<f64>> =
+            Arc::new((0..ps.num_pairs()).map(|i| 0.1 * i as f64).collect());
         let pen_col = diff.sensitivity_penalty(&mut g, ratios, &penalty_weights);
         assert_eq!(g.value(pen_col).shape(), (batch, 1));
         let batched_mlus = g.value(mlu_col).data().to_vec();
