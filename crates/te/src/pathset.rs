@@ -7,9 +7,7 @@
 //! path traverses (`PathtoEdge`), so that MLU evaluation reduces to sparse
 //! matrix products.
 
-use figret_topology::{
-    k_shortest_paths, racke_paths, EdgeWeight, Graph, NodeId, Path, RackeConfig,
-};
+use figret_topology::{racke_paths, Graph, HopYen, NodeId, Path, RackeConfig};
 use figret_traffic::ActivePairs;
 use rayon::prelude::*;
 
@@ -18,6 +16,11 @@ pub type PairIndex = usize;
 
 /// Index of a path within a [`PathSet`] (global, across all pairs).
 pub type PathIndex = usize;
+
+/// Pairs one parallel task of [`PathSet::k_shortest_for_pairs`] runs Yen for:
+/// enough to amortize the task and its search scratch, few enough that a
+/// 12-pair PoD set stays on the calling thread and larger sets still balance.
+const YEN_CHUNK: usize = 64;
 
 /// The candidate paths of every SD pair plus cached incidence structures.
 #[derive(Debug, Clone)]
@@ -111,36 +114,39 @@ impl PathSet {
     }
 
     /// The paper's default path selection: the `k` shortest (hop-count) paths
-    /// per SD pair, computed with Yen's algorithm (§5.1, k = 3).
+    /// per SD pair, computed with Yen's algorithm (§5.1, k = 3).  This is
+    /// [`PathSet::k_shortest_for_pairs`] over [`ActivePairs::all`].
     pub fn k_shortest(graph: &Graph, k: usize) -> PathSet {
-        let per_pair = graph
-            .sd_pairs()
-            .into_iter()
-            .map(|(s, d)| k_shortest_paths(graph, s, d, k, EdgeWeight::HopCount))
-            .collect();
-        PathSet::from_paths(graph, per_pair)
+        PathSet::k_shortest_for_pairs(graph, &ActivePairs::all(graph.num_nodes()), k)
     }
 
     /// [`PathSet::k_shortest`] restricted to the active pairs of a sparse
-    /// demand universe.  Yen's algorithm runs only for the `nnz` active pairs
-    /// (in parallel — per-pair results are independent and deterministic), so
-    /// path selection on a 1024-ToR fabric with ~1% density does ~1% of the
-    /// dense work.  Over [`ActivePairs::all`] this equals
-    /// [`PathSet::k_shortest`] exactly.
+    /// demand universe.  Yen's algorithm runs only for the `nnz` active pairs,
+    /// so path selection on a 1024-ToR fabric with ~1% density does ~1% of
+    /// the dense work.  Per-pair results are independent and deterministic,
+    /// so chunks of 64 pairs run in parallel, each on one
+    /// [`HopYen`]'s scratch.
     pub fn k_shortest_for_pairs(graph: &Graph, active: &ActivePairs, k: usize) -> PathSet {
         assert_eq!(active.num_nodes(), graph.num_nodes(), "pair index must match the graph");
         let per_pair: Vec<Vec<Path>> = active
             .node_pairs()
-            .into_par_iter()
-            .map(|(s, d)| k_shortest_paths(graph, NodeId(s), NodeId(d), k, EdgeWeight::HopCount))
+            .par_chunks(YEN_CHUNK)
+            .flat_map(|chunk| {
+                let mut yen = HopYen::new(graph);
+                chunk.iter().map(|&(s, d)| yen.paths(NodeId(s), NodeId(d), k)).collect::<Vec<_>>()
+            })
             .collect();
         PathSet::from_paths_for_pairs(graph, active, per_pair)
     }
 
-    /// SMORE-style path selection: Räcke-inspired diverse, capacity-aware paths.
+    /// SMORE-style path selection: Räcke-inspired diverse, capacity-aware
+    /// paths, one independent selection per pair, run in parallel.
     pub fn racke(graph: &Graph, config: &RackeConfig) -> PathSet {
-        let per_pair =
-            graph.sd_pairs().into_iter().map(|(s, d)| racke_paths(graph, s, d, config)).collect();
+        let per_pair = graph
+            .sd_pairs()
+            .into_par_iter()
+            .map(|(s, d)| racke_paths(graph, s, d, config))
+            .collect();
         PathSet::from_paths(graph, per_pair)
     }
 
@@ -358,6 +364,19 @@ mod tests {
         let ps = PathSet::racke(&g, &RackeConfig::default());
         assert_eq!(ps.num_pairs(), 72);
         assert!(ps.num_paths() >= ps.num_pairs());
+    }
+
+    #[test]
+    fn racke_pathset_follows_sd_ordering() {
+        let g = TopologySpec::full_scale(Topology::PFabric).build();
+        let config = RackeConfig::default();
+        let ps = PathSet::racke(&g, &config);
+        assert_eq!(ps.pairs(), g.sd_pairs().as_slice());
+        for (pair, &(s, d)) in ps.pairs().iter().enumerate() {
+            let paths: Vec<&Path> = ps.paths_of_pair(pair).map(|pi| ps.path(pi)).collect();
+            let reference = racke_paths(&g, s, d, &config);
+            assert_eq!(paths, reference.iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   the paper);
 //! * [`paths::Path`] — simple directed paths with path capacity
 //!   `C_p = min_{e in p} c(e)`;
-//! * [`shortest`] — Dijkstra and Yen's k-shortest-paths (the paper's candidate
-//!   path selection, §5.1);
+//! * [`shortest`] — Yen's k-shortest-paths over hop count on a breadth-first
+//!   search (the paper's candidate path selection, §5.1), and a Dijkstra with
+//!   node and edge bans for the capacity-aware costs of [`racke`];
 //! * [`racke`] — Räcke-style diverse path selection (the SMORE path set,
 //!   Figure 6);
 //! * [`generators`] — deterministic constructors for every topology of Table 1;
@@ -19,12 +20,12 @@
 //!
 //! ```
 //! use figret_topology::generators::{Topology, TopologySpec};
-//! use figret_topology::shortest::{k_shortest_paths, EdgeWeight};
+//! use figret_topology::shortest::k_shortest_paths;
 //! use figret_topology::graph::NodeId;
 //!
 //! let geant = TopologySpec::full_scale(Topology::Geant).build();
 //! assert_eq!(geant.num_nodes(), 23);
-//! let paths = k_shortest_paths(&geant, NodeId(0), NodeId(5), 3, EdgeWeight::HopCount);
+//! let paths = k_shortest_paths(&geant, NodeId(0), NodeId(5), 3);
 //! assert!(!paths.is_empty());
 //! ```
 
@@ -43,8 +44,8 @@ pub use failures::{random_link_failures, FailureScenario};
 pub use generators::{build_topology, Scale, Topology, TopologySpec};
 pub use graph::{Edge, EdgeId, Graph, GraphError, NodeId};
 pub use paths::Path;
-pub use racke::{racke_paths, racke_paths_all_pairs, RackeConfig};
-pub use shortest::{dijkstra_with_bans, k_shortest_paths, shortest_path, EdgeWeight};
+pub use racke::{racke_paths, RackeConfig};
+pub use shortest::{dijkstra_with_bans, k_shortest_paths, shortest_path, EdgeWeight, HopYen};
 
 #[cfg(test)]
 mod proptests {
@@ -76,7 +77,7 @@ mod proptests {
         fn yen_paths_are_simple_sorted_and_distinct(g in arbitrary_connected_graph(), k in 1usize..5) {
             let src = NodeId(0);
             let dst = NodeId(g.num_nodes() - 1);
-            let paths = k_shortest_paths(&g, src, dst, k, EdgeWeight::HopCount);
+            let paths = k_shortest_paths(&g, src, dst, k);
             prop_assert!(paths.len() <= k);
             prop_assert!(!paths.is_empty());
             for w in paths.windows(2) {

@@ -65,13 +65,6 @@ pub fn racke_paths(graph: &Graph, src: NodeId, dst: NodeId, config: &RackeConfig
     result
 }
 
-/// Selects Räcke-style paths for every ordered source-destination pair.
-///
-/// The result is indexed in the same SD-pair order as [`Graph::sd_pairs`].
-pub fn racke_paths_all_pairs(graph: &Graph, config: &RackeConfig) -> Vec<Vec<Path>> {
-    graph.sd_pairs().into_iter().map(|(s, d)| racke_paths(graph, s, d, config)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,19 +107,6 @@ mod tests {
         let mut g = Graph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
         assert!(racke_paths(&g, NodeId(0), NodeId(2), &RackeConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn all_pairs_matches_sd_ordering() {
-        let g = diamond();
-        let all = racke_paths_all_pairs(&g, &RackeConfig::default());
-        assert_eq!(all.len(), g.sd_pairs().len());
-        for ((s, d), paths) in g.sd_pairs().into_iter().zip(&all) {
-            for p in paths {
-                assert_eq!(p.source(), s);
-                assert_eq!(p.destination(), d);
-            }
-        }
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! The paper (§5.1) pre-computes the three shortest paths between every pair of
 //! nodes with Yen's algorithm and uses them as the candidate paths for flow
-//! allocation.  [`k_shortest_paths`] implements Yen's algorithm on top of a
-//! Dijkstra that supports masking out nodes and edges.
+//! allocation.  [`k_shortest_paths`] implements Yen's algorithm over hop count
+//! on a breadth-first search ([`HopYen`]); the Dijkstra that supports masking
+//! out nodes and edges serves the capacity-aware costs of Räcke-style path
+//! selection.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -135,116 +137,192 @@ pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId, weight: EdgeWeight
     dijkstra_with_bans(graph, src, dst, |e| weight.cost(graph, e), &banned_nodes, &banned_edges)
 }
 
-fn path_cost<F: Fn(EdgeId) -> f64>(path: &Path, cost: &F) -> f64 {
-    path.edges().iter().map(|&e| cost(e)).sum()
-}
-
-/// Yen's algorithm: up to `k` loop-free shortest paths from `src` to `dst`,
-/// ordered by increasing cost.
+/// Yen's algorithm over hop count: up to `k` loop-free shortest paths from
+/// `src` to `dst`, ordered by increasing hop count.  This is the paper's
+/// candidate path selection (§5.1, k = 3).
 ///
-/// Ties are broken deterministically (by the node sequence), so the result is
-/// stable across runs, which matters for reproducible experiments.
-pub fn k_shortest_paths(
-    graph: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    weight: EdgeWeight,
-) -> Vec<Path> {
-    k_shortest_paths_with_cost(graph, src, dst, k, |e| weight.cost(graph, e))
+/// Two deterministic rules fix every tie, so the result is stable across runs
+/// (which matters for reproducible experiments):
+///
+/// * each shortest (and spur) path is the one a search that settles nodes in
+///   (hop distance, node index) order finds: a node's predecessor is the first
+///   of its in-edges, in the `out_edges` order of the lowest-indexed node one
+///   hop closer, so that of parallel edges the first stored one wins;
+/// * among the candidate paths of equal hop count, the one with the smallest
+///   node sequence is promoted, and of candidates with equal node sequences
+///   (parallel edges) the one found first.
+///
+/// Building a [`HopYen`] once and reusing it for many pairs avoids the
+/// per-call scratch allocation.
+pub fn k_shortest_paths(graph: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+    HopYen::new(graph).paths(src, dst, k)
 }
 
-/// Yen's algorithm with an arbitrary non-negative edge-cost function.
-pub fn k_shortest_paths_with_cost<F>(
-    graph: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    cost: F,
-) -> Vec<Path>
-where
-    F: Fn(EdgeId) -> f64,
-{
-    if k == 0 || src == dst {
-        return Vec::new();
+/// Reusable state for hop-count Yen ([`k_shortest_paths`]) on one graph.
+///
+/// Each spur search is a level-by-level breadth-first search that reproduces
+/// the settle order of a Dijkstra with unit costs and a (distance, node index)
+/// heap: each level is expanded in ascending node index, out-edges are walked
+/// in stored order, a node's predecessor is fixed when it is first discovered,
+/// and the search stops as soon as the destination is discovered (its
+/// predecessor chain is final by then).  Visited and banned nodes share one
+/// stamped array, so a search clears nothing; the few edges a spur bans are a
+/// short list.
+#[derive(Debug)]
+pub struct HopYen<'g> {
+    graph: &'g Graph,
+    /// `seen[v] == stamp`: `v` was discovered, or is banned, in this search.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// Edge a discovered node was first reached by.
+    prev: Vec<EdgeId>,
+    level: Vec<NodeId>,
+    next: Vec<NodeId>,
+    banned_edges: Vec<EdgeId>,
+}
+
+impl<'g> HopYen<'g> {
+    /// Scratch sized for `graph`.
+    pub fn new(graph: &'g Graph) -> HopYen<'g> {
+        let n = graph.num_nodes();
+        HopYen {
+            graph,
+            seen: vec![0; n],
+            stamp: 0,
+            prev: vec![EdgeId(0); n],
+            level: Vec::new(),
+            next: Vec::new(),
+            banned_edges: Vec::new(),
+        }
     }
-    let banned_nodes_none = vec![false; graph.num_nodes()];
-    let banned_edges_none = vec![false; graph.num_edges()];
-    let first =
-        match dijkstra_with_bans(graph, src, dst, &cost, &banned_nodes_none, &banned_edges_none) {
-            Some(p) => p,
-            None => return Vec::new(),
-        };
-    let mut result: Vec<Path> = vec![first];
-    // Candidate set: (cost, node-sequence) to get deterministic ordering.
-    let mut candidates: Vec<(f64, Path)> = Vec::new();
 
-    while result.len() < k {
-        let last = result.last().expect("result has at least one path").clone();
-        let last_nodes = last.nodes().to_vec();
-        // Spur node ranges over every node of the previous path except the destination.
-        for i in 0..last_nodes.len() - 1 {
-            let spur_node = last_nodes[i];
-            let root_nodes = &last_nodes[..=i];
+    /// Up to `k` shortest simple paths from `src` to `dst`; see
+    /// [`k_shortest_paths`].
+    pub fn paths(&mut self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+        if k == 0 || src == dst {
+            return Vec::new();
+        }
+        let graph = self.graph;
+        self.banned_edges.clear();
+        let mut first = Vec::new();
+        if !self.search(src, dst, &[], &mut first) {
+            return Vec::new();
+        }
+        let mut result =
+            vec![Path::from_edges(graph, first).expect("a breadth-first path is simple")];
+        let mut candidates: Vec<Path> = Vec::new();
+        let mut edges = Vec::new();
 
-            let mut banned_edges = vec![false; graph.num_edges()];
-            let mut banned_nodes = vec![false; graph.num_nodes()];
-            // Ban edges that would recreate an already-found path sharing this root.
-            for p in result.iter().map(|p| p.nodes()).chain(std::iter::empty()) {
-                if p.len() > i && p[..=i] == *root_nodes {
-                    // Ban the edge leaving the spur node on that path.
-                    if let Some(next) = p.get(i + 1) {
-                        // Find the concrete edge used by that path.
-                        for res in &result {
-                            if res.nodes().len() > i + 1
-                                && res.nodes()[..=i] == *root_nodes
-                                && res.nodes()[i + 1] == *next
-                            {
-                                banned_edges[res.edges()[i].index()] = true;
-                            }
-                        }
+        while result.len() < k {
+            let last = &result[result.len() - 1];
+            // Spur node ranges over every node of the previous path except the destination.
+            for i in 0..last.nodes().len() - 1 {
+                let root_nodes = &last.nodes()[..=i];
+                // Ban the edge leaving the spur node on every found path that
+                // shares this root, so the spur cannot recreate it.
+                self.banned_edges.clear();
+                for p in &result {
+                    if p.nodes().len() > i + 1 && p.nodes()[..=i] == *root_nodes {
+                        self.banned_edges.push(p.edges()[i]);
                     }
                 }
-            }
-            // Ban the root nodes (except the spur node itself) to keep paths simple.
-            for node in &root_nodes[..i] {
-                banned_nodes[node.index()] = true;
-            }
-
-            let spur =
-                dijkstra_with_bans(graph, spur_node, dst, &cost, &banned_nodes, &banned_edges);
-            if let Some(spur_path) = spur {
-                // Total path = root edges + spur edges.
-                let mut edges: Vec<EdgeId> = last.edges()[..i].to_vec();
-                edges.extend_from_slice(spur_path.edges());
-                if let Some(total) = Path::from_edges(graph, edges) {
-                    let c = path_cost(&total, &cost);
-                    let duplicate = result.iter().any(|p| p == &total)
-                        || candidates.iter().any(|(_, p)| p == &total);
-                    if !duplicate {
-                        candidates.push((c, total));
-                    }
+                // Total path = root edges + spur edges; the root nodes other
+                // than the spur node are banned to keep it simple.
+                edges.clear();
+                edges.extend_from_slice(&last.edges()[..i]);
+                let found = self.search(root_nodes[i], dst, &root_nodes[..i], &mut edges);
+                if found
+                    && !result.iter().any(|p| p.edges() == edges.as_slice())
+                    && !candidates.iter().any(|p| p.edges() == edges.as_slice())
+                {
+                    let total = Path::from_edges(graph, edges.clone());
+                    candidates.push(total.expect("a spur avoids the root nodes"));
                 }
             }
+            // Promote the shortest candidate; ties go to the smaller node
+            // sequence, then to the candidate found first.
+            let best = (0..candidates.len()).min_by(|&a, &b| {
+                let (a, b) = (&candidates[a], &candidates[b]);
+                a.len().cmp(&b.len()).then_with(|| a.nodes().cmp(b.nodes()))
+            });
+            match best {
+                Some(best) => result.push(candidates.remove(best)),
+                None => break,
+            }
         }
-        if candidates.is_empty() {
-            break;
-        }
-        // Pick the cheapest candidate; tie-break on the node sequence for determinism.
-        candidates.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| a.1.nodes().cmp(b.1.nodes()))
-        });
-        let (_, best) = candidates.remove(0);
-        result.push(best);
+        result
     }
-    result
+
+    /// Breadth-first search from `src` to `dst` that enters no node of
+    /// `banned_nodes` and takes no edge of `self.banned_edges`.  On success
+    /// appends the path's edges to `out` and returns `true`.
+    fn search(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        banned_nodes: &[NodeId],
+        out: &mut Vec<EdgeId>,
+    ) -> bool {
+        let graph = self.graph;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        let stamp = self.stamp;
+        self.seen[src.index()] = stamp;
+        for node in banned_nodes {
+            self.seen[node.index()] = stamp;
+        }
+        self.level.clear();
+        self.level.push(src);
+        let mut found = false;
+        'levels: while !self.level.is_empty() {
+            self.next.clear();
+            for &node in &self.level {
+                // Every banned edge leaves the spur node, the search's source.
+                let banned: &[EdgeId] = if node == src { &self.banned_edges } else { &[] };
+                for &eid in graph.out_edges(node) {
+                    if banned.contains(&eid) {
+                        continue;
+                    }
+                    let to = graph.edge(eid).dst;
+                    if self.seen[to.index()] == stamp {
+                        continue;
+                    }
+                    self.seen[to.index()] = stamp;
+                    self.prev[to.index()] = eid;
+                    if to == dst {
+                        found = true;
+                        break 'levels;
+                    }
+                    self.next.push(to);
+                }
+            }
+            self.next.sort_unstable();
+            std::mem::swap(&mut self.level, &mut self.next);
+        }
+        if found {
+            let start = out.len();
+            let mut cur = dst;
+            while cur != src {
+                let eid = self.prev[cur.index()];
+                out.push(eid);
+                cur = graph.edge(eid).src;
+            }
+            out[start..].reverse();
+        }
+        found
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::FabricSpec;
+    use crate::failures::random_link_failures;
+    use crate::generators::{random_regular, Topology, TopologySpec};
+    use proptest::prelude::*;
 
     /// Diamond: 0 -> 1 -> 3 (short), 0 -> 2 -> 3 (short), 0 -> 3 via 1 and 2 (long).
     fn diamond() -> Graph {
@@ -255,6 +333,77 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(3), 10.0).unwrap(); // e3
         g.add_edge(NodeId(1), NodeId(2), 10.0).unwrap(); // e4
         g
+    }
+
+    /// Yen's algorithm on [`dijkstra_with_bans`] with unit costs: the
+    /// implementation [`HopYen`] replaced, kept as its oracle.
+    fn dijkstra_yen(graph: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+        if k == 0 || src == dst {
+            return Vec::new();
+        }
+        let cost = |_: EdgeId| 1.0;
+        let banned_nodes_none = vec![false; graph.num_nodes()];
+        let banned_edges_none = vec![false; graph.num_edges()];
+        let first =
+            match dijkstra_with_bans(graph, src, dst, cost, &banned_nodes_none, &banned_edges_none)
+            {
+                Some(p) => p,
+                None => return Vec::new(),
+            };
+        let mut result: Vec<Path> = vec![first];
+        let mut candidates: Vec<(f64, Path)> = Vec::new();
+        while result.len() < k {
+            let last = result.last().expect("result has at least one path").clone();
+            let last_nodes = last.nodes().to_vec();
+            for i in 0..last_nodes.len() - 1 {
+                let spur_node = last_nodes[i];
+                let root_nodes = &last_nodes[..=i];
+                let mut banned_edges = vec![false; graph.num_edges()];
+                let mut banned_nodes = vec![false; graph.num_nodes()];
+                for p in result.iter().map(|p| p.nodes()) {
+                    if p.len() > i && p[..=i] == *root_nodes {
+                        if let Some(next) = p.get(i + 1) {
+                            for res in &result {
+                                if res.nodes().len() > i + 1
+                                    && res.nodes()[..=i] == *root_nodes
+                                    && res.nodes()[i + 1] == *next
+                                {
+                                    banned_edges[res.edges()[i].index()] = true;
+                                }
+                            }
+                        }
+                    }
+                }
+                for node in &root_nodes[..i] {
+                    banned_nodes[node.index()] = true;
+                }
+                let spur =
+                    dijkstra_with_bans(graph, spur_node, dst, cost, &banned_nodes, &banned_edges);
+                if let Some(spur_path) = spur {
+                    let mut edges: Vec<EdgeId> = last.edges()[..i].to_vec();
+                    edges.extend_from_slice(spur_path.edges());
+                    if let Some(total) = Path::from_edges(graph, edges) {
+                        let c = total.weight(cost);
+                        let duplicate = result.iter().any(|p| p == &total)
+                            || candidates.iter().any(|(_, p)| p == &total);
+                        if !duplicate {
+                            candidates.push((c, total));
+                        }
+                    }
+                }
+            }
+            if candidates.is_empty() {
+                break;
+            }
+            candidates.sort_by(|a, b| {
+                a.0.partial_cmp(&b.0)
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| a.1.nodes().cmp(b.1.nodes()))
+            });
+            let (_, best) = candidates.remove(0);
+            result.push(best);
+        }
+        result
     }
 
     #[test]
@@ -288,7 +437,7 @@ mod tests {
     #[test]
     fn yen_returns_k_distinct_sorted_paths() {
         let g = diamond();
-        let paths = k_shortest_paths(&g, NodeId(0), NodeId(3), 3, EdgeWeight::HopCount);
+        let paths = k_shortest_paths(&g, NodeId(0), NodeId(3), 3);
         assert_eq!(paths.len(), 3);
         // Sorted by length.
         assert!(paths[0].len() <= paths[1].len());
@@ -310,10 +459,10 @@ mod tests {
         let mut g = Graph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
         g.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
-        let paths = k_shortest_paths(&g, NodeId(0), NodeId(2), 5, EdgeWeight::HopCount);
+        let paths = k_shortest_paths(&g, NodeId(0), NodeId(2), 5);
         assert_eq!(paths.len(), 1);
-        assert!(k_shortest_paths(&g, NodeId(0), NodeId(2), 0, EdgeWeight::HopCount).is_empty());
-        assert!(k_shortest_paths(&g, NodeId(2), NodeId(0), 3, EdgeWeight::HopCount).is_empty());
+        assert!(k_shortest_paths(&g, NodeId(0), NodeId(2), 0).is_empty());
+        assert!(k_shortest_paths(&g, NodeId(2), NodeId(0), 3).is_empty());
     }
 
     #[test]
@@ -326,5 +475,98 @@ mod tests {
         assert_eq!(hop.len(), 1);
         let cap = shortest_path(&g, NodeId(0), NodeId(2), EdgeWeight::InverseCapacity).unwrap();
         assert_eq!(cap.len(), 2);
+    }
+
+    /// A copy of `graph` without the given edges; the others keep their order.
+    fn without_edges(graph: &Graph, failed: &[EdgeId]) -> Graph {
+        let mut g = Graph::new(graph.num_nodes());
+        for (id, e) in graph.edges() {
+            if !failed.contains(&id) {
+                g.add_edge(e.src, e.dst, e.capacity).unwrap();
+            }
+        }
+        g
+    }
+
+    /// A bidirectional ring of `n` nodes plus chords, some one-way and some
+    /// parallel to an existing edge, and sometimes an isolated node (pairs
+    /// with no path).
+    fn ring_with_chords(n: usize, chords: &[(usize, usize, usize)], isolated: bool) -> Graph {
+        let mut g = Graph::new(n + usize::from(isolated));
+        for i in 0..n {
+            g.add_bidirectional(NodeId(i), NodeId((i + 1) % n), 10.0).unwrap();
+        }
+        for &(a, b, one_way) in chords {
+            let (a, b) = (NodeId(a % n), NodeId(b % n));
+            if a == b {
+                continue;
+            }
+            if one_way == 1 {
+                g.add_edge(a, b, 10.0).unwrap();
+            } else {
+                g.add_bidirectional(a, b, 10.0).unwrap();
+            }
+        }
+        g
+    }
+
+    /// Every graph family Yen runs on: rings with chords, random-regular
+    /// (Jellyfish) fabrics, two-tier pod fabrics, and reduced Table 1
+    /// topologies with a few links failed (some pairs have fewer than k paths).
+    fn yen_graph() -> impl Strategy<Value = Graph> {
+        let chords = proptest::collection::vec((0usize..12, 0usize..12, 0usize..2), 0..16);
+        (0usize..5, 3usize..40, chords, 3usize..6, 0u64..u64::MAX).prop_map(
+            |(family, n, chords, degree, seed)| match family {
+                0 | 1 => ring_with_chords(n % 12 + 3, &chords, family == 1),
+                2 => random_regular("rr", n.max(6), degree, 1.0, seed),
+                3 => FabricSpec::two_tier(8 * (2 + n % 3)).build().graph,
+                _ => {
+                    let g = TopologySpec::reduced(Topology::all()[n % 8]).build();
+                    match random_link_failures(&g, 1 + degree % 3, seed) {
+                        Some(failed) => without_edges(&g, failed.failed_edges()),
+                        None => g,
+                    }
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every pair of a small graph and a sample of a large one's, through
+        /// one reused [`HopYen`].
+        #[test]
+        fn hop_yen_matches_the_dijkstra_oracle(
+            g in yen_graph(),
+            k in 1usize..7,
+            picks in proptest::collection::vec((0usize..1000, 0usize..1000), 12),
+        ) {
+            let n = g.num_nodes();
+            let pairs: Vec<(usize, usize)> = if n <= 16 {
+                (0..n).flat_map(|s| (0..n).map(move |d| (s, d))).collect()
+            } else {
+                picks.into_iter().map(|(s, d)| (s % n, d % n)).collect()
+            };
+            let mut yen = HopYen::new(&g);
+            for (s, d) in pairs {
+                let (src, dst) = (NodeId(s), NodeId(d));
+                prop_assert_eq!(yen.paths(src, dst, k), dijkstra_yen(&g, src, dst, k));
+            }
+        }
+    }
+
+    #[test]
+    fn search_stamps_survive_wraparound() {
+        let g = TopologySpec::reduced(Topology::Geant).build();
+        let mut yen = HopYen::new(&g);
+        yen.stamp = u32::MAX - 3;
+        for d in 1..g.num_nodes() {
+            assert_eq!(
+                yen.paths(NodeId(0), NodeId(d), 3),
+                dijkstra_yen(&g, NodeId(0), NodeId(d), 3)
+            );
+        }
+        assert!(yen.stamp < u32::MAX - 3, "the stamp wrapped");
     }
 }
