@@ -262,8 +262,9 @@ impl FigretModel {
 
     /// Runs one batched forward/backward pass over the samples of `chunk` on
     /// a worker tape.  The *sums* (not means) of the parameter gradients over
-    /// the chunk stay on the tape; the sums of the (loss, MLU, penalty) terms
-    /// are returned.
+    /// the chunk stay on the tape for the batch reduction — a weight's as the
+    /// operands of its product, which the reduction multiplies out; the sums
+    /// of the (loss, MLU, penalty) terms are returned.
     fn microbatch_gradients(
         &self,
         tape: &mut WorkerTape,

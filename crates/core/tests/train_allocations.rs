@@ -4,20 +4,25 @@
 //!
 //! Before PR 18 every microbatch cloned the parameter tape and `backward`
 //! cloned its way down it: seven allocations the size of the largest weight
-//! matrix per microbatch and two more per batch.  Now the worker tapes, their
-//! gradient buffers and the Adam moments are allocated once per `train` call,
-//! the tapes recycle the storage of their transient nodes, and the optimizer
-//! writes the weights where they lie — so training for more epochs must not
-//! allocate anything weight-sized that training for fewer did not, and what an
-//! extra epoch does allocate (the per-microbatch demand constants of the loss,
-//! the parallel iterator's bookkeeping) is bounded by the data, not the model.
+//! matrix per microbatch and two more per batch.  Now the worker tapes and the
+//! Adam moments are allocated once per `train` call, the tapes recycle the
+//! storage of their transient nodes, and the optimizer writes the weights
+//! where they lie — so training for more epochs must not allocate anything
+//! weight-sized that training for fewer did not.  Nor does a tape hold a
+//! weight's gradient (the batch reduction computes it from the tapes'
+//! operands), so the weight-sized allocations do not grow with the number of
+//! tapes either — that is what keeps training's peak memory near one copy of
+//! the model's state whatever the batch size.  What an extra epoch does
+//! allocate (the per-microbatch demand constants of the loss, the parallel
+//! iterator's bookkeeping) is bounded by the data, not the model.
 //!
 //! The same counters bound what building the training set allocates: twice
 //! its distinct numbers, where the dense dataset before PR 20 cloned `H + 1`
 //! matrices per sample.
 //!
-//! This file holds ONE test: the counters are process-wide, and the test
-//! harness runs the tests of a binary on concurrent threads.
+//! This file holds ONE test and runs it from a plain `main` (`harness =
+//! false`): the count is process-wide, so nothing but the test and the thread
+//! pool may run while it is taken — not libtest's threads, nor a second test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,7 +80,6 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-#[test]
 fn extra_epochs_allocate_nothing_weight_sized() {
     let pod = TopologySpec::full_scale(Topology::MetaDbPod).build();
     let paths = PathSet::k_shortest(&pod, 3);
@@ -102,24 +106,34 @@ fn extra_epochs_allocate_nothing_weight_sized() {
     let largest_parameter = widths.windows(2).map(|w| w[0] * w[1]).max().expect("two layers");
     LARGE_BYTES.store(largest_parameter * std::mem::size_of::<f64>(), Ordering::Relaxed);
 
-    let measure = |epochs: usize| {
-        let mut model =
-            FigretModel::new(&paths, &variances, FigretConfig { epochs, ..config.clone() });
+    let measure = |epochs: usize, batch_size: usize| {
+        let config = FigretConfig { epochs, batch_size, ..config.clone() };
+        let mut model = FigretModel::new(&paths, &variances, config);
         LARGE_ALLOCATIONS.store(0, Ordering::Relaxed);
         BYTES.store(0, Ordering::Relaxed);
         let report = model.train(&dataset);
         assert_eq!(report.epochs.len(), epochs);
         (LARGE_ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
     };
-    let (large_short, bytes_short) = measure(2);
-    let (large_long, bytes_long) = measure(6);
+    let (large_short, bytes_short) = measure(2, 32);
+    let (large_long, bytes_long) = measure(6, 32);
 
-    assert!(large_short > 0, "the tapes and Adam moments of a training call are weight-sized");
+    assert!(large_short > 0, "the model's gradients and Adam moments are weight-sized");
     assert_eq!(
         large_long,
         large_short,
         "four more epochs made {} more weight-sized allocations",
         large_long as isize - large_short as isize
+    );
+    // A worker tape holds no weight gradient — the batch reduction forms
+    // each weight's from the tapes' operands — so one tape (batch 8) and four
+    // (batch 32) make the same weight-sized allocations.
+    let (large_one_tape, _) = measure(2, 8);
+    assert_eq!(
+        large_short,
+        large_one_tape,
+        "four worker tapes made {} more weight-sized allocations than one",
+        large_short as isize - large_one_tape as isize
     );
     // What an epoch still allocates is per-sample data of the loss — each
     // sample's demand row and its per-path expansion — plus bookkeeping per
@@ -132,5 +146,15 @@ fn extra_epochs_allocate_nothing_weight_sized() {
     assert!(
         per_extra_epoch < bound,
         "an extra epoch allocates {per_extra_epoch} bytes, over the data-determined {bound}"
+    );
+}
+
+#[path = "../../../tests/support/single_test_main.rs"]
+mod single_test_main;
+
+fn main() {
+    single_test_main::run(
+        "extra_epochs_allocate_nothing_weight_sized",
+        extra_epochs_allocate_nothing_weight_sized,
     );
 }

@@ -91,9 +91,8 @@ pub(crate) use dispatched;
 #[cfg(test)]
 mod tests {
     use super::Body;
-    use crate::graph::add_scaled_sum;
     use crate::optim::{adam_update, sgd_update};
-    use crate::tensor::{matmul_acc, matmul_grad_a, matmul_grad_b};
+    use crate::tensor::{add_grad_b_sum, matmul_acc, matmul_grad_a, GradPart};
     use crate::AdamConfig;
     use proptest::prelude::*;
 
@@ -124,9 +123,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Shapes run 1–37 on each side, straddling TILE_ROWS = 8 and the
-        /// four-lane width; the outputs of the backward kernels and of the
-        /// tape reduction already hold a share, as a gradient does.
+        /// Shapes run 1–37 on each side, straddling TILE_ROWS = 8, the
+        /// four-lane width and the ∂b kernel's 16-column block; the outputs of
+        /// the backward kernels already hold a share, as a gradient does.
         #[test]
         fn avx2_bodies_match_the_portable_bodies_bit_for_bit(
             m in 1usize..38,
@@ -152,19 +151,26 @@ mod tests {
             both_bodies("matmul_grad_a", &take(m * inner, false), |body, a_grad| {
                 matmul_grad_a(body, &g, &b, a_grad, inner, n, &mut vec![f64::NAN; 3])
             });
-            both_bodies("matmul_grad_b", &take(inner * n, false), |body, b_grad| {
-                matmul_grad_b(body, &a, &g, b_grad, inner, n, &mut vec![f64::NAN; 3])
+            let product = GradPart::Product { a: &a, g: &g };
+            both_bodies("add_grad_b_sum", &take(inner * n, false), |body, b_grad| {
+                add_grad_b_sum(body, b_grad, 0, inner, n, &[product], 1.0)
+            });
+            // As the batch reduction runs it: one task, the weight's rows from
+            // `first_row` on, summing a tape's buffer, a full microbatch's
+            // product and a short one's (possibly of no rows).
+            let (first_row, short) = (inner / 2, m / 2);
+            let dense = take(inner * n, false);
+            let parts = [
+                GradPart::Dense(&dense),
+                product,
+                GradPart::Product { a: &a[..short * inner], g: &g[..short * n] },
+            ];
+            both_bodies("add_grad_b_sum", &take((inner - first_row) * n, false), |body, task| {
+                add_grad_b_sum(body, task, first_row, inner, n, &parts, 1.0 / 3.0)
             });
 
-            // The element-wise passes over a tensor of m·n elements, read at
-            // an offset into longer sources as a task of a long tensor is.
+            // The element-wise passes over a tensor of m·n elements.
             let len = m * n;
-            let offset = inner;
-            let tapes: Vec<Vec<f64>> = (0..3).map(|_| take(offset + len, false)).collect();
-            let sources: Vec<&[f64]> = tapes.iter().map(Vec::as_slice).collect();
-            both_bodies("add_scaled_sum", &take(len, false), |body, target| {
-                add_scaled_sum(body, target, &sources, offset, 1.0 / 3.0)
-            });
 
             let grad = take(len, true);
             both_bodies("sgd_update", &take(len, false), |body, x| {

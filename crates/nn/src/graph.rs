@@ -39,14 +39,19 @@
 //! # Data-parallel training without copies
 //!
 //! Mini-batch training runs its microbatches in parallel, each on a
-//! [`WorkerTape`]: a tape with its own transient nodes, scratch and one
-//! gradient buffer per parameter, that lives for the whole training call and
-//! holds no weights.  [`WorkerTape::run`] lends it the owner's parameter
-//! values — one [`Arc`] clone — for a forward/backward pass, so all workers
-//! read the one copy of the weights; the batch reduction
-//! ([`Graph::add_scaled_grad_sum`]) then reads the tapes' gradients where they
-//! lie, and the optimizer finds the weights unshared and updates them in
-//! place.  Nothing the size of a weight matrix is allocated per step.
+//! [`WorkerTape`]: a tape with its own transient nodes and scratch, that lives
+//! for the whole training call and holds neither weights nor their gradients.
+//! [`WorkerTape::run`] lends it the owner's parameter values — one [`Arc`]
+//! clone — for a forward/backward pass, so all workers read the one copy of
+//! the weights.  A tape's backward pass stops short of each weight's gradient
+//! `∂W = aᵀ·g`: it leaves `a` and `g` where they lie, and the batch reduction
+//! ([`Graph::add_scaled_grad_sum`]) forms every tape's product for a weight
+//! inside the one sum over tapes, writing each element of the owner's
+//! gradient once.  (Biases and any parameter read otherwise keep a small
+//! gradient buffer on the tape, which the reduction reads in place.)  The
+//! optimizer then finds the weights unshared and updates them in place.
+//! Nothing the size of a weight matrix is allocated per step, and nothing the
+//! size of one is allocated per tape.
 //!
 //! # Bit-identity
 //!
@@ -57,12 +62,16 @@
 //! naive triple loop.  `backward` adds each contribution to an operand's
 //! gradient as one value per element — built in a scratch row first when the
 //! contribution is itself a sum — exactly as if it had been materialized as a
-//! tensor.  And only element-wise passes are partitioned over threads (in
-//! fixed-size tasks); every *reduction* — over a batch's rows, over the
-//! tapes — runs in index order on one thread per output element.  The vector
-//! width does not enter either: the dense kernels and the tape reduction are
-//! `dispatched!`, one body run four lanes wide on a CPU with AVX2 and two
-//! lanes wide elsewhere, with the same operations in the same order.
+//! tensor.  And only independent output elements are partitioned over threads
+//! (in fixed-size tasks); every *reduction* — over a batch's rows, over the
+//! tapes — runs in index order on one thread per output element.  Deferring a
+//! tape's weight gradient to the reduction keeps all three: the reduction
+//! computes `(((0 + s₀) + s₁) + …) · scale` with each `s_t` the same sum the
+//! tape would have stored, and storing it would only have added it to `+0.0`,
+//! which moves no bit.  The vector width does not enter either: the dense
+//! kernels (the one `∂b` kernel is the tape reduction) are `dispatched!`, one
+//! body run four lanes wide on a CPU with AVX2 and two lanes wide elsewhere,
+//! with the same operations in the same order.
 //!
 //! Constants attached to operations are shared through [`Arc`].
 
@@ -71,8 +80,8 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use crate::dispatch::{dispatched, Body};
-use crate::tensor::{matmul_grad_a, matmul_grad_b, Tensor, ELEMENTWISE_TASK};
+use crate::dispatch::Body;
+use crate::tensor::{add_grad_b_sum, matmul_grad_a, GradPart, Tensor, ELEMENTWISE_TASK};
 
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,6 +224,52 @@ pub struct Graph {
     /// is itself a sum, and the transposed gradient tile of `matmul`.
     row: Vec<f64>,
     lanes: Vec<f64>,
+    /// `true` on a [`WorkerTape`]: [`Graph::backward`] defers the gradient of
+    /// every weight it can to the batch reduction.
+    worker: bool,
+    /// On a worker tape, how the last [`Graph::backward`] treated each
+    /// parameter: what [`Graph::add_scaled_grad_sum`] reads of the tape.
+    /// Empty until then.
+    uses: Vec<ParamUse>,
+}
+
+/// How a worker tape's [`Graph::backward`] treats a parameter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ParamUse {
+    /// Nothing below the loss reads it: its gradient is zero.
+    Unused,
+    /// Read once, as the weight `w` of the product `a·w` at node `product`,
+    /// with `a` the transient node `left`: its gradient `aᵀ·g` is left to the
+    /// batch reduction, which reads `a` and the product's gradient `g` where
+    /// they lie on the tape.
+    Deferred { left: usize, product: usize },
+    /// Read some other way: its gradient is summed into a buffer on the tape.
+    Kept,
+}
+
+impl Op {
+    /// The nodes the op reads (a node read twice, twice).
+    fn operands(&self) -> [Option<usize>; 2] {
+        match *self {
+            Op::Leaf => [None, None],
+            Op::MatMul(a, b) | Op::Add(a, b) | Op::AddBias(a, b) => [Some(a), Some(b)],
+            Op::Relu(a)
+            | Op::Sigmoid(a)
+            | Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::MulConst(a, _)
+            | Op::SparseMatVec(a, _)
+            | Op::SegmentNormalize(a, _)
+            | Op::SegmentMax(a, _)
+            | Op::Max(a)
+            | Op::RowMax(a)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::DotConst(a, _)
+            | Op::LogSumExp(a, _)
+            | Op::RowLogSumExp(a, _) => [Some(a), None],
+        }
+    }
 }
 
 impl Graph {
@@ -291,6 +346,7 @@ impl Graph {
 
     /// Removes every transient node, keeping its storage for the next pass.
     fn truncate(&mut self) {
+        self.uses.clear();
         // `push` draws a node's value before its gradient and `buffer` pops
         // from the back, so storing last node first, gradient before value,
         // hands every buffer back to the node that held it.
@@ -336,7 +392,16 @@ impl Graph {
 
     /// The gradient of a node (valid after [`Graph::backward`]); empty for a
     /// data-only node.
+    ///
+    /// # Panics
+    /// On a worker tape, for a parameter: the tape's share of a parameter's
+    /// gradient is the batch reduction's to read, and for a weight it is never
+    /// formed ([`Graph::add_scaled_grad_sum`] gives the owner the result).
     pub fn grad(&self, v: Var) -> &Tensor {
+        assert!(
+            !self.worker || v.0 >= self.persistent,
+            "a worker tape's parameter gradients go to Graph::add_scaled_grad_sum; read the owner's"
+        );
         &self.nodes[v.0].grad
     }
 
@@ -391,37 +456,58 @@ impl Graph {
     /// parameters; see [`WorkerTape`].
     pub fn worker_tape(&self) -> WorkerTape {
         assert!(self.sealed, "worker tapes are made from a sealed graph");
-        let nodes = self.nodes[..self.persistent]
-            .iter()
-            .map(|n| Node {
-                value: Tensor::zeros(0, 0),
-                grad: Tensor::zeros(n.grad.rows(), n.grad.cols()),
-                op: Op::Leaf,
-                needs_grad: true,
-            })
-            .collect();
+        // No gradient buffers yet: `backward` makes the ones it needs.
+        let parameter = || Node {
+            value: Tensor::zeros(0, 0),
+            grad: Tensor::zeros(0, 0),
+            op: Op::Leaf,
+            needs_grad: true,
+        };
         WorkerTape {
-            tape: Graph { nodes, persistent: self.persistent, sealed: true, ..Graph::default() },
+            tape: Graph {
+                nodes: (0..self.persistent).map(|_| parameter()).collect(),
+                persistent: self.persistent,
+                sealed: true,
+                worker: true,
+                ..Graph::default()
+            },
         }
     }
 
     /// The batch reduction of data-parallel training: adds to the gradient of
-    /// every listed parameter the tapes' gradients for it, summed **in tape
+    /// every listed parameter the tapes' shares of it, summed **in tape
     /// order** and scaled — `grad(p) += (((0 + g₀) + g₁) + …) · scale` per
-    /// element, read in place.  The order of that sum is fixed by the slice;
-    /// the elements are independent of each other, so they are cut into
-    /// fixed-size tasks and shared out over the worker threads.
+    /// element, where `g_t` is tape `t`'s share as its last
+    /// [`Graph::backward`] left it.  A weight's share was never formed: the
+    /// tape left its product's operands, and each `g_t` is computed here, in
+    /// the same sum, as `aᵀ·g` would have been on the tape.  A tape whose pass
+    /// did not reach the parameter adds nothing, which is exact: the sum is
+    /// never `-0.0`, so adding `+0.0` moves no bit.  The order of the sum is
+    /// fixed by the slice; the rows of a parameter are independent of each
+    /// other, so they are cut into fixed-size tasks of about
+    /// `ELEMENTWISE_TASK` elements and shared out over the worker threads.
     pub fn add_scaled_grad_sum(&mut self, params: &[Var], tapes: &[WorkerTape], scale: f64) {
         for &p in params {
-            let sources: Vec<&[f64]> = tapes.iter().map(|t| t.grad(p).data()).collect();
+            let (rows, cols) = self.params[p.0].shape();
             let target = self.nodes[p.0].grad.data_mut();
-            for source in &sources {
-                assert_eq!(source.len(), target.len(), "tape gradients must match the parameter");
+            if target.is_empty() {
+                continue;
             }
+            let parts: Vec<GradPart<'_>> = tapes.iter().filter_map(|t| t.tape.share(p.0)).collect();
+            for part in &parts {
+                let fits = match *part {
+                    GradPart::Dense(grad) => grad.len() == rows * cols,
+                    GradPart::Product { a, g } => {
+                        a.len() % rows == 0 && a.len() / rows * cols == g.len()
+                    }
+                };
+                assert!(fits, "tape gradients must match the parameter");
+            }
+            let task_rows = (ELEMENTWISE_TASK / cols).max(1);
             let tasks: Vec<(usize, &mut [f64])> =
-                target.chunks_mut(ELEMENTWISE_TASK).enumerate().collect();
+                target.chunks_mut(task_rows * cols).enumerate().collect();
             tasks.into_par_iter().for_each(|(task, target)| {
-                add_scaled_sum(Body::Native, target, &sources, task * ELEMENTWISE_TASK, scale)
+                add_grad_b_sum(Body::Native, target, task * task_rows, rows, cols, &parts, scale)
             });
         }
     }
@@ -665,7 +751,9 @@ impl Graph {
 
     /// Back-propagates from `loss` (which must be `1×1`), accumulating
     /// gradients into every node that is reachable from it and needs one.
-    /// Gradients left by an earlier call are discarded first.
+    /// Gradients left by an earlier call are discarded first.  On a
+    /// [`WorkerTape`] a weight's gradient is not formed but left for
+    /// [`Graph::add_scaled_grad_sum`] (see there).
     ///
     /// Nothing is copied: operands always sit below their result on the tape,
     /// so splitting the node list at the result gives the result read-only and
@@ -676,12 +764,17 @@ impl Graph {
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(self.val(loss.0).shape(), (1, 1), "loss must be a scalar");
         self.zero_grads();
+        self.uses.clear();
         if !self.nodes[loss.0].needs_grad {
             return;
+        }
+        if self.worker {
+            self.plan_parameter_gradients(loss.0);
         }
         self.nodes[loss.0].grad.set(0, 0, 1.0);
         let params: &[Tensor] = &self.params;
         let (row, lanes) = (&mut self.row, &mut self.lanes);
+        let uses = &self.uses;
         for i in (self.persistent..=loss.0).rev() {
             let (below, rest) = self.nodes.split_at_mut(i);
             let node = &rest[0];
@@ -706,18 +799,15 @@ impl Graph {
                             lanes,
                         );
                     }
-                    if below[b].needs_grad {
+                    let deferred = matches!(
+                        uses.get(b),
+                        Some(&ParamUse::Deferred { product, .. }) if product == i
+                    );
+                    if below[b].needs_grad && !deferred {
                         let (a_val, b_grad) = value_and_grad(params, below, a, b);
                         let inner = b_grad.rows();
-                        matmul_grad_b(
-                            Body::Native,
-                            a_val.data(),
-                            g.data(),
-                            b_grad.data_mut(),
-                            inner,
-                            n,
-                            row,
-                        );
+                        let product = [GradPart::Product { a: a_val.data(), g: g.data() }];
+                        add_grad_b_sum(Body::Native, b_grad.data_mut(), 0, inner, n, &product, 1.0);
                     }
                 }
                 &Op::Add(a, b) => {
@@ -903,6 +993,51 @@ impl Graph {
             }
         }
     }
+
+    /// A worker tape's decision, before a backward pass from `loss`, of which
+    /// parameter gradients it defers to the batch reduction: a weight read
+    /// once below the loss, as the `b` of a product `a·b` whose `a` is
+    /// transient (so its value stays on the tape for the reduction to read).
+    /// Every other parameter the pass reaches gets a zeroed buffer of its
+    /// shape — once; later passes reuse it.
+    fn plan_parameter_gradients(&mut self, loss: usize) {
+        let persistent = self.persistent;
+        self.uses.clear();
+        self.uses.resize(persistent, ParamUse::Unused);
+        for (i, node) in self.nodes.iter().enumerate().take(loss + 1).skip(persistent) {
+            for p in node.op.operands().into_iter().flatten().filter(|&p| p < persistent) {
+                self.uses[p] = match (self.uses[p], &node.op) {
+                    (ParamUse::Unused, &Op::MatMul(a, b)) if b == p && a >= persistent => {
+                        ParamUse::Deferred { left: a, product: i }
+                    }
+                    _ => ParamUse::Kept,
+                };
+            }
+        }
+        for (p, &used) in self.uses.iter().enumerate() {
+            let grad = &mut self.nodes[p].grad;
+            if used == ParamUse::Kept && grad.is_empty() {
+                let (rows, cols) = self.params[p].shape();
+                *grad = Tensor::zeros(rows, cols);
+            }
+        }
+    }
+
+    /// This worker tape's share of parameter `p`'s gradient for the batch
+    /// reduction, as its last [`Graph::backward`] left it; `None` if that pass
+    /// did not reach `p` — or reached its product with a zero gradient, which
+    /// `backward` skips and so does the reduction (`0·∞` must not appear).
+    fn share(&self, p: usize) -> Option<GradPart<'_>> {
+        match *self.uses.get(p)? {
+            ParamUse::Unused => None,
+            ParamUse::Deferred { left, product } => {
+                let g = self.nodes[product].grad.data();
+                let a = self.nodes[left].value.data();
+                g.iter().any(|g| *g != 0.0).then_some(GradPart::Product { a, g })
+            }
+            ParamUse::Kept => Some(GradPart::Dense(self.nodes[p].grad.data())),
+        }
+    }
 }
 
 /// The value of operand `read` and the gradient of operand `write` of the
@@ -975,13 +1110,21 @@ fn add_logsumexp_grad(
 }
 
 /// A tape for one data-parallel worker: the parameter prefix of the graph it
-/// was made from ([`Graph::worker_tape`]) with its own gradient buffer per
-/// parameter, its own transient nodes and scratch — and no parameter values.
-/// [`WorkerTape::run`] lends it the owner's for the length of one
-/// forward/backward pass, so any number of workers read the one copy of the
-/// weights and the optimizer afterwards finds it unshared and writes it in
-/// place.  The tape is meant to outlive the batch: made once per training
-/// call, it allocates during its first pass and reuses that storage after.
+/// was made from ([`Graph::worker_tape`]), its own transient nodes and
+/// scratch — and no parameter values.  [`WorkerTape::run`] lends it the
+/// owner's for the length of one forward/backward pass, so any number of
+/// workers read the one copy of the weights and the optimizer afterwards
+/// finds it unshared and writes it in place.
+///
+/// Nor does the tape hold a weight's gradient.  A weight read once, as the
+/// `b` of a product `a·b` with a transient `a` (every weight of an MLP), has
+/// its `∂b = aᵀ·g` left unformed by [`Graph::backward`]: the tape records the
+/// weight, `a` and the product, and [`Graph::add_scaled_grad_sum`] computes
+/// it from them inside the sum over tapes.  Any other parameter the pass
+/// reaches (a bias) gets a gradient buffer of its own on the tape.  Neither
+/// is readable on the tape: [`Graph::grad`] panics for a parameter there.
+/// The tape is meant to outlive the batch: made once per training call, it
+/// allocates during its first pass and reuses that storage after.
 #[derive(Debug)]
 pub struct WorkerTape {
     tape: Graph,
@@ -999,45 +1142,14 @@ impl WorkerTape {
         self.tape.params = hollow;
         out
     }
-
-    /// The gradient the last pass left on parameter `p`.
-    pub fn grad(&self, p: Var) -> &Tensor {
-        assert!(p.0 < self.tape.persistent, "worker tapes keep parameter gradients only");
-        &self.tape.nodes[p.0].grad
-    }
-}
-
-dispatched! {
-    /// One task of [`Graph::add_scaled_grad_sum`]: `target[i] +=
-    /// (((0 + s₀[o + i]) + s₁[o + i]) + …) · scale` for every source `sᵢ`, in
-    /// slice order, where `o` is `offset`.
-    pub(crate) fn add_scaled_sum(
-        target: &mut [f64],
-        sources: &[&[f64]],
-        offset: usize,
-        scale: f64,
-    ) {
-        /// Elements summed at a time: small enough for the stack, long enough
-        /// for the per-tape additions to vectorize.
-        const BLOCK: usize = 64;
-        for (block, out) in target.chunks_mut(BLOCK).enumerate() {
-            let start = offset + block * BLOCK;
-            let mut sum = [0.0f64; BLOCK];
-            for source in sources {
-                for (s, g) in sum.iter_mut().zip(&source[start..start + out.len()]) {
-                    *s += g;
-                }
-            }
-            for (d, s) in out.iter_mut().zip(sum) {
-                *d += s * scale;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn sparse_matrix_matvec_and_transpose() {
@@ -1447,13 +1559,16 @@ mod tests {
         let first = tapes[0].run(&g, |tape| product_loss(tape, w, &[1.0, 1.0]));
         let second = tapes[1].run(&g, |tape| product_loss(tape, w, &[2.0, 0.0]));
         assert_eq!((first, second), (10.0, 6.0));
-        assert_eq!(tapes[0].grad(w).data(), &[1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(tapes[1].grad(w).data(), &[2.0, 2.0, 0.0, 0.0]);
         assert_eq!(g.grad(w).data(), &[0.0; 4], "the owner's gradients are its own");
 
-        // The batch reduction: (((0 + g₀) + g₁)) · scale, added in place.
+        // The batch reduction: the tapes' shares xᵀ·1 — [1, 1, 1, 1] and
+        // [2, 2, 0, 0], formed here and not on the tapes — summed in tape
+        // order, (((0 + s₀) + s₁)) · scale, and added in place.
         g.add_scaled_grad_sum(&[w], &tapes, 0.5);
         assert_eq!(g.grad(w).data(), &[1.5, 1.5, 0.5, 0.5]);
+        // A second reduction over the same passes adds the same shares again.
+        g.add_scaled_grad_sum(&[w], &tapes, 0.5);
+        assert_eq!(g.grad(w).data(), &[3.0, 3.0, 1.0, 1.0]);
 
         // Once `run` returns nobody shares the weights: an optimizer writes
         // them where they lie instead of taking a copy first.
@@ -1463,6 +1578,20 @@ mod tests {
         // ...and the tapes see the update on their next pass.
         let third = tapes[0].run(&g, |tape| product_loss(tape, w, &[1.0, 1.0]));
         assert_eq!(third, 14.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker tape's parameter gradients")]
+    fn a_worker_tape_does_not_expose_a_parameter_gradient() {
+        let mut g = Graph::new();
+        let w = g.parameter(Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        g.seal();
+        let mut tape = g.worker_tape();
+        tape.run(&g, |tape| {
+            product_loss(tape, w, &[1.0, 1.0]);
+            // Never formed on the tape: no empty tensor may stand in for it.
+            tape.grad(w).len()
+        });
     }
 
     #[test]
@@ -1480,12 +1609,63 @@ mod tests {
     }
 
     #[test]
+    fn one_tape_reduces_to_the_owners_own_backward() {
+        // Every kind of parameter a tape meets: a weight read once (deferred),
+        // a weight read by two products and one also read elementwise (both
+        // kept in a buffer, every share in it), a bias, a parameter the loss
+        // does not reach, and a deferred weight whose product gets a zero
+        // gradient from an infinite input (skipped, not `∞·0`).
+        let pass = |g: &mut Graph, [once, twice, mixed, bias, unused, idle]: [Var; 6]| {
+            let x = data(g, 3, &[0.5, 0.0, -1.5, 2.0, 0.25, 0.0, -0.75, 1.0, 3.0]);
+            let h = g.matmul(x, once);
+            let h = g.add_bias(h, bias);
+            let h = g.relu(h);
+            let y = g.matmul(h, twice);
+            let y = g.matmul(y, twice);
+            let z = g.matmul(y, mixed);
+            let weighted = g.mul_const(mixed, Arc::new(vec![0.3, -0.7, 1.1, 0.9]));
+            let far = data(g, 1, &[f64::INFINITY, 1.0]);
+            let q = g.matmul(far, idle);
+            let dead = g.mul_const(q, Arc::new(vec![0.0, 0.0]));
+            let (a, b, c) = (g.sum(z), g.sum(weighted), g.sum(dead));
+            let ab = g.add(a, b);
+            let loss = g.add(ab, c);
+            let _ = g.scale(unused, 2.0);
+            g.backward(loss);
+        };
+        let mut g = Graph::new();
+        let params = [
+            g.parameter(Tensor::from_vec(3, 2, vec![0.2, -0.4, 0.6, 0.1, -0.3, 0.8])),
+            g.parameter(Tensor::from_vec(2, 2, vec![1.5, -0.5, 0.25, 2.0])),
+            g.parameter(Tensor::from_vec(2, 2, vec![-1.25, 0.75, 0.5, 1.5])),
+            g.parameter(Tensor::row(&[0.1, -0.2])),
+            g.parameter(Tensor::row(&[4.0])),
+            g.parameter(Tensor::from_vec(2, 2, vec![1.0, -1.0, 0.5, 2.0])),
+        ];
+        g.seal();
+        pass(&mut g, params);
+        let own: Vec<Vec<u64>> = params.iter().map(|&p| bits(g.grad(p).data())).collect();
+
+        g.reset();
+        let mut tapes = [g.worker_tape()];
+        tapes[0].run(&g, |tape| pass(tape, params));
+        g.add_scaled_grad_sum(&params, &tapes, 1.0);
+        let reduced: Vec<Vec<u64>> = params.iter().map(|&p| bits(g.grad(p).data())).collect();
+        assert_eq!(reduced, own);
+        for kept in &own[1..3] {
+            assert!(kept.iter().all(|&b| b != 0), "every share of a weight read twice counts");
+        }
+    }
+
+    #[test]
     fn grad_sum_is_the_ordered_sum_on_every_task_of_a_long_tensor() {
         // Longer than one task and not a multiple of it, with values whose
-        // sum depends on the order of addition.
+        // sum depends on the order of addition.  A column: tasks are cut
+        // between rows.  Read other than as a product's weight, it keeps a
+        // gradient buffer on every tape.
         let n = ELEMENTWISE_TASK + ELEMENTWISE_TASK / 2 + 3;
         let mut g = Graph::new();
-        let w = g.parameter(Tensor::zeros(1, n));
+        let w = g.parameter(Tensor::zeros(n, 1));
         g.seal();
         let mut tapes: Vec<WorkerTape> = (0..3).map(|_| g.worker_tape()).collect();
         let weights: Vec<Vec<f64>> = (0..3)
@@ -1493,15 +1673,116 @@ mod tests {
             .collect();
         for (tape, c) in tapes.iter_mut().zip(&weights) {
             tape.run(&g, |tape| {
-                let d = tape.dot_const(w, Arc::new(c.clone()));
+                let weighted = tape.mul_const(w, Arc::new(c.clone()));
+                let d = tape.sum(weighted);
                 tape.backward(d);
             });
         }
-        g.add_grad(w, &Tensor::full(1, n, 0.25));
+        g.add_grad(w, &Tensor::full(n, 1, 0.25));
         g.add_scaled_grad_sum(&[w], &tapes, 1.0 / 3.0);
         for e in [0, 1, ELEMENTWISE_TASK - 1, ELEMENTWISE_TASK, n - 1] {
             let sum = ((0.0 + weights[0][e]) + weights[1][e]) + weights[2][e];
             assert_eq!(g.grad(w).data()[e], 0.25 + sum * (1.0 / 3.0), "element {e}");
+        }
+    }
+
+    /// The batch reduction as it was while every tape kept a buffer per
+    /// weight: each tape's `aᵀ·g` summed into a zeroed buffer of the weight's
+    /// shape one row at a time, through a scratch row (`+0.0` start, ascending
+    /// `i`, exact-zero `a` skipped), then `target += (((0 + b₀) + b₁) + …) ·
+    /// scale` per element, in tape order.
+    fn per_tape_buffer_reduction(
+        target: &mut [f64],
+        shares: &[(Vec<f64>, Vec<f64>)],
+        inner: usize,
+        n: usize,
+        scale: f64,
+    ) {
+        let buffers: Vec<Vec<f64>> = shares
+            .iter()
+            .map(|(a, g)| {
+                let mut buffer = vec![0.0; inner * n];
+                for (k, buffer_row) in buffer.chunks_exact_mut(n).enumerate() {
+                    let mut row = vec![0.0; n];
+                    for (a_row, g_row) in a.chunks_exact(inner).zip(g.chunks_exact(n)) {
+                        if a_row[k] != 0.0 {
+                            for (sum, g_ij) in row.iter_mut().zip(g_row) {
+                                *sum += a_row[k] * g_ij;
+                            }
+                        }
+                    }
+                    for (d, sum) in buffer_row.iter_mut().zip(row) {
+                        *d += sum;
+                    }
+                }
+                buffer
+            })
+            .collect();
+        for (e, d) in target.iter_mut().enumerate() {
+            let mut sum = 0.0;
+            for buffer in &buffers {
+                sum += buffer[e];
+            }
+            *d += sum * scale;
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A weight's deferred gradient, through real tapes and the real
+        /// reduction, against the per-tape buffers it replaced: 1–5 tapes of
+        /// 8 rows but a last one of 1–8 (a batch of 20 is 8 + 8 + 4), a third
+        /// of `a` exact zeros as after a ReLU, an owner gradient that already
+        /// holds a share, widths 1–37 straddling the kernel's 16-column block,
+        /// and in one case of four a weight longer than one task.
+        #[test]
+        fn deferred_weight_gradients_match_the_per_tape_buffer_reference(
+            tapes in 1usize..6,
+            last_rows in 1usize..9,
+            n in 1usize..38,
+            inner in 1usize..24,
+            long in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let inner = if long == 0 { ELEMENTWISE_TASK / n + inner } else { inner };
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut values = |len: usize, sparse: bool| -> Vec<f64> {
+                (0..len)
+                    .map(|_| rng.gen_range(-4.0..4.0))
+                    .map(|v: f64| if sparse && v.abs() < 4.0 / 3.0 { 0.0 } else { v })
+                    .collect()
+            };
+            let mut owner = Graph::new();
+            let w = owner.parameter(Tensor::from_vec(inner, n, values(inner * n, false)));
+            owner.seal();
+            let held = values(inner * n, false);
+            owner.add_grad(w, &Tensor::from_vec(inner, n, held.clone()));
+
+            let mut workers: Vec<WorkerTape> = (0..tapes).map(|_| owner.worker_tape()).collect();
+            let mut shares = Vec::new();
+            for (t, tape) in workers.iter_mut().enumerate() {
+                let rows = if t + 1 == tapes { last_rows } else { 8 };
+                // loss = Σ (a·w) ⊙ c, so the product's gradient is c exactly.
+                let (a, c) = (values(rows * inner, true), values(rows * n, false));
+                tape.run(&owner, |tape| {
+                    let x = data(tape, rows, &a);
+                    let y = tape.matmul(x, w);
+                    let weighted = tape.mul_const(y, Arc::new(c.clone()));
+                    let loss = tape.sum(weighted);
+                    tape.backward(loss);
+                });
+                shares.push((a, c));
+            }
+            let scale = 1.0 / 20.0;
+            owner.add_scaled_grad_sum(&[w], &workers, scale);
+            let mut expected = held;
+            per_tape_buffer_reduction(&mut expected, &shares, inner, n, scale);
+            prop_assert_eq!(bits(owner.grad(w).data()), bits(&expected));
         }
     }
 }

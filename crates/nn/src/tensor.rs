@@ -8,12 +8,13 @@ use rand::Rng;
 
 use crate::dispatch::{dispatched, Body};
 
-/// Elements per task of a partitioned element-wise pass (the batch reduction
-/// over worker tapes, the optimizer steps).  A fixed count, never derived from
-/// the thread count: an element-wise pass gives the same bits under any
-/// partition, and a tensor no longer than one task is one item, which the
-/// parallel iterator runs on the calling thread — small models take the
-/// serial path without a threshold to tune.
+/// Elements per task of a partitioned element-wise pass (the optimizer steps;
+/// the batch reduction over worker tapes cuts a parameter into tasks of whole
+/// rows, as many as fit in this count, at least one).  A fixed count, never
+/// derived from the thread count: an element-wise pass gives the same bits
+/// under any partition, and a tensor no longer than one task is one item,
+/// which the parallel iterator runs on the calling thread — small models take
+/// the serial path without a threshold to tune.
 pub(crate) const ELEMENTWISE_TASK: usize = 1 << 16;
 
 /// Rows of the left operand the dense kernels process together.  Within a
@@ -220,12 +221,14 @@ impl Tensor {
 //
 // The three products of a dense layer: `out = a·b` forward, `∂a = g·bᵀ` and
 // `∂b = aᵀ·g` backward, over row-major slices with `a: m×inner`, `b: inner×n`,
-// `g, out: m×n`.  Each streams the (large) weight matrix `b` once per tile of
-// TILE_ROWS samples and builds no transpose.  Every output element is still
-// the sum of the same products in the same ascending order from `+0.0` as the
-// naive triple loop, so results are bit-identical to it (the tests keep the
-// naive loops as the reference).  Each is `dispatched!`: the same loop runs
-// four lanes wide on a CPU with AVX2, with the same bits.
+// `g, out: m×n`.  The forward and `∂a` stream the (large) weight matrix `b`
+// once per tile of TILE_ROWS samples; `∂b` writes each row of the weight's
+// gradient once, for any number of products (the batch reduction sums the
+// worker tapes' products in it).  None builds a transpose.  Every output
+// element is still the sum of the same products in the same ascending order
+// from `+0.0` as the naive triple loop, so results are bit-identical to it
+// (the tests keep the naive loops as the reference).  Each is `dispatched!`:
+// the same loop runs four lanes wide on a CPU with AVX2, with the same bits.
 
 dispatched! {
     /// `out += a · b`, tile by tile; `out` must be zero on entry.
@@ -293,36 +296,92 @@ dispatched! {
     }
 }
 
+/// One share of a weight's gradient in [`add_grad_b_sum`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum GradPart<'a> {
+    /// A gradient already summed into a buffer of the weight's shape.
+    Dense(&'a [f64]),
+    /// `∂b = aᵀ·g` of one product `a·b`, left to the kernel: `a` is the
+    /// product's `m × inner` left operand and `g` its `m × n` gradient.
+    Product { a: &'a [f64], g: &'a [f64] },
+}
+
 dispatched! {
-    /// `b_grad += aᵀ · g`: row `k` of the product, `Σᵢ a[i][k]·g[i][:]`, is
-    /// accumulated in `row` and then added to row `k` of `b_grad` — the gradient
-    /// may already hold another consumer's share, and `(x + p₀) + p₁` is not
-    /// `x + (p₀ + p₁)`.
-    pub(crate) fn matmul_grad_b(
-        a: &[f64],
-        g: &[f64],
+    /// `b_grad[k][j] += (((0 + s₀) + s₁) + …) · scale` for the rows `first_row..`
+    /// of an `inner × n` weight gradient that `b_grad` holds, where `s_m` is
+    /// part `m`'s element: a [`GradPart::Dense`] value as it lies, or for a
+    /// [`GradPart::Product`] `Σᵢ a[i][k]·g[i][j]` over ascending `i` from
+    /// `+0.0`, exact-zero `a[i][k]` skipped.  With one product and `scale =
+    /// 1.0` this is `b_grad += aᵀ·g`, the naive loop's bits; with one part per
+    /// worker tape it is the batch reduction, summed in part order.  Each
+    /// element's sums are its own, so rows can be split over threads anywhere.
+    pub(crate) fn add_grad_b_sum(
         b_grad: &mut [f64],
+        first_row: usize,
         inner: usize,
         n: usize,
-        row: &mut Vec<f64>,
+        parts: &[GradPart<'_>],
+        scale: f64,
     ) {
-        if inner == 0 || n == 0 {
-            return;
-        }
-        for (k, b_grad_row) in b_grad.chunks_exact_mut(n).enumerate() {
-            row.clear();
-            row.resize(n, 0.0);
-            for (a_row, g_row) in a.chunks_exact(inner).zip(g.chunks_exact(n)) {
-                let a_ik = a_row[k];
-                if a_ik == 0.0 {
-                    continue;
-                }
-                for (sum, g_ij) in row.iter_mut().zip(g_row) {
-                    *sum += a_ik * g_ij;
+        /// Columns summed at a time: a block's sums stay in registers while a
+        /// product's rows stream past.
+        const BLOCK: usize = 16;
+
+        /// Columns `j..j + W` of row `k`.
+        #[inline(always)]
+        fn columns<const W: usize>(
+            out: &mut [f64],
+            k: usize,
+            j: usize,
+            inner: usize,
+            n: usize,
+            parts: &[GradPart<'_>],
+            scale: f64,
+        ) {
+            let mut acc = [0.0f64; W];
+            for part in parts {
+                match *part {
+                    GradPart::Dense(grad) => {
+                        let share: &[f64; W] = grad[k * n + j..][..W].try_into().expect("W columns");
+                        for (sum, v) in acc.iter_mut().zip(share) {
+                            *sum += v;
+                        }
+                    }
+                    GradPart::Product { a, g } => {
+                        let mut s = [0.0f64; W];
+                        for (a_row, g_row) in a.chunks_exact(inner).zip(g.chunks_exact(n)) {
+                            let a_ik = a_row[k];
+                            if a_ik == 0.0 {
+                                continue;
+                            }
+                            let g_row: &[f64; W] = g_row[j..j + W].try_into().expect("W columns");
+                            for (sum, g_ij) in s.iter_mut().zip(g_row) {
+                                *sum += a_ik * g_ij;
+                            }
+                        }
+                        for (sum, s) in acc.iter_mut().zip(s) {
+                            *sum += s;
+                        }
+                    }
                 }
             }
-            for (d, sum) in b_grad_row.iter_mut().zip(row.iter()) {
-                *d += sum;
+            for (d, sum) in out.iter_mut().zip(acc) {
+                *d += sum * scale;
+            }
+        }
+
+        if n == 0 {
+            return;
+        }
+        let blocked = n - n % BLOCK;
+        for (r, b_grad_row) in b_grad.chunks_exact_mut(n).enumerate() {
+            let k = first_row + r;
+            let (full, tail) = b_grad_row.split_at_mut(blocked);
+            for (block, out) in full.chunks_exact_mut(BLOCK).enumerate() {
+                columns::<BLOCK>(out, k, block * BLOCK, inner, n, parts, scale);
+            }
+            for (c, out) in tail.chunks_exact_mut(1).enumerate() {
+                columns::<1>(out, k, blocked + c, inner, n, parts, scale);
             }
         }
     }
@@ -476,8 +535,8 @@ mod tests {
             let mut b_grad = b.clone();
             let mut expected_b = b.clone();
             expected_b.add_assign(&naive_matmul(&a.transpose(), &g));
-            let mut row = vec![f64::NAN; 3];
-            matmul_grad_b(Body::Native, a.data(), g.data(), b_grad.data_mut(), inner, n, &mut row);
+            let product = [GradPart::Product { a: a.data(), g: g.data() }];
+            add_grad_b_sum(Body::Native, b_grad.data_mut(), 0, inner, n, &product, 1.0);
             prop_assert_eq!(bits(&b_grad), bits(&expected_b));
         }
     }

@@ -7,8 +7,9 @@
 //! the pool path: the job lives on the caller's stack and a parked worker
 //! runs half the layer.  Neither side may allocate once the pool runs.
 //!
-//! This file holds ONE test: the counter is process-wide, and the test
-//! harness runs the tests of a binary on concurrent threads.
+//! This file holds ONE test and runs it from a plain `main` (`harness =
+//! false`): the count is process-wide, so nothing but the test and the thread
+//! pool may run while it is taken — not libtest's threads, nor a second test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,7 +54,6 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-#[test]
 fn repeated_forwards_allocate_nothing() {
     // 2100 × 128 first-layer weights: over the plan's split threshold.
     let mut g = Graph::new();
@@ -93,4 +93,11 @@ fn repeated_forwards_allocate_nothing() {
     let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(allocations, 0, "50 forward passes allocated {allocations} times");
     assert_eq!(out, first, "repeated forwards must give the same outputs");
+}
+
+#[path = "../../../tests/support/single_test_main.rs"]
+mod single_test_main;
+
+fn main() {
+    single_test_main::run("repeated_forwards_allocate_nothing", repeated_forwards_allocate_nothing);
 }

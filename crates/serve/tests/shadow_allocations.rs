@@ -5,8 +5,9 @@
 //! model serves through.  The LP candidate an audit compares against still
 //! allocates, so this does not cover the whole fallback tick.
 //!
-//! This file holds ONE test: the counter is process-wide, and the test
-//! harness runs the tests of a binary on concurrent threads.
+//! This file holds ONE test and runs it from a plain `main` (`harness =
+//! false`): the count is process-wide, so nothing but the test and the thread
+//! pool may run while it is taken — not libtest's threads, nor a second test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,7 +43,6 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-#[test]
 fn repeated_shadow_audit_forwards_allocate_nothing() {
     let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
     let ps = PathSet::k_shortest(&g, 3);
@@ -67,4 +67,14 @@ fn repeated_shadow_audit_forwards_allocate_nothing() {
     assert_eq!(allocations, 0, "50 shadow-audit forwards allocated {allocations} times");
     assert_eq!(out, first, "repeated forwards must give the same configuration");
     assert!(out.is_valid(&ps));
+}
+
+#[path = "../../../tests/support/single_test_main.rs"]
+mod single_test_main;
+
+fn main() {
+    single_test_main::run(
+        "repeated_shadow_audit_forwards_allocate_nothing",
+        repeated_shadow_audit_forwards_allocate_nothing,
+    );
 }

@@ -13,8 +13,9 @@
 //! buffers themselves, their amortized growth, the solution and its basis,
 //! the returned configuration).
 //!
-//! This file holds ONE test: the counter is process-wide, and the test
-//! harness runs the tests of a binary on concurrent threads.
+//! This file holds ONE test and runs it from a plain `main` (`harness =
+//! false`): the count is process-wide, so nothing but the test and the thread
+//! pool may run while it is taken — not libtest's threads, nor a second test.
 
 mod common;
 
@@ -96,8 +97,17 @@ fn assert_bounded(name: &str, (paths, columns): (PathSet, Vec<Vec<f64>>), long: 
 
 /// The bursty fabric pivots in phase 2 from a seeded crash; the fleet shard
 /// dual-repairs warm bases, pricing the leaving row's `ρᵀA` every pivot.
-#[test]
 fn series_solves_allocate_a_bounded_amount_whatever_their_pivots() {
     assert_bounded("bursty fabric", common::bursty_fabric(60), 200);
     assert_bounded("fleet shard", common::fleet_shard(30), 100);
+}
+
+#[path = "../../../tests/support/single_test_main.rs"]
+mod single_test_main;
+
+fn main() {
+    single_test_main::run(
+        "series_solves_allocate_a_bounded_amount_whatever_their_pivots",
+        series_solves_allocate_a_bounded_amount_whatever_their_pivots,
+    );
 }
