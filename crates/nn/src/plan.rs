@@ -15,21 +15,45 @@
 //! reference counts** (`tests/plan_allocations.rs`), and its bits do not
 //! depend on the thread count.
 //!
+//! The two affine kernels are `dispatched!` ([`crate::dispatch`]): one
+//! portable body, also compiled with AVX2 and picked at run time.  What makes
+//! them fast is how many independent sums are in flight, not the register
+//! width.  One output's sum is a chain of dependent additions, and the add
+//! latency bounds a chain whatever register holds it, so the dot kernel
+//! advances [`OUT_BLOCK`] outputs per pass over `x`, and the axpy kernel
+//! applies [`IN_BLOCK`] inputs per pass over `y`.  Each output is still the
+//! same IEEE sum, of the same products in the same order, that one output or
+//! one input at a time would form, so the bits do not depend on the block,
+//! the body or the split (`tests/plan_golden_bits.rs`, recorded before the
+//! blocks existed).
+//!
 //! The f64 tape remains the reference implementation: a property test pins
 //! the plan to the graph forward within 1e-4 relative error
 //! (`tests/plan_matches_graph.rs`).
 
 use std::ops::Range;
 
+use crate::dispatch::{dispatched, Body};
 use crate::graph::Graph;
 use crate::layers::{Mlp, OutputActivation};
 
-/// Number of partial sums of the dot kernel.  The compiler keeps them in
-/// packed registers without any explicit SIMD types — two 128-bit registers
-/// of four `f32` lanes each on the default x86-64 (SSE2) target.  The sums
-/// are indexed by lane, so this width, not the register width, fixes the
-/// summation order.
+/// Number of partial sums per output of the dot kernel: lane `l` sums the
+/// products `l, l + LANES, l + 2·LANES, …` in order, and the lanes are folded
+/// in lane order after the last full chunk.  This width, not the register
+/// width, fixes the summation order.  Nor does a wider register make the
+/// kernel faster: one output's lanes advance as one chain of dependent
+/// additions, whether they fill two SSE2 registers or one AVX2 register.
+/// More chains in flight is what pays ([`OUT_BLOCK`]).
 const LANES: usize = 8;
+
+/// Outputs the dot kernel computes per pass over `x`: eight chains of
+/// additions in flight instead of one, and each chunk of `x` loaded once for
+/// all eight.  Their lanes fill eight AVX2 registers.
+const OUT_BLOCK: usize = 8;
+
+/// Nonzero inputs the axpy kernel applies per pass over `y`: each output is
+/// loaded and stored once per four inputs instead of once per input.
+const IN_BLOCK: usize = 4;
 
 /// Layers holding at least this many weights (1 MiB of `f32`) split their
 /// outputs in two halves across [`rayon::join`], so two cores each stream
@@ -64,23 +88,29 @@ impl PlanLayer {
     /// output is the same sum in the same order wherever it is computed, so
     /// the bits do not depend on the split or the thread count.
     fn apply(&self, x: &[f32], y: &mut [f32]) {
+        let body = Body::Native;
         if self.weight.len() < SPLIT_MIN_WEIGHTS {
-            return self.apply_outputs(x, 0, y);
+            return self.apply_outputs(body, x, 0, y);
         }
         let mid = self.out_dim / 2;
         let (low, high) = y.split_at_mut(mid);
-        rayon::join(|| self.apply_outputs(x, 0, low), || self.apply_outputs(x, mid, high));
+        rayon::join(
+            || self.apply_outputs(body, x, 0, low),
+            || self.apply_outputs(body, x, mid, high),
+        );
     }
 
-    /// Writes outputs `first..first + y.len()` of `Wᵀx + b` into `y`.
-    fn apply_outputs(&self, x: &[f32], first: usize, y: &mut [f32]) {
+    /// Writes outputs `first..first + y.len()` of `Wᵀx + b` into `y`, on the
+    /// kernels' `body` copy.
+    fn apply_outputs(&self, body: Body, x: &[f32], first: usize, y: &mut [f32]) {
         let outputs = first..first + y.len();
         let bias = &self.bias[outputs.clone()];
         if self.transposed {
             let in_dim = x.len();
-            affine_dot(x, &self.weight[outputs.start * in_dim..outputs.end * in_dim], bias, y);
+            let weight = &self.weight[outputs.start * in_dim..outputs.end * in_dim];
+            affine_dot(body, x, weight, bias, y);
         } else {
-            affine(x, &self.weight[first..], self.out_dim, bias, y);
+            affine(body, x, &self.weight[first..], self.out_dim, bias, y);
         }
     }
 }
@@ -216,51 +246,110 @@ impl InferencePlan {
     }
 }
 
-/// `y = Wᵀx + b` over `y.len()` consecutive output columns of a row-major
-/// weight whose rows are `stride` wide, `weight` starting at the first of
-/// those columns: one rank-1 update (`y += x_k · W[k, :]`) per input
-/// element, each a contiguous axpy over the row.  Skips zero inputs — ReLU
-/// activations make those common.  Every output is its own sum over `k`, so
-/// any loop shape gives the same bits; a plain `zip` vectorizes cleanly,
-/// where `chunks_exact` bodies led LLVM to gather across chunks (≈ 4× slower
-/// on a 128 × 1518 layer, x86-64 SSE2).
-fn affine(x: &[f32], weight: &[f32], stride: usize, bias: &[f32], y: &mut [f32]) {
-    let out_dim = y.len();
-    debug_assert!(x.is_empty() || weight.len() >= (x.len() - 1) * stride + out_dim);
-    y.copy_from_slice(bias);
-    for (k, &xk) in x.iter().enumerate() {
-        if xk == 0.0 {
-            continue;
+dispatched! {
+    /// `y = Wᵀx + b` over `y.len()` consecutive output columns of a row-major
+    /// weight whose rows are `stride` wide, `weight` starting at the first of
+    /// those columns: rank-1 updates `y += x_k · W[k, :]` in ascending `k`,
+    /// each a contiguous axpy over the row.  Skips exact-zero inputs — ReLU
+    /// activations make those common.  The nonzero inputs are applied
+    /// [`IN_BLOCK`] at a time, `y_j = (((y_j + x₀w₀ⱼ) + x₁w₁ⱼ) + x₂w₂ⱼ) +
+    /// x₃w₃ⱼ`: the additions one input at a time would make, in the same
+    /// order, with one load and one store of `y_j`.  Plain `zip`s vectorize
+    /// cleanly, where `chunks_exact` bodies led LLVM to gather across chunks
+    /// (≈ 4× slower on a 128 × 1518 layer, x86-64 SSE2).
+    fn affine(x: &[f32], weight: &[f32], stride: usize, bias: &[f32], y: &mut [f32]) {
+        let out_dim = y.len();
+        debug_assert!(x.is_empty() || weight.len() >= (x.len() - 1) * stride + out_dim);
+        let row = |k: usize| &weight[k * stride..k * stride + out_dim];
+        y.copy_from_slice(bias);
+        let mut block = [(0usize, 0.0f32); IN_BLOCK];
+        let mut held = 0;
+        for (k, &xk) in x.iter().enumerate() {
+            if xk == 0.0 {
+                continue;
+            }
+            block[held] = (k, xk);
+            held += 1;
+            if held == IN_BLOCK {
+                held = 0;
+                let [(k0, x0), (k1, x1), (k2, x2), (k3, x3)] = block;
+                let rows = row(k0).iter().zip(row(k1)).zip(row(k2)).zip(row(k3));
+                for (yv, (((w0, w1), w2), w3)) in y.iter_mut().zip(rows) {
+                    *yv = *yv + x0 * w0 + x1 * w1 + x2 * w2 + x3 * w3;
+                }
+            }
         }
-        for (yv, rv) in y.iter_mut().zip(&weight[k * stride..k * stride + out_dim]) {
-            *yv += xk * rv;
+        for &(k, xk) in &block[..held] {
+            for (yv, wv) in y.iter_mut().zip(row(k)) {
+                *yv += xk * wv;
+            }
         }
     }
 }
 
-/// `y = Wᵀx + b` for a *transposed* (`out_dim × in_dim`) weight: one long
-/// contiguous dot product per output element, accumulated across [`LANES`]
-/// independent partial sums so the reduction vectorizes.  The layout of
-/// choice when the layer is much narrower than its input.
-fn affine_dot(x: &[f32], weight: &[f32], bias: &[f32], y: &mut [f32]) {
+dispatched! {
+    /// `y = Wᵀx + b` for a *transposed* (`out_dim × in_dim`) weight: one long
+    /// contiguous dot product per output element, accumulated across
+    /// [`LANES`] partial sums so the reduction vectorizes, [`OUT_BLOCK`]
+    /// outputs at a time.  The layout of choice when the layer is much
+    /// narrower than its input.
+    fn affine_dot(x: &[f32], weight: &[f32], bias: &[f32], y: &mut [f32]) {
+        let in_dim = x.len();
+        debug_assert_eq!(weight.len(), in_dim * y.len());
+        let (y_blocks, y_rest) = y.as_chunks_mut::<OUT_BLOCK>();
+        let (bias_blocks, bias_rest) = bias.as_chunks::<OUT_BLOCK>();
+        let (weight_blocks, weight_rest) = weight.split_at(y_blocks.len() * OUT_BLOCK * in_dim);
+        let blocks = y_blocks
+            .iter_mut()
+            .zip(bias_blocks)
+            .zip(weight_blocks.chunks_exact(OUT_BLOCK * in_dim));
+        for ((y, bias), weight) in blocks {
+            dot_outputs(x, weight, bias, y);
+        }
+        let rest = y_rest.iter_mut().zip(bias_rest).zip(weight_rest.chunks_exact(in_dim));
+        for ((y, bias), weight) in rest {
+            dot_outputs(x, weight, std::array::from_ref(bias), std::array::from_mut(y));
+        }
+    }
+}
+
+/// `y = Wᵀx + b` for `N` consecutive outputs of the dot kernel, `weight` their
+/// `N` rows: the lanes of all `N` sums advance together, one chunk of `x` at
+/// a time.  Output `o` gets `bias_o + ((Σ lanes, in lane order) + tail
+/// products in order)`, the sum one output at a time would form.
+#[inline(always)]
+fn dot_outputs<const N: usize>(x: &[f32], weight: &[f32], bias: &[f32; N], y: &mut [f32; N]) {
     let in_dim = x.len();
-    debug_assert_eq!(weight.len(), in_dim * y.len());
-    let (x_chunks, x_tail) = x.split_at(in_dim - in_dim % LANES);
-    for (j, (yv, &b)) in y.iter_mut().zip(bias).enumerate() {
-        let row = &weight[j * in_dim..(j + 1) * in_dim];
-        let (r_chunks, r_tail) = row.split_at(x_chunks.len());
-        let mut acc = [0.0f32; LANES];
-        for (xc, rc) in x_chunks.chunks_exact(LANES).zip(r_chunks.chunks_exact(LANES)) {
-            for ((a, &xv), &rv) in acc.iter_mut().zip(xc).zip(rc) {
-                *a += xv * rv;
+    let (x_chunks, x_tail) = x.as_chunks::<LANES>();
+    let rows: [(&[[f32; LANES]], &[f32]); N] =
+        std::array::from_fn(|o| weight[o * in_dim..(o + 1) * in_dim].as_chunks::<LANES>());
+    let mut acc = [[0.0f32; LANES]; N];
+    for (c, xc) in x_chunks.iter().enumerate() {
+        for (lanes, (row_chunks, _)) in acc.iter_mut().zip(&rows) {
+            for ((lane, &xv), &wv) in lanes.iter_mut().zip(xc).zip(&row_chunks[c]) {
+                *lane += xv * wv;
             }
         }
-        let mut sum: f32 = acc.iter().sum();
-        for (&xv, &rv) in x_tail.iter().zip(r_tail) {
-            sum += xv * rv;
-        }
-        *yv = b + sum;
     }
+    for (((yv, &b), lanes), (_, row_tail)) in y.iter_mut().zip(bias).zip(&acc).zip(&rows) {
+        *yv = dot_finish(b, lanes, x_tail, row_tail);
+    }
+}
+
+/// One output of the dot kernel from its lanes: `b + ((lanes folded in lane
+/// order) + the tail's products in order)`.  Kept out of line: inlined, the
+/// folds of a block's eight outputs led LLVM's SLP vectorizer to pack lane
+/// `l` of all eight outputs into one register, gathering across the rows in
+/// the hot loop (≈ 4× slower than one output at a time on GEANT's first
+/// layer, x86-64 AVX2).  Out of line, each output's lanes stay in one
+/// register through the loop.
+#[inline(never)]
+fn dot_finish(b: f32, lanes: &[f32; LANES], x_tail: &[f32], row_tail: &[f32]) -> f32 {
+    let mut sum: f32 = lanes.iter().sum();
+    for (&xv, &wv) in x_tail.iter().zip(row_tail) {
+        sum += xv * wv;
+    }
+    b + sum
 }
 
 /// In-place ReLU.
@@ -395,45 +484,69 @@ mod tests {
         t
     }
 
+    /// One operand: an exact zero, a `-0.0`, a subnormal or `v`.
+    fn operand(class: usize, v: f32) -> f32 {
+        match class {
+            0 => 0.0,
+            1 => -0.0,
+            2 => v * 1e-40,
+            _ => v,
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
+        /// Both bodies of both kernels against the one-output-at-a-time
+        /// references, at every split point.  Shapes run 1–40 on each side:
+        /// both sides of OUT_BLOCK (and of two blocks), of LANES and of
+        /// IN_BLOCK, `in_dim < LANES` included.  Every operand may be `±0.0`
+        /// or subnormal, and every `zero_every`-th input is an exact zero
+        /// (all of them at 1), so a zero input that were not skipped would
+        /// turn a `-0.0` output into `+0.0`.
         #[test]
         fn split_kernels_match_the_reference_bit_for_bit(
             in_dim in 1usize..41,
-            out_dim in 1usize..21,
-            split in 0usize..21,
+            out_dim in 1usize..41,
             transposed in 0usize..2,
-            zero_every in 2usize..6,
-            values in collection::vec(-2.0f32..2.0, 40 * 20 + 40 + 20),
+            zero_every in 1usize..6,
+            values in collection::vec((0usize..6, -2.0f32..2.0), 40 * 40 + 40 + 40),
         ) {
-            let (weight, rest) = values.split_at(in_dim * out_dim);
-            let x: Vec<f32> = rest[..in_dim]
-                .iter()
+            if !Body::native_is_avx2() {
+                eprintln!("no AVX2 on this CPU: only the portable body runs");
+            }
+            let mut values = values.into_iter().map(|(class, v)| operand(class, v));
+            let mut take = |len: usize| -> Vec<f32> { values.by_ref().take(len).collect() };
+            let weight = take(in_dim * out_dim);
+            let x: Vec<f32> = take(in_dim)
+                .into_iter()
                 .enumerate()
-                .map(|(k, &v)| if k % zero_every == 0 { 0.0 } else { v })
+                .map(|(k, v)| if k % zero_every == 0 { 0.0 } else { v })
                 .collect();
-            let bias = rest[in_dim..in_dim + out_dim].to_vec();
+            let bias = take(out_dim);
             let transposed = transposed == 1;
             let mut expect = vec![0.0f32; out_dim];
             let layer = if transposed {
-                let weight = transpose(weight, in_dim, out_dim);
+                let weight = transpose(&weight, in_dim, out_dim);
                 reference_affine_dot(&x, &weight, &bias, &mut expect);
                 PlanLayer { out_dim, transposed, weight, bias }
             } else {
-                reference_affine(&x, weight, &bias, &mut expect);
-                PlanLayer { out_dim, transposed, weight: weight.to_vec(), bias }
+                reference_affine(&x, &weight, &bias, &mut expect);
+                PlanLayer { out_dim, transposed, weight, bias }
             };
             let mut whole = vec![0.0f32; out_dim];
             layer.apply(&x, &mut whole);
             prop_assert_eq!(bits32(&whole), bits32(&expect));
-            // Any split point, odd ones and empty halves included.
-            let mid = split % (out_dim + 1);
-            let mut halves = vec![0.0f32; out_dim];
-            let (low, high) = halves.split_at_mut(mid);
-            layer.apply_outputs(&x, 0, low);
-            layer.apply_outputs(&x, mid, high);
-            prop_assert_eq!(bits32(&halves), bits32(&expect));
+            for body in [Body::Portable, Body::Native] {
+                // Every split point, the empty halves included.
+                for mid in 0..=out_dim {
+                    let mut halves = vec![f32::NAN; out_dim];
+                    let (low, high) = halves.split_at_mut(mid);
+                    layer.apply_outputs(body, &x, 0, low);
+                    layer.apply_outputs(body, &x, mid, high);
+                    prop_assert_eq!(bits32(&halves), bits32(&expect), "{:?} body, split {}", body, mid);
+                }
+            }
         }
     }
 
@@ -554,8 +667,8 @@ mod tests {
         let bias = vec![0.25f32; out_dim];
         let mut via_axpy = vec![0.0f32; out_dim];
         let mut via_dot = vec![0.0f32; out_dim];
-        affine(&x, &weight, out_dim, &bias, &mut via_axpy);
-        affine_dot(&x, &transposed, &bias, &mut via_dot);
+        affine(Body::Native, &x, &weight, out_dim, &bias, &mut via_axpy);
+        affine_dot(Body::Native, &x, &transposed, &bias, &mut via_dot);
         for (a, d) in via_axpy.iter().zip(&via_dot) {
             assert!((a - d).abs() < 1e-5, "axpy {a} vs dot {d}");
         }
@@ -568,7 +681,7 @@ mod tests {
         let weight: Vec<f32> = (0..22).map(|i| i as f32 * 0.1).collect();
         let bias = vec![1.0f32; 11];
         let mut y = vec![0.0f32; 11];
-        affine(&x, &weight, 11, &bias, &mut y);
+        affine(Body::Native, &x, &weight, 11, &bias, &mut y);
         for j in 0..11 {
             let expect = 1.0 + 2.0 * weight[j] - weight[11 + j];
             assert!((y[j] - expect).abs() < 1e-6, "col {j}: {} vs {expect}", y[j]);
