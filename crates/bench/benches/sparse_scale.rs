@@ -7,8 +7,9 @@
 //!   the sampled communication pattern (`construct_sparse`, `O(nnz · T)`)
 //!   versus all pairs (`construct_dense`, `O(N² · T)`);
 //! * `mlu_*` — one max-link-utilization evaluation through the scratch-buffer
-//!   evaluator on the restricted path set (`mlu_sparse`), versus the dense
-//!   all-pairs path set and matrix adapter (`mlu_dense`, 128 ToRs only);
+//!   evaluator on the restricted path set (`mlu_sparse`), versus the same
+//!   evaluator on the dense all-pairs path set over flattened all-pairs
+//!   columns (`mlu_dense`, 128 ToRs only);
 //! * `decision_*` — one full LP controller tick (forecast → candidate →
 //!   deploy → ingest) through `step_pairs`, on the sampled pair universe's
 //!   columns (`decision_sparse`) versus flattened all-pairs columns over an
@@ -24,10 +25,10 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use figret_serve::{PredictorKind, ReconfigPolicy, ServeController};
-use figret_te::{max_link_utilization, max_link_utilization_pairs_scratch, PathSet, TeConfig};
+use figret_te::{max_link_utilization_pairs_scratch, PathSet, TeConfig};
 use figret_topology::FabricSpec;
 use figret_traffic::datacenter::{tor_trace, tor_trace_sparse, TorTrafficConfig};
-use figret_traffic::{ActivePairs, SparseTrace, TrafficTrace};
+use figret_traffic::{ActivePairs, SparseTrace};
 
 const SIZES: [usize; 4] = [128, 512, 1024, 2048];
 const PER_SOURCE: usize = 8;
@@ -118,12 +119,18 @@ fn mlu_eval(c: &mut Criterion) {
         if tors == SIZES[0] {
             let paths_dense = PathSet::k_shortest(&case.graph, 3);
             let config_dense = TeConfig::uniform(&paths_dense);
-            let trace_dense: TrafficTrace = case.trace.to_trace();
+            let columns_dense: Vec<Vec<f64>> =
+                case.trace.to_trace().matrices().iter().map(|m| m.flatten_pairs()).collect();
             let mut cursor = 0usize;
             group.bench_with_input(BenchmarkId::new("mlu_dense", &label), &(), |b, _| {
                 b.iter(|| {
-                    cursor = (cursor + 1) % trace_dense.len();
-                    max_link_utilization(&paths_dense, &config_dense, trace_dense.matrix(cursor))
+                    cursor = (cursor + 1) % columns_dense.len();
+                    max_link_utilization_pairs_scratch(
+                        &paths_dense,
+                        &config_dense,
+                        &columns_dense[cursor],
+                        &mut scratch,
+                    )
                 })
             });
         }

@@ -15,7 +15,7 @@
 //!
 //! ```
 //! use figret::{FigretConfig, FigretModel};
-//! use figret_te::{max_link_utilization, PathSet, TeConfig};
+//! use figret_te::{max_link_utilization_pairs, PathSet, TeConfig};
 //! use figret_topology::{Topology, TopologySpec};
 //! use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
 //! use figret_traffic::{per_pair_variance_range, TrainTestSplit, WindowDataset};
@@ -34,7 +34,8 @@
 //! let history = &trace.matrices()[trace.len() - 5..trace.len() - 1];
 //! let te_config = model.predict(&paths, history);
 //! assert!(te_config.is_valid(&paths));
-//! let mlu = max_link_utilization(&paths, &te_config, trace.matrix(trace.len() - 1));
+//! let realized = trace.matrix(trace.len() - 1).flatten_pairs();
+//! let mlu = max_link_utilization_pairs(&paths, &te_config, &realized);
 //! assert!(mlu.is_finite());
 //! ```
 

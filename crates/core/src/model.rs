@@ -400,7 +400,7 @@ impl TealLikeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use figret_te::max_link_utilization;
+    use figret_te::max_link_utilization_pairs;
     use figret_topology::{Topology, TopologySpec};
     use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
     use figret_traffic::{per_pair_variance_range, TrainTestSplit};
@@ -446,8 +446,9 @@ mod tests {
         for t in split.test.clone() {
             let cfg = model.predict(&ps, &trace.matrices()[t - h..t]);
             assert!(cfg.is_valid(&ps));
-            model_total += max_link_utilization(&ps, &cfg, trace.matrix(t));
-            uniform_total += max_link_utilization(&ps, &uniform, trace.matrix(t));
+            let demand = trace.matrix(t).flatten_pairs();
+            model_total += max_link_utilization_pairs(&ps, &cfg, &demand);
+            uniform_total += max_link_utilization_pairs(&ps, &uniform, &demand);
         }
         assert!(
             model_total < uniform_total,

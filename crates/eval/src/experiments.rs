@@ -7,7 +7,10 @@
 //! measured outputs next to the paper's numbers.
 
 use figret::FigretConfig;
-use figret_solvers::{DesensitizationSettings, HeuristicBound, Predictor};
+use figret_serve::SlidingMax;
+use figret_solvers::{
+    desensitization_bounds, solve_min_mlu, DesensitizationSettings, HeuristicBound, MluProblem,
+};
 use figret_te::{max_sensitivity_per_pair, mean, normalize_by, relative_change, SchemeQuality};
 use figret_topology::{random_link_failures, Topology};
 use figret_traffic::{
@@ -21,7 +24,7 @@ use crate::report::{
     ascii_box, lp_work_columns, lp_work_header, print_csv_series, print_quality_panel, print_table,
 };
 use crate::runner::{
-    omniscient_series, omniscient_series_with_stats, run_scheme, EvalOptions, Scheme,
+    forecast, omniscient_series, omniscient_series_with_stats, run_scheme, EvalOptions, Scheme,
 };
 use crate::scenario::{Scenario, ScenarioOptions};
 
@@ -140,7 +143,7 @@ impl ExperimentOptions {
 pub fn fig1_hedging(options: &ExperimentOptions) {
     let eval = options.eval_options();
     for scenario in Scenario::motivation_suite(&options.scenario_options()) {
-        let no_hedging = run_scheme(&scenario, &Scheme::Prediction(Predictor::LastSnapshot), &eval);
+        let no_hedging = run_scheme(&scenario, &Scheme::Prediction, &eval);
         let hedging = run_scheme(
             &scenario,
             &Scheme::Desensitization(DesensitizationSettings::default()),
@@ -187,7 +190,7 @@ pub fn fig2_variance(options: &ExperimentOptions) {
 
 /// Figure 3: the three-node illustrative example with TE schemes 1/2/3.
 pub fn fig3_toy() {
-    use figret_te::{max_link_utilization, PathSet, TeConfig};
+    use figret_te::{max_link_utilization_pairs, PathSet, TeConfig};
     use figret_topology::{Graph, NodeId};
     use figret_traffic::DemandMatrix;
 
@@ -232,11 +235,12 @@ pub fn fig3_toy() {
     ];
     let mut rows = Vec::new();
     for (name, d) in &situations {
+        let d = d.flatten_pairs();
         rows.push(vec![
             name.to_string(),
-            format!("{:.4}", max_link_utilization(&ps, &scheme1, d)),
-            format!("{:.4}", max_link_utilization(&ps, &scheme2, d)),
-            format!("{:.4}", max_link_utilization(&ps, &scheme3, d)),
+            format!("{:.4}", max_link_utilization_pairs(&ps, &scheme1, &d)),
+            format!("{:.4}", max_link_utilization_pairs(&ps, &scheme2, &d)),
+            format!("{:.4}", max_link_utilization_pairs(&ps, &scheme3, &d)),
         ]);
     }
     print_table(
@@ -398,13 +402,14 @@ pub fn fig8_sensitivity(options: &ExperimentOptions) {
             let mut count = 0usize;
             match &scheme {
                 Scheme::Desensitization(settings) => {
-                    for &t in &indices {
-                        let cfg = figret_solvers::desensitization_config(
-                            &scenario.paths,
-                            &scenario.trace.matrices()[t - eval.window..t],
-                            settings,
-                        )
-                        .expect("Des TE must be solvable");
+                    // One one-shot solve per snapshot, for the window peak.
+                    let evaluated = eval.evaluated(&scenario, &indices);
+                    let bounds = desensitization_bounds(&scenario.paths, settings);
+                    for history in evaluated.histories() {
+                        let peak = forecast(SlidingMax::new(eval.window), history);
+                        let problem = MluProblem::new(&scenario.paths, peak)
+                            .with_sensitivity_bounds(bounds.clone());
+                        let cfg = solve_min_mlu(&problem).expect("Des TE must be solvable");
                         for (i, s) in
                             max_sensitivity_per_pair(&scenario.paths, &cfg).iter().enumerate()
                         {
@@ -462,7 +467,7 @@ pub fn table2_time(options: &ExperimentOptions) {
     for topology in topologies {
         let scenario = Scenario::build(topology, &options.scenario_options());
         let figret_run = run_scheme(&scenario, &Scheme::Figret(options.learning_config()), &eval);
-        let pred_run = run_scheme(&scenario, &Scheme::Prediction(Predictor::LastSnapshot), &eval);
+        let pred_run = run_scheme(&scenario, &Scheme::Prediction, &eval);
         let des_run = run_scheme(
             &scenario,
             &Scheme::Desensitization(DesensitizationSettings::default()),
@@ -591,8 +596,8 @@ pub fn table5_worstcase(options: &ExperimentOptions) {
 /// Table 4: natural drift — train on earlier segments, test on the final
 /// 25%.  Next to the paper's quality-decline rows, a churn row shows how
 /// much routing reconfiguration each drifted model asks for per snapshot
-/// ([`SchemeRun::mean_churn`]) — drift robustness and routing stability
-/// side by side.
+/// ([`crate::runner::SchemeRun::mean_churn`]) — drift robustness and
+/// routing stability side by side.
 pub fn table4_drift(options: &ExperimentOptions) {
     let eval = options.eval_options();
     let segments = [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75)];
@@ -727,18 +732,11 @@ pub fn fig20_dote_limit(options: &ExperimentOptions) {
         .unwrap_or((0, 1.0));
     let t = dote.indices[worst_pos];
     println!("\n# Figure 20 — DOTE's worst normalized MLU is {worst_value:.2} at snapshot {t}");
-    // Show the pair whose demand grew the most relative to its window.
+    // Show the pair whose demand grew the most relative to its window's peak.
     let window = eval.window;
-    // Flatten each window snapshot once into a reused buffer; the old
-    // per-pair inner loop re-flattened the full matrix `pairs · window`
-    // times.
-    let current = scenario.trace.matrix(t).flatten_pairs();
-    let mut window_max = vec![0.0f64; current.len()];
-    let mut buf = vec![0.0f64; current.len()];
-    for h in t - window..t {
-        scenario.trace.matrix(h).flatten_pairs_into(&mut buf);
-        figret_traffic::ops::max_assign(&mut window_max, &buf);
-    }
+    let evaluated = eval.evaluated(&scenario, &dote.indices);
+    let current = evaluated.target(worst_pos);
+    let window_max = forecast(SlidingMax::new(window), evaluated.history(worst_pos));
     let (best_pair, _) = current
         .iter()
         .zip(&window_max)

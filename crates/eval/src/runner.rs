@@ -2,9 +2,15 @@
 //! and collect per-snapshot MLUs plus timing, the raw material of every table
 //! and figure.
 //!
-//! Each LP-based scheme (omniscient, Pred, Des, FA-Des and Heuristic FG TE)
-//! is stated once, as its series-static data — sensitivity bounds,
-//! availability mask — plus the demand it solves for at each snapshot.
+//! Every run reads one [`WindowDataset`] over the evaluated snapshots: its
+//! history columns feed the forecasts and the learned models, and every
+//! scheme is scored on its target columns by the one MLU evaluator.  Each
+//! LP-based scheme (omniscient, Pred, Des, FA-Des and Heuristic FG TE) is
+//! stated once, as its series-static data — sensitivity bounds, availability
+//! mask — plus the demand it solves for at each snapshot: the target itself
+//! (omniscient) or the forecast a serving predictor makes from the history
+//! window ([`LastValue`] for Pred TE, the [`SlidingMax`] peak for the
+//! desensitization schemes).
 //! `lp_series_or_parallel` builds both of its solvers from that data: a
 //! warm-started [`MluTemplate`], built once, where each snapshot moves its
 //! right-hand side and seeds from the previous snapshots' optima (one cold
@@ -22,18 +28,20 @@
 //! reinversions, warm-start acceptance) is threaded into
 //! [`SchemeRun::lp_stats`] for the reports.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use rayon::prelude::*;
 
 use figret::{FigretConfig, FigretModel, TealLikeModel};
+use figret_serve::{LastValue, OnlinePredictor, SlidingMax};
 use figret_solvers::{
-    cope_config, desensitization_bounds, heuristic_absolute_bounds, predict, solve_min_mlu,
-    solves_exactly, CopeSettings, CuttingPlaneSettings, DesensitizationSettings, HeuristicBound,
-    HoseModel, MluProblem, MluTemplate, Predictor, SeriesStats, HEURISTIC_PREDICTOR,
+    cope_config, desensitization_bounds, heuristic_absolute_bounds, solve_min_mlu, solves_exactly,
+    CopeSettings, CuttingPlaneSettings, DesensitizationSettings, HeuristicBound, HoseModel,
+    MluProblem, MluTemplate, SeriesStats,
 };
 use figret_te::{
-    available_paths, max_link_utilization, mean_series_churn, normalize_by,
+    available_paths, max_link_utilization_pairs, mean_series_churn, normalize_by,
     reroute_around_failures, SchemeQuality, TeConfig,
 };
 use figret_topology::FailureScenario;
@@ -54,8 +62,8 @@ pub enum Scheme {
     Desensitization(DesensitizationSettings),
     /// Fault-aware Desensitization-based TE (knows future failures).
     FaultAwareDesensitization(DesensitizationSettings),
-    /// Demand-prediction-based TE.
-    Prediction(Predictor),
+    /// Demand-prediction-based TE: solves for the last snapshot.
+    Prediction,
     /// Demand-oblivious TE over a hose uncertainty set.
     Oblivious,
     /// COPE over a hose uncertainty set.
@@ -73,7 +81,7 @@ impl Scheme {
             Scheme::TealLike(_) => "TEAL-like".to_string(),
             Scheme::Desensitization(_) => "Des TE".to_string(),
             Scheme::FaultAwareDesensitization(_) => "FA Des TE".to_string(),
-            Scheme::Prediction(_) => "Pred TE".to_string(),
+            Scheme::Prediction => "Pred TE".to_string(),
             Scheme::Oblivious => "Oblivious".to_string(),
             Scheme::Cope => "COPE".to_string(),
             Scheme::HeuristicFineGrained(_) => "Heuristic FG".to_string(),
@@ -87,7 +95,7 @@ impl Scheme {
             Scheme::Figret(learn.clone()),
             Scheme::Dote(FigretConfig { robustness_weight: 0.0, ..learn.clone() }),
             Scheme::Desensitization(DesensitizationSettings::default()),
-            Scheme::Prediction(Predictor::LastSnapshot),
+            Scheme::Prediction,
             Scheme::TealLike(learn),
         ]
     }
@@ -114,6 +122,12 @@ impl Default for EvalOptions {
 }
 
 impl EvalOptions {
+    /// The evaluated snapshots as one dataset: sample `i` pairs snapshot
+    /// `indices[i]` (its target) with the history window before it.
+    pub(crate) fn evaluated(&self, scenario: &Scenario, indices: &[usize]) -> WindowDataset {
+        WindowDataset::from_targets(&scenario.trace, self.window, indices.iter().copied())
+    }
+
     /// The snapshot indices actually evaluated for a scenario.
     pub fn eval_indices(&self, scenario: &Scenario) -> Vec<usize> {
         let all = scenario.test_indices(self.window);
@@ -187,36 +201,47 @@ pub fn omniscient_series_with_stats(
     scenario: &Scenario,
     options: &EvalOptions,
 ) -> (Vec<f64>, SeriesStats) {
-    let indices = options.eval_indices(scenario);
+    let evaluated = options.evaluated(scenario, &options.eval_indices(scenario));
     let availability = options.failure.as_ref().map(|f| available_paths(&scenario.paths, f));
     let (configs, _, _, stats) = lp_series_or_parallel(
         scenario,
-        &indices,
+        evaluated.len(),
         &None, // the oracle's availability mask already encodes the failure
         None,
         availability,
-        |t| scenario.trace.matrix(t).flatten_pairs(),
+        |i| evaluated.target(i).to_vec(),
     );
-    (mlu_series(scenario, &indices, &configs), stats)
+    (mlu_series(scenario, &evaluated, &configs), stats)
 }
 
-/// Computes one configuration per snapshot in parallel: times `solve` and
-/// applies the optional failure rerouting.  Returns the deployed
-/// configurations in snapshot order plus the summed solve time.
+/// The forecast `predictor` makes after observing a history window (oldest
+/// column first): the demand a forecast-driven LP scheme solves for.
+pub(crate) fn forecast(mut predictor: impl OnlinePredictor, history: &[Vec<f64>]) -> Vec<f64> {
+    for column in history {
+        predictor.observe_pairs(column);
+    }
+    let mut demand = vec![0.0; history.first().map_or(0, Vec::len)];
+    assert!(predictor.predict_pairs_into(&mut demand), "the history window must not be empty");
+    demand
+}
+
+/// Computes one configuration per evaluated sample in parallel: times
+/// `solve` and applies the optional failure rerouting.  Returns the deployed
+/// configurations in sample order plus the summed solve time.
 fn per_snapshot_parallel<F>(
     scenario: &Scenario,
-    indices: &[usize],
+    samples: Range<usize>,
     failure: &Option<FailureScenario>,
     solve: F,
 ) -> (Vec<TeConfig>, f64)
 where
     F: Fn(usize) -> TeConfig + Sync,
 {
-    let results: Vec<(f64, TeConfig)> = indices
-        .par_iter()
-        .map(|&t| {
+    let results: Vec<(f64, TeConfig)> = samples
+        .into_par_iter()
+        .map(|i| {
             let start = Instant::now();
-            let config = solve(t);
+            let config = solve(i);
             let secs = start.elapsed().as_secs_f64();
             (secs, apply_failure(scenario, &config, failure))
         })
@@ -226,14 +251,14 @@ where
     (configs, solve_seconds)
 }
 
-/// Runs one warm-started template over the snapshot series (sequentially —
-/// each solve seeds from the previous snapshot's basis): times the demand
+/// Runs one warm-started template over the evaluated samples (sequentially
+/// — each solve seeds from the previous sample's basis): times the demand
 /// assembly + solve and applies the optional failure rerouting.  Returns the
-/// deployed configurations in snapshot order, the summed solve time and the
+/// deployed configurations in sample order, the summed solve time and the
 /// accumulated solver work.
 fn per_snapshot_template<F>(
     scenario: &Scenario,
-    indices: &[usize],
+    samples: Range<usize>,
     failure: &Option<FailureScenario>,
     template: &mut MluTemplate,
     demand_of: F,
@@ -243,10 +268,10 @@ where
 {
     let mut stats = SeriesStats::default();
     let mut solve_seconds = 0.0;
-    let mut configs = Vec::with_capacity(indices.len());
-    for &t in indices {
+    let mut configs = Vec::with_capacity(samples.len());
+    for i in samples {
         let start = Instant::now();
-        let demand = demand_of(t);
+        let demand = demand_of(i);
         let (config, solve_stats) = template
             .solve(&scenario.paths, &demand)
             .expect("templated min-MLU LP must be solvable");
@@ -261,10 +286,10 @@ where
 /// this trace (see [`lp_series_or_parallel`]).
 const WARM_PROBE_SNAPSHOTS: usize = 4;
 
-/// One LP-based scheme over the evaluated snapshots, stated once: the
-/// series-static `sensitivity_bounds` (absolute units) and `available`
-/// mask, and `demand_of`, the demand solved for at a snapshot
-/// (`flatten_pairs` order).  Both solvers are built from that data — the
+/// One LP-based scheme over the `samples` evaluated snapshots, stated once:
+/// the series-static `sensitivity_bounds` (absolute units) and `available`
+/// mask, and `demand_of`, the demand solved for at a sample (a pair
+/// column).  Both solvers are built from that data — the
 /// [`MluTemplate::with_options`] series and the per-snapshot [`MluProblem`]
 /// of the parallel one-shot fan-out — so they solve the same program.
 ///
@@ -285,7 +310,7 @@ const WARM_PROBE_SNAPSHOTS: usize = 4;
 /// hide that cost entirely nor book it per snapshot).
 fn lp_series_or_parallel<F>(
     scenario: &Scenario,
-    indices: &[usize],
+    samples: usize,
     failure: &Option<FailureScenario>,
     sensitivity_bounds: Option<Vec<f64>>,
     available: Option<Vec<bool>>,
@@ -294,22 +319,22 @@ fn lp_series_or_parallel<F>(
 where
     F: Fn(usize) -> Vec<f64> + Sync,
 {
-    let one_shot = |t: usize| {
-        let mut problem = MluProblem::new(&scenario.paths, demand_of(t));
+    let one_shot = |i: usize| {
+        let mut problem = MluProblem::new(&scenario.paths, demand_of(i));
         problem.sensitivity_bounds = sensitivity_bounds.clone();
         problem.available = available.clone();
         solve_min_mlu(&problem).expect("min-MLU program must be solvable")
     };
     if !solves_exactly(scenario.paths.num_paths()) {
-        let (configs, secs) = per_snapshot_parallel(scenario, indices, failure, one_shot);
+        let (configs, secs) = per_snapshot_parallel(scenario, 0..samples, failure, one_shot);
         return (configs, secs, 0.0, SeriesStats::default());
     }
     let start = Instant::now();
     let mut template =
         MluTemplate::with_options(&scenario.paths, sensitivity_bounds.clone(), available.clone());
     let precompute_seconds = start.elapsed().as_secs_f64();
-    let probe_len = indices.len().min(WARM_PROBE_SNAPSHOTS);
-    let (probe, rest) = indices.split_at(probe_len);
+    let probe_len = samples.min(WARM_PROBE_SNAPSHOTS);
+    let (probe, rest) = (0..probe_len, probe_len..samples);
     let (mut configs, mut secs, mut stats) =
         per_snapshot_template(scenario, probe, failure, &mut template, &demand_of);
     if !rest.is_empty() {
@@ -346,16 +371,14 @@ fn deploy_configs(
         .collect()
 }
 
-/// Evaluates deployed configurations (one per snapshot, in order) against
-/// the realized matrices in parallel, returning the MLU series in snapshot
-/// order.
-fn mlu_series(scenario: &Scenario, indices: &[usize], configs: &[TeConfig]) -> Vec<f64> {
-    assert_eq!(indices.len(), configs.len(), "one configuration per snapshot is required");
-    (0..indices.len())
+/// Evaluates deployed configurations (one per evaluated sample, in order)
+/// against the samples' realized target columns in parallel, returning the
+/// MLU series in snapshot order.
+fn mlu_series(scenario: &Scenario, evaluated: &WindowDataset, configs: &[TeConfig]) -> Vec<f64> {
+    assert_eq!(evaluated.len(), configs.len(), "one configuration per snapshot is required");
+    (0..configs.len())
         .into_par_iter()
-        .map(|i| {
-            max_link_utilization(&scenario.paths, &configs[i], scenario.trace.matrix(indices[i]))
-        })
+        .map(|i| max_link_utilization_pairs(&scenario.paths, &configs[i], evaluated.target(i)))
         .collect()
 }
 
@@ -369,8 +392,10 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
     let indices = options.eval_indices(scenario);
     let window = options.window;
     let train_variances = per_pair_variance_range(&scenario.trace, scenario.split.train.clone());
-    // The history window ending just before snapshot `t`.
-    let history = |t: usize| &scenario.trace.matrices()[t - window..t];
+    let evaluated = options.evaluated(scenario, &indices);
+    // The forecasts of the LP arms, from sample `i`'s history window.
+    let last_value = |i: usize| forecast(LastValue::new(), evaluated.history(i));
+    let window_peak = |i: usize| forecast(SlidingMax::new(window), evaluated.history(i));
     let no_lp = SeriesStats::default();
 
     // Every arm produces the *deployed* configuration series (failure
@@ -390,8 +415,6 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
             let start = Instant::now();
             model.train(&dataset);
             let precompute_seconds = start.elapsed().as_secs_f64();
-            let evaluated =
-                WindowDataset::from_targets(&scenario.trace, window, indices.iter().copied());
             let start = Instant::now();
             let raw = model.predict_batch(&scenario.paths, evaluated.histories());
             let solve_seconds = start.elapsed().as_secs_f64();
@@ -407,21 +430,21 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
             let start = Instant::now();
             model.train(&dataset);
             let precompute_seconds = start.elapsed().as_secs_f64();
-            // The `D_{t-1}` protocol is the same call at window 1.
-            let previous = WindowDataset::from_targets(&scenario.trace, 1, indices.iter().copied());
+            // The `D_{t-1}` protocol: each window's newest column.
+            let previous = evaluated.histories().map(|h| &h[h.len() - 1..]);
             let start = Instant::now();
-            let raw = model.predict_batch(&scenario.paths, previous.histories());
+            let raw = model.predict_batch(&scenario.paths, previous);
             let solve_seconds = start.elapsed().as_secs_f64();
             let configs = deploy_configs(scenario, raw, &options.failure);
             (configs, solve_seconds, precompute_seconds, no_lp)
         }
         Scheme::Desensitization(settings) => lp_series_or_parallel(
             scenario,
-            &indices,
+            indices.len(),
             &options.failure,
             Some(desensitization_bounds(&scenario.paths, settings)),
             None,
-            |t| predict(history(t), settings.predictor).flatten_pairs(),
+            window_peak,
         ),
         Scheme::FaultAwareDesensitization(settings) => {
             let failure = options.failure.clone().unwrap_or_else(FailureScenario::none);
@@ -429,17 +452,15 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
             // post-hoc rerouting is applied.
             lp_series_or_parallel(
                 scenario,
-                &indices,
+                indices.len(),
                 &None,
                 Some(desensitization_bounds(&scenario.paths, settings)),
                 Some(available_paths(&scenario.paths, &failure)),
-                |t| predict(history(t), settings.predictor).flatten_pairs(),
+                window_peak,
             )
         }
-        Scheme::Prediction(predictor) => {
-            lp_series_or_parallel(scenario, &indices, &options.failure, None, None, |t| {
-                predict(history(t), *predictor).flatten_pairs()
-            })
+        Scheme::Prediction => {
+            lp_series_or_parallel(scenario, indices.len(), &options.failure, None, None, last_value)
         }
         Scheme::Oblivious | Scheme::Cope => {
             let hose = HoseModel::fit(&scenario.trace, scenario.split.train.clone(), 1.0);
@@ -465,15 +486,15 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
         }
         Scheme::HeuristicFineGrained(bound) => lp_series_or_parallel(
             scenario,
-            &indices,
+            indices.len(),
             &options.failure,
             Some(heuristic_absolute_bounds(&scenario.paths, &train_variances, *bound)),
             None,
-            |t| predict(history(t), HEURISTIC_PREDICTOR).flatten_pairs(),
+            window_peak,
         ),
     };
 
-    let mlus = mlu_series(scenario, &indices, &configs);
+    let mlus = mlu_series(scenario, &evaluated, &configs);
     let mean_churn = mean_series_churn(&configs);
     let mean_solve = if indices.is_empty() { 0.0 } else { solve_seconds / indices.len() as f64 };
     SchemeRun {
@@ -517,10 +538,9 @@ mod tests {
         let options = fast_options();
         let baseline = omniscient_series(&scenario, &options);
         assert!(!baseline.is_empty());
-        for scheme in [
-            Scheme::Prediction(Predictor::LastSnapshot),
-            Scheme::Desensitization(DesensitizationSettings::default()),
-        ] {
+        for scheme in
+            [Scheme::Prediction, Scheme::Desensitization(DesensitizationSettings::default())]
+        {
             let run = run_scheme(&scenario, &scheme, &options);
             assert_eq!(run.mlus.len(), baseline.len());
             for (m, b) in run.mlus.iter().zip(&baseline) {
@@ -577,6 +597,46 @@ mod tests {
         assert_eq!(got, golden, "FIGRET, DOTE, TEAL-like: {got:#x?}");
     }
 
+    /// The LP arms' MLU series, bit for bit, recorded at the commit before
+    /// their forecasts moved from the matrix predictor onto the serving
+    /// predictors over pair columns: omniscient, Pred TE, Des TE and
+    /// Heuristic FG (linear, piecewise), then Pred TE and FA-Des TE under a
+    /// link failure.
+    #[test]
+    fn lp_arms_reproduce_the_recorded_mlu_bits() {
+        let scenario = small_scenario();
+        let options = fast_options();
+        let failure = random_link_failures(&scenario.graph, 1, 11).unwrap();
+        let failed = EvalOptions { failure: Some(failure), ..fast_options() };
+        let linear = HeuristicBound::Linear { min: 1.0 / 3.0, max: 5.0 / 6.0 };
+        let piecewise = HeuristicBound::Piecewise { min: 0.5, max: 2.0 / 3.0, breakpoint: 0.65 };
+        let runs = [
+            (Scheme::Prediction, &options),
+            (Scheme::Desensitization(DesensitizationSettings::default()), &options),
+            (Scheme::HeuristicFineGrained(linear), &options),
+            (Scheme::HeuristicFineGrained(piecewise), &options),
+            (Scheme::Prediction, &failed),
+            (Scheme::FaultAwareDesensitization(DesensitizationSettings::default()), &failed),
+        ];
+        let mut got = vec![fnv_bits(&omniscient_series(&scenario, &options))];
+        got.extend(
+            runs.iter().map(|(scheme, opts)| fnv_bits(&run_scheme(&scenario, scheme, opts).mlus)),
+        );
+        let golden = [
+            0xacff637969460fec,
+            0x857449908b0b4307,
+            0x7227d23552425464,
+            0x8666e2597dc1ef06,
+            0x0df52735ba2c2560,
+            0xdcd5acd9158e1910,
+            0x458fcf988b67000f,
+        ];
+        assert_eq!(
+            got, golden,
+            "omniscient, Pred, Des, HFG linear, HFG piecewise, failed Pred, FA-Des: {got:#x?}"
+        );
+    }
+
     #[test]
     fn oblivious_and_cope_precompute_static_configs() {
         let scenario = small_scenario();
@@ -595,7 +655,7 @@ mod tests {
         let failure = random_link_failures(&scenario.graph, 1, 11).unwrap();
         let options = EvalOptions { failure: Some(failure), ..fast_options() };
         let baseline = omniscient_series(&scenario, &options);
-        let pred = run_scheme(&scenario, &Scheme::Prediction(Predictor::LastSnapshot), &options);
+        let pred = run_scheme(&scenario, &Scheme::Prediction, &options);
         let fa = run_scheme(
             &scenario,
             &Scheme::FaultAwareDesensitization(DesensitizationSettings::default()),
@@ -618,8 +678,8 @@ mod tests {
         let a = omniscient_series(&scenario, &options);
         let b = omniscient_series(&scenario, &options);
         assert_eq!(a, b);
-        let p1 = run_scheme(&scenario, &Scheme::Prediction(Predictor::LastSnapshot), &options);
-        let p2 = run_scheme(&scenario, &Scheme::Prediction(Predictor::LastSnapshot), &options);
+        let p1 = run_scheme(&scenario, &Scheme::Prediction, &options);
+        let p2 = run_scheme(&scenario, &Scheme::Prediction, &options);
         assert_eq!(p1.mlus, p2.mlus);
         assert_eq!(p1.indices, p2.indices);
     }
@@ -628,10 +688,9 @@ mod tests {
     fn lp_schemes_report_solver_work_and_warm_start() {
         let scenario = small_scenario();
         let options = fast_options();
-        for scheme in [
-            Scheme::Prediction(Predictor::LastSnapshot),
-            Scheme::Desensitization(DesensitizationSettings::default()),
-        ] {
+        for scheme in
+            [Scheme::Prediction, Scheme::Desensitization(DesensitizationSettings::default())]
+        {
             let run = run_scheme(&scenario, &scheme, &options);
             assert_eq!(run.lp_stats.solves, run.indices.len(), "{}", run.scheme);
             assert!(run.lp_stats.totals.iterations > 0, "{} must report pivots", run.scheme);

@@ -4,15 +4,15 @@
 //! online generator, a generated 512–4096-ToR fabric; one shard or many; LP
 //! or learned — is the same four steps:
 //!
-//! 1. a [`ServeSetup`]: path set, pair universe, a source of demand
+//! 1. a `ServeSetup`: path set, pair universe, a source of demand
 //!    *columns* (one `f64` per active pair, slot order), warm-up length and
 //!    tick schedule, plus the training columns where the network has a
 //!    train split;
-//! 2. one [`build_controller`] per shard of the run's
+//! 2. one `build_controller` per shard of the run's
 //!    [`figret_traffic::ShardPlan`] (`--shards 1` is the one-shard plan),
 //!    assembled into a [`FleetController`] — a one-shard fleet *is* the
 //!    unsharded controller, record for record (DESIGN.md §8);
-//! 3. one [`drive`] loop feeding columns to the fleet;
+//! 3. one `drive` loop feeding columns to the fleet;
 //! 4. one [`ServeRun`] and one [`print_serve_report`].
 //!
 //! Dense matrices exist only at the I/O edge: a recorded
@@ -23,7 +23,7 @@
 //!
 //! **Batch-equivalence contract:** with [`ReconfigPolicy::always_update`],
 //! the LP engine and the last-value predictor, a replay re-solves exactly
-//! the per-snapshot series of `run_scheme(Prediction(LastSnapshot))`
+//! the per-snapshot series of `run_scheme(Prediction)`
 //! through an identical warm-started template, so its per-tick MLUs match
 //! the batch path bit for bit (`tests/serve_equivalence.rs` enforces 1e-9).
 

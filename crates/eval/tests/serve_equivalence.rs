@@ -10,7 +10,6 @@ use figret_eval::runner::{omniscient_series, run_scheme, EvalOptions, Scheme};
 use figret_eval::scenario::{Scenario, ScenarioOptions};
 use figret_eval::serving::{serve, ServeEngine, ServeSimOptions, ServeTopology};
 use figret_serve::{PredictorKind, ReconfigPolicy};
-use figret_solvers::Predictor;
 use figret_topology::Topology;
 
 const WINDOW: usize = 4;
@@ -36,7 +35,7 @@ fn serve_options() -> ServeSimOptions {
 fn serving_loop_matches_batch_prediction_on_geant() {
     let scenario = geant_scenario();
     let eval = EvalOptions { window: WINDOW, max_eval_snapshots: None, failure: None };
-    let batch = run_scheme(&scenario, &Scheme::Prediction(Predictor::LastSnapshot), &eval);
+    let batch = run_scheme(&scenario, &Scheme::Prediction, &eval);
     // `serve` builds the same scenario from the options' snapshot count.
     let serve = serve(&serve_options());
 

@@ -10,7 +10,7 @@
 //! * **FTRAN** (`w = B⁻¹ a_q`) transforms just the entering column;
 //! * each pivot appends one eta column to a flat arena instead of touching
 //!   every row, and the factorization is rebuilt from the basis columns
-//!   ("reinversion") every [`REFACTOR_INTERVAL`] updates — sooner once the
+//!   ("reinversion") every `REFACTOR_INTERVAL` updates — sooner once the
 //!   update etas hold `16m + 1024` nonzeros — which also restores numerical
 //!   accuracy.
 //!
@@ -38,12 +38,12 @@
 //! as its dense form — the `cfg(test)` oracles in this file — so ties,
 //! candidate lists and results are unchanged to the bit, up to the sign of
 //! a zero.  Phase-2 pricing is also **partial**: a candidate list of the
-//! [`CANDIDATE_LIST`] most attractive columns from the last full sweep is
+//! `CANDIDATE_LIST` most attractive columns from the last full sweep is
 //! re-priced exactly (one sparse dot per column) on every iteration, and the
-//! full sweep only runs when the list goes dry or [`MINOR_LIMIT`] minor
+//! full sweep only runs when the list goes dry or `MINOR_LIMIT` minor
 //! iterations have passed.  Optimality is only ever declared by a clean full
 //! sweep, so partial pricing changes the pivot path, never the answer;
-//! phase 1 and Bland mode always price fully (see [`MINOR_LIMIT`] and the
+//! phase 1 and Bland mode always price fully (see `MINOR_LIMIT` and the
 //! phase-1 comment).  Reinversion is event-driven (singleton columns pivot
 //! without etas, sparse FTRANs only visit the etas they excite), so the work
 //! scales with the nonzeros actually involved.

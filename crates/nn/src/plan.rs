@@ -15,13 +15,13 @@
 //! reference counts** (`tests/plan_allocations.rs`), and its bits do not
 //! depend on the thread count.
 //!
-//! The two affine kernels are `dispatched!` ([`crate::dispatch`]): one
+//! The two affine kernels are `dispatched!` (`crate::dispatch`): one
 //! portable body, also compiled with AVX2 and picked at run time.  What makes
 //! them fast is how many independent sums are in flight, not the register
 //! width.  One output's sum is a chain of dependent additions, and the add
 //! latency bounds a chain whatever register holds it, so the dot kernel
-//! advances [`OUT_BLOCK`] outputs per pass over `x`, and the axpy kernel
-//! applies [`IN_BLOCK`] inputs per pass over `y`.  Each output is still the
+//! advances `OUT_BLOCK` outputs per pass over `x`, and the axpy kernel
+//! applies `IN_BLOCK` inputs per pass over `y`.  Each output is still the
 //! same IEEE sum, of the same products in the same order, that one output or
 //! one input at a time would form, so the bits do not depend on the block,
 //! the body or the split (`tests/plan_golden_bits.rs`, recorded before the

@@ -186,7 +186,7 @@ impl GlobalAdmission {
     }
 
     /// The second solve wave: every unsolved contender whose regret bound is
-    /// not below [`Self::cutoff`] of the bids solved so far (a NaN bound is
+    /// not below `cutoff` of the bids solved so far (a NaN bound is
     /// solved, never trusted).  Fills `wave` with their shard indices,
     /// ascending; after it, every unsolved bid is provably outranked.
     pub fn second_wave(&mut self, open_grants: usize, bids: &[ShardBid], wave: &mut Vec<usize>) {

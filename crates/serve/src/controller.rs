@@ -932,7 +932,7 @@ pub(crate) mod tests {
     use crate::recovery::RecoveryConfig;
     use figret::FigretConfig;
     use figret_solvers::omniscient_config;
-    use figret_te::max_link_utilization;
+    use figret_te::max_link_utilization_pairs;
     use figret_topology::{Topology, TopologySpec};
     use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
     use figret_traffic::{
@@ -1015,7 +1015,7 @@ pub(crate) mod tests {
         for (i, r) in log.records.iter().enumerate() {
             let t = 2 + i;
             let omni = omniscient_config(&ps, trace.matrix(t)).unwrap();
-            let bound = max_link_utilization(&ps, &omni, trace.matrix(t));
+            let bound = max_link_utilization_pairs(&ps, &omni, &trace.matrix(t).flatten_pairs());
             assert!(r.realized_mlu + 1e-9 >= bound, "tick {i}: {} < {bound}", r.realized_mlu);
         }
         // The warm template must actually warm start on a stable trace.

@@ -7,7 +7,8 @@
 //! loop the batch replay binaries cannot express.
 //!
 //! * [`predictor`] — stateful one-step-ahead forecasters (last-value, EWMA,
-//!   sliding-window mean/max);
+//!   sliding-window mean/max), which the evaluation's LP baselines forecast
+//!   with too;
 //! * [`policy`] — reconfiguration gates: hysteresis on predicted-MLU
 //!   regret, a sliding-window update budget, and the learned→LP degradation
 //!   fallback;

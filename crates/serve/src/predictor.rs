@@ -1,9 +1,12 @@
-//! Online demand predictors.
+//! Online demand predictors — the one forecast family of the workspace.
 //!
-//! A batch predictor ([`figret_solvers::Predictor`]) is handed a complete
-//! history window per call; an online predictor instead *ingests* demands
-//! one at a time ([`OnlinePredictor::observe_pairs`]) and can be asked for
-//! a forecast at any tick ([`OnlinePredictor::predict_pairs_into`]).
+//! A predictor *ingests* demands one at a time
+//! ([`OnlinePredictor::observe_pairs`]) and can be asked for a forecast at
+//! any tick ([`OnlinePredictor::predict_pairs_into`]).  The serving
+//! controllers run them tick by tick; the evaluation's LP baselines feed each
+//! one a snapshot's history window and take its forecast (Pred TE the
+//! [`LastValue`], the desensitization schemes the [`SlidingMax`] peak), so a
+//! figure and a served tick forecast with the same code.
 //!
 //! Predictors operate on **pair columns**: flat `f64` vectors with one slot
 //! per active SD pair, in the shared slot order of the serving universe
@@ -12,13 +15,7 @@
 //! [`figret_traffic::ActivePairs`] index).  State is `O(window · nnz)` —
 //! predictors never materialize an `N×N` matrix, which is what lets the
 //! serving loop scale to multi-thousand-ToR fabrics.  The element-wise
-//! update rules go through the same [`figret_traffic::ops`] kernels the
-//! dense [`figret_traffic::DemandMatrix`] uses, so forecasts are
-//! bit-identical to the historical matrix-based formulation on a dense
-//! universe.  The sliding-window variants reproduce the batch predictors
-//! exactly over the same window; EWMA has no batch counterpart (its state
-//! is unbounded history with geometric decay — only an online formulation
-//! makes sense).
+//! update rules are the [`figret_traffic::ops`] kernels.
 
 use std::collections::VecDeque;
 
@@ -98,8 +95,6 @@ impl OnlinePredictor for Ewma {
     fn observe_pairs(&mut self, demand: &[f64]) {
         match &mut self.state {
             None => self.state = Some(demand.to_vec()),
-            // The same kernel `DemandMatrix::ewma_blend` uses — bit-identical
-            // to the historical matrix-based state.
             Some(s) => ops::ewma_blend(s, self.alpha, demand),
         }
     }
@@ -119,8 +114,7 @@ impl OnlinePredictor for Ewma {
     }
 }
 
-/// Element-wise mean of the last `window` observations (the batch
-/// [`figret_solvers::Predictor::WindowMean`], formulated online).
+/// Element-wise mean of the last `window` observations.
 #[derive(Debug)]
 pub struct SlidingMean {
     window: usize,
@@ -144,8 +138,7 @@ impl OnlinePredictor for SlidingMean {
         if self.buffer.is_empty() {
             return false;
         }
-        // Sum clamped at zero per element, then the scale clamped at zero —
-        // the fold `axpy(1.0, ·)` + `scaled(1/len)` performs.
+        // Sum clamped at zero per element, then the scale clamped at zero.
         out.fill(0.0);
         for row in &self.buffer {
             ops::accumulate_clamped(out, row);
@@ -237,10 +230,22 @@ impl PredictorKind {
 
     /// Parses a CLI spelling: `last`, `ewma` / `ewma:0.3`, `mean` /
     /// `mean:8`, `max` / `max:8` (window defaults to `default_window`).
+    /// Out-of-range values are errors, not panics in [`Self::build`]: the
+    /// EWMA factor must lie in (0, 1] and a window must be at least 1.
     pub fn parse(spec: &str, default_window: usize) -> Result<PredictorKind, String> {
         let (head, arg) = match spec.split_once(':') {
             Some((h, a)) => (h, Some(a)),
             None => (spec, None),
+        };
+        let window = || {
+            let w = match arg {
+                Some(a) => a.parse::<usize>().map_err(|_| format!("invalid window '{a}'"))?,
+                None => default_window,
+            };
+            if w == 0 {
+                return Err(format!("predictor '{spec}' needs a window of at least 1, got 0"));
+            }
+            Ok(w)
         };
         match head {
             "last" | "last-value" => Ok(PredictorKind::LastValue),
@@ -251,22 +256,13 @@ impl PredictorKind {
                     }
                     None => 0.3,
                 };
+                if !(alpha > 0.0 && alpha <= 1.0) {
+                    return Err(format!("EWMA factor must lie in (0, 1], got {alpha}"));
+                }
                 Ok(PredictorKind::Ewma(alpha))
             }
-            "mean" | "sliding-mean" => {
-                let w = match arg {
-                    Some(a) => a.parse::<usize>().map_err(|_| format!("invalid window '{a}'"))?,
-                    None => default_window,
-                };
-                Ok(PredictorKind::SlidingMean(w))
-            }
-            "max" | "sliding-max" | "peak" => {
-                let w = match arg {
-                    Some(a) => a.parse::<usize>().map_err(|_| format!("invalid window '{a}'"))?,
-                    None => default_window,
-                };
-                Ok(PredictorKind::SlidingMax(w))
-            }
+            "mean" | "sliding-mean" => Ok(PredictorKind::SlidingMean(window()?)),
+            "max" | "sliding-max" | "peak" => Ok(PredictorKind::SlidingMax(window()?)),
             other => Err(format!(
                 "unknown predictor '{other}' (expected last | ewma[:a] | mean[:w] | max[:w])"
             )),
@@ -277,11 +273,6 @@ impl PredictorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use figret_traffic::DemandMatrix;
-
-    fn dm(pairs: &[f64]) -> DemandMatrix {
-        DemandMatrix::from_pairs(2, pairs).unwrap()
-    }
 
     fn forecast(p: &dyn OnlinePredictor, len: usize) -> Vec<f64> {
         let mut out = vec![0.0; len];
@@ -312,18 +303,25 @@ mod tests {
     }
 
     #[test]
-    fn sliding_predictors_match_their_batch_counterparts() {
-        use figret_solvers::{predict, Predictor};
-        let history = vec![dm(&[1.0, 10.0]), dm(&[3.0, 6.0]), dm(&[2.0, 8.0]), dm(&[4.0, 2.0])];
-        let mut mean = SlidingMean::new(3);
-        let mut max = SlidingMax::new(3);
-        for m in &history {
-            mean.observe_pairs(&m.flatten_pairs());
-            max.observe_pairs(&m.flatten_pairs());
+    fn predictors_behave_as_documented() {
+        // Six snapshots of a 4-node network's 12 pairs: the last value is
+        // the newest column, and the window peak dominates both it and the
+        // window mean.
+        let history: Vec<Vec<f64>> =
+            (0..6).map(|t| (0..12).map(|i| 20.0 + 5.0 * ((t + i) % 3) as f64).collect()).collect();
+        let (mut last, mut mean, mut peak) =
+            (LastValue::new(), SlidingMean::new(6), SlidingMax::new(6));
+        for column in &history {
+            last.observe_pairs(column);
+            mean.observe_pairs(column);
+            peak.observe_pairs(column);
         }
-        let tail = &history[1..];
-        assert_eq!(forecast(&mean, 2), predict(tail, Predictor::WindowMean).flatten_pairs());
-        assert_eq!(forecast(&max, 2), predict(tail, Predictor::WindowPeak).flatten_pairs());
+        let (last, mean, peak) = (forecast(&last, 12), forecast(&mean, 12), forecast(&peak, 12));
+        assert_eq!(&last, history.last().unwrap());
+        for i in 0..12 {
+            assert!(peak[i] >= mean[i] - 1e-9);
+            assert!(peak[i] >= last[i] - 1e-9);
+        }
     }
 
     #[test]
@@ -335,12 +333,63 @@ mod tests {
         assert_eq!(forecast(&p, 2), vec![1.0, 2.0]);
     }
 
+    /// The forecast of `kind` after `observed`, written per pair as a plain
+    /// loop over the observations (the window of 3 covers the newest three):
+    /// the element-wise blend, sum and peak the matrix formulation folded.
+    fn plain_loop_forecast(kind: PredictorKind, observed: &[[f64; 2]]) -> Vec<f64> {
+        let window = &observed[observed.len().saturating_sub(3)..];
+        (0..2)
+            .map(|i| match kind {
+                PredictorKind::LastValue => observed[observed.len() - 1][i],
+                PredictorKind::Ewma(alpha) => {
+                    let mut state = observed[0][i];
+                    for column in &observed[1..] {
+                        state = ((state * (1.0 - alpha)).max(0.0) + alpha * column[i]).max(0.0);
+                    }
+                    state
+                }
+                PredictorKind::SlidingMean(_) => {
+                    let mut sum = 0.0f64;
+                    for column in window {
+                        sum = (sum + column[i]).max(0.0);
+                    }
+                    (sum * (1.0 / window.len() as f64)).max(0.0)
+                }
+                PredictorKind::SlidingMax(_) => {
+                    let mut peak = window[0][i];
+                    for column in &window[1..] {
+                        peak = peak.max(column[i]);
+                    }
+                    peak
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliding_predictors_match_their_batch_counterparts() {
+        // Fed four columns, the window of 3 has evicted the first: the
+        // forecasts equal the batch mean and peak of the last three alone.
+        let history = [[1.0, 10.0], [3.0, 6.0], [2.0, 8.0], [4.0, 2.0]];
+        let mut mean = SlidingMean::new(3);
+        let mut max = SlidingMax::new(3);
+        for column in &history {
+            mean.observe_pairs(column);
+            max.observe_pairs(column);
+        }
+        let tail = &history[1..];
+        assert_eq!(forecast(&mean, 2), plain_loop_forecast(PredictorKind::SlidingMean(3), tail));
+        assert_eq!(forecast(&max, 2), plain_loop_forecast(PredictorKind::SlidingMax(3), tail));
+        assert_eq!(forecast(&mean, 2), vec![3.0, 16.0 / 3.0]);
+        assert_eq!(forecast(&max, 2), vec![4.0, 8.0]);
+    }
+
     #[test]
     fn column_forecasts_are_bit_identical_to_the_matrix_formulation() {
-        // The historical predictors held DemandMatrix state and flattened on
-        // prediction; the columnar reimplementation must reproduce those
-        // forecasts bit for bit on a dense universe.
-        let history = vec![dm(&[1.0, 10.0]), dm(&[3.0, 6.0]), dm(&[2.0, 8.0]), dm(&[4.0, 2.0])];
+        // Each forecast, after every observation, against the matrix
+        // formulation written as plain loops: the window of 3 evicts the
+        // first column from the fourth observation on.
+        let history = [[1.0, 10.0], [3.0, 6.0], [2.0, 8.0], [4.0, 2.0], [0.5, 9.0]];
         let kinds = [
             PredictorKind::LastValue,
             PredictorKind::Ewma(0.3),
@@ -351,48 +400,12 @@ mod tests {
             let mut p = kind.build();
             let mut out = vec![0.0; 2];
             assert!(!p.predict_pairs_into(&mut out), "{}: empty predictor must refuse", p.name());
-            // Matrix-state reference: fold with DemandMatrix ops, flatten last.
-            let mut ewma_state: Option<DemandMatrix> = None;
-            let mut window: VecDeque<DemandMatrix> = VecDeque::new();
-            for m in &history {
-                p.observe_pairs(&m.flatten_pairs());
+            for seen in 1..=history.len() {
+                p.observe_pairs(&history[seen - 1]);
                 assert!(p.predict_pairs_into(&mut out));
-                match &mut ewma_state {
-                    Some(s) => s.ewma_blend(0.3, m),
-                    None => ewma_state = Some(m.clone()),
-                }
-                window.push_back(m.clone());
-                if window.len() > 3 {
-                    window.pop_front();
-                }
-                let reference = match kind {
-                    PredictorKind::LastValue => m.flatten_pairs(),
-                    PredictorKind::Ewma(_) => {
-                        ewma_state.as_ref().expect("state set above").flatten_pairs()
-                    }
-                    PredictorKind::SlidingMean(_) => {
-                        let mut acc = DemandMatrix::zeros(2);
-                        for w in &window {
-                            acc = acc.axpy(1.0, w);
-                        }
-                        acc.scaled(1.0 / window.len() as f64).flatten_pairs()
-                    }
-                    PredictorKind::SlidingMax(_) => {
-                        let mut it = window.iter();
-                        let mut acc = it.next().expect("window is non-empty").clone();
-                        for w in it {
-                            acc = acc.element_max(w);
-                        }
-                        acc.flatten_pairs()
-                    }
-                };
+                let reference = plain_loop_forecast(kind, &history[..seen]);
                 for (a, b) in out.iter().zip(&reference) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{}: column forecast must be bit-identical",
-                        p.name()
-                    );
+                    assert_eq!(a.to_bits(), b.to_bits(), "{} after {seen}", p.name());
                 }
             }
         }
@@ -406,6 +419,18 @@ mod tests {
         assert_eq!(PredictorKind::parse("max:4", 8).unwrap(), PredictorKind::SlidingMax(4));
         assert!(PredictorKind::parse("oracle", 8).is_err());
         assert!(PredictorKind::parse("ewma:x", 8).is_err());
+        // Out-of-range values are errors naming the valid range, never a
+        // panic in `build`.
+        for spec in ["ewma:0", "ewma:1.5", "ewma:nan", "ewma:-0.5"] {
+            let err = PredictorKind::parse(spec, 8).unwrap_err();
+            assert!(err.contains("(0, 1]"), "{spec}: {err}");
+        }
+        assert_eq!(PredictorKind::parse("ewma:1", 8).unwrap(), PredictorKind::Ewma(1.0));
+        for (spec, default_window) in [("mean:0", 8), ("max:0", 8), ("mean", 0), ("max", 0)] {
+            let err = PredictorKind::parse(spec, default_window).unwrap_err();
+            assert!(err.contains("at least 1"), "{spec} (default {default_window}): {err}");
+        }
+        assert_eq!(PredictorKind::parse("last", 0).unwrap(), PredictorKind::LastValue);
         assert_eq!(PredictorKind::Ewma(0.25).build().name(), "ewma");
     }
 }

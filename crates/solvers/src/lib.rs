@@ -5,10 +5,14 @@
 //! expressions of `figret-te`:
 //!
 //! * [`schemes::omniscient_config`] — the normalizer of every quality figure;
-//! * [`schemes::prediction_config`] — demand-prediction-based TE;
-//! * [`schemes::desensitization_config`] — Google Jupiter's hedging (Des TE),
-//!   plus its fault-aware variant and the heuristic fine-grained variant of
-//!   Appendix C;
+//! * the forecast-driven LP schemes — prediction-based TE, Google Jupiter's
+//!   hedging (Des TE), its fault-aware variant and the heuristic
+//!   fine-grained variant of Appendix C — are one [`MluProblem`] (or one
+//!   [`MluTemplate`] over a series) each: a forecast demand, solved under
+//!   [`schemes::desensitization_bounds`] or
+//!   [`schemes::heuristic_absolute_bounds`] and an optional availability
+//!   mask.  The forecast comes from the caller; the evaluation runner takes
+//!   it from the serving predictors over pair columns;
 //! * [`oblivious::oblivious_config`] / [`oblivious::cope_config`] — worst-case
 //!   schemes over a hose uncertainty set (substitution documented in
 //!   DESIGN.md §5);
@@ -20,7 +24,7 @@
 //! ```
 //! use figret_topology::{Topology, TopologySpec};
 //! use figret_traffic::DemandMatrix;
-//! use figret_te::{max_link_utilization, PathSet};
+//! use figret_te::{max_link_utilization_pairs, PathSet};
 //! use figret_solvers::omniscient_config;
 //!
 //! let pod = TopologySpec::full_scale(Topology::MetaDbPod).build();
@@ -29,7 +33,7 @@
 //! demand.set(0, 1, 80.0);
 //! demand.set(2, 3, 40.0);
 //! let config = omniscient_config(&paths, &demand).unwrap();
-//! assert!(max_link_utilization(&paths, &config, &demand) <= 0.81);
+//! assert!(max_link_utilization_pairs(&paths, &config, &demand.flatten_pairs()) <= 0.81);
 //! ```
 
 #![warn(missing_docs)]
@@ -48,10 +52,8 @@ pub use oblivious::{
     HoseModel, ObliviousResult,
 };
 pub use schemes::{
-    desensitization_bounds, desensitization_config, fault_aware_desensitization_config,
-    heuristic_absolute_bounds, heuristic_bounds, heuristic_fine_grained_config, omniscient_config,
-    predict, prediction_config, DesensitizationSettings, HeuristicBound, Predictor,
-    HEURISTIC_PREDICTOR,
+    desensitization_bounds, heuristic_absolute_bounds, heuristic_bounds, omniscient_config,
+    DesensitizationSettings, HeuristicBound,
 };
 pub use template::{MluTemplate, RestrictedMluTemplate, SeriesStats};
 

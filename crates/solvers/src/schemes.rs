@@ -2,70 +2,31 @@
 //!
 //! * **Omniscient TE** — optimal MLU with perfect knowledge of the upcoming
 //!   demand (the normalizer of every quality figure);
-//! * **Demand-prediction-based TE** — predict the next demand from the history
-//!   window (last snapshot or window mean) and optimize for the prediction;
+//! * **Demand-prediction-based TE** — optimize for a forecast of the next
+//!   demand (the last snapshot);
 //! * **Desensitization-based TE** — Google Jupiter's hedging: optimize for the
-//!   element-wise *peak* matrix of the window under a uniform path-sensitivity
-//!   cap; the fault-aware variant additionally knows which links will fail;
+//!   element-wise *peak* of the history window under a uniform
+//!   path-sensitivity cap; the fault-aware variant additionally knows which
+//!   links will fail;
 //! * **Heuristic fine-grained TE** (Appendix C) — the same scheme but with a
 //!   per-pair sensitivity bound derived from the traffic-variance ordering via
 //!   a linear or piecewise function.
+//!
+//! The schemes differ only in the demand they solve for and the bounds and
+//! mask they solve under.  The forecast is the caller's: the evaluation runner
+//! takes it from the online predictors that serve (`figret_serve::{LastValue,
+//! SlidingMax}`) over pair columns.  This module holds the bound policies
+//! ([`desensitization_bounds`], [`heuristic_absolute_bounds`]), which a
+//! [`MluProblem`] or a [`crate::template::MluTemplate`] then solves under.
 
-use figret_te::{available_paths, PathSet, TeConfig};
-use figret_topology::FailureScenario;
+use figret_te::{PathSet, TeConfig};
 use figret_traffic::DemandMatrix;
 
 use crate::engine::{normalized_bound_to_absolute, solve_min_mlu, MluProblem, SolveError};
 
-/// How demand-prediction-based TE forecasts the next demand matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Predictor {
-    /// Use the most recent snapshot unchanged (the paper's choice for TEAL and
-    /// the default for prediction-based TE).
-    LastSnapshot,
-    /// Use the element-wise mean of the history window.
-    WindowMean,
-    /// Use the element-wise maximum of the history window (the "anticipated
-    /// matrix composed of peak values" used by desensitization-based TE).
-    WindowPeak,
-}
-
-/// Applies a predictor to a history window (most recent matrix last).
-pub fn predict(history: &[DemandMatrix], predictor: Predictor) -> DemandMatrix {
-    assert!(!history.is_empty(), "the history window must not be empty");
-    match predictor {
-        Predictor::LastSnapshot => history.last().expect("non-empty").clone(),
-        Predictor::WindowMean => {
-            let n = history[0].num_nodes();
-            let mut acc = DemandMatrix::zeros(n);
-            for m in history {
-                acc = acc.axpy(1.0, m);
-            }
-            acc.scaled(1.0 / history.len() as f64)
-        }
-        Predictor::WindowPeak => {
-            let mut acc = history[0].clone();
-            for m in &history[1..] {
-                acc = acc.element_max(m);
-            }
-            acc
-        }
-    }
-}
-
 /// Omniscient TE: optimize directly for the realized demand.
 pub fn omniscient_config(paths: &PathSet, demand: &DemandMatrix) -> Result<TeConfig, SolveError> {
     solve_min_mlu(&MluProblem::new(paths, demand.flatten_pairs()))
-}
-
-/// Demand-prediction-based TE: optimize for the predicted demand.
-pub fn prediction_config(
-    paths: &PathSet,
-    history: &[DemandMatrix],
-    predictor: Predictor,
-) -> Result<TeConfig, SolveError> {
-    let predicted = predict(history, predictor);
-    solve_min_mlu(&MluProblem::new(paths, predicted.flatten_pairs()))
 }
 
 /// Parameters of desensitization-based TE.
@@ -75,52 +36,22 @@ pub struct DesensitizationSettings {
     /// (the smallest link counts as 1); the paper's "Original" setting in
     /// Appendix C is 2/3.
     pub sensitivity_bound: f64,
-    /// Which prediction to optimize for (the paper uses the window peak).
-    pub predictor: Predictor,
 }
 
 impl Default for DesensitizationSettings {
     fn default() -> Self {
-        DesensitizationSettings { sensitivity_bound: 2.0 / 3.0, predictor: Predictor::WindowPeak }
+        DesensitizationSettings { sensitivity_bound: 2.0 / 3.0 }
     }
 }
 
 /// The per-pair sensitivity bounds desensitization-based TE applies, in
 /// absolute units — the single source of the scheme's bound policy, shared by
-/// the one-shot configs here and the series templates
-/// ([`crate::template::MluTemplate::with_options`]).
+/// one-shot problems ([`MluProblem::with_sensitivity_bounds`]) and the series
+/// templates ([`crate::template::MluTemplate::with_options`]).
 pub fn desensitization_bounds(paths: &PathSet, settings: &DesensitizationSettings) -> Vec<f64> {
     let min_cap = paths.edge_capacities().iter().cloned().fold(f64::INFINITY, f64::min);
     let bound_abs = normalized_bound_to_absolute(settings.sensitivity_bound, min_cap);
     vec![bound_abs; paths.num_pairs()]
-}
-
-/// Desensitization-based TE (Google Jupiter's hedging mechanism).
-pub fn desensitization_config(
-    paths: &PathSet,
-    history: &[DemandMatrix],
-    settings: &DesensitizationSettings,
-) -> Result<TeConfig, SolveError> {
-    let predicted = predict(history, settings.predictor);
-    let problem = MluProblem::new(paths, predicted.flatten_pairs())
-        .with_sensitivity_bounds(desensitization_bounds(paths, settings));
-    solve_min_mlu(&problem)
-}
-
-/// Fault-aware desensitization-based TE: the scheme additionally knows which
-/// links will fail and optimizes only over the surviving paths (the "FA Des
-/// TE" baseline of Figure 7).
-pub fn fault_aware_desensitization_config(
-    paths: &PathSet,
-    history: &[DemandMatrix],
-    settings: &DesensitizationSettings,
-    scenario: &FailureScenario,
-) -> Result<TeConfig, SolveError> {
-    let predicted = predict(history, settings.predictor);
-    let problem = MluProblem::new(paths, predicted.flatten_pairs())
-        .with_sensitivity_bounds(desensitization_bounds(paths, settings))
-        .with_available(available_paths(paths, scenario));
-    solve_min_mlu(&problem)
 }
 
 /// The heuristic per-pair sensitivity-constraint functions of Appendix C.
@@ -173,13 +104,10 @@ pub fn heuristic_bounds(variances: &[f64], heuristic: HeuristicBound) -> Vec<f64
     bounds
 }
 
-/// The predictor heuristic fine-grained TE optimizes for (the same window
-/// peak the plain desensitization scheme hedges against).
-pub const HEURISTIC_PREDICTOR: Predictor = Predictor::WindowPeak;
-
 /// The per-pair heuristic bounds in absolute units — the single source of the
-/// Appendix C bound policy, shared by [`heuristic_fine_grained_config`] and
-/// the series templates ([`crate::template::MluTemplate::with_options`]).
+/// Appendix C bound policy, shared by one-shot problems
+/// ([`MluProblem::with_sensitivity_bounds`]) and the series templates
+/// ([`crate::template::MluTemplate::with_options`]).
 pub fn heuristic_absolute_bounds(
     paths: &PathSet,
     variances: &[f64],
@@ -193,24 +121,10 @@ pub fn heuristic_absolute_bounds(
         .collect()
 }
 
-/// Desensitization-based TE with fine-grained (per-pair) heuristic bounds —
-/// the Appendix C variant that retrofits FIGRET's idea onto Google's scheme.
-pub fn heuristic_fine_grained_config(
-    paths: &PathSet,
-    history: &[DemandMatrix],
-    variances: &[f64],
-    heuristic: HeuristicBound,
-) -> Result<TeConfig, SolveError> {
-    let bounds = heuristic_absolute_bounds(paths, variances, heuristic);
-    let predicted = predict(history, HEURISTIC_PREDICTOR);
-    let problem = MluProblem::new(paths, predicted.flatten_pairs()).with_sensitivity_bounds(bounds);
-    solve_min_mlu(&problem)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use figret_te::{max_link_utilization, max_link_utilization_pairs, max_sensitivity};
+    use figret_te::{available_paths, max_link_utilization_pairs, max_sensitivity};
     use figret_topology::{random_link_failures, Topology, TopologySpec};
 
     fn pod_setup() -> (PathSet, Vec<DemandMatrix>) {
@@ -232,21 +146,20 @@ mod tests {
         (ps, history)
     }
 
-    #[test]
-    fn predictors_behave_as_documented() {
-        let (_ps, history) = pod_setup();
-        let last = predict(&history, Predictor::LastSnapshot);
-        assert_eq!(&last, history.last().unwrap());
-        let mean = predict(&history, Predictor::WindowMean);
-        let peak = predict(&history, Predictor::WindowPeak);
-        for s in 0..4 {
-            for d in 0..4 {
-                if s != d {
-                    assert!(peak.get(s, d) >= mean.get(s, d) - 1e-9);
-                    assert!(peak.get(s, d) >= last.get(s, d) - 1e-9);
-                }
+    /// The window's element-wise peak, the demand the desensitization schemes
+    /// solve for.
+    fn window_peak(history: &[DemandMatrix]) -> Vec<f64> {
+        let mut peak = history[0].flatten_pairs();
+        for m in &history[1..] {
+            for (p, d) in peak.iter_mut().zip(m.flatten_pairs()) {
+                *p = p.max(d);
             }
         }
+        peak
+    }
+
+    fn mlu(ps: &PathSet, config: &TeConfig, demand: &DemandMatrix) -> f64 {
+        max_link_utilization_pairs(ps, config, &demand.flatten_pairs())
     }
 
     #[test]
@@ -254,10 +167,10 @@ mod tests {
         let (ps, history) = pod_setup();
         let realized = history.last().unwrap().scaled(1.4);
         let omni = omniscient_config(&ps, &realized).unwrap();
-        let pred =
-            prediction_config(&ps, &history[..history.len() - 1], Predictor::LastSnapshot).unwrap();
-        let omni_mlu = max_link_utilization(&ps, &omni, &realized);
-        let pred_mlu = max_link_utilization(&ps, &pred, &realized);
+        let last = history[history.len() - 2].flatten_pairs();
+        let pred = solve_min_mlu(&MluProblem::new(&ps, last)).unwrap();
+        let omni_mlu = mlu(&ps, &omni, &realized);
+        let pred_mlu = mlu(&ps, &pred, &realized);
         assert!(omni_mlu <= pred_mlu + 1e-9, "omniscient {omni_mlu} vs prediction {pred_mlu}");
     }
 
@@ -265,7 +178,9 @@ mod tests {
     fn desensitization_respects_the_uniform_cap() {
         let (ps, history) = pod_setup();
         let settings = DesensitizationSettings::default();
-        let cfg = desensitization_config(&ps, &history, &settings).unwrap();
+        let problem = MluProblem::new(&ps, window_peak(&history))
+            .with_sensitivity_bounds(desensitization_bounds(&ps, &settings));
+        let cfg = solve_min_mlu(&problem).unwrap();
         let min_cap = ps.edge_capacities().iter().cloned().fold(f64::INFINITY, f64::min);
         let bound_abs = normalized_bound_to_absolute(settings.sensitivity_bound, min_cap);
         assert!(max_sensitivity(&ps, &cfg) <= bound_abs + 1e-6);
@@ -273,10 +188,7 @@ mod tests {
         // least the omniscient one for the same matrix.
         let realized = history.last().unwrap().clone();
         let omni = omniscient_config(&ps, &realized).unwrap();
-        assert!(
-            max_link_utilization(&ps, &cfg, &realized)
-                >= max_link_utilization(&ps, &omni, &realized) - 1e-9
-        );
+        assert!(mlu(&ps, &cfg, &realized) >= mlu(&ps, &omni, &realized) - 1e-9);
     }
 
     #[test]
@@ -285,14 +197,14 @@ mod tests {
         let ps = PathSet::k_shortest(&g, 3);
         let (_, history) = pod_setup();
         let scenario = random_link_failures(&g, 1, 3).unwrap();
-        let cfg = fault_aware_desensitization_config(
-            &ps,
-            &history,
-            &DesensitizationSettings::default(),
-            &scenario,
-        )
-        .unwrap();
         let alive = available_paths(&ps, &scenario);
+        let problem = MluProblem::new(&ps, window_peak(&history))
+            .with_sensitivity_bounds(desensitization_bounds(
+                &ps,
+                &DesensitizationSettings::default(),
+            ))
+            .with_available(alive.clone());
+        let cfg = solve_min_mlu(&problem).unwrap();
         for p in 0..ps.num_paths() {
             if !alive[p] {
                 assert_eq!(cfg.ratio(p), 0.0);
@@ -324,23 +236,20 @@ mod tests {
         // Make one pair clearly bursty and the rest stable.
         let mut variances = vec![1.0; ps.num_pairs()];
         variances[0] = 100.0;
-        let uniform = desensitization_config(
-            &ps,
-            &history,
-            &DesensitizationSettings { sensitivity_bound: 0.5, predictor: Predictor::WindowPeak },
+        let peak = window_peak(&history);
+        let uniform = solve_min_mlu(&MluProblem::new(&ps, peak.clone()).with_sensitivity_bounds(
+            desensitization_bounds(&ps, &DesensitizationSettings { sensitivity_bound: 0.5 }),
+        ))
+        .unwrap();
+        let heuristic = HeuristicBound::Piecewise { min: 0.5, max: 1.0, breakpoint: 0.9 };
+        let fine = solve_min_mlu(
+            &MluProblem::new(&ps, peak)
+                .with_sensitivity_bounds(heuristic_absolute_bounds(&ps, &variances, heuristic)),
         )
         .unwrap();
-        let fine = heuristic_fine_grained_config(
-            &ps,
-            &history,
-            &variances,
-            HeuristicBound::Piecewise { min: 0.5, max: 1.0, breakpoint: 0.9 },
-        )
-        .unwrap();
-        let realized = history.last().unwrap().clone();
-        let d = realized.flatten_pairs();
-        let mlu_uniform = max_link_utilization_pairs(&ps, &uniform, &d);
-        let mlu_fine = max_link_utilization_pairs(&ps, &fine, &d);
+        let realized = history.last().unwrap();
+        let mlu_uniform = mlu(&ps, &uniform, realized);
+        let mlu_fine = mlu(&ps, &fine, realized);
         assert!(
             mlu_fine <= mlu_uniform + 1e-9,
             "relaxing stable pairs must not hurt the normal case ({mlu_fine} vs {mlu_uniform})"

@@ -443,7 +443,7 @@ impl SeriesStats {
 mod tests {
     use super::*;
     use crate::engine::solve_min_mlu;
-    use crate::schemes::{desensitization_bounds, desensitization_config, DesensitizationSettings};
+    use crate::schemes::{desensitization_bounds, DesensitizationSettings};
     use figret_te::{available_paths, max_link_utilization_pairs};
     use figret_topology::{random_link_failures, FabricSpec, Topology, TopologySpec};
     use figret_traffic::datacenter::{tor_trace_sparse, TorTrafficConfig};
@@ -527,16 +527,22 @@ mod tests {
                 d
             })
             .collect();
-        let settings = DesensitizationSettings::default();
-        let mut template =
-            MluTemplate::with_options(&ps, Some(desensitization_bounds(&ps, &settings)), None);
-        let predicted = crate::predict(&history, settings.predictor);
-        let (config, _) = template.solve(&ps, &predicted.flatten_pairs()).unwrap();
-        let reference = desensitization_config(&ps, &history, &settings).unwrap();
+        // Des TE solves for the window's element-wise peak.
+        let mut peak = history[0].flatten_pairs();
+        for m in &history[1..] {
+            for (p, d) in peak.iter_mut().zip(m.flatten_pairs()) {
+                *p = p.max(d);
+            }
+        }
+        let bounds = desensitization_bounds(&ps, &DesensitizationSettings::default());
+        let mut template = MluTemplate::with_options(&ps, Some(bounds.clone()), None);
+        let (config, _) = template.solve(&ps, &peak).unwrap();
+        let one_shot = MluProblem::new(&ps, peak).with_sensitivity_bounds(bounds);
+        let reference = solve_min_mlu(&one_shot).unwrap();
         let d = history.last().unwrap().flatten_pairs();
         let a = max_link_utilization_pairs(&ps, &config, &d);
         let b = max_link_utilization_pairs(&ps, &reference, &d);
-        assert!((a - b).abs() < 1e-6, "template {a} vs desensitization_config {b}");
+        assert!((a - b).abs() < 1e-6, "template {a} vs one-shot Des TE {b}");
     }
 
     #[test]

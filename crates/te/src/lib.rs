@@ -5,7 +5,8 @@
 //! * [`pathset::PathSet`] — candidate paths per SD pair with the SD→path and
 //!   path→edge incidence structures of Function 1 (Appendix D.1);
 //! * [`config::TeConfig`] — split ratios (`Σ_{p ∈ P_sd} r_p = 1`);
-//! * [`mlu`] — maximum-link-utilization evaluation `M(R, D)` (§3);
+//! * [`mlu`] — maximum-link-utilization evaluation `M(R, D)` (§3): one
+//!   evaluator over pair columns with caller-owned scratch;
 //! * [`sensitivity`] — path sensitivity `S_p = r_p / C_p` and the fine-grained
 //!   robustness penalty of Equation 8;
 //! * [`failures`] — proportional rerouting around failed links (§4.5);
@@ -19,14 +20,14 @@
 //! ```
 //! use figret_topology::{Topology, TopologySpec};
 //! use figret_traffic::DemandMatrix;
-//! use figret_te::{PathSet, TeConfig, max_link_utilization};
+//! use figret_te::{PathSet, TeConfig, max_link_utilization_pairs};
 //!
 //! let pod = TopologySpec::full_scale(Topology::MetaDbPod).build();
 //! let paths = PathSet::k_shortest(&pod, 3);
 //! let config = TeConfig::uniform(&paths);
 //! let mut demand = DemandMatrix::zeros(4);
 //! demand.set(0, 1, 50.0);
-//! let mlu = max_link_utilization(&paths, &config, &demand);
+//! let mlu = max_link_utilization_pairs(&paths, &config, &demand.flatten_pairs());
 //! assert!(mlu > 0.0);
 //! ```
 
@@ -46,9 +47,7 @@ pub use config::{TeConfig, RATIO_TOLERANCE};
 pub use diff::{DiffTe, MluAggregation};
 pub use failures::{available_paths, reroute_around_failures, reroute_with_mask};
 pub use mlu::{
-    bottleneck_edge, edge_loads, edge_utilizations, max_link_utilization,
-    max_link_utilization_naive, max_link_utilization_pairs, max_link_utilization_pairs_scratch,
-    max_link_utilization_sparse, max_utilization_of_loads, path_flows,
+    max_link_utilization_pairs, max_link_utilization_pairs_scratch, max_utilization_of_loads,
 };
 pub use objective::{
     congestion_event_count, congestion_event_rate, mean, normalize_by, relative_change,
@@ -63,6 +62,7 @@ pub use sensitivity::{
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::mlu::max_link_utilization_naive;
     use figret_topology::{FailureScenario, Graph, NodeId};
     use proptest::prelude::*;
 
@@ -106,13 +106,12 @@ mod proptests {
         fn mlu_fast_matches_naive_and_is_monotone((g, raw, demand) in arbitrary_case()) {
             let ps = PathSet::k_shortest(&g, 3);
             let cfg = TeConfig::from_raw(&ps, &raw);
-            let dm = figret_traffic::DemandMatrix::from_pairs(g.num_nodes(), &demand).unwrap();
-            let fast = max_link_utilization(&ps, &cfg, &dm);
-            let naive = max_link_utilization_naive(&ps, &cfg, &dm);
+            let fast = max_link_utilization_pairs(&ps, &cfg, &demand);
+            let naive = max_link_utilization_naive(&ps, &cfg, &demand);
             prop_assert!((fast - naive).abs() < 1e-9);
             // Scaling demands scales the MLU.
-            let doubled = dm.scaled(2.0);
-            let fast2 = max_link_utilization(&ps, &cfg, &doubled);
+            let doubled: Vec<f64> = demand.iter().map(|d| 2.0 * d).collect();
+            let fast2 = max_link_utilization_pairs(&ps, &cfg, &doubled);
             prop_assert!((fast2 - 2.0 * fast).abs() < 1e-9);
         }
 

@@ -1,87 +1,33 @@
 //! Maximum-link-utilization (MLU) evaluation.
 //!
-//! Given a demand matrix `D` and a TE configuration `R`, the flow on an edge is
+//! Given a demand `D` and a TE configuration `R`, the flow on an edge is
 //! `f_e = Σ_{s,d} Σ_{p ∈ P_sd, e ∈ p} D_sd · r_p` and the MLU is
 //! `max_e f_e / c(e)` (§3, denoted `M(R, D)` in the paper).  This module
 //! implements that computation with the sparse incidence structures of
 //! [`crate::pathset::PathSet`], which is exactly Function 1 of Appendix D.1.
-
-use figret_traffic::{DemandMatrix, SparseDemand};
+//!
+//! There is one evaluator, [`max_link_utilization_pairs_scratch`]: the demand
+//! is a pair column (one value per SD pair of the path set — `flatten_pairs`
+//! order on a dense universe, the slot order of a sparse column's
+//! `ActivePairs` on a restricted one) and the edge loads go to a caller-owned
+//! buffer.  [`max_link_utilization_pairs`] is the same call with a fresh
+//! buffer, and [`max_utilization_of_loads`] folds load buffers that shards
+//! summed.
 
 use crate::config::TeConfig;
 use crate::pathset::PathSet;
 
-/// The flow carried by each path: `flow_p = D_{sd(p)} · r_p`.
-pub fn path_flows(paths: &PathSet, config: &TeConfig, demand_pairs: &[f64]) -> Vec<f64> {
-    assert_eq!(demand_pairs.len(), paths.num_pairs(), "one demand per SD pair is required");
-    let mut flows = vec![0.0; paths.num_paths()];
-    for (pi, flow) in flows.iter_mut().enumerate() {
-        let pair = paths.pair_of_path(pi);
-        *flow = demand_pairs[pair] * config.ratio(pi);
-    }
-    flows
-}
-
-/// The total traffic on every edge.
-pub fn edge_loads(paths: &PathSet, config: &TeConfig, demand_pairs: &[f64]) -> Vec<f64> {
-    let flows = path_flows(paths, config, demand_pairs);
-    let mut loads = vec![0.0; paths.num_edges()];
-    for (pi, f) in flows.iter().enumerate() {
-        if *f == 0.0 {
-            continue;
-        }
-        for &e in paths.path_edges(pi) {
-            loads[e] += f;
-        }
-    }
-    loads
-}
-
-/// Per-edge utilization `f_e / c(e)`.
-pub fn edge_utilizations(paths: &PathSet, config: &TeConfig, demand_pairs: &[f64]) -> Vec<f64> {
-    edge_loads(paths, config, demand_pairs)
-        .into_iter()
-        .zip(paths.edge_capacities())
-        .map(|(l, c)| l / c)
-        .collect()
-}
-
-/// Maximum link utilization `M(R, D)` for a flattened demand vector.
+/// Maximum link utilization `M(R, D)` for a pair column: the scratch
+/// evaluator with a buffer of its own.
 pub fn max_link_utilization_pairs(paths: &PathSet, config: &TeConfig, demand_pairs: &[f64]) -> f64 {
-    edge_utilizations(paths, config, demand_pairs).into_iter().fold(0.0, f64::max)
+    max_link_utilization_pairs_scratch(paths, config, demand_pairs, &mut Vec::new())
 }
 
-/// Maximum link utilization `M(R, D)` for a demand matrix.
-pub fn max_link_utilization(paths: &PathSet, config: &TeConfig, demand: &DemandMatrix) -> f64 {
-    max_link_utilization_pairs(paths, config, &demand.flatten_pairs())
-}
-
-/// Maximum link utilization for a sparse demand column over a path set built
-/// on the *same* pair universe ([`PathSet::k_shortest_for_pairs`] /
-/// [`PathSet::from_paths_for_pairs`] over the column's `ActivePairs`): the
-/// column's value vector *is* the per-pair demand vector, so no `O(N²)`
-/// scatter happens.  Because zero-demand paths contribute nothing to edge
-/// loads and active slots preserve the dense pair order, the result is
-/// bit-identical to evaluating the densified demand on the all-pairs path
-/// set.
-pub fn max_link_utilization_sparse(
-    paths: &PathSet,
-    config: &TeConfig,
-    demand: &SparseDemand,
-) -> f64 {
-    assert_eq!(
-        demand.len(),
-        paths.num_pairs(),
-        "sparse demand universe must match the path set's pair universe"
-    );
-    max_link_utilization_pairs(paths, config, demand.values())
-}
-
-/// [`max_link_utilization_pairs`] with a caller-provided edge-load scratch
-/// buffer (resized as needed).  Flows are accumulated in the same path order
-/// and utilizations folded in the same edge order as the allocating pipeline,
-/// so the result is bit-identical — only the per-call `Vec` allocations are
-/// gone.  This is the serving hot path's MLU evaluator.
+/// Maximum link utilization `M(R, D)` for a pair column, with a
+/// caller-provided edge-load buffer (resized as needed, so one buffer serves
+/// any path set).  Flows are accumulated in path order and utilizations
+/// folded in edge order; a path that carries no flow is skipped.  This is
+/// the serving hot path's MLU evaluator and every figure's.
 pub fn max_link_utilization_pairs_scratch(
     paths: &PathSet,
     config: &TeConfig,
@@ -104,7 +50,7 @@ pub fn max_link_utilization_pairs_scratch(
 }
 
 /// Maximum utilization of an explicit edge-load vector: `max_e loads[e] /
-/// capacities[e]`, folded in edge order like every MLU evaluator here.
+/// capacities[e]`, folded in edge order like [`max_link_utilization_pairs_scratch`].
 ///
 /// The sharded serving fleet uses this to recover the *global* realized MLU
 /// from per-shard work: each shard's restricted path set keeps the full edge
@@ -117,28 +63,14 @@ pub fn max_utilization_of_loads(loads: &[f64], capacities: &[f64]) -> f64 {
     loads.iter().zip(capacities).map(|(l, c)| l / c).fold(0.0, f64::max)
 }
 
-/// The edge achieving the maximum utilization, with its utilization.
-/// Returns `None` when the path set has no edges.
-pub fn bottleneck_edge(
+/// The test oracle: walks every pair's paths and every path's edges
+/// explicitly, independent of the incidence caches the evaluator reads.
+#[cfg(test)]
+pub(crate) fn max_link_utilization_naive(
     paths: &PathSet,
     config: &TeConfig,
-    demand: &DemandMatrix,
-) -> Option<(usize, f64)> {
-    edge_utilizations(paths, config, &demand.flatten_pairs())
-        .into_iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("utilizations are finite"))
-}
-
-/// Naive MLU recomputation that walks every path explicitly.  Slower than
-/// [`max_link_utilization`] but independent of the incidence caches; used by
-/// tests to cross-check the optimized implementation.
-pub fn max_link_utilization_naive(
-    paths: &PathSet,
-    config: &TeConfig,
-    demand: &DemandMatrix,
+    demand_pairs: &[f64],
 ) -> f64 {
-    let demand_pairs = demand.flatten_pairs();
     let mut loads = vec![0.0f64; paths.num_edges()];
     for pair in 0..paths.num_pairs() {
         for pi in paths.paths_of_pair(pair) {
@@ -156,6 +88,11 @@ mod tests {
     use super::*;
     use figret_topology::{Graph, NodeId, Topology, TopologySpec};
     use figret_traffic::wan::{wan_trace, WanTrafficConfig};
+    use figret_traffic::{DemandMatrix, SparseDemand};
+
+    fn matrix_mlu(paths: &PathSet, config: &TeConfig, demand: &DemandMatrix) -> f64 {
+        max_link_utilization_pairs(paths, config, &demand.flatten_pairs())
+    }
 
     /// The 3-node example of Figure 3 of the paper: A=0, B=1, C=2, all links
     /// capacity 2, demands A->B, A->C, B->C.
@@ -182,9 +119,9 @@ mod tests {
         let (_g, ps) = figure3();
         let cfg = TeConfig::shortest_path(&ps);
         let normal = figure3_demand(1.0, 1.0, 1.0);
-        assert!((max_link_utilization(&ps, &cfg, &normal) - 0.5).abs() < 1e-9);
+        assert!((matrix_mlu(&ps, &cfg, &normal) - 0.5).abs() < 1e-9);
         let burst = figure3_demand(4.0, 1.0, 1.0);
-        assert!((max_link_utilization(&ps, &cfg, &burst) - 2.0).abs() < 1e-9);
+        assert!((matrix_mlu(&ps, &cfg, &burst) - 2.0).abs() < 1e-9);
     }
 
     /// TE scheme 2 of Figure 3: every demand split 50/50 over its two paths.
@@ -193,13 +130,13 @@ mod tests {
         let (_g, ps) = figure3();
         let cfg = TeConfig::uniform(&ps);
         let normal = figure3_demand(1.0, 1.0, 1.0);
-        assert!((max_link_utilization(&ps, &cfg, &normal) - 0.75).abs() < 1e-9);
+        assert!((matrix_mlu(&ps, &cfg, &normal) - 0.75).abs() < 1e-9);
         for burst in [
             figure3_demand(4.0, 1.0, 1.0),
             figure3_demand(1.0, 4.0, 1.0),
             figure3_demand(1.0, 1.0, 4.0),
         ] {
-            assert!((max_link_utilization(&ps, &cfg, &burst) - 1.5).abs() < 1e-9);
+            assert!((matrix_mlu(&ps, &cfg, &burst) - 1.5).abs() < 1e-9);
         }
     }
 
@@ -227,7 +164,7 @@ mod tests {
         }
         let cfg = TeConfig::from_raw(&ps, &raw);
         let normal = figure3_demand(1.0, 1.0, 1.0);
-        assert!((max_link_utilization(&ps, &cfg, &normal) - 0.6875).abs() < 1e-9);
+        assert!((matrix_mlu(&ps, &cfg, &normal) - 0.6875).abs() < 1e-9);
         // The paper quotes 2.1875 for burst 1/2 because it accounts links as
         // undirected (the A<->B link carries the A->B burst plus the B->A leg
         // of the B->C detour).  Our model uses one capacity per direction, so
@@ -236,9 +173,9 @@ mod tests {
         // is worse than scheme 2 under bursts 1/2 and better under normal
         // traffic and burst 3.
         let burst1 = figure3_demand(4.0, 1.0, 1.0);
-        assert!((max_link_utilization(&ps, &cfg, &burst1) - 2.0).abs() < 1e-9);
+        assert!((matrix_mlu(&ps, &cfg, &burst1) - 2.0).abs() < 1e-9);
         let burst3 = figure3_demand(1.0, 1.0, 4.0);
-        assert!((max_link_utilization(&ps, &cfg, &burst3) - 1.25).abs() < 1e-9);
+        assert!((matrix_mlu(&ps, &cfg, &burst3) - 1.25).abs() < 1e-9);
     }
 
     #[test]
@@ -248,8 +185,9 @@ mod tests {
         let trace = wan_trace(&g, &WanTrafficConfig { num_snapshots: 5, ..Default::default() });
         let cfg = TeConfig::uniform(&ps);
         for m in trace.matrices() {
-            let fast = max_link_utilization(&ps, &cfg, m);
-            let naive = max_link_utilization_naive(&ps, &cfg, m);
+            let pairs = m.flatten_pairs();
+            let fast = max_link_utilization_pairs(&ps, &cfg, &pairs);
+            let naive = max_link_utilization_naive(&ps, &cfg, &pairs);
             assert!((fast - naive).abs() < 1e-9, "fast {fast} vs naive {naive}");
             assert!(fast > 0.0);
         }
@@ -257,16 +195,24 @@ mod tests {
 
     #[test]
     fn scratch_mlu_is_bit_identical_to_the_allocating_pipeline() {
+        // One buffer reused across snapshots and across path sets of
+        // different edge counts: no load of an earlier call may leak.
         let g = TopologySpec::full_scale(Topology::Geant).build();
         let ps = PathSet::k_shortest(&g, 3);
+        let (_g, small) = figure3();
         let trace = wan_trace(&g, &WanTrafficConfig { num_snapshots: 5, ..Default::default() });
         let cfg = TeConfig::uniform(&ps);
+        let small_cfg = TeConfig::shortest_path(&small);
+        let burst = figure3_demand(4.0, 1.0, 1.0).flatten_pairs();
         let mut loads = Vec::new();
         for m in trace.matrices() {
             let pairs = m.flatten_pairs();
             let reference = max_link_utilization_pairs(&ps, &cfg, &pairs);
             let scratch = max_link_utilization_pairs_scratch(&ps, &cfg, &pairs, &mut loads);
             assert_eq!(reference.to_bits(), scratch.to_bits());
+            let small_mlu =
+                max_link_utilization_pairs_scratch(&small, &small_cfg, &burst, &mut loads);
+            assert_eq!(small_mlu.to_bits(), 2.0f64.to_bits());
         }
     }
 
@@ -281,7 +227,8 @@ mod tests {
         let restricted = PathSet::k_shortest_for_pairs(&g, &active, 3);
         let dense = PathSet::k_shortest(&g, 3);
 
-        // A demand supported only on the active pairs.
+        // A demand supported only on the active pairs: on the restricted
+        // path set its value column *is* the pair column.
         let mut demand = SparseDemand::zeros(Arc::clone(&active));
         for (slot, s, d) in active.iter() {
             demand.set_slot(slot, 1.0 + ((s * 31 + d * 7) % 17) as f64);
@@ -291,22 +238,11 @@ mod tests {
             (TeConfig::uniform(&restricted), TeConfig::uniform(&dense)),
             (TeConfig::shortest_path(&restricted), TeConfig::shortest_path(&dense)),
         ] {
-            let sparse_mlu = max_link_utilization_sparse(&restricted, &cfg_r, &demand);
-            let dense_mlu = max_link_utilization(&dense, &cfg_d, &demand.to_matrix());
+            let sparse_mlu = max_link_utilization_pairs(&restricted, &cfg_r, demand.values());
+            let dense_mlu = matrix_mlu(&dense, &cfg_d, &demand.to_matrix());
             assert_eq!(sparse_mlu.to_bits(), dense_mlu.to_bits());
             assert!(sparse_mlu > 0.0);
         }
-    }
-
-    #[test]
-    fn bottleneck_edge_is_the_argmax() {
-        let (_g, ps) = figure3();
-        let cfg = TeConfig::shortest_path(&ps);
-        let burst = figure3_demand(4.0, 1.0, 1.0);
-        let (edge, util) = bottleneck_edge(&ps, &cfg, &burst).unwrap();
-        assert!((util - 2.0).abs() < 1e-9);
-        let utils = edge_utilizations(&ps, &cfg, &burst.flatten_pairs());
-        assert_eq!(utils.iter().cloned().fold(0.0, f64::max), utils[edge]);
     }
 
     #[test]
@@ -314,8 +250,10 @@ mod tests {
         let (_g, ps) = figure3();
         let cfg = TeConfig::uniform(&ps);
         let zero = DemandMatrix::zeros(3);
-        assert_eq!(max_link_utilization(&ps, &cfg, &zero), 0.0);
-        let flows = path_flows(&ps, &cfg, &zero.flatten_pairs());
-        assert!(flows.iter().all(|f| *f == 0.0));
+        assert_eq!(matrix_mlu(&ps, &cfg, &zero), 0.0);
+        let mut loads = vec![7.0; 2];
+        let pairs = zero.flatten_pairs();
+        assert_eq!(max_link_utilization_pairs_scratch(&ps, &cfg, &pairs, &mut loads), 0.0);
+        assert!(loads.iter().all(|l| *l == 0.0));
     }
 }

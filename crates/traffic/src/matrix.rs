@@ -134,48 +134,6 @@ impl DemandMatrix {
         self.data.copy_from_slice(&other.data);
     }
 
-    /// Adds this matrix's flattened pair demands into `out`, clamped at zero —
-    /// element-for-element identical to folding with `axpy(1.0, self)` and
-    /// flattening at the end.
-    pub fn accumulate_pairs_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.num_pairs(), "one slot per SD pair is required");
-        let n = self.num_nodes;
-        let mut i = 0;
-        for s in 0..n {
-            for d in 0..n {
-                if s != d {
-                    out[i] = (out[i] + self.data[s * n + d]).max(0.0);
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// Folds this matrix's flattened pair demands into `out` with an
-    /// element-wise maximum (the in-place counterpart of
-    /// [`DemandMatrix::element_max`] followed by flattening).
-    pub fn max_pairs_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.num_pairs(), "one slot per SD pair is required");
-        let n = self.num_nodes;
-        let mut i = 0;
-        for s in 0..n {
-            for d in 0..n {
-                if s != d {
-                    out[i] = out[i].max(self.data[s * n + d]);
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// In-place EWMA blend `self ← (1 − α)·self + α·other`, clamped at zero.
-    /// Bit-identical to `self.scaled(1.0 - alpha).axpy(alpha, other)` without
-    /// the two intermediate matrices.
-    pub fn ewma_blend(&mut self, alpha: f64, other: &DemandMatrix) {
-        assert_eq!(self.num_nodes, other.num_nodes, "matrices must have the same size");
-        ops::ewma_blend(&mut self.data, alpha, &other.data);
-    }
-
     /// Inverse of [`DemandMatrix::flatten_pairs`].
     pub fn from_pairs(num_nodes: usize, pairs: &[f64]) -> Result<Self, MatrixError> {
         let expected = num_nodes * (num_nodes - 1);
@@ -199,24 +157,6 @@ impl DemandMatrix {
             }
         }
         Ok(m)
-    }
-
-    /// Element-wise maximum of two matrices (used by the Desensitization-based
-    /// TE baseline, which builds a peak matrix over a time window).
-    pub fn element_max(&self, other: &DemandMatrix) -> DemandMatrix {
-        assert_eq!(self.num_nodes, other.num_nodes, "matrices must have the same size");
-        let mut data = self.data.clone();
-        ops::max_assign(&mut data, &other.data);
-        DemandMatrix { num_nodes: self.num_nodes, data }
-    }
-
-    /// Per-entry linear combination `self + scale * other`, clamped at zero.
-    pub fn axpy(&self, scale: f64, other: &DemandMatrix) -> DemandMatrix {
-        assert_eq!(self.num_nodes, other.num_nodes, "matrices must have the same size");
-        DemandMatrix {
-            num_nodes: self.num_nodes,
-            data: ops::axpy_clamped(&self.data, scale, &other.data),
-        }
     }
 
     /// Scales every demand by `factor`.
@@ -410,20 +350,13 @@ mod tests {
     #[test]
     fn element_ops() {
         let a = DemandMatrix::from_pairs(2, &[1.0, 4.0]).unwrap();
-        let b = DemandMatrix::from_pairs(2, &[3.0, 2.0]).unwrap();
-        let m = a.element_max(&b);
-        assert_eq!(m.flatten_pairs(), vec![3.0, 4.0]);
-        let s = a.axpy(2.0, &b);
-        assert_eq!(s.flatten_pairs(), vec![7.0, 8.0]);
-        let neg = a.axpy(-10.0, &b);
-        assert_eq!(neg.flatten_pairs(), vec![0.0, 0.0]);
         assert_eq!(a.scaled(0.5).flatten_pairs(), vec![0.5, 2.0]);
+        assert_eq!(a.scaled(-1.0).flatten_pairs(), vec![0.0, 0.0]);
     }
 
     #[test]
     fn in_place_helpers_match_their_allocating_counterparts() {
         let a = DemandMatrix::from_pairs(3, &[1.0, 2.0, 3.0, 0.0, 5.0, 4.0]).unwrap();
-        let b = DemandMatrix::from_pairs(3, &[0.5, 6.0, 1.0, 2.0, 0.0, 9.0]).unwrap();
 
         let mut flat = vec![9.9; a.num_pairs()];
         a.flatten_pairs_into(&mut flat);
@@ -432,18 +365,6 @@ mod tests {
         let mut copy = DemandMatrix::zeros(3);
         copy.copy_from(&a);
         assert_eq!(copy, a);
-
-        let mut acc = a.flatten_pairs();
-        b.accumulate_pairs_into(&mut acc);
-        assert_eq!(acc, a.axpy(1.0, &b).flatten_pairs());
-
-        let mut peak = a.flatten_pairs();
-        b.max_pairs_into(&mut peak);
-        assert_eq!(peak, a.element_max(&b).flatten_pairs());
-
-        let mut blended = a.clone();
-        blended.ewma_blend(0.3, &b);
-        assert_eq!(blended, a.scaled(1.0 - 0.3).axpy(0.3, &b));
     }
 
     #[test]

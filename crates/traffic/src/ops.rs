@@ -1,18 +1,23 @@
-//! Shared element-wise demand kernels.
+//! Shared element-wise demand kernels on plain `f64` slices.
 //!
-//! Every arithmetic demand operation — EWMA blending, clamped accumulation,
-//! element-wise maxima, cosine similarity — is defined **once** here on plain
-//! `f64` slices and reused by both storage layouts:
+//! Each arithmetic demand operation is defined **once** here and reused by
+//! every holder of demand values:
 //!
-//! * [`DemandMatrix`](crate::DemandMatrix) applies a kernel to its dense
-//!   `n * n` backing store (the zero diagonal participates but is a no-op for
-//!   every kernel below), and
-//! * [`SparseDemand`](crate::SparseDemand) applies the same kernel to its
-//!   `nnz`-length value column.
+//! * the two storage layouts — [`DemandMatrix`](crate::DemandMatrix) applies
+//!   a kernel to its dense `n * n` backing store (the zero diagonal
+//!   participates but is a no-op for every kernel below) and
+//!   [`SparseDemand`](crate::SparseDemand) to its `nnz`-length value column:
+//!   totals, maxima, clamped scaling, cosine similarity;
+//! * the online predictors of `figret-serve`, which hold pair columns and
+//!   fold them with [`ewma_blend`], [`accumulate_clamped`] +
+//!   [`scale_clamped_in_place`] (window mean) and [`max_assign`] (window
+//!   peak) — the one forecast family of both serving and the evaluation's LP
+//!   baselines;
+//! * the dataset statistics, through [`mean_variance`].
 //!
-//! Because the two layouts run the *same* floating-point expressions in the
-//! same order over entries that differ only by interleaved exact zeros, the
-//! dense adapter and the sparse core produce **bit-identical** results — the
+//! Because the layouts run the *same* floating-point expressions in the same
+//! order over entries that differ only by interleaved exact zeros, the dense
+//! adapter and the sparse core produce **bit-identical** results — the
 //! property the serving equivalence tests rely on (DESIGN.md §7).
 
 /// Sum of all entries (`DemandMatrix::total` / `SparseDemand::total`).
@@ -39,8 +44,7 @@ pub fn ewma_blend(a: &mut [f64], alpha: f64, b: &[f64]) {
     }
 }
 
-/// Clamped accumulation `out[i] ← (out[i] + b[i]).max(0)` — the column
-/// counterpart of folding with `axpy(1.0, ·)`.
+/// Clamped accumulation `out[i] ← (out[i] + b[i]).max(0)`.
 #[inline]
 pub fn accumulate_clamped(out: &mut [f64], b: &[f64]) {
     assert_eq!(out.len(), b.len(), "accumulation operands must have the same length");
@@ -56,13 +60,6 @@ pub fn max_assign(out: &mut [f64], b: &[f64]) {
     for (x, y) in out.iter_mut().zip(b) {
         *x = x.max(*y);
     }
-}
-
-/// Clamped linear combination into a fresh vector: `(a[i] + scale·b[i]).max(0)`.
-#[inline]
-pub fn axpy_clamped(a: &[f64], scale: f64, b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "axpy operands must have the same length");
-    a.iter().zip(b).map(|(x, y)| (x + scale * y).max(0.0)).collect()
 }
 
 /// Clamped scaling into a fresh vector: `(v[i] · factor).max(0)`.
@@ -155,7 +152,6 @@ mod tests {
         assert_eq!(a, vec![3.5, 7.5, 3.0]);
         max_assign(&mut a, &[9.0, 0.0, 0.0]);
         assert_eq!(a, vec![9.0, 7.5, 3.0]);
-        assert_eq!(axpy_clamped(&[1.0, 2.0], -1.0, &[5.0, 1.0]), vec![0.0, 1.0]);
         assert_eq!(scale_clamped(&[2.0, 4.0], 0.5), vec![1.0, 2.0]);
         let mut v = vec![2.0, 4.0];
         scale_clamped_in_place(&mut v, 0.5);

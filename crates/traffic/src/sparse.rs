@@ -345,7 +345,7 @@ impl SparseDemand {
 
     /// Scatters the column into a full-length `flatten_pairs`-order buffer
     /// (inactive pairs are zeroed) — the bridge into dense-universe
-    /// consumers such as a full [`PathSet`]-shaped LP.
+    /// consumers such as a full `PathSet`-shaped LP.
     pub fn scatter_pairs_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.active.num_total_pairs(), "one slot per SD pair is required");
         out.fill(0.0);
@@ -430,29 +430,6 @@ impl SparseDemand {
     pub fn copy_from(&mut self, other: &SparseDemand) {
         self.assert_same_universe(other);
         self.values.copy_from_slice(&other.values);
-    }
-
-    /// In-place EWMA blend `self ← (1 − α)·self + α·other`, clamped at zero.
-    pub fn ewma_blend(&mut self, alpha: f64, other: &SparseDemand) {
-        self.assert_same_universe(other);
-        ops::ewma_blend(&mut self.values, alpha, &other.values);
-    }
-
-    /// Element-wise maximum of two columns.
-    pub fn element_max(&self, other: &SparseDemand) -> SparseDemand {
-        self.assert_same_universe(other);
-        let mut values = self.values.clone();
-        ops::max_assign(&mut values, &other.values);
-        SparseDemand { active: Arc::clone(&self.active), values }
-    }
-
-    /// Per-entry linear combination `self + scale · other`, clamped at zero.
-    pub fn axpy(&self, scale: f64, other: &SparseDemand) -> SparseDemand {
-        self.assert_same_universe(other);
-        SparseDemand {
-            active: Arc::clone(&self.active),
-            values: ops::axpy_clamped(&self.values, scale, &other.values),
-        }
     }
 
     /// Scales every demand by `factor` (clamped at zero).
@@ -676,14 +653,6 @@ mod tests {
         let a = SparseDemand::from_matrix(&m, &active);
         let b = SparseDemand::from_matrix(&other, &active);
 
-        let mut blended = a.clone();
-        blended.ewma_blend(0.3, &b);
-        let mut dense_blended = m.clone();
-        dense_blended.ewma_blend(0.3, &other);
-        assert_eq!(blended.to_matrix(), dense_blended);
-
-        assert_eq!(a.element_max(&b).to_matrix(), m.element_max(&other));
-        assert_eq!(a.axpy(2.0, &b).to_matrix(), m.axpy(2.0, &other));
         assert_eq!(a.scaled(3.0).to_matrix(), m.scaled(3.0));
         assert_eq!(a.cosine_similarity(&b).to_bits(), m.cosine_similarity(&other).to_bits());
 

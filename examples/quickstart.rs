@@ -5,7 +5,7 @@
 
 use figret::{FigretConfig, FigretModel};
 use figret_solvers::omniscient_config;
-use figret_te::{max_link_utilization, PathSet, TeConfig};
+use figret_te::{max_link_utilization_pairs, PathSet, TeConfig};
 use figret_topology::{Topology, TopologySpec};
 use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
 use figret_traffic::{per_pair_variance_range, TrainTestSplit, WindowDataset};
@@ -53,12 +53,12 @@ fn main() {
             continue;
         }
         let history = &trace.matrices()[t - window..t];
-        let demand = trace.matrix(t);
-        let omni = omniscient_config(&paths, demand).expect("omniscient solves");
-        sums[0] += max_link_utilization(&paths, &figret.predict(&paths, history), demand);
-        sums[1] += max_link_utilization(&paths, &dote.predict(&paths, history), demand);
-        sums[2] += max_link_utilization(&paths, &TeConfig::uniform(&paths), demand);
-        sums[3] += max_link_utilization(&paths, &omni, demand);
+        let omni = omniscient_config(&paths, trace.matrix(t)).expect("omniscient solves");
+        let demand = trace.matrix(t).flatten_pairs();
+        sums[0] += max_link_utilization_pairs(&paths, &figret.predict(&paths, history), &demand);
+        sums[1] += max_link_utilization_pairs(&paths, &dote.predict(&paths, history), &demand);
+        sums[2] += max_link_utilization_pairs(&paths, &TeConfig::uniform(&paths), &demand);
+        sums[3] += max_link_utilization_pairs(&paths, &omni, &demand);
         count += 1;
     }
     let avg = |s: f64| s / count as f64;

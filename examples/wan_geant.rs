@@ -6,7 +6,7 @@
 
 use figret::FigretConfig;
 use figret_eval::{omniscient_series, run_scheme, EvalOptions, Scenario, ScenarioOptions, Scheme};
-use figret_solvers::{DesensitizationSettings, Predictor};
+use figret_solvers::DesensitizationSettings;
 use figret_topology::Topology;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
         Scheme::Figret(learning.clone()),
         Scheme::Dote(FigretConfig { robustness_weight: 0.0, ..learning.clone() }),
         Scheme::Desensitization(DesensitizationSettings::default()),
-        Scheme::Prediction(Predictor::LastSnapshot),
+        Scheme::Prediction,
     ];
     println!("\nMLU normalized by the omniscient optimum (lower is better):");
     println!("{:<12} {:>8} {:>8} {:>8} {:>8}", "scheme", "mean", "median", "p99", "max");

@@ -2,11 +2,11 @@
 //! model and the evaluation metrics.
 
 use figret_solvers::{
-    desensitization_config, normalized_bound_to_absolute, omniscient_config, prediction_config,
-    solve_iterative, solve_lp, DesensitizationSettings, IterativeSettings, MluProblem, Predictor,
+    desensitization_bounds, normalized_bound_to_absolute, omniscient_config, solve_iterative,
+    solve_lp, solve_min_mlu, DesensitizationSettings, IterativeSettings, MluProblem,
 };
 use figret_te::{
-    max_link_utilization, max_sensitivity, reroute_around_failures, PathSet, TeConfig,
+    max_link_utilization_pairs, max_sensitivity, reroute_around_failures, PathSet, TeConfig,
 };
 use figret_topology::{random_link_failures, Topology, TopologySpec};
 use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
@@ -22,17 +22,29 @@ fn setup() -> (figret_topology::Graph, PathSet, figret_traffic::TrafficTrace) {
 fn omniscient_prediction_and_desensitization_are_ordered_sensibly() {
     let (_graph, paths, trace) = setup();
     let t = trace.len() - 1;
-    let history: Vec<_> = trace.matrices()[t - 8..t].to_vec();
+    let history: Vec<Vec<f64>> =
+        trace.matrices()[t - 8..t].iter().map(|m| m.flatten_pairs()).collect();
     let realized = trace.matrix(t);
+    let realized_pairs = realized.flatten_pairs();
 
+    // Pred TE solves for the last snapshot, Des TE for the window's peak
+    // under the uniform sensitivity cap.
     let omni = omniscient_config(&paths, realized).unwrap();
-    let pred = prediction_config(&paths, &history, Predictor::LastSnapshot).unwrap();
+    let last = history.last().unwrap().clone();
+    let pred = solve_min_mlu(&MluProblem::new(&paths, last)).unwrap();
+    let mut peak = history[0].clone();
+    for column in &history[1..] {
+        for (p, d) in peak.iter_mut().zip(column) {
+            *p = p.max(*d);
+        }
+    }
+    let bounds = desensitization_bounds(&paths, &DesensitizationSettings::default());
     let des =
-        desensitization_config(&paths, &history, &DesensitizationSettings::default()).unwrap();
+        solve_min_mlu(&MluProblem::new(&paths, peak).with_sensitivity_bounds(bounds)).unwrap();
 
-    let omni_mlu = max_link_utilization(&paths, &omni, realized);
-    let pred_mlu = max_link_utilization(&paths, &pred, realized);
-    let des_mlu = max_link_utilization(&paths, &des, realized);
+    let omni_mlu = max_link_utilization_pairs(&paths, &omni, &realized_pairs);
+    let pred_mlu = max_link_utilization_pairs(&paths, &pred, &realized_pairs);
+    let des_mlu = max_link_utilization_pairs(&paths, &des, &realized_pairs);
 
     assert!(omni_mlu <= pred_mlu + 1e-9, "omniscient must lower-bound prediction TE");
     assert!(omni_mlu <= des_mlu + 1e-9, "omniscient must lower-bound desensitization TE");
@@ -46,15 +58,16 @@ fn omniscient_prediction_and_desensitization_are_ordered_sensibly() {
 #[test]
 fn rerouted_configurations_remain_valid_and_evaluable() {
     let (graph, paths, trace) = setup();
+    let demand = trace.matrix(0).flatten_pairs();
     let scenario = random_link_failures(&graph, 2, 5).expect("the full mesh survives 2 failures");
     for config in [TeConfig::uniform(&paths), TeConfig::shortest_path(&paths)] {
         let rerouted = reroute_around_failures(&paths, &config, &scenario);
         assert!(rerouted.is_valid(&paths));
-        let mlu = max_link_utilization(&paths, &rerouted, trace.matrix(0));
+        let mlu = max_link_utilization_pairs(&paths, &rerouted, &demand);
         assert!(mlu.is_finite() && mlu > 0.0);
         // Rerouting around failures cannot decrease the load on the surviving
         // links for the same demand, so the MLU never improves.
-        let before = max_link_utilization(&paths, &config, trace.matrix(0));
+        let before = max_link_utilization_pairs(&paths, &config, &demand);
         assert!(mlu + 1e-9 >= before);
     }
 }
@@ -62,13 +75,13 @@ fn rerouted_configurations_remain_valid_and_evaluable() {
 #[test]
 fn lp_and_iterative_engines_agree_on_the_web_pod_fabric() {
     let (_graph, paths, trace) = setup();
-    let demand = trace.matrix(10);
-    let problem = MluProblem::new(&paths, demand.flatten_pairs());
+    let demand = trace.matrix(10).flatten_pairs();
+    let problem = MluProblem::new(&paths, demand.clone());
     let lp = solve_lp(&problem).unwrap();
     let iterative =
         solve_iterative(&problem, IterativeSettings { iterations: 800, ..Default::default() });
-    let lp_mlu = max_link_utilization(&paths, &lp, demand);
-    let it_mlu = max_link_utilization(&paths, &iterative, demand);
+    let lp_mlu = max_link_utilization_pairs(&paths, &lp, &demand);
+    let it_mlu = max_link_utilization_pairs(&paths, &iterative, &demand);
     assert!(
         it_mlu <= lp_mlu * 1.08 + 1e-9,
         "iterative engine ({it_mlu:.4}) should be within a few percent of the LP ({lp_mlu:.4})"

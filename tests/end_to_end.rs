@@ -4,8 +4,8 @@
 
 use figret::{FigretConfig, FigretModel};
 use figret_eval::{omniscient_series, run_scheme, EvalOptions, Scenario, ScenarioOptions, Scheme};
-use figret_solvers::{DesensitizationSettings, Predictor};
-use figret_te::{max_link_utilization, robustness_penalty, TeConfig};
+use figret_solvers::DesensitizationSettings;
+use figret_te::{max_link_utilization_pairs, robustness_penalty, TeConfig};
 use figret_topology::Topology;
 use figret_traffic::{per_pair_variance_range, WindowDataset};
 
@@ -29,7 +29,7 @@ fn full_pipeline_on_the_pod_fabric() {
         Scheme::Figret(FigretConfig::fast_test()),
         Scheme::Dote(FigretConfig { robustness_weight: 0.0, ..FigretConfig::fast_test() }),
         Scheme::Desensitization(DesensitizationSettings::default()),
-        Scheme::Prediction(Predictor::LastSnapshot),
+        Scheme::Prediction,
     ];
     for scheme in schemes {
         let run = run_scheme(&scenario, &scheme, &eval);
@@ -106,8 +106,9 @@ fn trained_model_is_no_worse_than_uniform_on_wan_traffic() {
     for t in scenario.test_indices(window).into_iter().take(8) {
         let history = &scenario.trace.matrices()[t - window..t];
         let cfg = model.predict(&scenario.paths, history);
-        model_total += max_link_utilization(&scenario.paths, &cfg, scenario.trace.matrix(t));
-        uniform_total += max_link_utilization(&scenario.paths, &uniform, scenario.trace.matrix(t));
+        let demand = scenario.trace.matrix(t).flatten_pairs();
+        model_total += max_link_utilization_pairs(&scenario.paths, &cfg, &demand);
+        uniform_total += max_link_utilization_pairs(&scenario.paths, &uniform, &demand);
     }
     assert!(
         model_total <= uniform_total * 1.10,

@@ -3,7 +3,7 @@
 //! topology, path, config and MLU layers.
 
 use figret::{FigretConfig, FigretModel};
-use figret_te::{max_link_utilization, max_sensitivity_per_pair, PathSet, TeConfig};
+use figret_te::{max_link_utilization_pairs, max_sensitivity_per_pair, PathSet, TeConfig};
 use figret_topology::{Graph, NodeId};
 use figret_traffic::{per_pair_variance, DemandMatrix, TrafficTrace, WindowDataset};
 
@@ -24,6 +24,10 @@ fn demand(ab: f64, ac: f64, bc: f64) -> DemandMatrix {
     d
 }
 
+fn mlu(ps: &PathSet, config: &TeConfig, demand: &DemandMatrix) -> f64 {
+    max_link_utilization_pairs(ps, config, &demand.flatten_pairs())
+}
+
 #[test]
 fn scheme1_and_scheme2_match_section_2_3() {
     let (_g, ps) = figure3_network();
@@ -31,13 +35,13 @@ fn scheme1_and_scheme2_match_section_2_3() {
     let uniform = TeConfig::uniform(&ps);
 
     // Scheme 1: optimal in the normal case (0.5) but MLU 2 under any burst.
-    assert!((max_link_utilization(&ps, &shortest, &demand(1.0, 1.0, 1.0)) - 0.5).abs() < 1e-9);
-    assert!((max_link_utilization(&ps, &shortest, &demand(4.0, 1.0, 1.0)) - 2.0).abs() < 1e-9);
+    assert!((mlu(&ps, &shortest, &demand(1.0, 1.0, 1.0)) - 0.5).abs() < 1e-9);
+    assert!((mlu(&ps, &shortest, &demand(4.0, 1.0, 1.0)) - 2.0).abs() < 1e-9);
 
     // Scheme 2: 0.75 normal, 1.5 under every burst.
-    assert!((max_link_utilization(&ps, &uniform, &demand(1.0, 1.0, 1.0)) - 0.75).abs() < 1e-9);
+    assert!((mlu(&ps, &uniform, &demand(1.0, 1.0, 1.0)) - 0.75).abs() < 1e-9);
     for burst in [demand(4.0, 1.0, 1.0), demand(1.0, 4.0, 1.0), demand(1.0, 1.0, 4.0)] {
-        assert!((max_link_utilization(&ps, &uniform, &burst) - 1.5).abs() < 1e-9);
+        assert!((mlu(&ps, &uniform, &burst) - 1.5).abs() < 1e-9);
     }
 }
 
@@ -67,24 +71,18 @@ fn scheme3_balances_normal_case_and_the_bursty_pair() {
 
     // Normal case: 0.6875 (paper §2.3), better than scheme 2's 0.75.
     let normal = demand(1.0, 1.0, 1.0);
-    assert!((max_link_utilization(&ps, &scheme3, &normal) - 0.6875).abs() < 1e-9);
-    assert!(
-        max_link_utilization(&ps, &scheme3, &normal) < max_link_utilization(&ps, &uniform, &normal)
-    );
+    assert!((mlu(&ps, &scheme3, &normal) - 0.6875).abs() < 1e-9);
+    assert!(mlu(&ps, &scheme3, &normal) < mlu(&ps, &uniform, &normal));
 
     // Burst on the hedged pair (B -> C): 1.25, better than scheme 2's 1.5.
     let burst3 = demand(1.0, 1.0, 4.0);
-    assert!((max_link_utilization(&ps, &scheme3, &burst3) - 1.25).abs() < 1e-9);
-    assert!(
-        max_link_utilization(&ps, &scheme3, &burst3) < max_link_utilization(&ps, &uniform, &burst3)
-    );
+    assert!((mlu(&ps, &scheme3, &burst3) - 1.25).abs() < 1e-9);
+    assert!(mlu(&ps, &scheme3, &burst3) < mlu(&ps, &uniform, &burst3));
 
     // Burst on an unhedged pair: worse than scheme 2 — the trade-off the paper
     // uses to motivate fine-grained robustness.
     let burst1 = demand(4.0, 1.0, 1.0);
-    assert!(
-        max_link_utilization(&ps, &scheme3, &burst1) > max_link_utilization(&ps, &uniform, &burst1)
-    );
+    assert!(mlu(&ps, &scheme3, &burst1) > mlu(&ps, &uniform, &burst1));
 }
 
 /// Pair B -> C's slot in the path set's pair order.
@@ -110,7 +108,7 @@ fn train_on_the_bursty_pair(alpha: f64) -> (f64, f64) {
     // Snapshot SNAPSHOTS (even) would be normal.
     let te = model.predict(&ps, &trace.matrices()[SNAPSHOTS - h..]);
     let s_max = max_sensitivity_per_pair(&ps, &te)[pair_bc(&ps)];
-    (s_max, max_link_utilization(&ps, &te, &demand(1.0, 1.0, 1.0)))
+    (s_max, mlu(&ps, &te, &demand(1.0, 1.0, 1.0)))
 }
 
 /// ROADMAP 1(c): the robustness term on a case with a known answer.  Only
