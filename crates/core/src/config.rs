@@ -20,8 +20,8 @@ pub struct FigretConfig {
     pub epochs: usize,
     /// Adam learning rate.
     pub learning_rate: f64,
-    /// Mini-batch size: samples per optimizer step.  `1` recovers the
-    /// original per-sample SGD; larger batches run one batched
+    /// Mini-batch size: samples per optimizer step.  `1` recovers
+    /// per-sample steps; larger batches run one batched
     /// forward/backward pass (data-parallel across fixed-size microbatches)
     /// and a single Adam step on the mean gradient.
     pub batch_size: usize,

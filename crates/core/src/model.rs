@@ -20,8 +20,7 @@
 use std::sync::Arc;
 
 use figret_nn::{
-    Adam, AdamConfig, Graph, InferencePlan, Mlp, MlpConfig, Optimizer, OutputActivation, Var,
-    WorkerTape,
+    Adam, AdamConfig, Graph, InferencePlan, Mlp, MlpConfig, OutputActivation, Var, WorkerTape,
 };
 use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
 use figret_traffic::{DemandMatrix, WindowDataset};
@@ -159,7 +158,7 @@ impl FigretModel {
     /// Trains the model on a window dataset — [`WindowDataset::from_trace`]
     /// over the training split, or [`WindowDataset::from_columns`] over the
     /// columns a serving controller observed (any pair universe, restricted
-    /// shard universes included) — with shuffled mini-batch SGD.
+    /// shard universes included) — with shuffled mini-batch Adam steps.
     ///
     /// Each mini-batch of [`FigretConfig::batch_size`] samples is split into
     /// fixed-size microbatches whose gradients are computed in parallel

@@ -14,6 +14,8 @@ use figret_eval::serving::{
     parse_topology, serve_sim, ServeEngine, ServeSimOptions, ServeTopology,
 };
 use figret_serve::{FallbackPolicy, PredictorKind, ReconfigPolicy, UpdateBudget};
+use figret_topology::generators::target_size;
+use figret_topology::Scale;
 
 fn main() {
     let flags = ExperimentOptions::flag_set("serve_sim", "online TE controller replay harness")
@@ -34,9 +36,8 @@ fn main() {
         .text("metrics-out", "", "write metrics to PATH.jsonl (stream) and PATH.prom (exposition)")
         .number("metrics-every", 10, "metrics snapshot cadence in decision ticks");
     let values = flags.parse_or_exit(std::env::args().skip(1));
-    let experiment = ExperimentOptions::from_flag_values(&values);
-
     let fail = |message: String| -> ! { flags.usage_error(&message) };
+    let experiment = ExperimentOptions::from_flag_values(&values).unwrap_or_else(|e| fail(e));
     let topology = parse_topology(values.text("topology")).unwrap_or_else(|e| fail(e));
     let predictor = PredictorKind::parse(values.text("predictor"), experiment.window)
         .unwrap_or_else(|e| fail(e));
@@ -50,9 +51,10 @@ fn main() {
     } else {
         ReconfigPolicy {
             hysteresis: values.float("hysteresis"),
-            budget: match values.number("budget") {
-                0 => None,
-                k => Some(UpdateBudget::per_window(k, values.number("budget-window"))),
+            budget: match (values.number("budget"), values.number("budget-window")) {
+                (_, 0) => fail("--budget-window must span at least one tick".to_string()),
+                (0, _) => None,
+                (k, window) => Some(UpdateBudget::per_window(k, window)),
             },
             fallback: FallbackPolicy::default(),
         }
@@ -86,8 +88,16 @@ fn main() {
     if retrain_every > 0 && engine != ServeEngine::Learned {
         fail("--retrain-every requires --engine learned (recovery retrains a model)".to_string());
     }
-    if shards == 0 {
-        fail("--shards must be at least 1 (1 = unsharded)".to_string());
+    let sources = match topology {
+        ServeTopology::Table1(t) => {
+            target_size(t, if experiment.full_scale { Scale::Full } else { Scale::Reduced }).0
+        }
+        ServeTopology::Fabric(spec) => spec.tors,
+    };
+    if shards == 0 || shards > sources {
+        fail(format!(
+            "--shards must be between 1 (unsharded) and the topology's {sources} traffic sources"
+        ));
     }
     if let ServeTopology::Fabric(_) = topology {
         // A generated fabric has no train split and no online generator.

@@ -76,8 +76,10 @@ impl ExperimentOptions {
     /// Extracts the common options from parsed [`FlagValues`] (shared with
     /// binaries that extend the flag set).  `--fast` lowers the *default*
     /// trace length and evaluation budget; explicit `--snapshots` /
-    /// `--max-eval` always win.
-    pub fn from_flag_values(values: &FlagValues) -> ExperimentOptions {
+    /// `--max-eval` always win.  A value no run can use — a window of 0, or
+    /// a trace whose training split holds no full window — is an error
+    /// naming the flag.
+    pub fn from_flag_values(values: &FlagValues) -> Result<ExperimentOptions, String> {
         let fast = values.switch("fast");
         let mut snapshots = values.number("snapshots");
         if fast && !values.provided("snapshots") {
@@ -87,30 +89,59 @@ impl ExperimentOptions {
         if fast && !values.provided("max-eval") {
             max_eval = max_eval.min(20);
         }
-        ExperimentOptions {
+        let options = ExperimentOptions {
             full_scale: values.switch("full-scale"),
             fast,
             snapshots,
             window: values.number("window"),
             max_eval,
             all_topologies: values.switch("all-topologies"),
+        };
+        options.check()?;
+        Ok(options)
+    }
+
+    /// The window must span a snapshot, and the scenarios' chronological
+    /// split must leave a training sample: a target snapshot inside the
+    /// training range with a full window before it.
+    fn check(&self) -> Result<(), String> {
+        if self.window == 0 {
+            return Err("--window must be at least 1".to_string());
         }
+        let fraction = self.scenario_options().train_fraction;
+        let trains = |n: usize| TrainTestSplit::chronological(n, fraction).train.end > self.window;
+        if trains(self.snapshots) {
+            return Ok(());
+        }
+        let from = self.snapshots.max((self.window as f64 / fraction) as usize);
+        let least = (from..=usize::MAX)
+            .find(|&n| trains(n))
+            .map_or(String::new(), |n| format!("; use --snapshots {n} or more"));
+        Err(format!(
+            "--snapshots {} leaves no training sample for --window {}: the first {}% of the \
+             trace trains, and a sample needs {} earlier snapshots{least}",
+            self.snapshots,
+            self.window,
+            fraction * 100.0,
+            self.window
+        ))
     }
 
     /// Parses the common command-line flags (`--full-scale`, `--fast`,
     /// `--snapshots N`, `--window N`, `--max-eval N`, `--all-topologies`).
-    /// On a user error (unknown flag, malformed number) prints the error and
-    /// a usage message and exits with status 2.
+    /// On a user error (unknown flag, malformed number, unusable value)
+    /// prints the error and a usage message and exits with status 2.
     pub fn from_args<I: Iterator<Item = String>>(args: I) -> ExperimentOptions {
         let flags = ExperimentOptions::flag_set("experiment", "regenerate a paper table/figure");
         ExperimentOptions::from_flag_values(&flags.parse_or_exit(args))
+            .unwrap_or_else(|message| flags.usage_error(&message))
     }
 
     /// Fallible counterpart of [`ExperimentOptions::from_args`] for tests
     /// and embedding.
     pub fn try_from_args<I: Iterator<Item = String>>(args: I) -> Result<ExperimentOptions, String> {
         let flags = ExperimentOptions::flag_set("experiment", "regenerate a paper table/figure");
-        Ok(ExperimentOptions::from_flag_values(&flags.parse(args)?))
+        ExperimentOptions::from_flag_values(&flags.parse(args)?)
     }
 
     /// Scenario construction options implied by the flags.
@@ -805,6 +836,22 @@ mod tests {
         let err = ExperimentOptions::try_from_args(["--bogus"].iter().map(|s| s.to_string()))
             .unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
+    }
+
+    #[test]
+    fn unusable_values_are_errors_naming_the_flag() {
+        let parse =
+            |args: &[&str]| ExperimentOptions::try_from_args(args.iter().map(|s| s.to_string()));
+        let err = parse(&["--fast", "--window", "0"]).unwrap_err();
+        assert!(err.contains("--window"), "{err}");
+        // 75% of 17 snapshots is 12.75: twelve train, none with a full
+        // window of 12 before it; 18 leave the thirteenth.
+        let err = parse(&["--fast", "--snapshots", "17"]).unwrap_err();
+        assert!(err.contains("--snapshots 17") && err.contains("--snapshots 18 or more"), "{err}");
+        assert_eq!(parse(&["--fast", "--snapshots", "18"]).unwrap().snapshots, 18);
+        let err = parse(&["--snapshots", "5", "--window", "4"]).unwrap_err();
+        assert!(err.contains("--snapshots 7 or more"), "{err}");
+        assert!(parse(&["--snapshots", "7", "--window", "4"]).is_ok());
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub(crate) use dispatched;
 #[cfg(test)]
 mod tests {
     use super::Body;
-    use crate::optim::{adam_update, sgd_update};
+    use crate::optim::adam_update;
     use crate::tensor::{add_grad_b_sum, matmul_acc, matmul_grad_a, GradPart};
     use crate::AdamConfig;
     use proptest::prelude::*;
@@ -173,10 +173,6 @@ mod tests {
             let len = m * n;
 
             let grad = take(len, true);
-            both_bodies("sgd_update", &take(len, false), |body, x| {
-                sgd_update(body, x, &grad, -0.1)
-            });
-
             let (m0, v0) = (take(len, false), take(len, false));
             let v0: Vec<f64> = v0.iter().map(|v| v.abs()).collect();
             let config = AdamConfig { learning_rate: 0.3, ..AdamConfig::default() };

@@ -177,12 +177,9 @@ enum Op {
     SparseMatVec(usize, Arc<SparseMatrix>),
     SegmentNormalize(usize, Arc<Vec<Range<usize>>>),
     SegmentMax(usize, Arc<Vec<Range<usize>>>),
-    Max(usize),
     RowMax(usize),
     Sum(usize),
-    Mean(usize),
     DotConst(usize, Arc<Vec<f64>>),
-    LogSumExp(usize, f64),
     RowLogSumExp(usize, f64),
 }
 
@@ -261,12 +258,9 @@ impl Op {
             | Op::SparseMatVec(a, _)
             | Op::SegmentNormalize(a, _)
             | Op::SegmentMax(a, _)
-            | Op::Max(a)
             | Op::RowMax(a)
             | Op::Sum(a)
-            | Op::Mean(a)
             | Op::DotConst(a, _)
-            | Op::LogSumExp(a, _)
             | Op::RowLogSumExp(a, _) => [Some(a), None],
         }
     }
@@ -415,13 +409,6 @@ impl Graph {
         for n in &mut self.nodes {
             n.grad.fill_zero();
         }
-    }
-
-    /// Overwrites the value of a (parameter) node in place.
-    pub fn set_value(&mut self, v: Var, value: Tensor) {
-        let slot = self.value_mut(v);
-        assert_eq!(slot.shape(), value.shape(), "shape mismatch in set_value");
-        *slot = value;
     }
 
     /// Mutable access to a node value.
@@ -664,14 +651,7 @@ impl Graph {
         self.push_op(out, Op::SegmentMax(a.0, segments), &[a.0])
     }
 
-    /// Maximum element over the whole node (a `1×1` result).
-    pub fn max(&mut self, a: Var) -> Var {
-        let m = self.val(a.0).max_value();
-        self.push_scalar(m, Op::Max(a.0), a.0)
-    }
-
-    /// Per-row maximum (an `R×1` result); the batched counterpart of
-    /// [`Graph::max`].
+    /// Per-row maximum (an `R×1` result).
     pub fn row_max(&mut self, a: Var) -> Var {
         let rows = self.val(a.0).rows();
         let mut out = self.zeros(rows, 1);
@@ -694,30 +674,12 @@ impl Graph {
         self.push_scalar(s, Op::Sum(a.0), a.0)
     }
 
-    /// Arithmetic mean of all elements (a `1×1` result); the standard batch
-    /// reduction of per-sample losses.
-    pub fn mean(&mut self, a: Var) -> Var {
-        let n = self.val(a.0).len();
-        assert!(n > 0, "mean of an empty node");
-        let s: f64 = self.val(a.0).data().iter().sum();
-        self.push_scalar(s / n as f64, Op::Mean(a.0), a.0)
-    }
-
-    /// Smooth maximum `T · ln Σ exp(x_i / T)` over the whole node (a `1×1`
-    /// result).
+    /// Per-row smooth maximum `T · ln Σ exp(x_i / T)` (an `R×1` result).
     ///
-    /// Upper-bounds the true maximum and converges to it as the temperature
-    /// `T → 0`.  Used by the iterative MLU solver, where a smooth surrogate of
-    /// the max-link-utilization objective converges much faster than the
-    /// sub-gradient of the exact maximum.
-    pub fn logsumexp(&mut self, a: Var, temperature: f64) -> Var {
-        assert!(temperature > 0.0, "temperature must be positive");
-        let value = logsumexp_slice(self.val(a.0).data(), temperature);
-        self.push_scalar(value, Op::LogSumExp(a.0, temperature), a.0)
-    }
-
-    /// Per-row smooth maximum (an `R×1` result); the batched counterpart of
-    /// [`Graph::logsumexp`].
+    /// Upper-bounds each row's true maximum and converges to it as the
+    /// temperature `T → 0`.  Used by the iterative MLU solver, where a smooth
+    /// surrogate of the max-link-utilization objective converges much faster
+    /// than the sub-gradient of the exact maximum.
     pub fn row_logsumexp(&mut self, a: Var, temperature: f64) -> Var {
         assert!(temperature > 0.0, "temperature must be positive");
         let rows = self.val(a.0).rows();
@@ -922,12 +884,6 @@ impl Graph {
                         add_to(a_grad_row, row);
                     }
                 }
-                &Op::Max(a) => {
-                    let (x, a_grad) = value_and_grad(params, below, a, a);
-                    if !x.is_empty() {
-                        a_grad.data_mut()[first_argmax(x.data())] += g.as_scalar();
-                    }
-                }
                 &Op::RowMax(a) => {
                     let (x, a_grad) = value_and_grad(params, below, a, a);
                     let cols = x.cols();
@@ -946,13 +902,6 @@ impl Graph {
                         *d += upstream;
                     }
                 }
-                &Op::Mean(a) => {
-                    let a_grad = below[a].grad.data_mut();
-                    let upstream = g.as_scalar() / a_grad.len() as f64;
-                    for d in a_grad {
-                        *d += upstream;
-                    }
-                }
                 Op::DotConst(a, c) => {
                     let a_grad = below[*a].grad.data_mut();
                     if !c.is_empty() {
@@ -965,16 +914,6 @@ impl Graph {
                             }
                         }
                     }
-                }
-                &Op::LogSumExp(a, temperature) => {
-                    let (x, a_grad) = value_and_grad(params, below, a, a);
-                    add_logsumexp_grad(
-                        x.data(),
-                        temperature,
-                        g.as_scalar(),
-                        a_grad.data_mut(),
-                        row,
-                    );
                 }
                 &Op::RowLogSumExp(a, temperature) => {
                     let (x, a_grad) = value_and_grad(params, below, a, a);
@@ -1175,7 +1114,7 @@ mod tests {
         assert_eq!(g.value(r).data(), &[4.0, 6.0]);
         let s = g.sum(r);
         assert_eq!(g.value(s).as_scalar(), 10.0);
-        let m = g.max(y);
+        let m = g.row_max(y);
         assert_eq!(g.value(m).as_scalar(), 6.0);
         g.reset();
         assert_eq!(g.len(), 1, "reset keeps only persistent parameters");
@@ -1229,7 +1168,7 @@ mod tests {
 
         g.reset();
         let x = g.input(Tensor::row(&[1.0, 5.0, 3.0]));
-        let m = g.max(x);
+        let m = g.row_max(x);
         g.backward(m);
         assert_eq!(g.grad(x).data(), &[0.0, 1.0, 0.0]);
     }
@@ -1254,7 +1193,7 @@ mod tests {
         let mut g = Graph::new();
         g.seal();
         let x = g.input(Tensor::row(&[1.0, 3.0, 2.0]));
-        let lse = g.logsumexp(x, 0.1);
+        let lse = g.row_logsumexp(x, 0.1);
         let value = g.value(lse).as_scalar();
         assert!(value >= 3.0, "logsumexp must upper-bound the max");
         assert!(value < 3.1, "with a low temperature it must be close to the max");
@@ -1330,17 +1269,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_gradient_is_uniform() {
-        let mut g = Graph::new();
-        g.seal();
-        let x = g.input(Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 6.0]));
-        let m = g.mean(x);
-        assert_eq!(g.value(m).as_scalar(), 3.0);
-        g.backward(m);
-        assert_eq!(g.grad(x).data(), &[0.25; 4]);
-    }
-
-    #[test]
     fn mul_const_broadcasts_across_rows() {
         let mut g = Graph::new();
         g.seal();
@@ -1369,11 +1297,11 @@ mod tests {
     fn row_logsumexp_matches_global_on_single_row() {
         let mut g = Graph::new();
         g.seal();
-        let x1 = g.input(Tensor::row(&[1.0, 3.0, 2.0]));
-        let global = g.logsumexp(x1, 0.1);
-        let x2 = g.input(Tensor::row(&[1.0, 3.0, 2.0]));
-        let per_row = g.row_logsumexp(x2, 0.1);
-        assert!((g.value(global).as_scalar() - g.value(per_row).get(0, 0)).abs() < 1e-12);
+        let values = [1.0, 3.0, 2.0];
+        let global = 0.1 * values.iter().map(|v| (v / 0.1f64).exp()).sum::<f64>().ln();
+        let x = g.input(Tensor::row(&values));
+        let per_row = g.row_logsumexp(x, 0.1);
+        assert!((global - g.value(per_row).get(0, 0)).abs() < 1e-12);
         // Batched: each row upper-bounds its own max.
         let x3 = g.input(Tensor::from_vec(2, 2, vec![0.0, 1.0, 5.0, 4.0]));
         let lse = g.row_logsumexp(x3, 0.05);

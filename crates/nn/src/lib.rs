@@ -10,7 +10,7 @@
 //! # Example
 //!
 //! ```
-//! use figret_nn::{Graph, Mlp, MlpConfig, Tensor, Adam, AdamConfig, Optimizer};
+//! use figret_nn::{Graph, Mlp, MlpConfig, Tensor, Adam, AdamConfig};
 //!
 //! let mut graph = Graph::new();
 //! let mlp = Mlp::new(&mut graph, MlpConfig::paper_default(8, 4));
@@ -36,7 +36,7 @@ pub mod tensor;
 
 pub use graph::{Graph, SparseMatrix, Var, WorkerTape};
 pub use layers::{Mlp, MlpConfig, OutputActivation};
-pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
+pub use optim::{Adam, AdamConfig};
 pub use plan::InferencePlan;
 pub use tensor::Tensor;
 
@@ -68,7 +68,7 @@ mod gradient_check {
                 ));
                 let agg = graph.sparse_matvec(input, m);
                 let scaled = graph.mul_const(agg, Arc::new(vec![0.5, 1.0, 0.25]));
-                graph.max(scaled)
+                graph.row_max(scaled)
             }
             1 => {
                 // segment-normalized ratios dotted with a constant (the
@@ -97,7 +97,7 @@ mod gradient_check {
                 let s = graph.scale(input, 1.5);
                 let t = graph.add_scalar(s, 0.1);
                 let total = graph.sum(t);
-                let m = graph.max(input);
+                let m = graph.row_max(input);
                 graph.add(total, m)
             }
         }

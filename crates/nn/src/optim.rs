@@ -1,8 +1,8 @@
-//! Gradient-descent optimizers.
+//! The Adam optimizer.
 //!
-//! FIGRET trains with Adam (Appendix D.4); plain SGD is provided as well for
-//! ablations and tests.  Optimizers update parameter nodes of a [`Graph`] in
-//! place from the gradients accumulated by [`Graph::backward`].
+//! FIGRET trains with Adam (Appendix D.4).  [`Adam::step`] updates parameter
+//! nodes of a [`Graph`] in place from the gradients accumulated by
+//! [`Graph::backward`].
 //!
 //! A step is element-wise, so any partition of a tensor gives the same bits:
 //! each tensor is cut into tasks of `ELEMENTWISE_TASK` elements that the
@@ -15,52 +15,6 @@ use rayon::prelude::*;
 use crate::dispatch::{dispatched, Body};
 use crate::graph::{Graph, Var};
 use crate::tensor::{Tensor, ELEMENTWISE_TASK};
-
-/// Interface shared by all optimizers.
-pub trait Optimizer {
-    /// Applies one update step using the gradients currently stored on the
-    /// graph for the registered parameters.
-    fn step(&mut self, graph: &mut Graph);
-
-    /// The parameters this optimizer updates.
-    fn parameters(&self) -> &[Var];
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Var>,
-    learning_rate: f64,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer over the given parameters.
-    pub fn new(params: Vec<Var>, learning_rate: f64) -> Sgd {
-        assert!(learning_rate > 0.0, "learning rate must be positive");
-        Sgd { params, learning_rate }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, graph: &mut Graph) {
-        let scale = -self.learning_rate;
-        for &p in &self.params {
-            let (value, grad) = graph.value_mut_and_grad(p);
-            let tasks: Vec<(&mut [f64], &[f64])> = value
-                .data_mut()
-                .chunks_mut(ELEMENTWISE_TASK)
-                .zip(grad.data().chunks(ELEMENTWISE_TASK))
-                .collect();
-            tasks
-                .into_par_iter()
-                .for_each(|(value, grad)| sgd_update(Body::Native, value, grad, scale));
-        }
-    }
-
-    fn parameters(&self) -> &[Var] {
-        &self.params
-    }
-}
 
 /// Adam optimizer configuration.
 #[derive(Debug, Clone, Copy)]
@@ -110,10 +64,10 @@ impl Adam {
     pub fn steps(&self) -> usize {
         self.step_count
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, graph: &mut Graph) {
+    /// Applies one update step using the gradients currently stored on the
+    /// graph for the registered parameters.
+    pub fn step(&mut self, graph: &mut Graph) {
         self.step_count += 1;
         let t = self.step_count as f64;
         let c = self.config;
@@ -132,19 +86,6 @@ impl Optimizer for Adam {
             tasks.into_par_iter().for_each(|(((value, grad), m), v)| {
                 adam_update(Body::Native, value, grad, m, v, c, (bias1, bias2))
             });
-        }
-    }
-
-    fn parameters(&self) -> &[Var] {
-        &self.params
-    }
-}
-
-dispatched! {
-    /// One task of [`Sgd::step`]: `x += scale · g` element-wise.
-    pub(crate) fn sgd_update(value: &mut [f64], grad: &[f64], scale: f64) {
-        for (x, g) in value.iter_mut().zip(grad) {
-            *x += scale * g;
         }
     }
 }
@@ -200,26 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_reduces_a_quadratic() {
-        let mut g = Graph::new();
-        let p = g.parameter(Tensor::row(&[0.0, 0.0]));
-        g.seal();
-        let mut opt = Sgd::new(vec![p], 0.1);
-        let mut last = f64::INFINITY;
-        for _ in 0..200 {
-            g.reset();
-            let loss = quadratic_loss(&mut g, p);
-            g.backward(loss);
-            opt.step(&mut g);
-            last = g.value(loss).as_scalar();
-        }
-        assert!(last < 1e-3, "SGD failed to converge, loss = {last}");
-        assert!((g.value(p).data()[0] - 3.0).abs() < 0.05);
-        assert!((g.value(p).data()[1] + 1.0).abs() < 0.05);
-        assert_eq!(opt.parameters(), &[p]);
-    }
-
-    #[test]
     fn adam_reduces_a_quadratic_faster_than_its_start() {
         let mut g = Graph::new();
         let p = g.parameter(Tensor::row(&[10.0, -10.0]));
@@ -253,7 +174,7 @@ mod tests {
         for _ in 0..10 {
             g.reset();
             let scaled = g.mul_const(p, Arc::new(vec![1.0, 0.0]));
-            let loss = g.max(scaled);
+            let loss = g.row_max(scaled);
             g.backward(loss);
             opt.step(&mut g);
         }
@@ -264,6 +185,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate")]
     fn rejects_bad_learning_rate() {
-        Sgd::new(vec![], 0.0);
+        let g = Graph::new();
+        Adam::new(&g, vec![], AdamConfig { learning_rate: 0.0, ..Default::default() });
     }
 }

@@ -204,13 +204,6 @@ impl Tensor {
         out
     }
 
-    /// Largest element.  NaNs are ignored (`f64::max` propagates the other
-    /// operand), so a tensor that is empty or all-NaN yields
-    /// `f64::NEG_INFINITY`.
-    pub fn max_value(&self) -> f64 {
-        self.data.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Frobenius norm.
     pub fn norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -435,9 +428,6 @@ mod tests {
         a.fill_zero();
         assert_eq!(a.data(), &[0.0, 0.0]);
         assert!((Tensor::row(&[3.0, 4.0]).norm() - 5.0).abs() < 1e-12);
-        assert_eq!(Tensor::row(&[1.0, 9.0, 3.0]).max_value(), 9.0);
-        assert_eq!(Tensor::row(&[1.0, f64::NAN, 3.0]).max_value(), 3.0);
-        assert_eq!(Tensor::row(&[]).max_value(), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -905,11 +905,6 @@ impl ServeController {
         self.fell_back
     }
 
-    /// Whether the controller carries a model (live or degraded).
-    pub fn is_learned(&self) -> bool {
-        self.learned.is_some()
-    }
-
     /// 0 while the originally installed model serves; the promoted
     /// challenger's generation afterwards.
     pub fn model_generation(&self) -> u64 {

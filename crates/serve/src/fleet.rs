@@ -398,12 +398,6 @@ impl FleetController {
         &self.logs
     }
 
-    /// Consumes the fleet and hands over the per-shard logs, in stable
-    /// shard order (harnesses keep the logs past the fleet's lifetime).
-    pub fn into_logs(self) -> Vec<ServeLog> {
-        self.logs
-    }
-
     /// Aggregate admission counters.
     pub fn admission_stats(&self) -> AdmissionStats {
         self.admission.stats()

@@ -8,7 +8,7 @@
 //! are real measurements, not reproducible values) and summarized as
 //! percentiles.
 
-use figret_traffic::{percentile, StreamAnnotation};
+use figret_traffic::StreamAnnotation;
 
 /// Which engine produced the candidate configuration of a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,16 +186,6 @@ impl ServeLog {
         self.records.iter().map(|r| r.realized_mlu).collect()
     }
 
-    /// Decision-latency percentile (`q ∈ [0, 1]`); 0.0 for an empty log.
-    pub fn latency_percentile(&self, q: f64) -> f64 {
-        if self.latencies_seconds.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.latencies_seconds.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        percentile(&sorted, q)
-    }
-
     /// The first tick at which the controller served an LP candidate after
     /// previously serving model candidates (the fallback transition), if any.
     pub fn fallback_tick(&self) -> Option<usize> {
@@ -344,8 +334,6 @@ mod tests {
         assert_eq!(log.hold_count(HoldReason::BudgetExhausted), 1);
         assert!((log.total_churn() - 2.0).abs() < 1e-12);
         assert_eq!(log.realized_mlus().len(), 4);
-        assert!(log.latency_percentile(0.5) >= 1e-4);
-        assert!(log.latency_percentile(0.99) <= 4e-4 + 1e-12);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use figret_lp::{Direction, LinearProgram, LpError, Relation};
-use figret_nn::{Adam, AdamConfig, Graph, Optimizer, Tensor};
+use figret_nn::{Adam, AdamConfig, Graph, Tensor};
 use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
 
 /// The most candidate paths on which [`solve_min_mlu`] solves a single
@@ -324,7 +324,8 @@ pub fn solve_iterative(problem: &MluProblem<'_>, settings: IterativeSettings) ->
         // Objective: worst smooth MLU over the demand set.
         let mut objective = None;
         for demand in &problem.demands {
-            let mlu = diff.mlu(&mut graph, ratios, demand, MluAggregation::SmoothMax(temperature));
+            let mlu =
+                diff.mlu_batch(&mut graph, ratios, demand, MluAggregation::SmoothMax(temperature));
             objective = Some(match objective {
                 None => mlu,
                 Some(prev) => {
@@ -544,9 +545,13 @@ mod tests {
         let ps = PathSet::k_shortest(&topo, 3);
         let calm: Vec<f64> = (0..ps.num_pairs()).map(|i| 10.0 + 3.0 * (i % 4) as f64).collect();
         let burst: Vec<f64> = (0..ps.num_pairs()).map(|i| 4.0 + 9.0 * (i % 3) as f64).collect();
+        let settings = IterativeSettings { iterations: 60, ..Default::default() };
+        // One demand: the objective is that demand's smooth MLU alone.
+        let single = solve_iterative(&MluProblem::new(&ps, calm.clone()), settings);
+        assert_eq!(fnv_bits(single.ratios()), 0xc518_55cc_52cc_284f);
+        // Two demands: the objective sums the two smooth MLUs.
         let mut problem = MluProblem::new(&ps, calm);
         problem.demands.push(burst);
-        let settings = IterativeSettings { iterations: 60, ..Default::default() };
         let free = solve_iterative(&problem, settings);
         let uniform = max_sensitivity_per_pair(&ps, &TeConfig::uniform(&ps));
         let bounds: Vec<f64> = uniform.iter().map(|s| 1.05 * s).collect();

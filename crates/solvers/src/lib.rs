@@ -55,7 +55,7 @@ pub use schemes::{
     desensitization_bounds, heuristic_absolute_bounds, heuristic_bounds, omniscient_config,
     DesensitizationSettings, HeuristicBound,
 };
-pub use template::{MluTemplate, RestrictedMluTemplate, SeriesStats};
+pub use template::{MluTemplate, SeriesStats};
 
 #[cfg(test)]
 mod proptests {

@@ -42,7 +42,6 @@ use std::collections::VecDeque;
 
 use figret_lp::{Direction, LinearProgram, LpTemplate, Relation, SolveStats, BASIS_POOL};
 use figret_te::{PathSet, TeConfig};
-use figret_traffic::ActivePairs;
 
 use crate::engine::{MluProblem, SolveError};
 
@@ -295,19 +294,6 @@ impl MluTemplate {
     pub fn clear_basis(&mut self) {
         self.template.clear_basis();
     }
-
-    /// Builds a min-MLU template restricted to the active pairs of a sparse
-    /// demand universe: the program has one ratio variable per path of an
-    /// *active* pair only, so on a 1% dense fabric the LP is ~1% of the dense
-    /// program.  Demands supported on the active pairs yield the same optimal
-    /// MLU as the full program (inactive pairs route zero traffic either
-    /// way); solved configurations are expanded back onto the full path set
-    /// with a uniform split on inactive pairs.
-    pub fn restricted(paths: &PathSet, active: &ActivePairs) -> RestrictedMluTemplate {
-        let (sub, path_map) = paths.restrict_to(active);
-        let fallback = TeConfig::uniform(paths).ratios().to_vec();
-        RestrictedMluTemplate { inner: MluTemplate::new(&sub), sub, path_map, fallback }
-    }
 }
 
 /// A demand as the template reads it: negative and non-finite values count
@@ -362,50 +348,6 @@ fn cuts(
     (capacities, pair_cuts)
 }
 
-/// An [`MluTemplate`] over the restricted pair universe of an
-/// [`ActivePairs`] index; see [`MluTemplate::restricted`].
-#[derive(Debug)]
-pub struct RestrictedMluTemplate {
-    inner: MluTemplate,
-    /// The restricted path set the program is built over.
-    sub: PathSet,
-    /// Restricted global path index -> full-universe global path index.
-    path_map: Vec<usize>,
-    /// Full-universe ratios used for pairs outside the restricted program.
-    fallback: Vec<f64>,
-}
-
-impl RestrictedMluTemplate {
-    /// Solves for one sparse demand column (`values` in slot order of the
-    /// `ActivePairs` the template was built with) and returns the
-    /// full-universe configuration plus solve counters.  Warm starts behave
-    /// exactly as in [`MluTemplate::solve`].
-    pub fn solve(&mut self, demand_values: &[f64]) -> Result<(TeConfig, SolveStats), SolveError> {
-        let (sub_config, stats) = self.inner.solve(&self.sub, demand_values)?;
-        let mut ratios = self.fallback.clone();
-        for (sub_pi, &full_pi) in self.path_map.iter().enumerate() {
-            ratios[full_pi] = sub_config.ratio(sub_pi);
-        }
-        let config = TeConfig::from_ratios_unchecked(ratios);
-        Ok((config, stats))
-    }
-
-    /// The restricted path set the program was built over.
-    pub fn restricted_paths(&self) -> &PathSet {
-        &self.sub
-    }
-
-    /// Whether the next solve will attempt a warm start.
-    pub fn has_warm_basis(&self) -> bool {
-        self.inner.has_warm_basis()
-    }
-
-    /// Drops the stored basis, forcing the next solve to run cold.
-    pub fn clear_basis(&mut self) {
-        self.inner.clear_basis();
-    }
-}
-
 /// Accumulated solver-work counters over a series of template solves,
 /// threaded into the evaluation reports.  Only template solves are recorded:
 /// a series that moves to one-shot solves part-way (the evaluation runner
@@ -447,7 +389,7 @@ mod tests {
     use figret_te::{available_paths, max_link_utilization_pairs};
     use figret_topology::{random_link_failures, FabricSpec, Topology, TopologySpec};
     use figret_traffic::datacenter::{tor_trace_sparse, TorTrafficConfig};
-    use figret_traffic::DemandMatrix;
+    use figret_traffic::{ActivePairs, DemandMatrix};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -563,32 +505,33 @@ mod tests {
 
     #[test]
     fn restricted_template_matches_the_full_program_within_1e9() {
-        use figret_topology::Topology as T;
-        use figret_traffic::{ActivePairs, SparseDemand};
-        use std::sync::Arc;
-
-        let g = TopologySpec::full_scale(T::Geant).build();
+        // A fleet shard's template: the plain template over a path set
+        // restricted to a sparse pair universe.  `restrict_to` keeps the full
+        // edge universe, so its MLU on the active column is the full
+        // program's on the scattered dense demand.
+        let g = TopologySpec::full_scale(Topology::Geant).build();
         let ps = PathSet::k_shortest(&g, 3);
-        let active = Arc::new(ActivePairs::sample_per_source(g.num_nodes(), 4, 29));
-        let mut base = SparseDemand::zeros(Arc::clone(&active));
-        for (slot, s, d) in active.iter() {
-            base.set_slot(slot, 5.0 + ((s * 13 + d * 3) % 11) as f64);
-        }
+        let active = ActivePairs::sample_per_source(g.num_nodes(), 4, 29);
+        let (sub, _) = ps.restrict_to(&active);
+        assert_eq!(sub.num_pairs(), active.len());
+        let base: Vec<f64> =
+            active.iter().map(|(_, s, d)| 5.0 + ((s * 13 + d * 3) % 11) as f64).collect();
 
         let mut full = MluTemplate::new(&ps);
-        let mut restricted = MluTemplate::restricted(&ps, &active);
-        assert!(restricted.restricted_paths().num_pairs() == active.len());
+        let mut restricted = MluTemplate::new(&sub);
         for scale in [1.0, 1.08, 0.93] {
-            let col = base.scaled(scale);
+            let column: Vec<f64> = base.iter().map(|v| v * scale).collect();
             let mut dense_pairs = vec![0.0; ps.num_pairs()];
-            col.scatter_pairs_into(&mut dense_pairs);
+            for ((_, s, d), v) in active.iter().zip(&column) {
+                let pair = ps.pairs().iter().position(|&(a, b)| (a.0, b.0) == (s, d)).unwrap();
+                dense_pairs[pair] = *v;
+            }
             let (cfg_full, _) = full.solve(&ps, &dense_pairs).unwrap();
-            let (cfg_restricted, _) = restricted.solve(col.values()).unwrap();
+            let (cfg_restricted, _) = restricted.solve(&sub, &column).unwrap();
             let a = max_link_utilization_pairs(&ps, &cfg_full, &dense_pairs);
-            let b = max_link_utilization_pairs(&ps, &cfg_restricted, &dense_pairs);
+            let b = max_link_utilization_pairs(&sub, &cfg_restricted, &column);
             assert!((a - b).abs() < 1e-9, "full {a} vs restricted {b}");
-            // The expanded configuration is valid over the full path set.
-            assert!(cfg_restricted.is_valid(&ps));
+            assert!(cfg_restricted.is_valid(&sub));
         }
         assert!(restricted.has_warm_basis(), "re-solves must reuse the basis");
     }

@@ -85,7 +85,8 @@ mod tests {
         let ps = pod_paths();
         let a = TeConfig::uniform(&ps);
         let b = TeConfig::shortest_path(&ps);
-        let half = a.lerp(&b, 0.5);
+        let mixed = a.ratios().iter().zip(b.ratios()).map(|(x, y)| 0.5 * x + 0.5 * y).collect();
+        let half = TeConfig::from_normalized(&ps, mixed).expect("a convex mix stays normalized");
         let full = split_ratio_churn(&a, &b);
         assert!((split_ratio_churn(&a, &half) - 0.5 * full).abs() < 1e-9);
     }

@@ -93,15 +93,6 @@ impl TeConfig {
         }
     }
 
-    /// Builds a configuration directly from per-path ratios the caller
-    /// guarantees are already normalized per pair.  No validation is
-    /// performed — prefer [`TeConfig::from_normalized`] unless the invariant
-    /// is structural (e.g. splicing two valid configurations over disjoint
-    /// pair sets, as the restricted LP templates do).
-    pub fn from_ratios_unchecked(ratios: Vec<f64>) -> TeConfig {
-        TeConfig { ratios }
-    }
-
     /// Builds a configuration from ratios that are already normalized.
     ///
     /// Returns `None` if any pair's ratios do not sum to one within
@@ -137,12 +128,6 @@ impl TeConfig {
         &self.ratios
     }
 
-    /// Mutable access to the ratios (used by solvers while constructing a
-    /// configuration; call [`TeConfig::from_raw`] afterwards to re-normalize).
-    pub fn ratios_mut(&mut self) -> &mut [f64] {
-        &mut self.ratios
-    }
-
     /// Validates that every pair's ratios sum to one (within tolerance).
     pub fn is_valid(&self, paths: &PathSet) -> bool {
         if self.ratios.len() != paths.num_paths() {
@@ -168,15 +153,6 @@ impl TeConfig {
         pair: PairIndex,
     ) -> impl Iterator<Item = (usize, f64)> + 'a {
         paths.paths_of_pair(pair).map(move |pi| (pi, self.ratios[pi]))
-    }
-
-    /// Element-wise convex combination with another configuration:
-    /// `(1 - t) * self + t * other`.
-    pub fn lerp(&self, other: &TeConfig, t: f64) -> TeConfig {
-        assert_eq!(self.ratios.len(), other.ratios.len(), "configurations must match");
-        let ratios =
-            self.ratios.iter().zip(&other.ratios).map(|(a, b)| (1.0 - t) * a + t * b).collect();
-        TeConfig { ratios }
     }
 }
 
@@ -238,16 +214,5 @@ mod tests {
         neg[0] = -1.0;
         neg[1] = 1.0 + uniform.ratio(0);
         assert!(TeConfig::from_normalized(&ps, neg).is_none());
-    }
-
-    #[test]
-    fn lerp_preserves_validity() {
-        let ps = pod_paths();
-        let a = TeConfig::uniform(&ps);
-        let b = TeConfig::shortest_path(&ps);
-        let mid = a.lerp(&b, 0.3);
-        assert!(mid.is_valid(&ps));
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
     }
 }

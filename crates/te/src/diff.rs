@@ -6,8 +6,8 @@
 //!
 //! * split ratios — sigmoid followed by per-SD-pair normalization,
 //! * maximum link utilization `M(R, D)` via the incidence matrices of
-//!   Function 1 (Appendix D.1), either exactly (`max`) or smoothed
-//!   (`logsumexp`),
+//!   Function 1 (Appendix D.1), one value per batch row, either exactly
+//!   (`row_max`) or smoothed (`row_logsumexp`),
 //! * the fine-grained sensitivity penalty `Σ_sd σ²_sd · S^max_sd`.
 //!
 //! [`DiffTe`] pre-computes the constant structures (segments, path→edge
@@ -93,37 +93,6 @@ impl DiffTe {
         graph.segment_normalize(nonnegative, Arc::clone(&self.segments))
     }
 
-    /// Per-edge utilizations for the given split-ratio node and demand vector
-    /// (one demand per SD pair, `flatten_pairs` order).
-    pub fn edge_utilizations(&self, graph: &mut Graph, ratios: Var, demand_pairs: &[f64]) -> Var {
-        assert_eq!(demand_pairs.len(), self.num_pairs, "one demand per SD pair is required");
-        // flow_p = d_{pair(p)} * r_p  — expand the per-pair demands to per-path.
-        let mut per_path_demand = vec![0.0; self.num_paths];
-        for (pair, seg) in self.segments.iter().enumerate() {
-            for p in seg.clone() {
-                per_path_demand[p] = demand_pairs[pair];
-            }
-        }
-        let flows = graph.mul_const(ratios, Arc::new(per_path_demand));
-        let loads = graph.sparse_matvec(flows, Arc::clone(&self.edge_by_path));
-        graph.mul_const(loads, Arc::clone(&self.inv_edge_capacity))
-    }
-
-    /// The MLU term `M(R, D)` as a scalar node.
-    pub fn mlu(
-        &self,
-        graph: &mut Graph,
-        ratios: Var,
-        demand_pairs: &[f64],
-        aggregation: MluAggregation,
-    ) -> Var {
-        let utils = self.edge_utilizations(graph, ratios, demand_pairs);
-        match aggregation {
-            MluAggregation::Max => graph.max(utils),
-            MluAggregation::SmoothMax(t) => graph.logsumexp(utils, t),
-        }
-    }
-
     /// Per-edge utilizations for a batch: `ratios` is a `B×num_paths` node and
     /// `demand_rows` holds `B` demand vectors (`flatten_pairs` order, row
     /// major, `B × num_pairs` values).  The result is a `B×num_edges` node.
@@ -156,7 +125,8 @@ impl DiffTe {
         graph.mul_const(loads, Arc::clone(&self.inv_edge_capacity))
     }
 
-    /// Per-sample MLU of a batch as a `B×1` node (one `M(R_b, D_b)` per row).
+    /// Per-sample MLU of a batch as a `B×1` node (one `M(R_b, D_b)` per row;
+    /// a `1×1` scalar for one sample).
     pub fn mlu_batch(
         &self,
         graph: &mut Graph,
@@ -220,7 +190,7 @@ mod tests {
         let raw = g.input(Tensor::row(&raw_values));
         let ratios = diff.ratios_from_raw(&mut g, raw);
         let demand: Vec<f64> = (0..ps.num_pairs()).map(|i| 10.0 + i as f64).collect();
-        let mlu = diff.mlu(&mut g, ratios, &demand, MluAggregation::Max);
+        let mlu = diff.mlu_batch(&mut g, ratios, &demand, MluAggregation::Max);
 
         // Reference: build a TeConfig from the same ratios and evaluate.
         let cfg = TeConfig::from_raw(&ps, g.value(ratios).data());
@@ -236,8 +206,8 @@ mod tests {
         let raw = g.input(Tensor::zeros(1, ps.num_paths()));
         let ratios = diff.ratios_from_raw(&mut g, raw);
         let demand = vec![25.0; ps.num_pairs()];
-        let exact = diff.mlu(&mut g, ratios, &demand, MluAggregation::Max);
-        let smooth = diff.mlu(&mut g, ratios, &demand, MluAggregation::SmoothMax(0.01));
+        let exact = diff.mlu_batch(&mut g, ratios, &demand, MluAggregation::Max);
+        let smooth = diff.mlu_batch(&mut g, ratios, &demand, MluAggregation::SmoothMax(0.01));
         let e = g.value(exact).as_scalar();
         let s = g.value(smooth).as_scalar();
         assert!(s >= e);
@@ -297,7 +267,7 @@ mod tests {
             g1.seal();
             let raw1 = g1.input(Tensor::row(&raws[b]));
             let ratios1 = diff.ratios_from_raw(&mut g1, raw1);
-            let mlu1 = diff.mlu(&mut g1, ratios1, &demands[b], MluAggregation::Max);
+            let mlu1 = diff.mlu_batch(&mut g1, ratios1, &demands[b], MluAggregation::Max);
             assert!((batched_mlus[b] - g1.value(mlu1).as_scalar()).abs() < 1e-12);
             let pen1 = diff.sensitivity_penalty(&mut g1, ratios1, &penalty_weights);
             assert!((batched_pens[b] - g1.value(pen1).as_scalar()).abs() < 1e-12);
@@ -312,7 +282,7 @@ mod tests {
         g.seal();
         let ratios = diff.ratios_from_raw(&mut g, raw);
         let demand = vec![30.0; ps.num_pairs()];
-        let mlu = diff.mlu(&mut g, ratios, &demand, MluAggregation::SmoothMax(0.05));
+        let mlu = diff.mlu_batch(&mut g, ratios, &demand, MluAggregation::SmoothMax(0.05));
         g.backward(mlu);
         assert!(g.grad(raw).norm() > 0.0, "MLU must depend on the raw weights");
         assert_eq!(diff.num_paths(), ps.num_paths());

@@ -272,38 +272,6 @@ impl PathSet {
     pub fn paths_on_edge(&self, edge: usize) -> &[PathIndex] {
         &self.paths_on_edge[edge]
     }
-
-    /// Builds the dense `|pairs| x |paths|` SD-to-path incidence matrix of
-    /// Function 1 (row-major).  Mostly useful for tests and for the neural
-    /// network's differentiable MLU evaluation on small topologies.
-    pub fn sd_to_path_dense(&self) -> Vec<f64> {
-        let mut m = vec![0.0; self.num_pairs() * self.num_paths()];
-        for (pi, &pair) in self.pair_of_path.iter().enumerate() {
-            m[pair * self.num_paths() + pi] = 1.0;
-        }
-        m
-    }
-
-    /// Builds the dense `|paths| x |edges|` path-to-edge incidence matrix of
-    /// Function 1 (row-major).
-    pub fn path_to_edge_dense(&self) -> Vec<f64> {
-        let mut m = vec![0.0; self.num_paths() * self.num_edges()];
-        for (pi, edges) in self.path_edges.iter().enumerate() {
-            for &e in edges {
-                m[pi * self.num_edges() + e] = 1.0;
-            }
-        }
-        m
-    }
-
-    /// Average number of candidate paths per pair (pairs with zero paths count).
-    pub fn mean_paths_per_pair(&self) -> f64 {
-        if self.num_pairs() == 0 {
-            0.0
-        } else {
-            self.num_paths() as f64 / self.num_pairs() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -331,29 +299,26 @@ mod tests {
                 assert!(!ps.path_edges(pi).is_empty());
             }
         }
-        assert!(ps.mean_paths_per_pair() > 2.0);
+        assert!(ps.num_paths() > 2 * ps.num_pairs());
     }
 
     #[test]
     fn incidence_matrices_are_consistent() {
         let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
         let ps = PathSet::k_shortest(&g, 3);
-        let sd2p = ps.sd_to_path_dense();
-        let p2e = ps.path_to_edge_dense();
-        // Every path has exactly one pair.
+        // Every path has exactly one pair, whose path range holds it.
         for pi in 0..ps.num_paths() {
-            let col_sum: f64 = (0..ps.num_pairs()).map(|pr| sd2p[pr * ps.num_paths() + pi]).sum();
-            assert_eq!(col_sum, 1.0);
-        }
-        // path_to_edge rows match path_edges.
-        for pi in 0..ps.num_paths() {
-            let row_sum: f64 = (0..ps.num_edges()).map(|e| p2e[pi * ps.num_edges() + e]).sum();
-            assert_eq!(row_sum as usize, ps.path_edges(pi).len());
+            assert!(ps.paths_of_pair(ps.pair_of_path(pi)).contains(&pi));
         }
         // Reverse incidence agrees.
         for e in 0..ps.num_edges() {
             for &pi in ps.paths_on_edge(e) {
                 assert!(ps.path_edges(pi).contains(&e));
+            }
+        }
+        for pi in 0..ps.num_paths() {
+            for &e in ps.path_edges(pi) {
+                assert!(ps.paths_on_edge(e).contains(&pi));
             }
         }
     }

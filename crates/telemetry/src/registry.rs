@@ -128,16 +128,6 @@ impl Registry {
         self.counters[id.0].1
     }
 
-    /// Current value of a gauge handle.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
-    /// The histogram behind a handle.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].1
-    }
-
     /// Looks up a counter's value by name.
     pub fn counter_by_name(&self, name: &str) -> Option<u64> {
         match self.index.get(name) {

@@ -59,8 +59,7 @@ pub struct FabricSpec {
 
 /// Pod size used by the two-tier preset at a given ToR count: 64-ToR pods
 /// at production scale (multiples of 64, at least 128 ToRs), 8-ToR pods for
-/// small fabrics (multiples of 8, at least 16 ToRs).  Shard planners use
-/// this to align pod partitions with the built topology.
+/// small fabrics (multiples of 8, at least 16 ToRs).
 ///
 /// # Panics
 ///

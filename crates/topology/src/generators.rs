@@ -83,21 +83,6 @@ impl Topology {
             Topology::MetaWebTor => "ToR WEB",
         }
     }
-
-    /// `true` for wide-area networks.
-    pub fn is_wan(&self) -> bool {
-        matches!(self, Topology::Geant | Topology::UsCarrier | Topology::Cogentco)
-    }
-
-    /// `true` for ToR-level data-center fabrics (the most bursty traffic class).
-    pub fn is_tor_level(&self) -> bool {
-        matches!(self, Topology::PFabric | Topology::MetaDbTor | Topology::MetaWebTor)
-    }
-
-    /// `true` for PoD-level data-center fabrics.
-    pub fn is_pod_level(&self) -> bool {
-        matches!(self, Topology::MetaDbPod | Topology::MetaWebPod)
-    }
 }
 
 /// How large to build a topology.
@@ -437,10 +422,6 @@ mod tests {
 
     #[test]
     fn topology_metadata() {
-        assert!(Topology::Geant.is_wan());
-        assert!(!Topology::Geant.is_tor_level());
-        assert!(Topology::MetaDbTor.is_tor_level());
-        assert!(Topology::MetaWebPod.is_pod_level());
         assert_eq!(Topology::all().len(), 8);
         assert_eq!(Topology::MetaDbTor.name(), "ToR DB");
     }

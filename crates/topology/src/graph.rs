@@ -131,11 +131,6 @@ impl Graph {
         &self.name
     }
 
-    /// Overrides the topology name.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -264,16 +259,6 @@ impl Graph {
         }
     }
 
-    /// Returns a copy of the graph with capacities normalized so that the
-    /// minimum capacity equals 1.0.
-    pub fn normalized_capacities(&self) -> Graph {
-        let mut g = self.clone();
-        if let Some(min) = g.min_capacity() {
-            g.scale_capacities(1.0 / min);
-        }
-        g
-    }
-
     /// All ordered source-destination pairs `(s, d)` with `s != d`.
     pub fn sd_pairs(&self) -> Vec<(NodeId, NodeId)> {
         let mut pairs = Vec::with_capacity(self.num_nodes * self.num_nodes.saturating_sub(1));
@@ -386,7 +371,8 @@ mod tests {
         let mut g = Graph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 10.0).unwrap();
         g.add_edge(NodeId(1), NodeId(2), 40.0).unwrap();
-        let n = g.normalized_capacities();
+        let mut n = g.clone();
+        n.scale_capacities(1.0 / g.min_capacity().unwrap());
         assert_eq!(n.min_capacity(), Some(1.0));
         assert!((n.capacity(EdgeId(1)) - 4.0).abs() < 1e-12);
         // Original graph untouched.

@@ -98,16 +98,6 @@ impl Path {
     pub fn uses_edge(&self, edge: EdgeId) -> bool {
         self.edges.contains(&edge)
     }
-
-    /// `true` if the path traverses any of the given edges.
-    pub fn uses_any_edge(&self, edges: &[EdgeId]) -> bool {
-        edges.iter().any(|e| self.uses_edge(*e))
-    }
-
-    /// `true` if the path visits the given node (including endpoints).
-    pub fn visits_node(&self, node: NodeId) -> bool {
-        self.nodes.contains(&node)
-    }
 }
 
 #[cfg(test)]
@@ -172,9 +162,5 @@ mod tests {
         let p = Path::from_nodes(&g, &[NodeId(0), NodeId(1), NodeId(2)]).unwrap();
         assert_eq!(p.weight(|_| 1.0), 2.0);
         assert!((p.weight(|e| g.capacity(e)) - 3.0).abs() < 1e-12);
-        assert!(p.visits_node(NodeId(1)));
-        assert!(!p.visits_node(NodeId(3)));
-        assert!(p.uses_any_edge(&[EdgeId(2), EdgeId(1)]));
-        assert!(!p.uses_any_edge(&[EdgeId(2), EdgeId(3)]));
     }
 }

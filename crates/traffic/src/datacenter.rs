@@ -76,23 +76,13 @@ impl Default for PodTrafficConfig {
 }
 
 /// Generates a PoD-level trace over a (small, usually full-mesh) graph.
+///
+/// The snapshots are assembled as columns over the all-pairs index and
+/// densified at the end.
 pub fn pod_trace(graph: &Graph, config: &PodTrafficConfig) -> TrafficTrace {
-    let active = Arc::new(ActivePairs::all(graph.num_nodes()));
-    pod_trace_sparse(graph, &active, config).to_trace()
-}
-
-/// Columnar PoD-level generator over an explicit pair set.  Per-slot work
-/// and storage are `O(nnz)`; [`pod_trace`] is the all-pairs dense adapter
-/// (bit-identical to the pre-sparse implementation, since the all-pairs
-/// slot order equals the old row-major pair order).
-pub fn pod_trace_sparse(
-    graph: &Graph,
-    active: &Arc<ActivePairs>,
-    config: &PodTrafficConfig,
-) -> SparseTrace {
     let n = graph.num_nodes();
     assert!(n >= 2, "need at least two PoDs");
-    assert_eq!(active.num_nodes(), n, "pair index must match the graph");
+    let active = Arc::new(ActivePairs::all(n));
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x0d0d_0001);
     let min_cap = graph.min_capacity().unwrap_or(1.0);
 
@@ -129,7 +119,7 @@ pub fn pod_trace_sparse(
     // Slowly varying AR(1) state per pair for temporal correlation.
     let mut state = vec![1.0f64; nnz];
     for _t in 0..config.num_snapshots {
-        let mut col = SparseDemand::zeros(Arc::clone(active));
+        let mut col = SparseDemand::zeros(Arc::clone(&active));
         for slot in 0..nnz {
             // AR(1): state drifts slowly around 1.
             state[slot] = 0.95 * state[slot] + 0.05 * (1.0 + rng.gen_range(-0.5..0.5));
@@ -149,9 +139,10 @@ pub fn pod_trace_sparse(
     SparseTrace::new(
         format!("{}-pod-{flavor}", graph.name()),
         config.interval_seconds,
-        Arc::clone(active),
+        active,
         columns,
     )
+    .to_trace()
 }
 
 /// Parameters of the ToR-level generator.

@@ -85,46 +85,11 @@ pub fn gravity_matrix(graph: &Graph, load_factor: f64) -> DemandMatrix {
     m
 }
 
-/// The gravity base restricted to an active pair set: `D_sd ∝ mass(s) ·
-/// mass(d)` over the active pairs only, scaled so the total demand equals
-/// `load_factor * total_capacity / 2`.  This is the base rate column the
-/// fabric-scale online streams perturb — the same construction as
-/// [`gravity_matrix`], but `O(nnz)` instead of `O(N²)`.
-pub fn gravity_column(graph: &Graph, load_factor: f64, active: &Arc<ActivePairs>) -> SparseDemand {
-    let n = graph.num_nodes();
-    assert_eq!(active.num_nodes(), n, "pair index must match the graph");
-    let mut mass = vec![0.0f64; n];
-    for (_, e) in graph.edges() {
-        mass[e.src.index()] += e.capacity;
-    }
-    let total_mass: f64 = mass.iter().sum();
-    let mut col = SparseDemand::zeros(Arc::clone(active));
-    if total_mass <= 0.0 {
-        return col;
-    }
-    let mut weight_sum = 0.0;
-    for (_, s, d) in active.iter() {
-        weight_sum += mass[s] * mass[d];
-    }
-    if weight_sum <= 0.0 {
-        return col;
-    }
-    let offered = load_factor * graph.total_capacity() / 2.0;
-    for (slot, s, d) in active.iter() {
-        col.set_slot(slot, offered * mass[s] * mass[d] / weight_sum);
-    }
-    col
-}
-
 /// Generates a gravity-model trace over the given graph.
+///
+/// The snapshots are assembled as columns over the all-pairs index (gravity
+/// demand is full by construction) and densified at the end.
 pub fn gravity_trace(graph: &Graph, config: &GravityConfig) -> TrafficTrace {
-    gravity_trace_sparse(graph, config).to_trace()
-}
-
-/// Columnar form of [`gravity_trace`] over the all-pairs index (gravity
-/// demand is full by construction; the columnar form keeps one series type
-/// flowing through the stack).  Bit-identical to the dense path.
-pub fn gravity_trace_sparse(graph: &Graph, config: &GravityConfig) -> SparseTrace {
     let base = gravity_matrix(graph, config.load_factor);
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x9a1_717);
     let active = Arc::new(ActivePairs::all(graph.num_nodes()));
@@ -144,6 +109,7 @@ pub fn gravity_trace_sparse(graph: &Graph, config: &GravityConfig) -> SparseTrac
         columns.push(col);
     }
     SparseTrace::new(format!("{}-gravity", graph.name()), config.interval_seconds, active, columns)
+        .to_trace()
 }
 
 #[cfg(test)]
@@ -173,20 +139,6 @@ mod tests {
             let sim = trace.matrix(t).cosine_similarity(trace.matrix(t - 1));
             assert!(sim > 0.99, "gravity traffic must be stable, got similarity {sim}");
         }
-    }
-
-    #[test]
-    fn gravity_column_matches_matrix_and_respects_restriction() {
-        let g = TopologySpec::full_scale(Topology::Geant).build();
-        let all = Arc::new(ActivePairs::all(g.num_nodes()));
-        let col = gravity_column(&g, 0.2, &all);
-        assert_eq!(col.to_matrix(), gravity_matrix(&g, 0.2));
-        // Restricted to a sparse pattern, the offered load is preserved.
-        let sparse = Arc::new(ActivePairs::sample_per_source(g.num_nodes(), 3, 5));
-        let restricted = gravity_column(&g, 0.2, &sparse);
-        let expected = 0.2 * g.total_capacity() / 2.0;
-        assert!((restricted.total() - expected).abs() / expected < 1e-9);
-        assert_eq!(restricted.len(), sparse.len());
     }
 
     #[test]

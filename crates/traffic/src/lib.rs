@@ -40,31 +40,22 @@ pub mod stream;
 pub mod wan;
 
 pub use datacenter::{
-    pod_trace, pod_trace_sparse, tor_trace, tor_trace_sparse, ClusterFlavor, PodTrafficConfig,
-    TorTrafficConfig,
+    pod_trace, tor_trace, tor_trace_sparse, ClusterFlavor, PodTrafficConfig, TorTrafficConfig,
 };
-pub use gravity::{
-    gravity_column, gravity_matrix, gravity_trace, gravity_trace_sparse, GravityConfig,
-};
+pub use gravity::{gravity_matrix, gravity_trace, GravityConfig};
 pub use matrix::{DemandMatrix, MatrixError, TrafficTrace};
-pub use perturb::{
-    gaussian_fluctuation, reverse_by_rank, sparse_gaussian_fluctuation, worst_case_fluctuation,
-};
-pub use pfabric::{
-    pfabric_trace, pfabric_trace_sparse, sample_web_search_flow_size, PFabricConfig,
-};
+pub use perturb::{gaussian_fluctuation, reverse_by_rank, worst_case_fluctuation};
+pub use pfabric::{pfabric_trace, sample_web_search_flow_size, PFabricConfig};
 pub use shard::{ShardPlan, ShardUniverse};
 pub use sparse::{ActivePairs, SparseDemand, SparseTrace};
 pub use split::{TrainTestSplit, WindowDataset};
 pub use stats::{
-    cosine_similarity_analysis, cosine_similarity_samples, per_pair_mean_range, per_pair_std_range,
-    per_pair_variance, per_pair_variance_range, percentile, sparse_cosine_similarity_analysis,
-    sparse_cosine_similarity_samples, sparse_per_pair_mean_range, sparse_per_pair_variance_range,
-    spearman_rank_correlation, DistributionSummary,
+    cosine_similarity_analysis, cosine_similarity_samples, per_pair_std_range, per_pair_variance,
+    per_pair_variance_range, percentile, spearman_rank_correlation, DistributionSummary,
 };
 pub use stream::{
-    collect_sparse_stream, DriftConfig, FailureStormConfig, FlashCrowdConfig, OnlineStream,
-    OnlineStreamConfig, SparseDemandStream, SparseReplayStream, StepShiftConfig, StreamAnnotation,
+    DriftConfig, FailureStormConfig, FlashCrowdConfig, OnlineStream, OnlineStreamConfig,
+    SparseDemandStream, StepShiftConfig, StreamAnnotation,
 };
 
 #[cfg(test)]

@@ -286,13 +286,6 @@ impl TrafficTrace {
         }
     }
 
-    /// Returns a renamed copy of the trace (metadata only).
-    pub fn renamed(&self, name: impl Into<String>) -> TrafficTrace {
-        let mut t = self.clone();
-        t.name = name.into();
-        t
-    }
-
     /// Maps every matrix through `f`, keeping metadata.
     pub fn map<F: FnMut(usize, &DemandMatrix) -> DemandMatrix>(&self, mut f: F) -> TrafficTrace {
         TrafficTrace {
@@ -392,7 +385,6 @@ mod tests {
         assert_eq!(sliced.matrix(0), &m1);
         let doubled = t.map(|_, m| m.scaled(2.0));
         assert_eq!(doubled.matrix(0).get(0, 1), 2.0);
-        assert_eq!(t.renamed("x").name(), "x");
         assert!(!t.is_empty());
         assert!(TrafficTrace::new("empty", 1.0, vec![]).is_empty());
     }

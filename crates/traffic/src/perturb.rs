@@ -12,11 +12,8 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use std::sync::Arc;
-
 use crate::matrix::TrafficTrace;
-use crate::sparse::{SparseDemand, SparseTrace};
-use crate::stats::{per_pair_std_range, sparse_per_pair_variance_range};
+use crate::stats::per_pair_std_range;
 
 /// Standard normal sample via Box-Muller.
 fn standard_normal(rng: &mut impl Rng) -> f64 {
@@ -95,40 +92,6 @@ fn apply_noise(
     })
 }
 
-/// Columnar counterpart of [`gaussian_fluctuation`]: adds `α · N(0, σ²_slot)`
-/// noise to every active pair of every snapshot in `range`, where `σ_slot` is
-/// measured over the full sparse series.  Work and storage are `O(nnz)` per
-/// snapshot; inactive pairs stay exactly zero.
-pub fn sparse_gaussian_fluctuation(
-    trace: &SparseTrace,
-    range: std::ops::Range<usize>,
-    alpha: f64,
-    seed: u64,
-) -> SparseTrace {
-    assert!(alpha >= 0.0, "fluctuation amplitude must be non-negative");
-    let sigma: Vec<f64> =
-        sparse_per_pair_variance_range(trace, 0..trace.len()).into_iter().map(f64::sqrt).collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xf1c_0f1c);
-    let active = Arc::clone(trace.active());
-    let columns = trace
-        .snapshots()
-        .iter()
-        .enumerate()
-        .map(|(t, c)| {
-            if !range.contains(&t) || alpha == 0.0 {
-                return c.clone();
-            }
-            let mut out = SparseDemand::zeros(Arc::clone(&active));
-            for (slot, v) in c.values().iter().enumerate() {
-                let noise = alpha * sigma[slot] * standard_normal(&mut rng);
-                out.set_slot(slot, (v + noise).max(0.0));
-            }
-            out
-        })
-        .collect();
-    SparseTrace::new(trace.name().to_string(), trace.interval_seconds(), active, columns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,22 +152,6 @@ mod tests {
         let mut sorted_r = r.clone();
         sorted_r.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(sorted_r, vec![1.0, 3.0, 5.0]);
-    }
-
-    #[test]
-    fn sparse_fluctuation_respects_support_and_range() {
-        let t = trace();
-        let sparse = SparseTrace::from_trace(&t);
-        let p = sparse_gaussian_fluctuation(&sparse, 30..sparse.len(), 2.0, 3);
-        assert_eq!(p.nnz(), sparse.nnz());
-        for i in 0..30 {
-            assert_eq!(p.snapshot(i), sparse.snapshot(i));
-        }
-        let changed = (30..p.len()).any(|i| p.snapshot(i) != sparse.snapshot(i));
-        assert!(changed, "perturbation must alter the tail of the trace");
-        // Identity at alpha = 0.
-        let id = sparse_gaussian_fluctuation(&sparse, 0..sparse.len(), 0.0, 3);
-        assert_eq!(id, sparse);
     }
 
     #[test]

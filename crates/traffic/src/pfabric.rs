@@ -109,15 +109,9 @@ fn sample_poisson(rng: &mut impl Rng, mean: f64) -> usize {
 /// uniformly random (source, destination) ToR pairs, aggregated per snapshot.
 ///
 /// Demands are expressed as average rate over the snapshot (MB / interval).
+/// Flows are scatter-added into one column per snapshot over the all-pairs
+/// index, densified at the end.
 pub fn pfabric_trace(config: &PFabricConfig) -> TrafficTrace {
-    pfabric_trace_sparse(config).to_trace()
-}
-
-/// Columnar form of [`pfabric_trace`]: flows are scatter-added into one
-/// column per snapshot over the all-pairs index (uniform pair selection
-/// touches every pair eventually, so there is no sparse support to fix).
-/// Bit-identical to the dense path.
-pub fn pfabric_trace_sparse(config: &PFabricConfig) -> SparseTrace {
     assert!(config.num_tors >= 2, "need at least two ToRs");
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xfab_0003);
     let n = config.num_tors;
@@ -141,7 +135,7 @@ pub fn pfabric_trace_sparse(config: &PFabricConfig) -> SparseTrace {
         }
         columns.push(col);
     }
-    SparseTrace::new("pFabric-websearch", config.interval_seconds, active, columns)
+    SparseTrace::new("pFabric-websearch", config.interval_seconds, active, columns).to_trace()
 }
 
 #[cfg(test)]

@@ -7,17 +7,15 @@
 //! `parent_slots` map — the gather/scatter bridge between the parent's demand
 //! columns and the shard's.
 //!
-//! Two partitioning schemes are provided, mirroring TROD-style pod-level TE:
+//! Two plans are provided:
 //!
+//! * [`ShardPlan::single`] — one shard owning the whole parent universe;
 //! * [`ShardPlan::source_blocks`] — contiguous source-ToR ranges ("ToR-prefix
 //!   grouping").  Every pair belongs to the shard of its source block, so
 //!   shard sizes are balanced whenever sources fan out uniformly — the right
 //!   default for flat ToR fabrics and for throughput scaling.
-//! * [`ShardPlan::pod_partition`] — one shard per pod holding its intra-pod
-//!   pairs, plus a single aggregated inter-pod shard holding every cross-pod
-//!   pair (the pod-level aggregate matrix of the paper's pod evaluation).
 //!
-//! Both iterate the parent in slot order, so each shard's `parent_slots` are
+//! Both keep the parent's slot order, so each shard's `parent_slots` are
 //! strictly increasing and the shard's own slot order (source-major CSR, the
 //! [`ActivePairs::from_pairs`] order) agrees with the subsequence order of
 //! the parent — gathering a parent column slot-by-slot is exact and
@@ -61,7 +59,7 @@ impl ShardUniverse {
         &self.parent_slots
     }
 
-    /// Human-readable shard name (`pod3`, `srcs64-127`, `inter-pod`, ...).
+    /// Human-readable shard name (`all` or `srcs64-127`).
     #[inline]
     pub fn label(&self) -> &str {
         &self.label
@@ -130,35 +128,6 @@ impl ShardPlan {
         ShardPlan::from_assignment(parent, num_shards, labels, |s, _| {
             assert!(s < active_nodes, "pair source {s} lies outside the {active_nodes}-ToR prefix");
             block_of[s]
-        })
-    }
-
-    /// TROD-style pod partition: ToR `t` lives in pod `t / tors_per_pod`;
-    /// each pod's intra-pod pairs form one shard and every cross-pod pair
-    /// goes to a single aggregated inter-pod shard (always the last shard
-    /// when non-empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tors` is not a positive multiple of `tors_per_pod`, or
-    /// when a parent pair touches a node outside the ToR prefix.
-    pub fn pod_partition(parent: &Arc<ActivePairs>, tors: usize, tors_per_pod: usize) -> ShardPlan {
-        assert!(tors_per_pod >= 1, "a pod needs at least one ToR");
-        assert!(
-            tors >= tors_per_pod && tors.is_multiple_of(tors_per_pod),
-            "ToR count {tors} must be a positive multiple of the pod size {tors_per_pod}"
-        );
-        let pods = tors / tors_per_pod;
-        let mut labels: Vec<String> = (0..pods).map(|p| format!("pod{p}")).collect();
-        labels.push("inter-pod".to_string());
-        ShardPlan::from_assignment(parent, pods + 1, labels, |s, d| {
-            assert!(s < tors && d < tors, "pair ({s}, {d}) lies outside the {tors}-ToR prefix");
-            let (ps, pd) = (s / tors_per_pod, d / tors_per_pod);
-            if ps == pd {
-                ps
-            } else {
-                pods
-            }
         })
     }
 
@@ -276,26 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn pod_partition_separates_intra_and_inter() {
-        let parent = sampled(16, 5);
-        let plan = ShardPlan::pod_partition(&parent, 16, 4);
-        let total: usize = plan.shards().iter().map(ShardUniverse::len).sum();
-        assert_eq!(total, parent.len());
-        let inter = plan.shards().last().expect("cross-pod pairs exist at this density");
-        assert_eq!(inter.label(), "inter-pod");
-        for (_, s, d) in inter.active().iter() {
-            assert_ne!(s / 4, d / 4, "inter shard must hold only cross-pod pairs");
-        }
-        for shard in &plan.shards()[..plan.num_shards() - 1] {
-            let pod: usize = shard.label()["pod".len()..].parse().unwrap();
-            for (_, s, d) in shard.active().iter() {
-                assert_eq!(s / 4, pod);
-                assert_eq!(d / 4, pod);
-            }
-        }
-    }
-
-    #[test]
     fn gather_reads_the_parent_column() {
         let parent = sampled(12, 3);
         let plan = ShardPlan::source_blocks(&parent, 12, 3);
@@ -322,8 +271,8 @@ mod tests {
     #[test]
     fn deterministic_across_constructions() {
         let parent = sampled(24, 4);
-        let a = ShardPlan::pod_partition(&parent, 24, 8);
-        let b = ShardPlan::pod_partition(&parent, 24, 8);
+        let a = ShardPlan::source_blocks(&parent, 24, 3);
+        let b = ShardPlan::source_blocks(&parent, 24, 3);
         assert_eq!(a.num_shards(), b.num_shards());
         for (x, y) in a.shards().iter().zip(b.shards()) {
             assert_eq!(x.parent_slots(), y.parent_slots());

@@ -86,25 +86,13 @@ impl ActivePairs {
 
     /// The support of a single matrix: every pair with a nonzero demand.
     pub fn from_matrix_support(matrix: &DemandMatrix) -> ActivePairs {
-        ActivePairs::from_support_mask(matrix.num_nodes(), |s, d| matrix.get(s, d) > 0.0)
-    }
-
-    /// The union support of a whole trace: every pair that carries traffic
-    /// in at least one snapshot.  This is the index a dense trace is
-    /// converted onto, so all snapshots of the series align.
-    pub fn from_trace_support(trace: &TrafficTrace) -> ActivePairs {
-        ActivePairs::from_support_mask(trace.num_nodes(), |s, d| {
-            trace.matrices().iter().any(|m| m.get(s, d) > 0.0)
-        })
-    }
-
-    fn from_support_mask(num_nodes: usize, mut active: impl FnMut(usize, usize) -> bool) -> Self {
+        let num_nodes = matrix.num_nodes();
         let mut dsts = Vec::new();
         let mut src_offsets = Vec::with_capacity(num_nodes + 1);
         src_offsets.push(0);
         for s in 0..num_nodes {
             for d in 0..num_nodes {
-                if s != d && active(s, d) {
+                if s != d && matrix.get(s, d) > 0.0 {
                     dsts.push(d as u32);
                 }
             }
@@ -402,13 +390,6 @@ impl SparseDemand {
         &self.values
     }
 
-    /// Mutable access to the value column.  Callers must keep entries
-    /// non-negative and finite (use [`Self::set_slot`] when in doubt).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     fn assert_same_universe(&self, other: &SparseDemand) {
         assert!(
             Arc::ptr_eq(&self.active, &other.active) || self.active == other.active,
@@ -473,20 +454,6 @@ impl SparseTrace {
             );
         }
         SparseTrace { name: name.into(), interval_seconds, active, columns }
-    }
-
-    /// Converts a dense trace onto the union support of its snapshots —
-    /// exact, and the adapter direction the WAN scenarios use.
-    pub fn from_trace(trace: &TrafficTrace) -> SparseTrace {
-        let active = Arc::new(ActivePairs::from_trace_support(trace));
-        let columns =
-            trace.matrices().iter().map(|m| SparseDemand::from_matrix(m, &active)).collect();
-        SparseTrace {
-            name: trace.name().to_string(),
-            interval_seconds: trace.interval_seconds(),
-            active,
-            columns,
-        }
     }
 
     /// Densifies the whole series (exact).
@@ -717,7 +684,10 @@ mod tests {
             })
             .collect();
         let dense = TrafficTrace::new("demo", 60.0, matrices);
-        let sparse = SparseTrace::from_trace(&dense);
+        let active = Arc::new(ActivePairs::from_pairs(5, &[(0, 1), (3, 2)]));
+        let columns =
+            dense.matrices().iter().map(|m| SparseDemand::from_matrix(m, &active)).collect();
+        let sparse = SparseTrace::new("demo", 60.0, active, columns);
         assert_eq!(sparse.len(), 4);
         assert_eq!(sparse.nnz(), 2);
         assert_eq!(sparse.num_nodes(), 5);

@@ -7,7 +7,6 @@
 
 use crate::matrix::TrafficTrace;
 use crate::ops;
-use crate::sparse::SparseTrace;
 
 /// Per-SD-pair variance of the demands over the whole trace, in the
 /// `flatten_pairs` ordering.
@@ -17,49 +16,19 @@ pub fn per_pair_variance(trace: &TrafficTrace) -> Vec<f64> {
 
 /// Per-SD-pair variance over a sub-range of snapshots (e.g. the training split,
 /// which is what the FIGRET loss uses: `σ²_{D_sd, [1-T]}`).
-pub fn per_pair_variance_range(trace: &TrafficTrace, range: std::ops::Range<usize>) -> Vec<f64> {
-    dense_mean_var(trace, range).1
-}
-
-/// Per-SD-pair mean of the demands over a sub-range of snapshots.
-pub fn per_pair_mean_range(trace: &TrafficTrace, range: std::ops::Range<usize>) -> Vec<f64> {
-    dense_mean_var(trace, range).0
-}
-
+///
 /// Folds the dense `n × n` stores through the shared kernel and drops the
 /// (all-zero) diagonal slots, leaving the `flatten_pairs` ordering.
-fn dense_mean_var(trace: &TrafficTrace, range: std::ops::Range<usize>) -> (Vec<f64>, Vec<f64>) {
+pub fn per_pair_variance_range(trace: &TrafficTrace, range: std::ops::Range<usize>) -> Vec<f64> {
     let n = trace.num_nodes();
     let stores = trace.matrices()[range].iter().map(|m| m.as_slice());
-    let (mean, var) = ops::mean_variance(n * n, stores);
-    let off_diagonal = |dense: Vec<f64>| -> Vec<f64> {
-        dense.into_iter().enumerate().filter(|(i, _)| i / n != i % n).map(|(_, v)| v).collect()
-    };
-    (off_diagonal(mean), off_diagonal(var))
+    let (_, var) = ops::mean_variance(n * n, stores);
+    var.into_iter().enumerate().filter(|(i, _)| i / n != i % n).map(|(_, v)| v).collect()
 }
 
 /// Per-SD-pair standard deviation over a sub-range of snapshots.
 pub fn per_pair_std_range(trace: &TrafficTrace, range: std::ops::Range<usize>) -> Vec<f64> {
     per_pair_variance_range(trace, range).into_iter().map(f64::sqrt).collect()
-}
-
-/// Per-active-pair variance of a sparse series over a snapshot sub-range, in
-/// slot order (length `nnz`) — the σ² weights of the FIGRET loss on
-/// ToR-scale fabrics, computed without ever materializing `N²` vectors.
-pub fn sparse_per_pair_variance_range(
-    trace: &SparseTrace,
-    range: std::ops::Range<usize>,
-) -> Vec<f64> {
-    sparse_mean_var(trace, range).1
-}
-
-/// Per-active-pair mean of a sparse series over a snapshot sub-range.
-pub fn sparse_per_pair_mean_range(trace: &SparseTrace, range: std::ops::Range<usize>) -> Vec<f64> {
-    sparse_mean_var(trace, range).0
-}
-
-fn sparse_mean_var(trace: &SparseTrace, range: std::ops::Range<usize>) -> (Vec<f64>, Vec<f64>) {
-    ops::mean_variance(trace.nnz(), trace.snapshots()[range].iter().map(|c| c.values()))
 }
 
 /// Summary statistics of a sample (used for the candlestick plots of Figure 4).
@@ -162,31 +131,6 @@ pub fn cosine_similarity_samples(trace: &TrafficTrace, window: usize) -> Vec<f64
     samples
 }
 
-/// Windowed cosine-similarity analysis of a sparse series (the Figure 4
-/// statistic at fabric scale, `O(nnz)` per comparison).
-pub fn sparse_cosine_similarity_analysis(
-    trace: &SparseTrace,
-    window: usize,
-) -> DistributionSummary {
-    DistributionSummary::from_samples(&sparse_cosine_similarity_samples(trace, window))
-}
-
-/// The raw per-snapshot maximum cosine similarities of a sparse series.
-pub fn sparse_cosine_similarity_samples(trace: &SparseTrace, window: usize) -> Vec<f64> {
-    let mut samples = Vec::new();
-    if trace.len() <= window || window == 0 {
-        return samples;
-    }
-    for t in window..trace.len() {
-        let current = trace.snapshot(t);
-        let best = (t - window..t)
-            .map(|h| current.cosine_similarity(trace.snapshot(h)))
-            .fold(f64::NEG_INFINITY, f64::max);
-        samples.push(best);
-    }
-    samples
-}
-
 /// Spearman rank correlation coefficient between two samples of equal length.
 ///
 /// Used in §5.4 to check how consistent the per-pair variance ranking is
@@ -256,9 +200,6 @@ mod tests {
         assert_eq!(var.len(), 2);
         assert!(var[0] < 1e-12, "pair 0 is constant");
         assert!(var[1] > 100.0, "pair 1 varies a lot");
-        let mean = per_pair_mean_range(&t, 0..t.len());
-        assert!((mean[0] - 1.0).abs() < 1e-12);
-        assert!((mean[1] - 25.0).abs() < 1e-12);
         let std = per_pair_std_range(&t, 0..t.len());
         assert!((std[1] - var[1].sqrt()).abs() < 1e-12);
     }
@@ -302,26 +243,26 @@ mod tests {
 
     #[test]
     fn sparse_stats_match_dense_on_active_slots() {
-        let t = small_trace();
-        let sparse = crate::sparse::SparseTrace::from_trace(&t);
-        let dense_var = per_pair_variance_range(&t, 0..t.len());
-        let dense_mean = per_pair_mean_range(&t, 0..t.len());
-        let sparse_var = sparse_per_pair_variance_range(&sparse, 0..sparse.len());
-        let sparse_mean = sparse_per_pair_mean_range(&sparse, 0..sparse.len());
-        for (slot, flat) in sparse.active().flat_pair_ids().enumerate() {
-            assert_eq!(sparse_var[slot].to_bits(), dense_var[flat].to_bits());
-            assert_eq!(sparse_mean[slot].to_bits(), dense_mean[flat].to_bits());
+        // A shard's σ² weights come from its own pair columns
+        // (`WindowDataset::per_slot_variance`); on every active slot they
+        // are the trace's per-pair variance, bit for bit.
+        let active = crate::sparse::ActivePairs::from_pairs(3, &[(0, 2), (2, 1)]);
+        let matrices: Vec<DemandMatrix> = (0..6)
+            .map(|t| {
+                let mut m = DemandMatrix::zeros(3);
+                m.set(0, 2, 1.5 + (t % 3) as f64);
+                m.set(2, 1, 10.0 / (1 + t) as f64);
+                m
+            })
+            .collect();
+        let columns = matrices.iter().map(|m| vec![m.get(0, 2), m.get(2, 1)]).collect();
+        let trace = TrafficTrace::new("t", 1.0, matrices);
+        let dense = per_pair_variance(&trace);
+        let sparse = crate::split::WindowDataset::from_columns(2, columns).per_slot_variance();
+        assert_eq!(sparse.len(), active.len());
+        for (slot, flat) in active.flat_pair_ids().enumerate() {
+            assert_eq!(sparse[slot].to_bits(), dense[flat].to_bits());
         }
-        let dense_cos = cosine_similarity_samples(&t, 2);
-        let sparse_cos = sparse_cosine_similarity_samples(&sparse, 2);
-        assert_eq!(dense_cos.len(), sparse_cos.len());
-        for (a, b) in dense_cos.iter().zip(&sparse_cos) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        assert_eq!(
-            sparse_cosine_similarity_analysis(&sparse, 2).count,
-            cosine_similarity_analysis(&t, 2).count
-        );
     }
 
     #[test]

@@ -3,20 +3,15 @@
 //! The batch evaluation pipeline materializes a whole trace up front; the
 //! online serving subsystem (DESIGN.md §6) instead *pulls* one demand column
 //! per tick from a [`SparseDemandStream`] — one value per active pair, the
-//! only demand currency of the serving loop.  Two families of sources:
+//! only demand currency of the serving loop.  [`OnlineStream`] is an
+//! unbounded seeded generator layering diurnal modulation, slow random-walk
+//! drift, flash-crowd episodes and failure-storm episodes (traffic draining
+//! away from an ailing node) on top of a gravity base matrix.  Scenarios are
+//! not bounded by a pre-generated array length: the stream produces demands
+//! for as long as the controller keeps asking.
 //!
-//! * [`SparseReplayStream`] — replays an existing [`SparseTrace`]
-//!   (optionally looping; [`SparseTrace::from_trace`] lifts a recorded dense
-//!   trace), so every batch scenario is also a serving scenario;
-//! * [`OnlineStream`] — an unbounded seeded generator layering diurnal
-//!   modulation, slow random-walk drift, flash-crowd episodes and
-//!   failure-storm episodes (traffic draining away from an ailing node) on
-//!   top of a base matrix.  Scenarios are no longer bounded by a
-//!   pre-generated array length: the stream produces demands for as long as
-//!   the controller keeps asking.
-//!
-//! All generators draw from seeded ChaCha8 streams and consume randomness in
-//! a fixed order, so a (seed, config) pair fully determines the stream —
+//! The generator draws from a seeded ChaCha8 stream and consumes randomness
+//! in a fixed order, so a (seed, config) pair fully determines the stream —
 //! the serving loop's determinism contract (DESIGN.md §4) extends to
 //! unbounded scenarios.
 
@@ -29,8 +24,7 @@ use rand_chacha::ChaCha8Rng;
 use figret_topology::Graph;
 
 use crate::gravity::gravity_matrix;
-use crate::matrix::DemandMatrix;
-use crate::sparse::{ActivePairs, SparseDemand, SparseTrace};
+use crate::sparse::{ActivePairs, SparseDemand};
 
 /// A source of sparse demand columns, one per tick, all aligned to one
 /// shared [`ActivePairs`] index — the native interface of the serving loop
@@ -190,10 +184,10 @@ struct FlashEpisode {
 
 /// An unbounded, seeded demand generator; see the module docs.
 ///
-/// Natively columnar since PR 7: the per-slot base rates live over an
-/// [`ActivePairs`] index and each tick produces one [`SparseDemand`] column.
-/// [`OnlineStream::from_base`] uses the all-pairs index, whose slot order
-/// equals the dense row-major pair order (`DemandMatrix::flatten_pairs`).
+/// Natively columnar: the per-slot base rates live over the all-pairs
+/// [`ActivePairs`] index, whose slot order equals the dense row-major pair
+/// order (`DemandMatrix::flatten_pairs`), and each tick produces one
+/// [`SparseDemand`] column.
 #[derive(Debug, Clone)]
 pub struct OnlineStream {
     config: OnlineStreamConfig,
@@ -210,31 +204,11 @@ pub struct OnlineStream {
 
 impl OnlineStream {
     /// Builds a stream whose base matrix is the gravity model of `graph` at
-    /// `load_factor` of capacity (the same base the WAN generator uses).
+    /// `load_factor` of capacity (the same base the WAN generator uses), over
+    /// the all-pairs index.
     pub fn from_graph(graph: &Graph, load_factor: f64, config: OnlineStreamConfig) -> OnlineStream {
-        OnlineStream::from_base(&gravity_matrix(graph, load_factor), config)
-    }
-
-    /// Builds a stream around an explicit base matrix (e.g. the mean of a
-    /// recorded trace, so an online scenario continues where replay ended).
-    /// The stream runs over the all-pairs index.
-    pub fn from_base(base: &DemandMatrix, config: OnlineStreamConfig) -> OnlineStream {
-        let active = Arc::new(ActivePairs::all(base.num_nodes()));
-        OnlineStream::from_slots(active, base.flatten_pairs(), config)
-    }
-
-    /// Builds a stream around a sparse base column: only the column's active
-    /// pairs ever carry traffic, and per-tick work and storage are `O(nnz)`.
-    pub fn from_sparse_base(base: &SparseDemand, config: OnlineStreamConfig) -> OnlineStream {
-        OnlineStream::from_slots(Arc::clone(base.active()), base.values().to_vec(), config)
-    }
-
-    fn from_slots(
-        active: Arc<ActivePairs>,
-        base: Vec<f64>,
-        config: OnlineStreamConfig,
-    ) -> OnlineStream {
-        assert_eq!(base.len(), active.len(), "one base rate per active pair is required");
+        let base = gravity_matrix(graph, load_factor).flatten_pairs();
+        let active = Arc::new(ActivePairs::all(graph.num_nodes()));
         let rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x5e7e_a11f);
         let num_slots = base.len();
         OnlineStream {
@@ -358,78 +332,6 @@ impl SparseDemandStream for OnlineStream {
     }
 }
 
-/// Replays the columns of an existing [`SparseTrace`] in order.
-#[derive(Debug, Clone)]
-pub struct SparseReplayStream {
-    trace: SparseTrace,
-    cursor: usize,
-    looping: bool,
-}
-
-impl SparseReplayStream {
-    /// Replays the trace once, then reports exhaustion.
-    pub fn once(trace: SparseTrace) -> SparseReplayStream {
-        SparseReplayStream { trace, cursor: 0, looping: false }
-    }
-
-    /// Replays the trace forever, wrapping around at the end.
-    pub fn looping(trace: SparseTrace) -> SparseReplayStream {
-        assert!(!trace.is_empty(), "cannot loop over an empty trace");
-        SparseReplayStream { trace, cursor: 0, looping: true }
-    }
-
-    /// Starts the replay at snapshot `start` instead of 0.
-    pub fn starting_at(mut self, start: usize) -> SparseReplayStream {
-        self.cursor = start;
-        self
-    }
-
-    /// Snapshots left before exhaustion (`None` for a looping stream).
-    pub fn remaining(&self) -> Option<usize> {
-        if self.looping {
-            None
-        } else {
-            Some(self.trace.len().saturating_sub(self.cursor))
-        }
-    }
-}
-
-impl SparseDemandStream for SparseReplayStream {
-    fn active(&self) -> &Arc<ActivePairs> {
-        self.trace.active()
-    }
-
-    fn next_column(&mut self) -> Option<SparseDemand> {
-        if self.cursor >= self.trace.len() {
-            if !self.looping {
-                return None;
-            }
-            self.cursor = 0;
-        }
-        let c = self.trace.snapshot(self.cursor).clone();
-        self.cursor += 1;
-        Some(c)
-    }
-}
-
-/// Materializes the next `ticks` columns of a stream into a [`SparseTrace`]
-/// (mainly for tests and for feeding batch tooling from a streaming source).
-pub fn collect_sparse_stream(
-    stream: &mut dyn SparseDemandStream,
-    ticks: usize,
-    interval_seconds: f64,
-) -> SparseTrace {
-    let active = Arc::clone(stream.active());
-    let mut columns = Vec::with_capacity(ticks);
-    for _ in 0..ticks {
-        match stream.next_column() {
-            Some(c) => columns.push(c),
-            None => break,
-        }
-    }
-    SparseTrace::new("stream", interval_seconds, active, columns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,36 +339,6 @@ mod tests {
 
     fn geant() -> Graph {
         TopologySpec::full_scale(Topology::Geant).build()
-    }
-
-    fn wan_sparse(g: &Graph, snapshots: usize) -> SparseTrace {
-        SparseTrace::from_trace(&crate::wan::wan_trace(
-            g,
-            &crate::wan::WanTrafficConfig { num_snapshots: snapshots, ..Default::default() },
-        ))
-    }
-
-    #[test]
-    fn replay_yields_the_trace_in_order_then_ends() {
-        let trace = wan_sparse(&geant(), 5);
-        let mut s = SparseReplayStream::once(trace.clone());
-        assert_eq!(s.active().num_nodes(), trace.num_nodes());
-        for t in 0..5 {
-            assert_eq!(s.remaining(), Some(5 - t));
-            assert_eq!(s.next_column().as_ref(), Some(trace.snapshot(t)));
-        }
-        assert_eq!(s.next_column(), None);
-        assert_eq!(s.remaining(), Some(0));
-    }
-
-    #[test]
-    fn looping_replay_wraps_and_starting_at_skips() {
-        let trace = wan_sparse(&geant(), 3);
-        let mut s = SparseReplayStream::looping(trace.clone()).starting_at(2);
-        assert_eq!(s.remaining(), None);
-        assert_eq!(s.next_column().as_ref(), Some(trace.snapshot(2)));
-        assert_eq!(s.next_column().as_ref(), Some(trace.snapshot(0)));
-        assert_eq!(s.next_column().as_ref(), Some(trace.snapshot(1)));
     }
 
     #[test]
@@ -554,54 +426,16 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_online_streams_agree_bitwise() {
-        // A dense base matrix and the same base as an all-pairs column seed
-        // the same stream: slot order is `flatten_pairs` order.
+        // The stream runs over the all-pairs index, whose slot order is the
+        // dense `flatten_pairs` order: a column and its dense view agree.
         let g = geant();
         let config = OnlineStreamConfig { seed: 123, ..Default::default() };
-        let base = gravity_matrix(&g, 0.25);
-        let all = Arc::new(ActivePairs::all(g.num_nodes()));
-        let mut dense = OnlineStream::from_base(&base, config.clone());
-        let mut sparse =
-            OnlineStream::from_sparse_base(&SparseDemand::from_matrix(&base, &all), config);
+        let mut stream = OnlineStream::from_graph(&g, 0.25, config);
+        assert!(stream.active().is_all());
         for _ in 0..25 {
-            let m = dense.next_column().unwrap().to_matrix();
-            let c = sparse.next_column().unwrap();
-            assert_eq!(c.values(), m.flatten_pairs());
+            let c = stream.next_column().unwrap();
+            assert_eq!(c.values(), c.to_matrix().flatten_pairs());
         }
-    }
-
-    #[test]
-    fn sparse_base_stream_stays_on_its_support() {
-        let active = Arc::new(ActivePairs::sample_per_source(40, 4, 3));
-        let base = SparseDemand::from_values(Arc::clone(&active), vec![1.0; active.len()]).unwrap();
-        let mut s = OnlineStream::from_sparse_base(&base, OnlineStreamConfig::default());
-        assert_eq!(s.active().len(), 160);
-        let trace = collect_sparse_stream(&mut s, 10, 60.0);
-        assert_eq!(trace.len(), 10);
-        assert_eq!(trace.nnz(), 160);
-        assert!(trace.snapshot(9).total() > 0.0);
-    }
-
-    #[test]
-    fn sparse_replay_matches_dense_replay() {
-        let g = geant();
-        let trace = crate::wan::wan_trace(
-            &g,
-            &crate::wan::WanTrafficConfig { num_snapshots: 6, ..Default::default() },
-        );
-        let mut b = SparseReplayStream::looping(SparseTrace::from_trace(&trace)).starting_at(4);
-        assert_eq!(b.remaining(), None);
-        for t in (4..6).chain(0..6).chain(0..2) {
-            assert_eq!(&b.next_column().unwrap().to_matrix(), trace.matrix(t));
-        }
-        let mut once = SparseReplayStream::once(collect_sparse_stream(
-            &mut OnlineStream::from_graph(&g, 0.25, OnlineStreamConfig::default()),
-            3,
-            60.0,
-        ));
-        assert_eq!(once.remaining(), Some(3));
-        assert!(once.next_column().is_some());
-        assert_eq!(once.remaining(), Some(2));
     }
 
     #[test]
@@ -656,22 +490,5 @@ mod tests {
         assert_eq!(ann.active_flashes, 0);
         assert_eq!(ann.drift_spread, 1.0);
         assert!(!ann.is_quiet());
-    }
-
-    #[test]
-    fn collect_stream_materializes_ticks() {
-        let g = geant();
-        let mut s = OnlineStream::from_graph(
-            &g,
-            0.25,
-            OnlineStreamConfig { seed: 3, ..Default::default() },
-        );
-        let trace = collect_sparse_stream(&mut s, 12, 60.0);
-        assert_eq!(trace.len(), 12);
-        assert_eq!(trace.num_nodes(), g.num_nodes());
-        // A finite replay stops early.
-        let mut r = SparseReplayStream::once(trace.clone());
-        let t2 = collect_sparse_stream(&mut r, 50, 60.0);
-        assert_eq!(t2.len(), 12);
     }
 }

@@ -79,18 +79,10 @@ struct PairProfile {
 
 /// Generates a GEANT-like WAN trace over `graph`.
 ///
-/// WANs are small, so the dense [`TrafficTrace`] remains the primary
-/// interface; the trace is assembled as columns over the all-pairs index
-/// (see [`wan_trace_sparse`]) and densified at the end, bit-identical to
-/// the pre-sparse implementation.
+/// WANs are small, so the trace is dense; its snapshots are assembled as
+/// columns over the all-pairs index (gravity bases are full) and densified
+/// at the end.
 pub fn wan_trace(graph: &Graph, config: &WanTrafficConfig) -> TrafficTrace {
-    wan_trace_sparse(graph, config).to_trace()
-}
-
-/// Columnar form of [`wan_trace`] over the all-pairs index (gravity bases
-/// are full, so WAN traffic has no sparse support to exploit; the columnar
-/// form exists so one snapshot series type flows through the whole stack).
-pub fn wan_trace_sparse(graph: &Graph, config: &WanTrafficConfig) -> SparseTrace {
     let n = graph.num_nodes();
     let active = Arc::new(ActivePairs::all(n));
     let base = gravity_matrix(graph, config.load_factor);
@@ -134,6 +126,7 @@ pub fn wan_trace_sparse(graph: &Graph, config: &WanTrafficConfig) -> SparseTrace
         columns.push(col);
     }
     SparseTrace::new(format!("{}-wan", graph.name()), config.interval_seconds, active, columns)
+        .to_trace()
 }
 
 #[cfg(test)]
