@@ -31,8 +31,16 @@
 //! let mut model = FigretModel::new(&paths, &variances, config);
 //! model.train(&dataset);
 //!
-//! let history = &trace.matrices()[trace.len() - 5..trace.len() - 1];
-//! let te_config = model.predict(&paths, history);
+//! // Serve through the compiled f32 plan: it reads the window's pair columns
+//! // laid end to end, oldest first, and emits one ratio per path.
+//! let mut plan = model.compile_plan();
+//! let features: Vec<f64> = trace.matrices()[trace.len() - 5..trace.len() - 1]
+//!     .iter()
+//!     .flat_map(|m| m.flatten_pairs())
+//!     .collect();
+//! let mut raw = vec![0.0; paths.num_paths()];
+//! plan.forward(&features, &mut raw);
+//! let te_config = TeConfig::from_raw(&paths, &raw);
 //! assert!(te_config.is_valid(&paths));
 //! let realized = trace.matrix(trace.len() - 1).flatten_pairs();
 //! let mlu = max_link_utilization_pairs(&paths, &te_config, &realized);

@@ -13,9 +13,11 @@
 //! comparable scales).  Setting `α = 0` recovers DOTE.
 //!
 //! Pair columns are the one history currency of this layer: training reads a
-//! [`WindowDataset`], prediction takes windows of columns
-//! ([`FigretModel::predict_flat`], [`FigretModel::predict_batch`]), and
-//! `DemandMatrix` stops at the [`FigretModel::predict`] adapter.
+//! [`WindowDataset`], and a trained model serves through the f32
+//! [`InferencePlan`] it compiles ([`FigretModel::compile_plan`]), which reads
+//! a flattened window of columns.  The f64 graph's own forward pass
+//! ([`FigretModel::predict_flat`]) is the reference the plan is checked
+//! against.
 
 use std::sync::Arc;
 
@@ -23,7 +25,7 @@ use figret_nn::{
     Adam, AdamConfig, Graph, InferencePlan, Mlp, MlpConfig, OutputActivation, Var, WorkerTape,
 };
 use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
-use figret_traffic::{DemandMatrix, WindowDataset};
+use figret_traffic::WindowDataset;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -311,39 +313,17 @@ impl FigretModel {
         )
     }
 
-    /// Computes TE configurations for many history windows (each `H` pair
-    /// columns, most recent last — e.g. [`WindowDataset::histories`]) with a
-    /// single batch-major forward pass of the main tape: one configuration
-    /// per window.
-    pub fn predict_batch<'h>(
-        &mut self,
-        paths: &PathSet,
-        histories: impl ExactSizeIterator<Item = &'h [Vec<f64>]>,
-    ) -> Vec<TeConfig> {
-        if histories.len() == 0 {
-            return Vec::new();
-        }
-        self.graph.reset();
-        let ratios = Self::ratios(self.features, &self.mlp, &self.diff, &mut self.graph, histories);
-        let out = self.graph.value(ratios);
-        (0..out.rows()).map(|r| TeConfig::from_raw(paths, out.row_slice(r))).collect()
-    }
-
-    /// Computes the TE configuration for the next snapshot from a history
-    /// window of `H` flat demand columns (most recent last), one value per
-    /// pair of the path set's universe in slot order.  Pair columns are the
-    /// model's history currency: the serving controller keeps its history
-    /// this way and never materializes `N×N` matrices, which is what lets
-    /// learned serving scale to restricted fabric universes.
+    /// The f64 graph's configuration for one history window of `H` pair
+    /// columns (most recent last, one value per pair in slot order).  This
+    /// is the reference the compiled plan is tested against, not a serving
+    /// path: every deployed or evaluated configuration comes from
+    /// [`FigretModel::compile_plan`].  It stays public because
+    /// `perf_ledger`'s `nn.graph_forward_us` probe times it.
     pub fn predict_flat(&mut self, paths: &PathSet, history: &[Vec<f64>]) -> TeConfig {
-        self.predict_batch(paths, std::iter::once(history)).remove(0)
-    }
-
-    /// The dense-edge adapter of [`FigretModel::predict_flat`]: flattens a
-    /// history window of `H` demand matrices (most recent last).
-    pub fn predict(&mut self, paths: &PathSet, history: &[DemandMatrix]) -> TeConfig {
-        let columns: Vec<Vec<f64>> = history.iter().map(DemandMatrix::flatten_pairs).collect();
-        self.predict_flat(paths, &columns)
+        self.graph.reset();
+        let window = std::iter::once(history);
+        let ratios = Self::ratios(self.features, &self.mlp, &self.diff, &mut self.graph, window);
+        TeConfig::from_raw(paths, self.graph.value(ratios).row_slice(0))
     }
 }
 
@@ -354,14 +334,9 @@ impl FigretModel {
 /// paper does ("we apply the TE solution computed from the traffic demand of
 /// the preceding time snapshot to the next time snapshot", §5.1).  See
 /// DESIGN.md §5 for the substitution rationale (no GNN/RL).
+#[derive(Debug)]
 pub struct TealLikeModel {
     inner: FigretModel,
-}
-
-impl std::fmt::Debug for TealLikeModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TealLikeModel").field("inner", &self.inner).finish()
-    }
 }
 
 impl TealLikeModel {
@@ -378,21 +353,11 @@ impl TealLikeModel {
         self.inner.train(&dataset.targets_as_history())
     }
 
-    /// Computes a configuration for the *given* demand matrix (apply it to the
-    /// following snapshot to reproduce the paper's evaluation protocol).
-    pub fn predict(&mut self, paths: &PathSet, demand: &DemandMatrix) -> TeConfig {
-        self.inner.predict(paths, std::slice::from_ref(demand))
-    }
-
-    /// Batched counterpart of [`TealLikeModel::predict`]: one configuration
-    /// per one-column window (a window-1 [`WindowDataset`]'s histories are the
-    /// `D_{t-1}` of its targets) via a single forward pass.
-    pub fn predict_batch<'h>(
-        &mut self,
-        paths: &PathSet,
-        demands: impl ExactSizeIterator<Item = &'h [Vec<f64>]>,
-    ) -> Vec<TeConfig> {
-        self.inner.predict_batch(paths, demands)
+    /// The trained window-1 model, to compile and serve: its configuration
+    /// for a demand column is the one to apply to the following snapshot
+    /// (the paper's evaluation protocol).
+    pub fn into_model(self) -> FigretModel {
+        self.inner
     }
 }
 
@@ -402,7 +367,7 @@ mod tests {
     use figret_te::max_link_utilization_pairs;
     use figret_topology::{Topology, TopologySpec};
     use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
-    use figret_traffic::{per_pair_variance_range, TrainTestSplit};
+    use figret_traffic::{per_pair_variance_range, DemandMatrix, TrainTestSplit};
 
     fn setup() -> (PathSet, figret_traffic::TrafficTrace) {
         let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
@@ -442,12 +407,12 @@ mod tests {
         let uniform = TeConfig::uniform(&ps);
         let mut model_total = 0.0;
         let mut uniform_total = 0.0;
-        for t in split.test.clone() {
-            let cfg = model.predict(&ps, &trace.matrices()[t - h..t]);
+        let test = WindowDataset::from_targets(&trace, h, split.test.clone());
+        for (i, history) in test.histories().enumerate() {
+            let cfg = model.predict_flat(&ps, history);
             assert!(cfg.is_valid(&ps));
-            let demand = trace.matrix(t).flatten_pairs();
-            model_total += max_link_utilization_pairs(&ps, &cfg, &demand);
-            uniform_total += max_link_utilization_pairs(&ps, &uniform, &demand);
+            model_total += max_link_utilization_pairs(&ps, &cfg, test.target(i));
+            uniform_total += max_link_utilization_pairs(&ps, &uniform, test.target(i));
         }
         assert!(
             model_total < uniform_total,
@@ -495,7 +460,9 @@ mod tests {
         let mut teal = TealLikeModel::new(&ps, config);
         let report = teal.train(&dataset);
         assert!(!report.epochs.is_empty());
-        let cfg = teal.predict(&ps, trace.matrix(trace.len() - 2));
+        let mut model = teal.into_model();
+        assert_eq!(model.config().history_window, 1);
+        let cfg = model.predict_flat(&ps, &[trace.matrix(trace.len() - 2).flatten_pairs()]);
         assert!(cfg.is_valid(&ps));
     }
 
@@ -539,14 +506,13 @@ mod tests {
         // Same shuffle, same chunking, same arithmetic: per-epoch stats are
         // bit-equal, not merely close.
         assert_eq!(trace_report.epochs, column_report.epochs);
-        // And so are the trained predictors, through the dense adapter and
-        // the column entry point.
+        // And so are the trained predictors.
         let t = trace.len() - 1;
-        let history = &trace.matrices()[t - h..t];
-        let flat_history: Vec<Vec<f64>> = history.iter().map(|m| m.flatten_pairs()).collect();
-        let dense_cfg = trace_model.predict(&ps, history);
-        let flat_cfg = column_model.predict_flat(&ps, &flat_history);
-        assert_eq!(dense_cfg.ratios(), flat_cfg.ratios());
+        let history: Vec<Vec<f64>> =
+            trace.matrices()[t - h..t].iter().map(|m| m.flatten_pairs()).collect();
+        let trace_cfg = trace_model.predict_flat(&ps, &history);
+        let column_cfg = column_model.predict_flat(&ps, &history);
+        assert_eq!(trace_cfg.ratios(), column_cfg.ratios());
     }
 
     #[test]
@@ -587,32 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_matches_predict() {
-        let (ps, trace) = setup();
-        let split = TrainTestSplit::chronological(trace.len(), 0.75);
-        let variances = per_pair_variance_range(&trace, split.train.clone());
-        let config = FigretConfig { epochs: 1, ..FigretConfig::fast_test() };
-        let h = config.history_window;
-        let dataset = WindowDataset::from_trace(&trace, h, split.train.clone());
-        let mut model = FigretModel::new(&ps, &variances, config);
-        model.train(&dataset);
-        let windows = WindowDataset::from_trace(&trace, h, h..h + 5);
-        let batched = model.predict_batch(&ps, windows.histories());
-        assert_eq!(batched.len(), 5);
-        assert!(model.predict_batch(&ps, std::iter::empty()).is_empty());
-        for (t, batched_cfg) in (h..h + 5).zip(&batched) {
-            let single = model.predict(&ps, &trace.matrices()[t - h..t]);
-            assert!(batched_cfg.is_valid(&ps));
-            for p in 0..ps.num_paths() {
-                assert!(
-                    (single.ratio(p) - batched_cfg.ratio(p)).abs() < 1e-12,
-                    "batched prediction must equal the single-sample prediction"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn compiled_plan_matches_graph_prediction() {
         let (ps, trace) = setup();
         let split = TrainTestSplit::chronological(trace.len(), 0.75);
@@ -627,16 +567,11 @@ mod tests {
         assert_eq!(plan.output_dim(), ps.num_paths());
 
         let mut raw = vec![0.0; ps.num_paths()];
-        for t in h..h + 4 {
-            let history = &trace.matrices()[t - h..t];
+        for history in WindowDataset::from_targets(&trace, h, h..h + 4).histories() {
             // The plan takes *raw* features; scaling happens inside.
-            let mut features = Vec::new();
-            for m in history {
-                features.extend(m.flatten_pairs());
-            }
-            plan.forward(&features, &mut raw);
+            plan.forward(&history.concat(), &mut raw);
             let plan_cfg = TeConfig::from_raw(&ps, &raw);
-            let graph_cfg = model.predict(&ps, history);
+            let graph_cfg = model.predict_flat(&ps, history);
             assert!(plan_cfg.is_valid(&ps));
             for p in 0..ps.num_paths() {
                 let (a, b) = (plan_cfg.ratio(p), graph_cfg.ratio(p));
@@ -651,9 +586,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "exactly H demand columns")]
     fn predict_checks_history_length() {
-        let (ps, trace) = setup();
+        let (ps, _) = setup();
         let mut model =
             FigretModel::new(&ps, &vec![0.0; ps.num_pairs()], FigretConfig::fast_test());
-        let _ = model.predict(&ps, &trace.matrices()[..2]);
+        let _ = model.predict_flat(&ps, &vec![vec![1.0; ps.num_pairs()]; 2]);
     }
 }

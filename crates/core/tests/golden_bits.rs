@@ -10,7 +10,7 @@
 //! hash over the bits of the trained model's predicted ratios, at batch sizes
 //! 1, 8 and 20 (a batch that is not a multiple of the microbatch), with and
 //! without the robustness term, through both `WindowDataset` constructors
-//! (`from_trace` + `predict`, `from_columns` + `predict_flat`).  Any
+//! (`from_trace` and `from_columns`, each followed by `predict_flat`).  Any
 //! reordered sum, fused multiply-add, dropped `+ 0.0` or thread-dependent
 //! reduction fails them.
 
@@ -120,15 +120,13 @@ fn run(batch_size: usize, robustness_weight: f64, columns: bool) -> ([[u64; 3]; 
     let mut model = FigretModel::new(&paths, &variances, config);
 
     let t = trace.len() - 1;
-    let history = &trace.matrices()[t - h..t];
-    let (report, predicted) = if columns {
+    let report = if columns {
         let train = flatten(&trace.matrices()[split.train.clone()]);
-        let report = model.train(&WindowDataset::from_columns(h, train));
-        (report, model.predict_flat(&paths, &flatten(history)))
+        model.train(&WindowDataset::from_columns(h, train))
     } else {
-        let report = model.train(&WindowDataset::from_trace(&trace, h, split.train.clone()));
-        (report, model.predict(&paths, history))
+        model.train(&WindowDataset::from_trace(&trace, h, split.train.clone()))
     };
+    let predicted = model.predict_flat(&paths, &flatten(&trace.matrices()[t - h..t]));
     let mut epochs = [[0u64; 3]; 4];
     assert_eq!(report.epochs.len(), epochs.len());
     for (bits, e) in epochs.iter_mut().zip(&report.epochs) {
@@ -162,7 +160,9 @@ fn teal_trainer_reproduces_the_recorded_bits() {
     let report = teal.train(&dataset);
     let epochs: Vec<[u64; 2]> =
         report.epochs.iter().map(|e| [e.mean_loss.to_bits(), e.mean_mlu.to_bits()]).collect();
-    let predicted = teal.predict(&paths, trace.matrix(trace.len() - 2));
+    let predicted = teal
+        .into_model()
+        .predict_flat(&paths, &flatten(&trace.matrices()[trace.len() - 2..trace.len() - 1]));
     let got = (epochs, fnv_bits(predicted.ratios()));
     assert_eq!(got, (TEAL_GOLDEN.0.to_vec(), TEAL_GOLDEN.1), "{got:#x?}");
 }

@@ -113,6 +113,22 @@ fn main() {
     if shift_tick > 0 && online_ticks == 0 {
         fail("--shift-tick shifts the generated stream; it requires --online-ticks".to_string());
     }
+    let shift_factor = values.float("shift-factor");
+    if !(shift_factor.is_finite() && shift_factor > 0.0) {
+        // Odd slots are scaled by 1/f: a zero factor serves infinite demand.
+        fail(format!("--shift-factor must be finite and > 0 (got {shift_factor})"));
+    }
+    let retrain_window = values.number("retrain-window");
+    let window = experiment.window;
+    if retrain_every > 0 && retrain_window <= window {
+        // A challenger trains on the window's samples: each needs `window`
+        // history columns and one target.
+        fail(format!(
+            "--retrain-window {retrain_window} holds no training sample of window {window}; \
+             use --retrain-window {} or more",
+            window + 1
+        ));
+    }
 
     let options = ServeSimOptions {
         topology,
@@ -123,10 +139,10 @@ fn main() {
         max_ticks: Some(experiment.max_eval),
         shards,
         retrain_every,
-        retrain_window: values.number("retrain-window"),
+        retrain_window,
         promotion_patience: values.number("promotion-patience"),
         shift_tick,
-        shift_factor: values.float("shift-factor"),
+        shift_factor,
         metrics_out,
         metrics_every,
         experiment,

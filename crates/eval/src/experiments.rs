@@ -8,9 +8,7 @@
 
 use figret::FigretConfig;
 use figret_serve::SlidingMax;
-use figret_solvers::{
-    desensitization_bounds, solve_min_mlu, DesensitizationSettings, HeuristicBound, MluProblem,
-};
+use figret_solvers::{DesensitizationSettings, HeuristicBound};
 use figret_te::{max_sensitivity_per_pair, mean, normalize_by, relative_change, SchemeQuality};
 use figret_topology::{random_link_failures, Topology};
 use figret_traffic::{
@@ -24,7 +22,8 @@ use crate::report::{
     ascii_box, lp_work_columns, lp_work_header, print_csv_series, print_quality_panel, print_table,
 };
 use crate::runner::{
-    forecast, omniscient_series, omniscient_series_with_stats, run_scheme, EvalOptions, Scheme,
+    deployed_series, forecast, omniscient_series, omniscient_series_with_stats, run_scheme,
+    EvalOptions, Scheme,
 };
 use crate::scenario::{Scenario, ScenarioOptions};
 
@@ -413,77 +412,39 @@ pub fn fig7_failures(options: &ExperimentOptions) {
 
 /// Figure 8: per-pair traffic variance vs. the path sensitivity each scheme
 /// assigns (Des TE vs FIGRET), printed as CSV scatter data plus a summary.
+/// Each scheme's sensitivities are averaged over the configurations it
+/// deploys on the evaluated snapshots — the series Figure 5 scores.
 pub fn fig8_sensitivity(options: &ExperimentOptions) {
     let eval = options.eval_options();
     for topology in [Topology::MetaDbPod, Topology::MetaDbTor] {
         let scenario = Scenario::build(topology, &options.scenario_options());
         let variances = per_pair_variance_range(&scenario.trace, scenario.split.train.clone());
         let max_var = variances.iter().cloned().fold(0.0, f64::max).max(1e-12);
+        let evaluated = eval.evaluated(&scenario, &eval.eval_indices(&scenario));
         println!("\n# Figure 8 — {} (variance vs. mean max path sensitivity)", scenario.name);
         for (label, scheme) in [
             ("des_te", Scheme::Desensitization(DesensitizationSettings::default())),
             ("figret", Scheme::Figret(options.learning_config())),
         ] {
-            // Average the per-pair max sensitivity over the evaluated snapshots.
-            let indices = eval.eval_indices(&scenario);
-            let mut mean_sens = vec![0.0f64; scenario.paths.num_pairs()];
-            // Re-run the scheme but capture configurations by re-deriving them:
-            // we reuse run_scheme for the timing-free statistics by recomputing
-            // the config per snapshot here.
-            let mut count = 0usize;
-            match &scheme {
-                Scheme::Desensitization(settings) => {
-                    // One one-shot solve per snapshot, for the window peak.
-                    let evaluated = eval.evaluated(&scenario, &indices);
-                    let bounds = desensitization_bounds(&scenario.paths, settings);
-                    for history in evaluated.histories() {
-                        let peak = forecast(SlidingMax::new(eval.window), history);
-                        let problem = MluProblem::new(&scenario.paths, peak)
-                            .with_sensitivity_bounds(bounds.clone());
-                        let cfg = solve_min_mlu(&problem).expect("Des TE must be solvable");
-                        for (i, s) in
-                            max_sensitivity_per_pair(&scenario.paths, &cfg).iter().enumerate()
-                        {
-                            mean_sens[i] += s;
-                        }
-                        count += 1;
-                    }
-                }
-                _ => {
-                    let cfg_scheme = options.learning_config();
-                    let dataset = figret_traffic::WindowDataset::from_trace(
-                        &scenario.trace,
-                        eval.window,
-                        scenario.split.train.clone(),
-                    );
-                    let mut model =
-                        figret::FigretModel::new(&scenario.paths, &variances, cfg_scheme);
-                    model.train(&dataset);
-                    for &t in &indices {
-                        let history = &scenario.trace.matrices()[t - eval.window..t];
-                        let cfg = model.predict(&scenario.paths, history);
-                        for (i, s) in
-                            max_sensitivity_per_pair(&scenario.paths, &cfg).iter().enumerate()
-                        {
-                            mean_sens[i] += s;
-                        }
-                        count += 1;
-                    }
+            let (configs, ..) = deployed_series(&scenario, &scheme, &eval, &evaluated);
+            let mut sums = vec![0.0f64; scenario.paths.num_pairs()];
+            for cfg in &configs {
+                let sensitivities = max_sensitivity_per_pair(&scenario.paths, cfg);
+                for (sum, s) in sums.iter_mut().zip(sensitivities) {
+                    *sum += s;
                 }
             }
+            // Mean max sensitivity per pair, in units of the smallest capacity.
             let min_cap =
                 scenario.paths.edge_capacities().iter().cloned().fold(f64::INFINITY, f64::min);
-            let scatter: Vec<f64> = variances
-                .iter()
-                .zip(&mean_sens)
-                .flat_map(|(v, s)| [v / max_var, s / count.max(1) as f64 * min_cap])
-                .collect();
+            let count = configs.len().max(1) as f64;
+            let sensitivity: Vec<f64> = sums.iter().map(|s| s / count * min_cap).collect();
+            let scatter: Vec<f64> =
+                variances.iter().zip(&sensitivity).flat_map(|(v, s)| [v / max_var, *s]).collect();
             print_csv_series(&format!("{label}_scatter_varnorm_sens"), &scatter);
             // Correlation summary: FIGRET should assign lower sensitivity to
             // high-variance pairs than to low-variance pairs.
-            let normalized_sens: Vec<f64> =
-                mean_sens.iter().map(|s| s / count.max(1) as f64 * min_cap).collect();
-            let rho = spearman_rank_correlation(&variances, &normalized_sens);
+            let rho = spearman_rank_correlation(&variances, &sensitivity);
             println!("{label}: spearman(variance, sensitivity) = {rho:.3}");
         }
     }

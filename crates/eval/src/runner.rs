@@ -22,11 +22,13 @@
 //! on/off demands), the remainder of the series runs on the fan-out.  Path
 //! sets too large for the LP ([`solves_exactly`]) run the whole series on
 //! the fan-out, where [`solve_min_mlu`] uses the iterative engine.  Learned
-//! schemes emit all configurations with one batch-major forward pass and
-//! evaluate MLUs on the rayon pool.  Timing fields report summed
-//! per-snapshot compute time.  Accumulated LP solver work (pivots per phase,
-//! reinversions, warm-start acceptance) is threaded into
-//! [`SchemeRun::lp_stats`] for the reports.
+//! schemes compile the trained model once and compute each configuration
+//! through the serving controller's forward pass
+//! ([`ServedModel::candidate_into`]: the f32 plan, then ratio
+//! normalization), so their rows score the model as it is deployed.
+//! Timing fields report summed per-snapshot compute time.  Accumulated LP
+//! solver work (pivots per phase, reinversions, warm-start acceptance) is
+//! threaded into [`SchemeRun::lp_stats`] for the reports.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -34,7 +36,7 @@ use std::time::Instant;
 use rayon::prelude::*;
 
 use figret::{FigretConfig, FigretModel, TealLikeModel};
-use figret_serve::{LastValue, OnlinePredictor, SlidingMax};
+use figret_serve::{LastValue, OnlinePredictor, ServedModel, SlidingMax};
 use figret_solvers::{
     cope_config, desensitization_bounds, heuristic_absolute_bounds, solve_min_mlu, solves_exactly,
     CopeSettings, CuttingPlaneSettings, DesensitizationSettings, HeuristicBound, HoseModel,
@@ -177,14 +179,16 @@ impl SchemeRun {
     }
 }
 
+/// The configuration the network deploys: `config` rerouted around the
+/// optional failure.
 fn apply_failure(
     scenario: &Scenario,
-    config: &TeConfig,
+    config: TeConfig,
     failure: &Option<FailureScenario>,
 ) -> TeConfig {
     match failure {
-        Some(f) => reroute_around_failures(&scenario.paths, config, f),
-        None => config.clone(),
+        Some(f) => reroute_around_failures(&scenario.paths, &config, f),
+        None => config,
     }
 }
 
@@ -243,7 +247,7 @@ where
             let start = Instant::now();
             let config = solve(i);
             let secs = start.elapsed().as_secs_f64();
-            (secs, apply_failure(scenario, &config, failure))
+            (secs, apply_failure(scenario, config, failure))
         })
         .collect();
     let solve_seconds = results.iter().map(|(s, _)| s).sum();
@@ -277,7 +281,7 @@ where
             .expect("templated min-MLU LP must be solvable");
         solve_seconds += start.elapsed().as_secs_f64();
         stats.record(&solve_stats);
-        configs.push(apply_failure(scenario, &config, failure));
+        configs.push(apply_failure(scenario, config, failure));
     }
     (configs, solve_seconds, stats)
 }
@@ -355,22 +359,6 @@ where
     (configs, secs, precompute_seconds, stats)
 }
 
-/// Applies the optional failure rerouting to precomputed configurations in
-/// parallel, yielding the configurations the network would actually deploy.
-fn deploy_configs(
-    scenario: &Scenario,
-    configs: Vec<TeConfig>,
-    failure: &Option<FailureScenario>,
-) -> Vec<TeConfig> {
-    if failure.is_none() {
-        return configs;
-    }
-    (0..configs.len())
-        .into_par_iter()
-        .map(|i| apply_failure(scenario, &configs[i], failure))
-        .collect()
-}
-
 /// Evaluates deployed configurations (one per evaluated sample, in order)
 /// against the samples' realized target columns in parallel, returning the
 /// MLU series in snapshot order.
@@ -382,65 +370,64 @@ fn mlu_series(scenario: &Scenario, evaluated: &WindowDataset, configs: &[TeConfi
         .collect()
 }
 
-/// Runs a scheme over the evaluated snapshots of a scenario.
-///
-/// Per-snapshot work runs on the rayon pool: LP-based schemes solve their
-/// programs in parallel, learned schemes compute every configuration with one
-/// batch-major forward pass and evaluate the MLUs in parallel.  The reported
-/// series is always in snapshot order.
-pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -> SchemeRun {
-    let indices = options.eval_indices(scenario);
-    let window = options.window;
+/// A scheme's deployed configuration series over the `evaluated` samples
+/// (failure rerouting already applied), its summed solve and one-off
+/// precomputation seconds, and its LP work: what [`run_scheme`] scores, and
+/// what Figure 8 reads the path sensitivities of.
+pub(crate) fn deployed_series(
+    scenario: &Scenario,
+    scheme: &Scheme,
+    options: &EvalOptions,
+    evaluated: &WindowDataset,
+) -> (Vec<TeConfig>, f64, f64, SeriesStats) {
+    let (window, samples, paths) = (options.window, evaluated.len(), &scenario.paths);
     let train_variances = per_pair_variance_range(&scenario.trace, scenario.split.train.clone());
-    let evaluated = options.evaluated(scenario, &indices);
     // The forecasts of the LP arms, from sample `i`'s history window.
     let last_value = |i: usize| forecast(LastValue::new(), evaluated.history(i));
     let window_peak = |i: usize| forecast(SlidingMax::new(window), evaluated.history(i));
-    let no_lp = SeriesStats::default();
-
-    // Every arm produces the *deployed* configuration series (failure
-    // rerouting already applied), its summed solve and one-off
-    // precomputation seconds, and its LP work; MLUs and churn are scored
-    // centrally below.
-    let (configs, solve_seconds, precompute_seconds, lp_stats) = match scheme {
-        Scheme::Figret(cfg) | Scheme::Dote(cfg) => {
-            let mut cfg = cfg.clone();
-            cfg.history_window = window;
+    match scheme {
+        Scheme::Figret(cfg) | Scheme::Dote(cfg) | Scheme::TealLike(cfg) => {
+            let mut cfg = FigretConfig { history_window: window, ..cfg.clone() };
             if matches!(scheme, Scheme::Dote(_)) {
                 cfg.robustness_weight = 0.0;
             }
+            let teal = matches!(scheme, Scheme::TealLike(_));
             let dataset =
                 WindowDataset::from_trace(&scenario.trace, window, scenario.split.train.clone());
-            let mut model = FigretModel::new(&scenario.paths, &train_variances, cfg);
+            // Training and the compile are precomputation; each window's
+            // forward pass through the serving controller's own
+            // `candidate_into` is its timed solve.
             let start = Instant::now();
-            model.train(&dataset);
+            let model = if teal {
+                let mut model = TealLikeModel::new(&scenario.paths, cfg);
+                model.train(&dataset);
+                model.into_model()
+            } else {
+                let mut model = FigretModel::new(&scenario.paths, &train_variances, cfg);
+                model.train(&dataset);
+                model
+            };
+            let mut served = ServedModel::new(model);
             let precompute_seconds = start.elapsed().as_secs_f64();
-            let start = Instant::now();
-            let raw = model.predict_batch(&scenario.paths, evaluated.histories());
-            let solve_seconds = start.elapsed().as_secs_f64();
-            let configs = deploy_configs(scenario, raw, &options.failure);
-            (configs, solve_seconds, precompute_seconds, no_lp)
-        }
-        Scheme::TealLike(cfg) => {
-            let mut cfg = cfg.clone();
-            cfg.history_window = window;
-            let dataset =
-                WindowDataset::from_trace(&scenario.trace, window, scenario.split.train.clone());
-            let mut model = TealLikeModel::new(&scenario.paths, cfg);
-            let start = Instant::now();
-            model.train(&dataset);
-            let precompute_seconds = start.elapsed().as_secs_f64();
-            // The `D_{t-1}` protocol: each window's newest column.
-            let previous = evaluated.histories().map(|h| &h[h.len() - 1..]);
-            let start = Instant::now();
-            let raw = model.predict_batch(&scenario.paths, previous);
-            let solve_seconds = start.elapsed().as_secs_f64();
-            let configs = deploy_configs(scenario, raw, &options.failure);
-            (configs, solve_seconds, precompute_seconds, no_lp)
+            // The TEAL-like `D_{t-1}` protocol: each window's newest column.
+            let first = if teal { window - 1 } else { 0 };
+            let (mut features, mut raw, mut solve_seconds) = (Vec::new(), Vec::new(), 0.0);
+            let configs = evaluated
+                .histories()
+                .map(|history| {
+                    let start = Instant::now();
+                    let mut config = TeConfig::default();
+                    let history = &history[first..];
+                    served.candidate_into(paths, history, &mut features, &mut raw, &mut config);
+                    solve_seconds += start.elapsed().as_secs_f64();
+                    apply_failure(scenario, config, &options.failure)
+                })
+                .collect();
+            (configs, solve_seconds, precompute_seconds, SeriesStats::default())
         }
         Scheme::Desensitization(settings) => lp_series_or_parallel(
             scenario,
-            indices.len(),
+            samples,
             &options.failure,
             Some(desensitization_bounds(&scenario.paths, settings)),
             None,
@@ -452,7 +439,7 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
             // post-hoc rerouting is applied.
             lp_series_or_parallel(
                 scenario,
-                indices.len(),
+                samples,
                 &None,
                 Some(desensitization_bounds(&scenario.paths, settings)),
                 Some(available_paths(&scenario.paths, &failure)),
@@ -460,7 +447,7 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
             )
         }
         Scheme::Prediction => {
-            lp_series_or_parallel(scenario, indices.len(), &options.failure, None, None, last_value)
+            lp_series_or_parallel(scenario, samples, &options.failure, None, None, last_value)
         }
         Scheme::Oblivious | Scheme::Cope => {
             let hose = HoseModel::fit(&scenario.trace, scenario.split.train.clone(), 1.0);
@@ -481,19 +468,32 @@ pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -
                     .unwrap_or_else(|_| TeConfig::uniform(&scenario.paths))
             };
             let precompute_seconds = start.elapsed().as_secs_f64();
-            let configs = deploy_configs(scenario, vec![config; indices.len()], &options.failure);
-            (configs, 0.0, precompute_seconds, no_lp)
+            let configs = vec![apply_failure(scenario, config, &options.failure); samples];
+            (configs, 0.0, precompute_seconds, SeriesStats::default())
         }
         Scheme::HeuristicFineGrained(bound) => lp_series_or_parallel(
             scenario,
-            indices.len(),
+            samples,
             &options.failure,
             Some(heuristic_absolute_bounds(&scenario.paths, &train_variances, *bound)),
             None,
             window_peak,
         ),
-    };
+    }
+}
 
+/// Runs a scheme over the evaluated snapshots of a scenario: its
+/// [`deployed_series`], scored by the one MLU evaluator.
+///
+/// Per-snapshot work runs on the rayon pool: LP-based schemes solve their
+/// programs in parallel, learned schemes serve each window through the
+/// compiled plan, and the MLUs are evaluated in parallel.  The reported
+/// series is always in snapshot order.
+pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -> SchemeRun {
+    let indices = options.eval_indices(scenario);
+    let evaluated = options.evaluated(scenario, &indices);
+    let (configs, solve_seconds, precompute_seconds, lp_stats) =
+        deployed_series(scenario, scheme, options, &evaluated);
     let mlus = mlu_series(scenario, &evaluated, &configs);
     let mean_churn = mean_series_churn(&configs);
     let mean_solve = if indices.is_empty() { 0.0 } else { solve_seconds / indices.len() as f64 };
@@ -580,9 +580,11 @@ mod tests {
             })
     }
 
-    /// The learned arms' MLU series, bit for bit, recorded at the commit
-    /// before they moved from cloned matrix windows to borrowed column
-    /// windows (PR 20): CI runs no figure binary, so this is what pins them.
+    /// The learned arms' MLU series, bit for bit: CI runs no figure binary,
+    /// so this is what pins them.  Re-recorded when the arms moved from the
+    /// f64 graph's batch forward pass onto the compiled f32 plan the serving
+    /// controller deploys (the ratios are now the plan's f32 outputs,
+    /// normalized in f64).
     #[test]
     fn learned_arms_reproduce_the_recorded_mlu_bits() {
         let scenario = small_scenario();
@@ -593,7 +595,7 @@ mod tests {
             Scheme::TealLike(FigretConfig::fast_test()),
         ]
         .map(|scheme| fnv_bits(&run_scheme(&scenario, &scheme, &options).mlus));
-        let golden = [0xf0b978accf852955, 0xe603e2469ed86b5b, 0x1d1fe6677c402c4b];
+        let golden = [0xb6dd65afc8cbb8b0, 0x37d44adce006d399, 0x63ba0da8dafd24ac];
         assert_eq!(got, golden, "FIGRET, DOTE, TEAL-like: {got:#x?}");
     }
 

@@ -72,3 +72,28 @@ fn more_shards_than_sources_is_a_usage_error() {
     assert!(stderr.contains("--shards"), "{stderr}");
     assert!(stderr.contains("16 traffic sources"), "{stderr}");
 }
+
+#[test]
+fn a_retrain_window_without_a_training_sample_is_a_usage_error() {
+    // Window 4: a challenger's training sample needs 4 history columns and a
+    // target.  0 once panicked; 1..=4 retrained nothing.
+    for retrain_window in ["0", "4"] {
+        let args = format!(
+            "--topology pod-db --fast --snapshots 60 --window 4 --online-ticks 20 \
+             --retrain-every 4 --retrain-window {retrain_window} --shift-tick 2"
+        );
+        let stderr = usage_error(SERVE_SIM, &args.split_whitespace().collect::<Vec<_>>());
+        assert!(stderr.contains("--retrain-window 5 or more"), "{stderr}");
+    }
+}
+
+#[test]
+fn a_shift_factor_that_is_not_positive_and_finite_is_a_usage_error() {
+    // Odd slots are scaled by 1/f: a zero factor once served infinite demand.
+    for factor in ["0", "-2", "inf", "NaN"] {
+        let args =
+            ["--fast", "--online-ticks", "10", "--shift-tick", "2", "--shift-factor", factor];
+        let stderr = usage_error(SERVE_SIM, &args);
+        assert!(stderr.contains("--shift-factor must be finite and > 0"), "{stderr}");
+    }
+}

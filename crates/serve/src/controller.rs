@@ -136,7 +136,8 @@ pub(crate) enum CandidatePlan {
 
 /// A model together with the compiled f32 [`InferencePlan`] that serves it,
 /// so a learned controller or challenger cannot exist without its plan.  The
-/// plan is the only serving forward pass; the model's f64 graph trains (and
+/// plan is the only forward pass that decides anything — in the controller
+/// and in every learned figure row alike; the model's f64 graph trains (and
 /// is the test reference).
 #[derive(Debug)]
 pub struct ServedModel {
@@ -146,7 +147,7 @@ pub struct ServedModel {
 
 impl ServedModel {
     /// Compiles `model`'s plan.
-    pub(crate) fn new(model: FigretModel) -> ServedModel {
+    pub fn new(model: FigretModel) -> ServedModel {
         let plan = model.compile_plan();
         ServedModel { model, plan }
     }

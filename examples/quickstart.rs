@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use figret::{FigretConfig, FigretModel};
+use figret_serve::ServedModel;
 use figret_solvers::omniscient_config;
 use figret_te::{max_link_utilization_pairs, PathSet, TeConfig};
 use figret_topology::{Topology, TopologySpec};
@@ -44,23 +45,26 @@ fn main() {
     );
     dote.train(&dataset);
 
-    // 4. Evaluate on the last 25%: average MLU normalized by the omniscient optimum.
+    // 4. Evaluate on the last 25%: average MLU normalized by the omniscient
+    // optimum.  Each model serves through its compiled f32 plan, the forward
+    // pass a serving controller deploys.
+    let mut models = [ServedModel::new(figret), ServedModel::new(dote)];
     let window = config.history_window;
+    let targets: Vec<usize> = split.test.clone().filter(|&t| t >= window).collect();
+    let test = WindowDataset::from_targets(&trace, window, targets.iter().copied());
+    let (mut features, mut raw, mut cfg) = (Vec::new(), Vec::new(), TeConfig::default());
     let mut sums = [0.0f64; 4]; // figret, dote, uniform, omniscient
-    let mut count = 0usize;
-    for t in split.test.clone() {
-        if t < window {
-            continue;
+    for (i, &t) in targets.iter().enumerate() {
+        let demand = test.target(i);
+        for (sum, model) in sums.iter_mut().zip(&mut models) {
+            model.candidate_into(&paths, test.history(i), &mut features, &mut raw, &mut cfg);
+            *sum += max_link_utilization_pairs(&paths, &cfg, demand);
         }
-        let history = &trace.matrices()[t - window..t];
         let omni = omniscient_config(&paths, trace.matrix(t)).expect("omniscient solves");
-        let demand = trace.matrix(t).flatten_pairs();
-        sums[0] += max_link_utilization_pairs(&paths, &figret.predict(&paths, history), &demand);
-        sums[1] += max_link_utilization_pairs(&paths, &dote.predict(&paths, history), &demand);
-        sums[2] += max_link_utilization_pairs(&paths, &TeConfig::uniform(&paths), &demand);
-        sums[3] += max_link_utilization_pairs(&paths, &omni, &demand);
-        count += 1;
+        sums[2] += max_link_utilization_pairs(&paths, &TeConfig::uniform(&paths), demand);
+        sums[3] += max_link_utilization_pairs(&paths, &omni, demand);
     }
+    let count = targets.len();
     let avg = |s: f64| s / count as f64;
     println!("\naverage MLU over {count} test snapshots (lower is better):");
     println!("  omniscient : {:.4}", avg(sums[3]));

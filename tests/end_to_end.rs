@@ -4,6 +4,7 @@
 
 use figret::{FigretConfig, FigretModel};
 use figret_eval::{omniscient_series, run_scheme, EvalOptions, Scenario, ScenarioOptions, Scheme};
+use figret_serve::ServedModel;
 use figret_solvers::DesensitizationSettings;
 use figret_te::{max_link_utilization_pairs, robustness_penalty, TeConfig};
 use figret_topology::Topology;
@@ -68,16 +69,24 @@ fn figret_configs_are_valid_and_less_sensitive_than_dote_on_bursty_pairs() {
         FigretConfig { robustness_weight: 0.0, ..FigretConfig::fast_test() },
     );
     dote.train(&dataset);
+    let (mut figret, mut dote) = (ServedModel::new(figret), ServedModel::new(dote));
 
     // Average the variance-weighted sensitivity penalty over test snapshots:
-    // FIGRET explicitly optimizes it, DOTE ignores it.
+    // FIGRET explicitly optimizes it, DOTE ignores it.  Both serve through
+    // their compiled plans.
+    let test = WindowDataset::from_targets(
+        &scenario.trace,
+        window,
+        scenario.test_indices(window).into_iter().take(6),
+    );
+    let (mut features, mut raw) = (Vec::new(), Vec::new());
+    let (mut f_cfg, mut d_cfg) = (TeConfig::default(), TeConfig::default());
     let mut figret_penalty = 0.0;
     let mut dote_penalty = 0.0;
     let mut count = 0;
-    for t in scenario.test_indices(window).into_iter().take(6) {
-        let history = &scenario.trace.matrices()[t - window..t];
-        let f_cfg = figret.predict(&scenario.paths, history);
-        let d_cfg = dote.predict(&scenario.paths, history);
+    for history in test.histories() {
+        figret.candidate_into(&scenario.paths, history, &mut features, &mut raw, &mut f_cfg);
+        dote.candidate_into(&scenario.paths, history, &mut features, &mut raw, &mut d_cfg);
         assert!(f_cfg.is_valid(&scenario.paths));
         assert!(d_cfg.is_valid(&scenario.paths));
         figret_penalty += robustness_penalty(&scenario.paths, &f_cfg, &variances);
@@ -99,16 +108,21 @@ fn trained_model_is_no_worse_than_uniform_on_wan_traffic() {
     let dataset = WindowDataset::from_trace(&scenario.trace, window, scenario.split.train.clone());
     let mut model = FigretModel::new(&scenario.paths, &variances, FigretConfig::fast_test());
     model.train(&dataset);
+    let mut model = ServedModel::new(model);
 
     let uniform = TeConfig::uniform(&scenario.paths);
+    let test = WindowDataset::from_targets(
+        &scenario.trace,
+        window,
+        scenario.test_indices(window).into_iter().take(8),
+    );
+    let (mut features, mut raw, mut cfg) = (Vec::new(), Vec::new(), TeConfig::default());
     let mut model_total = 0.0;
     let mut uniform_total = 0.0;
-    for t in scenario.test_indices(window).into_iter().take(8) {
-        let history = &scenario.trace.matrices()[t - window..t];
-        let cfg = model.predict(&scenario.paths, history);
-        let demand = scenario.trace.matrix(t).flatten_pairs();
-        model_total += max_link_utilization_pairs(&scenario.paths, &cfg, &demand);
-        uniform_total += max_link_utilization_pairs(&scenario.paths, &uniform, &demand);
+    for (i, history) in test.histories().enumerate() {
+        model.candidate_into(&scenario.paths, history, &mut features, &mut raw, &mut cfg);
+        model_total += max_link_utilization_pairs(&scenario.paths, &cfg, test.target(i));
+        uniform_total += max_link_utilization_pairs(&scenario.paths, &uniform, test.target(i));
     }
     assert!(
         model_total <= uniform_total * 1.10,

@@ -106,7 +106,9 @@ fn train_on_the_bursty_pair(alpha: f64) -> (f64, f64) {
     let mut model = FigretModel::new(&ps, &per_pair_variance(&trace), config);
     model.train(&WindowDataset::from_trace(&trace, h, 0..trace.len()));
     // Snapshot SNAPSHOTS (even) would be normal.
-    let te = model.predict(&ps, &trace.matrices()[SNAPSHOTS - h..]);
+    let history: Vec<Vec<f64>> =
+        trace.matrices()[SNAPSHOTS - h..].iter().map(DemandMatrix::flatten_pairs).collect();
+    let te = model.predict_flat(&ps, &history);
     let s_max = max_sensitivity_per_pair(&ps, &te)[pair_bc(&ps)];
     (s_max, mlu(&ps, &te, &demand(1.0, 1.0, 1.0)))
 }
