@@ -3,9 +3,8 @@
 //! Measures the three hot operations of the serving pipeline on random-regular
 //! (Jellyfish-style) ToR fabrics at 128/512/1024/2048 ToRs:
 //!
-//! * `construct_*` — generating a short ToR-level demand trace, columnar over
-//!   the sampled communication pattern (`construct_sparse`, `O(nnz · T)`)
-//!   versus all pairs (`construct_dense`, `O(N² · T)`);
+//! * `construct_sparse` — generating a short ToR-level demand trace,
+//!   columnar over the sampled communication pattern (`O(nnz · T)`);
 //! * `mlu_*` — one max-link-utilization evaluation through the scratch-buffer
 //!   evaluator on the restricted path set (`mlu_sparse`), versus the same
 //!   evaluator on the dense all-pairs path set over flattened all-pairs
@@ -27,8 +26,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use figret_serve::{PredictorKind, ReconfigPolicy, ServeController};
 use figret_te::{max_link_utilization_pairs_scratch, PathSet, TeConfig};
 use figret_topology::FabricSpec;
-use figret_traffic::datacenter::{tor_trace, tor_trace_sparse, TorTrafficConfig};
-use figret_traffic::{ActivePairs, SparseTrace};
+use figret_traffic::datacenter::{tor_trace_sparse, TorTrafficConfig};
+use figret_traffic::{ActivePairs, TrafficTrace};
 
 const SIZES: [usize; 4] = [128, 512, 1024, 2048];
 const PER_SOURCE: usize = 8;
@@ -42,7 +41,7 @@ fn tor_config(seed: u64) -> TorTrafficConfig {
 struct FabricCase {
     graph: figret_topology::Graph,
     paths: PathSet,
-    trace: SparseTrace,
+    trace: TrafficTrace,
 }
 
 fn fabric_case(tors: usize) -> FabricCase {
@@ -71,7 +70,12 @@ fn warmed_sparse_controller(case: &FabricCase) -> ServeController {
     controller
 }
 
-/// Trace construction: columnar over the sampled pairs vs. all `N²` pairs.
+/// The trace's snapshots densified onto all `N·(N-1)` pairs.
+fn all_pairs_columns(trace: &TrafficTrace) -> Vec<Vec<f64>> {
+    (0..trace.len()).map(|t| trace.matrix(t).flatten_pairs()).collect()
+}
+
+/// Trace construction, columnar over the sampled pairs.
 fn construct(c: &mut Criterion) {
     let mut group = c.benchmark_group("sparse_scale");
     group.sample_size(10);
@@ -87,15 +91,12 @@ fn construct(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("construct_sparse", &label), &(), |b, _| {
             b.iter(|| tor_trace_sparse(&fabric.graph, &active, &tor_config(7)))
         });
-        group.bench_with_input(BenchmarkId::new("construct_dense", &label), &(), |b, _| {
-            b.iter(|| tor_trace(&fabric.graph, &tor_config(7)))
-        });
     }
     group.finish();
 }
 
 /// One MLU evaluation on the restricted path set (sparse) and, at 128 ToRs,
-/// on the dense all-pairs path set through the matrix adapter.
+/// on the dense all-pairs path set over the densified snapshots.
 fn mlu_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("sparse_scale");
     group.sample_size(20);
@@ -119,8 +120,7 @@ fn mlu_eval(c: &mut Criterion) {
         if tors == SIZES[0] {
             let paths_dense = PathSet::k_shortest(&case.graph, 3);
             let config_dense = TeConfig::uniform(&paths_dense);
-            let columns_dense: Vec<Vec<f64>> =
-                case.trace.to_trace().matrices().iter().map(|m| m.flatten_pairs()).collect();
+            let columns_dense = all_pairs_columns(&case.trace);
             let mut cursor = 0usize;
             group.bench_with_input(BenchmarkId::new("mlu_dense", &label), &(), |b, _| {
                 b.iter(|| {
@@ -163,8 +163,7 @@ fn controller_decision(c: &mut Criterion) {
         });
         if tors == SIZES[0] {
             let paths_dense = PathSet::k_shortest(&case.graph, 3);
-            let columns_dense: Vec<Vec<f64>> =
-                case.trace.to_trace().matrices().iter().map(|m| m.flatten_pairs()).collect();
+            let columns_dense = all_pairs_columns(&case.trace);
             let mut dense = ServeController::lp(
                 &paths_dense,
                 WINDOW,

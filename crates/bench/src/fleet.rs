@@ -10,7 +10,7 @@ use figret_serve::{FleetController, PredictorKind, ReconfigPolicy, ServeControll
 use figret_te::PathSet;
 use figret_topology::FabricSpec;
 use figret_traffic::datacenter::{tor_trace_sparse, TorTrafficConfig};
-use figret_traffic::{ActivePairs, ShardPlan, SparseTrace};
+use figret_traffic::{ActivePairs, ShardPlan, TrafficTrace};
 
 /// Snapshots per benchmark trace (warmup + a few ticks to cycle over).
 pub const SNAPSHOTS: usize = 10;
@@ -25,7 +25,7 @@ pub struct FleetCase {
     /// k-shortest paths over the sampled universe.
     pub paths: PathSet,
     /// The benchmark traffic trace (sparse columns, slot order).
-    pub trace: SparseTrace,
+    pub trace: TrafficTrace,
     /// The sampled pair universe.
     pub active: Arc<ActivePairs>,
     /// ToR count of the fabric (source-block partitioning granularity).

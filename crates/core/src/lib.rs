@@ -34,16 +34,16 @@
 //! // Serve through the compiled f32 plan: it reads the window's pair columns
 //! // laid end to end, oldest first, and emits one ratio per path.
 //! let mut plan = model.compile_plan();
-//! let features: Vec<f64> = trace.matrices()[trace.len() - 5..trace.len() - 1]
+//! let features: Vec<f64> = trace.snapshots()[trace.len() - 5..trace.len() - 1]
 //!     .iter()
-//!     .flat_map(|m| m.flatten_pairs())
+//!     .flat_map(|c| c.values().iter().copied())
 //!     .collect();
 //! let mut raw = vec![0.0; paths.num_paths()];
 //! plan.forward(&features, &mut raw);
 //! let te_config = TeConfig::from_raw(&paths, &raw);
 //! assert!(te_config.is_valid(&paths));
-//! let realized = trace.matrix(trace.len() - 1).flatten_pairs();
-//! let mlu = max_link_utilization_pairs(&paths, &te_config, &realized);
+//! let realized = trace.snapshot(trace.len() - 1).values();
+//! let mlu = max_link_utilization_pairs(&paths, &te_config, realized);
 //! assert!(mlu.is_finite());
 //! ```
 

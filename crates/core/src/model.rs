@@ -462,7 +462,7 @@ mod tests {
         assert!(!report.epochs.is_empty());
         let mut model = teal.into_model();
         assert_eq!(model.config().history_window, 1);
-        let cfg = model.predict_flat(&ps, &[trace.matrix(trace.len() - 2).flatten_pairs()]);
+        let cfg = model.predict_flat(&ps, &[trace.snapshot(trace.len() - 2).values().to_vec()]);
         assert!(cfg.is_valid(&ps));
     }
 
@@ -491,10 +491,10 @@ mod tests {
         let config = FigretConfig { epochs: 3, ..FigretConfig::fast_test() };
         let h = config.history_window;
         let from_trace = WindowDataset::from_trace(&trace, h, split.train.clone());
-        // The same training range handed over as columns: matrices 0..cut
-        // flattened in slot order, so sample `i` is sample `i` exactly.
+        // The same training range handed over as columns: snapshots 0..cut
+        // in slot order, so sample `i` is sample `i` exactly.
         let columns: Vec<Vec<f64>> =
-            trace.matrices()[split.train.clone()].iter().map(|m| m.flatten_pairs()).collect();
+            trace.snapshots()[split.train.clone()].iter().map(|c| c.values().to_vec()).collect();
         let from_columns = WindowDataset::from_columns(h, columns);
         assert_eq!(from_columns.len(), from_trace.len());
 
@@ -509,7 +509,7 @@ mod tests {
         // And so are the trained predictors.
         let t = trace.len() - 1;
         let history: Vec<Vec<f64>> =
-            trace.matrices()[t - h..t].iter().map(|m| m.flatten_pairs()).collect();
+            trace.snapshots()[t - h..t].iter().map(|c| c.values().to_vec()).collect();
         let trace_cfg = trace_model.predict_flat(&ps, &history);
         let column_cfg = column_model.predict_flat(&ps, &history);
         assert_eq!(trace_cfg.ratios(), column_cfg.ratios());

@@ -18,7 +18,7 @@ use figret::{FigretConfig, FigretModel, TealLikeModel};
 use figret_te::PathSet;
 use figret_topology::{Topology, TopologySpec};
 use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
-use figret_traffic::{per_pair_variance_range, DemandMatrix, TrainTestSplit, WindowDataset};
+use figret_traffic::{per_pair_variance_range, SparseDemand, TrainTestSplit, WindowDataset};
 
 /// FNV-1a over the little-endian bytes of each value's bit pattern.
 fn fnv_bits(values: &[f64]) -> u64 {
@@ -105,8 +105,8 @@ const GOLDEN: [Golden; 6] = [
     ),
 ];
 
-fn flatten(matrices: &[DemandMatrix]) -> Vec<Vec<f64>> {
-    matrices.iter().map(DemandMatrix::flatten_pairs).collect()
+fn values(snapshots: &[SparseDemand]) -> Vec<Vec<f64>> {
+    snapshots.iter().map(|c| c.values().to_vec()).collect()
 }
 
 fn run(batch_size: usize, robustness_weight: f64, columns: bool) -> ([[u64; 3]; 4], u64) {
@@ -121,12 +121,12 @@ fn run(batch_size: usize, robustness_weight: f64, columns: bool) -> ([[u64; 3]; 
 
     let t = trace.len() - 1;
     let report = if columns {
-        let train = flatten(&trace.matrices()[split.train.clone()]);
+        let train = values(&trace.snapshots()[split.train.clone()]);
         model.train(&WindowDataset::from_columns(h, train))
     } else {
         model.train(&WindowDataset::from_trace(&trace, h, split.train.clone()))
     };
-    let predicted = model.predict_flat(&paths, &flatten(&trace.matrices()[t - h..t]));
+    let predicted = model.predict_flat(&paths, &values(&trace.snapshots()[t - h..t]));
     let mut epochs = [[0u64; 3]; 4];
     assert_eq!(report.epochs.len(), epochs.len());
     for (bits, e) in epochs.iter_mut().zip(&report.epochs) {
@@ -162,7 +162,7 @@ fn teal_trainer_reproduces_the_recorded_bits() {
         report.epochs.iter().map(|e| [e.mean_loss.to_bits(), e.mean_mlu.to_bits()]).collect();
     let predicted = teal
         .into_model()
-        .predict_flat(&paths, &flatten(&trace.matrices()[trace.len() - 2..trace.len() - 1]));
+        .predict_flat(&paths, &values(&trace.snapshots()[trace.len() - 2..trace.len() - 1]));
     let got = (epochs, fnv_bits(predicted.ratios()));
     assert_eq!(got, (TEAL_GOLDEN.0.to_vec(), TEAL_GOLDEN.1), "{got:#x?}");
 }

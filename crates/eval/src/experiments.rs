@@ -451,7 +451,10 @@ pub fn fig8_sensitivity(options: &ExperimentOptions) {
 }
 
 /// Table 2: per-snapshot calculation time and precomputation time.
+/// Per-snapshot times print in µs: FIGRET's plan forward pass takes tens of
+/// µs, which a seconds column rounds to zero.
 pub fn table2_time(options: &ExperimentOptions) {
+    let micros = |seconds: f64| format!("{:.1} µs", 1e6 * seconds);
     let eval = options.eval_options();
     let topologies = vec![Topology::Geant, Topology::MetaDbTor, Topology::MetaWebTor];
     let mut rows = Vec::new();
@@ -482,9 +485,9 @@ pub fn table2_time(options: &ExperimentOptions) {
                 scenario.graph.num_nodes(),
                 scenario.graph.num_edges()
             ),
-            format!("{:.4}s", figret_run.mean_solve_seconds),
-            format!("{:.4}s", pred_run.mean_solve_seconds),
-            format!("{:.4}s", des_run.mean_solve_seconds),
+            micros(figret_run.mean_solve_seconds),
+            micros(pred_run.mean_solve_seconds),
+            micros(des_run.mean_solve_seconds),
             if oblivious_feasible { "feasible".into() } else { "infeasible".into() },
             format!("{:.1}s", figret_run.precompute_seconds),
             format!(
@@ -736,9 +739,8 @@ pub fn fig20_dote_limit(options: &ExperimentOptions) {
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
         .unwrap_or((0, 0.0));
-    let (src, dst) = figret_traffic::ActivePairs::all(scenario.trace.num_nodes()).pair(best_pair);
     let series: Vec<f64> =
-        (t - window..=t).map(|h| scenario.trace.matrix(h).get(src, dst)).collect();
+        (t - window..=t).map(|h| scenario.trace.snapshot(h).values()[best_pair]).collect();
     print_csv_series("bursting_pair_window_then_upcoming", &series);
     println!(
         "pair {} burst from a window maximum of {:.3} to {:.3}",

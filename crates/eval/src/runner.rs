@@ -307,6 +307,14 @@ const WARM_PROBE_SNAPSHOTS: usize = 4;
 /// The decision is made from deterministic sequential state, so results stay
 /// deterministic.
 ///
+/// The fork stays because a cold solve of the flow-form template costs more
+/// than the one-shot ratio-form solve it falls back to.  On the reduced ToR
+/// DB (100 snapshots, window 4, 6 evaluated snapshots, no seed accepted; 2
+/// vCPUs) six cold template solves took 0.95 s for Pred TE against 0.23 s
+/// for six one-shot solves, and 6.3 s against 3.5 s for Des TE; replaying
+/// every series through the template made `fig5_quality --fast --snapshots
+/// 100 --max-eval 6 --window 4` ≈ 15 % slower.
+///
 /// Returns `(deployed config series, summed per-snapshot solve seconds,
 /// one-off template-construction seconds, accumulated solver work)` —
 /// construction is precomputation, not per-snapshot work (the one-shot path
@@ -461,7 +469,7 @@ pub(crate) fn deployed_series(
                     .clone()
                     .rev()
                     .take(5)
-                    .map(|t| scenario.trace.matrix(t).flatten_pairs())
+                    .map(|t| scenario.trace.snapshot(t).values().to_vec())
                     .collect();
                 cope_config(&scenario.paths, &predicted, &hose, CopeSettings::default())
                     .map(|r| r.config)
@@ -482,8 +490,8 @@ pub(crate) fn deployed_series(
     }
 }
 
-/// Runs a scheme over the evaluated snapshots of a scenario: its
-/// [`deployed_series`], scored by the one MLU evaluator.
+/// Runs a scheme over the evaluated snapshots of a scenario: its deployed
+/// series (`deployed_series`), scored by the one MLU evaluator.
 ///
 /// Per-snapshot work runs on the rayon pool: LP-based schemes solve their
 /// programs in parallel, learned schemes serve each window through the
@@ -734,10 +742,11 @@ mod tests {
         let indices = eval.eval_indices(&scenario);
         assert_eq!(series.len(), 3);
         for (&t, mlu) in indices.iter().zip(&series) {
-            let demand = scenario.trace.matrix(t).flatten_pairs();
-            let exact = figret_solvers::solve_lp(&MluProblem::new(&scenario.paths, demand.clone()))
-                .expect("the omniscient LP is solvable");
-            let optimum = max_link_utilization_pairs(&scenario.paths, &exact, &demand);
+            let demand = scenario.trace.snapshot(t).values();
+            let exact =
+                figret_solvers::solve_lp(&MluProblem::new(&scenario.paths, demand.to_vec()))
+                    .expect("the omniscient LP is solvable");
+            let optimum = max_link_utilization_pairs(&scenario.paths, &exact, demand);
             assert!((mlu - optimum).abs() < 1e-7, "snapshot {t}: series {mlu} vs LP {optimum}");
         }
     }

@@ -15,8 +15,9 @@
 //! 3. one `drive` loop feeding columns to the fleet;
 //! 4. one [`ServeRun`] and one [`print_serve_report`].
 //!
-//! Dense matrices exist only at the I/O edge: a recorded
-//! [`TrafficTrace`] is flattened into a reused column buffer as it is read.
+//! Demand is pair columns from generator to scorer: a recorded
+//! [`TrafficTrace`] hands its snapshot columns to the fleet as they are read,
+//! over the trace's own pair index.
 //! The report scores what a production controller is judged by: MLU regret
 //! vs. the omniscient per-tick optimum, update count against the budget,
 //! routing churn, and per-decision latency percentiles.
@@ -41,8 +42,8 @@ use figret_telemetry::{exposition, JsonlSink, Registry};
 use figret_topology::{FabricSpec, Topology};
 use figret_traffic::{
     datacenter::{tor_trace_sparse, TorTrafficConfig},
-    ActivePairs, OnlineStream, OnlineStreamConfig, ShardPlan, SparseDemandStream, SparseTrace,
-    StepShiftConfig, StreamAnnotation, TrafficTrace, WindowDataset,
+    ActivePairs, OnlineStream, OnlineStreamConfig, ShardPlan, SparseDemandStream, StepShiftConfig,
+    StreamAnnotation, TrafficTrace, WindowDataset,
 };
 
 use crate::experiments::ExperimentOptions;
@@ -431,14 +432,11 @@ pub fn parse_topology(spec: &str) -> Result<ServeTopology, String> {
         })
 }
 
-/// Where a run's demand columns come from.  Dense matrices stop here: a
-/// recorded Table 1 trace is flattened into the caller's column buffer as it
-/// is read.
+/// Where a run's demand columns come from: a recorded trace (a Table 1
+/// replay or a generated fabric) or the online generator.
 enum ColumnSource {
-    /// A recorded dense trace, read from snapshot `next` on.
-    Dense { trace: TrafficTrace, next: usize },
-    /// A recorded sparse trace (generated fabrics), read from `next` on.
-    Sparse { trace: SparseTrace, next: usize },
+    /// A recorded trace, read from snapshot `next` on.
+    Trace { trace: TrafficTrace, next: usize },
     /// The unbounded online generator.
     Online(Box<OnlineStream>),
 }
@@ -448,12 +446,7 @@ impl ColumnSource {
     /// behind it (always quiet for a recorded trace).
     fn next_into(&mut self, out: &mut [f64]) -> StreamAnnotation {
         match self {
-            ColumnSource::Dense { trace, next } => {
-                trace.matrix(*next).flatten_pairs_into(out);
-                *next += 1;
-                StreamAnnotation::default()
-            }
-            ColumnSource::Sparse { trace, next } => {
+            ColumnSource::Trace { trace, next } => {
                 out.copy_from_slice(trace.snapshot(*next).values());
                 *next += 1;
                 StreamAnnotation::default()
@@ -484,7 +477,7 @@ struct ServeSetup {
     /// Snapshot index (replay, fabric) or tick number (online) of every
     /// decision tick, in order.
     indices: Vec<usize>,
-    /// The train split as parent-universe columns, flattened once; `None`
+    /// The train split as parent-universe columns, copied once; `None`
     /// where there is nothing to train on (generated fabrics) or nothing to
     /// train (LP engine).
     train: Option<Vec<Vec<f64>>>,
@@ -514,7 +507,8 @@ impl ServeSetup {
         let warmup = options.experiment.window;
         let max_ticks = options.max_ticks.unwrap_or(usize::MAX);
         let train = (options.engine == ServeEngine::Learned)
-            .then(|| split.train.clone().map(|t| trace.matrix(t).flatten_pairs()).collect());
+            .then(|| split.train.clone().map(|t| trace.snapshot(t).values().to_vec()).collect());
+        let active = Arc::clone(trace.active());
         let (title, source, indices) = if options.online_ticks > 0 {
             let ticks = options.online_ticks;
             let config = OnlineStreamConfig {
@@ -538,10 +532,9 @@ impl ServeSetup {
             let first = split.test.start.max(warmup);
             let indices = (first..trace.len()).take(max_ticks).collect();
             let next = first - warmup;
-            (format!("{name} (replay"), ColumnSource::Dense { trace, next }, indices)
+            (format!("{name} (replay"), ColumnSource::Trace { trace, next }, indices)
         };
         let num_sources = graph.num_nodes();
-        let active = Arc::new(ActivePairs::all(num_sources));
         ServeSetup {
             title,
             paths,
@@ -596,7 +589,7 @@ impl ServeSetup {
             active,
             num_sources: fabric.num_tors,
             indices: (warmup..trace.len()).take(max_ticks).collect(),
-            source: ColumnSource::Sparse { trace, next: 0 },
+            source: ColumnSource::Trace { trace, next: 0 },
             warmup,
             train: None,
             memory: Some(memory),

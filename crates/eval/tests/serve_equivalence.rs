@@ -83,8 +83,10 @@ fn serving_omniscient_normalizer_matches_batch_oracle() {
 }
 
 /// The learned engine against the batch FIGRET arm on PoD DB: both train
-/// the same dataset (`from_trace` ≡ `from_columns`, `per_slot_variance` ≡
-/// `per_pair_variance`) and serve every window through the compiled plan
+/// on the trace's train-split columns (the batch arm through `from_trace`,
+/// serving through `from_columns` over the same copied columns, with
+/// `per_slot_variance` ≡ `per_pair_variance` over one fold) and serve every
+/// window through the compiled plan
 /// (`ServedModel::candidate_into`).  With no audits every tick deploys the
 /// plan's candidate, so the realized MLUs are the batch arm's bit for bit.
 #[test]

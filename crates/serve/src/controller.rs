@@ -983,12 +983,11 @@ pub(crate) mod tests {
 
     fn run(controller: &mut ServeController, trace: &TrafficTrace, warmup: usize) -> ServeLog {
         let mut log = ServeLog::new();
-        for t in 0..trace.len() {
-            let column = trace.matrix(t).flatten_pairs();
+        for (t, column) in trace.snapshots().iter().enumerate() {
             if t < warmup {
-                controller.observe_pairs(&column);
+                controller.observe_pairs(column.values());
             } else {
-                let out = controller.step_pairs(&column);
+                let out = controller.step_pairs(column.values());
                 log.push(out.record, out.decision_seconds);
             }
         }
@@ -1010,8 +1009,9 @@ pub(crate) mod tests {
         // Realized MLU is bounded below by the omniscient optimum per tick.
         for (i, r) in log.records.iter().enumerate() {
             let t = 2 + i;
-            let omni = omniscient_config(&ps, trace.matrix(t)).unwrap();
-            let bound = max_link_utilization_pairs(&ps, &omni, &trace.matrix(t).flatten_pairs());
+            let demand = trace.snapshot(t).values();
+            let omni = omniscient_config(&ps, demand).unwrap();
+            let bound = max_link_utilization_pairs(&ps, &omni, demand);
             assert!(r.realized_mlu + 1e-9 >= bound, "tick {i}: {} < {bound}", r.realized_mlu);
         }
         // The warm template must actually warm start on a stable trace.
@@ -1154,7 +1154,6 @@ pub(crate) mod tests {
 
     #[test]
     fn sparse_columns_reproduce_dense_decisions_bit_for_bit() {
-        use figret_traffic::{ActivePairs, SparseDemand};
         let (ps, trace) = pod_setup(20);
         let policy = ReconfigPolicy {
             hysteresis: 0.05,
@@ -1164,14 +1163,13 @@ pub(crate) mod tests {
         let mut dense = ServeController::lp(&ps, 2, Box::new(LastValue::new()), policy.clone());
         let mut sparse = ServeController::lp(&ps, 2, Box::new(LastValue::new()), policy);
         // ActivePairs::all slot order == flatten_pairs order, so the values
-        // of an all-pairs sparse column must replay the flattened matrices'
-        // exact decision sequence: same LP pivots, same MLUs, same churn bits.
-        let active = std::sync::Arc::new(ActivePairs::all(trace.num_nodes()));
+        // of an all-pairs column must replay its densified matrix's exact
+        // decision sequence: same LP pivots, same MLUs, same churn bits.
         let mut dense_log = ServeLog::new();
         let mut sparse_log = ServeLog::new();
         for t in 0..trace.len() {
             let flat = trace.matrix(t).flatten_pairs();
-            let column = SparseDemand::from_matrix(trace.matrix(t), &active);
+            let column = trace.snapshot(t);
             if t < 2 {
                 dense.observe_pairs(&flat);
                 sparse.observe_pairs(column.values());

@@ -495,7 +495,7 @@ mod tests {
         let ps = PathSet::k_shortest(&g, 3);
         let trace =
             pod_trace(&g, &PodTrafficConfig { num_snapshots: snapshots, ..Default::default() });
-        let active = Arc::new(ActivePairs::all(g.num_nodes()));
+        let active = Arc::clone(trace.active());
         (ps, trace, active)
     }
 
@@ -554,7 +554,7 @@ mod tests {
     fn single_shard_fleet_replays_the_unsharded_controller() {
         let (ps, trace, active) = pod_setup(30);
         let columns: Vec<Vec<f64>> =
-            (0..trace.len()).map(|t| trace.matrix(t).flatten_pairs()).collect();
+            trace.snapshots().iter().map(|c| c.values().to_vec()).collect();
         let lp = |paths: &PathSet, policy: ReconfigPolicy| {
             ServeController::lp(paths, 2, Box::new(LastValue::new()), policy)
         };
@@ -608,11 +608,11 @@ mod tests {
         let run = || {
             let mut fleet = FleetController::lp(&plan, &ps, 2, PredictorKind::LastValue, &policy());
             for t in 0..trace.len() {
-                let column = trace.matrix(t).flatten_pairs();
+                let column = trace.snapshot(t).values();
                 if t < 2 {
-                    fleet.observe_column(&column);
+                    fleet.observe_column(column);
                 } else {
-                    let out = fleet.step_column(&column);
+                    let out = fleet.step_column(column);
                     assert!(out.global_mlu.is_finite() && out.global_mlu > 0.0);
                     assert_eq!(out.actions.len(), 2);
                 }
@@ -672,11 +672,11 @@ mod tests {
         ];
         let mut fleet = FleetController::from_controllers(&plan, controllers, &policy);
         for t in 0..trace.len() {
-            let column = trace.matrix(t).flatten_pairs();
+            let column = trace.snapshot(t).values();
             if t < 2 {
-                fleet.observe_column(&column);
+                fleet.observe_column(column);
             } else {
-                fleet.step_column(&column);
+                fleet.step_column(column);
             }
         }
         // Hysteresis off, one grant per four ticks: ticks 0, 4, 8, … are open.
@@ -702,16 +702,16 @@ mod tests {
         let single = ShardPlan::single(&active);
         let mut solo = FleetController::lp(&single, &ps, 2, PredictorKind::LastValue, &always);
         for t in 0..trace.len() {
-            let column = trace.matrix(t).flatten_pairs();
+            let column = trace.snapshot(t).values();
             if t < 2 {
-                fleet.observe_column(&column);
-                solo.observe_column(&column);
+                fleet.observe_column(column);
+                solo.observe_column(column);
             } else {
-                let out = fleet.step_column(&column);
+                let out = fleet.step_column(column);
                 assert!(out.global_mlu.is_finite() && out.global_mlu > 0.0);
                 // One shard: the merged global MLU is the realized MLU of
                 // the single controller, bit for bit (same loads, same fold).
-                let s = solo.step_column(&column);
+                let s = solo.step_column(column);
                 let record_mlu = solo.logs()[0].records.last().unwrap().realized_mlu;
                 assert_eq!(s.global_mlu.to_bits(), record_mlu.to_bits());
                 // Per-shard LPs can beat or trail the joint LP on individual

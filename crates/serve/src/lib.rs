@@ -40,11 +40,10 @@
 //! [`ServeController::step_pairs`] for a single controller,
 //! [`FleetController::observe_column`] / [`FleetController::step_column`]
 //! for a fleet (a `ShardPlan::single` fleet *is* the unsharded controller,
-//! record for record).  Dense matrices and sparse columns are flattened at
-//! the caller's I/O edge (`DemandMatrix::flatten_pairs_into`,
-//! `SparseDemand::values`); a [`figret_traffic::SparseDemandStream`] (trace
-//! replay or the unbounded online generator) yields such columns for as
-//! long as the caller keeps asking.  The harness and the `serve_sim` report
+//! record for record).  A [`figret_traffic::TrafficTrace`] snapshot is such
+//! a column (`SparseDemand::values`), and a
+//! [`figret_traffic::SparseDemandStream`] (the unbounded online generator)
+//! yields them for as long as the caller keeps asking.  The harness and the `serve_sim` report
 //! binary live in `figret-eval`.
 //!
 //! # Example
@@ -64,10 +63,10 @@
 //!     Box::new(LastValue::new()),
 //!     ReconfigPolicy::default(),
 //! );
-//! // Flatten at the edge: the controller only ever sees pair columns.
-//! controller.observe_pairs(&trace.matrix(0).flatten_pairs());
-//! controller.observe_pairs(&trace.matrix(1).flatten_pairs());
-//! let outcome = controller.step_pairs(&trace.matrix(2).flatten_pairs());
+//! // A trace snapshot is a pair column: the controller's only input.
+//! controller.observe_pairs(trace.snapshot(0).values());
+//! controller.observe_pairs(trace.snapshot(1).values());
+//! let outcome = controller.step_pairs(trace.snapshot(2).values());
 //! assert!(outcome.record.realized_mlu.is_finite());
 //! ```
 

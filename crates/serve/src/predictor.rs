@@ -10,9 +10,9 @@
 //!
 //! Predictors operate on **pair columns**: flat `f64` vectors with one slot
 //! per active SD pair, in the shared slot order of the serving universe
-//! (for a dense universe that is `DemandMatrix::flatten_pairs` order; for a
-//! fabric it is the slot order of the stream's
-//! [`figret_traffic::ActivePairs`] index).  State is `O(window · nnz)` —
+//! (the slot order of the trace's or stream's
+//! [`figret_traffic::ActivePairs`] index; for a Table 1 network, all pairs
+//! in `Graph::sd_pairs` order).  State is `O(window · nnz)` —
 //! predictors never materialize an `N×N` matrix, which is what lets the
 //! serving loop scale to multi-thousand-ToR fabrics.  The element-wise
 //! update rules are the [`figret_traffic::ops`] kernels.

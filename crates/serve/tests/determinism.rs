@@ -111,10 +111,10 @@ fn learned_serving_is_deterministic_including_training() {
             ServeController::learned(&ps, model, PredictorKind::LastValue.build(), policy);
         let mut log = ServeLog::new();
         for t in 28..30 {
-            controller.observe_pairs(&trace.matrix(t).flatten_pairs());
+            controller.observe_pairs(trace.snapshot(t).values());
         }
         for t in 30..40 {
-            let outcome = controller.step_pairs(&trace.matrix(t).flatten_pairs());
+            let outcome = controller.step_pairs(trace.snapshot(t).values());
             log.push(outcome.record, outcome.decision_seconds);
         }
         log

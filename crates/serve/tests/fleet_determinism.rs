@@ -43,17 +43,17 @@ fn setup(snapshots: usize, seed: u64) -> (PathSet, TrafficTrace, Arc<ActivePairs
     let paths = PathSet::k_shortest(&g, 3);
     let trace =
         pod_trace(&g, &PodTrafficConfig { num_snapshots: snapshots, seed, ..Default::default() });
-    let active = Arc::new(ActivePairs::all(g.num_nodes()));
+    let active = Arc::clone(trace.active());
     (paths, trace, active)
 }
 
 fn drive_fleet(fleet: &mut FleetController, trace: &TrafficTrace) {
     for t in 0..trace.len() {
-        let column = trace.matrix(t).flatten_pairs();
+        let column = trace.snapshot(t).values();
         if t < WINDOW {
-            fleet.observe_column(&column);
+            fleet.observe_column(column);
         } else {
-            fleet.step_column(&column);
+            fleet.step_column(column);
         }
     }
 }
@@ -84,10 +84,10 @@ fn serial_oracle(
     let mut column = Vec::new();
     let mut tick = 0;
     for t in 0..trace.len() {
-        let parent = trace.matrix(t).flatten_pairs();
+        let parent = trace.snapshot(t).values();
         if t < WINDOW {
             for (shard, c) in plan.shards().iter().zip(&mut controllers) {
-                shard.gather_into(&parent, &mut column);
+                shard.gather_into(parent, &mut column);
                 c.observe_pairs(&column);
             }
             continue;
@@ -108,7 +108,7 @@ fn serial_oracle(
         let mut actions = vec![Action::Warmup; controllers.len()];
         admission.admit(tick, &bids, &mut actions);
         for (i, (shard, c)) in plan.shards().iter().zip(&mut controllers).enumerate() {
-            shard.gather_into(&parent, &mut column);
+            shard.gather_into(parent, &mut column);
             let outcome = c.finish_pairs(&column, actions[i]);
             logs[i].push(outcome.record, outcome.decision_seconds);
         }
@@ -279,12 +279,12 @@ fn outranked_shards_could_not_have_won_a_grant() {
             .filter(|r| r.action == Action::Update)
             .map(|r| r.predicted_mlu_deployed.unwrap() - r.predicted_mlu_candidate.unwrap())
             .fold(f64::INFINITY, f64::min);
-        let forecast = trace.matrix(tick + WINDOW - 1).flatten_pairs();
+        let forecast = trace.snapshot(tick + WINDOW - 1).values();
         for (shard, r) in records.iter().enumerate() {
             let Some(bound) = r.regret_bound.filter(|_| r.predicted_mlu_candidate.is_none()) else {
                 continue;
             };
-            plan.shards()[shard].gather_into(&forecast, &mut column);
+            plan.shards()[shard].gather_into(forecast, &mut column);
             let ps = &restricted[shard];
             let optimum = max_link_utilization_pairs(
                 ps,
@@ -381,11 +381,11 @@ proptest! {
             );
             let mut log = ServeLog::new();
             for t in 0..trace.len() {
-                let column = trace.matrix(t).flatten_pairs();
+                let column = trace.snapshot(t).values();
                 if t < WINDOW {
-                    solo.observe_pairs(&column);
+                    solo.observe_pairs(column);
                 } else {
-                    let out = solo.step_pairs(&column);
+                    let out = solo.step_pairs(column);
                     log.push(out.record, out.decision_seconds);
                 }
             }

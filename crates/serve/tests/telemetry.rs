@@ -5,8 +5,6 @@
 //! runs.  Only histogram *latency values* may differ between runs; they
 //! never reach a digest.
 
-use std::sync::Arc;
-
 use figret_serve::{
     FallbackPolicy, FleetController, PredictorKind, ReconfigPolicy, ServeController, ServeLog,
     UpdateBudget,
@@ -16,7 +14,7 @@ use figret_telemetry::Registry;
 use figret_topology::{Graph, Topology, TopologySpec};
 use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
 use figret_traffic::{
-    ActivePairs, OnlineStream, OnlineStreamConfig, ShardPlan, SparseDemandStream, TrafficTrace,
+    OnlineStream, OnlineStreamConfig, ShardPlan, SparseDemandStream, TrafficTrace,
 };
 
 const WINDOW: usize = 2;
@@ -131,18 +129,17 @@ fn run_fleet(
     armed: bool,
 ) -> (FleetController, Option<Registry>) {
     let (_, ps) = pod();
-    let active = Arc::new(ActivePairs::all(trace.num_nodes()));
-    let plan = ShardPlan::source_blocks(&active, trace.num_nodes(), shards);
+    let plan = ShardPlan::source_blocks(trace.active(), trace.num_nodes(), shards);
     let mut fleet = FleetController::lp(&plan, &ps, WINDOW, PredictorKind::LastValue, &policy());
     if armed {
         fleet.enable_telemetry();
     }
     for t in 0..trace.len() {
-        let column = trace.matrix(t).flatten_pairs();
+        let column = trace.snapshot(t).values();
         if t < WINDOW {
-            fleet.observe_column(&column);
+            fleet.observe_column(column);
         } else {
-            fleet.step_column(&column);
+            fleet.step_column(column);
         }
     }
     let snapshot = fleet.telemetry_snapshot();

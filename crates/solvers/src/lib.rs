@@ -23,17 +23,18 @@
 //!
 //! ```
 //! use figret_topology::{Topology, TopologySpec};
-//! use figret_traffic::DemandMatrix;
+//! use figret_traffic::ActivePairs;
 //! use figret_te::{max_link_utilization_pairs, PathSet};
 //! use figret_solvers::omniscient_config;
 //!
 //! let pod = TopologySpec::full_scale(Topology::MetaDbPod).build();
 //! let paths = PathSet::k_shortest(&pod, 3);
-//! let mut demand = DemandMatrix::zeros(4);
-//! demand.set(0, 1, 80.0);
-//! demand.set(2, 3, 40.0);
+//! let pairs = ActivePairs::all(4);
+//! let mut demand = vec![0.0; pairs.len()];
+//! demand[pairs.slot(0, 1).unwrap()] = 80.0;
+//! demand[pairs.slot(2, 3).unwrap()] = 40.0;
 //! let config = omniscient_config(&paths, &demand).unwrap();
-//! assert!(max_link_utilization_pairs(&paths, &config, &demand.flatten_pairs()) <= 0.81);
+//! assert!(max_link_utilization_pairs(&paths, &config, &demand) <= 0.81);
 //! ```
 
 #![warn(missing_docs)]
@@ -89,8 +90,7 @@ mod proptests {
             let g = ring_graph(n);
             let ps = PathSet::k_shortest(&g, 3);
             let demand: Vec<f64> = (0..ps.num_pairs()).map(|i| demand_scale * ((i % 5) as f64 + 1.0)).collect();
-            let dm = figret_traffic::DemandMatrix::from_pairs(n, &demand).unwrap();
-            let omni = omniscient_config(&ps, &dm).unwrap();
+            let omni = omniscient_config(&ps, &demand).unwrap();
             let omni_mlu = max_link_utilization_pairs(&ps, &omni, &demand);
             // Compare against an arbitrary valid configuration.
             let mut padded = raw.clone();

@@ -42,17 +42,24 @@ impl HoseModel {
     pub fn fit(trace: &TrafficTrace, range: std::ops::Range<usize>, headroom: f64) -> HoseModel {
         assert!(headroom >= 1.0, "headroom must be at least 1");
         let n = trace.num_nodes();
+        let active = trace.active();
         let mut egress = vec![0.0f64; n];
         let mut ingress = vec![0.0f64; n];
-        for t in range {
-            let m = trace.matrix(t);
-            for s in 0..n {
-                let row: f64 = (0..n).map(|d| m.get(s, d)).sum();
-                egress[s] = egress[s].max(row);
+        let mut col = vec![0.0f64; n];
+        for column in &trace.snapshots()[range] {
+            let values = column.values();
+            for (s, cap) in egress.iter_mut().enumerate() {
+                let row: f64 = values[active.source_range(s)].iter().sum();
+                *cap = cap.max(row);
             }
-            for d in 0..n {
-                let col: f64 = (0..n).map(|s| m.get(s, d)).sum();
-                ingress[d] = ingress[d].max(col);
+            // Slots run source-major, so each destination sums its sources
+            // in ascending order.
+            col.fill(0.0);
+            for (slot, _, d) in active.iter() {
+                col[d] += values[slot];
+            }
+            for (cap, &sum) in ingress.iter_mut().zip(&col) {
+                *cap = cap.max(sum);
             }
         }
         for v in egress.iter_mut().chain(ingress.iter_mut()) {
@@ -260,7 +267,6 @@ mod tests {
     use super::*;
     use figret_topology::{Topology, TopologySpec};
     use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
-    use figret_traffic::DemandMatrix;
 
     fn setup() -> (PathSet, TrafficTrace) {
         let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
@@ -273,7 +279,7 @@ mod tests {
     fn hose_model_bounds_every_training_matrix() {
         let (_ps, trace) = setup();
         let hose = HoseModel::fit(&trace, 0..trace.len(), 1.0);
-        for m in trace.matrices() {
+        for m in (0..trace.len()).map(|t| trace.matrix(t)) {
             for s in 0..trace.num_nodes() {
                 let row: f64 = (0..trace.num_nodes()).map(|d| m.get(s, d)).sum();
                 assert!(row <= hose.egress[s] + 1e-9);
@@ -281,6 +287,23 @@ mod tests {
         }
         let with_headroom = HoseModel::fit(&trace, 0..trace.len(), 1.5);
         assert!(with_headroom.egress[0] > hose.egress[0]);
+    }
+
+    #[test]
+    fn hose_fit_matches_the_densified_marginals_bit_for_bit() {
+        let (_ps, trace) = setup();
+        let hose = HoseModel::fit(&trace, 10..40, 1.0);
+        let n = trace.num_nodes();
+        let (mut egress, mut ingress) = (vec![0.0f64; n], vec![0.0f64; n]);
+        for m in (10..40).map(|t| trace.matrix(t)) {
+            for v in 0..n {
+                egress[v] = egress[v].max((0..n).map(|d| m.get(v, d)).sum());
+                ingress[v] = ingress[v].max((0..n).map(|s| m.get(s, v)).sum());
+            }
+        }
+        let bits = |caps: &[f64]| caps.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&hose.egress), bits(&egress));
+        assert_eq!(bits(&hose.ingress), bits(&ingress));
     }
 
     #[test]
@@ -295,7 +318,7 @@ mod tests {
         let achieved = max_link_utilization_pairs(&ps, &cfg, &demand);
         assert!((achieved - worst).abs() < 1e-6);
         // And it must dominate the MLU of an ordinary training matrix.
-        let ordinary = max_link_utilization_pairs(&ps, &cfg, &trace.matrix(0).flatten_pairs());
+        let ordinary = max_link_utilization_pairs(&ps, &cfg, trace.snapshot(0).values());
         assert!(worst >= ordinary - 1e-9);
     }
 
@@ -318,7 +341,8 @@ mod tests {
     fn cope_trades_worst_case_for_average_case() {
         let (ps, trace) = setup();
         let hose = HoseModel::fit(&trace, 0..trace.len(), 1.0);
-        let predicted: Vec<Vec<f64>> = (0..5).map(|t| trace.matrix(t).flatten_pairs()).collect();
+        let predicted: Vec<Vec<f64>> =
+            (0..5).map(|t| trace.snapshot(t).values().to_vec()).collect();
         let cope = cope_config(&ps, &predicted, &hose, CopeSettings::default()).unwrap();
         let oblivious = oblivious_config(&ps, &hose, CuttingPlaneSettings::default()).unwrap();
         // COPE's worst case stays within the budget (with slack for the
@@ -338,9 +362,8 @@ mod tests {
         let (ps, trace) = setup();
         let hose = HoseModel::fit(&trace, 0..trace.len(), 1.0);
         let seed = hose.seed_demand(&ps);
-        let dm = DemandMatrix::from_pairs(trace.num_nodes(), &seed).unwrap();
         for s in 0..trace.num_nodes() {
-            let row: f64 = (0..trace.num_nodes()).map(|d| dm.get(s, d)).sum();
+            let row: f64 = seed[trace.active().source_range(s)].iter().sum();
             assert!(row <= hose.egress[s] + 1e-9);
         }
     }

@@ -20,13 +20,13 @@
 //! [`MluProblem`] or a [`crate::template::MluTemplate`] then solves under.
 
 use figret_te::{PathSet, TeConfig};
-use figret_traffic::DemandMatrix;
 
 use crate::engine::{normalized_bound_to_absolute, solve_min_mlu, MluProblem, SolveError};
 
-/// Omniscient TE: optimize directly for the realized demand.
-pub fn omniscient_config(paths: &PathSet, demand: &DemandMatrix) -> Result<TeConfig, SolveError> {
-    solve_min_mlu(&MluProblem::new(paths, demand.flatten_pairs()))
+/// Omniscient TE: optimize directly for the realized demand (one value per
+/// SD pair of `paths`).
+pub fn omniscient_config(paths: &PathSet, demand: &[f64]) -> Result<TeConfig, SolveError> {
+    solve_min_mlu(&MluProblem::new(paths, demand.to_vec()))
 }
 
 /// Parameters of desensitization-based TE.
@@ -126,48 +126,39 @@ mod tests {
     use super::*;
     use figret_te::{available_paths, max_link_utilization_pairs, max_sensitivity};
     use figret_topology::{random_link_failures, Topology, TopologySpec};
+    use figret_traffic::{ops, ActivePairs};
 
-    fn pod_setup() -> (PathSet, Vec<DemandMatrix>) {
+    /// A PoD path set and six pair columns of demand history.
+    fn pod_setup() -> (PathSet, Vec<Vec<f64>>) {
         let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
         let ps = PathSet::k_shortest(&g, 3);
-        let history: Vec<DemandMatrix> = (0..6)
-            .map(|t| {
-                let mut d = DemandMatrix::zeros(4);
-                for s in 0..4 {
-                    for dd in 0..4 {
-                        if s != dd {
-                            d.set(s, dd, 20.0 + 5.0 * ((t + s + dd) % 3) as f64);
-                        }
-                    }
-                }
-                d
-            })
+        let pairs = ActivePairs::all(4);
+        let history = (0..6)
+            .map(|t| pairs.iter().map(|(_, s, d)| 20.0 + 5.0 * ((t + s + d) % 3) as f64).collect())
             .collect();
         (ps, history)
     }
 
     /// The window's element-wise peak, the demand the desensitization schemes
     /// solve for.
-    fn window_peak(history: &[DemandMatrix]) -> Vec<f64> {
-        let mut peak = history[0].flatten_pairs();
-        for m in &history[1..] {
-            for (p, d) in peak.iter_mut().zip(m.flatten_pairs()) {
-                *p = p.max(d);
-            }
+    fn window_peak(history: &[Vec<f64>]) -> Vec<f64> {
+        let mut peak = history[0].clone();
+        for column in &history[1..] {
+            ops::max_assign(&mut peak, column);
         }
         peak
     }
 
-    fn mlu(ps: &PathSet, config: &TeConfig, demand: &DemandMatrix) -> f64 {
-        max_link_utilization_pairs(ps, config, &demand.flatten_pairs())
+    fn mlu(ps: &PathSet, config: &TeConfig, demand: &[f64]) -> f64 {
+        max_link_utilization_pairs(ps, config, demand)
     }
 
     #[test]
     fn omniscient_beats_or_matches_prediction() {
         let (ps, history) = pod_setup();
-        let realized = history.last().unwrap().scaled(1.4);
+        let realized = ops::scale_clamped(history.last().unwrap(), 1.4);
         let omni = omniscient_config(&ps, &realized).unwrap();
-        let last = history[history.len() - 2].flatten_pairs();
+        let last = history[history.len() - 2].clone();
         let pred = solve_min_mlu(&MluProblem::new(&ps, last)).unwrap();
         let omni_mlu = mlu(&ps, &omni, &realized);
         let pred_mlu = mlu(&ps, &pred, &realized);

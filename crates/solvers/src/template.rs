@@ -389,7 +389,7 @@ mod tests {
     use figret_te::{available_paths, max_link_utilization_pairs};
     use figret_topology::{random_link_failures, FabricSpec, Topology, TopologySpec};
     use figret_traffic::datacenter::{tor_trace_sparse, TorTrafficConfig};
-    use figret_traffic::{ActivePairs, DemandMatrix};
+    use figret_traffic::ActivePairs;
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -456,34 +456,23 @@ mod tests {
     #[test]
     fn template_with_bounds_matches_desensitization_config() {
         let ps = pod_paths();
-        let history: Vec<DemandMatrix> = (0..4)
-            .map(|t| {
-                let mut d = DemandMatrix::zeros(4);
-                for s in 0..4 {
-                    for dd in 0..4 {
-                        if s != dd {
-                            d.set(s, dd, 15.0 + 4.0 * ((t + s * dd) % 3) as f64);
-                        }
-                    }
-                }
-                d
-            })
+        let pairs = ActivePairs::all(4);
+        let history: Vec<Vec<f64>> = (0..4)
+            .map(|t| pairs.iter().map(|(_, s, d)| 15.0 + 4.0 * ((t + s * d) % 3) as f64).collect())
             .collect();
         // Des TE solves for the window's element-wise peak.
-        let mut peak = history[0].flatten_pairs();
-        for m in &history[1..] {
-            for (p, d) in peak.iter_mut().zip(m.flatten_pairs()) {
-                *p = p.max(d);
-            }
+        let mut peak = history[0].clone();
+        for column in &history[1..] {
+            figret_traffic::ops::max_assign(&mut peak, column);
         }
         let bounds = desensitization_bounds(&ps, &DesensitizationSettings::default());
         let mut template = MluTemplate::with_options(&ps, Some(bounds.clone()), None);
         let (config, _) = template.solve(&ps, &peak).unwrap();
         let one_shot = MluProblem::new(&ps, peak).with_sensitivity_bounds(bounds);
         let reference = solve_min_mlu(&one_shot).unwrap();
-        let d = history.last().unwrap().flatten_pairs();
-        let a = max_link_utilization_pairs(&ps, &config, &d);
-        let b = max_link_utilization_pairs(&ps, &reference, &d);
+        let d = history.last().unwrap();
+        let a = max_link_utilization_pairs(&ps, &config, d);
+        let b = max_link_utilization_pairs(&ps, &reference, d);
         assert!((a - b).abs() < 1e-6, "template {a} vs one-shot Des TE {b}");
     }
 

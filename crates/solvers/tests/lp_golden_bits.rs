@@ -210,7 +210,7 @@ fn geant_desensitization_series_reproduces_the_recorded_bits() {
     let geant = TopologySpec::full_scale(Topology::Geant).build();
     let paths = PathSet::k_shortest(&geant, 3);
     let trace = wan_trace(&geant, &WanTrafficConfig { num_snapshots: 24, ..Default::default() });
-    let series: Vec<Vec<f64>> = trace.matrices().iter().map(|d| d.flatten_pairs()).collect();
+    let series: Vec<Vec<f64>> = trace.snapshots().iter().map(|c| c.values().to_vec()).collect();
     let bounds = desensitization_bounds(&paths, &DesensitizationSettings::default());
     let template = MluTemplate::with_options(&paths, Some(bounds), None);
     let got = replay(template, &paths, &series);

@@ -11,7 +11,7 @@ fn timing_geant_engines() {
     let g = TopologySpec::full_scale(Topology::Geant).build();
     let ps = PathSet::k_shortest(&g, 3);
     let trace = wan_trace(&g, &WanTrafficConfig { num_snapshots: 3, ..Default::default() });
-    let d = trace.matrix(2).flatten_pairs();
+    let d = trace.snapshot(2).values().to_vec();
     let problem = MluProblem::new(&ps, d.clone());
     let t0 = std::time::Instant::now();
     let lp = solve_lp(&problem).unwrap();

@@ -88,7 +88,7 @@ mod tests {
     use super::*;
     use figret_topology::{Graph, NodeId, Topology, TopologySpec};
     use figret_traffic::wan::{wan_trace, WanTrafficConfig};
-    use figret_traffic::{DemandMatrix, SparseDemand};
+    use figret_traffic::{DemandMatrix, SparseDemand, TrafficTrace};
 
     fn matrix_mlu(paths: &PathSet, config: &TeConfig, demand: &DemandMatrix) -> f64 {
         max_link_utilization_pairs(paths, config, &demand.flatten_pairs())
@@ -184,10 +184,10 @@ mod tests {
         let ps = PathSet::k_shortest(&g, 3);
         let trace = wan_trace(&g, &WanTrafficConfig { num_snapshots: 5, ..Default::default() });
         let cfg = TeConfig::uniform(&ps);
-        for m in trace.matrices() {
-            let pairs = m.flatten_pairs();
-            let fast = max_link_utilization_pairs(&ps, &cfg, &pairs);
-            let naive = max_link_utilization_naive(&ps, &cfg, &pairs);
+        for column in trace.snapshots() {
+            let pairs = column.values();
+            let fast = max_link_utilization_pairs(&ps, &cfg, pairs);
+            let naive = max_link_utilization_naive(&ps, &cfg, pairs);
             assert!((fast - naive).abs() < 1e-9, "fast {fast} vs naive {naive}");
             assert!(fast > 0.0);
         }
@@ -205,10 +205,10 @@ mod tests {
         let small_cfg = TeConfig::shortest_path(&small);
         let burst = figure3_demand(4.0, 1.0, 1.0).flatten_pairs();
         let mut loads = Vec::new();
-        for m in trace.matrices() {
-            let pairs = m.flatten_pairs();
-            let reference = max_link_utilization_pairs(&ps, &cfg, &pairs);
-            let scratch = max_link_utilization_pairs_scratch(&ps, &cfg, &pairs, &mut loads);
+        for column in trace.snapshots() {
+            let pairs = column.values();
+            let reference = max_link_utilization_pairs(&ps, &cfg, pairs);
+            let scratch = max_link_utilization_pairs_scratch(&ps, &cfg, pairs, &mut loads);
             assert_eq!(reference.to_bits(), scratch.to_bits());
             let small_mlu =
                 max_link_utilization_pairs_scratch(&small, &small_cfg, &burst, &mut loads);
@@ -233,13 +233,14 @@ mod tests {
         for (slot, s, d) in active.iter() {
             demand.set_slot(slot, 1.0 + ((s * 31 + d * 7) % 17) as f64);
         }
+        let full = TrafficTrace::from_columns("restricted", 1.0, active, vec![demand.clone()]);
 
         for (cfg_r, cfg_d) in [
             (TeConfig::uniform(&restricted), TeConfig::uniform(&dense)),
             (TeConfig::shortest_path(&restricted), TeConfig::shortest_path(&dense)),
         ] {
             let sparse_mlu = max_link_utilization_pairs(&restricted, &cfg_r, demand.values());
-            let dense_mlu = matrix_mlu(&dense, &cfg_d, &demand.to_matrix());
+            let dense_mlu = matrix_mlu(&dense, &cfg_d, &full.matrix(0));
             assert_eq!(sparse_mlu.to_bits(), dense_mlu.to_bits());
             assert!(sparse_mlu > 0.0);
         }

@@ -27,8 +27,7 @@ use rand_chacha::ChaCha8Rng;
 
 use figret_topology::Graph;
 
-use crate::matrix::TrafficTrace;
-use crate::sparse::{ActivePairs, SparseDemand, SparseTrace};
+use crate::sparse::{ActivePairs, SparseDemand, TrafficTrace};
 
 /// Which Meta cluster flavour to imitate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,8 +76,7 @@ impl Default for PodTrafficConfig {
 
 /// Generates a PoD-level trace over a (small, usually full-mesh) graph.
 ///
-/// The snapshots are assembled as columns over the all-pairs index and
-/// densified at the end.
+/// PoD traffic is full, so the columns run over the all-pairs index.
 pub fn pod_trace(graph: &Graph, config: &PodTrafficConfig) -> TrafficTrace {
     let n = graph.num_nodes();
     assert!(n >= 2, "need at least two PoDs");
@@ -136,13 +134,12 @@ pub fn pod_trace(graph: &Graph, config: &PodTrafficConfig) -> TrafficTrace {
         ClusterFlavor::Db => "db",
         ClusterFlavor::Web => "web",
     };
-    SparseTrace::new(
+    TrafficTrace::from_columns(
         format!("{}-pod-{flavor}", graph.name()),
         config.interval_seconds,
         active,
         columns,
     )
-    .to_trace()
 }
 
 /// Parameters of the ToR-level generator.
@@ -191,19 +188,19 @@ impl Default for TorTrafficConfig {
 /// Generates a ToR-level trace over a (random-regular) graph.
 pub fn tor_trace(graph: &Graph, config: &TorTrafficConfig) -> TrafficTrace {
     let active = Arc::new(ActivePairs::all(graph.num_nodes()));
-    tor_trace_sparse(graph, &active, config).to_trace()
+    tor_trace_sparse(graph, &active, config)
 }
 
 /// Columnar ToR-level generator over an explicit pair set — the native form
 /// for 512–4096-ToR fabrics, where only the sampled communication pattern
 /// (a few percent of all pairs) ever carries traffic and storage is
-/// `O(nnz · T)` instead of `O(N² · T)`.  [`tor_trace`] is the all-pairs
-/// dense adapter (bit-identical to the pre-sparse implementation).
+/// `O(nnz · T)` instead of `O(N² · T)`.  [`tor_trace`] is this generator over
+/// the all-pairs index.
 pub fn tor_trace_sparse(
     graph: &Graph,
     active: &Arc<ActivePairs>,
     config: &TorTrafficConfig,
-) -> SparseTrace {
+) -> TrafficTrace {
     let n = graph.num_nodes();
     assert!(n >= 2, "need at least two ToRs");
     assert_eq!(active.num_nodes(), n, "pair index must match the graph");
@@ -259,7 +256,7 @@ pub fn tor_trace_sparse(
         ClusterFlavor::Db => "db",
         ClusterFlavor::Web => "web",
     };
-    SparseTrace::new(
+    TrafficTrace::from_columns(
         format!("{}-tor-{flavor}", graph.name()),
         config.interval_seconds,
         Arc::clone(active),
@@ -324,8 +321,7 @@ mod tests {
         assert_eq!(t.nnz(), g.num_nodes() * 6);
         assert_eq!(t, tor_trace_sparse(&g, &active, &cfg));
         // Densifying never places traffic outside the sampled pattern.
-        let dense = t.to_trace();
-        for m in dense.matrices() {
+        for m in (0..t.len()).map(|i| t.matrix(i)) {
             for s in 0..g.num_nodes() {
                 for d in 0..g.num_nodes() {
                     if s != d && m.get(s, d) > 0.0 {

@@ -16,8 +16,8 @@ use rand_chacha::ChaCha8Rng;
 
 use figret_topology::Graph;
 
-use crate::matrix::{DemandMatrix, TrafficTrace};
-use crate::sparse::{ActivePairs, SparseDemand, SparseTrace};
+use crate::matrix::DemandMatrix;
+use crate::sparse::{ActivePairs, SparseDemand, TrafficTrace};
 
 /// Parameters for the gravity-model generator.
 #[derive(Debug, Clone)]
@@ -87,8 +87,8 @@ pub fn gravity_matrix(graph: &Graph, load_factor: f64) -> DemandMatrix {
 
 /// Generates a gravity-model trace over the given graph.
 ///
-/// The snapshots are assembled as columns over the all-pairs index (gravity
-/// demand is full by construction) and densified at the end.
+/// Gravity demand is full by construction, so the columns run over the
+/// all-pairs index.
 pub fn gravity_trace(graph: &Graph, config: &GravityConfig) -> TrafficTrace {
     let base = gravity_matrix(graph, config.load_factor);
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x9a1_717);
@@ -108,8 +108,12 @@ pub fn gravity_trace(graph: &Graph, config: &GravityConfig) -> TrafficTrace {
         }
         columns.push(col);
     }
-    SparseTrace::new(format!("{}-gravity", graph.name()), config.interval_seconds, active, columns)
-        .to_trace()
+    TrafficTrace::from_columns(
+        format!("{}-gravity", graph.name()),
+        config.interval_seconds,
+        active,
+        columns,
+    )
 }
 
 #[cfg(test)]
@@ -136,7 +140,7 @@ mod tests {
         assert_eq!(trace.len(), 50);
         // Successive snapshots must be extremely similar (no bursts).
         for t in 1..trace.len() {
-            let sim = trace.matrix(t).cosine_similarity(trace.matrix(t - 1));
+            let sim = trace.snapshot(t).cosine_similarity(trace.snapshot(t - 1));
             assert!(sim > 0.99, "gravity traffic must be stable, got similarity {sim}");
         }
     }

@@ -1,9 +1,17 @@
 //! # figret-traffic
 //!
-//! Traffic-matrix substrate for the FIGRET reproduction: demand matrices,
-//! traces, synthetic generators for every traffic class of the paper's
-//! evaluation (§5.1), traffic statistics, dataset splits and the perturbation
-//! models of §5.4.
+//! Demand substrate for the FIGRET reproduction: pair-column traces,
+//! synthetic generators for every traffic class of the paper's evaluation
+//! (§5.1), traffic statistics, dataset splits and the perturbation models of
+//! §5.4.
+//!
+//! Demand has one currency, the pair column: a [`TrafficTrace`] is one
+//! [`SparseDemand`] per snapshot over a shared [`ActivePairs`] index
+//! ([`ActivePairs::all`] for the Table 1 networks, a sampled index for
+//! generated fabrics), which is what every generator returns and every
+//! consumer — datasets, statistics, predictors, the MLU evaluator — reads.
+//! [`DemandMatrix`] is the `N×N` I/O edge: [`TrafficTrace::new`] gathers
+//! hand-built matrices and [`TrafficTrace::matrix`] densifies one snapshot.
 //!
 //! The real GEANT / Meta / pFabric traces are not redistributable; the
 //! generators in [`wan`], [`datacenter`], [`pfabric`] and [`gravity`] are
@@ -43,11 +51,11 @@ pub use datacenter::{
     pod_trace, tor_trace, tor_trace_sparse, ClusterFlavor, PodTrafficConfig, TorTrafficConfig,
 };
 pub use gravity::{gravity_matrix, gravity_trace, GravityConfig};
-pub use matrix::{DemandMatrix, MatrixError, TrafficTrace};
+pub use matrix::{DemandMatrix, MatrixError};
 pub use perturb::{gaussian_fluctuation, reverse_by_rank, worst_case_fluctuation};
 pub use pfabric::{pfabric_trace, sample_web_search_flow_size, PFabricConfig};
 pub use shard::{ShardPlan, ShardUniverse};
-pub use sparse::{ActivePairs, SparseDemand, SparseTrace};
+pub use sparse::{ActivePairs, SparseDemand, SparseTrace, TrafficTrace};
 pub use split::{TrainTestSplit, WindowDataset};
 pub use stats::{
     cosine_similarity_analysis, cosine_similarity_samples, per_pair_std_range, per_pair_variance,
@@ -60,6 +68,8 @@ pub use stream::{
 
 #[cfg(test)]
 mod proptests {
+    use std::sync::Arc;
+
     use super::*;
     use proptest::prelude::*;
 
@@ -121,9 +131,14 @@ mod proptests {
 
         #[test]
         fn sparse_dense_roundtrip_is_exact(m in arbitrary_matrix()) {
-            let active = std::sync::Arc::new(ActivePairs::from_matrix_support(&m));
-            let s = SparseDemand::from_matrix(&m, &active);
-            prop_assert_eq!(s.to_matrix(), m);
+            // Gather onto the all-pairs index, densify back.
+            let trace = TrafficTrace::new("p", 1.0, vec![m.clone()]);
+            prop_assert_eq!(trace.snapshot(0).values(), m.flatten_pairs());
+            prop_assert_eq!(trace.matrix(0), m.clone());
+            // Columns over the matrix's support densify to the same matrix.
+            let (support, column) = support_column(&m);
+            let restricted = TrafficTrace::from_columns("p", 1.0, support, vec![column]);
+            prop_assert_eq!(restricted.matrix(0), m);
         }
 
         #[test]
@@ -131,17 +146,16 @@ mod proptests {
             // Derive a second matrix deterministically so both operands share
             // sparsity structure challenges (scaled keeps support identical).
             let b = a.scaled(1.15);
-            let all = std::sync::Arc::new(ActivePairs::all(a.num_nodes()));
-            let sa = SparseDemand::from_matrix(&a, &all);
-            let sb = SparseDemand::from_matrix(&b, &all);
+            let trace = TrafficTrace::new("p", 1.0, vec![a.clone(), b.clone()]);
+            let (sa, sb) = (trace.snapshot(0), trace.snapshot(1));
 
-            prop_assert!((sa.total() - a.total()).abs() <= 1e-12 * (1.0 + a.total().abs()));
-            prop_assert!((sa.max_entry() - a.max_entry()).abs() <= 1e-12);
-            prop_assert!(
-                (sa.cosine_similarity(&sb) - a.cosine_similarity(&b)).abs() <= 1e-12
-            );
+            // The diagonal zeros of the dense store change no reduction.
+            prop_assert_eq!(sa.total().to_bits(), a.total().to_bits());
+            prop_assert_eq!(sa.max_entry().to_bits(), a.max_entry().to_bits());
+            prop_assert_eq!(sa.cosine_similarity(sb).to_bits(), a.cosine_similarity(&b).to_bits());
 
-            prop_assert_eq!(sb.scaled(0.7).to_matrix(), b.scaled(0.7));
+            let scaled = TrafficTrace::new("p", 1.0, vec![b.scaled(0.7)]);
+            prop_assert_eq!(&sb.scaled(0.7), scaled.snapshot(0));
         }
 
         #[test]
@@ -149,13 +163,27 @@ mod proptests {
             // On the *support* index (zeros dropped), the reductions must still
             // agree with the dense matrix: interleaved exact zeros do not
             // change sums, maxima or cosines.
-            let active = std::sync::Arc::new(ActivePairs::from_matrix_support(&m));
-            let s = SparseDemand::from_matrix(&m, &active);
-            prop_assert!((s.total() - m.total()).abs() <= 1e-12 * (1.0 + m.total().abs()));
-            prop_assert!((s.max_entry() - m.max_entry()).abs() <= 1e-12);
+            let (support, s) = support_column(&m);
+            prop_assert_eq!(s.total().to_bits(), m.total().to_bits());
+            prop_assert_eq!(s.max_entry().to_bits(), m.max_entry().to_bits());
             let m2 = m.scaled(1.3);
-            let s2 = SparseDemand::from_matrix(&m2, &active);
-            prop_assert!((s.cosine_similarity(&s2) - m.cosine_similarity(&m2)).abs() <= 1e-12);
+            let s2 = s.scaled(1.3);
+            prop_assert_eq!(s.cosine_similarity(&s2).to_bits(), m.cosine_similarity(&m2).to_bits());
+            let trace = TrafficTrace::from_columns("p", 1.0, support, vec![s, s2]);
+            prop_assert_eq!(trace.matrix(1), m2);
         }
+    }
+
+    /// The column of `m` over its support: every pair with a nonzero demand.
+    fn support_column(m: &DemandMatrix) -> (Arc<ActivePairs>, SparseDemand) {
+        let n = m.num_nodes();
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|s| (0..n).map(move |d| (s, d)))
+            .filter(|&(s, d)| s != d && m.get(s, d) > 0.0)
+            .collect();
+        let support = Arc::new(ActivePairs::from_pairs(n, &pairs));
+        let values = pairs.iter().map(|&(s, d)| m.get(s, d)).collect();
+        let column = SparseDemand::from_values(Arc::clone(&support), values).unwrap();
+        (support, column)
     }
 }

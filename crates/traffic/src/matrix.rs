@@ -1,9 +1,10 @@
-//! Demand matrices and traffic traces.
+//! Demand matrices: the `N×N` I/O edge of the pair-column traces.
 //!
 //! A demand matrix (DM) `D` is a `|V| x |V|` matrix whose `(i, j)` entry is the
-//! traffic demand from source `i` to destination `j` (§3 of the paper).  A
-//! traffic trace is a time-ordered sequence of demand matrices collected at a
-//! fixed aggregation interval.
+//! traffic demand from source `i` to destination `j` (§3 of the paper).  Traces
+//! store pair columns ([`crate::TrafficTrace`]); a matrix exists where one is
+//! the object being built or shown — the Figure 3 toy, the gravity base, a
+//! hand-written test trace — and [`crate::TrafficTrace::new`] gathers it.
 
 use std::fmt;
 
@@ -14,10 +15,9 @@ use crate::ops;
 /// Stored row-major (`data[s * n + d]`).  Diagonal entries are always zero: a
 /// node never sends traffic to itself in the TE model.
 ///
-/// Since PR 7 this is the *dense adapter* over the shared element-wise
-/// kernels in [`crate::ops`]: small WANs keep using it directly, while
-/// ToR-scale pipelines use [`crate::SparseDemand`] columns over the same
-/// kernels (bit-identical results on the same traffic).
+/// Its arithmetic runs the shared element-wise kernels of [`crate::ops`], so
+/// it agrees bit for bit with the [`crate::SparseDemand`] column it gathers
+/// into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DemandMatrix {
     num_nodes: usize,
@@ -80,15 +80,6 @@ impl DemandMatrix {
         self.data[src * self.num_nodes + dst] = value.max(0.0);
     }
 
-    /// Adds `value` to the demand from `src` to `dst` (clamped at zero).
-    pub fn add(&mut self, src: usize, dst: usize, value: f64) {
-        if src == dst {
-            return;
-        }
-        let idx = src * self.num_nodes + dst;
-        self.data[idx] = (self.data[idx] + value).max(0.0);
-    }
-
     /// Total demand over all pairs.
     pub fn total(&self) -> f64 {
         ops::total(&self.data)
@@ -99,39 +90,11 @@ impl DemandMatrix {
         ops::max_entry(&self.data)
     }
 
-    /// The dense row-major store (`n * n` values, zero diagonal included).
-    pub(crate) fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Flattened off-diagonal demands in source-major order, matching
     /// `Graph::sd_pairs` (all `d != s` for `s = 0, 1, ...`).
     pub fn flatten_pairs(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.num_pairs()];
-        self.flatten_pairs_into(&mut out);
-        out
-    }
-
-    /// Allocation-free [`DemandMatrix::flatten_pairs`]: writes the flattened
-    /// demands into a caller-provided buffer of length [`Self::num_pairs`].
-    pub fn flatten_pairs_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.num_pairs(), "one slot per SD pair is required");
         let n = self.num_nodes;
-        let mut i = 0;
-        for s in 0..n {
-            for d in 0..n {
-                if s != d {
-                    out[i] = self.data[s * n + d];
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// Copies another matrix's demands into this one without reallocating.
-    pub fn copy_from(&mut self, other: &DemandMatrix) {
-        assert_eq!(self.num_nodes, other.num_nodes, "matrices must have the same size");
-        self.data.copy_from_slice(&other.data);
+        (0..n).flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| self.get(s, d))).collect()
     }
 
     /// Inverse of [`DemandMatrix::flatten_pairs`].
@@ -219,86 +182,10 @@ impl fmt::Display for MatrixError {
 
 impl std::error::Error for MatrixError {}
 
-/// A time-ordered sequence of demand matrices.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrafficTrace {
-    name: String,
-    interval_seconds: f64,
-    matrices: Vec<DemandMatrix>,
-}
-
-impl TrafficTrace {
-    /// Builds a trace.  All matrices must have the same node count.
-    pub fn new(
-        name: impl Into<String>,
-        interval_seconds: f64,
-        matrices: Vec<DemandMatrix>,
-    ) -> Self {
-        let n = matrices.first().map(|m| m.num_nodes()).unwrap_or(0);
-        assert!(
-            matrices.iter().all(|m| m.num_nodes() == n),
-            "all matrices in a trace must have the same node count"
-        );
-        TrafficTrace { name: name.into(), interval_seconds, matrices }
-    }
-
-    /// Human-readable trace name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Aggregation interval in seconds.
-    pub fn interval_seconds(&self) -> f64 {
-        self.interval_seconds
-    }
-
-    /// Number of snapshots.
-    pub fn len(&self) -> usize {
-        self.matrices.len()
-    }
-
-    /// `true` if the trace has no snapshots.
-    pub fn is_empty(&self) -> bool {
-        self.matrices.is_empty()
-    }
-
-    /// Number of nodes (0 for an empty trace).
-    pub fn num_nodes(&self) -> usize {
-        self.matrices.first().map(|m| m.num_nodes()).unwrap_or(0)
-    }
-
-    /// The matrix at snapshot `t`.
-    pub fn matrix(&self, t: usize) -> &DemandMatrix {
-        &self.matrices[t]
-    }
-
-    /// All matrices.
-    pub fn matrices(&self) -> &[DemandMatrix] {
-        &self.matrices
-    }
-
-    /// A sub-trace covering snapshots `range` (cloned).
-    pub fn slice(&self, range: std::ops::Range<usize>) -> TrafficTrace {
-        TrafficTrace {
-            name: self.name.clone(),
-            interval_seconds: self.interval_seconds,
-            matrices: self.matrices[range].to_vec(),
-        }
-    }
-
-    /// Maps every matrix through `f`, keeping metadata.
-    pub fn map<F: FnMut(usize, &DemandMatrix) -> DemandMatrix>(&self, mut f: F) -> TrafficTrace {
-        TrafficTrace {
-            name: self.name.clone(),
-            interval_seconds: self.interval_seconds,
-            matrices: self.matrices.iter().enumerate().map(|(i, m)| f(i, m)).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TrafficTrace;
 
     #[test]
     fn zeros_and_set_get() {
@@ -348,19 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn in_place_helpers_match_their_allocating_counterparts() {
-        let a = DemandMatrix::from_pairs(3, &[1.0, 2.0, 3.0, 0.0, 5.0, 4.0]).unwrap();
-
-        let mut flat = vec![9.9; a.num_pairs()];
-        a.flatten_pairs_into(&mut flat);
-        assert_eq!(flat, a.flatten_pairs());
-
-        let mut copy = DemandMatrix::zeros(3);
-        copy.copy_from(&a);
-        assert_eq!(copy, a);
-    }
-
-    #[test]
     fn cosine_similarity_behaviour() {
         let a = DemandMatrix::from_pairs(2, &[1.0, 0.0]).unwrap();
         let b = DemandMatrix::from_pairs(2, &[2.0, 0.0]).unwrap();
@@ -379,14 +253,12 @@ mod tests {
         let t = TrafficTrace::new("demo", 60.0, vec![m0.clone(), m1.clone()]);
         assert_eq!(t.len(), 2);
         assert_eq!(t.num_nodes(), 2);
-        assert_eq!(t.matrix(1), &m1);
-        let sliced = t.slice(1..2);
-        assert_eq!(sliced.len(), 1);
-        assert_eq!(sliced.matrix(0), &m1);
-        let doubled = t.map(|_, m| m.scaled(2.0));
-        assert_eq!(doubled.matrix(0).get(0, 1), 2.0);
+        assert_eq!(t.matrix(1), m1);
+        assert_eq!(t.snapshot(0).values(), [1.0, 2.0]);
         assert!(!t.is_empty());
-        assert!(TrafficTrace::new("empty", 1.0, vec![]).is_empty());
+        let empty = TrafficTrace::new("empty", 1.0, vec![]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.num_nodes(), 0);
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!   noise is taken from the pair with the *opposite* variance rank, so
 //!   historically stable pairs receive the largest fluctuations.
 
+use std::sync::Arc;
+
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::matrix::TrafficTrace;
+use crate::sparse::TrafficTrace;
 use crate::stats::per_pair_std_range;
 
 /// Standard normal sample via Box-Muller.
@@ -71,25 +73,26 @@ fn apply_noise(
 ) -> TrafficTrace {
     assert!(alpha >= 0.0, "fluctuation amplitude must be non-negative");
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xf1c_0f1c);
-    let n = trace.num_nodes();
-    trace.map(|t, m| {
-        if !range.contains(&t) || alpha == 0.0 {
-            return m.clone();
-        }
-        let mut out = m.clone();
-        let mut pair = 0usize;
-        for s in 0..n {
-            for d in 0..n {
-                if s == d {
-                    continue;
+    let columns = trace
+        .snapshots()
+        .iter()
+        .enumerate()
+        .map(|(t, column)| {
+            let mut out = column.clone();
+            if range.contains(&t) && alpha != 0.0 {
+                for (slot, (&value, &sigma)) in column.values().iter().zip(sigma).enumerate() {
+                    out.set_slot(slot, value + alpha * sigma * standard_normal(&mut rng));
                 }
-                let noise = alpha * sigma[pair] * standard_normal(&mut rng);
-                out.set(s, d, (m.get(s, d) + noise).max(0.0));
-                pair += 1;
             }
-        }
-        out
-    })
+            out
+        })
+        .collect();
+    TrafficTrace::from_columns(
+        trace.name(),
+        trace.interval_seconds(),
+        Arc::clone(trace.active()),
+        columns,
+    )
 }
 
 #[cfg(test)]
@@ -120,18 +123,18 @@ mod tests {
         let t = trace();
         let p = gaussian_fluctuation(&t, 0..t.len(), 1.0, 2);
         // Pair 0 had zero variance -> remains exactly 10.
-        for m in p.matrices() {
-            assert!((m.get(0, 1) - 10.0).abs() < 1e-9);
+        for c in p.snapshots() {
+            assert!((c.get(0, 1) - 10.0).abs() < 1e-9);
         }
         // Pair 1 must have changed somewhere.
         let changed = p
-            .matrices()
+            .snapshots()
             .iter()
-            .zip(t.matrices())
+            .zip(t.snapshots())
             .any(|(a, b)| (a.get(1, 0) - b.get(1, 0)).abs() > 1e-6);
         assert!(changed);
         // Demands stay non-negative.
-        assert!(p.matrices().iter().all(|m| m.flatten_pairs().iter().all(|v| *v >= 0.0)));
+        assert!(p.snapshots().iter().all(|c| c.values().iter().all(|v| *v >= 0.0)));
     }
 
     #[test]
@@ -139,7 +142,29 @@ mod tests {
         let t = trace();
         let p = gaussian_fluctuation(&t, 30..t.len(), 2.0, 3);
         for i in 0..30 {
-            assert_eq!(p.matrix(i), t.matrix(i));
+            assert_eq!(p.snapshot(i), t.snapshot(i));
+        }
+    }
+
+    #[test]
+    fn restricted_traces_are_perturbed_on_their_own_pairs() {
+        use crate::sparse::{ActivePairs, SparseDemand};
+        let active = Arc::new(ActivePairs::from_pairs(4, &[(0, 3), (2, 1)]));
+        let columns = (0..20)
+            .map(|t| {
+                let values = vec![5.0, if t % 2 == 0 { 1.0 } else { 9.0 }];
+                SparseDemand::from_values(Arc::clone(&active), values).unwrap()
+            })
+            .collect();
+        let t = TrafficTrace::from_columns("restricted", 1.0, Arc::clone(&active), columns);
+        let p = gaussian_fluctuation(&t, 10..20, 1.0, 5);
+        assert!(Arc::ptr_eq(p.active(), &active));
+        for i in 0..20 {
+            // The constant pair keeps its value; the bursty one moves only
+            // inside the range.
+            assert_eq!(p.snapshot(i).values()[0], 5.0);
+            let moved = p.snapshot(i).values()[1] != t.snapshot(i).values()[1];
+            assert_eq!(moved, i >= 10, "snapshot {i}");
         }
     }
 

@@ -13,8 +13,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::matrix::TrafficTrace;
-use crate::sparse::{ActivePairs, SparseDemand, SparseTrace};
+use crate::sparse::{ActivePairs, SparseDemand, TrafficTrace};
 
 /// The web-search flow-size distribution from the pFabric/DCTCP measurement
 /// studies, expressed as CDF breakpoints `(flow size in MB, cumulative prob)`.
@@ -135,7 +134,7 @@ pub fn pfabric_trace(config: &PFabricConfig) -> TrafficTrace {
         }
         columns.push(col);
     }
-    SparseTrace::new("pFabric-websearch", config.interval_seconds, active, columns).to_trace()
+    TrafficTrace::from_columns("pFabric-websearch", config.interval_seconds, active, columns)
 }
 
 #[cfg(test)]
@@ -176,20 +175,13 @@ mod tests {
         assert_eq!(t.num_nodes(), 9);
         // Sum traffic per pair over the trace; uniform selection means no pair
         // should dominate by more than ~3x the median.
-        let n = t.num_nodes();
-        let mut per_pair = vec![0.0f64; n * n];
-        for m in t.matrices() {
-            for s in 0..n {
-                for d in 0..n {
-                    per_pair[s * n + d] += m.get(s, d);
-                }
-            }
+        let mut per_pair = vec![0.0f64; t.nnz()];
+        for c in t.snapshots() {
+            crate::ops::accumulate_clamped(&mut per_pair, c.values());
         }
-        let mut off_diag: Vec<f64> =
-            (0..n * n).filter(|i| i / n != i % n).map(|i| per_pair[i]).collect();
-        off_diag.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = off_diag[off_diag.len() / 2];
-        let max = *off_diag.last().unwrap();
+        per_pair.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let median = per_pair[per_pair.len() / 2];
+        let max = *per_pair.last().unwrap();
         assert!(
             max < 3.0 * median,
             "pair usage should be roughly uniform (max {max}, median {median})"

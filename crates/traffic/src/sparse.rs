@@ -1,23 +1,25 @@
-//! Sparse columnar demand storage (the demand-side core since PR 7).
+//! Columnar demand storage: the one demand currency of the workspace.
 //!
-//! ToR-level demand matrices are sparse: at 1024 ToRs fewer than 2% of the
-//! 1M+ source-destination pairs carry traffic, yet the dense
-//! [`DemandMatrix`] stores (and every consumer iterates) all `N²` entries.
-//! This module stores a demand *series* in CSR-style columnar form:
+//! ToR-level demand is sparse: at 1024 ToRs fewer than 2% of the 1M+
+//! source-destination pairs carry traffic, and FIGRET states its model and
+//! loss per pair (§4), so demand is stored as pair columns in CSR-style
+//! form rather than as `N×N` matrices:
 //!
 //! * [`ActivePairs`] — the set of (source, destination) pairs that may carry
 //!   traffic, sorted source-major with per-source offsets.  One index is
 //!   built per trace/stream and shared (`Arc`) by every snapshot, so all
-//!   columns of a series align slot-for-slot.
+//!   columns of a series align slot-for-slot.  [`ActivePairs::all`] is the
+//!   Table 1 universe; its slot order is `Graph::sd_pairs` order.
 //! * [`SparseDemand`] — one snapshot: a value column of length `nnz`,
 //!   aligned to its `ActivePairs` index.
-//! * [`SparseTrace`] — a time-ordered series of columns over one shared
-//!   index (the sparse counterpart of [`TrafficTrace`]).
+//! * [`TrafficTrace`] — a time-ordered series of columns over one shared
+//!   index: what every generator returns and every consumer reads.
 //!
-//! The dense types remain as thin adapters for small WANs: conversions in
-//! both directions are exact, and every arithmetic operation delegates to
-//! the shared kernels in [`crate::ops`], so dense and sparse pipelines
-//! produce bit-identical results on the same traffic (DESIGN.md §7).
+//! [`DemandMatrix`] is the I/O edge only: [`TrafficTrace::new`] gathers
+//! hand-built matrices onto the all-pairs index and [`TrafficTrace::matrix`]
+//! densifies one snapshot, both exactly.  Every arithmetic operation
+//! delegates to the shared kernels in [`crate::ops`], so a column and its
+//! densified matrix give bit-identical reductions (DESIGN.md §7).
 
 use std::sync::Arc;
 
@@ -25,7 +27,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::matrix::{DemandMatrix, MatrixError, TrafficTrace};
+use crate::matrix::{DemandMatrix, MatrixError};
 use crate::ops;
 
 /// The ordered set of source-destination pairs a demand series may use.
@@ -78,23 +80,6 @@ impl ActivePairs {
             while cursor < sorted.len() && sorted[cursor].0 == s {
                 dsts.push(sorted[cursor].1 as u32);
                 cursor += 1;
-            }
-            src_offsets.push(dsts.len());
-        }
-        ActivePairs { num_nodes, dsts, src_offsets }
-    }
-
-    /// The support of a single matrix: every pair with a nonzero demand.
-    pub fn from_matrix_support(matrix: &DemandMatrix) -> ActivePairs {
-        let num_nodes = matrix.num_nodes();
-        let mut dsts = Vec::new();
-        let mut src_offsets = Vec::with_capacity(num_nodes + 1);
-        src_offsets.push(0);
-        for s in 0..num_nodes {
-            for d in 0..num_nodes {
-                if s != d && matrix.get(s, d) > 0.0 {
-                    dsts.push(d as u32);
-                }
             }
             src_offsets.push(dsts.len());
         }
@@ -251,13 +236,6 @@ impl ActivePairs {
         })
     }
 
-    /// Position of each active pair in the dense `flatten_pairs` ordering
-    /// (`s · (n − 1) + d − [d > s]`), in slot order — the scatter map from a
-    /// sparse column into a full-length pair buffer.
-    pub fn flat_pair_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.iter().map(move |(_, s, d)| s * (self.num_nodes - 1) + d - usize::from(d > s))
-    }
-
     /// The active pairs as `(usize, usize)` tuples in slot order.
     pub fn node_pairs(&self) -> Vec<(usize, usize)> {
         self.iter().map(|(_, s, d)| (s, d)).collect()
@@ -297,49 +275,6 @@ impl SparseDemand {
             }
         }
         Ok(SparseDemand { active, values })
-    }
-
-    /// Gathers a dense matrix onto `active`.
-    ///
-    /// Panics if the matrix carries demand on a pair outside the index —
-    /// a conversion must never silently drop traffic.
-    pub fn from_matrix(matrix: &DemandMatrix, active: &Arc<ActivePairs>) -> SparseDemand {
-        assert_eq!(matrix.num_nodes(), active.num_nodes(), "node counts must match");
-        let n = matrix.num_nodes();
-        let mut values = vec![0.0; active.len()];
-        for (slot, s, d) in active.iter() {
-            values[slot] = matrix.get(s, d);
-        }
-        if !active.is_all() {
-            for s in 0..n {
-                for d in 0..n {
-                    if s != d && matrix.get(s, d) != 0.0 && active.slot(s, d).is_none() {
-                        panic!("demand {} on inactive pair ({s}, {d})", matrix.get(s, d));
-                    }
-                }
-            }
-        }
-        SparseDemand { active: Arc::clone(active), values }
-    }
-
-    /// Densifies the column (the adapter direction; exact).
-    pub fn to_matrix(&self) -> DemandMatrix {
-        let mut m = DemandMatrix::zeros(self.active.num_nodes());
-        for (slot, s, d) in self.active.iter() {
-            m.set(s, d, self.values[slot]);
-        }
-        m
-    }
-
-    /// Scatters the column into a full-length `flatten_pairs`-order buffer
-    /// (inactive pairs are zeroed) — the bridge into dense-universe
-    /// consumers such as a full `PathSet`-shaped LP.
-    pub fn scatter_pairs_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.active.num_total_pairs(), "one slot per SD pair is required");
-        out.fill(0.0);
-        for (slot, flat) in self.active.flat_pair_ids().enumerate() {
-            out[flat] = self.values[slot];
-        }
     }
 
     /// The shared pair index.
@@ -428,41 +363,72 @@ impl SparseDemand {
     }
 }
 
-/// A time-ordered series of demand columns over one shared pair index — the
-/// sparse counterpart of [`TrafficTrace`].
+/// A traffic trace: a time-ordered series of demand columns over one shared
+/// pair index, with its name and aggregation interval.  Every generator
+/// returns one; Table 1 networks use [`ActivePairs::all`], generated fabrics
+/// a sampled index.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SparseTrace {
+pub struct TrafficTrace {
     name: String,
     interval_seconds: f64,
     active: Arc<ActivePairs>,
     columns: Vec<SparseDemand>,
 }
 
-impl SparseTrace {
-    /// Builds a trace.  Every column must share the index (`Arc` identity or
-    /// structural equality).
+/// The trace's former name on the fabric path.  `perf_ledger` still spells
+/// it; new code names [`TrafficTrace`].
+pub type SparseTrace = TrafficTrace;
+
+impl TrafficTrace {
+    /// Gathers hand-built matrices into a trace over the all-pairs index
+    /// (exact; the diagonal is dropped).  All matrices must have the same
+    /// node count.
     pub fn new(
+        name: impl Into<String>,
+        interval_seconds: f64,
+        matrices: Vec<DemandMatrix>,
+    ) -> TrafficTrace {
+        let n = matrices.first().map_or(0, DemandMatrix::num_nodes);
+        assert!(
+            matrices.iter().all(|m| m.num_nodes() == n),
+            "all matrices in a trace must have the same node count"
+        );
+        let active = Arc::new(ActivePairs::all(n));
+        // `ActivePairs::all` slot order is the `flatten_pairs` order.  Each
+        // matrix is freed once gathered, so the trace never holds both forms.
+        let columns = matrices
+            .into_iter()
+            .map(|m| SparseDemand { active: Arc::clone(&active), values: m.flatten_pairs() })
+            .collect();
+        TrafficTrace { name: name.into(), interval_seconds, active, columns }
+    }
+
+    /// Builds a trace from columns.  Every column must share the index
+    /// (`Arc` identity or structural equality).
+    pub fn from_columns(
         name: impl Into<String>,
         interval_seconds: f64,
         active: Arc<ActivePairs>,
         columns: Vec<SparseDemand>,
-    ) -> SparseTrace {
+    ) -> TrafficTrace {
         for c in &columns {
             assert!(
                 Arc::ptr_eq(c.active(), &active) || **c.active() == *active,
-                "all columns of a sparse trace must share one ActivePairs index"
+                "all columns of a trace must share one ActivePairs index"
             );
         }
-        SparseTrace { name: name.into(), interval_seconds, active, columns }
+        TrafficTrace { name: name.into(), interval_seconds, active, columns }
     }
 
-    /// Densifies the whole series (exact).
-    pub fn to_trace(&self) -> TrafficTrace {
-        TrafficTrace::new(
-            self.name.clone(),
-            self.interval_seconds,
-            self.columns.iter().map(|c| c.to_matrix()).collect(),
-        )
+    /// Densifies snapshot `t` into an `N×N` matrix (exact; inactive pairs
+    /// and the diagonal are zero).
+    pub fn matrix(&self, t: usize) -> DemandMatrix {
+        let column = &self.columns[t];
+        let mut m = DemandMatrix::zeros(self.num_nodes());
+        for (slot, s, d) in self.active.iter() {
+            m.set(s, d, column.values[slot]);
+        }
+        m
     }
 
     /// Human-readable trace name.
@@ -510,25 +476,6 @@ impl SparseTrace {
         &self.columns
     }
 
-    /// Appends a column (must share the index).
-    pub fn push(&mut self, column: SparseDemand) {
-        assert!(
-            Arc::ptr_eq(column.active(), &self.active) || **column.active() == *self.active,
-            "pushed column must share the trace's ActivePairs index"
-        );
-        self.columns.push(column);
-    }
-
-    /// A sub-trace covering snapshots `range` (columns cloned, index shared).
-    pub fn slice(&self, range: std::ops::Range<usize>) -> SparseTrace {
-        SparseTrace {
-            name: self.name.clone(),
-            interval_seconds: self.interval_seconds,
-            active: Arc::clone(&self.active),
-            columns: self.columns[range].to_vec(),
-        }
-    }
-
     /// Heap bytes spent on demand values across the whole series (the number
     /// the large-fabric acceptance check reports: proportional to `nnz`, not
     /// `N²`).
@@ -557,8 +504,8 @@ mod tests {
         assert!(a.is_all());
         let pairs: Vec<_> = a.node_pairs();
         assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]);
-        let flats: Vec<_> = a.flat_pair_ids().collect();
-        assert_eq!(flats, vec![0, 1, 2, 3, 4, 5]);
+        let slots: Vec<_> = pairs.iter().map(|&(s, d)| a.slot(s, d).unwrap()).collect();
+        assert_eq!(slots, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -583,49 +530,40 @@ mod tests {
 
     #[test]
     fn support_and_roundtrip_are_exact() {
+        // Gather onto the all-pairs index and densify back.
         let m = demo_matrix();
-        let active = Arc::new(ActivePairs::from_matrix_support(&m));
-        assert_eq!(active.len(), 4);
-        let sd = SparseDemand::from_matrix(&m, &active);
-        assert_eq!(sd.to_matrix(), m);
-        assert_eq!(sd.get(0, 3), 2.5);
-        assert_eq!(sd.get(1, 0), 0.0);
-        assert_eq!(sd.total().to_bits(), m.total().to_bits());
-        assert_eq!(sd.max_entry().to_bits(), m.max_entry().to_bits());
-    }
+        let trace = TrafficTrace::new("demo", 1.0, vec![m.clone()]);
+        assert!(trace.active().is_all());
+        assert_eq!(trace.matrix(0), m);
+        let column = trace.snapshot(0);
+        assert_eq!(column.values(), m.flatten_pairs());
+        assert_eq!(column.get(0, 3), 2.5);
+        assert_eq!(column.get(1, 0), 0.0);
+        assert_eq!(column.total().to_bits(), m.total().to_bits());
+        assert_eq!(column.max_entry().to_bits(), m.max_entry().to_bits());
 
-    #[test]
-    #[should_panic(expected = "inactive pair")]
-    fn gather_refuses_to_drop_traffic() {
-        let m = demo_matrix();
-        let active = Arc::new(ActivePairs::from_pairs(4, &[(0, 1)]));
-        SparseDemand::from_matrix(&m, &active);
-    }
-
-    #[test]
-    fn scatter_matches_dense_flatten() {
-        let m = demo_matrix();
-        let active = Arc::new(ActivePairs::from_matrix_support(&m));
-        let sd = SparseDemand::from_matrix(&m, &active);
-        let mut scattered = vec![9.9; m.num_pairs()];
-        sd.scatter_pairs_into(&mut scattered);
-        assert_eq!(scattered, m.flatten_pairs());
+        // A column over the matrix's support densifies to the same matrix.
+        let support = Arc::new(ActivePairs::from_pairs(4, &[(0, 1), (0, 3), (2, 1), (3, 0)]));
+        let values = support.iter().map(|(_, s, d)| m.get(s, d)).collect();
+        let column = SparseDemand::from_values(Arc::clone(&support), values).unwrap();
+        assert_eq!(column.total().to_bits(), m.total().to_bits());
+        let trace = TrafficTrace::from_columns("demo", 1.0, support, vec![column]);
+        assert_eq!(trace.matrix(0), m);
     }
 
     #[test]
     fn columnar_ops_mirror_matrix_ops() {
         let m = demo_matrix();
         let other = m.scaled(0.5);
-        let active = Arc::new(ActivePairs::from_matrix_support(&m));
-        let a = SparseDemand::from_matrix(&m, &active);
-        let b = SparseDemand::from_matrix(&other, &active);
+        let trace = TrafficTrace::new("demo", 1.0, vec![m.clone(), other.clone()]);
+        let (a, b) = (trace.snapshot(0), trace.snapshot(1));
 
-        assert_eq!(a.scaled(3.0).to_matrix(), m.scaled(3.0));
-        assert_eq!(a.cosine_similarity(&b).to_bits(), m.cosine_similarity(&other).to_bits());
+        assert_eq!(a.scaled(3.0).values(), m.scaled(3.0).flatten_pairs());
+        assert_eq!(a.cosine_similarity(b).to_bits(), m.cosine_similarity(&other).to_bits());
 
-        let mut c = SparseDemand::zeros(Arc::clone(&active));
-        c.copy_from(&a);
-        assert_eq!(c, a);
+        let mut c = SparseDemand::zeros(Arc::clone(trace.active()));
+        c.copy_from(a);
+        assert_eq!(&c, a);
         c.set_slot(0, -1.0);
         assert_eq!(c.values()[0], 0.0);
         c.add_slot(0, 2.0);
@@ -675,28 +613,37 @@ mod tests {
 
     #[test]
     fn sparse_trace_roundtrip_and_storage() {
-        let matrices: Vec<DemandMatrix> = (1..5)
+        let active = Arc::new(ActivePairs::from_pairs(5, &[(0, 1), (3, 2)]));
+        let columns = (1..5)
             .map(|t| {
-                let mut m = DemandMatrix::zeros(5);
-                m.set(0, 1, t as f64);
-                m.set(3, 2, 2.0 * t as f64);
-                m
+                let values = vec![t as f64, 2.0 * t as f64];
+                SparseDemand::from_values(Arc::clone(&active), values).unwrap()
             })
             .collect();
-        let dense = TrafficTrace::new("demo", 60.0, matrices);
-        let active = Arc::new(ActivePairs::from_pairs(5, &[(0, 1), (3, 2)]));
-        let columns =
-            dense.matrices().iter().map(|m| SparseDemand::from_matrix(m, &active)).collect();
-        let sparse = SparseTrace::new("demo", 60.0, active, columns);
-        assert_eq!(sparse.len(), 4);
-        assert_eq!(sparse.nnz(), 2);
-        assert_eq!(sparse.num_nodes(), 5);
-        assert_eq!(sparse.to_trace(), dense);
-        assert_eq!(sparse.slice(1..3).len(), 2);
-        assert!(sparse.demand_storage_bytes() < 4 * 20 * 8);
-        let mut grown = sparse.clone();
-        grown.push(SparseDemand::zeros(Arc::clone(sparse.active())));
-        assert_eq!(grown.len(), 5);
+        let trace = TrafficTrace::from_columns("demo", 60.0, active, columns);
+        assert_eq!(trace.len(), 4);
+        assert_eq!(trace.nnz(), 2);
+        assert_eq!(trace.num_nodes(), 5);
+        assert_eq!((trace.name(), trace.interval_seconds()), ("demo", 60.0));
+        // Densify every snapshot and gather back onto the all-pairs index:
+        // each active pair keeps its value, every other pair is zero.
+        let dense = TrafficTrace::new("demo", 60.0, (0..4).map(|t| trace.matrix(t)).collect());
+        for t in 0..4 {
+            assert_eq!(dense.snapshot(t).total(), trace.snapshot(t).total());
+            for (slot, s, d) in trace.active().iter() {
+                let full = dense.active().slot(s, d).unwrap();
+                assert_eq!(dense.snapshot(t).values()[full], trace.snapshot(t).values()[slot]);
+            }
+        }
+        assert_eq!(dense.matrix(2).get(3, 2), 6.0);
+        assert!(trace.demand_storage_bytes() < 4 * 20 * 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one ActivePairs index")]
+    fn trace_rejects_columns_of_another_index() {
+        let column = SparseDemand::zeros(Arc::new(ActivePairs::all(3)));
+        TrafficTrace::from_columns("bad", 1.0, Arc::new(ActivePairs::all(4)), vec![column]);
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Dataset splitting and history-window construction.
 //!
-//! FIGRET and DOTE map a window of `H` past demand matrices to a TE
+//! FIGRET and DOTE map a window of `H` past pair-demand vectors to a TE
 //! configuration for the next snapshot (§4.3).  This module holds the one
 //! windowed training set, [`WindowDataset`] — (history, target) samples over
-//! pair columns stored once each, built from a [`TrafficTrace`] or from the
-//! columns a serving controller observed — and the chronological train/test
-//! splits used in §5 (first 75% train, last 25% test; or the 0-25% / 25-50% /
-//! 50-75% segments of Table 4).
+//! pair columns stored once each, copied from a [`TrafficTrace`]'s columns
+//! or handed over by a serving controller — and the chronological
+//! train/test splits used in §5 (first 75% train, last 25% test; or the
+//! 0-25% / 25-50% / 50-75% segments of Table 4).
 
 use std::sync::Arc;
 
-use crate::matrix::TrafficTrace;
 use crate::ops;
+use crate::sparse::TrafficTrace;
 
 /// A chronological split of a trace into a training range and a test range.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,16 +49,14 @@ impl TrainTestSplit {
 }
 
 /// The windowed training set: (history window, target) samples over demand
-/// *columns* (one `f64` per pair of the universe, in slot order — for a dense
-/// trace, [`DemandMatrix::flatten_pairs`](crate::DemandMatrix::flatten_pairs)
-/// order).
+/// *columns* (one `f64` per pair of the universe, in slot order — for an
+/// all-pairs trace, `Graph::sd_pairs` order).
 ///
 /// Every snapshot's column is stored once, in time order; a sample is a pair
 /// of column indices, so overlapping windows share their columns instead of
 /// cloning them.  Offline callers build it from a [`TrafficTrace`]; the
 /// serving side — a controller's history buffer, a shard's restricted
-/// universe where no `N×N` matrix exists — hands over the columns it already
-/// holds.
+/// universe — hands over the columns it already holds.
 #[derive(Debug, Clone)]
 pub struct WindowDataset {
     window: usize,
@@ -83,7 +81,7 @@ impl WindowDataset {
 
     /// One sample per target snapshot of `targets`, which must ascend and have
     /// their full history windows inside the trace.  Only the snapshots some
-    /// sample covers are flattened, each once.
+    /// sample covers are copied, each once.
     pub fn from_targets(
         trace: &TrafficTrace,
         window: usize,
@@ -102,7 +100,7 @@ impl WindowDataset {
             assert!(window <= t && t < trace.len(), "target {t} has no full window in the trace");
             let first_new = (t - window).max(stored_end);
             let first = columns.len() - (first_new - (t - window));
-            columns.extend(trace.matrices()[first_new..=t].iter().map(|m| m.flatten_pairs()));
+            columns.extend(trace.snapshots()[first_new..=t].iter().map(|c| c.values().to_vec()));
             samples.push((first, first + window));
             stored_end = t + 1;
         }
@@ -233,16 +231,16 @@ mod tests {
         assert_eq!(ds.window(), 3);
         assert_eq!(ds.num_pairs(), 2);
         assert_eq!(ds.history(0), [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]]);
-        assert_eq!(ds.target(0), t.matrix(3).flatten_pairs());
-        assert_eq!(ds.history(6)[2], t.matrix(8).flatten_pairs());
-        assert_eq!(ds.target(6), t.matrix(9).flatten_pairs());
+        assert_eq!(ds.target(0), t.snapshot(3).values());
+        assert_eq!(ds.history(6)[2], t.snapshot(8).values());
+        assert_eq!(ds.target(6), t.snapshot(9).values());
         assert_eq!(ds.feature_dim(), 6);
     }
 
     #[test]
     fn flat_dataset_mirrors_the_dense_window_dataset() {
         let t = trace(10);
-        let columns: Vec<Vec<f64>> = t.matrices().iter().map(|m| m.flatten_pairs()).collect();
+        let columns: Vec<Vec<f64>> = t.snapshots().iter().map(|c| c.values().to_vec()).collect();
         assert_same_samples(
             &WindowDataset::from_columns(3, columns),
             &WindowDataset::from_trace(&t, 3, 0..10),
@@ -289,8 +287,8 @@ mod tests {
         let ds = WindowDataset::from_trace(&t, 3, 8..10);
         assert_eq!(ds.len(), 2);
         // The first history reaches back before the range's start.
-        assert_eq!(ds.history(0)[0], t.matrix(5).flatten_pairs());
-        assert_eq!(ds.target(0), t.matrix(8).flatten_pairs());
+        assert_eq!(ds.history(0)[0], t.snapshot(5).values());
+        assert_eq!(ds.target(0), t.snapshot(8).values());
         let empty = WindowDataset::from_trace(&t, 12, 0..10);
         assert!(empty.is_empty());
         assert_eq!(empty.feature_dim(), 0);
@@ -304,9 +302,9 @@ mod tests {
         assert_eq!(ds.len(), 3);
         for (i, target) in [3usize, 4, 10].into_iter().enumerate() {
             let history: Vec<Vec<f64>> =
-                t.matrices()[target - 2..target].iter().map(|m| m.flatten_pairs()).collect();
+                t.snapshots()[target - 2..target].iter().map(|c| c.values().to_vec()).collect();
             assert_eq!(ds.history(i), history);
-            assert_eq!(ds.target(i), t.matrix(target).flatten_pairs());
+            assert_eq!(ds.target(i), t.snapshot(target).values());
         }
         // Snapshots 1..=4 and 8..=10, once each.
         assert_eq!(ds.per_slot_variance().len(), 2);
@@ -366,7 +364,7 @@ mod tests {
                 (Some(first), Some(last)) => first - window..last + 1,
                 _ => 0..0,
             };
-            let columns = t.matrices()[covered].iter().map(|m| m.flatten_pairs()).collect();
+            let columns = t.snapshots()[covered].iter().map(|c| c.values().to_vec()).collect();
             assert_same_samples(&ds, &WindowDataset::from_columns(window, columns));
         }
     }

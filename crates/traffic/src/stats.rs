@@ -5,25 +5,20 @@
 //! * percentile summaries for candlestick plots,
 //! * Spearman rank correlation (Table 5's train/test variance-ranking check).
 
-use crate::matrix::TrafficTrace;
 use crate::ops;
+use crate::sparse::TrafficTrace;
 
-/// Per-SD-pair variance of the demands over the whole trace, in the
-/// `flatten_pairs` ordering.
+/// Per-SD-pair variance of the demands over the whole trace, in slot order
+/// (`flatten_pairs` order for an all-pairs trace).
 pub fn per_pair_variance(trace: &TrafficTrace) -> Vec<f64> {
     per_pair_variance_range(trace, 0..trace.len())
 }
 
 /// Per-SD-pair variance over a sub-range of snapshots (e.g. the training split,
 /// which is what the FIGRET loss uses: `σ²_{D_sd, [1-T]}`).
-///
-/// Folds the dense `n × n` stores through the shared kernel and drops the
-/// (all-zero) diagonal slots, leaving the `flatten_pairs` ordering.
 pub fn per_pair_variance_range(trace: &TrafficTrace, range: std::ops::Range<usize>) -> Vec<f64> {
-    let n = trace.num_nodes();
-    let stores = trace.matrices()[range].iter().map(|m| m.as_slice());
-    let (_, var) = ops::mean_variance(n * n, stores);
-    var.into_iter().enumerate().filter(|(i, _)| i / n != i % n).map(|(_, v)| v).collect()
+    let columns = trace.snapshots()[range].iter().map(|c| c.values());
+    ops::mean_variance(trace.nnz(), columns).1
 }
 
 /// Per-SD-pair standard deviation over a sub-range of snapshots.
@@ -108,7 +103,7 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// Windowed cosine-similarity analysis (Figure 4): for every snapshot `t >= window`,
 /// compute the **maximum** cosine similarity between `D_t` and each of the
-/// `window` preceding matrices ("find the TMs that most closely resemble this
+/// `window` preceding snapshots ("find the TMs that most closely resemble this
 /// currently-seen TM"), and summarize the distribution of those maxima.
 pub fn cosine_similarity_analysis(trace: &TrafficTrace, window: usize) -> DistributionSummary {
     DistributionSummary::from_samples(&cosine_similarity_samples(trace, window))
@@ -122,9 +117,9 @@ pub fn cosine_similarity_samples(trace: &TrafficTrace, window: usize) -> Vec<f64
         return samples;
     }
     for t in window..trace.len() {
-        let current = trace.matrix(t);
+        let current = trace.snapshot(t);
         let best = (t - window..t)
-            .map(|h| current.cosine_similarity(trace.matrix(h)))
+            .map(|h| current.cosine_similarity(trace.snapshot(h)))
             .fold(f64::NEG_INFINITY, f64::max);
         samples.push(best);
     }
@@ -186,7 +181,10 @@ fn ranks(values: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{DemandMatrix, TrafficTrace};
+    use std::sync::Arc;
+
+    use crate::matrix::DemandMatrix;
+    use crate::sparse::{ActivePairs, SparseDemand};
 
     fn small_trace() -> TrafficTrace {
         let m = |a: f64, b: f64| DemandMatrix::from_pairs(2, &[a, b]).unwrap();
@@ -243,24 +241,30 @@ mod tests {
 
     #[test]
     fn sparse_stats_match_dense_on_active_slots() {
-        // A shard's σ² weights come from its own pair columns
-        // (`WindowDataset::per_slot_variance`); on every active slot they
-        // are the trace's per-pair variance, bit for bit.
-        let active = crate::sparse::ActivePairs::from_pairs(3, &[(0, 2), (2, 1)]);
-        let matrices: Vec<DemandMatrix> = (0..6)
-            .map(|t| {
-                let mut m = DemandMatrix::zeros(3);
-                m.set(0, 2, 1.5 + (t % 3) as f64);
-                m.set(2, 1, 10.0 / (1 + t) as f64);
-                m
-            })
-            .collect();
-        let columns = matrices.iter().map(|m| vec![m.get(0, 2), m.get(2, 1)]).collect();
-        let trace = TrafficTrace::new("t", 1.0, matrices);
-        let dense = per_pair_variance(&trace);
-        let sparse = crate::split::WindowDataset::from_columns(2, columns).per_slot_variance();
+        // A restricted trace's per-pair variance, and a shard's σ² weights
+        // from its own pair columns (`WindowDataset::per_slot_variance`),
+        // are the all-pairs trace's variance on every active slot, bit for
+        // bit.
+        let active = Arc::new(ActivePairs::from_pairs(3, &[(0, 2), (2, 1)]));
+        let columns: Vec<Vec<f64>> =
+            (0..6).map(|t| vec![1.5 + (t % 3) as f64, 10.0 / (1 + t) as f64]).collect();
+        let restricted = TrafficTrace::from_columns(
+            "t",
+            1.0,
+            Arc::clone(&active),
+            columns
+                .iter()
+                .map(|c| SparseDemand::from_values(Arc::clone(&active), c.clone()).unwrap())
+                .collect(),
+        );
+        let full = TrafficTrace::new("t", 1.0, (0..6).map(|t| restricted.matrix(t)).collect());
+        let dense = per_pair_variance(&full);
+        let sparse = per_pair_variance(&restricted);
+        let dataset = crate::split::WindowDataset::from_columns(2, columns).per_slot_variance();
+        assert_eq!(sparse, dataset);
         assert_eq!(sparse.len(), active.len());
-        for (slot, flat) in active.flat_pair_ids().enumerate() {
+        for (slot, s, d) in active.iter() {
+            let flat = full.active().slot(s, d).unwrap();
             assert_eq!(sparse[slot].to_bits(), dense[flat].to_bits());
         }
     }

@@ -432,9 +432,11 @@ mod tests {
         let config = OnlineStreamConfig { seed: 123, ..Default::default() };
         let mut stream = OnlineStream::from_graph(&g, 0.25, config);
         assert!(stream.active().is_all());
-        for _ in 0..25 {
-            let c = stream.next_column().unwrap();
-            assert_eq!(c.values(), c.to_matrix().flatten_pairs());
+        let columns: Vec<SparseDemand> = (0..25).map(|_| stream.next_column().unwrap()).collect();
+        let trace =
+            crate::TrafficTrace::from_columns("online", 1.0, Arc::clone(stream.active()), columns);
+        for (t, c) in trace.snapshots().iter().enumerate() {
+            assert_eq!(c.values(), trace.matrix(t).flatten_pairs());
         }
     }
 

@@ -24,8 +24,7 @@ use rand_chacha::ChaCha8Rng;
 use figret_topology::Graph;
 
 use crate::gravity::gravity_matrix;
-use crate::matrix::TrafficTrace;
-use crate::sparse::{ActivePairs, SparseDemand, SparseTrace};
+use crate::sparse::{ActivePairs, SparseDemand, TrafficTrace};
 
 /// Parameters of the WAN trace generator.
 #[derive(Debug, Clone)]
@@ -79,9 +78,7 @@ struct PairProfile {
 
 /// Generates a GEANT-like WAN trace over `graph`.
 ///
-/// WANs are small, so the trace is dense; its snapshots are assembled as
-/// columns over the all-pairs index (gravity bases are full) and densified
-/// at the end.
+/// WAN demand is full, so the columns run over the all-pairs index.
 pub fn wan_trace(graph: &Graph, config: &WanTrafficConfig) -> TrafficTrace {
     let n = graph.num_nodes();
     let active = Arc::new(ActivePairs::all(n));
@@ -125,8 +122,12 @@ pub fn wan_trace(graph: &Graph, config: &WanTrafficConfig) -> TrafficTrace {
         }
         columns.push(col);
     }
-    SparseTrace::new(format!("{}-wan", graph.name()), config.interval_seconds, active, columns)
-        .to_trace()
+    TrafficTrace::from_columns(
+        format!("{}-wan", graph.name()),
+        config.interval_seconds,
+        active,
+        columns,
+    )
 }
 
 #[cfg(test)]
@@ -145,7 +146,7 @@ mod tests {
         let t = geant_trace(100);
         assert_eq!(t.len(), 100);
         assert_eq!(t.num_nodes(), 23);
-        assert!(t.matrices().iter().all(|m| m.total() > 0.0));
+        assert!(t.snapshots().iter().all(|c| c.total() > 0.0));
     }
 
     #[test]
@@ -153,13 +154,13 @@ mod tests {
         let t = geant_trace(400);
         let mut sims = Vec::new();
         for i in 1..t.len() {
-            sims.push(t.matrix(i).cosine_similarity(t.matrix(i - 1)));
+            sims.push(t.snapshot(i).cosine_similarity(t.snapshot(i - 1)));
         }
         sims.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = sims[sims.len() / 2];
         assert!(median > 0.95, "WAN traffic should be mostly stable (median similarity {median})");
         // Max over the trace should exceed the mean noticeably => bursts present.
-        let totals: Vec<f64> = t.matrices().iter().map(|m| m.max_entry()).collect();
+        let totals: Vec<f64> = t.snapshots().iter().map(|c| c.max_entry()).collect();
         let mean: f64 = totals.iter().sum::<f64>() / totals.len() as f64;
         let max = totals.iter().cloned().fold(0.0, f64::max);
         assert!(max > 1.8 * mean, "bursts should create clear peaks (max {max}, mean {mean})");

@@ -54,13 +54,13 @@ fn main() {
     let test = WindowDataset::from_targets(&trace, window, targets.iter().copied());
     let (mut features, mut raw, mut cfg) = (Vec::new(), Vec::new(), TeConfig::default());
     let mut sums = [0.0f64; 4]; // figret, dote, uniform, omniscient
-    for (i, &t) in targets.iter().enumerate() {
+    for i in 0..test.len() {
         let demand = test.target(i);
         for (sum, model) in sums.iter_mut().zip(&mut models) {
             model.candidate_into(&paths, test.history(i), &mut features, &mut raw, &mut cfg);
             *sum += max_link_utilization_pairs(&paths, &cfg, demand);
         }
-        let omni = omniscient_config(&paths, trace.matrix(t)).expect("omniscient solves");
+        let omni = omniscient_config(&paths, demand).expect("omniscient solves");
         sums[2] += max_link_utilization_pairs(&paths, &TeConfig::uniform(&paths), demand);
         sums[3] += max_link_utilization_pairs(&paths, &omni, demand);
     }

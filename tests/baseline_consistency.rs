@@ -23,9 +23,8 @@ fn omniscient_prediction_and_desensitization_are_ordered_sensibly() {
     let (_graph, paths, trace) = setup();
     let t = trace.len() - 1;
     let history: Vec<Vec<f64>> =
-        trace.matrices()[t - 8..t].iter().map(|m| m.flatten_pairs()).collect();
-    let realized = trace.matrix(t);
-    let realized_pairs = realized.flatten_pairs();
+        trace.snapshots()[t - 8..t].iter().map(|c| c.values().to_vec()).collect();
+    let realized = trace.snapshot(t).values();
 
     // Pred TE solves for the last snapshot, Des TE for the window's peak
     // under the uniform sensitivity cap.
@@ -42,9 +41,9 @@ fn omniscient_prediction_and_desensitization_are_ordered_sensibly() {
     let des =
         solve_min_mlu(&MluProblem::new(&paths, peak).with_sensitivity_bounds(bounds)).unwrap();
 
-    let omni_mlu = max_link_utilization_pairs(&paths, &omni, &realized_pairs);
-    let pred_mlu = max_link_utilization_pairs(&paths, &pred, &realized_pairs);
-    let des_mlu = max_link_utilization_pairs(&paths, &des, &realized_pairs);
+    let omni_mlu = max_link_utilization_pairs(&paths, &omni, realized);
+    let pred_mlu = max_link_utilization_pairs(&paths, &pred, realized);
+    let des_mlu = max_link_utilization_pairs(&paths, &des, realized);
 
     assert!(omni_mlu <= pred_mlu + 1e-9, "omniscient must lower-bound prediction TE");
     assert!(omni_mlu <= des_mlu + 1e-9, "omniscient must lower-bound desensitization TE");
@@ -58,16 +57,16 @@ fn omniscient_prediction_and_desensitization_are_ordered_sensibly() {
 #[test]
 fn rerouted_configurations_remain_valid_and_evaluable() {
     let (graph, paths, trace) = setup();
-    let demand = trace.matrix(0).flatten_pairs();
+    let demand = trace.snapshot(0).values();
     let scenario = random_link_failures(&graph, 2, 5).expect("the full mesh survives 2 failures");
     for config in [TeConfig::uniform(&paths), TeConfig::shortest_path(&paths)] {
         let rerouted = reroute_around_failures(&paths, &config, &scenario);
         assert!(rerouted.is_valid(&paths));
-        let mlu = max_link_utilization_pairs(&paths, &rerouted, &demand);
+        let mlu = max_link_utilization_pairs(&paths, &rerouted, demand);
         assert!(mlu.is_finite() && mlu > 0.0);
         // Rerouting around failures cannot decrease the load on the surviving
         // links for the same demand, so the MLU never improves.
-        let before = max_link_utilization_pairs(&paths, &config, &demand);
+        let before = max_link_utilization_pairs(&paths, &config, demand);
         assert!(mlu + 1e-9 >= before);
     }
 }
@@ -75,13 +74,13 @@ fn rerouted_configurations_remain_valid_and_evaluable() {
 #[test]
 fn lp_and_iterative_engines_agree_on_the_web_pod_fabric() {
     let (_graph, paths, trace) = setup();
-    let demand = trace.matrix(10).flatten_pairs();
-    let problem = MluProblem::new(&paths, demand.clone());
+    let demand = trace.snapshot(10).values();
+    let problem = MluProblem::new(&paths, demand.to_vec());
     let lp = solve_lp(&problem).unwrap();
     let iterative =
         solve_iterative(&problem, IterativeSettings { iterations: 800, ..Default::default() });
-    let lp_mlu = max_link_utilization_pairs(&paths, &lp, &demand);
-    let it_mlu = max_link_utilization_pairs(&paths, &iterative, &demand);
+    let lp_mlu = max_link_utilization_pairs(&paths, &lp, demand);
+    let it_mlu = max_link_utilization_pairs(&paths, &iterative, demand);
     assert!(
         it_mlu <= lp_mlu * 1.08 + 1e-9,
         "iterative engine ({it_mlu:.4}) should be within a few percent of the LP ({lp_mlu:.4})"

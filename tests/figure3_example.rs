@@ -107,7 +107,7 @@ fn train_on_the_bursty_pair(alpha: f64) -> (f64, f64) {
     model.train(&WindowDataset::from_trace(&trace, h, 0..trace.len()));
     // Snapshot SNAPSHOTS (even) would be normal.
     let history: Vec<Vec<f64>> =
-        trace.matrices()[SNAPSHOTS - h..].iter().map(DemandMatrix::flatten_pairs).collect();
+        trace.snapshots()[SNAPSHOTS - h..].iter().map(|c| c.values().to_vec()).collect();
     let te = model.predict_flat(&ps, &history);
     let s_max = max_sensitivity_per_pair(&ps, &te)[pair_bc(&ps)];
     (s_max, mlu(&ps, &te, &demand(1.0, 1.0, 1.0)))
