@@ -75,9 +75,9 @@ impl ExperimentOptions {
     /// Extracts the common options from parsed [`FlagValues`] (shared with
     /// binaries that extend the flag set).  `--fast` lowers the *default*
     /// trace length and evaluation budget; explicit `--snapshots` /
-    /// `--max-eval` always win.  A value no run can use — a window of 0, or
-    /// a trace whose training split holds no full window — is an error
-    /// naming the flag.
+    /// `--max-eval` always win.  A value no run can use — a window of 0, an
+    /// evaluation budget of 0, or a trace whose training split holds no full
+    /// window — is an error naming the flag.
     pub fn from_flag_values(values: &FlagValues) -> Result<ExperimentOptions, String> {
         let fast = values.switch("fast");
         let mut snapshots = values.number("snapshots");
@@ -100,12 +100,15 @@ impl ExperimentOptions {
         Ok(options)
     }
 
-    /// The window must span a snapshot, and the scenarios' chronological
-    /// split must leave a training sample: a target snapshot inside the
-    /// training range with a full window before it.
+    /// The window must span a snapshot, a run must evaluate one, and the
+    /// scenarios' chronological split must leave a training sample: a target
+    /// snapshot inside the training range with a full window before it.
     fn check(&self) -> Result<(), String> {
         if self.window == 0 {
             return Err("--window must be at least 1".to_string());
+        }
+        if self.max_eval == 0 {
+            return Err("--max-eval must be at least 1".to_string());
         }
         let fraction = self.scenario_options().train_fraction;
         let trains = |n: usize| TrainTestSplit::chronological(n, fraction).train.end > self.window;

@@ -11,17 +11,13 @@
 //! (omniscient) or the forecast a serving predictor makes from the history
 //! window ([`LastValue`] for Pred TE, the [`SlidingMax`] peak for the
 //! desensitization schemes).
-//! `lp_series_or_parallel` builds both of its solvers from that data: a
-//! warm-started [`MluTemplate`], built once, where each snapshot moves its
-//! right-hand side and seeds from the previous snapshots' optima (one cold
-//! solve plus `T − 1` much cheaper re-solves), and the one-shot
-//! [`solve_min_mlu`] problem of the per-snapshot rayon fan-out.  The
-//! template series is solved sequentially — warm starting is inherently
-//! order-dependent — which also makes it deterministic by construction; when
-//! a probe prefix shows that no seed survives on a trace (heavily bursty
-//! on/off demands), the remainder of the series runs on the fan-out.  Path
-//! sets too large for the LP ([`solves_exactly`]) run the whole series on
-//! the fan-out, where [`solve_min_mlu`] uses the iterative engine.  Learned
+//! `lp_series` solves each of them as one warm-started [`MluTemplate`],
+//! built once, where each snapshot moves its right-hand side and seeds from
+//! the previous snapshots' optima.  The series is solved sequentially —
+//! warm starting is inherently order-dependent — which also makes it
+//! deterministic by construction.  Path sets too large for the LP
+//! ([`solves_exactly`]) run a per-snapshot rayon fan-out of the iterative
+//! engine ([`solve_iterative`]) instead.  Learned
 //! schemes compile the trained model once and compute each configuration
 //! through the serving controller's forward pass
 //! ([`ServedModel::candidate_into`]: the f32 plan, then ratio
@@ -30,7 +26,6 @@
 //! solver work (pivots per phase, reinversions, warm-start acceptance) is
 //! threaded into [`SchemeRun::lp_stats`] for the reports.
 
-use std::ops::Range;
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -38,9 +33,9 @@ use rayon::prelude::*;
 use figret::{FigretConfig, FigretModel, TealLikeModel};
 use figret_serve::{LastValue, OnlinePredictor, ServedModel, SlidingMax};
 use figret_solvers::{
-    cope_config, desensitization_bounds, heuristic_absolute_bounds, solve_min_mlu, solves_exactly,
-    CopeSettings, CuttingPlaneSettings, DesensitizationSettings, HeuristicBound, HoseModel,
-    MluProblem, MluTemplate, SeriesStats,
+    cope_config, desensitization_bounds, heuristic_absolute_bounds, solve_iterative,
+    solves_exactly, CopeSettings, CuttingPlaneSettings, DesensitizationSettings, HeuristicBound,
+    HoseModel, IterativeSettings, MluProblem, MluTemplate, SeriesStats,
 };
 use figret_te::{
     available_paths, max_link_utilization_pairs, mean_series_churn, normalize_by,
@@ -200,14 +195,14 @@ pub fn omniscient_series(scenario: &Scenario, options: &EvalOptions) -> Vec<f64>
 }
 
 /// [`omniscient_series`] plus the accumulated LP solver work (all-zero on a
-/// path set solved by the iterative engine); see `lp_series_or_parallel`.
+/// path set solved by the iterative engine); see `lp_series`.
 pub fn omniscient_series_with_stats(
     scenario: &Scenario,
     options: &EvalOptions,
 ) -> (Vec<f64>, SeriesStats) {
     let evaluated = options.evaluated(scenario, &options.eval_indices(scenario));
     let availability = options.failure.as_ref().map(|f| available_paths(&scenario.paths, f));
-    let (configs, _, _, stats) = lp_series_or_parallel(
+    let (configs, _, _, stats) = lp_series(
         scenario,
         evaluated.len(),
         &None, // the oracle's availability mask already encodes the failure
@@ -229,98 +224,23 @@ pub(crate) fn forecast(mut predictor: impl OnlinePredictor, history: &[Vec<f64>]
     demand
 }
 
-/// Computes one configuration per evaluated sample in parallel: times
-/// `solve` and applies the optional failure rerouting.  Returns the deployed
-/// configurations in sample order plus the summed solve time.
-fn per_snapshot_parallel<F>(
-    scenario: &Scenario,
-    samples: Range<usize>,
-    failure: &Option<FailureScenario>,
-    solve: F,
-) -> (Vec<TeConfig>, f64)
-where
-    F: Fn(usize) -> TeConfig + Sync,
-{
-    let results: Vec<(f64, TeConfig)> = samples
-        .into_par_iter()
-        .map(|i| {
-            let start = Instant::now();
-            let config = solve(i);
-            let secs = start.elapsed().as_secs_f64();
-            (secs, apply_failure(scenario, config, failure))
-        })
-        .collect();
-    let solve_seconds = results.iter().map(|(s, _)| s).sum();
-    let configs = results.into_iter().map(|(_, c)| c).collect();
-    (configs, solve_seconds)
-}
-
-/// Runs one warm-started template over the evaluated samples (sequentially
-/// — each solve seeds from the previous sample's basis): times the demand
-/// assembly + solve and applies the optional failure rerouting.  Returns the
-/// deployed configurations in sample order, the summed solve time and the
-/// accumulated solver work.
-fn per_snapshot_template<F>(
-    scenario: &Scenario,
-    samples: Range<usize>,
-    failure: &Option<FailureScenario>,
-    template: &mut MluTemplate,
-    demand_of: F,
-) -> (Vec<TeConfig>, f64, SeriesStats)
-where
-    F: Fn(usize) -> Vec<f64>,
-{
-    let mut stats = SeriesStats::default();
-    let mut solve_seconds = 0.0;
-    let mut configs = Vec::with_capacity(samples.len());
-    for i in samples {
-        let start = Instant::now();
-        let demand = demand_of(i);
-        let (config, solve_stats) = template
-            .solve(&scenario.paths, &demand)
-            .expect("templated min-MLU LP must be solvable");
-        solve_seconds += start.elapsed().as_secs_f64();
-        stats.record(&solve_stats);
-        configs.push(apply_failure(scenario, config, failure));
-    }
-    (configs, solve_seconds, stats)
-}
-
-/// Sequential template solves before deciding whether warm starting pays on
-/// this trace (see [`lp_series_or_parallel`]).
-const WARM_PROBE_SNAPSHOTS: usize = 4;
-
 /// One LP-based scheme over the `samples` evaluated snapshots, stated once:
 /// the series-static `sensitivity_bounds` (absolute units) and `available`
 /// mask, and `demand_of`, the demand solved for at a sample (a pair
-/// column).  Both solvers are built from that data — the
-/// [`MluTemplate::with_options`] series and the per-snapshot [`MluProblem`]
-/// of the parallel one-shot fan-out — so they solve the same program.
+/// column).
 ///
-/// On a path set too large for the LP ([`solves_exactly`]) the whole series
-/// runs on the fan-out, where [`solve_min_mlu`] uses the iterative engine.
-/// Otherwise warm starting is inherently sequential, so it is only worth
-/// giving up the fan-out when seeds are actually accepted: the first
-/// [`WARM_PROBE_SNAPSHOTS`] solves run through the template, and if *no*
-/// re-solve accepted its seed (heavily bursty traces — the damage gate
-/// rejects every basis) the remaining snapshots run on the fan-out instead.
-/// The decision is made from deterministic sequential state, so results stay
-/// deterministic.
-///
-/// The fork stays because a cold solve of the flow-form template costs more
-/// than the one-shot ratio-form solve it falls back to.  On the reduced ToR
-/// DB (100 snapshots, window 4, 6 evaluated snapshots, no seed accepted; 2
-/// vCPUs) six cold template solves took 0.95 s for Pred TE against 0.23 s
-/// for six one-shot solves, and 6.3 s against 3.5 s for Des TE; replaying
-/// every series through the template made `fig5_quality --fast --snapshots
-/// 100 --max-eval 6 --window 4` ≈ 15 % slower.
+/// On path sets the LP solves ([`solves_exactly`]) the scheme is one
+/// [`MluTemplate::with_options`] series, solved sequentially — each solve
+/// seeds from the previous samples' optima, which also makes the series
+/// deterministic by construction.  A path set too large for the LP runs a
+/// rayon fan-out of [`solve_iterative`] problems instead, one per sample.
+/// Each solve is timed with its demand assembly, and the optional failure
+/// rerouting is applied to its configuration.
 ///
 /// Returns `(deployed config series, summed per-snapshot solve seconds,
 /// one-off template-construction seconds, accumulated solver work)` —
-/// construction is precomputation, not per-snapshot work (the one-shot path
-/// rebuilds the program inside every timed solve; the template path must not
-/// hide that cost entirely nor book it per snapshot).
-fn lp_series_or_parallel<F>(
+/// construction is precomputation, not per-snapshot work.
+fn lp_series<F>(
     scenario: &Scenario,
     samples: usize,
     failure: &Option<FailureScenario>,
@@ -331,40 +251,38 @@ fn lp_series_or_parallel<F>(
 where
     F: Fn(usize) -> Vec<f64> + Sync,
 {
-    let one_shot = |i: usize| {
-        let mut problem = MluProblem::new(&scenario.paths, demand_of(i));
-        problem.sensitivity_bounds = sensitivity_bounds.clone();
-        problem.available = available.clone();
-        solve_min_mlu(&problem).expect("min-MLU program must be solvable")
-    };
-    if !solves_exactly(scenario.paths.num_paths()) {
-        let (configs, secs) = per_snapshot_parallel(scenario, 0..samples, failure, one_shot);
-        return (configs, secs, 0.0, SeriesStats::default());
+    let paths = &scenario.paths;
+    if !solves_exactly(paths.num_paths()) {
+        let timed: Vec<(f64, TeConfig)> = (0..samples)
+            .into_par_iter()
+            .map(|i| {
+                let start = Instant::now();
+                let mut problem = MluProblem::new(paths, demand_of(i));
+                problem.sensitivity_bounds = sensitivity_bounds.clone();
+                problem.available = available.clone();
+                let config = solve_iterative(&problem, IterativeSettings::default());
+                (start.elapsed().as_secs_f64(), apply_failure(scenario, config, failure))
+            })
+            .collect();
+        let solve_seconds = timed.iter().map(|(s, _)| s).sum();
+        let configs = timed.into_iter().map(|(_, c)| c).collect();
+        return (configs, solve_seconds, 0.0, SeriesStats::default());
     }
     let start = Instant::now();
-    let mut template =
-        MluTemplate::with_options(&scenario.paths, sensitivity_bounds.clone(), available.clone());
+    let mut template = MluTemplate::with_options(paths, sensitivity_bounds, available);
     let precompute_seconds = start.elapsed().as_secs_f64();
-    let probe_len = samples.min(WARM_PROBE_SNAPSHOTS);
-    let (probe, rest) = (0..probe_len, probe_len..samples);
-    let (mut configs, mut secs, mut stats) =
-        per_snapshot_template(scenario, probe, failure, &mut template, &demand_of);
-    if !rest.is_empty() {
-        if stats.warm_solves > 0 {
-            let (more, more_secs, more_stats) =
-                per_snapshot_template(scenario, rest, failure, &mut template, &demand_of);
-            configs.extend(more);
-            secs += more_secs;
-            stats.merge(&more_stats);
-        } else {
-            // No seed survived the probe: finish on the parallel one-shot
-            // path (same optima; `stats` then covers the probe prefix only).
-            let (more, more_secs) = per_snapshot_parallel(scenario, rest, failure, one_shot);
-            configs.extend(more);
-            secs += more_secs;
-        }
+    let mut stats = SeriesStats::default();
+    let mut solve_seconds = 0.0;
+    let mut configs = Vec::with_capacity(samples);
+    for i in 0..samples {
+        let start = Instant::now();
+        let (config, solve_stats) =
+            template.solve(paths, &demand_of(i)).expect("templated min-MLU LP must be solvable");
+        solve_seconds += start.elapsed().as_secs_f64();
+        stats.record(&solve_stats);
+        configs.push(apply_failure(scenario, config, failure));
     }
-    (configs, secs, precompute_seconds, stats)
+    (configs, solve_seconds, precompute_seconds, stats)
 }
 
 /// Evaluates deployed configurations (one per evaluated sample, in order)
@@ -433,7 +351,7 @@ pub(crate) fn deployed_series(
                 .collect();
             (configs, solve_seconds, precompute_seconds, SeriesStats::default())
         }
-        Scheme::Desensitization(settings) => lp_series_or_parallel(
+        Scheme::Desensitization(settings) => lp_series(
             scenario,
             samples,
             &options.failure,
@@ -445,7 +363,7 @@ pub(crate) fn deployed_series(
             let failure = options.failure.clone().unwrap_or_else(FailureScenario::none);
             // The fault-aware LP already routes around the failures, so no
             // post-hoc rerouting is applied.
-            lp_series_or_parallel(
+            lp_series(
                 scenario,
                 samples,
                 &None,
@@ -455,7 +373,7 @@ pub(crate) fn deployed_series(
             )
         }
         Scheme::Prediction => {
-            lp_series_or_parallel(scenario, samples, &options.failure, None, None, last_value)
+            lp_series(scenario, samples, &options.failure, None, None, last_value)
         }
         Scheme::Oblivious | Scheme::Cope => {
             let hose = HoseModel::fit(&scenario.trace, scenario.split.train.clone(), 1.0);
@@ -479,7 +397,7 @@ pub(crate) fn deployed_series(
             let configs = vec![apply_failure(scenario, config, &options.failure); samples];
             (configs, 0.0, precompute_seconds, SeriesStats::default())
         }
-        Scheme::HeuristicFineGrained(bound) => lp_series_or_parallel(
+        Scheme::HeuristicFineGrained(bound) => lp_series(
             scenario,
             samples,
             &options.failure,
@@ -493,10 +411,10 @@ pub(crate) fn deployed_series(
 /// Runs a scheme over the evaluated snapshots of a scenario: its deployed
 /// series (`deployed_series`), scored by the one MLU evaluator.
 ///
-/// Per-snapshot work runs on the rayon pool: LP-based schemes solve their
-/// programs in parallel, learned schemes serve each window through the
-/// compiled plan, and the MLUs are evaluated in parallel.  The reported
-/// series is always in snapshot order.
+/// LP-based schemes solve one warm-started series (`lp_series`), learned
+/// schemes serve each window through the compiled plan, and the MLUs are
+/// evaluated in parallel on the rayon pool.  The reported series is always
+/// in snapshot order.
 pub fn run_scheme(scenario: &Scenario, scheme: &Scheme, options: &EvalOptions) -> SchemeRun {
     let indices = options.eval_indices(scenario);
     let evaluated = options.evaluated(scenario, &indices);

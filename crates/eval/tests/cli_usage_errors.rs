@@ -27,6 +27,15 @@ fn a_zero_window_is_a_usage_error() {
 }
 
 #[test]
+fn a_zero_evaluation_budget_is_a_usage_error() {
+    // `serve_sim` once served zero ticks and exited 0 with empty digests.
+    for binary in [FIG5, SERVE_SIM] {
+        let stderr = usage_error(binary, &["--fast", "--max-eval", "0"]);
+        assert!(stderr.contains("--max-eval must be at least 1"), "{stderr}");
+    }
+}
+
+#[test]
 fn a_trace_without_a_training_sample_is_a_usage_error() {
     for binary in [FIG5, TABLE2, SERVE_SIM] {
         let stderr = usage_error(binary, &["--fast", "--snapshots", "5"]);

@@ -300,6 +300,136 @@ mod proptests {
             }
         }
 
+        /// A forcing row pins its columns at zero: the sparse corpus plus one
+        /// equality row `Σ_{j∈S} a_j x_j = 0` with positive `a_j` solves like
+        /// the same program with that row and the columns of `S` deleted by
+        /// hand — the same verdict, objectives within 1e-9, the columns of
+        /// `S` at zero, and duals that still certify the optimum.
+        #[test]
+        fn forcing_row_solves_like_its_columns_deleted(
+            (lp, picks) in arbitrary_sparse_lp().prop_flat_map(|lp| {
+                let n = lp.num_vars();
+                (Just(lp), proptest::collection::vec((0.0f64..1.0, 0.2f64..3.0), n))
+            }),
+        ) {
+            // `S`: about half the columns, at least one, never all of them.
+            let mut forced: Vec<(usize, f64)> = picks
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.0 < 0.5)
+                .map(|(j, p)| (j, p.1))
+                .collect();
+            if forced.is_empty() {
+                forced.push((0, picks[0].1));
+            }
+            if forced.len() == lp.num_vars() {
+                forced.pop();
+            }
+            let mut with_row = lp.clone();
+            with_row.add_constraint(forced.clone(), Relation::Equal, 0.0);
+            // The kept columns, renumbered in order.
+            let mut kept = vec![None; lp.num_vars()];
+            let mut next = 0;
+            for (j, slot) in kept.iter_mut().enumerate() {
+                if forced.iter().all(|&(f, _)| f != j) {
+                    *slot = Some(next);
+                    next += 1;
+                }
+            }
+            let mut deleted = LinearProgram::new(lp.direction());
+            for (j, &c) in lp.objective().iter().enumerate() {
+                if kept[j].is_some() {
+                    deleted.add_variable(c);
+                }
+            }
+            for row in lp.constraints() {
+                let coeffs = row.coeffs.iter().filter_map(|&(j, a)| kept[j].map(|k| (k, a)));
+                deleted.add_constraint(coeffs.collect(), row.relation, row.rhs);
+            }
+            match (solve(&with_row), solve(&deleted)) {
+                (Ok(f), Ok(d)) => {
+                    prop_assert!((f.objective_value - d.objective_value).abs() < 1e-9,
+                        "objectives diverge: forcing row {} vs deleted {}",
+                        f.objective_value, d.objective_value);
+                    prop_assert!(with_row.is_feasible(&f.values, 1e-6));
+                    for &(j, _) in &forced {
+                        prop_assert_eq!(f.values[j], 0.0, "forced column {}", j);
+                    }
+                    let verdict = duals_certify(&with_row, &f);
+                    prop_assert!(verdict.is_ok(), "{verdict:?}");
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => prop_assert!(false,
+                    "verdicts diverge: forcing row {a:?} vs deleted {b:?}"),
+            }
+        }
+
+        /// Forcing rows that come and go: a min-MLU program over path flows
+        /// whose pair demands drop to zero and come back, re-solved through a
+        /// template (pooled bases that keep a silent pair's artificial,
+        /// seeded crashes), must match a cold solve at every step, with a
+        /// silent pair's flows at zero.
+        #[test]
+        fn template_follows_pairs_that_fall_silent_and_return(
+            (paths, capacities, demands) in (2usize..5, 2usize..6).prop_flat_map(|(pairs, edges)| (
+                // Two or three paths per pair, each over a random edge mask.
+                proptest::collection::vec(
+                    proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, edges), 2..4),
+                    pairs,
+                ),
+                proptest::collection::vec(1.0f64..3.0, edges),
+                proptest::collection::vec(
+                    proptest::collection::vec((0.0f64..1.0, 0.5f64..4.0), pairs),
+                    2..8,
+                ),
+            )),
+        ) {
+            let mut lp = LinearProgram::new(Direction::Minimize);
+            let theta = lp.add_variable(1.0);
+            let mut flows = Vec::new();
+            for (pair, pair_paths) in paths.iter().enumerate() {
+                let first = lp.num_vars();
+                for _ in pair_paths {
+                    flows.push((pair, lp.add_variable(0.0)));
+                }
+                let row = (first..lp.num_vars()).map(|f| (f, 1.0)).collect();
+                lp.add_constraint(row, Relation::Equal, 0.0);
+            }
+            for (e, &capacity) in capacities.iter().enumerate() {
+                let mut row: Vec<(usize, f64)> = Vec::new();
+                let mut f = 1;
+                for pair_paths in &paths {
+                    for mask in pair_paths {
+                        if mask[e] < 0.5 {
+                            row.push((f, 1.0));
+                        }
+                        f += 1;
+                    }
+                }
+                row.push((theta, -capacity));
+                lp.add_constraint(row, Relation::LessEq, 0.0);
+            }
+            let mut template = LpTemplate::new(lp);
+            for (step, column) in demands.iter().enumerate() {
+                for (pair, &(silent, volume)) in column.iter().enumerate() {
+                    template.set_rhs(pair, if silent < 0.4 { 0.0 } else { volume });
+                }
+                let warm = template.solve().expect("template solve must succeed");
+                let cold = revised::solve(template.lp()).expect("cold solve must succeed");
+                prop_assert!((warm.objective_value - cold.objective_value).abs() < 1e-6,
+                    "step {step}: warm {} vs cold {}", warm.objective_value, cold.objective_value);
+                prop_assert!(template.lp().is_feasible(&warm.values, 1e-6));
+                // A flow basic since its pair was active reads B⁻¹b: zero up
+                // to rounding.
+                for &(pair, f) in &flows {
+                    if column[pair].0 < 0.4 {
+                        prop_assert!(warm.values[f] < 1e-9,
+                            "step {step}: silent pair {pair} carries {}", warm.values[f]);
+                    }
+                }
+            }
+        }
+
         /// Warm-start-equals-cold-start: over a sequence of perturbed RHS
         /// values, a template (warm) solve and a from-scratch (cold) solve of
         /// the same program must produce the same optimum.

@@ -48,14 +48,25 @@
 //! without etas, sparse FTRANs only visit the etas they excite), so the work
 //! scales with the nonzeros actually involved.
 //!
+//! **Forcing rows** never let their columns enter.  An equality row with
+//! right-hand side exactly 0 whose structural coefficients share one sign
+//! holds each of those columns at 0 — in the flow-form min-MLU template,
+//! the conservation row of a pair with zero demand.  Pricing, the candidate
+//! list, the dual ratio row, the crash and the drive-out of artificials all
+//! pass such columns over, and the row keeps its artificial, basic at
+//! exactly 0: the program is solved with the silent pair's flows deleted.
+//! The set is read from the form's right-hand side at every solve (a
+//! template's moves), and optimality is still a clean sweep over every
+//! admissible column.
+//!
 //! Cold solves avoid phase 1 where the shape allows it: a **crash basis**
-//! assigns each equality row a structural column exclusive to it (a path's
-//! flow lives in exactly one conservation row), a **lift step** enters the
-//! min-max variable (θ) at the worst-ratio row — which makes the whole crash
-//! point feasible in one pivot — and dual-simplex repair mops up whatever is
-//! left.  When the crash does not fit (`≥` rows, no exclusive columns) the
-//! classic two-phase method runs instead.  A series solve may pass the
-//! previous optimum's values as a **crash hint**: each equality row then
+//! assigns each equality row but a forcing one a structural column exclusive to
+//! it (a path's flow lives in exactly one conservation row), a **lift step**
+//! enters the min-max variable (θ) at the worst-ratio row — which makes the
+//! whole crash point feasible in one pivot — and dual-simplex repair mops up
+//! whatever is left.  When the crash does not fit (`≥` rows, no exclusive
+//! columns) the classic two-phase method runs instead.  A series solve may pass
+//! the previous optimum's values as a **crash hint**: each equality row then
 //! takes its exclusive column with the largest previous value, so the crash
 //! point is "every pair on last solve's dominant path" — feasible after the
 //! lift whatever happened to the right-hand side — and phase 2 starts next to
@@ -459,7 +470,7 @@ impl RowSweep {
 
     #[cfg(test)]
     fn is_marked(&self, c: usize) -> bool {
-        self.marks[c / 64] & (1u64 << (c % 64)) != 0
+        is_set(&self.marks, c)
     }
 
     /// Adds `sign · v[r] · A[r, c]` over the rows `r` of `support`
@@ -510,6 +521,50 @@ impl RowSweep {
 /// [`Simplex::should_refactorize`]).
 fn update_nnz_limit(rows: usize) -> usize {
     16 * rows + 1024
+}
+
+/// Whether bit `c` of a column bitset is set.
+fn is_set(bits: &[u64], c: usize) -> bool {
+    bits[c / 64] & (1u64 << (c % 64)) != 0
+}
+
+/// The form's forcing rows, and the columns they pin at zero as a bitset
+/// over every column: an equality row whose right-hand side is exactly 0
+/// and whose nonzero structural coefficients all share one sign forces each
+/// of those columns to 0, since `x ≥ 0`.  Read from the current right-hand
+/// side, so a template's sets follow its updates.
+fn forcing_rows(form: &StandardForm) -> (Vec<bool>, Vec<u64>) {
+    let mut rows = vec![false; form.num_rows()];
+    let mut forced = vec![0u64; form.total_cols.div_ceil(64)];
+    for (r, relation) in form.relations.iter().enumerate() {
+        if *relation != Relation::Equal || form.rhs[r] != 0.0 {
+            continue;
+        }
+        let (cols, vals) = form.matrix.row(r);
+        let structural = || cols.iter().zip(vals).filter(|&(&c, &v)| c < form.num_vars && v != 0.0);
+        if structural().all(|(_, &v)| v > 0.0) || structural().all(|(_, &v)| v < 0.0) {
+            rows[r] = true;
+            for (&c, _) in structural() {
+                forced[c / 64] |= 1u64 << (c % 64);
+            }
+        }
+    }
+    (rows, forced)
+}
+
+/// How many equality rows each structural column appears in with a
+/// nonzero coefficient.
+fn equality_appearances(form: &StandardForm) -> Vec<usize> {
+    let mut appearances = vec![0usize; form.num_vars];
+    for r in (0..form.num_rows()).filter(|&r| form.relations[r] == Relation::Equal) {
+        let (cols, vals) = form.matrix.row(r);
+        for (&c, &v) in cols.iter().zip(vals) {
+            if c < form.num_vars && v.abs() > EPS {
+                appearances[c] += 1;
+            }
+        }
+    }
+    appearances
 }
 
 /// The program in computational standard form: `min cᵀx  s.t.  Ax = b, x ≥ 0`
@@ -723,6 +778,14 @@ struct Simplex<'a> {
     rho_support: Vec<u32>,
     /// ...and its admissible entering columns `(column, alpha, d)`.
     candidates: Vec<(usize, f64, f64)>,
+    /// Whether each row is a forcing row, and one bit per column, set on the
+    /// columns those rows pin at zero (see [`forcing_rows`]): none of them
+    /// may enter.
+    forcing: Vec<bool>,
+    forced: Vec<u64>,
+    /// Equality rows each structural column appears in (the crash basis's
+    /// exclusive columns appear in one).
+    appearances: Vec<usize>,
     reinversion: Reinversion,
 }
 
@@ -731,6 +794,7 @@ impl<'a> Simplex<'a> {
     /// basis (`x_B = b`).
     fn new(form: &'a StandardForm, partial_pricing: bool) -> Simplex<'a> {
         let m = form.num_rows();
+        let (forcing, forced) = forcing_rows(form);
         let mut simplex = Simplex {
             form,
             basis: vec![0; m],
@@ -751,6 +815,9 @@ impl<'a> Simplex<'a> {
             rho: vec![0.0; m],
             rho_support: Vec::with_capacity(m),
             candidates: Vec::with_capacity(form.art_start),
+            forcing,
+            forced,
+            appearances: equality_appearances(form),
             reinversion: Reinversion::with_rows(m),
         };
         simplex.reset();
@@ -797,6 +864,26 @@ impl<'a> Simplex<'a> {
             }
             self.row_of[c] = r;
         }
+        // A forcing row's artificial stays basic in the optimum (see
+        // `start_crash`).  Where the row has since stopped forcing — the
+        // pair's demand came back — the row's exclusive column takes the
+        // artificial's place before the basis is factorized, which costs no
+        // BTRAN.
+        for r in 0..form.num_rows() {
+            let artificial = form.initial_basis[r];
+            let stale = form.relations[r] == Relation::Equal
+                && !self.forcing[r]
+                && self.row_of[artificial] != NONBASIC;
+            if !stale {
+                continue;
+            }
+            if let Some(c) = self.exclusive_column(r, &[]) {
+                let slot = self.row_of[artificial];
+                self.row_of[artificial] = NONBASIC;
+                self.row_of[c] = slot;
+                self.basis[slot] = c;
+            }
+        }
         if self.refactorize().is_err() {
             return false;
         }
@@ -820,9 +907,10 @@ impl<'a> Simplex<'a> {
     }
 
     /// Builds a **crash basis** that avoids phase 1 on programs shaped like
-    /// the TE LPs: every `=` row gets a structural column appearing in *that
-    /// equality row only* (a path's flow variable lives in exactly one
-    /// conservation row), every `≤` row keeps its slack.  Among a row's
+    /// the TE LPs: every `=` row but a forcing row gets a structural column
+    /// appearing in *that equality row only* (a path's flow variable lives in
+    /// exactly one conservation row), every `≤` row and every forcing row
+    /// keeps its slack or artificial.  Among a row's
     /// exclusive columns the one with the largest `hint` value wins (the
     /// previous optimum's structural values; empty = no hint), ties going to
     /// the lowest index — so without a hint this is the lowest-index crash.
@@ -835,41 +923,24 @@ impl<'a> Simplex<'a> {
     /// caller then runs the ordinary two-phase solve.
     fn start_crash(&mut self, hint: &[f64]) -> bool {
         let form = self.form;
-        // Count equality-row appearances of every structural column.
-        let mut equal_rows: Vec<usize> = Vec::new();
-        let mut appearances = vec![0usize; form.num_vars];
-        for (r, relation) in form.relations.iter().enumerate() {
-            match relation {
-                Relation::GreaterEq => return false,
-                Relation::Equal => {
-                    equal_rows.push(r);
-                    let (cols, vals) = form.matrix.row(r);
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        if c < form.num_vars && v.abs() > EPS {
-                            appearances[c] += 1;
-                        }
-                    }
-                }
-                Relation::LessEq => {}
-            }
+        if form.relations.contains(&Relation::GreaterEq) {
+            return false;
         }
+        let equal_rows: Vec<usize> =
+            (0..form.num_rows()).filter(|&r| form.relations[r] == Relation::Equal).collect();
         if equal_rows.is_empty() {
             return false; // the all-slack basis is already artificial-free
         }
         self.reset();
         for &r in &equal_rows {
-            let (cols, vals) = form.matrix.row(r);
-            let mut pick: Option<(usize, f64)> = None;
-            for (&c, &v) in cols.iter().zip(vals) {
-                let exclusive = c < form.num_vars && v.abs() > EPS && appearances[c] == 1;
-                if exclusive && self.row_of[c] == NONBASIC {
-                    let held = hint.get(c).copied().unwrap_or(0.0);
-                    if pick.is_none_or(|(_, best)| held > best) {
-                        pick = Some((c, held));
-                    }
-                }
+            // A forcing row keeps its artificial: basic at exactly 0 while
+            // none of the row's columns may enter, it stays 0, and as a unit
+            // column it costs the factorization nothing — a forced path flow
+            // would carry its capacity rows into every FTRAN and BTRAN.
+            if self.forcing[r] {
+                continue;
             }
-            let Some((c, _)) = pick else {
+            let Some(c) = self.exclusive_column(r, hint) else {
                 return false;
             };
             // Swap the row's artificial for the exclusive structural column.
@@ -880,8 +951,27 @@ impl<'a> Simplex<'a> {
         if self.refactorize().is_err() {
             return false;
         }
-        self.lift_to_feasibility(&appearances);
+        self.lift_to_feasibility();
         true
+    }
+
+    /// The nonbasic structural column of equality row `r` that appears in
+    /// no other equality row with the largest `hint` value, ties going to
+    /// the lowest index.
+    fn exclusive_column(&self, r: usize, hint: &[f64]) -> Option<usize> {
+        let form = self.form;
+        let (cols, vals) = form.matrix.row(r);
+        let mut pick: Option<(usize, f64)> = None;
+        for (&c, &v) in cols.iter().zip(vals) {
+            let exclusive = c < form.num_vars && v.abs() > EPS && self.appearances[c] == 1;
+            if exclusive && self.row_of[c] == NONBASIC {
+                let held = hint.get(c).copied().unwrap_or(0.0);
+                if pick.is_none_or(|(_, best)| held > best) {
+                    pick = Some((c, held));
+                }
+            }
+        }
+        pick.map(|(c, _)| c)
     }
 
     /// One-shot feasibility lift for the crash basis.  The crash point is
@@ -893,12 +983,12 @@ impl<'a> Simplex<'a> {
     /// column imposes — provided no positive-coefficient row blocks below
     /// `t*`.  One FTRAN + `O(m)` per candidate; purely an accelerator, the
     /// dual repair that follows handles whatever is left.
-    fn lift_to_feasibility(&mut self, equality_appearances: &[usize]) {
+    fn lift_to_feasibility(&mut self) {
         if self.xb.iter().all(|&v| v >= -WARM_TOL) {
             return;
         }
         for q in 0..self.form.num_vars {
-            if self.row_of[q] != NONBASIC || equality_appearances[q] != 0 {
+            if self.row_of[q] != NONBASIC || self.appearances[q] != 0 {
                 continue;
             }
             if self.form.view.col_nnz(q) == 0 {
@@ -1342,7 +1432,8 @@ impl<'a> Simplex<'a> {
     }
 
     /// Scans the swept columns in ascending order for the entering column
-    /// and the candidate list (see [`Simplex::price_full`]).  The list is
+    /// and the candidate list (see [`Simplex::price_full`]), passing over
+    /// forced columns — so the list never holds one either.  The list is
     /// ranked by [`f64::total_cmp`]: every entry is below `-EPS`, so the
     /// order is the numeric one, and no value can make the ranking panic.
     fn select_entering(&mut self, use_bland: bool) -> Option<usize> {
@@ -1350,9 +1441,9 @@ impl<'a> Simplex<'a> {
         self.minor = 0;
         let mut entering: Option<usize> = None;
         let mut best = -EPS;
-        let (row_of, cand) = (&self.row_of, &mut self.cand);
+        let (row_of, forced, cand) = (&self.row_of, &self.forced, &mut self.cand);
         self.sweep.drain(|c, d| {
-            if row_of[c] == NONBASIC && d < -EPS {
+            if row_of[c] == NONBASIC && d < -EPS && !is_set(forced, c) {
                 if use_bland {
                     entering = Some(c);
                     return false;
@@ -1385,7 +1476,7 @@ impl<'a> Simplex<'a> {
     }
 
     /// Scans the swept ratio row in ascending column order for the dual
-    /// repair's admissible entering columns — nonbasic, `α_j <
+    /// repair's admissible entering columns — nonbasic, not forced, `α_j <
     /// -DUAL_PIVOT_TOL` — with their reduced costs clamped at zero (a crash
     /// basis is not dual feasible; the primal phase that follows cleans that
     /// up).  Returns the largest `|α_j|` among them.
@@ -1393,9 +1484,10 @@ impl<'a> Simplex<'a> {
         let form = self.form;
         self.candidates.clear();
         let mut max_abs_alpha = 0.0f64;
-        let (row_of, y, candidates) = (&self.row_of, &self.y, &mut self.candidates);
+        let (row_of, forced, y) = (&self.row_of, &self.forced, &self.y);
+        let candidates = &mut self.candidates;
         self.sweep.drain(|c, alpha| {
-            if row_of[c] == NONBASIC && alpha < -DUAL_PIVOT_TOL {
+            if row_of[c] == NONBASIC && alpha < -DUAL_PIVOT_TOL && !is_set(forced, c) {
                 let d = (costs[c] - form.view.column_dot(&form.matrix, c, y)).max(0.0);
                 candidates.push((c, alpha, d));
                 max_abs_alpha = max_abs_alpha.max(-alpha);
@@ -1456,22 +1548,24 @@ impl<'a> Simplex<'a> {
         self.updates_since_refactor += 1;
     }
 
-    /// Tries to pivot basic artificial variables out of the basis.  Rows
-    /// where no structural or slack column has a nonzero transformed
-    /// coefficient are redundant and keep their artificial.  After phase 1
+    /// Tries to pivot basic artificial variables out of the basis, onto
+    /// columns that may enter.  Rows where no such column has a nonzero
+    /// transformed coefficient are redundant and keep their artificial, and
+    /// so do forcing rows (see [`Simplex::start_crash`]).  After phase 1
     /// the swapped-in values are ~zero; on the warm path they can be any
     /// sign (an unclamped pivot), to be repaired by the dual pivots that
     /// follow.
     fn drive_out_artificials(&mut self) {
         let m = self.form.num_rows();
         for r in 0..m {
-            if self.basis[r] < self.form.art_start {
+            if self.basis[r] < self.form.art_start || self.forcing[r] {
                 continue;
             }
             // Row r of B⁻¹A over the non-artificial columns: rho = Bᵀ⁻¹ e_r.
             self.btran_unit_row(r);
             let replacement = (0..self.form.art_start).find(|&c| {
                 self.row_of[c] == NONBASIC
+                    && !is_set(&self.forced, c)
                     && self.form.view.column_dot(&self.form.matrix, c, &self.rho).abs() > 1e-7
             });
             if let Some(c) = replacement {
@@ -2122,16 +2216,45 @@ mod tests {
         }
     }
 
+    /// Whether each column may enter: the forcing-row rule restated over
+    /// the dense rows of the form.  A column is barred when some equality
+    /// row with right-hand side 0 holds it with a nonzero coefficient and
+    /// every other nonzero structural coefficient of that row has its sign.
+    fn dense_admissible(form: &StandardForm) -> Vec<bool> {
+        let mut admissible = vec![true; form.total_cols];
+        for r in 0..form.num_rows() {
+            if form.relations[r] != Relation::Equal || form.rhs[r] != 0.0 {
+                continue;
+            }
+            let mut row = vec![0.0; form.num_vars];
+            let (cols, vals) = form.matrix.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c < form.num_vars {
+                    row[c] = v;
+                }
+            }
+            let (positive, negative) = (row.iter().any(|&v| v > 0.0), row.iter().any(|&v| v < 0.0));
+            let mixed = row.iter().any(|v| v.is_nan()) || (positive && negative);
+            for (c, &v) in row.iter().enumerate() {
+                if v != 0.0 && !mixed {
+                    admissible[c] = false;
+                }
+            }
+        }
+        admissible
+    }
+
     /// The full pricing sweep before it ran over the support of `y`: every
     /// reduced cost below `limit` by one pass over all rows, then a scan of
-    /// every column.  Returns the entering column, the candidate list and
-    /// the reduced costs.
+    /// every admissible column.  Returns the entering column, the candidate
+    /// list and the reduced costs.
     fn dense_price_full(
         s: &Simplex,
         costs: &[f64],
         limit: usize,
         use_bland: bool,
     ) -> (Option<usize>, Vec<usize>, Vec<f64>) {
+        let admissible = dense_admissible(s.form);
         let mut reduced = costs[..limit].to_vec();
         for r in 0..s.form.num_rows() {
             let yr = s.y[r];
@@ -2148,7 +2271,7 @@ mod tests {
         let mut entering: Option<usize> = None;
         let mut best = -EPS;
         for c in 0..limit {
-            if s.row_of[c] != NONBASIC {
+            if s.row_of[c] != NONBASIC || !admissible[c] {
                 continue;
             }
             let d = reduced[c];
@@ -2174,8 +2297,9 @@ mod tests {
     }
 
     /// The dual ratio row before it ran over the support of `ρ`: one column
-    /// dot per nonbasic non-artificial column.  Returns the candidates, the
-    /// largest `|α|` among them, and every non-artificial column's `α`.
+    /// dot per nonbasic non-artificial column.  Returns the admissible
+    /// candidates, the largest `|α|` among them, and every non-artificial
+    /// column's `α`.
     fn dense_dual_candidates(
         s: &Simplex,
         costs: &[f64],
@@ -2183,10 +2307,11 @@ mod tests {
         let (matrix, view) = (&s.form.matrix, &s.form.view);
         let alphas: Vec<f64> =
             (0..s.form.art_start).map(|c| view.column_dot(matrix, c, &s.rho)).collect();
+        let admissible = dense_admissible(s.form);
         let mut candidates = Vec::new();
         let mut max_abs_alpha = 0.0f64;
         for (c, &alpha) in alphas.iter().enumerate() {
-            if s.row_of[c] == NONBASIC && alpha < -DUAL_PIVOT_TOL {
+            if s.row_of[c] == NONBASIC && alpha < -DUAL_PIVOT_TOL && admissible[c] {
                 let d = (costs[c] - view.column_dot(matrix, c, &s.y)).max(0.0);
                 candidates.push((c, alpha, d));
                 max_abs_alpha = max_abs_alpha.max(-alpha);
@@ -2275,7 +2400,9 @@ mod tests {
         /// picks the same entering column and candidate list as the dense
         /// sweep, Dantzig and Bland, with bit-equal reduced costs; the ratio
         /// row over the support of `ρ` yields the column dots' alphas to the
-        /// bit, and the same candidates.
+        /// bit, and the same candidates.  Zero right-hand sides are drawn
+        /// one time in ten, so forcing rows occur, and both passes leave
+        /// their columns out.
         #[test]
         fn support_sweeps_reproduce_the_dense_passes(
             (rows, vars, kinds, draws) in (2usize..24, 1usize..100).prop_flat_map(|(rows, vars)| (

@@ -13,12 +13,14 @@
 //!   where even a sparse simplex becomes impractical.  The problem is convex,
 //!   so with enough iterations the result is near-optimal.
 //!
-//! [`solve_min_mlu`] chooses between them by one size rule
-//! ([`solves_exactly`]): every problem is solved exactly except a single
-//! uncapped demand over more than [`LP_PATH_LIMIT`] candidate paths.
-//! Snapshot *series* should prefer [`crate::template::MluTemplate`], which
-//! builds the LP once over path flows and re-solves it under each snapshot's
-//! right-hand side, seeded from the previous optima.
+//! One size rule ([`solves_exactly`]) says which one a caller uses: every
+//! problem is solved exactly except a single uncapped demand over more than
+//! [`LP_PATH_LIMIT`] candidate paths.  Snapshot *series* on an exact-size
+//! path set use [`crate::template::MluTemplate`], which builds the LP once
+//! over path flows and re-solves it under each snapshot's right-hand side,
+//! seeded from the previous optima; [`solve_lp`] is the one-shot ratio-form
+//! program, the engine of the multi-demand and capped schemes and the
+//! template's test oracle.
 
 use std::sync::Arc;
 
@@ -26,9 +28,8 @@ use figret_lp::{Direction, LinearProgram, LpError, Relation};
 use figret_nn::{Adam, AdamConfig, Graph, Tensor};
 use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
 
-/// The most candidate paths on which [`solve_min_mlu`] solves a single
-/// uncapped demand with the exact LP; larger instances go to the iterative
-/// engine.
+/// The most candidate paths on which a single uncapped demand is solved
+/// with the exact LP; larger instances go to the iterative engine.
 ///
 /// Measured on 2 vCPUs at the two sizes that bracket the default scenarios:
 /// * reduced Cogentco (6 768 paths, the largest default-scale path set): a
@@ -43,11 +44,10 @@ use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
 /// solved exactly; nothing between the two sizes has been measured.
 pub const LP_PATH_LIMIT: usize = 8000;
 
-/// Whether [`solve_min_mlu`] solves a single uncapped demand over
-/// `num_paths` candidate paths with the exact LP (`true`) or the iterative
-/// engine (`false`).  Problems with several or capped demand matrices
-/// always go to the LP: the iterative surrogate is exact for one uncapped
-/// demand only.
+/// Whether a single uncapped demand over `num_paths` candidate paths is
+/// solved with the exact LP (`true`) or the iterative engine (`false`).
+/// Problems with several or capped demand matrices always go to the LP: the
+/// iterative surrogate is exact for one uncapped demand only.
 pub fn solves_exactly(num_paths: usize) -> bool {
     num_paths <= LP_PATH_LIMIT
 }
@@ -117,15 +117,6 @@ impl<'a> MluProblem<'a> {
         self
     }
 
-    /// [`solve_min_mlu`]'s choice of engine for this problem: the LP unless
-    /// it is one uncapped demand over more paths than [`solves_exactly`]
-    /// allows.
-    fn solved_by_lp(&self) -> bool {
-        self.demands.len() != 1
-            || !self.capped_demands.is_empty()
-            || solves_exactly(self.paths.num_paths())
-    }
-
     pub(crate) fn is_available(&self, path: usize) -> bool {
         self.available.as_ref().map(|a| a[path]).unwrap_or(true)
     }
@@ -183,26 +174,16 @@ impl std::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Solves a min-MLU instance: with [`solve_lp`], unless it is one uncapped
-/// demand on a path set too large for the LP ([`solves_exactly`]), which
-/// [`solve_iterative`] solves with the default settings.
-pub fn solve_min_mlu(problem: &MluProblem<'_>) -> Result<TeConfig, SolveError> {
-    if problem.demands.is_empty() {
-        return Err(SolveError::NoDemand);
-    }
-    if problem.solved_by_lp() {
-        solve_lp(problem)
-    } else {
-        Ok(solve_iterative(problem, IterativeSettings::default()))
-    }
-}
-
 /// Exact LP formulation (Equation 9 of the paper, plus the optional
 /// desensitization constraints of Equation 5), stated over the split ratios:
 /// the demand sets share them.  [`crate::template::MluTemplate`] states the
 /// single-demand program over path flows instead, and its tests hold it to
-/// this one's optimum.
+/// this one's optimum.  A problem without demands is
+/// [`SolveError::NoDemand`].
 pub fn solve_lp(problem: &MluProblem<'_>) -> Result<TeConfig, SolveError> {
+    if problem.demands.is_empty() {
+        return Err(SolveError::NoDemand);
+    }
     let paths = problem.paths;
     let mut lp = LinearProgram::new(Direction::Minimize);
     let theta = lp.add_variable(1.0);
@@ -403,7 +384,7 @@ mod tests {
     fn lp_engine_balances_utilization() {
         let ps = unbalanced();
         let demand = demand_02(&ps, 4.0);
-        let cfg = solve_min_mlu(&MluProblem::new(&ps, demand.clone())).unwrap();
+        let cfg = solve_lp(&MluProblem::new(&ps, demand.clone())).unwrap();
         let mlu = max_link_utilization_pairs(&ps, &cfg, &demand);
         // Optimal: put x on the capacity-3 direct path and 4-x on the thin
         // 2-hop path; MLU = max(x/3, (4-x)/1) minimized at x = 3 -> MLU = 1.
@@ -430,7 +411,7 @@ mod tests {
         // Bound of 0.25 (absolute) forces traffic away from the thin path.
         let bounds = vec![0.25; ps.num_pairs()];
         let problem = MluProblem::new(&ps, demand).with_sensitivity_bounds(bounds.clone());
-        let cfg = solve_min_mlu(&problem).unwrap();
+        let cfg = solve_lp(&problem).unwrap();
         let per_pair = max_sensitivity_per_pair(&ps, &cfg);
         for pair in 0..ps.num_pairs() {
             // Bounds may have been relaxed for feasibility; recompute the
@@ -463,42 +444,12 @@ mod tests {
         }
     }
 
-    /// A ring of `n` nodes: exactly two paths per ordered pair.
-    fn ring(n: usize) -> PathSet {
-        let mut g = Topo::new(n);
-        for i in 0..n {
-            g.add_bidirectional(NodeId(i), NodeId((i + 1) % n), 1.0).unwrap();
-        }
-        PathSet::k_shortest(&g, 2)
-    }
-
     /// The size rule at its boundary: a single uncapped demand is solved
-    /// exactly up to [`LP_PATH_LIMIT`] paths and iteratively above it; several
-    /// or capped demands are always solved exactly.
+    /// exactly up to [`LP_PATH_LIMIT`] paths and iteratively above it.
     #[test]
     fn size_rule_boundary() {
         assert!(solves_exactly(LP_PATH_LIMIT));
         assert!(!solves_exactly(LP_PATH_LIMIT + 1));
-
-        let small = unbalanced();
-        let demand = demand_02(&small, 4.0);
-        let problem = MluProblem::new(&small, demand);
-        assert!(problem.solved_by_lp());
-        assert_eq!(solve_min_mlu(&problem).unwrap().ratios(), solve_lp(&problem).unwrap().ratios());
-
-        // The smallest ring above the limit.
-        let n = (3..).find(|n| 2 * n * (n - 1) > LP_PATH_LIMIT).unwrap();
-        let wide = ring(n);
-        assert!(wide.num_paths() > LP_PATH_LIMIT);
-        let demand = vec![1.0; wide.num_pairs()];
-        let single = MluProblem::new(&wide, demand.clone());
-        assert!(!single.solved_by_lp(), "one uncapped demand above the limit: iterative");
-        let mut capped = single.clone();
-        capped.capped_demands.push((demand.clone(), 10.0));
-        assert!(capped.solved_by_lp(), "capped demands: always the LP");
-        let mut several = single;
-        several.demands.push(demand);
-        assert!(several.solved_by_lp(), "several demands: always the LP");
     }
 
     #[test]
@@ -509,7 +460,7 @@ mod tests {
         let burst = demand_02(&ps, 5.0);
         let mut problem = MluProblem::new(&ps, normal.clone());
         problem.capped_demands.push((burst.clone(), 2.0));
-        let cfg = solve_min_mlu(&problem).unwrap();
+        let cfg = solve_lp(&problem).unwrap();
         let burst_mlu = max_link_utilization_pairs(&ps, &cfg, &burst);
         assert!(burst_mlu <= 2.0 + 1e-6, "burst MLU {burst_mlu} violates the cap");
     }
@@ -519,7 +470,7 @@ mod tests {
         let ps = unbalanced();
         let mut p = MluProblem::new(&ps, vec![0.0; ps.num_pairs()]);
         p.demands.clear();
-        assert!(matches!(solve_min_mlu(&p), Err(SolveError::NoDemand)));
+        assert!(matches!(solve_lp(&p), Err(SolveError::NoDemand)));
     }
 
     /// FNV-1a over the little-endian bytes of each value's bit pattern.

@@ -45,8 +45,8 @@ pub mod schemes;
 pub mod template;
 
 pub use engine::{
-    normalized_bound_to_absolute, solve_iterative, solve_lp, solve_min_mlu, solves_exactly,
-    IterativeSettings, MluProblem, SolveError, LP_PATH_LIMIT,
+    normalized_bound_to_absolute, solve_iterative, solve_lp, solves_exactly, IterativeSettings,
+    MluProblem, SolveError, LP_PATH_LIMIT,
 };
 pub use oblivious::{
     cope_config, oblivious_config, worst_case_demand, CopeSettings, CuttingPlaneSettings,

@@ -21,12 +21,12 @@
 
 use figret_te::{PathSet, TeConfig};
 
-use crate::engine::{normalized_bound_to_absolute, solve_min_mlu, MluProblem, SolveError};
+use crate::engine::{normalized_bound_to_absolute, solve_lp, MluProblem, SolveError};
 
 /// Omniscient TE: optimize directly for the realized demand (one value per
-/// SD pair of `paths`).
+/// SD pair of `paths`) with the exact one-shot LP ([`solve_lp`]).
 pub fn omniscient_config(paths: &PathSet, demand: &[f64]) -> Result<TeConfig, SolveError> {
-    solve_min_mlu(&MluProblem::new(paths, demand.to_vec()))
+    solve_lp(&MluProblem::new(paths, demand.to_vec()))
 }
 
 /// Parameters of desensitization-based TE.
@@ -159,7 +159,7 @@ mod tests {
         let realized = ops::scale_clamped(history.last().unwrap(), 1.4);
         let omni = omniscient_config(&ps, &realized).unwrap();
         let last = history[history.len() - 2].clone();
-        let pred = solve_min_mlu(&MluProblem::new(&ps, last)).unwrap();
+        let pred = solve_lp(&MluProblem::new(&ps, last)).unwrap();
         let omni_mlu = mlu(&ps, &omni, &realized);
         let pred_mlu = mlu(&ps, &pred, &realized);
         assert!(omni_mlu <= pred_mlu + 1e-9, "omniscient {omni_mlu} vs prediction {pred_mlu}");
@@ -171,7 +171,7 @@ mod tests {
         let settings = DesensitizationSettings::default();
         let problem = MluProblem::new(&ps, window_peak(&history))
             .with_sensitivity_bounds(desensitization_bounds(&ps, &settings));
-        let cfg = solve_min_mlu(&problem).unwrap();
+        let cfg = solve_lp(&problem).unwrap();
         let min_cap = ps.edge_capacities().iter().cloned().fold(f64::INFINITY, f64::min);
         let bound_abs = normalized_bound_to_absolute(settings.sensitivity_bound, min_cap);
         assert!(max_sensitivity(&ps, &cfg) <= bound_abs + 1e-6);
@@ -195,7 +195,7 @@ mod tests {
                 &DesensitizationSettings::default(),
             ))
             .with_available(alive.clone());
-        let cfg = solve_min_mlu(&problem).unwrap();
+        let cfg = solve_lp(&problem).unwrap();
         for p in 0..ps.num_paths() {
             if !alive[p] {
                 assert_eq!(cfg.ratio(p), 0.0);
@@ -228,12 +228,12 @@ mod tests {
         let mut variances = vec![1.0; ps.num_pairs()];
         variances[0] = 100.0;
         let peak = window_peak(&history);
-        let uniform = solve_min_mlu(&MluProblem::new(&ps, peak.clone()).with_sensitivity_bounds(
+        let uniform = solve_lp(&MluProblem::new(&ps, peak.clone()).with_sensitivity_bounds(
             desensitization_bounds(&ps, &DesensitizationSettings { sensitivity_bound: 0.5 }),
         ))
         .unwrap();
         let heuristic = HeuristicBound::Piecewise { min: 0.5, max: 1.0, breakpoint: 0.9 };
-        let fine = solve_min_mlu(
+        let fine = solve_lp(
             &MluProblem::new(&ps, peak)
                 .with_sensitivity_bounds(heuristic_absolute_bounds(&ps, &variances, heuristic)),
         )

@@ -349,10 +349,8 @@ fn cuts(
 }
 
 /// Accumulated solver-work counters over a series of template solves,
-/// threaded into the evaluation reports.  Only template solves are recorded:
-/// a series that moves to one-shot solves part-way (the evaluation runner
-/// does once no warm seed survives its probe) counts its template prefix,
-/// and a series on the iterative engine counts nothing.
+/// threaded into the evaluation reports.  Only template solves are recorded,
+/// so a series on the iterative engine counts nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SeriesStats {
     /// Number of LP solves recorded.
@@ -384,7 +382,7 @@ impl SeriesStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::solve_min_mlu;
+    use crate::engine::solve_lp;
     use crate::schemes::{desensitization_bounds, DesensitizationSettings};
     use figret_te::{available_paths, max_link_utilization_pairs};
     use figret_topology::{random_link_failures, FabricSpec, Topology, TopologySpec};
@@ -416,7 +414,7 @@ mod tests {
         for (t, demand) in demand_series(&ps, 6).iter().enumerate() {
             let (config, solve_stats) = template.solve(&ps, demand).unwrap();
             stats.record(&solve_stats);
-            let one_shot = solve_min_mlu(&MluProblem::new(&ps, demand.clone())).unwrap();
+            let one_shot = solve_lp(&MluProblem::new(&ps, demand.clone())).unwrap();
             let a = max_link_utilization_pairs(&ps, &config, demand);
             let b = max_link_utilization_pairs(&ps, &one_shot, demand);
             assert!((a - b).abs() < 1e-6, "snapshot {t}: template {a} vs one-shot {b}");
@@ -469,7 +467,7 @@ mod tests {
         let mut template = MluTemplate::with_options(&ps, Some(bounds.clone()), None);
         let (config, _) = template.solve(&ps, &peak).unwrap();
         let one_shot = MluProblem::new(&ps, peak).with_sensitivity_bounds(bounds);
-        let reference = solve_min_mlu(&one_shot).unwrap();
+        let reference = solve_lp(&one_shot).unwrap();
         let d = history.last().unwrap();
         let a = max_link_utilization_pairs(&ps, &config, d);
         let b = max_link_utilization_pairs(&ps, &reference, d);

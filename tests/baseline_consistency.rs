@@ -3,7 +3,7 @@
 
 use figret_solvers::{
     desensitization_bounds, normalized_bound_to_absolute, omniscient_config, solve_iterative,
-    solve_lp, solve_min_mlu, DesensitizationSettings, IterativeSettings, MluProblem,
+    solve_lp, DesensitizationSettings, IterativeSettings, MluProblem,
 };
 use figret_te::{
     max_link_utilization_pairs, max_sensitivity, reroute_around_failures, PathSet, TeConfig,
@@ -30,7 +30,7 @@ fn omniscient_prediction_and_desensitization_are_ordered_sensibly() {
     // under the uniform sensitivity cap.
     let omni = omniscient_config(&paths, realized).unwrap();
     let last = history.last().unwrap().clone();
-    let pred = solve_min_mlu(&MluProblem::new(&paths, last)).unwrap();
+    let pred = solve_lp(&MluProblem::new(&paths, last)).unwrap();
     let mut peak = history[0].clone();
     for column in &history[1..] {
         for (p, d) in peak.iter_mut().zip(column) {
@@ -38,8 +38,7 @@ fn omniscient_prediction_and_desensitization_are_ordered_sensibly() {
         }
     }
     let bounds = desensitization_bounds(&paths, &DesensitizationSettings::default());
-    let des =
-        solve_min_mlu(&MluProblem::new(&paths, peak).with_sensitivity_bounds(bounds)).unwrap();
+    let des = solve_lp(&MluProblem::new(&paths, peak).with_sensitivity_bounds(bounds)).unwrap();
 
     let omni_mlu = max_link_utilization_pairs(&paths, &omni, realized);
     let pred_mlu = max_link_utilization_pairs(&paths, &pred, realized);
