@@ -189,7 +189,10 @@ fn apply_failure(
 
 /// The omniscient (oracle) MLU series over the evaluated snapshots.  With a
 /// failure scenario, the oracle also knows the failures and optimizes only
-/// over the surviving paths.  The series is returned in snapshot order.
+/// over the surviving paths, and its configuration is deployed through the
+/// same rerouting as every other scheme's: a no-op for a pair that keeps a
+/// live path, while a pair that keeps none is served by no one and drops
+/// out of every MLU alike.  The series is returned in snapshot order.
 pub fn omniscient_series(scenario: &Scenario, options: &EvalOptions) -> Vec<f64> {
     omniscient_series_with_stats(scenario, options).0
 }
@@ -202,14 +205,10 @@ pub fn omniscient_series_with_stats(
 ) -> (Vec<f64>, SeriesStats) {
     let evaluated = options.evaluated(scenario, &options.eval_indices(scenario));
     let availability = options.failure.as_ref().map(|f| available_paths(&scenario.paths, f));
-    let (configs, _, _, stats) = lp_series(
-        scenario,
-        evaluated.len(),
-        &None, // the oracle's availability mask already encodes the failure
-        None,
-        availability,
-        |i| evaluated.target(i).to_vec(),
-    );
+    let (configs, _, _, stats) =
+        lp_series(scenario, evaluated.len(), &options.failure, None, availability, |i| {
+            evaluated.target(i).to_vec()
+        });
     (mlu_series(scenario, &evaluated, &configs), stats)
 }
 
@@ -361,12 +360,13 @@ pub(crate) fn deployed_series(
         ),
         Scheme::FaultAwareDesensitization(settings) => {
             let failure = options.failure.clone().unwrap_or_else(FailureScenario::none);
-            // The fault-aware LP already routes around the failures, so no
-            // post-hoc rerouting is applied.
+            // The fault-aware LP already routes around the failures; the
+            // rerouting only drops the pairs left without a live path, as
+            // the oracle's does.
             lp_series(
                 scenario,
                 samples,
-                &None,
+                &options.failure,
                 Some(desensitization_bounds(&scenario.paths, settings)),
                 Some(available_paths(&scenario.paths, &failure)),
                 window_peak,
@@ -594,6 +594,42 @@ mod tests {
         // Everything must stay at or above the fault-aware oracle.
         for (m, b) in pred.mlus.iter().chain(fa.mlus.iter()).zip(baseline.iter().cycle()) {
             assert!(m + 1e-6 >= *b);
+        }
+    }
+
+    /// Under a failure that leaves some pair no live path, that pair's
+    /// demand cannot be served by anyone: the oracle drops it exactly as
+    /// every rerouted scheme does, so it stays a lower bound, snapshot by
+    /// snapshot.
+    #[test]
+    fn the_failure_aware_oracle_bounds_every_scheme_when_a_pair_loses_every_path() {
+        let scenario = small_scenario();
+        let source = figret_topology::NodeId(0);
+        let failure = FailureScenario::from_edges(scenario.graph.out_edges(source).to_vec());
+        let alive = available_paths(&scenario.paths, &failure);
+        let dead_pairs = (0..scenario.paths.num_pairs())
+            .filter(|&pair| scenario.paths.paths_of_pair(pair).all(|p| !alive[p]))
+            .count();
+        assert!(dead_pairs > 0, "the failure must leave some pair without a live path");
+        let options = EvalOptions { failure: Some(failure), ..fast_options() };
+        let oracle = omniscient_series(&scenario, &options);
+        let mut schemes = Scheme::default_suite(true);
+        schemes.extend([
+            Scheme::FaultAwareDesensitization(DesensitizationSettings::default()),
+            Scheme::HeuristicFineGrained(HeuristicBound::Linear { min: 1.0 / 3.0, max: 5.0 / 6.0 }),
+            Scheme::Oblivious,
+            Scheme::Cope,
+        ]);
+        for scheme in &schemes {
+            let run = run_scheme(&scenario, scheme, &options);
+            assert_eq!(run.mlus.len(), oracle.len());
+            for (t, (m, o)) in run.mlus.iter().zip(&oracle).enumerate() {
+                assert!(
+                    *m >= o * (1.0 - 1e-9),
+                    "{}, snapshot {t}: MLU {m} below the oracle's {o}",
+                    run.scheme
+                );
+            }
         }
     }
 

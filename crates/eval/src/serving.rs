@@ -876,6 +876,13 @@ pub fn print_serve_report(run: &ServeRun) {
             adm.holds_outranked
         ),
     ));
+    // Learned audits: cleared by the LP lower bound without a solve, solved
+    // (passed or failed), and failed among the solved.
+    let audits = run.fleet.audit_stats();
+    rows.push(row(
+        "audits certified/solved/failed",
+        format!("{} / {} / {}", audits.certified, audits.solved(), audits.solved_fail),
+    ));
     print_table("serving summary", &["metric", "value"], &rows);
 
     let labels = run.fleet.shard_labels();

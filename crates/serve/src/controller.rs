@@ -21,18 +21,19 @@
 //!    deployed configuration is recorded.
 //!
 //! While serving learned configurations the controller periodically audits
-//! them against the LP re-solve and falls back to the LP once the model
-//! has degraded for `patience` consecutive audits — the safety valve for
-//! traffic that drifted away from the training distribution (§5.4 of the
-//! paper measures exactly this failure mode).  Without recovery the
-//! fallback is terminal; with [`ServeController::enable_recovery`] it is
-//! one state of the self-healing ladder (DESIGN.md §9): a CUSUM drift
-//! detector can trip the fallback early, a [`crate::RecoveryManager`]
-//! retrains challenger models on the observed-demand window while degraded,
-//! and a challenger that beats the LP for `promotion_patience` consecutive
-//! shadow audits is promoted back to live serving (with demotion and
-//! re-entry on regression).  Every transition is typed, tick-stamped and
-//! folded into the log digests.
+//! them against the LP re-solve (solving only when the template's lower
+//! bound on the LP optimum cannot already clear the model) and falls back
+//! to the LP once the model has degraded for `patience` consecutive audits
+//! — the safety valve for traffic that drifted away from the training
+//! distribution (§5.4 of the paper measures exactly this failure mode).
+//! Without recovery the fallback is terminal; with
+//! [`ServeController::enable_recovery`] it is one state of the self-healing
+//! ladder (DESIGN.md §9): a CUSUM drift detector can trip the fallback
+//! early, a [`crate::RecoveryManager`] retrains challenger models on the
+//! observed-demand window while degraded, and a challenger that beats the
+//! LP for `promotion_patience` consecutive shadow audits is promoted back
+//! to live serving (with demotion and re-entry on regression).  Every
+//! transition is typed, tick-stamped and folded into the log digests.
 //!
 //! The loop is strictly sequential and every number it consumes is
 //! deterministic, so the decision log is bit-identical across runs and
@@ -51,7 +52,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use figret::{FigretModel, InferencePlan};
-use figret_solvers::{MluTemplate, SeriesStats};
+use figret_solvers::{clean_demand, MluTemplate, SeriesStats};
 use figret_te::{max_link_utilization_pairs_scratch, split_ratio_churn, PathSet, TeConfig};
 use figret_telemetry::{Registry, Stopwatch};
 
@@ -98,6 +99,53 @@ pub struct Proposal {
     /// [`ServeController::propose`]); the candidate may follow through
     /// [`ServeController::solve_candidate`].
     pub regret_bound: Option<f64>,
+}
+
+/// How one audit of a live model against the LP ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AuditResult {
+    /// The template's lower bound on the LP optimum cleared the model
+    /// without a solve: `model_mlu ≤ degradation · bound`.
+    Certified,
+    /// The bound could not decide; the LP was solved and the model passed.
+    SolvedPass,
+    /// The bound could not decide; the LP was solved and the model was
+    /// degraded.
+    SolvedFail,
+}
+
+/// Audit outcome counts of a controller (or, summed, of a fleet); outside
+/// every digest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AuditStats {
+    /// Audits the bound certified.
+    pub certified: usize,
+    /// Audits that solved the LP and passed.
+    pub solved_pass: usize,
+    /// Audits that solved the LP and failed.
+    pub solved_fail: usize,
+}
+
+impl AuditStats {
+    /// Audits that solved the LP, passed or failed.
+    pub fn solved(&self) -> usize {
+        self.solved_pass + self.solved_fail
+    }
+
+    /// Adds another controller's counts (fleet shards).
+    pub fn merge(&mut self, other: &AuditStats) {
+        self.certified += other.certified;
+        self.solved_pass += other.solved_pass;
+        self.solved_fail += other.solved_fail;
+    }
+
+    fn record(&mut self, result: AuditResult) {
+        match result {
+            AuditResult::Certified => self.certified += 1,
+            AuditResult::SolvedPass => self.solved_pass += 1,
+            AuditResult::SolvedFail => self.solved_fail += 1,
+        }
+    }
 }
 
 /// Internal mirror of [`Proposal`] plus the measured propose-phase latency,
@@ -219,6 +267,7 @@ pub struct ServeController {
     decisions: usize,
     tick: usize,
     lp_stats: SeriesStats,
+    audit_stats: AuditStats,
     scratch: StepScratch,
     /// The self-healing state machine; `None` keeps PR 5's terminal
     /// fallback.  See [`ServeController::enable_recovery`].
@@ -299,6 +348,7 @@ impl ServeController {
             decisions: 0,
             tick: 0,
             lp_stats: SeriesStats::default(),
+            audit_stats: AuditStats::default(),
             scratch: StepScratch::default(),
             recovery: None,
             pending_transitions: Vec::new(),
@@ -472,19 +522,24 @@ impl ServeController {
         scratch.predicted_pairs.resize(self.paths.num_pairs(), 0.0);
         let have = self.predictor.predict_pairs_into(&mut scratch.predicted_pairs);
         assert!(have, "a filled history window implies at least one observation");
+        // Every score, bound and solve of the tick reads the column the
+        // template solves: negative and non-finite forecasts count as zero.
+        for demand in &mut scratch.predicted_pairs {
+            *demand = clean_demand(*demand);
+        }
         if let Some(spans) = spans.as_mut() {
             let lap = spans.lap();
             self.telemetry.as_mut().expect("a live stopwatch implies telemetry").on_predict(lap);
         }
         let plan = self.candidate_plan(open_grants, lp_bids);
-        let source = match plan {
+        let (source, scored) = match plan {
             CandidatePlan::Compute => self.timed_candidate_into(&mut scratch, &mut spans),
-            CandidatePlan::Bound => DecisionSource::LpWarm,
+            CandidatePlan::Bound => (DecisionSource::LpWarm, None),
             CandidatePlan::Skip => {
                 if let Some(tel) = self.telemetry.as_mut() {
                     tel.on_candidate_skipped();
                 }
-                DecisionSource::LpWarm
+                (DecisionSource::LpWarm, None)
             }
         };
         let deployed_mlu = max_link_utilization_pairs_scratch(
@@ -496,12 +551,14 @@ impl ServeController {
         let regret_bound = (plan == CandidatePlan::Bound)
             .then(|| deployed_mlu - self.template.mlu_lower_bound(&scratch.predicted_pairs));
         let candidate_mlu = (plan == CandidatePlan::Compute).then(|| {
-            max_link_utilization_pairs_scratch(
-                &self.paths,
-                &scratch.candidate,
-                &scratch.predicted_pairs,
-                &mut scratch.loads,
-            )
+            scored.unwrap_or_else(|| {
+                max_link_utilization_pairs_scratch(
+                    &self.paths,
+                    &scratch.candidate,
+                    &scratch.predicted_pairs,
+                    &mut scratch.loads,
+                )
+            })
         });
         if let Some(spans) = spans.as_mut() {
             let lap = spans.lap();
@@ -534,7 +591,8 @@ impl ServeController {
         let start = Instant::now();
         let mut spans = self.telemetry.is_some().then(Stopwatch::start);
         let mut scratch = std::mem::take(&mut self.scratch);
-        pending.source = self.timed_candidate_into(&mut scratch, &mut spans);
+        // Only an LP controller bounds, and its candidate comes unscored.
+        (pending.source, _) = self.timed_candidate_into(&mut scratch, &mut spans);
         pending.candidate_mlu = Some(max_link_utilization_pairs_scratch(
             &self.paths,
             &scratch.candidate,
@@ -557,8 +615,8 @@ impl ServeController {
         &mut self,
         scratch: &mut StepScratch,
         spans: &mut Option<Stopwatch>,
-    ) -> DecisionSource {
-        let source = self.candidate_into(scratch);
+    ) -> (DecisionSource, Option<f64>) {
+        let (source, scored) = self.candidate_into(scratch);
         if let Some(spans) = spans.as_mut() {
             let lap = spans.lap();
             self.telemetry
@@ -566,7 +624,7 @@ impl ServeController {
                 .expect("a live stopwatch implies telemetry")
                 .on_candidate(source, lap);
         }
-        source
+        (source, scored)
     }
 
     /// Phase 2 of a two-phase tick: applies an externally decided `action`
@@ -694,11 +752,20 @@ impl ServeController {
 
     /// Computes the candidate configuration for the forecast demand in
     /// `scratch.predicted_pairs`, leaves it in `scratch.candidate` and
-    /// applies the learned-mode audit/fallback/recovery logic.
-    fn candidate_into(&mut self, scratch: &mut StepScratch) -> DecisionSource {
+    /// applies the learned-mode audit/fallback/recovery logic.  Returns the
+    /// candidate's source and, when an audit already scored the candidate on
+    /// the forecast, that predicted MLU (the one [`Self::propose`] would
+    /// compute).
+    ///
+    /// An audit first asks the template's lower bound on the LP optimum
+    /// ([`MluTemplate::mlu_lower_bound`]): `bound ≤ θ* ≤ lp_mlu`, so
+    /// `model_mlu ≤ degradation · bound` already implies the solved
+    /// comparison would pass, and the audit passes without a solve.  Only an
+    /// audit the bound cannot decide solves the LP and compares.
+    fn candidate_into(&mut self, scratch: &mut StepScratch) -> (DecisionSource, Option<f64>) {
         if self.learned.is_none() {
             scratch.candidate = self.lp_candidate(&scratch.predicted_pairs);
-            return DecisionSource::LpWarm;
+            return (DecisionSource::LpWarm, None);
         }
         if self.fell_back {
             return self.fallback_candidate_into(scratch);
@@ -713,44 +780,62 @@ impl ServeController {
         );
         let fb = self.policy.fallback;
         let audit = fb.audit_every > 0 && self.decisions.is_multiple_of(fb.audit_every);
+        let mut model_mlu = None;
         let mut lp_candidate = None;
         if audit {
-            let lp = self.lp_candidate(&scratch.predicted_pairs);
-            let model_mlu = max_link_utilization_pairs_scratch(
+            let mlu = max_link_utilization_pairs_scratch(
                 &self.paths,
                 &scratch.candidate,
                 &scratch.predicted_pairs,
                 &mut scratch.loads,
             );
-            let lp_mlu = max_link_utilization_pairs_scratch(
-                &self.paths,
-                &lp,
-                &scratch.predicted_pairs,
-                &mut scratch.loads,
-            );
-            if model_mlu > fb.degradation * lp_mlu {
+            model_mlu = Some(mlu);
+            let result = if mlu
+                <= fb.degradation * self.template.mlu_lower_bound(&scratch.predicted_pairs)
+            {
+                AuditResult::Certified
+            } else {
+                let lp = self.lp_candidate(&scratch.predicted_pairs);
+                let lp_mlu = max_link_utilization_pairs_scratch(
+                    &self.paths,
+                    &lp,
+                    &scratch.predicted_pairs,
+                    &mut scratch.loads,
+                );
+                lp_candidate = Some((lp, lp_mlu));
+                if mlu > fb.degradation * lp_mlu {
+                    AuditResult::SolvedFail
+                } else {
+                    AuditResult::SolvedPass
+                }
+            };
+            if result == AuditResult::SolvedFail {
                 self.degraded_streak += 1;
             } else {
                 self.degraded_streak = 0;
             }
-            lp_candidate = Some(lp);
+            self.audit_stats.record(result);
+            if let Some(tel) = self.telemetry.as_mut() {
+                tel.on_audit(result);
+            }
         }
         let audit_tripped = audit && self.degraded_streak >= fb.patience;
         let drift_tripped = self.recovery.as_mut().is_some_and(|r| r.take_drift_flag());
         if audit_tripped || drift_tripped {
             return self.degrade(scratch, lp_candidate);
         }
-        DecisionSource::Model
+        (DecisionSource::Model, model_mlu)
     }
 
     /// Falls back to the warm LP after an audit or drift trip.  With
     /// recovery armed the fallback is a state (retraining begins); without
-    /// it the fallback is terminal.
+    /// it the fallback is terminal.  `lp_candidate` is the audit's solved
+    /// candidate and its predicted MLU, when the audit solved.
     fn degrade(
         &mut self,
         scratch: &mut StepScratch,
-        lp_candidate: Option<TeConfig>,
-    ) -> DecisionSource {
+        lp_candidate: Option<(TeConfig, f64)>,
+    ) -> (DecisionSource, Option<f64>) {
         self.degraded_streak = 0;
         self.fell_back = true;
         let demoted = self.model_generation > 0;
@@ -765,11 +850,15 @@ impl ServeController {
                 recovery.note_demotion();
             }
         }
-        // The audit that tripped already has the better LP candidate in
-        // hand; a pure drift trip computes it now.
-        scratch.candidate =
-            lp_candidate.unwrap_or_else(|| self.lp_candidate(&scratch.predicted_pairs));
-        DecisionSource::LpWarm
+        // An audit that solved and tripped already has the better LP
+        // candidate in hand; a drift trip, or one on a certified or
+        // unaudited tick, computes it now.
+        let Some((lp, lp_mlu)) = lp_candidate else {
+            scratch.candidate = self.lp_candidate(&scratch.predicted_pairs);
+            return (DecisionSource::LpWarm, None);
+        };
+        scratch.candidate = lp;
+        (DecisionSource::LpWarm, Some(lp_mlu))
     }
 
     /// Fallback-mode decision: serve the warm LP re-solve and — with
@@ -778,11 +867,14 @@ impl ServeController {
     /// consecutive wins promote the challenger to the live model, ending
     /// the fallback; its winning candidate is served immediately, and its
     /// already-compiled plan serves from then on.
-    fn fallback_candidate_into(&mut self, scratch: &mut StepScratch) -> DecisionSource {
+    fn fallback_candidate_into(
+        &mut self,
+        scratch: &mut StepScratch,
+    ) -> (DecisionSource, Option<f64>) {
         let lp = self.lp_candidate(&scratch.predicted_pairs);
         let Some(recovery) = self.recovery.as_mut().filter(|r| r.shadow().is_some()) else {
             scratch.candidate = lp;
-            return DecisionSource::LpWarm;
+            return (DecisionSource::LpWarm, None);
         };
         let lp_mlu = max_link_utilization_pairs_scratch(
             &self.paths,
@@ -825,10 +917,10 @@ impl ServeController {
             self.pending_transitions.push(Transition::Promoted);
             // The winning challenger candidate in scratch serves this very
             // tick.
-            return DecisionSource::Model;
+            return (DecisionSource::Model, Some(challenger_mlu));
         }
         scratch.candidate = lp;
-        DecisionSource::LpWarm
+        (DecisionSource::LpWarm, Some(lp_mlu))
     }
 
     fn lp_candidate(&mut self, predicted_pairs: &[f64]) -> TeConfig {
@@ -917,6 +1009,12 @@ impl ServeController {
     pub fn lp_stats(&self) -> &SeriesStats {
         &self.lp_stats
     }
+
+    /// How the learned audits ended so far: certified by the bound, or
+    /// solved and passed or failed (all zero for an LP controller).
+    pub fn audit_stats(&self) -> AuditStats {
+        self.audit_stats
+    }
 }
 
 #[cfg(test)]
@@ -933,6 +1031,7 @@ pub(crate) mod tests {
     use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
     use figret_traffic::{
         OnlineStream, OnlineStreamConfig, SparseDemandStream, StepShiftConfig, TrafficTrace,
+        WindowDataset,
     };
 
     fn pod_setup(snapshots: usize) -> (PathSet, TrafficTrace) {
@@ -1088,6 +1187,49 @@ pub(crate) mod tests {
                 None => panic!("no warmup records expected"),
             }
         }
+    }
+
+    /// A trained model audited on every tick: the template's lower bound
+    /// clears the audits, so the LP is solved at most once — for the first
+    /// audit, before the pool holds an optimum's multipliers.
+    #[test]
+    fn a_trained_model_clears_its_audits_on_the_bound() {
+        let g = TopologySpec::full_scale(Topology::MetaDbPod).build();
+        let ps = PathSet::k_shortest(&g, 3);
+        let config = OnlineStreamConfig {
+            diurnal_amplitude: 0.05,
+            noise: 0.02,
+            drift: None,
+            flash_crowds: None,
+            failure_storms: None,
+            seed: 97,
+            ..Default::default()
+        };
+        let mut stream = OnlineStream::from_graph(&g, 0.25, config);
+        let columns: Vec<Vec<f64>> =
+            (0..120).map(|_| stream.next_column().expect("endless").values().to_vec()).collect();
+        let dataset = WindowDataset::from_columns(2, columns[..80].to_vec());
+        // Trained to within ≈ 1.25x of the LP optimum on this stream.
+        let config = FigretConfig { history_window: 2, epochs: 60, ..FigretConfig::fast_test() };
+        let mut model = FigretModel::new(&ps, &dataset.per_slot_variance(), config);
+        model.train(&dataset);
+        let policy = ReconfigPolicy {
+            hysteresis: 0.0,
+            budget: None,
+            fallback: FallbackPolicy { degradation: 1.5, patience: 1, audit_every: 1 },
+        };
+        let mut c = ServeController::learned(&ps, model, Box::new(LastValue::new()), policy);
+        for column in &columns[78..80] {
+            c.observe_pairs(column);
+        }
+        for (t, column) in columns.iter().enumerate().skip(80) {
+            let out = c.step_pairs(column);
+            assert_eq!(out.record.source, Some(DecisionSource::Model), "tick {t}");
+        }
+        let audits = c.audit_stats();
+        assert_eq!(audits.certified + audits.solved(), 40, "{audits:?}");
+        assert_eq!(audits.solved_fail, 0, "{audits:?}");
+        assert!(c.lp_stats().solves <= 1, "{audits:?}, {:?}", c.lp_stats());
     }
 
     /// The serving contract: every model-sourced decision is

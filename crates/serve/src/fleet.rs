@@ -59,7 +59,7 @@ use figret_telemetry::{Registry, Stopwatch};
 use figret_traffic::{ShardPlan, ShardUniverse};
 
 use crate::admission::{AdmissionStats, GlobalAdmission, ShardBid};
-use crate::controller::{CandidatePlan, Proposal, ServeController, StepOutcome};
+use crate::controller::{AuditStats, CandidatePlan, Proposal, ServeController, StepOutcome};
 use crate::log::{Action, ServeLog};
 use crate::policy::ReconfigPolicy;
 use crate::predictor::PredictorKind;
@@ -413,6 +413,15 @@ impl FleetController {
         let mut merged = SeriesStats::default();
         for s in &self.shards {
             merged.merge(s.controller.lp_stats());
+        }
+        merged
+    }
+
+    /// Learned audit outcomes summed over every shard.
+    pub fn audit_stats(&self) -> AuditStats {
+        let mut merged = AuditStats::default();
+        for s in &self.shards {
+            merged.merge(&s.controller.audit_stats());
         }
         merged
     }

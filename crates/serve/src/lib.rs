@@ -14,7 +14,9 @@
 //!   fallback;
 //! * [`controller`] — the serving loop itself, pairing learned inference
 //!   (a model's compiled f32 plan, [`ServedModel`]) with a warm-started
-//!   [`figret_solvers::MluTemplate`] LP re-solve;
+//!   [`figret_solvers::MluTemplate`] LP re-solve, which audits the model
+//!   only when the template's lower bound on the LP optimum cannot clear it
+//!   ([`AuditStats`]);
 //! * [`log`] — the bit-deterministic event/decision log plus measured
 //!   per-decision latencies;
 //! * [`admission`] — the admission layer, asked *before* any candidate is
@@ -83,7 +85,9 @@ pub mod shadow;
 pub mod telemetry;
 
 pub use admission::{AdmissionStats, GlobalAdmission, ShardBid};
-pub use controller::{Proposal, ServeController, ServedModel, StepOutcome};
+pub use controller::{
+    AuditResult, AuditStats, Proposal, ServeController, ServedModel, StepOutcome,
+};
 pub use fleet::{FleetController, FleetTickOutcome};
 pub use log::{
     Action, DecisionSource, HoldReason, ServeLog, TickRecord, Transition, TransitionRecord,

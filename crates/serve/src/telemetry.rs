@@ -12,6 +12,7 @@
 use figret_lp::SolveStats;
 use figret_telemetry::{CounterId, GaugeId, HistogramId, Registry};
 
+use crate::controller::AuditResult;
 use crate::log::{Action, HoldReason, Transition};
 
 /// The fleet's five tick phases, in execution order (DESIGN.md §8).
@@ -29,6 +30,10 @@ pub struct ServeTelemetry {
     warmups: CounterId,
     candidates_skipped: CounterId,
     candidates_outranked: CounterId,
+    // Learned audits, by how they ended.
+    audits_certified: CounterId,
+    audits_solved_pass: CounterId,
+    audits_solved_fail: CounterId,
     // Decision-phase spans.
     decision_seconds: HistogramId,
     predict_seconds: HistogramId,
@@ -71,6 +76,9 @@ impl ServeTelemetry {
             warmups: r.counter("figret_serve_warmup_ticks_total"),
             candidates_skipped: r.counter("figret_serve_candidates_skipped_total"),
             candidates_outranked: r.counter("figret_serve_candidates_outranked_total"),
+            audits_certified: r.counter("figret_serve_audits_total{result=\"certified\"}"),
+            audits_solved_pass: r.counter("figret_serve_audits_total{result=\"solved_pass\"}"),
+            audits_solved_fail: r.counter("figret_serve_audits_total{result=\"solved_fail\"}"),
             decision_seconds: r.histogram("figret_serve_decision_seconds"),
             predict_seconds: r.histogram("figret_serve_predict_seconds"),
             candidate_model_seconds: r
@@ -133,6 +141,16 @@ impl ServeTelemetry {
     /// fleet's solve waves left the bid outranked.
     pub fn on_candidate_outranked(&mut self) {
         self.registry.inc(self.candidates_outranked);
+    }
+
+    /// Counts one audit of the live model, by how it ended.
+    pub fn on_audit(&mut self, result: AuditResult) {
+        let id = match result {
+            AuditResult::Certified => self.audits_certified,
+            AuditResult::SolvedPass => self.audits_solved_pass,
+            AuditResult::SolvedFail => self.audits_solved_fail,
+        };
+        self.registry.inc(id);
     }
 
     /// Records the predicted-MLU evaluation span of a propose phase.
@@ -276,6 +294,9 @@ mod tests {
         t.on_lp_solve(&SolveStats { warm_started: true, ..Default::default() }, 5e-5);
         t.on_retrain(0.2);
         t.on_shadow_audit(true, 1e-4);
+        t.on_audit(AuditResult::Certified);
+        t.on_audit(AuditResult::Certified);
+        t.on_audit(AuditResult::SolvedFail);
         t.set_cusum_level(0.125);
         let r = t.registry();
         assert_eq!(r.counter_by_name("figret_serve_ticks_total"), Some(2));
@@ -287,6 +308,9 @@ mod tests {
             r.counter_by_name("figret_recovery_transitions_total{kind=\"degraded\"}"),
             Some(1)
         );
+        assert_eq!(r.counter_by_name("figret_serve_audits_total{result=\"certified\"}"), Some(2));
+        assert_eq!(r.counter_by_name("figret_serve_audits_total{result=\"solved_pass\"}"), Some(0));
+        assert_eq!(r.counter_by_name("figret_serve_audits_total{result=\"solved_fail\"}"), Some(1));
         assert_eq!(r.gauge_by_name("figret_recovery_cusum_level"), Some(0.125));
         assert_eq!(r.histogram_by_name("figret_serve_decision_seconds").unwrap().count(), 1);
         // Warmup ticks do not pollute the decision latency histogram.

@@ -2,8 +2,11 @@
 //! being true (the counting-allocator family of
 //! `crates/nn/tests/plan_allocations.rs`): a challenger's forward pass runs
 //! its compiled plan into caller-owned buffers, the same helper the live
-//! model serves through.  The LP candidate an audit compares against still
-//! allocates, so this does not cover the whole fallback tick.
+//! model serves through.  A shadow audit runs on a fallback tick, whose LP
+//! candidate is deployed and so is always solved, and a solve allocates, so
+//! this does not cover the whole fallback tick.  (The live model's audit
+//! solves only when the template's lower bound cannot clear the model; a
+//! tick the bound clears is covered by `audit_allocations.rs`.)
 //!
 //! This file holds ONE test and runs it from a plain `main` (`harness =
 //! false`): the count is process-wide, so nothing but the test and the thread

@@ -56,7 +56,7 @@ pub use schemes::{
     desensitization_bounds, heuristic_absolute_bounds, heuristic_bounds, omniscient_config,
     DesensitizationSettings, HeuristicBound,
 };
-pub use template::{MluTemplate, SeriesStats};
+pub use template::{clean_demand, MluTemplate, SeriesStats};
 
 #[cfg(test)]
 mod proptests {

@@ -297,8 +297,10 @@ impl MluTemplate {
 }
 
 /// A demand as the template reads it: negative and non-finite values count
-/// as zero.
-fn clean_demand(d: f64) -> f64 {
+/// as zero.  A caller that scores configurations on the column it solves
+/// for cleans it with this first, so the score and the solve read the same
+/// demand.
+pub fn clean_demand(d: f64) -> f64 {
     if d.is_finite() {
         d.max(0.0)
     } else {
@@ -546,7 +548,9 @@ mod tests {
     /// plain, the desensitization and the availability-masked template.
     ///
     /// The lower bound rides along: before and after each solve it may not
-    /// exceed the one-shot optimum (1e-9), and on the plain template right
+    /// exceed the one-shot optimum (1e-9), the bound taken before a solve
+    /// may not exceed the MLU of that solve's own configuration at all (the
+    /// serving audit passes a model on it), and on the plain template right
     /// after a solve — the pool now holds the solve's own multipliers — it
     /// equals the optimum within 1e-7, which pins the sign and orientation
     /// of the duals.  The other two only keep the inequality: sensitivity
@@ -575,6 +579,10 @@ mod tests {
                 let b = max_link_utilization_pairs(ps, &reference, demand);
                 assert!((a - b).abs() < 1e-7, "{name}, snapshot {t}: template {a} vs one-shot {b}");
                 assert!(bound <= b + 1e-9, "{name}, snapshot {t}: bound {bound} above optimum {b}");
+                // What the serving audit relies on: with no tolerance, the
+                // bound never exceeds the MLU of the configuration the solve
+                // it stands in for returns.
+                assert!(bound <= a, "{name}, snapshot {t}: bound {bound} above the solve's {a}");
                 let own = template.mlu_lower_bound(demand);
                 if name == "plain" {
                     assert!((own - a).abs() < 1e-7, "{name}, snapshot {t}: own bound {own} vs {a}");

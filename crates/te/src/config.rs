@@ -117,6 +117,13 @@ impl TeConfig {
         Some(TeConfig { ratios })
     }
 
+    /// The configuration a failure rerouting produced: every pair's ratios
+    /// sum to one, except those of a pair left without a live path, which
+    /// are all zero (its demand cannot be served, so it loads no edge).
+    pub(crate) fn from_rerouted(ratios: Vec<f64>) -> TeConfig {
+        TeConfig { ratios }
+    }
+
     /// The split ratio of a path.
     #[inline]
     pub fn ratio(&self, path: usize) -> f64 {

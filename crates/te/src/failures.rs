@@ -83,15 +83,11 @@ pub fn reroute_with_mask(paths: &PathSet, config: &TeConfig, alive: &[bool]) -> 
             }
         }
     }
-    // The redistribution preserves per-pair sums by construction; from_raw
-    // would also renormalize pairs that lost all paths, which we do not want,
-    // so we construct directly.
-    TeConfig::from_normalized(paths, ratios.clone()).unwrap_or_else(|| {
-        // Pairs that lost every path have ratio sum 0; fall back to a raw
-        // construction that leaves those pairs uniform (they cannot carry
-        // traffic anyway, but the config stays well-formed).
-        TeConfig::from_raw(paths, &ratios)
-    })
+    // The redistribution preserves every other pair's sum by construction.
+    // A pair that lost every path keeps its zeros: renormalizing it would
+    // spread its demand back over the dead paths, whose live edges would
+    // then carry traffic that cannot reach them.
+    TeConfig::from_rerouted(ratios)
 }
 
 #[cfg(test)]
@@ -171,6 +167,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_pair_without_a_live_path_carries_nothing() {
+        let (_g, ps) = three_route_net();
+        let pair = pair_index(&ps, 0, 4);
+        // Fail the first edge of every route out of node 0.
+        let failed: Vec<EdgeId> =
+            ps.paths_of_pair(pair).map(|pi| EdgeId(ps.path_edges(pi)[0])).collect();
+        let rerouted = reroute_around_failures(
+            &ps,
+            &TeConfig::uniform(&ps),
+            &FailureScenario::from_edges(failed),
+        );
+        assert!(ps.paths_of_pair(pair).all(|pi| rerouted.ratio(pi) == 0.0));
+        let mut demand = vec![0.0; ps.num_pairs()];
+        demand[pair] = 5.0;
+        assert_eq!(crate::max_link_utilization_pairs(&ps, &rerouted, &demand), 0.0);
     }
 
     #[test]
